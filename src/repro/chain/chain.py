@@ -6,9 +6,11 @@ Batch mode (``auto_mine=False``) queues transactions in a pending pool until
 :meth:`Blockchain.mine_block` is called, which is what the workload-driven
 benchmarks use.
 
-The chain keeps a state checkpoint per block so that it can simulate history
+The chain keeps a fork point per block so that it can simulate history
 rewrites (forks / 51% attacks, §VII-A(c) of the paper) via
-:meth:`revert_to_block`.
+:meth:`revert_to_block`.  A fork point is not a copy of the state: it is one
+open checkpoint of the :class:`~repro.chain.state.WorldState` undo journal,
+holding the old value of everything written since the previous block.
 """
 
 from __future__ import annotations
@@ -33,18 +35,21 @@ BLOCK_INTERVAL_SECONDS = 13   # average Ethereum block time circa 2020
 
 @dataclass
 class _Checkpoint:
-    """Per-block snapshot used for forks and reorg simulation.
+    """The fork point right after one block (py-evm ``JournalDB`` style).
 
-    Block checkpoints (and :meth:`Blockchain.fork`) are the only remaining
-    full-copy path over the world state: per-frame rollback inside a block
-    rides the :class:`~repro.chain.state.WorldState` undo journal, while a
-    reorg genuinely needs an isolated copy and pays ``deep_copy`` for it
-    once per block.
+    ``mark`` is the journal checkpoint opened on the world state once the
+    block was mined.  It stays open, so it collects the undo record of every
+    later write up to the next block's own mark -- the next block's
+    transactions *and* whatever was written between the two blocks (faucet
+    funding, direct deployments).  Mining costs O(1) here and retains
+    O(touched); reverting to the block is ``state.revert_to(mark)``.
+
+    The contract registry only ever grows, in insertion order, so its state
+    at the fork point is its first ``contract_count`` entries.
     """
 
-    state: WorldState
-    contracts: dict[Address, Contract]
-    timestamp: int
+    mark: int
+    contract_count: int
 
 
 class Blockchain:
@@ -63,10 +68,7 @@ class Blockchain:
         self.blocks: list[Block] = [genesis_block(self.clock.now())]
         self.pending: list[Transaction] = []
         self.receipts: dict[bytes, Receipt] = {}
-        self._checkpoints: list[_Checkpoint] = [
-            _Checkpoint(self.evm.state.deep_copy(), dict(self.evm.contracts),
-                        self.clock.now())
-        ]
+        self._rebase()
         # Tracer factory can be overridden (runtime verification testnets do).
         self.trace_transactions = False
         #: durability hook: called with the post-block world state inside
@@ -218,10 +220,7 @@ class Blockchain:
         if self.state_root_provider is not None:
             block.state_root = self.state_root_provider(self.evm.state)
         self.blocks.append(block)
-        self._checkpoints.append(
-            _Checkpoint(self.evm.state.deep_copy(), dict(self.evm.contracts),
-                        self.clock.now())
-        )
+        self._checkpoints.append(self._checkpoint())
         return receipts
 
     # -- deployment ---------------------------------------------------------------------
@@ -272,51 +271,62 @@ class Blockchain:
 
         The recovered state becomes the chain's single source of truth and,
         as with :meth:`fork`, pre-existing per-block fork points collapse to
-        one checkpoint of the installed state: a recovered node resumes
-        forward from here, it does not replay the pre-crash fork history.
+        one at the current height: a recovered node resumes forward from
+        here, it does not replay the pre-crash fork history.
         """
         self.evm.state = state
-        self._checkpoints = [
-            _Checkpoint(state.deep_copy(), dict(self.evm.contracts), self.clock.now())
-        ]
+        self._rebase()
 
     # -- forks and reorgs ------------------------------------------------------------------------
+
+    def _checkpoint(self) -> _Checkpoint:
+        return _Checkpoint(self.evm.state.snapshot(), len(self.evm.contracts))
+
+    def _rebase(self) -> None:
+        """Make the current height the oldest block a reorg can reach."""
+        self._checkpoints = [self._checkpoint()]
 
     def revert_to_block(self, block_number: int) -> None:
         """Rewrite history: discard all blocks above ``block_number``.
 
         This simulates the effect of a 51% attack rewriting the chain.  State,
-        the contract registry and receipts are restored to the checkpoint of
-        the target block; the clock is left monotonic (it never goes back).
+        the contract registry and receipts are restored to what they were
+        right after the target block (writes made since the latest block
+        without mining one are undone too); the clock is left monotonic (it
+        never goes back).  Costs O(writes undone), not O(state).
         """
-        if not 0 <= block_number <= self.height:
+        # _checkpoints[-1] belongs to the latest block; a fork or an
+        # installed state starts the list at its own height, not at genesis.
+        oldest = self.height + 1 - len(self._checkpoints)
+        index = block_number - oldest
+        if not 0 <= index < len(self._checkpoints):
             raise ValueError(f"no block {block_number} to revert to")
-        checkpoint = self._checkpoints[block_number]
-        self.evm.state = checkpoint.state.deep_copy()
-        self.evm.contracts = dict(checkpoint.contracts)
+        checkpoint = self._checkpoints[index]
+        self.evm.state.revert_to(checkpoint.mark)
+        for address in list(self.evm.contracts)[checkpoint.contract_count:]:
+            del self.evm.contracts[address]
+        # revert_to consumed the mark: reopen it over the restored state.
+        self._checkpoints[index:] = [self._checkpoint()]
         kept_hashes = {
             tx.hash() for block in self.blocks[: block_number + 1] for tx in block.transactions
         }
         self.receipts = {h: r for h, r in self.receipts.items() if h in kept_hashes}
         del self.blocks[block_number + 1:]
-        del self._checkpoints[block_number + 1:]
 
     def fork(self) -> "Blockchain":
         """Return an independent copy of the chain at its current height.
 
         Used by the Token Service's local testnets: runtime-verification tools
         replay candidate transactions on a fork without touching the main
-        chain.
+        chain.  This is the one full copy of the world state left; the fork
+        can be reverted back to this height, not below it.
         """
-        clone = Blockchain(auto_mine=True, clock=SimulatedClock(self.clock.now()),
+        clone = type(self)(auto_mine=True, clock=SimulatedClock(self.clock.now()),
                            block_interval=self.block_interval)
         clone.evm.state = self.evm.state.deep_copy()
         clone.evm.contracts = dict(self.evm.contracts)
         clone.evm.contract_creators = dict(self.evm.contract_creators)
         clone.blocks = list(self.blocks)
         clone.receipts = dict(self.receipts)
-        clone._checkpoints = [
-            _Checkpoint(clone.evm.state.deep_copy(), dict(clone.evm.contracts),
-                        clone.clock.now())
-        ]
+        clone._rebase()
         return clone

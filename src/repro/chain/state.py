@@ -3,7 +3,9 @@
 The state supports snapshot/revert semantics needed for:
 
 * reverting all effects of a failed call frame (Solidity ``revert``),
-* rolling the chain back across blocks (fork / 51%-attack simulation).
+* rolling the chain back across blocks (fork / 51%-attack simulation): the
+  chain leaves one journal checkpoint open per block, so a block's fork point
+  is the undo record of what it wrote, not a copy of the state.
 
 Contract *code* is a live Python object registered with the execution engine;
 only the data that Solidity would keep in ``storage`` lives here, so that a
@@ -31,8 +33,8 @@ engine.  One caveat the journal shares with the real EVM: storage values are
 journaled *by reference*, so mutating a stored mutable object in place
 (instead of writing through :meth:`WorldState.storage_set`) is invisible to
 rollback.  :meth:`WorldState.storage_of` therefore hands out a read-only
-mapping view, and block-level checkpoints -- the only remaining full-copy
-path -- go through :meth:`deep_copy`.
+mapping view; :meth:`deep_copy` (a chain fork) is the only remaining
+full-copy path.
 """
 
 from __future__ import annotations
@@ -276,12 +278,12 @@ class _AccountStore:
     # -- block-level copies -------------------------------------------------------
 
     def deep_copy(self) -> "Any":
-        """A fully independent copy (block-level checkpoints and forks only).
+        """A fully independent copy (chain forks only).
 
-        This is the one remaining full-copy path: per-frame rollback rides
-        the undo journal, while :class:`~repro.chain.chain.Blockchain`
-        checkpoints and Token Service simulation forks genuinely need an
-        isolated state and pay O(total state) for it here.
+        This is the one remaining full-copy path: per-frame rollback and
+        :class:`~repro.chain.chain.Blockchain`'s per-block fork points ride
+        the undo journal, while a Token Service simulation fork genuinely
+        needs an isolated state and pays O(total state) for it here.
         """
         clone = type(self)()
         clone._accounts = {addr: rec.copy() for addr, rec in self._accounts.items()}
@@ -296,8 +298,9 @@ class WorldState(_AccountStore):
     (account, field) pair is touched within that checkpoint; ``revert_to``
     replays those records newest-first and ``commit`` merges them into the
     parent checkpoint (parent records, being older, win).  With no active
-    checkpoint the write methods skip journaling entirely, so block-less
-    bootstrap writes (faucets, genesis funding) stay at dictionary speed.
+    checkpoint the write methods skip journaling entirely; a state owned by a
+    :class:`~repro.chain.chain.Blockchain` always has one (the latest block's
+    fork point), so there even faucet writes are journaled.
     """
 
     def __init__(self) -> None:

@@ -15,7 +15,7 @@ from typing import Any
 from repro.chain import abi
 from repro.chain.address import Address, ZERO_ADDRESS, address_hex
 from repro.crypto.ecdsa import Signature, SignatureError
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_shared_prefix
 from repro.crypto.keys import recover_address
 
 DEFAULT_GAS_LIMIT = 8_000_000
@@ -45,7 +45,9 @@ class Transaction:
     def __post_init__(self) -> None:
         if isinstance(self.args, list):
             self.args = tuple(self.args)
-        self._cached_hash: bytes | None = None
+        # The digest memo: two 32-byte values, never sponge state.
+        self._hash: bytes | None = None
+        self._signing_digest: bytes | None = None
 
     @property
     def calldata(self) -> bytes:
@@ -79,25 +81,46 @@ class Transaction:
         enclosing block header), and the fields it covers are frozen once the
         transaction is signed.  :meth:`sign_with` invalidates the memo.
         """
-        if self._cached_hash is None:
+        if self._hash is None:
             sig_bytes = self.signature.to_bytes() if self.signature else b""
-            self._cached_hash = keccak256(self.signing_payload() + sig_bytes)
-        return self._cached_hash
+            self._hash = keccak256(self.signing_payload() + sig_bytes)
+        return self._hash
+
+    def signing_digest(self) -> bytes:
+        """The digest the sender signed: ``keccak256(signing_payload())``.
+
+        A node needs this *and* :meth:`hash` for every transaction it admits,
+        and the two messages share the whole payload -- so when neither is
+        known yet, both come out of one pass over it (see
+        :func:`~repro.crypto.keccak.keccak256_shared_prefix`).  Memoized and
+        invalidated together with the hash.
+        """
+        if self._signing_digest is None:
+            payload = self.signing_payload()
+            if self._hash is None and self.signature is not None:
+                self._signing_digest, self._hash = keccak256_shared_prefix(
+                    payload, self.signature.to_bytes()
+                )
+            else:
+                self._signing_digest = keccak256(payload)
+        return self._signing_digest
 
     def sign_with(self, keypair: "Any") -> "Transaction":
-        """Sign in place using a :class:`repro.crypto.keys.KeyPair`-like object."""
-        digest = keccak256(self.signing_payload())
-        self.signature = keypair.sign(digest)
-        self._cached_hash = None
+        """Sign in place using a :class:`repro.crypto.keys.KeyPair`-like object.
+
+        Clears the digest memo and leaves it empty: whoever receives the
+        transaction hashes the fields it actually received.
+        """
+        self.signature = keypair.sign(keccak256(self.signing_payload()))
+        self._hash = self._signing_digest = None
         return self
 
     def verify_signature(self) -> bool:
         """Check that the signature recovers the declared sender address."""
         if self.signature is None:
             return False
-        digest = keccak256(self.signing_payload())
         try:
-            return recover_address(digest, self.signature) == self.sender
+            return recover_address(self.signing_digest(), self.signature) == self.sender
         except SignatureError:
             return False
 

@@ -149,6 +149,33 @@ def _keccak_f(state: list[int]) -> list[int]:
             s20, s21, s22, s23, s24]
 
 
+def _absorb(state: list[int], blocks: "bytes | bytearray") -> list[int]:
+    """Absorb whole rate blocks into the sponge; ``state`` is left untouched."""
+    state = list(state)
+    for offset in range(0, len(blocks), _RATE_BYTES):
+        lanes = _UNPACK_RATE(blocks, offset)
+        for i in range(_RATE_LANES):
+            state[i] ^= lanes[i]
+        state = _keccak_f(state)
+    return state
+
+
+def _finish(state: list[int], tail: bytes) -> bytes:
+    """Pad ``tail``, absorb it on top of ``state`` and squeeze the digest."""
+    # Padding: multi-rate pad10*1 with the Keccak domain byte 0x01.
+    padded = bytearray(tail)
+    padded += bytes(_RATE_BYTES - (len(padded) % _RATE_BYTES))
+    padded[len(tail)] ^= 0x01
+    padded[-1] ^= 0x80
+    state = _absorb(state, padded)
+    # Squeeze phase: 256 bits fit within a single rate block.
+    return _PACK_DIGEST(state[0] & _MASK, state[1] & _MASK,
+                        state[2] & _MASK, state[3] & _MASK)
+
+
+_EMPTY_SPONGE = [0] * 25
+
+
 def keccak256(data: bytes) -> bytes:
     """Return the 32-byte keccak-256 digest of ``data``.
 
@@ -157,26 +184,23 @@ def keccak256(data: bytes) -> bytes:
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"keccak256 expects bytes, got {type(data).__name__}")
+    return _finish(_EMPTY_SPONGE, data)
 
-    state = [0] * 25
 
-    # Padding: multi-rate pad10*1 with the Keccak domain byte 0x01.
-    padded = bytearray(data)
-    pad_len = _RATE_BYTES - (len(padded) % _RATE_BYTES)
-    padded += bytes(pad_len)
-    padded[len(data)] ^= 0x01
-    padded[-1] ^= 0x80
+def keccak256_shared_prefix(prefix: bytes, suffix: bytes) -> tuple[bytes, bytes]:
+    """``(keccak256(prefix), keccak256(prefix + suffix))`` hashing ``prefix`` once.
 
-    # Absorb phase.
-    for offset in range(0, len(padded), _RATE_BYTES):
-        lanes = _UNPACK_RATE(padded, offset)
-        for i in range(_RATE_LANES):
-            state[i] ^= lanes[i]
-        state = _keccak_f(state)
-
-    # Squeeze phase: 256 bits fit within a single rate block.
-    return _PACK_DIGEST(state[0] & _MASK, state[1] & _MASK,
-                        state[2] & _MASK, state[3] & _MASK)
+    The whole rate blocks of ``prefix`` are absorbed a single time and both
+    digests are finished from that shared sponge state, so the pair costs
+    the permutations of the longer message plus the shorter one's final
+    block(s) -- 5 instead of 7 for a transaction's signing payload and its
+    payload-plus-signature hash.  Both digests are byte-identical to two
+    separate :func:`keccak256` calls.
+    """
+    shared = len(prefix) - len(prefix) % _RATE_BYTES
+    state = _absorb(_EMPTY_SPONGE, prefix[:shared])
+    tail = prefix[shared:]
+    return _finish(state, tail), _finish(state, tail + suffix)
 
 
 def keccak256_hex(data: bytes) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.ecdsa import Signature, recover, recover_batch, sign, verify
 from repro.crypto.keccak import keccak256
@@ -37,7 +38,7 @@ class PublicKey:
 
     def address(self) -> bytes:
         """The 20-byte Ethereum address for this key."""
-        return keccak256(self.to_bytes())[-20:]
+        return _address_of(self.point)
 
     def address_hex(self) -> str:
         """The checksummed-free 0x-prefixed hex address."""
@@ -45,6 +46,17 @@ class PublicKey:
 
     def verify(self, digest: bytes, signature: Signature) -> bool:
         return verify(digest, signature, self.point)
+
+
+@lru_cache(maxsize=4096)
+def _address_of(point: Point) -> bytes:
+    """Key -> address memo: a pure function, one keccak permutation per miss.
+
+    A node recovers the same few senders' keys over and over (every
+    admission ends in one), and a wallet reads its own ``KeyPair.address``
+    per transaction; bounded so sender churn cannot grow it without limit.
+    """
+    return keccak256(PublicKey(point).to_bytes())[-20:]
 
 
 @dataclass(frozen=True)
@@ -118,8 +130,7 @@ def recover_address(digest: bytes, signature: Signature) -> bytes:
 
     Mirrors Solidity's ``ecrecover`` which returns an address, not a key.
     """
-    public_point = recover(digest, signature)
-    return PublicKey(public_point).address()
+    return _address_of(recover(digest, signature))
 
 
 def recover_address_batch(
@@ -132,6 +143,6 @@ def recover_address_batch(
     unrecoverable entries come back as ``None`` instead of raising.
     """
     return [
-        PublicKey(point).address() if point is not None else None
+        _address_of(point) if point is not None else None
         for point in recover_batch(pairs)
     ]

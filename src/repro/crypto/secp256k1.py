@@ -10,10 +10,11 @@ Jacobian coordinates, with two layers:
 * a **fast path** used by signing and verification: a fixed-base window table
   for the generator (``k * G`` during signing), width-w non-adjacent-form
   (wNAF) recoding with precomputed odd multiples of ``G`` and an on-the-fly
-  odd-multiples table for arbitrary points, a single interleaved Shamir
-  ladder for ``u1*G + u2*P`` (one pass of doublings shared by both scalars),
-  and a Montgomery batch inversion that converts many Jacobian results to
-  affine with a single field inversion; and
+  odd-multiples table for arbitrary points, one GLV four-stream ladder for
+  ``u1*G + u2*P`` (both scalars split by the curve endomorphism, so a single
+  pass of ~128 doublings serves verification, recovery and batch recovery
+  alike), and a Montgomery batch inversion that converts many Jacobian
+  results to affine with a single field inversion; and
 * a **reference path** (:func:`point_multiply_reference`, the naive
   double-and-add :func:`_jacobian_multiply`) kept deliberately simple so the
   differential tests can check every fast-path result against it.
@@ -340,49 +341,6 @@ def _jacobian_multiply_wnaf(
     return result
 
 
-def _jacobian_shamir(
-    u1: int, u2: int, jac: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """``u1*G + u2*point`` in one interleaved wNAF ladder (Jacobian result).
-
-    Both scalars share a single left-to-right pass of doublings: the
-    generator digits resolve against the precomputed *affine* odd-multiples
-    table (mixed additions), the second point's digits against a small
-    Jacobian table built on the fly.  This is the kernel behind one-pass
-    ``ecrecover`` and signature verification.
-    """
-    u1 %= N
-    u2 %= N
-    naf1 = _wnaf(u1, _WNAF_WIDTH_FIXED) if u1 else []
-    naf2 = _wnaf(u2, _WNAF_WIDTH_VAR) if u2 and jac[2] != 0 else []
-    table2 = (
-        _build_odd_multiples(jac, 1 << (_WNAF_WIDTH_VAR - 2)) if naf2 else []
-    )
-    table1 = _G_ODD_AFFINE
-    len1, len2 = len(naf1), len(naf2)
-    double, add, add_mixed = _jacobian_double, _jacobian_add, _jacobian_add_mixed
-    result = _J_INFINITY
-    for i in range(max(len1, len2) - 1, -1, -1):
-        result = double(result)
-        if i < len1:
-            digit = naf1[i]
-            if digit:
-                if digit > 0:
-                    result = add_mixed(result, table1[digit >> 1])
-                else:
-                    x, y = table1[(-digit) >> 1]
-                    result = add_mixed(result, (x, P - y))
-        if i < len2:
-            digit = naf2[i]
-            if digit:
-                if digit > 0:
-                    result = add(result, table2[digit >> 1])
-                else:
-                    x, y, z = table2[(-digit) >> 1]
-                    result = add(result, (x, P - y, z))
-    return result
-
-
 def affine_odd_multiples_batch(
     points: list[Point],
 ) -> list[list[tuple[int, int]]]:
@@ -390,7 +348,8 @@ def affine_odd_multiples_batch(
 
     Builds every table in Jacobian coordinates, then normalises all entries
     of all tables with a single shared Montgomery batch inversion -- the
-    per-signature table cost in :func:`repro.crypto.ecdsa.recover_batch`.
+    per-point table cost of :func:`shamir_multiply` (one point) and
+    :func:`repro.crypto.ecdsa.recover_batch` (a block of them).
     """
     count = 1 << (_WNAF_WIDTH_VAR - 2)
     flat: list[tuple[int, int, int]] = []
@@ -406,13 +365,15 @@ def affine_odd_multiples_batch(
 def _jacobian_shamir_glv(
     u1: int, u2: int, table_r: list[tuple[int, int]]
 ) -> tuple[int, int, int]:
-    """``u1*G + u2*R`` with both scalars GLV-split (batch-recovery kernel).
+    """``u1*G + u2*R`` with both scalars GLV-split: the one dual-scalar kernel.
 
     ``table_r`` is R's affine odd-multiples table (from
-    :func:`affine_odd_multiples_batch`).  Each 256-bit scalar splits into
-    two ~128-bit halves against (G, lambda*G) and (R, lambda*R), so the
-    joint ladder runs half the doublings of :func:`_jacobian_shamir`; every
-    digit addition is a mixed (affine) addition.
+    :func:`affine_odd_multiples_batch`; empty for the point at infinity).
+    Each 256-bit scalar splits into two ~128-bit halves against
+    (G, lambda*G) and (R, lambda*R), so the joint ladder runs ~128 doublings
+    instead of 256 and every digit addition is a mixed (affine) addition.
+    Verification, single recovery and batch recovery all end here; the
+    saving is the endomorphism's, so it is the same at batch size 1.
     """
     g1, g2 = _glv_split(u1 % N)
     k1, k2 = _glv_split(u2 % N)
@@ -423,11 +384,12 @@ def _jacobian_shamir_glv(
         (k1, _WNAF_WIDTH_VAR, table_r),
         (k2, _WNAF_WIDTH_VAR, apply_endomorphism(table_r)),
     ):
-        if scalar:
-            if scalar < 0:
-                scalar = -scalar
-                table = [(x, P - y) for x, y in table]
-            streams.append((_wnaf(scalar, width), table))
+        if scalar and table:
+            naf = _wnaf(abs(scalar), width)
+            # A negative half negates its digits, not its table: -d * P is
+            # the table point for |d| with y flipped, which the ladder does
+            # per addition anyway.
+            streams.append(([-d for d in naf] if scalar < 0 else naf, table))
     return _jacobian_multi_wnaf_affine(streams)
 
 
@@ -438,9 +400,8 @@ def _jacobian_multi_wnaf_affine(
 
     Every stream pairs its NAF digits with an *affine* odd-multiples table,
     so all digit additions are mixed additions; the doublings are shared by
-    all streams.  This is the batch-recovery kernel: four ~128-bit streams
-    (G, lambda*G, R, lambda*R after the GLV split) replace two 256-bit ones,
-    halving the doublings.
+    all streams: four ~128-bit streams (G, lambda*G, R, lambda*R after the
+    GLV split) replace two 256-bit ones, halving the doublings.
 
     The digit streams are resolved to per-step addition events up front --
     wNAF digits are sparse (one nonzero per ``width+1`` positions on
@@ -482,8 +443,8 @@ def _jacobian_multi_wnaf_affine(
 # secp256k1 has an efficiently computable endomorphism phi(x, y) = (beta*x, y)
 # with phi(Q) = lambda*Q, where lambda^3 = 1 (mod N) and beta^3 = 1 (mod P).
 # Splitting a 256-bit scalar k into k1 + k2*lambda with |k1|, |k2| ~ 2^128
-# halves the doublings of a scalar multiplication.  The batch-recovery
-# kernel uses it to turn u1*G + u2*R into four ~128-bit streams.
+# halves the doublings of a scalar multiplication.  The dual-scalar kernel
+# uses it to turn u1*G + u2*R into four ~128-bit streams.
 
 LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
 BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
@@ -644,11 +605,14 @@ def point_negate(point: Point) -> Point:
 def shamir_multiply(u1: int, u2: int, point: Point) -> Point:
     """Compute ``u1 * G + u2 * point`` (used by verification and recovery).
 
-    A true interleaved Shamir ladder: one shared pass of doublings with wNAF
-    digit additions from the fixed generator table and an on-the-fly table
-    for ``point`` -- roughly half the work of two independent ladders.
+    One call into the GLV four-stream ladder: ``point``'s eight odd multiples
+    are normalised to affine with a single field inversion, then both
+    scalars ride ~128 shared doublings -- the same kernel, at the same
+    per-signature cost, that :func:`repro.crypto.ecdsa.recover_batch` runs
+    over a block.
     """
-    return _from_jacobian(_jacobian_shamir(u1, u2, _to_jacobian(point)))
+    table = [] if point.is_infinity() else affine_odd_multiples_batch([point])[0]
+    return _from_jacobian(_jacobian_shamir_glv(u1, u2, table))
 
 
 def lift_x(x: int, is_odd: bool) -> Point:

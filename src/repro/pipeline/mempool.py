@@ -20,10 +20,13 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
   consumed on-chain or fell behind the window, and an in-pool reservation
   table refuses a second pending transaction carrying the same index.
 
-Admission is the only place transaction signatures are verified; the block
-executor hands admitted transactions to the chain through
+Checks run cheapest first -- dedup, deadline, gas limit, nonce, balance, the
+SMACS screens -- and the transaction signature's curve recovery last, so only
+a transaction that every lookup would let through pays for it.  Admission is
+the only place transaction signatures are verified; the block executor hands
+admitted transactions to the chain through
 :meth:`repro.chain.chain.Blockchain.enqueue_validated`, so the expensive
-recovery is paid exactly once per transaction.
+recovery is paid at most once per transaction.
 """
 
 from __future__ import annotations
@@ -205,8 +208,8 @@ class Mempool:
         ``deadline`` is an optional propagated absolute deadline
         (``time.time()`` seconds, the wire envelope's ``deadline`` field):
         a transaction whose submitter already gave up is shed *before* the
-        expensive signature recovery in :meth:`_check_node_rules` -- under
-        overload, ecrecover cycles must go to work someone still wants.
+        expensive signature recovery -- under overload, ecrecover cycles
+        must go to work someone still wants.
         """
         obs = self.obs
         if obs is None:
@@ -222,6 +225,7 @@ class Mempool:
     def _admit(
         self, tx: Transaction, deadline: "float | None" = None
     ) -> AdmissionDecision:
+        tx.signing_digest()  # one pass over the payload also memoizes the hash
         tx_hash = tx.hash()
         if tx_hash in self._pool or tx_hash in self.chain.receipts:
             return self._reject("duplicate transaction")
@@ -241,6 +245,12 @@ class Mempool:
             smacs_decision, reservations = self._check_smacs(tx)
             if smacs_decision is not None:
                 return smacs_decision
+
+        # Curve math last: every screen above is a dict lookup or a storage
+        # read, so a replayed index or a stale nonce is refused without
+        # paying the ~1 ms recovery it could never have passed anyway.
+        if not tx.verify_signature():
+            return self._reject("invalid signature")
 
         self._pool[tx_hash] = _PoolEntry(tx, reservations)
         self._pending_nonces[tx.sender] = self._pending_nonces.get(tx.sender, 0) + 1
@@ -266,8 +276,9 @@ class Mempool:
         return AdmissionDecision(False, reason)
 
     def _check_node_rules(self, tx: Transaction) -> "AdmissionDecision | None":
-        """Signature / nonce / balance -- the checks ``Blockchain._validate``
-        runs, but aware of nonces *and value* already held in this pool.
+        """Gas limit / nonce / balance -- the cheap half of what
+        ``Blockchain._validate`` checks (the signature is verified last, by
+        :meth:`_admit`), aware of nonces *and value* already held in this pool.
 
         The cumulative-spend check matters because admitted transactions skip
         re-validation at block inclusion: two transfers that are each covered
@@ -275,17 +286,20 @@ class Mempool:
         the EVM, where the second blows up mid-block."""
         if tx.gas_limit > self.max_gas_limit:
             return self._reject("transaction gas limit exceeds the block gas limit")
-        if not tx.verify_signature():
-            return self._reject("invalid signature")
+        state = self.chain.state
+        # The sender is not authenticated yet and the state's reads create
+        # the record they look up: an unknown sender reads as 0 / 0 here
+        # without a forged address ever growing the world state.
+        known = state.has_account(tx.sender)
         expected = (
-            self.chain.state.nonce_of(tx.sender)
+            (state.nonce_of(tx.sender) if known else 0)
             + self._pending_nonces.get(tx.sender, 0)
             + self._enqueued_count(tx.sender)
         )
         if tx.nonce != expected:
             return self._reject("bad nonce")
         committed = self._pending_spend.get(tx.sender, 0)
-        if self.chain.state.balance_of(tx.sender) < committed + tx.value:
+        if (state.balance_of(tx.sender) if known else 0) < committed + tx.value:
             return self._reject("insufficient funds")
         return None
 

@@ -78,3 +78,19 @@ def bob_wallet(bob, recorder, token_service):
 def method_token(alice_wallet, recorder):
     """A method token for ProtectedRecorder.submit issued to alice."""
     return alice_wallet.request_token(recorder, TokenType.METHOD, "submit")
+
+
+@pytest.fixture
+def keccak_permutations(monkeypatch):
+    """A live one-element counter of ``_keccak_f`` calls made from here on."""
+    from repro.crypto import keccak
+
+    calls = [0]
+    permute = keccak._keccak_f
+
+    def counting(state):
+        calls[0] += 1
+        return permute(state)
+
+    monkeypatch.setattr(keccak, "_keccak_f", counting)
+    return calls

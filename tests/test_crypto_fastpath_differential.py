@@ -18,6 +18,7 @@ from repro.crypto.ecdsa import (
     recover_batch,
     recover_reference,
     sign,
+    verify,
 )
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import KeyPair, recover_address, recover_address_batch
@@ -189,6 +190,124 @@ def test_endomorphism_matches_lambda_multiplication():
     assert mapped == (expected.x, expected.y)
 
 
+# --- recover / verify on the GLV kernel vs the references (fast lane) --------
+#
+# Single recovery and verification run the same four-stream ladder as the
+# block kernel; these pin them to ``recover_reference`` (three naive scalar
+# multiplications) and to a textbook verifier on the edges the ladder's table
+# building, GLV split and mixed additions could get wrong.
+
+
+def _verify_naive(digest: bytes, signature: Signature, public: Point) -> bool:
+    """Textbook ECDSA verification on the naive ladder, plus the EIP-2 rule."""
+    if public.is_infinity() or signature.s > N >> 1:
+        return False
+    s_inv = pow(signature.s, -1, N)
+    u1 = int.from_bytes(digest, "big") * s_inv % N
+    u2 = signature.r * s_inv % N
+    point = point_add(_naive_multiply(GENERATOR, u1), _naive_multiply(public, u2))
+    return not point.is_infinity() and point.x % N == signature.r
+
+
+def _recover_or_none(recover_fn, digest, signature):
+    try:
+        return recover_fn(digest, signature)
+    except SignatureError:
+        return None
+
+
+def _assert_recover_paths_agree(digest, signature):
+    expected = _recover_or_none(recover_reference, digest, signature)
+    assert _recover_or_none(recover, digest, signature) == expected
+    assert recover_batch([(digest, signature)]) == [expected]
+    return expected
+
+
+def test_high_s_twin_recovers_the_same_key_and_verify_refuses_it():
+    digest = keccak256(b"high-s")
+    good = _KEYPAIR.sign(digest)
+    mauled = Signature(good.r, N - good.s, good.v ^ 1)
+    public = _KEYPAIR.public.point
+    assert _assert_recover_paths_agree(digest, good) == public
+    assert _assert_recover_paths_agree(digest, mauled) == public
+    assert verify(digest, good, public) and _verify_naive(digest, good, public)
+    assert not verify(digest, mauled, public)
+    assert not _verify_naive(digest, mauled, public)
+
+
+@pytest.mark.parametrize("offset", [0, 27])
+def test_every_recovery_id_encoding_recovers_like_the_reference(offset):
+    digest = keccak256(b"v-encodings")
+    good = _KEYPAIR.sign(digest)
+    for v in (0, 1):  # the right parity and the wrong one
+        raw = good.to_bytes()[:64] + bytes([v + offset])
+        signature = Signature.from_bytes(raw)
+        assert signature.v == v
+        recovered = _assert_recover_paths_agree(digest, signature)
+        assert (recovered == _KEYPAIR.public.point) == (v == good.v)
+
+
+def test_r_that_is_no_abscissa_fails_on_every_path():
+    digest = keccak256(b"not-on-curve")
+    r = next(x for x in range(1, 64) if not _liftable(x))
+    for v in (0, 1):
+        assert _assert_recover_paths_agree(digest, Signature(r, 12345, v)) is None
+
+
+def _liftable(x: int) -> bool:
+    try:
+        lift_x(x, False)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("z", [0, N])
+def test_digest_congruent_to_zero_drops_the_generator_streams(z):
+    """z = 0 (mod N) makes u1 = 0: only the R / lambda*R streams remain."""
+    digest = z.to_bytes(32, "big")
+    signature = _KEYPAIR.sign(digest)
+    public = _KEYPAIR.public.point
+    assert _assert_recover_paths_agree(digest, signature) == public
+    assert verify(digest, signature, public)
+    assert _verify_naive(digest, signature, public)
+    assert not verify(digest, signature, _OTHER.public.point)
+
+
+def test_recovery_landing_on_infinity_is_refused_on_every_path():
+    """s*R = z*G makes Q = r^-1 (s*R - z*G) the identity."""
+    digest = keccak256(b"to-infinity")
+    z = int.from_bytes(digest, "big")
+    k = 0xC0FFEE
+    r_point = generator_multiply(k)
+    signature = Signature(r_point.x % N, z * pow(k, -1, N) % N, r_point.y & 1)
+    assert _assert_recover_paths_agree(digest, signature) is None
+    with pytest.raises(SignatureError, match="infinity"):
+        recover(digest, signature)
+
+
+def test_verification_landing_on_infinity_is_false_like_the_naive_verifier():
+    """z = -r*d (mod N) makes u1*G + u2*Q the identity for any s."""
+    secret = _KEYPAIR.private.secret
+    public = _KEYPAIR.public.point
+    signature = _KEYPAIR.sign(keccak256(b"any"))
+    digest = (-signature.r * secret % N).to_bytes(32, "big")
+    assert not verify(digest, signature, public)
+    assert not _verify_naive(digest, signature, public)
+    assert not verify(digest, signature, INFINITY)
+
+
+def test_verify_matches_naive_on_right_and_wrong_inputs():
+    digest, other_digest = keccak256(b"verify-a"), keccak256(b"verify-b")
+    signature = _KEYPAIR.sign(digest)
+    for d, public in (
+        (digest, _KEYPAIR.public.point),
+        (other_digest, _KEYPAIR.public.point),
+        (digest, _OTHER.public.point),
+    ):
+        assert verify(d, signature, public) == _verify_naive(d, signature, public)
+
+
 # --- hypothesis sweeps (slow lane) -----------------------------------------
 
 
@@ -302,3 +421,20 @@ def test_recover_paths_agree_on_arbitrary_signatures(r, s, v, seed):
 @settings(max_examples=100, deadline=None)
 def test_batch_inverse_matches_pow_random(values):
     assert batch_inverse(values, P) == [pow(v, -1, P) for v in values]
+
+
+@pytest.mark.slow
+@given(
+    seed=st.binary(min_size=1, max_size=16),
+    r=st.integers(min_value=1, max_value=N - 1),
+    s=st.integers(min_value=1, max_value=N >> 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_verify_matches_naive_on_valid_and_arbitrary_signatures(seed, r, s):
+    digest = keccak256(seed)
+    keypair = KeyPair.from_seed(seed)
+    public = keypair.public.point
+    good = sign(digest, keypair.private.secret)
+    assert verify(digest, good, public) and _verify_naive(digest, good, public)
+    garbage = Signature(r, s, 0)
+    assert verify(digest, garbage, public) == _verify_naive(digest, garbage, public)

@@ -3,8 +3,9 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto.keccak import keccak256, keccak256_hex
+from repro.crypto.keccak import keccak256, keccak256_hex, keccak256_shared_prefix
 
 # Known-answer vectors for Ethereum's keccak-256 (not NIST SHA3-256).
 KNOWN_VECTORS = {
@@ -73,3 +74,63 @@ def test_accepts_bytearray():
 
 def test_hex_helper_matches_bytes():
     assert keccak256_hex(b"xyz") == keccak256(b"xyz").hex()
+
+
+# --- multi-block digests are pinned --------------------------------------------------
+
+# bytes(i % 251 for i in range(length)), digests taken from the sponge as it
+# was before it learnt to share a prefix: keccak256(x) must not move for any x.
+PINNED_MULTIBLOCK = {
+    135: "cbdfd9dee5faad3818d6b06f95a219fd290b0e1706f6a82e5a595b9ce9faca62",
+    136: "7ce759f1ab7f9ce437719970c26b0a66ff11fe3e38e17df89cf5d29c7d7f807e",
+    137: "ac73d4fae68b8453f764007c1a20ce95994187861f0c3227a3a8e99a73a3b1db",
+    271: "27eceb59ebc3dc8a04a5b135be641591a7278540e4556a2ba9f408194e666ec3",
+    272: "8e2476e65823b24d96ebe239f2c1534cdf763e689e2410c3b1cb0c74e6177bfc",
+    273: "3f02f134370e4debb95140ef49ddd3aed8c65ff1ed83a43f1b269421f179c5f9",
+    408: "2fa03dab557315e48395073815c6aefeb1e78b5f750fa85b623ab3a1f1d988a1",
+}
+
+
+@pytest.mark.parametrize("length,expected", sorted(PINNED_MULTIBLOCK.items()))
+def test_multiblock_digests_are_pinned(length, expected):
+    assert keccak256(bytes(i % 251 for i in range(length))).hex() == expected
+
+
+# --- the prefix-sharing sponge --------------------------------------------------------
+
+_RATE_EDGES = (0, 1, 135, 136, 137, 271, 272, 273)
+
+
+@pytest.mark.parametrize("prefix_length", _RATE_EDGES)
+@pytest.mark.parametrize("suffix_length", (0, 1, 65, 135, 136, 137))
+def test_shared_prefix_pair_at_rate_boundaries(prefix_length, suffix_length):
+    prefix = bytes(i % 251 for i in range(prefix_length))
+    suffix = bytes(i % 241 for i in range(suffix_length))
+    assert keccak256_shared_prefix(prefix, suffix) == (
+        keccak256(prefix),
+        keccak256(prefix + suffix),
+    )
+
+
+@pytest.mark.slow
+@given(message=st.binary(max_size=700), cut=st.integers(min_value=0, max_value=700))
+@example(message=b"\x5a" * 273, cut=136)
+@example(message=b"\x5a" * 273, cut=272)
+@settings(max_examples=200, deadline=None)
+def test_any_prefix_suffix_split_matches_plain_keccak(message, cut):
+    prefix, suffix = message[:cut], message[cut:]
+    assert keccak256_shared_prefix(prefix, suffix) == (
+        keccak256(prefix),
+        keccak256(message),
+    )
+
+
+def test_shared_prefix_pair_costs_the_longer_message_plus_one_final_block(keccak_permutations):
+    """A transaction-shaped pair: 3 + 4 permutations apart, 5 together."""
+    calls = keccak_permutations
+    payload, signature = b"\x11" * 350, b"\x22" * 65
+    keccak256(payload), keccak256(payload + signature)
+    assert calls[0] == 7
+    calls[0] = 0
+    keccak256_shared_prefix(payload, signature)
+    assert calls[0] == 5

@@ -241,6 +241,161 @@ def test_oversized_gas_limit_rejected_at_admission(mempool, batch_chain, client)
     assert len(mempool) == 0
 
 
+# --- cheap screens run before the curve recovery ------------------------------------
+
+
+def _ledger_shaped_tx(client, protected, service, nonce):
+    """What the performance ledger submits: ``submit(amount=, token=)`` as
+    keyword arguments under the default call gas limit."""
+    from repro.pipeline.load import DEFAULT_CALL_GAS_LIMIT
+
+    request = TokenRequest.method_token(
+        protected.this, client.address, "submit", one_time=True
+    )
+    tx = Transaction(
+        sender=client.address,
+        to=protected.this,
+        nonce=nonce,
+        method="submit",
+        kwargs={"amount": 7, "token": service.issue_token(request).to_bytes()},
+        gas_limit=DEFAULT_CALL_GAS_LIMIT,
+    )
+    return tx.sign_with(client.keypair)
+
+
+def test_one_admission_costs_at_most_five_keccak_permutations(
+    mempool, client, protected, service, keccak_permutations
+):
+    """The exact-count guard: hash + signing digest share the payload's full
+    blocks (5 permutations, not 4 + 3) and a seen sender's address comes out
+    of the key -> address memo (0, not 1).  The parent paid 8."""
+    from repro.crypto.keys import _address_of
+
+    first = _ledger_shaped_tx(client, protected, service, nonce=0)
+    second = _ledger_shaped_tx(client, protected, service, nonce=1)
+    payload = len(first.signing_payload())
+    # Ledger-shaped: two shared full blocks, a 3- and a 4-permutation message.
+    assert (payload // 136 + 1, (payload + 65) // 136 + 1) == (3, 4)
+
+    _address_of.cache_clear()
+    calls = keccak_permutations
+    calls[0] = 0
+    assert mempool.admit(first).admitted
+    assert calls[0] <= 6  # a sender never seen before: one address hash
+    calls[0] = 0
+    assert mempool.admit(second).admitted
+    assert calls[0] <= 5
+
+
+def test_hash_only_callers_do_not_pay_for_the_signing_digest(
+    client, protected, service, keccak_permutations
+):
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    calls = keccak_permutations
+    calls[0] = 0
+    digest = tx.hash()
+    assert calls[0] == 4
+    assert tx.hash() == digest and calls[0] == 4  # memoized
+    assert tx.verify_signature()
+    assert calls[0] <= 4 + 3 + 1  # the digest alone, plus at most one address
+
+
+def test_digest_memo_is_two_digests_and_signing_never_fills_it(client, protected, service):
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    assert (tx._hash, tx._signing_digest) == (None, None)
+    tx.signing_digest()
+    memo = (tx._hash, tx._signing_digest)
+    assert all(isinstance(value, bytes) and len(value) == 32 for value in memo)
+    from repro.crypto.keccak import keccak256
+
+    payload = tx.signing_payload()
+    assert memo == (keccak256(payload + tx.signature.to_bytes()), keccak256(payload))
+    tx.sign_with(client.keypair)
+    assert (tx._hash, tx._signing_digest) == (None, None)
+
+
+def test_field_mutated_after_signing_fails_admission(mempool, client, protected, service):
+    """``sign_with`` leaves the memo empty, so the node hashes the fields it
+    received -- not the ones that were signed."""
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    tx.kwargs["amount"] = 8
+    assert not tx.verify_signature()
+    assert mempool.admit(tx).reason == "invalid signature"
+
+
+def _forged(tx):
+    """The same transaction under somebody else's signature."""
+    tx.sign_with(KeyPair.from_seed("not-the-sender"))
+    return tx
+
+
+def test_refusal_precedence_when_two_checks_fail(
+    mempool, batch_chain, client, protected, service
+):
+    """Screens run cheapest first and the signature last; a transaction that
+    fails two of them is refused for the earlier one."""
+    # gas limit before nonce
+    tx = _ledger_shaped_tx(client, protected, service, nonce=9)
+    tx.gas_limit = mempool.max_gas_limit + 1
+    tx.sign_with(client.keypair)
+    assert mempool.admit(tx).reason == "transaction gas limit exceeds the block gas limit"
+    # nonce before balance
+    recipient = KeyPair.from_seed("someone").address
+    balance = batch_chain.state.balance_of(client.address)
+    tx = Transaction(sender=client.address, to=recipient, nonce=9, value=balance + 1)
+    assert mempool.admit(tx.sign_with(client.keypair)).reason == "bad nonce"
+    # balance before the token screens
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    tx.value = balance + 1
+    tx.kwargs["token"] = b"\xff" * 13
+    assert mempool.admit(tx.sign_with(client.keypair)).reason == "insufficient funds"
+    # every cheap screen before the signature
+    tx = _forged(_ledger_shaped_tx(client, protected, service, nonce=9))
+    assert mempool.admit(tx).reason == "bad nonce"
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    tx.kwargs["token"] = b"\xff" * 13
+    assert mempool.admit(_forged(tx)).reason == "malformed or missing token entry"
+    spent = _ledger_shaped_tx(client, protected, service, nonce=0)
+    assert mempool.admit(spent).admitted
+    replay = _ledger_shaped_tx(client, protected, service, nonce=1)
+    replay.kwargs["token"] = spent.kwargs["token"]
+    assert mempool.admit(_forged(replay)).reason == "duplicate one-time index in pool"
+    # ... and with nothing else wrong, the forgery is still refused
+    tx = _forged(_ledger_shaped_tx(client, protected, service, nonce=1))
+    assert mempool.admit(tx).reason == "invalid signature"
+
+
+def test_replayed_index_is_refused_without_curve_math(
+    mempool, client, protected, service, monkeypatch
+):
+    from repro.crypto import secp256k1
+
+    spent = _ledger_shaped_tx(client, protected, service, nonce=0)
+    assert mempool.admit(spent).admitted
+    replay = _ledger_shaped_tx(client, protected, service, nonce=1)
+    replay.kwargs["token"] = spent.kwargs["token"]
+    replay.sign_with(client.keypair)
+
+    def no_ladder(*_args):
+        raise AssertionError("a replayed index reached the signature recovery")
+
+    monkeypatch.setattr(secp256k1, "_jacobian_shamir_glv", no_ladder)
+    assert mempool.admit(replay).reason == "duplicate one-time index in pool"
+
+
+def test_unauthenticated_sender_never_grows_the_world_state(mempool, batch_chain, protected):
+    """The nonce/balance screens now run before the signature is checked and
+    the state's reads create what they look up: a forged sender address must
+    be refused without leaving an account record behind."""
+    ghost = KeyPair.from_seed("never-funded")
+    accounts = set(batch_chain.state.addresses())
+    tx = Transaction(sender=ghost.address, to=protected.this, nonce=0)
+    assert mempool.admit(_forged(tx)).reason == "invalid signature"
+    tx = Transaction(sender=ghost.address, to=protected.this, nonce=3)
+    assert mempool.admit(tx.sign_with(ghost)).reason == "bad nonce"
+    assert set(batch_chain.state.addresses()) == accounts
+
+
 # --- the read-only bitmap view -------------------------------------------------------
 
 
