@@ -18,7 +18,7 @@ times the primitives that path is built from:
   on token-datagram-sized payloads (ops/s).
 
 Acceptance (asserted here, regression-gated in CI via
-``check_crypto_regression.py`` against the committed baseline):
+``regression_gate.py crypto`` against the committed baseline):
 
 * single ``recover`` >= 2.9x the reference implementation (the 256-doubling
   ladder this kernel replaced measured 2.72x).

@@ -17,7 +17,7 @@ It reports what a wallet actually feels:
   queueing shows up when the offered rate outruns the service;
 * error / success rate, per-``ErrorCode`` counts, achieved vs offered rate.
 
-``check_latency_regression.py`` gates the committed baseline on the latency
+``regression_gate.py latency`` gates the committed baseline on the latency
 percentiles (lower-is-better) and the success rate (higher-is-better).
 
 Set ``SMACS_LAT_RATE`` / ``SMACS_LAT_ARRIVALS`` / ``SMACS_LAT_WORKERS`` to

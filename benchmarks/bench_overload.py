@@ -26,7 +26,7 @@ and the interesting numbers are machine-independent *ratios*:
   and shed populations are summarised separately, see
   :mod:`repro.pipeline.openloop`.)
 
-``check_overload_regression.py`` gates the committed baseline on the same
+``regression_gate.py overload`` gates the committed baseline on the same
 ratios.  Set ``SMACS_OVR_ARRIVALS`` / ``SMACS_OVR_WORKERS`` to scale
 locally; CI runs the full default workload.
 """
@@ -81,9 +81,9 @@ CLIENT = to_address(0xC11E47)
 class _PacedIssuer(IssuerMiddleware):
     """Pin the per-submit service time so capacity is hardware-independent.
 
-    The sleep runs inside the gateway dispatch on the asyncio server's
-    event-loop thread, which serialises submits -- exactly the saturation
-    model the admission controller's virtual queue assumes.
+    The sleep runs inside the gateway dispatch on the server's one dispatch
+    thread, which serialises submits -- exactly the saturation model the
+    admission controller's in-flight estimate assumes.
     """
 
     layer = "paced"
@@ -106,10 +106,10 @@ def _run_at(multiplier: int) -> "tuple[OpenLoopReport, dict[str, Any]]":
     gateway = ServiceGateway(admission=admission)
     gateway.register(ROUTE, service)
     workers = WORKERS * multiplier
-    # dispatch_workers=1: issuance stays single-threaded (capacity is still
-    # one paced submit at a time) but the read loop keeps decoding, so the
-    # admission edge sees arrivals as they land instead of at drain pace.
-    with serve(gateway, dispatch_workers=1) as server:
+    # The server's one dispatch thread keeps capacity at one paced submit at
+    # a time while the read loop keeps decoding, so the admission edge sees
+    # arrivals as they land instead of at drain pace.
+    with serve(gateway) as server:
         clients = [connect(server.url) for _ in range(workers)]
         try:
             outcome = run_open_loop(

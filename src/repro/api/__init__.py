@@ -11,8 +11,7 @@ wire-level gateway:
   taxonomy with stable :class:`~repro.core.errors.ErrorCode` values, carried
   inside results so batch submissions never raise mid-batch;
 * :mod:`repro.api.middleware` -- ``RateLimiter`` / ``Metrics`` / ``Audit`` /
-  ``RetryFailover`` / ``SignatureCachePrimer`` wrappers, stackable in any
-  order;
+  ``RetryFailover`` wrappers, stackable in any order;
 * :mod:`repro.api.factory` -- ``build_service(profile=...)`` assembling the
   serial/sharded/replicated stacks from one place;
 * :mod:`repro.api.gateway` -- ``ServiceGateway`` with versioned wire
@@ -61,7 +60,6 @@ from repro.api.middleware import (
     Metrics,
     RateLimiter,
     RetryFailover,
-    SignatureCachePrimer,
     TokenBucket,
     unwrap,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "RetryBudget",
     "RetryFailover",
     "ServiceGateway",
-    "SignatureCachePrimer",
     "SmacsError",
     "TcpTransport",
     "TokenBucket",

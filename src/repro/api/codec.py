@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Mapping, cast
+from typing import Any, Mapping, NamedTuple, cast
 
 from repro.chain.address import address_hex, to_address
 from repro.core.acr import AccessDecision
@@ -73,6 +73,14 @@ def sniff_codec(raw: bytes) -> str:
         return CODEC_JSON
     prefix = bytes(raw[:4])
     raise _malformed(f"unknown envelope codec (leading bytes {prefix!r})")
+
+
+def reply_codec(raw: bytes) -> str:
+    """The lane an answer to ``raw`` travels in: its own, JSON when unknown."""
+    try:
+        return sniff_codec(raw)
+    except SmacsError:
+        return CODEC_JSON
 
 
 # -- argument values ----------------------------------------------------------
@@ -382,19 +390,29 @@ def encode_request_envelope(
     return json.dumps(envelope, sort_keys=True).encode("utf-8")
 
 
-def decode_request_full(
-    raw: bytes,
-) -> tuple[str, str, dict[str, Any], "dict[str, Any] | None", "float | None"]:
-    """Decode a request envelope with every optional field.
+class Request(NamedTuple):
+    """One decoded request envelope -- what a gateway dispatches.
 
-    Returns ``(op, route, body, trace, deadline)``.  ``trace`` is the raw
-    wire dict (or ``None`` when absent/malformed -- a bad trace never fails
-    the request, it just loses its telemetry); ``deadline`` is the absolute
-    deadline (or ``None`` when absent/malformed, with the same never-fail
-    leniency -- a garbled deadline degrades to "no deadline", exactly what a
-    legacy peer sends).
+    ``trace`` is the raw wire dict (``None`` when absent/malformed -- a bad
+    trace never fails the request, it just loses its telemetry);
+    ``deadline`` is the absolute deadline (``None`` when absent/malformed,
+    with the same never-fail leniency -- a garbled deadline degrades to "no
+    deadline", exactly what a legacy peer sends); ``codec`` is the lane the
+    envelope arrived in, which is the lane its answer travels in.
     """
-    if sniff_codec(raw) == CODEC_BINARY:
+
+    op: str
+    route: str
+    body: dict[str, Any]
+    trace: "dict[str, Any] | None"
+    deadline: "float | None"
+    codec: str
+
+
+def decode_request_full(raw: bytes) -> Request:
+    """Decode a request envelope with every optional field (the one decoder)."""
+    lane = sniff_codec(raw)
+    if lane == CODEC_BINARY:
         envelope = _unpack_envelope(raw)
     else:
         envelope = _load_json(raw)
@@ -412,26 +430,7 @@ def decode_request_full(
     trace = envelope.get("trace")
     if not isinstance(trace, dict):
         trace = None
-    deadline = decode_deadline(envelope.get("deadline"))
-    return (
-        op,
-        route,
-        cast("dict[str, Any]", body),
-        cast("dict[str, Any] | None", trace),
-        deadline,
-    )
-
-
-def decode_request(raw: bytes) -> tuple[str, str, dict[str, Any], "dict[str, Any] | None"]:
-    """Deadline-blind decode (the PR 9 observability surface, kept stable)."""
-    op, route, body, trace, _deadline = decode_request_full(raw)
-    return op, route, body, trace
-
-
-def decode_request_envelope(raw: bytes) -> tuple[str, str, dict[str, Any]]:
-    """Trace-blind decode (the pre-observability surface, kept stable)."""
-    op, route, body, _trace = decode_request(raw)
-    return op, route, body
+    return Request(op, route, body, trace, decode_deadline(envelope.get("deadline")), lane)
 
 
 def encode_response_envelope(body: Mapping[str, Any], *, codec: str = CODEC_JSON) -> bytes:
@@ -483,10 +482,9 @@ __all__ = [
     "CODECS",
     "CODEC_BINARY",
     "CODEC_JSON",
+    "Request",
     "WIRE_VERSION",
     "decode_issuance_result",
-    "decode_request",
-    "decode_request_envelope",
     "decode_request_full",
     "decode_response_envelope",
     "decode_token_request",
@@ -497,5 +495,6 @@ __all__ = [
     "encode_response_envelope",
     "encode_token_request",
     "encode_value",
+    "reply_codec",
     "sniff_codec",
 ]

@@ -10,8 +10,7 @@ touching call sites.
 
 Layer order (innermost first): base service -> RetryFailover (replicated
 profile: the base makes one attempt per submission and the wrapper rotates
-replicas) -> SignatureCachePrimer (``cache_priming="middleware"``) ->
-RateLimiter -> Audit -> Metrics.
+replicas) -> RateLimiter -> Audit -> Metrics.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 from repro.obs import MetricsRegistry
 
-from repro.api.middleware import (
-    Audit,
-    Metrics,
-    RateLimiter,
-    RetryFailover,
-    SignatureCachePrimer,
-)
+from repro.api.middleware import Audit, Metrics, RateLimiter, RetryFailover
 from repro.api.protocol import TokenIssuer
 
 #: the deployment shapes the factory knows how to assemble
@@ -58,7 +51,6 @@ def build_service(
     failover_attempts: "int | None" = None,
     # cross-cutting layers
     signature_cache: "SignatureCache | None" = None,
-    cache_priming: str = "internal",
     rate_limit: "tuple[float, int] | None" = None,
     audit: bool = False,
     metrics: bool = False,
@@ -66,25 +58,19 @@ def build_service(
 ) -> TokenIssuer:
     """Assemble an issuance stack for the requested deployment profile.
 
-    ``cache_priming`` controls how ``signature_cache`` is used: ``"internal"``
-    hands it to the base service (the issuance path primes it inline, the
-    pre-PR-4 behaviour), ``"middleware"`` keeps the base service cache-free
-    and stacks a :class:`~repro.api.middleware.SignatureCachePrimer` instead.
-    ``rate_limit`` is ``(rate_per_second, burst)``; ``audit`` and ``metrics``
-    stack the corresponding layers (metrics outermost, so it observes
-    rate-limited results too).  ``metrics_registry`` shares an existing
+    ``signature_cache`` is handed to the base service, whose issuance path
+    primes it inline.  ``rate_limit`` is ``(rate_per_second, burst)``;
+    ``audit`` and ``metrics`` stack the corresponding layers (metrics
+    outermost, so it observes rate-limited results too).  ``metrics_registry`` shares an existing
     :class:`repro.obs.MetricsRegistry` with the metrics layer -- passing one
     implies ``metrics=True`` -- so issuance counters land in the same
     snapshot the ``metrics`` gateway route exports.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown service profile {profile!r}; pick one of {PROFILES}")
-    if cache_priming not in ("internal", "middleware"):
-        raise ValueError("cache_priming must be 'internal' or 'middleware'")
     clock = clock if clock is not None else SimulatedClock()
     keypair = keypair if keypair is not None else KeyPair.generate()
     rules = rules if rules is not None else RuleSet()
-    internal_cache = signature_cache if cache_priming == "internal" else None
 
     issuer: TokenIssuer
     if profile == "serial":
@@ -93,15 +79,15 @@ def build_service(
             rules=rules,
             clock=clock,
             token_lifetime=token_lifetime,
-            signature_cache=internal_cache,
+            signature_cache=signature_cache,
             label=label if label is not None else "token-service",
         )
     elif profile == "sharded":
         kwargs: dict[str, Any] = {}
-        if internal_cache is not None:
+        if signature_cache is not None:
             # BatchTokenService defaults to the process-wide cache; only
             # override when the caller supplied one.
-            kwargs["signature_cache"] = internal_cache
+            kwargs["signature_cache"] = signature_cache
         issuer = BatchTokenService(
             keypair=keypair,
             rules=rules,
@@ -124,14 +110,12 @@ def build_service(
             token_lifetime=token_lifetime,
             replicate_counter=replicate_counter,
             seed=seed,
-            signature_cache=internal_cache,
+            signature_cache=signature_cache,
             failover=False,
         )
         attempts = failover_attempts if failover_attempts is not None else replica_count
         issuer = RetryFailover(issuer, attempts=attempts)
 
-    if cache_priming == "middleware" and signature_cache is not None:
-        issuer = SignatureCachePrimer(issuer, signature_cache)
     if rate_limit is not None:
         rate_per_second, burst = rate_limit
         issuer = RateLimiter(issuer, rate_per_second, burst, clock=clock)

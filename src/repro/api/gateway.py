@@ -28,6 +28,7 @@ runtime-verification rules stay an in-process feature.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -91,6 +92,7 @@ class ServiceGateway:
         #: observability registry as ``gateway.shed.*`` counters when
         #: instrumented).
         self.shed: dict[str, int] = {"deadline": 0, "overloaded": 0}
+        self._shed_lock = threading.Lock()
 
     # -- registry -------------------------------------------------------------
 
@@ -118,62 +120,31 @@ class ServiceGateway:
 
     # -- the wire entry point -------------------------------------------------
 
-    def handle(self, raw: bytes, *, preadmitted: bool = False) -> bytes:
-        """Process one request envelope; always answers with an envelope.
+    def arrive(self, raw: bytes) -> codec.Request:
+        """The arrival edge: decode the frame once, then shed dead work and overload.
 
-        Codec negotiation is per-envelope: the response travels in the lane
-        the request arrived in (JSON stays the default; an envelope in no
-        known lane gets a JSON ``MALFORMED_REQUEST``).
-
-        ``preadmitted`` is set by servers that already ran
-        :meth:`shed_check` for this frame on their read loop -- the
-        admission edge must not be charged twice for one request.  (The
-        pre-issuance deadline re-check in dispatch still runs: time kept
-        passing while the frame sat in the dispatch queue.)
+        Every transport calls this the moment a frame arrives and passes the
+        returned request to :meth:`handle`.  A frame that stops here raises
+        the :class:`SmacsError` it is answered with (``MALFORMED_REQUEST`` /
+        ``UNSUPPORTED`` from the one decoder, ``DEADLINE_EXCEEDED`` /
+        ``OVERLOADED`` from the shedding checks) -- before any request-body
+        decode, route lookup or issuance: shedding here costs microseconds,
+        the work it avoids costs an ecrecover.  Servers run this on their
+        read loop, *at arrival pace*: an admission check that ran behind the
+        dispatch queue would only ever see its own drain pace, never a queue
+        building in front of it.
         """
         obs = self.observability
+        started = obs.clock() if obs is not None else 0.0
+        request = codec.decode_request_full(raw)
+        if obs is not None:
+            obs.record_stage("gateway_decode", obs.clock() - started)
         try:
-            wire_codec = codec.sniff_codec(raw)
-        except SmacsError as error:
-            return codec.encode_error_envelope(error)
-        try:
-            if obs is None:
-                op, route, body, _trace, deadline = codec.decode_request_full(raw)
-                if not preadmitted:
-                    self._admission_check(op, deadline)
-                return codec.encode_response_envelope(
-                    self._dispatch(op, route, body, deadline), codec=wire_codec
-                )
-            t0 = obs.clock()
-            op, route, body, trace, deadline = codec.decode_request_full(raw)
-            obs.record_stage("gateway_decode", obs.clock() - t0)
-            if not preadmitted:
-                self._admission_check(op, deadline)
-            # Adopt the caller's trace (if any) so the server-side spans nest
-            # under the client's -- one trace id across the TCP boundary.
-            with obs.tracer.span(
-                "gateway.handle", context=TraceContext.from_wire(trace), op=op, route=route
-            ):
-                payload = self._dispatch(op, route, body, deadline)
-            return codec.encode_response_envelope(payload, codec=wire_codec)
-        except SmacsError as error:
-            return codec.encode_error_envelope(error, codec=wire_codec)
-        except Exception as exc:  # never leak a raw traceback across the wire
-            return codec.encode_error_envelope(classify(exc), codec=wire_codec)
-
-    def _admission_check(self, op: str, deadline: "float | None") -> None:
-        """The pre-dispatch shedding edge: dead work first, then overload.
-
-        Runs after envelope decode but before any request-body decode,
-        route lookup or issuance -- shedding here costs microseconds, the
-        work it avoids costs an ecrecover.
-        """
-        try:
-            check_deadline(deadline, stage="gateway", now=self._now)
+            check_deadline(request.deadline, stage="gateway", now=self._now)
         except SmacsError:
             self._count_shed("deadline")
             raise
-        if self.admission is not None and op == "submit":
+        if self.admission is not None and request.op == "submit":
             hint = self.admission.admit()
             if hint is not None:
                 self._count_shed("overloaded")
@@ -184,40 +155,40 @@ class ServiceGateway:
                     ErrorCode.OVERLOADED,
                     retry_after_s=round(hint, 6),
                 )
+        return request
 
-    def shed_check(self, raw: bytes) -> "bytes | None":
-        """Arrival-paced shedding probe for concurrent-dispatch servers.
-
-        A server that hands :meth:`handle` to a dispatch pool calls this on
-        its read loop the moment a frame arrives: the deadline + overload
-        checks run *at arrival pace*, which is the whole point -- a
-        dispatch-serialised admission check only ever fires at drain pace
-        and can never see a queue building in front of it.  Returns a
-        ready-to-send error envelope when the request must be shed, or
-        ``None`` to proceed (the caller then passes ``preadmitted=True`` to
-        :meth:`handle`).  Undecodable frames return ``None`` so the
-        ``MALFORMED_REQUEST`` answer keeps coming from one place.
-        """
+    def handle(self, request: codec.Request) -> bytes:
+        """Dispatch one request :meth:`arrive` let through; always answers
+        with an envelope, in the codec lane the request arrived in."""
+        obs = self.observability
         try:
-            wire_codec = codec.sniff_codec(raw)
-            op, _route, _body, _trace, deadline = codec.decode_request_full(raw)
-        except SmacsError:
-            return None
-        try:
-            self._admission_check(op, deadline)
+            if obs is None:
+                payload = self._dispatch(request)
+            else:
+                # Adopt the caller's trace (if any) so the server-side spans
+                # nest under the client's -- one trace id across the wire.
+                with obs.tracer.span(
+                    "gateway.handle",
+                    context=TraceContext.from_wire(request.trace),
+                    op=request.op,
+                    route=request.route,
+                ):
+                    payload = self._dispatch(request)
+            return codec.encode_response_envelope(payload, codec=request.codec)
         except SmacsError as error:
-            return codec.encode_error_envelope(error, codec=wire_codec)
-        return None
+            return codec.encode_error_envelope(error, codec=request.codec)
+        except Exception as exc:  # never leak a raw traceback across the wire
+            return codec.encode_error_envelope(classify(exc), codec=request.codec)
 
     def _count_shed(self, reason: str) -> None:
-        self.shed[reason] = self.shed.get(reason, 0) + 1
+        with self._shed_lock:  # arrive() and handle() may run on different threads
+            self.shed[reason] += 1
         obs = self.observability
         if obs is not None:
             obs.registry.counter(f"gateway.shed.{reason}").inc()
 
-    def _dispatch(
-        self, op: str, route: str, body: dict[str, Any], deadline: "float | None" = None
-    ) -> dict[str, Any]:
+    def _dispatch(self, request: codec.Request) -> dict[str, Any]:
+        op, route, body = request.op, request.route, request.body
         if op == "describe":
             return {"version": codec.WIRE_VERSION, "routes": self.routes()}
         if op == "health":
@@ -237,17 +208,7 @@ class ServiceGateway:
                 return {"metrics": {"enabled": False}}
             return {"metrics": obs.snapshot()}
         if op == "submit":
-            # Every admitted submit owes the controller exactly one
-            # completion report -- including the ones that die on an unknown
-            # route, a malformed body or an expired deadline.  A leaked
-            # in-flight slot would shed traffic forever.
-            admission = self.admission
-            measured: list[float] = []
-            try:
-                return self._dispatch_submit(route, body, deadline, measured)
-            finally:
-                if admission is not None:
-                    admission.observe(measured[0] if measured else None)
+            return self._submit(request)
         issuer = self.issuer_for(route)
         if op == "address":
             return {"address": address_hex(issuer.address)}
@@ -282,50 +243,53 @@ class ServiceGateway:
             return {"epoch": self._rule_epochs[route]}
         raise SmacsError(f"unknown operation {op!r}", ErrorCode.UNSUPPORTED)
 
-    def _dispatch_submit(
-        self,
-        route: str,
-        body: dict[str, Any],
-        deadline: "float | None",
-        measured: list[float],
-    ) -> dict[str, Any]:
-        """The submit dispatch; appends the service duration to ``measured``
-        only when the issuer actually ran (the admission EWMA must not learn
-        from requests that failed before service)."""
-        issuer = self.issuer_for(route)
-        raw_requests = body.get("requests")
-        if not isinstance(raw_requests, list):
-            raise SmacsError(
-                "submit body requires a 'requests' array", ErrorCode.MALFORMED_REQUEST
-            )
+    def _submit(self, request: codec.Request) -> dict[str, Any]:
+        # Every admitted submit owes the controller exactly one completion
+        # report -- including the ones that die on an unknown route, a
+        # malformed body or an expired deadline (a leaked in-flight slot
+        # would shed traffic forever).  ``served`` stays None unless the
+        # issuer actually ran: the admission EWMA must not learn from
+        # requests that failed before service.
+        served: "float | None" = None
         try:
-            requests = [codec.decode_token_request(item) for item in raw_requests]
-        except SmacsError:
-            raise
-        except (ValueError, TypeError, KeyError) as exc:
-            # Structurally valid JSON carrying undecodable content (a
-            # corrupted address, a bad enum value) is the *caller's*
-            # malformed request, not a gateway fault.
-            raise SmacsError(
-                f"undecodable token request: {exc}", ErrorCode.MALFORMED_REQUEST
-            ) from exc
-        # Re-check right before the expensive work: request-body decode
-        # may have eaten the remaining budget, and issuing tokens the
-        # caller already abandoned wastes counter indexes.
-        try:
-            check_deadline(deadline, stage="issuance", now=self._now)
-        except SmacsError:
-            self._count_shed("deadline")
-            raise
-        obs = self.observability
-        started = time.monotonic()
-        if obs is None:
-            results = issuer.submit(requests)
-        else:
-            with obs.stage("issuance"):
+            issuer = self.issuer_for(request.route)
+            raw_requests = request.body.get("requests")
+            if not isinstance(raw_requests, list):
+                raise SmacsError(
+                    "submit body requires a 'requests' array", ErrorCode.MALFORMED_REQUEST
+                )
+            try:
+                requests = [codec.decode_token_request(item) for item in raw_requests]
+            except SmacsError:
+                raise
+            except (ValueError, TypeError, KeyError) as exc:
+                # Structurally valid JSON carrying undecodable content (a
+                # corrupted address, a bad enum value) is the *caller's*
+                # malformed request, not a gateway fault.
+                raise SmacsError(
+                    f"undecodable token request: {exc}", ErrorCode.MALFORMED_REQUEST
+                ) from exc
+            # Re-check right before the expensive work: the dispatch queue
+            # and request-body decode may have eaten the remaining budget,
+            # and issuing tokens the caller already abandoned wastes counter
+            # indexes.
+            try:
+                check_deadline(request.deadline, stage="issuance", now=self._now)
+            except SmacsError:
+                self._count_shed("deadline")
+                raise
+            obs = self.observability
+            started = time.monotonic()
+            if obs is None:
                 results = issuer.submit(requests)
-        measured.append(time.monotonic() - started)
-        return {"results": [codec.encode_issuance_result(result) for result in results]}
+            else:
+                with obs.stage("issuance"):
+                    results = issuer.submit(requests)
+            served = time.monotonic() - started
+            return {"results": [codec.encode_issuance_result(result) for result in results]}
+        finally:
+            if self.admission is not None:
+                self.admission.observe(served)
 
 
 class InProcessTransport:
@@ -345,7 +309,10 @@ class InProcessTransport:
     def send(self, raw: bytes) -> bytes:
         self.requests += 1
         self.bytes_sent += len(raw)
-        response = self.gateway.handle(raw)
+        try:
+            response = self.gateway.handle(self.gateway.arrive(raw))
+        except SmacsError as error:  # the frame was answered at the arrival edge
+            response = codec.encode_error_envelope(error, codec=codec.reply_codec(raw))
         self.bytes_received += len(response)
         return response
 

@@ -1,8 +1,8 @@
 """Composable issuance middleware.
 
 Cross-cutting concerns that used to be welded into one concrete service --
-fail-over retries inside ``ReplicatedTokenService``, issuance-primed
-signature caching inside ``TokenService`` -- become stackable wrappers that
+rate limits, audit trails, fail-over retries inside
+``ReplicatedTokenService`` -- become stackable wrappers that
 satisfy the same :class:`~repro.api.protocol.TokenIssuer` protocol they wrap
 (the layered approach py-evm takes with its VM/chain variants).  A stack is
 built innermost-first::
@@ -24,10 +24,8 @@ from repro.chain.address import Address
 from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet
 from repro.core.errors import ErrorCode, SmacsError, classify
-from repro.core.token import TokenType, signing_datagram
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import IssuanceResult
-from repro.crypto.sigcache import SignatureCache
 from repro.obs import MetricsRegistry
 
 from repro.api.protocol import TokenIssuer
@@ -382,65 +380,12 @@ class RetryFailover(IssuerMiddleware):
         return {"failovers": self.failovers, "recovered": self.recovered}
 
 
-class SignatureCachePrimer(IssuerMiddleware):
-    """Prime the shared signature cache from issuance, as a layer.
-
-    A freshly issued token recovers to the TS address by construction, so its
-    datagram digest and ``ecrecover`` result can be inserted into the shared
-    :class:`~repro.crypto.sigcache.SignatureCache` without any curve math --
-    the mempool pre-checks, the block executor's pre-warm pass and the in-EVM
-    verifier then hit the cache.  ``TokenService`` can do this internally
-    when constructed with a cache; this wrapper provides the same warm-up for
-    *any* issuer stack (including gateway clients on the service side).
-    """
-
-    layer = "signature_cache_primer"
-
-    def __init__(self, inner: TokenIssuer, cache: SignatureCache) -> None:
-        super().__init__(inner)
-        self.cache = cache
-        self.primed = 0
-
-    def submit(
-        self, requests: "TokenRequest | Sequence[TokenRequest]"
-    ) -> list[IssuanceResult]:
-        results = self.inner.submit(_as_list(requests))
-        signer = self.inner.address
-        for result in results:
-            token = result.token
-            if token is None:
-                continue
-            request = result.request
-            datagram = signing_datagram(
-                token.token_type,
-                token.expire,
-                token.index,
-                request.client,
-                request.contract,
-                method=request.method,
-                arguments=(
-                    request.arguments
-                    if token.token_type is TokenType.ARGUMENT
-                    else None
-                ),
-            )
-            digest = self.cache.digest_for(datagram)
-            if self.cache.peek_recovery(digest, token.signature) is None:
-                self.cache.prime_recovery(digest, token.signature, signer)
-                self.primed += 1
-        return results
-
-    def layer_stats(self) -> dict[str, Any]:
-        return {"primed": self.primed, "cache": self.cache.stats()}
-
-
 __all__ = [
     "Audit",
     "IssuerMiddleware",
     "Metrics",
     "RateLimiter",
     "RetryFailover",
-    "SignatureCachePrimer",
     "TokenBucket",
     "unwrap",
 ]

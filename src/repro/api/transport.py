@@ -31,15 +31,22 @@ arrived in).  ``TCP_NODELAY`` is set on both sides: request/response
 envelopes are small and Nagle/delayed-ACK interaction would otherwise put
 tens of milliseconds on every issuance.
 
-The gateway (and therefore every registered issuer stack) is driven
-entirely from the server's event-loop thread by default, which serialises
-issuance exactly like the in-process path does -- replica counters and
-bitmap words never see concurrent mutation from the wire.  With
-``dispatch_workers=1`` issuance stays single-threaded but moves to a
-dispatch thread, freeing the read loop to run the gateway's
-arrival-paced ``shed_check`` -- the configuration overload experiments
-need, since a dispatch-serialised admission check can only ever observe
-its own drain pace, never the arrival rate.
+The server has one request path.  Its event loop frames, decodes and
+sheds: every frame goes through the gateway's
+:meth:`~repro.api.gateway.ServiceGateway.arrive` on the read loop.  What
+``arrive`` lets through is dispatched by exactly one thread, which owns
+every call into the gateway's issuers -- issuance is serialised exactly like
+the in-process path, so replica counters and bitmap words never see
+concurrent mutation from the wire, by construction rather than by option.
+Which thread that is follows from the gateway, not from a knob: when the
+gateway has an :class:`~repro.resilience.AdmissionController` as the server
+starts, one dispatch thread runs ``handle`` so the read loop keeps seeing
+arrivals *at arrival pace* (an admission check serialised behind dispatch
+could only ever observe its own drain pace, never a queue building in front
+of it); a gateway with nothing to shed with is served on the loop thread
+itself, which saves two thread wake-ups per frame (measured: the hop costs
+~0.1-0.2 ms of issuance latency on a one-CPU host and widens its run-to-run
+spread).
 
 Factories: :func:`serve` starts a server for a gateway, :func:`connect`
 returns a protocol-speaking :class:`~repro.api.gateway.GatewayClient` for
@@ -69,6 +76,9 @@ FRAME_HEADER_BYTES = 4
 
 #: default ceiling for one frame's payload (requests and responses alike)
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: arrival-edge refusals that count as shed load (the rest are undecodable frames)
+_SHED_CODES = frozenset({ErrorCode.DEADLINE_EXCEEDED, ErrorCode.OVERLOADED})
 
 #: an endpoint is a URL string, a ``(host, port)`` pair, or a mix of both
 EndpointLike = Union[str, "tuple[str, int]"]
@@ -126,15 +136,12 @@ class GatewayServer:
         idle_timeout: float = 30.0,
         write_timeout: float = 10.0,
         rate_limit: "tuple[float, int] | None" = None,
-        dispatch_workers: int = 0,
         now: "Callable[[], float] | None" = None,
     ) -> None:
         if max_frame_bytes <= 0:
             raise ValueError("max_frame_bytes must be positive")
         if idle_timeout <= 0 or write_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        if dispatch_workers < 0:
-            raise ValueError("dispatch_workers must be >= 0")
         self.gateway = gateway
         self.host = host
         self.port = port
@@ -146,16 +153,9 @@ class GatewayServer:
             if rate_limit is not None
             else None
         )
-        #: 0 (default) dispatches ``gateway.handle`` inline on the event
-        #: loop -- issuance is serialised and never sees concurrency.  > 0
-        #: hands dispatch to a thread pool of that size so the read loop
-        #: keeps decoding while issuance runs, and every arriving frame is
-        #: first offered to ``gateway.shed_check`` *at arrival pace* --
-        #: required for admission control to see load before it queues
-        #: (``dispatch_workers=1`` keeps issuance single-threaded while
-        #: still un-blinding the admission edge).
-        self.dispatch_workers = int(dispatch_workers)
-        self._executor: "ThreadPoolExecutor | None" = None
+        #: the one thread that runs ``gateway.handle`` while the loop sheds;
+        #: made by start() iff the gateway has an admission controller
+        self._dispatcher: "ThreadPoolExecutor | None" = None
         self.frames_shed = 0
         # Counters are only mutated on the loop thread; cross-thread reads
         # are monotonic-counter reads, safe under the GIL.
@@ -185,6 +185,10 @@ class GatewayServer:
     def start(self) -> "GatewayServer":
         if self._thread is not None:
             raise RuntimeError("server already started")
+        if self.gateway.admission is not None:
+            self._dispatcher = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="gw-dispatch"
+            )
         self._thread = threading.Thread(
             target=self._run, name=f"smacs-gateway-{self.host}", daemon=True
         )
@@ -225,16 +229,11 @@ class GatewayServer:
 
     async def _main(self) -> None:
         self._stop = asyncio.Event()
-        if self.dispatch_workers:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.dispatch_workers, thread_name_prefix="gw-dispatch"
-            )
         try:
             await self._serve_until_stopped()
         finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
+            if self._dispatcher is not None:
+                self._dispatcher.shutdown(wait=True)
 
     async def _serve_until_stopped(self) -> None:
         assert self._stop is not None
@@ -314,26 +313,27 @@ class GatewayServer:
                             ErrorCode.RATE_LIMITED,
                             retry_after_s=round(self._bucket.retry_after(1), 6),
                         ),
-                        codec=self._safe_sniff(payload),
+                        codec=codec.reply_codec(payload),
                     )
-                elif self._executor is None:
-                    # The gateway never raises: malformed envelopes, unknown
-                    # routes and issuer failures all come back as envelopes.
-                    response = self.gateway.handle(payload)
-                    self.frames_served += 1
                 else:
-                    # Concurrent dispatch: shed at arrival pace on the read
-                    # loop (the admission edge must see frames *before* they
-                    # queue), then hand the admitted frame to the pool.  The
-                    # await keeps responses ordered per connection.
-                    shed = self.gateway.shed_check(payload)
-                    if shed is not None:
-                        response = shed
-                        self.frames_shed += 1
-                    else:
-                        response = await asyncio.get_running_loop().run_in_executor(
-                            self._executor, self._dispatch_preadmitted, payload
+                    try:
+                        request = self.gateway.arrive(payload)
+                    except SmacsError as error:  # answered on the read loop
+                        self.frames_shed += error.code in _SHED_CODES
+                        response = codec.encode_error_envelope(
+                            error, codec=codec.reply_codec(payload)
                         )
+                    else:
+                        # The gateway never raises from handle(): unknown
+                        # routes and issuer failures come back as envelopes.
+                        # Either way exactly one thread calls into the issuers
+                        # and responses stay ordered per connection.
+                        if self._dispatcher is None:
+                            response = self.gateway.handle(request)
+                        else:
+                            response = await asyncio.get_running_loop().run_in_executor(
+                                self._dispatcher, self.gateway.handle, request
+                            )
                     self.frames_served += 1
                 if not await self._write_frame(writer, response):
                     break
@@ -352,9 +352,6 @@ class GatewayServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    def _dispatch_preadmitted(self, payload: bytes) -> bytes:
-        return self.gateway.handle(payload, preadmitted=True)
-
     async def _write_frame(
         self, writer: asyncio.StreamWriter, payload: bytes
     ) -> bool:
@@ -369,13 +366,6 @@ class GatewayServer:
             return False
         return True
 
-    @staticmethod
-    def _safe_sniff(payload: bytes) -> str:
-        try:
-            return codec.sniff_codec(payload)
-        except SmacsError:
-            return codec.CODEC_JSON
-
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -386,7 +376,6 @@ class GatewayServer:
             "frames_served": self.frames_served,
             "frames_limited": self.frames_limited,
             "frames_shed": self.frames_shed,
-            "dispatch_workers": self.dispatch_workers,
             "malformed_frames": self.malformed_frames,
             "idle_closes": self.idle_closes,
             "backpressure_closes": self.backpressure_closes,
@@ -421,8 +410,7 @@ class TcpTransport:
     ``UNAVAILABLE`` carrying a ``retry_after_s`` hint -- the soonest
     half-open probe time.  :meth:`probe_endpoints` drives the ``health``
     wire op through each endpoint to re-close breakers without waiting for
-    user traffic.  Pass ``breaker_failure_threshold=0`` to disable
-    breakers entirely (the pre-resilience behavior).
+    user traffic.
 
     Thread-safe: workers of an open-loop load generator can share one
     transport, each request checking out its own socket.
@@ -452,19 +440,15 @@ class TcpTransport:
         self.request_timeout = float(request_timeout)
         self.pool_size = int(pool_size)
         self.max_frame_bytes = int(max_frame_bytes)
-        self.breakers: "list[CircuitBreaker] | None" = (
-            [
-                CircuitBreaker(
-                    failure_threshold=breaker_failure_threshold,
-                    reset_timeout=breaker_reset_timeout,
-                    half_open_probes=breaker_half_open_probes,
-                    now=now,
-                )
-                for _ in self.endpoints
-            ]
-            if breaker_failure_threshold > 0
-            else None
-        )
+        self.breakers = [
+            CircuitBreaker(
+                failure_threshold=breaker_failure_threshold,
+                reset_timeout=breaker_reset_timeout,
+                half_open_probes=breaker_half_open_probes,
+                now=now,
+            )
+            for _ in self.endpoints
+        ]
         self._pools: "list[list[socket.socket]]" = [[] for _ in self.endpoints]
         self._lock = threading.Lock()
         self._cursor = 0
@@ -495,8 +479,8 @@ class TcpTransport:
         attempted = 0
         for offset in range(len(self.endpoints)):
             index = (start + offset) % len(self.endpoints)
-            breaker = self.breakers[index] if self.breakers is not None else None
-            if breaker is not None and not breaker.allow():
+            breaker = self.breakers[index]
+            if not breaker.allow():
                 with self._lock:
                     self.breaker_skips += 1
                 continue
@@ -511,18 +495,15 @@ class TcpTransport:
                     # The endpoint answered (badly); that is a framing
                     # problem, not an availability signal for the breaker.
                     raise
-                if breaker is not None:
-                    breaker.record_failure()
+                breaker.record_failure()
                 last_error = error
                 continue
-            if breaker is not None:
-                breaker.record_success()
+            breaker.record_success()
             return payload
         if last_error is not None:
             raise last_error
         # Every endpoint was skipped by its breaker: fail fast (no dial, no
         # timeout wait) and tell the caller when the next probe can go.
-        assert self.breakers is not None
         hint = min(breaker.retry_after() for breaker in self.breakers)
         raise SmacsError(
             f"all {len(self.endpoints)} endpoints are circuit-broken; "
@@ -548,11 +529,10 @@ class TcpTransport:
                 alive = True
             except SmacsError as error:
                 alive = error.code is not ErrorCode.UNAVAILABLE
-            if self.breakers is not None:
-                if alive:
-                    self.breakers[index].record_success()
-                else:
-                    self.breakers[index].record_failure()
+            if alive:
+                self.breakers[index].record_success()
+            else:
+                self.breakers[index].record_failure()
             results[endpoint_url(host, port)] = alive
         return results
 
@@ -577,11 +557,7 @@ class TcpTransport:
                 "reconnects": self.reconnects,
                 "failovers": self.failovers,
                 "breaker_skips": self.breaker_skips,
-                "breakers": (
-                    [breaker.stats() for breaker in self.breakers]
-                    if self.breakers is not None
-                    else None
-                ),
+                "breakers": [breaker.stats() for breaker in self.breakers],
                 "pooled": sum(len(pool) for pool in self._pools),
             }
 

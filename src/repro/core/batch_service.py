@@ -40,7 +40,6 @@ from typing import Any, Callable, Sequence
 from repro.chain.address import Address, address_hex
 from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet
-from repro.core.token import Token
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import (
     DEFAULT_TOKEN_LIFETIME,
@@ -163,26 +162,16 @@ class BatchTokenService:
 
     # -- request routing -------------------------------------------------------
 
-    def shard_for(self, request: TokenRequest) -> int:
-        """Client-affinity placement: one client always lands on one shard."""
-        return int.from_bytes(request.client[-4:], "big") % len(self.shards)
-
-    def submit_batch(
-        self,
-        requests: "TokenRequest | Sequence[TokenRequest]",
-        affinity: str = "round-robin",
-    ) -> list[IssuanceResult]:
-        """Process one batch through the sharded pipeline.
+    def submit(self, requests: "TokenRequest | Sequence[TokenRequest]") -> list[IssuanceResult]:
+        """Process one batch through the sharded pipeline (the
+        :class:`~repro.api.protocol.TokenIssuer` batch path).
 
         The front-end session overhead is paid once for the whole batch, and
-        each request is issued by its shard; result order matches request
-        order.  ``affinity`` is ``"round-robin"`` (balanced, the default) or
-        ``"client"`` (a client's requests always hit the same shard).
+        requests are dealt round-robin across the shards; result order
+        matches request order.  Single requests are one-element batches.
         """
         if isinstance(requests, TokenRequest):
             requests = [requests]
-        if affinity not in ("round-robin", "client"):
-            raise ValueError(f"unknown shard affinity {affinity!r}")
 
         # One session's worth of real front-end work for the whole batch.
         self.shards[0].front_end_session_overhead(requests)
@@ -191,45 +180,9 @@ class BatchTokenService:
         results: list[IssuanceResult] = []
         shard_count = len(self.shards)
         for position, request in enumerate(requests):
-            if affinity == "client":
-                shard_index = self.shard_for(request)
-            else:
-                shard_index = position % shard_count
+            shard_index = position % shard_count
             self._shard_loads[shard_index] += 1
-            results.append(self.shards[shard_index].try_issue(request))
-        return results
-
-    def submit(self, requests: "TokenRequest | Sequence[TokenRequest]") -> list[IssuanceResult]:
-        """The :class:`~repro.api.protocol.TokenIssuer` batch path.
-
-        Alias for :meth:`submit_batch` with the default round-robin affinity;
-        single requests are just one-element batches.
-        """
-        return self.submit_batch(requests)
-
-    def issue_token(self, request: TokenRequest) -> Token:
-        """Single-request issuance (wallet drop-in; client-affinity routed).
-
-        Deprecated: express single requests through :meth:`submit`.
-        """
-        return self.shards[self.shard_for(request)].issue_token(request)
-
-    def try_issue(self, request: TokenRequest) -> IssuanceResult:
-        """Like :meth:`issue_token` but reports denial instead of raising.
-
-        Deprecated: express single requests through :meth:`submit`.
-        """
-        return self.shards[self.shard_for(request)].try_issue(request)
-
-    def submit_stream(
-        self, requests: Sequence[TokenRequest], batch_size: int
-    ) -> list[IssuanceResult]:
-        """Chunk a request stream into batches and submit each in turn."""
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
-        results: list[IssuanceResult] = []
-        for offset in range(0, len(requests), batch_size):
-            results.extend(self.submit_batch(requests[offset:offset + batch_size]))
+            results.append(self.shards[shard_index]._guarded_try_issue(request))
         return results
 
     # -- owner management ------------------------------------------------------

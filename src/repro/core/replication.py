@@ -11,20 +11,17 @@ load-balancer/fail-over front end in front of them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from repro.chain.address import Address, address_hex
 from repro.chain.clock import SimulatedClock
 from repro.consensus.counter import CounterCluster, CounterTimeout, ReplicatedCounter
 from repro.core.acr import RuleSet
 from repro.core.errors import ErrorCode, SmacsError, classify
-from repro.core.token import Token
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import IssuanceResult, TokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
-
-_T = TypeVar("_T")
 
 
 class NoReplicaAvailable(SmacsError):
@@ -127,45 +124,6 @@ class ReplicatedTokenService:
         choice = available[self._next % len(available)]
         self._next += 1
         return choice, self.replicas[choice]
-
-    def _with_failover(self, operation: "Callable[[TokenService], _T]") -> _T:
-        """Run ``operation(replica)``, retrying through the other replicas.
-
-        A :class:`CounterTimeout` is transient (a leader election or partition
-        heal in progress): the front end retries the request on each remaining
-        replica -- in round-robin order, skipping the one that just failed --
-        and only surfaces the error when every live replica timed out.
-        Anything else (rule denials, programming errors) propagates untouched.
-        With ``failover=False`` exactly one attempt is made (the composable
-        retry then lives in :class:`repro.api.middleware.RetryFailover`).
-        """
-        tried: set[int] = set()
-        last_timeout: CounterTimeout | None = None
-        while True:
-            available = self.available_replicas()
-            if not available:
-                raise NoReplicaAvailable("all Token Service replicas are down")
-            if last_timeout is not None and tried.issuperset(available):
-                raise last_timeout
-            index, replica = self._pick_replica()
-            if index in tried:
-                continue
-            tried.add(index)
-            try:
-                return operation(replica)
-            except CounterTimeout as exc:
-                if not self.failover:
-                    raise
-                last_timeout = exc
-                self.transient_failovers += 1
-
-    def issue_token(self, request: TokenRequest) -> Token:
-        """Single-request issuance with fail-over.
-
-        Deprecated: express single requests through :meth:`submit` (the
-        :class:`~repro.api.protocol.TokenIssuer` batch path).
-        """
-        return self._with_failover(lambda replica: replica.issue_token(request))
 
     def submit(self, requests: "TokenRequest | Sequence[TokenRequest]") -> list[IssuanceResult]:
         """The :class:`~repro.api.protocol.TokenIssuer` batch path.

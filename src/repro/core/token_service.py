@@ -163,7 +163,7 @@ class TokenService:
         """Evaluate the request against the rules of its token type."""
         return self.rules.evaluate(request)
 
-    def issue_token(self, request: TokenRequest) -> Token:
+    def _issue_token(self, request: TokenRequest) -> Token:
         """Issue a token for a compliant request; raise :class:`TokenDenied` otherwise."""
         decision = self.check_rules(request)
         if not decision.allowed:
@@ -221,14 +221,6 @@ class TokenService:
             signature = self.keypair.sign(digest)
         return Token(request.token_type, expire, index, signature)
 
-    def try_issue(self, request: TokenRequest) -> IssuanceResult:
-        """Like :meth:`issue_token` but reports denial instead of raising."""
-        try:
-            token = self.issue_token(request)
-        except TokenDenied as denied:
-            return IssuanceResult.failure(request, denied)
-        return IssuanceResult(request, token, AccessDecision.allow("issued"))
-
     def _guarded_try_issue(self, request: TokenRequest) -> IssuanceResult:
         """The batch-path unit of work: no exception escapes per-request.
 
@@ -238,12 +230,13 @@ class TokenService:
         (``ErrorCode.INTERNAL``) still propagate.
         """
         try:
-            return self.try_issue(request)
+            token = self._issue_token(request)
         except Exception as exc:
             error = classify(exc)
             if error.code is ErrorCode.INTERNAL:
                 raise
             return IssuanceResult.failure(request, error)
+        return IssuanceResult(request, token, AccessDecision.allow("issued"))
 
     # -- front end (web interface substitute) ---------------------------------------------
 

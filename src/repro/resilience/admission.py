@@ -1,11 +1,11 @@
 """Adaptive admission control for the gateway edge: an in-flight shedder.
 
-The :class:`~repro.api.transport.GatewayServer` dispatches requests either
-inline on its event loop or through a small dispatch pool; either way, by
-the time a request is *being* handled it has already waited its queueing
-delay somewhere the server cannot measure (socket buffers, the dispatch
-queue).  The controller therefore estimates the delay a new arrival would
-experience from what it *can* measure exactly:
+A :class:`~repro.api.transport.GatewayServer` whose gateway carries a
+controller hands every admitted request to its one dispatch thread; by the
+time a request is *being* handled it has already waited its queueing delay
+somewhere the server cannot measure (socket buffers, the dispatch queue).
+The controller therefore estimates the delay a new arrival would experience
+from what it *can* measure exactly:
 
     ``estimated_delay = in_flight_admitted x EWMA(service time)``
 

@@ -53,6 +53,7 @@ from typing import Any, Callable, Sequence
 
 from repro.api.gateway import GatewayClient, InProcessTransport, ServiceGateway
 from repro.api.middleware import RateLimiter
+from repro.api.protocol import issue_one
 from repro.chain.account import ExternallyOwnedAccount
 from repro.chain.chain import Blockchain
 from repro.chain.transaction import Transaction
@@ -146,7 +147,7 @@ class CellEnv:
         request = TokenRequest.method_token(
             contract.this, self.canary.address, "submit", one_time=False
         )
-        forged = self.twin.issue_token(request)
+        forged = issue_one(self.twin, request)
         tx = Transaction(
             sender=self.canary.address,
             to=contract.this,

@@ -83,9 +83,9 @@ def test_truncated_and_padded_binary_envelopes_are_malformed():
 @settings(max_examples=200, deadline=None)
 def test_request_envelopes_round_trip_in_both_lanes(body, lane):
     raw = codec.encode_request_envelope("submit", "route-7", body, codec=lane)
-    op, route, decoded = codec.decode_request_envelope(raw)
-    assert (op, route) == ("submit", "route-7")
-    assert decoded == body
+    request = codec.decode_request_full(raw)
+    assert (request.op, request.route, request.codec) == ("submit", "route-7", lane)
+    assert request.body == body
 
 
 @pytest.mark.slow

@@ -120,27 +120,27 @@ def _error_of(raw: bytes) -> dict:
 
 def test_unknown_route_is_a_stable_error(gateway):
     raw = codec.encode_request_envelope("address", "https://nowhere.example", {})
-    assert _error_of(gateway.handle(raw))["code"] == "UNKNOWN_ROUTE"
+    assert _error_of(InProcessTransport(gateway).send(raw))["code"] == "UNKNOWN_ROUTE"
 
 
 def test_unknown_op_is_unsupported(gateway):
     raw = codec.encode_request_envelope("frobnicate", ROUTE, {})
-    assert _error_of(gateway.handle(raw))["code"] == "UNSUPPORTED"
+    assert _error_of(InProcessTransport(gateway).send(raw))["code"] == "UNSUPPORTED"
 
 
 def test_wrong_wire_version_is_unsupported(gateway):
     envelope = {"smacs": 99, "op": "address", "route": ROUTE, "body": {}}
     raw = json.dumps(envelope).encode()
-    assert _error_of(gateway.handle(raw))["code"] == "UNSUPPORTED"
+    assert _error_of(InProcessTransport(gateway).send(raw))["code"] == "UNSUPPORTED"
 
 
 def test_garbage_bytes_are_malformed_not_a_crash(gateway):
-    assert _error_of(gateway.handle(b"\xff\x00 not json"))["code"] == "MALFORMED_REQUEST"
+    assert _error_of(InProcessTransport(gateway).send(b"\xff\x00 not json"))["code"] == "MALFORMED_REQUEST"
 
 
 def test_malformed_submit_body(gateway):
     raw = codec.encode_request_envelope("submit", ROUTE, {"requests": "nope"})
-    assert _error_of(gateway.handle(raw))["code"] == "MALFORMED_REQUEST"
+    assert _error_of(InProcessTransport(gateway).send(raw))["code"] == "MALFORMED_REQUEST"
 
 
 def test_describe_lists_routes(client):
@@ -162,7 +162,7 @@ def test_transport_counts_wire_traffic(client, recorder, alice):
 
 def test_stale_epoch_is_rejected(gateway, client, alice):
     current = json.loads(
-        gateway.handle(codec.encode_request_envelope("get_rules", ROUTE, {})).decode()
+        InProcessTransport(gateway).send(codec.encode_request_envelope("get_rules", ROUTE, {})).decode()
     )["body"]
     # A concurrent owner update lands first...
     client.update_rules(lambda rules: rules.add_rule(WhitelistRule([alice.address])))
@@ -170,7 +170,7 @@ def test_stale_epoch_is_rejected(gateway, client, alice):
     raw = codec.encode_request_envelope(
         "replace_rules", ROUTE, {"config": current["config"], "epoch": current["epoch"]}
     )
-    assert _error_of(gateway.handle(raw))["code"] == "EXPIRED_RULESET"
+    assert _error_of(InProcessTransport(gateway).send(raw))["code"] == "EXPIRED_RULESET"
 
 
 def test_wire_rule_update_preserves_programmatic_rules(gateway, client, alice, eve):

@@ -10,7 +10,6 @@ from repro.api import (
     Metrics,
     RateLimiter,
     RetryFailover,
-    SignatureCachePrimer,
     build_service,
     unwrap,
 )
@@ -217,31 +216,6 @@ def test_retry_failover_does_not_retry_denials(chain, service, recorder, alice, 
     assert stack.failovers == 0
 
 
-# --- SignatureCachePrimer -----------------------------------------------------------
-
-
-def test_primer_warms_recovery_for_issued_tokens(chain, ts_keypair, recorder, alice):
-    cache = SignatureCache()
-    service = TokenService(keypair=ts_keypair, rules=RuleSet(), clock=chain.clock)
-    primed = SignatureCachePrimer(service, cache)
-    result = primed.submit(_request(recorder, alice, one_time=True))[0]
-    assert result.issued
-    token = result.token
-    digest = token.digest_for(alice.address, recorder.this, method="submit")
-    assert cache.peek_recovery(digest, token.signature) == service.address
-    assert primed.layer_stats()["primed"] == 1
-
-
-def test_primer_skips_failures_and_duplicates(chain, ts_keypair, recorder, alice, eve):
-    cache = SignatureCache()
-    service = TokenService(keypair=ts_keypair, rules=RuleSet(), clock=chain.clock)
-    service.update_rules(lambda rules: rules.add_rule(WhitelistRule([alice.address])))
-    primed = SignatureCachePrimer(service, cache)
-    primed.submit([_request(recorder, alice), _request(recorder, eve)])
-    primed.submit(_request(recorder, alice))  # deterministic replay, same token
-    assert primed.layer_stats()["primed"] == 1
-
-
 # --- stacking / factory -------------------------------------------------------------
 
 
@@ -270,24 +244,19 @@ def test_stacked_stats_fold_every_layer(chain, ts_keypair, recorder, alice):
 def test_factory_validates_inputs(chain):
     with pytest.raises(ValueError):
         build_service("interplanetary")
-    with pytest.raises(ValueError):
-        build_service("serial", cache_priming="sideways")
 
 
-def test_factory_middleware_cache_priming(chain, recorder, alice):
-    cache = SignatureCache()
-    stack = build_service(
-        "sharded",
-        keypair=KeyPair.from_seed("primer-ts"),
-        clock=chain.clock,
-        signature_cache=cache,
-        cache_priming="middleware",
-    )
-    base = unwrap(stack)
-    # The base shards were built without the internal cache wiring...
-    assert base.signature_cache is not cache
-    result = stack.submit(_request(recorder, alice, one_time=True))[0]
-    token = result.token
-    digest = token.digest_for(alice.address, recorder.this, method="submit")
-    # ...yet issuance still primed the supplied cache, through the layer.
-    assert cache.peek_recovery(digest, token.signature) == stack.address
+def test_factory_signature_cache_is_primed_by_issuance(chain, recorder, alice):
+    for profile in ("serial", "sharded", "replicated"):
+        cache = SignatureCache()
+        stack = build_service(
+            profile,
+            keypair=KeyPair.from_seed("primer-ts"),
+            clock=chain.clock,
+            signature_cache=cache,
+        )
+        token = stack.submit(_request(recorder, alice, one_time=True))[0].token
+        digest = token.digest_for(alice.address, recorder.this, method="submit")
+        # Issuance knows the recovery result by construction: the mempool
+        # pre-checks and the executor's ecrecover find it without curve math.
+        assert cache.peek_recovery(digest, token.signature) == stack.address, profile

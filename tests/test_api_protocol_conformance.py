@@ -374,10 +374,6 @@ def test_update_rules_signatures_are_uniformly_typed():
         assert hints["mutate"] == typing.Callable[[RuleSet], None], cls
         assert hints["return"] is type(None), cls
 
-    hints = typing.get_type_hints(BatchTokenService.issue_token)
-    from repro.core.token import Token
-
-    assert hints["return"] is Token
     stats_hints = typing.get_type_hints(BatchTokenService.stats)
     assert stats_hints["return"] == dict[str, typing.Any]
     assert inspect.signature(BatchTokenService.submit).parameters.keys() == \

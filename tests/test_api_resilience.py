@@ -12,6 +12,9 @@ bytes are replayed).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import (
@@ -19,6 +22,8 @@ from repro.api import (
     Backoff,
     ErrorCode,
     GatewayClient,
+    InProcessTransport,
+    IssuerMiddleware,
     RetryBudget,
     ServiceGateway,
     SmacsError,
@@ -27,7 +32,7 @@ from repro.api import (
     connect,
     serve,
 )
-from repro.api.transport import endpoint_url
+from repro.api.transport import TcpTransport, endpoint_url
 from repro.chain import Blockchain
 from repro.chain.transaction import Transaction
 from repro.core.acr import RuleSet
@@ -87,13 +92,12 @@ def test_deadline_field_round_trips_in_both_codec_lanes(lane):
     stamped = codec.encode_request_envelope(
         "submit", ROUTE, _submit_body(), codec=lane, deadline=1234.5
     )
-    op, route, _body, _trace, deadline = codec.decode_request_full(stamped)
-    assert (op, route, deadline) == ("submit", ROUTE, 1234.5)
+    request = codec.decode_request_full(stamped)
+    assert (request.op, request.route, request.deadline) == ("submit", ROUTE, 1234.5)
     # A deadline-less envelope carries no trace of the field at all: legacy
     # peers and deadline-bearing peers produce interchangeable bytes.
     bare = codec.encode_request_envelope("submit", ROUTE, _submit_body(), codec=lane)
-    *_, absent = codec.decode_request_full(bare)
-    assert absent is None
+    assert codec.decode_request_full(bare).deadline is None
     assert b"deadline" not in bare
 
 
@@ -103,7 +107,7 @@ def test_gateway_sheds_expired_deadlines_before_any_dispatch():
         "submit", ROUTE, _submit_body(), deadline=999.0
     )
     with pytest.raises(SmacsError) as failure:
-        codec.decode_response_envelope(gateway.handle(raw))
+        codec.decode_response_envelope(InProcessTransport(gateway).send(raw))
     assert failure.value.code is ErrorCode.DEADLINE_EXCEEDED
     assert not failure.value.retryable  # the budget is gone; a retry stays dead
     assert "gateway" in str(failure.value)
@@ -112,7 +116,7 @@ def test_gateway_sheds_expired_deadlines_before_any_dispatch():
     live = codec.encode_request_envelope(
         "submit", ROUTE, _submit_body(), deadline=1001.0
     )
-    payload = codec.decode_response_envelope(gateway.handle(live))
+    payload = codec.decode_response_envelope(InProcessTransport(gateway).send(live))
     results = [codec.decode_issuance_result(item) for item in payload["results"]]
     assert results[0].issued
 
@@ -133,7 +137,7 @@ def test_gateway_rechecks_the_deadline_at_the_issuance_stage():
         "submit", ROUTE, _submit_body(), deadline=1000.6
     )
     with pytest.raises(SmacsError) as failure:
-        codec.decode_response_envelope(gateway.handle(raw))
+        codec.decode_response_envelope(InProcessTransport(gateway).send(raw))
     assert failure.value.code is ErrorCode.DEADLINE_EXCEEDED
     assert "issuance" in str(failure.value)
     assert gateway.shed["deadline"] == 1
@@ -195,7 +199,7 @@ def test_failed_dispatches_release_their_admission_slot():
         ),
     ]:
         with pytest.raises(SmacsError) as failure:
-            codec.decode_response_envelope(gateway.handle(raw))
+            codec.decode_response_envelope(InProcessTransport(gateway).send(raw))
         assert failure.value.code is expected
     stats = admission.stats()
     assert stats["admitted"] == 2
@@ -203,49 +207,191 @@ def test_failed_dispatches_release_their_admission_slot():
     assert stats["service_ewma_s"] == 0.001  # failures never teach the EWMA
 
 
-def test_shed_check_charges_admission_once_per_request():
+# --- one request path: arrive() on the read loop, handle() on exactly one thread ----
+
+
+def test_every_frame_gets_the_same_answer_in_process_and_over_tcp():
     admission = AdmissionController(target_delay_s=0.01, initial_service_s=1.0)
-    gateway = _gateway(admission=admission)
-    raw = codec.encode_request_envelope("submit", ROUTE, _submit_body())
-    assert gateway.shed_check(raw) is None  # admitted: the slot is held
-    shed = gateway.shed_check(raw)  # a second arrival while the first queues
-    assert shed is not None
-    with pytest.raises(SmacsError) as failure:
-        codec.decode_response_envelope(shed)
-    assert failure.value.code is ErrorCode.OVERLOADED
-    # Dispatching the admitted frame must not charge the edge twice.
-    payload = codec.decode_response_envelope(gateway.handle(raw, preadmitted=True))
-    results = [codec.decode_issuance_result(item) for item in payload["results"]]
-    assert results[0].issued
+    gateway = _gateway(admission=admission, now=lambda: 1000.0)
+    reusable = {
+        "requests": [
+            codec.encode_token_request(
+                TokenRequest.method_token(b"\xaa" * 20, b"\xbb" * 20, "submit")
+            )
+        ]
+    }
+    stale_version = b'{"smacs": 99, "op": "submit", "route": "r", "body": {}}'
+    frames = [  # (raw frame, expected answer; None = served)
+        (codec.encode_request_envelope("submit", ROUTE, reusable), None),
+        (codec.encode_request_envelope("submit", ROUTE, reusable, codec="binary"), None),
+        (b"\x00garbage", ErrorCode.MALFORMED_REQUEST),
+        (stale_version, ErrorCode.UNSUPPORTED),
+        (
+            codec.encode_request_envelope("submit", ROUTE, reusable, deadline=999.0),
+            ErrorCode.DEADLINE_EXCEEDED,
+        ),
+        (
+            codec.encode_request_envelope("submit", ROUTE, reusable, codec="binary"),
+            ErrorCode.OVERLOADED,
+        ),
+        (codec.encode_request_envelope("submit", "nowhere", reusable), ErrorCode.UNKNOWN_ROUTE),
+    ]
+    local = InProcessTransport(gateway)
+    with serve(gateway) as server:
+        remote = TcpTransport(server.url)
+        try:
+            for raw, expected in frames:
+                if expected is ErrorCode.OVERLOADED:
+                    assert admission.admit() is None  # a queued arrival holds the slot
+                answers = [local.send(raw), remote.send(raw)]
+                if expected is ErrorCode.OVERLOADED:
+                    admission.observe(None)
+                assert answers[0] == answers[1], expected
+                assert codec.sniff_codec(answers[0]) == codec.reply_codec(raw)
+                if expected is None:
+                    assert codec.decode_response_envelope(answers[0])["results"][0]["token"]
+                else:
+                    with pytest.raises(SmacsError) as failure:
+                        codec.decode_response_envelope(answers[0])
+                    assert failure.value.code is expected
+        finally:
+            remote.close()
+        # Only the deadline and overload refusals are shed load; undecodable
+        # frames are answered from the same edge but held no slot to begin with.
+        assert server.stats()["frames_shed"] == 2
+        assert server.stats()["frames_served"] == len(frames)
+    assert gateway.shed == {"deadline": 2, "overloaded": 2}
     stats = admission.stats()
-    assert stats["admitted"] == 1
-    assert stats["shed"] == 1
     assert stats["inflight"] == 0
-    # Undecodable frames pass through: MALFORMED_REQUEST keeps coming from
-    # handle(), and the garbage never holds an admission slot.
-    assert gateway.shed_check(b"\x00garbage") is None
+    assert stats["admitted"] == 1 + 2 * 3  # the held slot + served/unknown-route submits
+    assert stats["shed"] == 2
+
+
+def test_a_served_frame_is_decoded_exactly_once(monkeypatch):
+    decoded = []
+    decode = codec.decode_request_full
+    monkeypatch.setattr(
+        codec, "decode_request_full", lambda raw: decoded.append(raw) or decode(raw)
+    )
+    gateway = _gateway(admission=AdmissionController())
+    with serve(gateway) as server:
+        client = connect(server.url, ROUTE, wire_codec="binary")
+        try:
+            for _ in range(5):
+                assert client.submit([_request()] * 4)[0].issued
+        finally:
+            client.close()
+        assert len(decoded) == server.stats()["frames_served"] == 5
+
+
+class _RecordingIssuer(IssuerMiddleware):
+    """Notes the thread of every submit; optionally parks it on an event."""
+
+    def __init__(self, inner, gate: "threading.Event | None" = None) -> None:
+        super().__init__(inner)
+        self.gate = gate
+        self.entered = threading.Event()
+        self.threads: list[int] = []
+
+    def submit(self, requests):
+        self.threads.append(threading.get_ident())
+        self.entered.set()
+        if self.gate is not None:
+            assert self.gate.wait(timeout=10.0)
+        return self.inner.submit(requests)
+
+
+def test_the_read_loop_sheds_while_the_dispatch_thread_is_busy():
+    admission = AdmissionController(target_delay_s=0.01, initial_service_s=1.0)
+    gateway = ServiceGateway(admission=admission)
+    gate = threading.Event()
+    issuer = _RecordingIssuer(build_service("serial", rules=RuleSet()), gate)
+    gateway.register(ROUTE, issuer)
+    with serve(gateway) as server:
+        first, second = connect(server.url, ROUTE), TcpTransport(server.url)
+        outcome = []
+        caller = threading.Thread(target=lambda: outcome.extend(first.submit(_request())))
+        caller.start()
+        try:
+            assert issuer.entered.wait(timeout=10.0)  # the issuer is now blocked
+            for raw, expected in [
+                (
+                    codec.encode_request_envelope("submit", ROUTE, _submit_body(), deadline=1.0),
+                    ErrorCode.DEADLINE_EXCEEDED,
+                ),
+                (
+                    codec.encode_request_envelope("submit", ROUTE, _submit_body()),
+                    ErrorCode.OVERLOADED,  # the blocked call holds the slot
+                ),
+            ]:
+                with pytest.raises(SmacsError) as failure:
+                    codec.decode_response_envelope(second.send(raw))
+                assert failure.value.code is expected
+            # Both were answered on the read loop, before the first call returned.
+            assert not outcome
+            assert server.stats()["frames_shed"] == 2
+        finally:
+            gate.set()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+            first.close()
+            second.close()
+    assert outcome[0].issued
     assert admission.stats()["inflight"] == 0
 
 
-def test_dispatch_pool_serves_and_sheds_at_arrival_pace():
-    admission = AdmissionController(target_delay_s=0.01, initial_service_s=1.0)
-    gateway = _gateway(admission=admission)
-    with serve(gateway, dispatch_workers=1) as server:
-        client = connect(server.url)
+def test_concurrent_wire_clients_share_one_issuing_thread():
+    admission = AdmissionController(target_delay_s=60.0)
+    gateway = ServiceGateway(admission=admission)
+    issuer = _RecordingIssuer(build_service("sharded", rules=RuleSet()))
+    gateway.register(ROUTE, issuer)
+    indexes: list[int] = []
+
+    def wallet(url: str) -> None:
+        client = connect(url, ROUTE)
         try:
-            assert client.submit(_request())[0].issued
-            stats = server.stats()
-            assert stats["dispatch_workers"] == 1
-            assert stats["frames_shed"] == 0
-            assert admission.admit() is None  # hold a slot
-            with pytest.raises(SmacsError) as failure:
-                client.submit(_request())
-            assert failure.value.code is ErrorCode.OVERLOADED
-            assert server.stats()["frames_shed"] == 1  # shed on the read loop
-            admission.observe(None)
-            assert client.submit(_request())[0].issued
+            for _ in range(25):
+                indexes.append(client.submit(_request())[0].raise_if_failed().index)
         finally:
             client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # a second issuing thread would now lose updates
+    try:
+        with serve(gateway) as server:
+            wallets = [threading.Thread(target=wallet, args=(server.url,)) for _ in range(8)]
+            for thread in wallets:
+                thread.start()
+            for thread in wallets:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in wallets)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(indexes) == len(set(indexes)) == 200
+    assert len(issuer.threads) == 200 and len(set(issuer.threads)) == 1
+    assert issuer.threads[0] != threading.get_ident()
+    stats = admission.stats()
+    assert (stats["admitted"], stats["shed"], stats["inflight"]) == (200, 0, 0)
+
+
+def test_the_dispatch_thread_exists_iff_the_gateway_has_admission_control():
+    # Not an option: a gateway with nothing to shed with is served on the
+    # loop thread (two fewer thread wake-ups per frame), one that can shed
+    # gets the dispatch thread so the read loop stays free to do it.
+    for admission, prefix in [(None, "smacs-gateway-"), (AdmissionController(), "gw-dispatch")]:
+        gateway = ServiceGateway(admission=admission)
+        issuer = _RecordingIssuer(build_service("serial", rules=RuleSet()))
+        gateway.register(ROUTE, issuer)
+        with serve(gateway) as server:
+            client = connect(server.url, ROUTE)
+            try:
+                assert client.submit(_request())[0].issued
+                assert client.submit(_request())[0].issued
+            finally:
+                client.close()
+            names = {thread.ident: thread.name for thread in threading.enumerate()}
+        assert len(set(issuer.threads)) == 1
+        assert names[issuer.threads[0]].startswith(prefix)
 
 
 # --- retry_after hints end to end (S1) ----------------------------------------------
@@ -316,7 +462,7 @@ def test_client_stamps_envelopes_and_stops_retrying_at_the_deadline():
     transport = _ScriptedTransport([ok])
     client = GatewayClient(transport, ROUTE, deadline_s=5.0, now=lambda: clock["t"])
     client.describe()
-    *_, deadline = codec.decode_request_full(transport.sent[0])
+    deadline = codec.decode_request_full(transport.sent[0]).deadline
     assert deadline == pytest.approx(105.0)  # the absolute deadline, stamped
 
     # A retry loop whose pause outlives the budget stops locally: the dead
@@ -428,12 +574,14 @@ def test_breakers_fail_fast_and_reclose_after_probing():
             client.close()
 
 
-def test_breakers_can_be_disabled_for_the_pre_resilience_behaviour():
+def test_every_endpoint_always_has_a_breaker():
+    with pytest.raises(ValueError):
+        TcpTransport("tcp://127.0.0.1:1", breaker_failure_threshold=0)
     with serve(_gateway()) as server:
-        client = connect(server.url, breaker_failure_threshold=0)
+        client = connect(server.url, breaker_failure_threshold=1_000)
         try:
-            assert client.transport.breakers is None
             assert client.submit(_request())[0].issued
-            assert client.transport.describe()["breakers"] is None
+            [breaker] = client.transport.describe()["breakers"]
+            assert breaker["state"] == BREAKER_CLOSED
         finally:
             client.close()

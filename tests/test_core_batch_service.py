@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import issue_one
 from repro.core import BatchTokenService, ClientWallet, OwnerWallet, TokenType
 from repro.core.acr import RuleSet
 from repro.core.batch_service import IndexBlockAllocator, ShardCounter
@@ -62,10 +63,6 @@ def test_invalid_configuration_rejected():
         BatchTokenService(shards=0)
     with pytest.raises(ValueError):
         IndexBlockAllocator(block_size=0)
-    with pytest.raises(ValueError):
-        _service().submit_stream([], batch_size=0)
-    with pytest.raises(ValueError):
-        _service().submit_batch([], affinity="nope")
 
 
 # --- batch issuance -----------------------------------------------------------
@@ -75,7 +72,7 @@ def test_batch_issuance_indexes_unique_across_shards_and_batches():
     service = _service(shards=4, index_block_size=8)
     indexes = []
     for _ in range(3):
-        results = service.submit_batch(_one_time_requests(40))
+        results = service.submit(_one_time_requests(40))
         assert all(result.issued for result in results)
         indexes.extend(result.token.index for result in results)
     assert len(set(indexes)) == len(indexes)
@@ -87,7 +84,7 @@ def test_result_order_matches_request_order():
     requests = [
         TokenRequest.method_token(CONTRACT, client, "submit") for client in CLIENTS
     ]
-    results = service.submit_batch(requests)
+    results = service.submit(requests)
     assert [result.request for result in results] == requests
 
 
@@ -100,24 +97,9 @@ def test_denials_are_reported_in_place_not_raised():
     requests = [
         TokenRequest.method_token(CONTRACT, client, "submit") for client in CLIENTS[:4]
     ]
-    results = service.submit_batch(requests)
+    results = service.submit(requests)
     assert [result.issued for result in results] == [True, True, False, False]
     assert service.denied_count == 2
-
-
-def test_client_affinity_routes_a_client_to_one_shard():
-    service = _service(shards=3)
-    for client in CLIENTS:
-        request = TokenRequest.method_token(CONTRACT, client, "submit")
-        shards = {service.shard_for(request) for _ in range(5)}
-        assert len(shards) == 1
-
-
-def test_submit_stream_chunks_into_batches():
-    service = _service()
-    results = service.submit_stream(_one_time_requests(25), batch_size=10)
-    assert len(results) == 25
-    assert service.batches_processed == 3
 
 
 # --- memoised issuance --------------------------------------------------------
@@ -127,7 +109,7 @@ def test_duplicate_requests_reuse_the_cached_token():
     cache = SignatureCache()
     service = _service(signature_cache=cache)
     request = TokenRequest.method_token(CONTRACT, CLIENTS[0], "submit")
-    first, second = service.submit_batch([request, request])
+    first, second = service.submit([request, request])
     assert first.token.to_bytes() == second.token.to_bytes()
     assert cache.hits > 0
 
@@ -137,15 +119,15 @@ def test_memoised_token_is_identical_to_uncached_issuance():
     cached = _service(shards=1)
     cached.clock.advance(plain.clock.now() - cached.clock.now())
     request = TokenRequest.method_token(CONTRACT, CLIENTS[0], "submit")
-    assert plain.issue_token(request).to_bytes() == cached.issue_token(request).to_bytes()
+    assert issue_one(plain, request).to_bytes() == issue_one(cached, request).to_bytes()
 
 
 def test_clock_advance_invalidates_the_token_memo():
     service = _service(shards=1)
     request = TokenRequest.method_token(CONTRACT, CLIENTS[0], "submit")
-    before = service.issue_token(request)
+    before = issue_one(service, request)
     service.clock.advance(60)
-    after = service.issue_token(request)
+    after = issue_one(service, request)
     assert after.expire == before.expire + 60
     assert after.to_bytes() != before.to_bytes()
 
@@ -153,7 +135,7 @@ def test_clock_advance_invalidates_the_token_memo():
 def test_one_time_duplicates_are_never_memoised():
     service = _service(shards=2)
     request = TokenRequest.method_token(CONTRACT, CLIENTS[0], "submit", one_time=True)
-    results = service.submit_batch([request] * 10)
+    results = service.submit([request] * 10)
     indexes = {result.token.index for result in results}
     assert len(indexes) == 10
 
@@ -198,7 +180,7 @@ def test_whole_one_time_batch_spendable_when_bitmap_covers_dispersion(chain, own
         TokenRequest.method_token(recorder.this, alice.address, "submit", one_time=True)
         for _ in range(20)
     ]
-    for result in service.submit_batch(requests):
+    for result in service.submit(requests):
         receipt = alice.transact(recorder, "submit", 1, token=result.token.to_bytes())
         assert receipt.success, (result.token.index, receipt.error)
 
@@ -212,7 +194,7 @@ def test_batch_issued_duplicate_non_one_time_tokens_all_verify(chain, owner, ali
         ProtectedRecorder, one_time_bitmap_bits=256
     ).return_value
     request = TokenRequest.method_token(recorder.this, alice.address, "submit")
-    results = service.submit_batch([request] * 3)
+    results = service.submit([request] * 3)
     for result in results:  # cached signature, still accepted by Alg. 1
         receipt = alice.transact(recorder, "submit", 7, token=result.token.to_bytes())
         assert receipt.success, receipt.error

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import issue_one
 from repro.contracts.call_chain_demo import build_call_chain
 from repro.core import ClientWallet, TokenBundle, TokenService, TokenType
 from repro.core.call_chain import normalise_token_argument
@@ -154,7 +155,8 @@ def test_per_contract_token_services_can_differ(chain, alice, chain_contracts, s
     # Ask ts-1 (the SCB service) for a token naming SCA as the contract.
     from repro.core.token_request import TokenRequest
 
-    bad_token = services[1].issue_token(
+    bad_token = issue_one(
+        services[1],
         TokenRequest.method_token(chain_contracts[0].this, alice.address, "invoke")
     )
     wrong_bundle.add(chain_contracts[0].this, bad_token)

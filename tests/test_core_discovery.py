@@ -165,7 +165,6 @@ API_SURFACE_SNAPSHOT = [
     "RetryBudget",
     "RetryFailover",
     "ServiceGateway",
-    "SignatureCachePrimer",
     "SmacsError",
     "TcpTransport",
     "TokenBucket",

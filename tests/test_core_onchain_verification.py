@@ -6,6 +6,7 @@ check every rejection branch of Alg. 1 plus the gas-category accounting.
 """
 
 
+from repro.api import issue_one
 from repro.core import TokenType
 from repro.core.token import ONE_TIME_UNSET, Token, signing_digest
 from repro.crypto.keys import KeyPair
@@ -130,7 +131,7 @@ def test_wrong_token_service_key_rejected(chain, owner, alice, recorder):
     from repro.core import TokenService, TokenRequest
 
     rogue = TokenService(keypair=KeyPair.from_seed("rogue"), clock=chain.clock)
-    token = rogue.issue_token(TokenRequest.method_token(recorder.this, alice.address, "submit"))
+    token = issue_one(rogue, TokenRequest.method_token(recorder.this, alice.address, "submit"))
     assert not submit_with(alice, recorder, token).success
 
 

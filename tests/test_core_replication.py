@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import issue_one
 from repro.core import ClientWallet, TokenType
 from repro.core.acr import WhitelistRule
 from repro.core.replication import NoReplicaAvailable, ReplicatedTokenService
@@ -38,7 +39,7 @@ def test_all_replicas_share_the_signing_identity(replicated_ts):
 def test_round_robin_spreads_requests(replicated_ts, alice, protected):
     request = TokenRequest.method_token(protected.this, alice.address, "submit")
     for _ in range(6):
-        replicated_ts.issue_token(request)
+        issue_one(replicated_ts, request)
     issued = [replica.issued_count for replica in replicated_ts.replicas]
     assert sum(issued) == 6
     assert all(count >= 1 for count in issued)
@@ -57,7 +58,7 @@ def test_failover_keeps_service_available(chain, alice, replicated_ts, protected
     request = TokenRequest.method_token(protected.this, alice.address, "submit")
     replicated_ts.take_down(0)
     replicated_ts.take_down(1)
-    token = replicated_ts.issue_token(request)
+    token = issue_one(replicated_ts, request)
     assert token is not None
     assert replicated_ts.available_replicas() == [2]
     replicated_ts.bring_up(0)
@@ -68,7 +69,8 @@ def test_all_replicas_down_raises(replicated_ts, alice, protected):
     for index in range(3):
         replicated_ts.take_down(index)
     with pytest.raises(NoReplicaAvailable):
-        replicated_ts.issue_token(
+        issue_one(
+            replicated_ts,
             TokenRequest.method_token(protected.this, alice.address, "submit")
         )
     with pytest.raises(IndexError):
@@ -79,7 +81,7 @@ def test_one_time_indexes_unique_across_replicas(chain, alice, replicated_ts, pr
     """The Raft-replicated counter guarantees globally unique indexes."""
     request = TokenRequest.method_token(protected.this, alice.address, "submit",
                                         one_time=True)
-    indexes = [replicated_ts.issue_token(request).index for _ in range(9)]
+    indexes = [issue_one(replicated_ts, request).index for _ in range(9)]
     assert indexes == list(range(9))
     assert replicated_ts.issued_indexes_are_unique()
 
@@ -116,7 +118,7 @@ def test_unreplicated_counter_ablation_produces_duplicate_indexes(chain, alice, 
     )
     request = TokenRequest.method_token(protected.this, alice.address, "submit",
                                         one_time=True)
-    indexes = [naive.issue_token(request).index for _ in range(4)]
+    indexes = [issue_one(naive, request).index for _ in range(4)]
     assert len(set(indexes)) < len(indexes)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import issue_one, try_issue_one
 from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet, WhitelistRule
 from repro.core.token import ONE_TIME_UNSET, TokenType
@@ -35,7 +36,7 @@ def test_address_is_derived_from_keypair(service):
 
 
 def test_issue_super_token_signed_and_timed(service, clock):
-    token = service.issue_token(TokenRequest.super_token(CONTRACT, ALICE))
+    token = issue_one(service, TokenRequest.super_token(CONTRACT, ALICE))
     assert token.token_type is TokenType.SUPER
     assert token.expire == clock.now() + DEFAULT_TOKEN_LIFETIME
     assert token.index == ONE_TIME_UNSET
@@ -44,11 +45,12 @@ def test_issue_super_token_signed_and_timed(service, clock):
 
 
 def test_issue_method_and_argument_tokens_bind_payload(service):
-    method_token = service.issue_token(TokenRequest.method_token(CONTRACT, ALICE, "submit"))
+    method_token = issue_one(service, TokenRequest.method_token(CONTRACT, ALICE, "submit"))
     digest = method_token.digest_for(ALICE, CONTRACT, method="submit")
     assert service.keypair.verify(digest, method_token.signature)
 
-    argument_token = service.issue_token(
+    argument_token = issue_one(
+        service,
         TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 5})
     )
     good = argument_token.digest_for(ALICE, CONTRACT, method="submit", arguments={"amount": 5})
@@ -59,7 +61,7 @@ def test_issue_method_and_argument_tokens_bind_payload(service):
 
 def test_one_time_tokens_get_consecutive_indexes(service):
     indexes = [
-        service.issue_token(TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True)).index
+        issue_one(service, TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True)).index
         for _ in range(5)
     ]
     assert indexes == [0, 1, 2, 3, 4]
@@ -69,9 +71,9 @@ def test_rules_deny_and_raise_with_reason(clock):
     rules = RuleSet()
     rules.add_rule(WhitelistRule([ALICE], name="sender-whitelist"))
     service = TokenService(keypair=KeyPair.from_seed("k"), rules=rules, clock=clock)
-    service.issue_token(TokenRequest.super_token(CONTRACT, ALICE))
+    issue_one(service, TokenRequest.super_token(CONTRACT, ALICE))
     with pytest.raises(TokenDenied) as excinfo:
-        service.issue_token(TokenRequest.super_token(CONTRACT, EVE))
+        issue_one(service, TokenRequest.super_token(CONTRACT, EVE))
     assert "whitelist" in str(excinfo.value)
     assert service.issued_count == 1
     assert service.denied_count == 1
@@ -81,8 +83,8 @@ def test_try_issue_reports_instead_of_raising(clock):
     rules = RuleSet()
     rules.add_rule(WhitelistRule([ALICE]))
     service = TokenService(keypair=KeyPair.from_seed("k"), rules=rules, clock=clock)
-    ok = service.try_issue(TokenRequest.super_token(CONTRACT, ALICE))
-    denied = service.try_issue(TokenRequest.super_token(CONTRACT, EVE))
+    ok = try_issue_one(service, TokenRequest.super_token(CONTRACT, ALICE))
+    denied = try_issue_one(service, TokenRequest.super_token(CONTRACT, EVE))
     assert ok.issued and ok.token is not None
     assert not denied.issued and denied.token is None
     assert not denied.decision.allowed
@@ -99,16 +101,16 @@ def test_submit_processes_batches(service):
 
 def test_dynamic_rule_update_changes_decisions(service):
     request = TokenRequest.super_token(CONTRACT, EVE)
-    assert service.try_issue(request).issued  # no rules yet
+    assert try_issue_one(service, request).issued  # no rules yet
     service.update_rules(lambda rules: rules.add_rule(WhitelistRule([ALICE])))
-    assert not service.try_issue(request).issued
+    assert not try_issue_one(service, request).issued
     service.update_rules(lambda rules: rules.remove_rule("whitelist"))
-    assert service.try_issue(request).issued
+    assert try_issue_one(service, request).issued
 
 
 def test_token_lifetime_configuration(service, clock):
     service.set_token_lifetime(60)
-    token = service.issue_token(TokenRequest.super_token(CONTRACT, ALICE))
+    token = issue_one(service, TokenRequest.super_token(CONTRACT, ALICE))
     assert token.expire == clock.now() + 60
     with pytest.raises(ValueError):
         service.set_token_lifetime(0)
@@ -118,8 +120,8 @@ def test_audit_log_records_outcomes(clock):
     rules = RuleSet()
     rules.add_rule(WhitelistRule([ALICE]))
     service = TokenService(keypair=KeyPair.from_seed("k"), rules=rules, clock=clock)
-    service.try_issue(TokenRequest.super_token(CONTRACT, ALICE))
-    service.try_issue(TokenRequest.super_token(CONTRACT, EVE))
+    try_issue_one(service, TokenRequest.super_token(CONTRACT, ALICE))
+    try_issue_one(service, TokenRequest.super_token(CONTRACT, EVE))
     log = service.audit_log()
     assert len(log) == 2
     assert log[0][2] == "issued"
@@ -132,14 +134,14 @@ def test_persistence_roundtrip(tmp_path, clock):
     service = TokenService(keypair=KeyPair.from_seed("k"), rules=rules, clock=clock,
                            storage_path=path)
     for _ in range(3):
-        service.issue_token(TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True))
+        issue_one(service, TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True))
     assert path.exists()
 
     # A restarted service resumes the counter and keeps the whitelist policy.
     restarted = TokenService(keypair=KeyPair.from_seed("k"), clock=clock, storage_path=path)
-    token = restarted.issue_token(TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True))
+    token = issue_one(restarted, TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True))
     assert token.index == 3
-    assert not restarted.try_issue(TokenRequest.super_token(CONTRACT, EVE)).issued
+    assert not try_issue_one(restarted, TokenRequest.super_token(CONTRACT, EVE)).issued
 
 
 def test_build_fig6_ruleset_helper():
@@ -149,8 +151,9 @@ def test_build_fig6_ruleset_helper():
         argument_whitelists={"amount": [1, 2]},
     )
     service = TokenService(keypair=KeyPair.from_seed("k"), rules=rules)
-    assert service.try_issue(TokenRequest.super_token(CONTRACT, ALICE)).issued
-    assert not service.try_issue(TokenRequest.super_token(CONTRACT, EVE)).issued
-    assert not service.try_issue(
+    assert try_issue_one(service, TokenRequest.super_token(CONTRACT, ALICE)).issued
+    assert not try_issue_one(service, TokenRequest.super_token(CONTRACT, EVE)).issued
+    assert not try_issue_one(
+        service,
         TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 7})
     ).issued

@@ -15,6 +15,7 @@ on-chain.
 
 import pytest
 
+from repro.api import issue_one
 from repro.chain import Blockchain
 from repro.consensus.counter import CounterTimeout
 from repro.contracts.protected_target import ProtectedRecorder
@@ -63,7 +64,7 @@ def _one_time_request(protected, alice):
 
 
 def _issue_batch(rts, request, count):
-    return [rts.issue_token(request) for _ in range(count)]
+    return [issue_one(rts, request) for _ in range(count)]
 
 
 # --- leader crash mid-batch --------------------------------------------------------
@@ -162,7 +163,7 @@ def test_transient_timeout_retries_on_another_replica(rts, protected, alice, mon
     """A single transient CounterTimeout is absorbed by fail-over."""
     request = _one_time_request(protected, alice)
     victim = rts.replicas[rts._next % len(rts.replicas)]  # the next pick
-    original = victim.issue_token
+    original = victim._issue_token
     calls = {"n": 0}
 
     def flaky(req):
@@ -171,8 +172,8 @@ def test_transient_timeout_retries_on_another_replica(rts, protected, alice, mon
             raise CounterTimeout("injected: leader election in progress")
         return original(req)
 
-    monkeypatch.setattr(victim, "issue_token", flaky)
-    token = rts.issue_token(request)
+    monkeypatch.setattr(victim, "_issue_token", flaky)
+    token = issue_one(rts, request)
     assert token is not None
     assert rts.transient_failovers == 1
     assert rts.issued_indexes_are_unique()
@@ -204,9 +205,9 @@ def test_persistent_timeout_surfaces_after_all_replicas(rts, protected, alice, m
         def always_timeout(req, _r=replica):
             raise CounterTimeout("injected: cluster has no quorum")
 
-        monkeypatch.setattr(replica, "issue_token", always_timeout)
+        monkeypatch.setattr(replica, "_issue_token", always_timeout)
     with pytest.raises(CounterTimeout):
-        rts.issue_token(request)
+        issue_one(rts, request)
     assert rts.transient_failovers == len(rts.replicas)
 
 
@@ -214,7 +215,7 @@ def test_all_replicas_down_still_raises_no_replica(rts, protected, alice):
     for index in range(len(rts.replicas)):
         rts.take_down(index)
     with pytest.raises(NoReplicaAvailable):
-        rts.issue_token(_one_time_request(protected, alice))
+        issue_one(rts, _one_time_request(protected, alice))
 
 
 def test_real_no_quorum_timeout_is_transient_and_recovers(rts, protected, alice):
@@ -222,14 +223,14 @@ def test_real_no_quorum_timeout_is_transient_and_recovers(rts, protected, alice)
     times out (as CounterTimeout, via every replica) -- and succeeds again
     once a replica returns."""
     request = _one_time_request(protected, alice)
-    first = rts.issue_token(request)
+    first = issue_one(rts, request)
     cluster = rts.counter_cluster
     nodes = sorted(cluster.nodes)
     cluster.network.take_down(nodes[0])
     cluster.network.take_down(nodes[1])
     with pytest.raises(CounterTimeout):
-        rts.issue_token(request)
+        issue_one(rts, request)
     cluster.network.bring_up(nodes[0])
-    token = rts.issue_token(request)
+    token = issue_one(rts, request)
     assert token.index != first.index
     assert rts.issued_indexes_are_unique()

@@ -191,14 +191,14 @@ def test_replace_rules_with_corrupt_hex_is_malformed_not_internal(gateway, alice
     raw = codec.encode_request_envelope(
         "replace_rules", ROUTE, {"config": config, "epoch": 0}
     )
-    assert _error_code_of(gateway.handle(raw)) == "MALFORMED_REQUEST"
+    assert _error_code_of(InProcessTransport(gateway).send(raw)) == "MALFORMED_REQUEST"
     # The shared ruleset was never touched and the epoch did not advance.
     good = RuleSet()
     good.add_rule(WhitelistRule([alice.address], name="sender-whitelist"))
     ok = codec.encode_request_envelope(
         "replace_rules", ROUTE, {"config": good.to_config(), "epoch": 0}
     )
-    response = json.loads(gateway.handle(ok).decode())
+    response = json.loads(InProcessTransport(gateway).send(ok).decode())
     assert response["ok"] is True
     assert response["body"]["epoch"] == 1
 
@@ -210,7 +210,7 @@ def test_submit_with_undecodable_request_content_is_malformed(gateway, recorder,
     bad = dict(good)
     bad["contract"] = "0xnot-a-hex-address"
     raw = codec.encode_request_envelope("submit", ROUTE, {"requests": [bad]})
-    assert _error_code_of(gateway.handle(raw)) == "MALFORMED_REQUEST"
+    assert _error_code_of(InProcessTransport(gateway).send(raw)) == "MALFORMED_REQUEST"
 
 
 def test_replicated_counter_survives_the_harness_interface():

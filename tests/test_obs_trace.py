@@ -11,7 +11,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ServiceGateway, build_service, codec, connect, serve, unwrap
+from repro.api import (
+    InProcessTransport,
+    ServiceGateway,
+    build_service,
+    codec,
+    connect,
+    serve,
+    unwrap,
+)
 from repro.core.acr import RuleSet
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
@@ -103,11 +111,10 @@ def test_trace_context_wire_forms_are_lenient():
 def test_trace_field_rides_the_envelope_and_decodes(lane):
     trace = TraceContext("t1", "s1").to_wire()
     raw = codec.encode_request_envelope("submit", ROUTE, {}, codec=lane, trace=trace)
-    op, route, body, decoded = codec.decode_request(raw)
-    assert (op, route, body) == ("submit", ROUTE, {})
-    assert decoded == trace
-    # The trace-blind decoder (the pre-observability surface) still works.
-    assert codec.decode_request_envelope(raw) == ("submit", ROUTE, {})
+    request = codec.decode_request_full(raw)
+    assert request[:3] == ("submit", ROUTE, {})
+    assert request.trace == trace
+    assert request.codec == lane
 
 
 @pytest.mark.parametrize("lane", codec.CODECS)
@@ -117,10 +124,10 @@ def test_untraced_envelope_bytes_are_unchanged(lane):
     assert codec.encode_request_envelope("stats", ROUTE, {}, codec=lane) == (
         codec.encode_request_envelope("stats", ROUTE, {}, codec=lane, trace=None)
     )
-    op, route, body, trace = codec.decode_request(
+    request = codec.decode_request_full(
         codec.encode_request_envelope("stats", ROUTE, {}, codec=lane)
     )
-    assert trace is None
+    assert request.trace is None
 
 
 # --- round trips over real TCP ------------------------------------------------------
@@ -204,7 +211,7 @@ def test_malformed_trace_field_never_fails_the_request():
         {"requests": [codec.encode_token_request(_request())]},
         trace={"bogus": True},
     )
-    response = codec.decode_response_envelope(gateway.handle(raw))
+    response = codec.decode_response_envelope(InProcessTransport(gateway).send(raw))
     assert response["results"][0]["token"] is not None
     [handle] = [
         s for s in server_obs.tracer.finished_spans() if s.name == "gateway.handle"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import issue_one
 from repro.chain import Blockchain
 from repro.chain.transaction import Transaction
 from repro.contracts.protected_target import ProtectedRecorder
@@ -66,7 +67,7 @@ def _token_tx(client, protected, service, one_time=False, amount=1, nonce=None):
     request = TokenRequest.method_token(
         protected.this, client.address, "submit", one_time=one_time
     )
-    token = service.issue_token(request)
+    token = issue_one(service, request)
     tx = Transaction(
         sender=client.address,
         to=protected.this,
@@ -257,7 +258,7 @@ def _ledger_shaped_tx(client, protected, service, nonce):
         to=protected.this,
         nonce=nonce,
         method="submit",
-        kwargs={"amount": 7, "token": service.issue_token(request).to_bytes()},
+        kwargs={"amount": 7, "token": issue_one(service, request).to_bytes()},
         gas_limit=DEFAULT_CALL_GAS_LIMIT,
     )
     return tx.sign_with(client.keypair)
@@ -497,7 +498,7 @@ def test_token_type_bundle_entry_screened(mempool, batch_chain, client, protecte
 
     other = KeyPair.from_seed("other-contract").address
     request = TokenRequest.method_token(protected.this, client.address, "submit")
-    token = service.issue_token(request)
+    token = issue_one(service, request)
     bundle = TokenBundle({other: token.to_bytes()})
     tx = Transaction(
         sender=client.address,
@@ -513,7 +514,7 @@ def test_token_type_bundle_entry_screened(mempool, batch_chain, client, protecte
 
 def test_admission_accepts_token_object_argument(mempool, client, protected, service):
     request = TokenRequest.method_token(protected.this, client.address, "submit")
-    token = service.issue_token(request)
+    token = issue_one(service, request)
     assert isinstance(token, Token)
     tx = Transaction(
         sender=client.address,
@@ -546,7 +547,7 @@ def test_prewarm_counts_intra_block_replays_as_hits(batch_chain, client, protect
     request = TokenRequest.method_token(
         protected.this, client.address, "submit", one_time=False
     )
-    token = foreign.issue_token(request)
+    token = issue_one(foreign, request)
     txs = [
         Transaction(
             sender=client.address,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import try_issue_one
 from repro.contracts import Bank, Attacker
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core import OwnerWallet, TokenService, TokenType
@@ -231,10 +232,12 @@ def test_hydra_as_token_service_rule_end_to_end(chain, alice, hydra_with_buggy_h
         TokenType.ARGUMENT,
     )
     contract = b"\x33" * 20
-    ok = service.try_issue(
+    ok = try_issue_one(
+        service,
         TokenRequest.argument_token(contract, alice.address, "add", {"amount": 4})
     )
-    bad = service.try_issue(
+    bad = try_issue_one(
+        service,
         TokenRequest.argument_token(contract, alice.address, "add", {"amount": 80_000})
     )
     assert ok.issued
