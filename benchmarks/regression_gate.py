@@ -72,7 +72,7 @@ GATES: "dict[str, dict[str, Any]]" = {
         "title": "durability regression",
         "higher": ("durable_relative", "durable_tx_per_s", "recovery_tx_per_s"),
         "context": ("memory_tx_per_s", "wal_bytes_per_tx"),
-        "workload": ("clients", "blocks", "batch", "transactions"),
+        "workload": ("clients", "blocks", "batch", "transactions", "history_slots"),
     },
     "latency": {
         # Deliberately generous: shared CI runners jitter tail latency far

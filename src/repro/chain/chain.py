@@ -286,6 +286,16 @@ class Blockchain:
         """Make the current height the oldest block a reorg can reach."""
         self._checkpoints = [self._checkpoint()]
 
+    def touched_since_latest_block(self) -> dict[Address, set]:
+        """``{address: {storage slots}}`` written since the latest block.
+
+        Read off the latest block's open fork point, so it covers writes made
+        between blocks (faucet funding, account creation) as well as the
+        transactions of a block being mined: ``_mine`` calls the
+        ``state_root_provider`` before it opens the new block's fork point.
+        """
+        return self.evm.state.touched_since(self._checkpoints[-1].mark)
+
     def revert_to_block(self, block_number: int) -> None:
         """Rewrite history: discard all blocks above ``block_number``.
 

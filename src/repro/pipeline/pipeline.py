@@ -86,11 +86,12 @@ class ExecutionPipeline:
     def run_block(self, pre_warm: bool = True) -> "BlockResult | None":
         """Pack and execute the next block; None when the pool is empty.
 
-        With a durability engine attached, ``begin_block`` opens the block's
-        journal checkpoint before execution and ``commit_block`` appends +
-        fsyncs the WAL record afterwards -- a crash between the two loses
-        only the in-memory block, which recovery rebuilds from the admission
-        log (the crash-before-fsync scenario of the fault matrix).
+        With a durability engine attached, ``begin_block`` announces the block
+        before execution (mining then seals its delta and state root) and
+        ``commit_block`` appends + fsyncs the WAL record afterwards -- a crash
+        between the two loses only the in-memory block, which recovery
+        rebuilds from the admission log (the crash-before-fsync scenario of
+        the fault matrix).
         """
         obs = self.obs
         if obs is None:

@@ -12,19 +12,29 @@ Dict entries are sorted by their *encoded key bytes*, which makes the
 encoding canonical without demanding orderable heterogeneous keys.
 
 The state commitment is deliberately flat (ROADMAP: trie-backed state is a
-separate open item): every account folds to a 32-byte sha256 digest of its
-canonical encoding, and the root is the sha256 of the XOR of all account
-digests.  XOR-folding makes the root order-independent and lets
-:class:`StateRootTracker` update it in O(touched accounts) per block while
-a full O(N) recompute stays available as the recovery cross-check.  sha256
-(not the pure-Python keccak used for consensus artifacts) keeps the
-durability hot path at C speed; the commitment is strictly off-chain.
+separate open item) and is a two-level XOR fold, version
+:data:`COMMITMENT_VERSION`:
+
+* a storage slot folds to ``sha256(enc(slot) || enc(value))``;
+* an account folds to ``sha256(address || enc(balance, nonce, is_contract,
+  code_size) || storage_accumulator)``, where the accumulator is the XOR of
+  its slot digests;
+* the root is the sha256 of the XOR of all account digests.
+
+XOR-folding makes both levels order-independent, so
+:class:`StateRootTracker` moves the root across a block by touching only
+what the block touched: one sha256 per written slot plus one per written
+account, however many slots the account already holds.  The full O(state)
+recompute, :func:`state_root`, shares nothing with the tracker but the two
+digest formulas and stays the recovery cross-check.  sha256 (not the
+pure-Python keccak used for consensus artifacts) keeps the durability hot
+path at C speed; the commitment is strictly off-chain.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Iterable
+from hashlib import sha256
+from typing import Any, Iterable, Mapping
 
 from repro.chain.state import AccountState
 from repro.chain.transaction import Signature, Transaction
@@ -263,73 +273,119 @@ def decode_account(raw: bytes) -> AccountState:
     return record
 
 
-def account_digest(address: bytes, record: AccountState) -> bytes:
-    """32-byte digest binding an address to its canonical account encoding."""
-    return hashlib.sha256(address + encode_account(record)).digest()
+#: Version of the commitment formulas below.  Base and backend-meta records
+#: carry it, so an image whose roots were computed another way is refused by
+#: name instead of as a state-root mismatch.
+COMMITMENT_VERSION = 2
 
 
-_EMPTY_ACCUMULATOR = 0
+def _digest(data: bytes) -> int:
+    """sha256 as an integer, ready to XOR into an accumulator."""
+    return int.from_bytes(sha256(data).digest(), "big")
 
 
-def _fold(digests: Iterable[bytes]) -> int:
-    acc = _EMPTY_ACCUMULATOR
-    for digest in digests:
-        acc ^= int.from_bytes(digest, "big")
-    return acc
+def slot_digest(slot: Any, value: Any) -> int:
+    """One storage slot's term in its account's storage accumulator."""
+    return _digest(encode_value(slot) + encode_value(value))
+
+
+def account_digest(
+    address: bytes, record: AccountState, storage_acc: "int | None" = None
+) -> int:
+    """One account's term in the root accumulator.
+
+    ``storage_acc`` is the XOR of the account's slot digests; left out, it
+    is recomputed from ``record.storage`` (O(slots): the full-recompute
+    path, never the per-block one).
+    """
+    if storage_acc is None:
+        storage_acc = 0
+        for slot, value in record.storage.items():
+            storage_acc ^= slot_digest(slot, value)
+    header = encode_value(
+        (record.balance, record.nonce, record.is_contract, record.code_size)
+    )
+    return _digest(address + header + storage_acc.to_bytes(32, "big"))
+
+
+def _root_of(acc: int) -> bytes:
+    return sha256(acc.to_bytes(32, "big")).digest()
 
 
 def state_root(state: Any) -> bytes:
-    """Full O(N) recompute of the flat state root (the recovery cross-check).
+    """Full O(state) recompute of the flat state root (the recovery cross-check).
 
     ``state`` is any object with the ``_AccountStore`` read surface:
     ``addresses()`` and ``account(addr)``.  Reads go through ``addresses()``
     first so no account is created as a side effect.
     """
-    acc = _fold(account_digest(addr, state.account(addr)) for addr in state.addresses())
-    return hashlib.sha256(acc.to_bytes(32, "big")).digest()
+    acc = 0
+    for addr in state.addresses():
+        acc ^= account_digest(addr, state.account(addr))
+    return _root_of(acc)
 
 
 class StateRootTracker:
-    """Incrementally maintained flat state root (O(touched) per block).
+    """Incrementally maintained flat state root (O(touched slots) per block).
 
-    Keeps the per-account digest map and the XOR accumulator; a block's
-    touched-address set is folded in by removing each stale digest and
-    adding the fresh one.  ``root`` then hashes the accumulator.
+    Keeps every account's digest, its storage accumulator and its per-slot
+    digests.  :meth:`update` folds a ``{address: {touched slots}}`` map in by
+    XOR-ing each touched slot's stale digest out of its account's
+    accumulator and the fresh one in, then re-hashing only the account
+    header over that accumulator -- slots the block did not write are never
+    read, encoded or hashed.  ``root`` hashes the top-level accumulator.
     """
 
     def __init__(self) -> None:
-        self._digests: dict[bytes, bytes] = {}
-        self._acc = _EMPTY_ACCUMULATOR
+        self._digests: dict[bytes, int] = {}
+        self._storage_accs: dict[bytes, int] = {}
+        self._slot_digests: dict[bytes, dict[Any, int]] = {}
+        self._acc = 0
 
     @classmethod
     def from_state(cls, state: Any) -> "StateRootTracker":
         tracker = cls()
-        for addr in state.addresses():
-            digest = account_digest(addr, state.account(addr))
-            tracker._digests[addr] = digest
-            tracker._acc ^= int.from_bytes(digest, "big")
+        tracker.update(
+            state, {addr: state.account(addr).storage for addr in state.addresses()}
+        )
         return tracker
 
-    def update(self, state: Any, touched: Iterable[bytes]) -> None:
-        """Re-fold every address in ``touched`` against the live state."""
-        for addr in touched:
-            stale = self._digests.pop(addr, None)
-            if stale is not None:
-                self._acc ^= int.from_bytes(stale, "big")
-            if state.has_account(addr):
-                fresh = account_digest(addr, state.account(addr))
-                self._digests[addr] = fresh
-                self._acc ^= int.from_bytes(fresh, "big")
+    def update(self, state: Any, touched: Mapping[bytes, Iterable[Any]]) -> None:
+        """Re-fold ``touched`` -- every address written since the last update,
+        mapped to the storage slots written in it -- against the live state.
+
+        An address with no slots re-hashes its header alone; one that no
+        longer exists is folded out together with its slot digests.
+        """
+        for addr, slots in touched.items():
+            self._acc ^= self._digests.pop(addr, 0)
+            if not state.has_account(addr):
+                self._storage_accs.pop(addr, None)
+                self._slot_digests.pop(addr, None)
+                continue
+            record = state.account(addr)
+            storage = record.storage
+            digests = self._slot_digests.setdefault(addr, {})
+            storage_acc = self._storage_accs.get(addr, 0)
+            for slot in slots:
+                storage_acc ^= digests.pop(slot, 0)
+                if slot in storage:
+                    fresh = digests[slot] = slot_digest(slot, storage[slot])
+                    storage_acc ^= fresh
+            self._storage_accs[addr] = storage_acc
+            fresh = self._digests[addr] = account_digest(addr, record, storage_acc)
+            self._acc ^= fresh
 
     @property
     def root(self) -> bytes:
-        return hashlib.sha256(self._acc.to_bytes(32, "big")).digest()
+        return _root_of(self._acc)
 
     def __len__(self) -> int:
         return len(self._digests)
 
 
 __all__ = [
+    "COMMITMENT_VERSION",
     "CodecError",
     "StateRootTracker",
     "account_digest",
@@ -339,5 +395,6 @@ __all__ = [
     "encode_account",
     "encode_transaction",
     "encode_value",
+    "slot_digest",
     "state_root",
 ]

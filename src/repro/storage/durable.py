@@ -10,10 +10,17 @@ WAL never grows without bound.  Record kinds on the WAL::
     base   -- full account snapshot + state root + chain height (written
               once when a store attaches to a fresh directory)
     block  -- one committed block: header fields, serialized transactions,
-              per-transaction success flags, the touched-account delta and
+              per-transaction success flags, the touched-slot delta and
               the post-block state root (fsync'd -- the commit point)
     tx     -- one mempool admission (fsync'd only with ``fsync_on_admit``;
               otherwise it becomes durable with the next block commit)
+
+Everything on the durable path costs O(what a block changed).  A block's
+delta is the chain's own open fork point read through
+``Blockchain.touched_since_latest_block`` -- every slot and scalar written
+since the previous block, between-block faucet writes included -- and the
+state root moves by those slots alone (see :mod:`repro.storage.codec`).
+``flush()`` compaction and the recovery cross-check are O(state) on purpose.
 
 Crash model: the node may die at any point; everything after the last
 fsync is gone (the disk-fault hooks simulate exactly that, plus torn and
@@ -22,10 +29,18 @@ from the backend snapshot plus the WAL suffix, re-verifying the per-block
 state root incrementally and cross-checking the final root with a full
 recomputation -- a block either replays completely and root-verified, or
 recovery stops (torn tail) or fails loudly (mid-file corruption, gaps,
-root mismatches).  Only then is the state installed into the chain,
-surviving mempool transactions re-admitted through the normal admission
-path, and the signature cache re-primed from the reconstructed token
-datagrams so a recovered node keeps the issuance-primed fast path.
+root mismatches, an image written under another commitment version).  Only
+then is the state installed into the chain and the admission log turned
+back into a mempool.  Replay hashes nothing: an admission record and the
+block record of the same transaction hold the same ``encode_transaction``
+bytes, so admissions are matched to committed transactions by byte
+equality and only the survivors are decoded and re-admitted through the
+normal admission path.  Last, the signature cache is re-primed with what a
+client can still present: reusable tokens from durable blocks and every
+token of a surviving transaction.  One-time tokens in durable blocks are
+not primed: an accepted one spent its index for good (Alg. 2), and the rare
+one whose call reverted pays one ordinary recovery if it is presented again;
+``max_one_time_index`` still covers them all.
 """
 
 from __future__ import annotations
@@ -39,6 +54,7 @@ from repro.chain.transaction import Transaction
 from repro.core.token import MalformedToken, Token
 from repro.storage.backend import Backend, open_backend
 from repro.storage.codec import (
+    COMMITMENT_VERSION,
     StateRootTracker,
     decode_account,
     decode_transaction,
@@ -154,7 +170,7 @@ class DurableStore:
         self.fsync_on_admit = fsync_on_admit
         self.pipeline: Any = None
         self.tracker = StateRootTracker()
-        self._snapshot_id: "int | None" = None
+        self._block_open = False
         self._pending_delta: "list | None" = None
         self._recovered = False
         self.blocks_committed = 0
@@ -192,6 +208,7 @@ class DurableStore:
         record = encode_value(
             {
                 "kind": "base",
+                "commitment": COMMITMENT_VERSION,
                 "height": chain.height,
                 "root": self.tracker.root,
                 "accounts": accounts,
@@ -202,21 +219,29 @@ class DurableStore:
     # -- the block-commit protocol (driven by the pipeline) --------------------------
 
     def begin_block(self) -> None:
-        """Open the block-boundary journal checkpoint (before execution)."""
-        self._snapshot_id = self.pipeline.chain.state.snapshot()
+        """Arm the next seal: the pipeline is about to mine a block it will commit.
+
+        The store opens no journal checkpoint of its own.  The chain's fork
+        point for the latest block is already open and already spans every
+        write since that block was mined -- faucet funding and account
+        creation between blocks as well as the coming transactions -- so the
+        block's delta is read from it.  A block mined any other way would
+        never reach :meth:`commit_block`; sealing one is refused.
+        """
+        self._block_open = True
 
     def _seal_block(self, state: WorldState) -> bytes:
-        """Collect the block's touched-account delta and return the new root.
+        """Collect the block's touched-slot delta and return the new root.
 
         Installed as the chain's ``state_root_provider``: runs inside
-        ``_mine`` after the transaction loop, so the checkpoint opened by
-        :meth:`begin_block` holds exactly the keys this block touched.
+        ``_mine`` after the transaction loop and before the new block's fork
+        point is opened, so the latest fork point's journal holds exactly
+        the keys written since the previous block.
         """
-        if self._snapshot_id is None:
+        if not self._block_open:
             raise DurabilityError("state_root_provider fired without begin_block()")
-        touched = state.touched_since(self._snapshot_id)
-        state.commit(self._snapshot_id)
-        self._snapshot_id = None
+        self._block_open = False
+        touched = self.pipeline.chain.touched_since_latest_block()
         self._pending_delta = _delta_from(state, touched)
         self.tracker.update(state, touched)
         return self.tracker.root
@@ -269,7 +294,14 @@ class DurableStore:
             if key.startswith(ACCOUNT_PREFIX) and key not in live:
                 self.backend.delete(key)
         self.backend.put(
-            META_KEY, encode_value({"height": chain.height, "root": self.tracker.root})
+            META_KEY,
+            encode_value(
+                {
+                    "commitment": COMMITMENT_VERSION,
+                    "height": chain.height,
+                    "root": self.tracker.root,
+                }
+            ),
         )
         self.backend.flush()
         self.wal.reset()
@@ -296,6 +328,7 @@ class DurableStore:
         meta_raw = self.backend.get(META_KEY)
         if meta_raw is not None:
             meta = decode_value(meta_raw)
+            _check_commitment(meta, "backend snapshot")
             for key, value in self.backend.items():
                 if key.startswith(ACCOUNT_PREFIX):
                     _install_account(scratch, key[len(ACCOUNT_PREFIX):], value)
@@ -311,7 +344,11 @@ class DurableStore:
 
         frames, summary = self.wal.replay()
         report.wal = summary
-        candidates: list[Transaction] = []
+        # Transactions as their canonical ``encode_transaction`` bytes: the
+        # admission record and the block record of one transaction come out
+        # of the same encoder, so equal bytes identify it without hashing.
+        accounted: set[bytes] = set()
+        admissions: list[bytes] = []
         for payload in frames:
             record = decode_value(payload)
             kind = record.get("kind") if isinstance(record, dict) else None
@@ -321,6 +358,7 @@ class DurableStore:
                         "base record on a WAL that already has a backend snapshot "
                         "(stale or mixed-up directory)"
                     )
+                _check_commitment(record, "WAL base record")
                 for addr, raw in record["accounts"].items():
                     _install_account(scratch, addr, raw)
                 tracker = StateRootTracker.from_state(scratch)
@@ -345,6 +383,7 @@ class DurableStore:
                         f"state root mismatch replaying block {record['number']}"
                     )
                 height = record["number"]
+                accounted.update(record["txs"])
                 report.blocks.append(
                     RecoveredBlock(
                         number=record["number"],
@@ -356,7 +395,7 @@ class DurableStore:
                     )
                 )
             elif kind == "tx":
-                candidates.append(decode_transaction(record["tx"]))
+                admissions.append(record["tx"])
             else:
                 raise RecoveryError(f"unknown WAL record kind: {kind!r}")
 
@@ -371,6 +410,14 @@ class DurableStore:
                 "incremental state root disagrees with full recomputation"
             )
 
+        # Only admissions no durable block includes are decoded; a record
+        # logged twice (once at admission, again by ``flush()``) counts once.
+        candidates: list[Transaction] = []
+        for raw in admissions:
+            if raw not in accounted:
+                accounted.add(raw)
+                candidates.append(decode_transaction(raw))
+
         pipeline.chain.install_state(scratch)
         self.tracker = tracker
         self._recovered = True
@@ -379,16 +426,8 @@ class DurableStore:
 
         # Re-admit surviving mempool transactions through normal admission
         # (state-dependent checks run against the *recovered* state).
-        committed = {
-            tx.hash() for block in report.blocks for tx in block.transactions
-        }
-        seen: set[bytes] = set()
         survivors: list[Transaction] = []
         for tx in candidates:
-            tx_hash = tx.hash()
-            if tx_hash in committed or tx_hash in seen:
-                continue
-            seen.add(tx_hash)
             report.mempool_seen += 1
             decision = pipeline.mempool.admit(tx)
             if decision.admitted:
@@ -400,13 +439,13 @@ class DurableStore:
                     report.refusal_reasons.get(decision.reason, 0) + 1
                 )
 
-        # Re-prime the signature cache from every durable token datagram so
-        # the recovered node keeps the issuance-primed verification path.
-        prime = [tx for block in report.blocks for tx in block.transactions] + survivors
+        # Re-prime the signature cache with what a client can still present,
+        # so the recovered node keeps the issuance-primed verification path.
+        durable = [tx for block in report.blocks for tx in block.transactions]
+        prime, report.max_one_time_index = _presentable(durable, survivors)
         if prime:
             hits, misses = pipeline.executor.pre_warm(prime)
             report.signatures_primed = hits + misses
-        report.max_one_time_index = _max_one_time_index(prime)
         return report
 
     # -- lifecycle -------------------------------------------------------------------
@@ -448,14 +487,18 @@ def _delta_from(state: WorldState, touched: dict[Any, set]) -> list[dict]:
     return delta
 
 
-def _apply_delta(state: WorldState, delta: Any) -> list[bytes]:
-    """Apply one block delta to a scratch state; returns touched addresses."""
-    touched: list[bytes] = []
+def _apply_delta(state: WorldState, delta: Any) -> dict[bytes, list]:
+    """Apply one block delta to a scratch state.
+
+    Returns the ``{address: [slots written or deleted]}`` map the delta was
+    built from, in the shape :meth:`StateRootTracker.update` takes.
+    """
+    touched: dict[bytes, list] = {}
     for entry in delta:
         addr = entry["a"]
-        touched.append(addr)
         if entry.get("x"):
             state.discard_account(addr)
+            touched[addr] = []
             continue
         state.set_balance(addr, entry["b"])
         state.set_nonce(addr, entry["n"])
@@ -465,6 +508,7 @@ def _apply_delta(state: WorldState, delta: Any) -> list[bytes]:
             state.storage_set(addr, slot, value)
         for slot in entry["d"]:
             state.storage_delete(addr, slot)
+        touched[addr] = [*entry["w"], *entry["d"]]
     return touched
 
 
@@ -478,19 +522,44 @@ def _install_account(state: WorldState, addr: bytes, raw: bytes) -> None:
         state.storage_set(addr, slot, value)
 
 
-def _max_one_time_index(txs: list[Transaction]) -> int:
+def _check_commitment(record: dict, what: str) -> None:
+    version = record.get("commitment", 1)
+    if version != COMMITMENT_VERSION:
+        raise RecoveryError(
+            f"{what} carries state commitment v{version}; this node computes "
+            f"v{COMMITMENT_VERSION} roots and cannot verify it"
+        )
+
+
+def _presentable(
+    durable: list[Transaction], survivors: list[Transaction]
+) -> tuple[list[Transaction], int]:
+    """The transactions worth priming, and the highest one-time index on disk.
+
+    What a client can still present is a reusable token it has used before
+    and any token of a transaction still waiting in the mempool.  A one-time
+    token in a durable block is not worth a curve recovery: once accepted,
+    Alg. 2 never takes its index again.  The index, by contrast, ranges
+    over every token: the issuer's counter must restart above all of them.
+    """
+    parsed = [(tx, _tokens(tx)) for tx in durable]
+    reusable = [tx for tx, carried in parsed if not all(t.is_one_time for t in carried)]
+    tokens = [t for _, carried in parsed for t in carried]
+    tokens += [t for tx in survivors for t in _tokens(tx)]
+    highest = max((t.index for t in tokens if t.is_one_time), default=-1)
+    return reusable + survivors, highest
+
+
+def _tokens(tx: Transaction) -> list[Token]:
     from repro.pipeline.executor import tokens_carried
 
-    highest = -1
-    for tx in txs:
-        for _, raw in tokens_carried(tx):
-            try:
-                token = Token.from_bytes(raw)
-            except MalformedToken:
-                continue
-            if token.is_one_time:
-                highest = max(highest, token.index)
-    return highest
+    tokens = []
+    for _, raw in tokens_carried(tx):
+        try:
+            tokens.append(Token.from_bytes(raw))
+        except MalformedToken:
+            continue
+    return tokens
 
 
 #: type of the hook the chain calls to stamp ``Block.state_root``

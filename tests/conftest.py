@@ -94,3 +94,29 @@ def keccak_permutations(monkeypatch):
 
     monkeypatch.setattr(keccak, "_keccak_f", counting)
     return calls
+
+
+@pytest.fixture
+def curve_multiplications(monkeypatch):
+    """A live one-element counter of scalar-multiplication ladders run from here on.
+
+    Every signature verification and recovery ends in ``_jacobian_shamir_glv``;
+    the plain wNAF ladder covers any other multiplication of a non-generator
+    point.
+    """
+    from repro.crypto import secp256k1
+
+    calls = [0]
+
+    def counting(name):
+        ladder = getattr(secp256k1, name)
+
+        def wrapper(*args):
+            calls[0] += 1
+            return ladder(*args)
+
+        monkeypatch.setattr(secp256k1, name, wrapper)
+
+    counting("_jacobian_shamir_glv")
+    counting("_jacobian_multiply_wnaf")
+    return calls

@@ -21,7 +21,10 @@ from repro.core.replication import ReplicatedTokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 from repro.faults.disk import DiskFaultInjector, SimulatedCrash
+from repro.core.token import Token
+from repro.core.token_request import TokenRequest
 from repro.pipeline import ExecutionPipeline, SmacsLoadGenerator
+from repro.pipeline.executor import reconstruct_datagram
 from repro.storage import (
     DurabilityError,
     DurableStore,
@@ -30,7 +33,7 @@ from repro.storage import (
     WriteAheadLog,
     state_root,
 )
-from repro.storage.codec import encode_value
+from repro.storage.codec import COMMITMENT_VERSION, encode_value
 
 
 def _node():
@@ -111,6 +114,29 @@ def test_commit_protocol_misuse_is_loud(tmp_path):
     with pytest.raises(DurabilityError):
         store._seal_block(node.chain.state)  # no begin_block() checkpoint
     store.close()
+
+
+def test_writes_between_blocks_reach_the_durable_image(tmp_path):
+    """A faucet top-up after ``attach`` and outside ``run_block`` is in the
+    next block's delta: the store reads the chain's own per-block fork point,
+    which spans everything since the previous block."""
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    _run_batch(node1, 3)
+    late = node1.chain.create_account("late", seed="dur-late")  # 10**21 wei, no block
+    _run_batch(node1, 3)
+    assert store1.tracker.root == state_root(node1.chain.state)
+    assert node1.chain.latest_block.state_root == state_root(node1.chain.state)
+    store1.close()
+
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    report = store2.recover_into(node2.pipeline)
+    assert report.state_root == state_root(node1.chain.state)
+    assert node2.chain.balance_of(late.address) == 10**21
+    store2.close()
 
 
 # --- clean restart and crash-before-fsync -------------------------------------------
@@ -316,7 +342,15 @@ def test_wal_gap_is_loud(tmp_path):
     wal = WriteAheadLog(str(workdir / "wal.log"))
     empty_root = StateRootTracker().root
     wal.append(
-        encode_value({"kind": "base", "height": 0, "root": empty_root, "accounts": {}}),
+        encode_value(
+            {
+                "kind": "base",
+                "commitment": COMMITMENT_VERSION,
+                "height": 0,
+                "root": empty_root,
+                "accounts": {},
+            }
+        ),
         sync=True,
     )
     # block 2 with no block 1 before it: a stale or partial WAL image
@@ -351,6 +385,7 @@ def test_tampered_base_snapshot_fails_its_root_check(tmp_path):
         encode_value(
             {
                 "kind": "base",
+                "commitment": COMMITMENT_VERSION,
                 "height": 0,
                 "root": b"\x00" * 32,  # wrong on purpose
                 "accounts": {},
@@ -364,6 +399,138 @@ def test_tampered_base_snapshot_fails_its_root_check(tmp_path):
     with pytest.raises(RecoveryError, match="does not hash to its state root"):
         store.recover_into(node.pipeline)
     store.close()
+
+
+def test_image_from_the_previous_commitment_is_refused_by_version(tmp_path):
+    """A v1 image (no ``commitment`` field, whole-account digests) must not
+    read as corruption: its roots are right, this node just cannot check them."""
+    workdir = tmp_path / "n"
+    workdir.mkdir()
+    wal = WriteAheadLog(str(workdir / "wal.log"))
+    wal.append(
+        encode_value({"kind": "base", "height": 0, "root": b"\x5a" * 32, "accounts": {}}),
+        sync=True,
+    )
+    wal.close()
+    node = _node()
+    store = DurableStore(str(workdir), "memory")
+    with pytest.raises(RecoveryError, match=r"commitment v1.*computes v2"):
+        store.recover_into(node.pipeline)
+    store.close()
+
+    # the backend meta record is versioned the same way
+    store = DurableStore(str(tmp_path / "m"), "memory")
+    store.backend.put(b"meta", encode_value({"height": 0, "root": b"\x5a" * 32}))
+    with pytest.raises(RecoveryError, match=r"backend snapshot.*commitment v1"):
+        store.recover_into(node.pipeline)
+    store.close()
+
+
+# --- what replay costs and what it primes -------------------------------------------
+
+
+def test_replaying_spent_one_time_tokens_hashes_nothing_and_multiplies_nothing(
+    tmp_path, keccak_permutations, curve_multiplications
+):
+    """An image of committed one-time-token blocks and no survivors replays
+    without one keccak permutation (admissions are matched to committed
+    transactions by their encoded bytes) and without one curve ladder (a
+    spent one-time token can never be presented again, so it is not primed)."""
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    _run_batch(node1, 6)
+    _run_batch(node1, 6)
+    final_root = node1.chain.latest_block.state_root
+    store1.close()
+
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    keccak_permutations[0] = curve_multiplications[0] = 0
+    report = store2.recover_into(node2.pipeline)
+    assert (keccak_permutations[0], curve_multiplications[0]) == (0, 0)
+    assert report.state_root == final_root
+    assert sum(len(block.transactions) for block in report.blocks) == 12
+    assert (report.mempool_seen, report.signatures_primed) == (0, 0)
+    assert report.max_one_time_index == max(
+        token.index for _, token in report.accepted_token_calls()
+    )
+    store2.close()
+
+
+def _cached(node, tx) -> bool:
+    """Is the recovery of ``tx``'s token already in the node's signature cache?"""
+    token = Token.from_bytes(tx.kwargs["token"])
+    cache = node.pipeline.signature_cache
+    datagram = reconstruct_datagram(tx, node.recorder, token)
+    return cache.peek_recovery(cache.digest_for(datagram), token.signature) is not None
+
+
+def _index(tx) -> int:
+    return Token.from_bytes(tx.kwargs["token"]).index
+
+
+def test_recovery_primes_what_can_still_be_presented(tmp_path):
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite", fsync_on_admit=True)
+    store1.attach(node1.pipeline)
+    pooled = node1.generator.from_arrivals([2])  # clients 0, 1: the lowest indexes
+    spent = node1.generator.from_arrivals([2])  # clients 2, 3: higher ones
+    client = node1.clients[2]
+    request = TokenRequest.method_token(
+        node1.recorder.this, client.address, "submit", one_time=False
+    )
+    (issued,) = node1.service.submit([request])
+    reusable = node1.generator._build_tx(client, issued.token.to_bytes(), (), {"amount": 5})
+    assert all(d.admitted for d in node1.pipeline.ingest(spent + [reusable]))
+    result = node1.pipeline.run_block()
+    assert result.succeeded == 3
+    assert all(d.admitted for d in node1.pipeline.ingest(pooled))  # never mined
+    store1.close()
+
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    report = store2.recover_into(node2.pipeline)
+    assert report.readmitted == 2
+    assert report.signatures_primed == 3  # the reusable token + two survivors
+    assert _cached(node2, reusable)
+    assert all(_cached(node2, tx) for tx in pooled)
+    assert not any(_cached(node2, tx) for tx in spent)
+    # the counter restore ranges over every durable index, and here the
+    # highest one belongs to a spent token that was not primed
+    assert max(map(_index, spent)) > max(map(_index, pooled))
+    assert report.max_one_time_index == max(map(_index, spent))
+    store2.close()
+
+
+def test_an_admission_is_counted_once_however_often_it_was_logged(tmp_path):
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite", fsync_on_admit=True)
+    store1.attach(node1.pipeline)
+    mined = node1.generator.from_arrivals([3])
+    node1.pipeline.ingest(mined)
+    node1.pipeline.run_block()  # logged at admission *and* inside the block
+    pooled = node1.generator.from_arrivals([2])
+    node1.pipeline.ingest(pooled)
+    for tx in pooled:  # the same records again, as a flush() re-log writes them
+        store1.note_admitted(tx)
+    store1.wal.sync()
+    store1.close()
+
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    report = store2.recover_into(node2.pipeline)
+    assert [len(block.transactions) for block in report.blocks] == [3]
+    assert report.mempool_seen == 2  # not 3 + 2 + 2
+    assert report.readmitted == 2
+    assert report.readmission_refused == 0
+    assert {tx.hash() for tx in node2.pipeline.mempool.transactions()} == {
+        tx.hash() for tx in pooled
+    }
+    store2.close()
 
 
 # --- resuming after recovery --------------------------------------------------------
