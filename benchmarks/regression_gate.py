@@ -50,6 +50,7 @@ GATES: "dict[str, dict[str, Any]]" = {
         "title": "crypto hot-path regression",
         "higher": (
             "sign_ops_per_sec",
+            "sign_batch_ops_per_sec",
             "verify_ops_per_sec",
             "recover_ops_per_sec",
             "recover_batch_ops_per_sec",

@@ -2,10 +2,16 @@
 
 A :class:`CounterCluster` runs a small Raft group whose state machine is a
 monotonically increasing counter.  :class:`ReplicatedCounter` exposes the
-``next_index()`` interface the Token Service expects from its one-time
-counter, routing each request through the current Raft leader and waiting
-(in simulated time) until the increment commits -- so every issued one-time
-token index is unique and monotone even across leader failures.
+``take(count)`` interface the Token Service expects from its one-time
+counter: one Raft command reserves a whole contiguous index range, routed
+through the current leader and awaited (in simulated time) until it commits
+-- so an envelope of any size costs one consensus round, and every issued
+one-time token index is unique and monotone even across leader failures.
+
+A range is reserved *before* its tokens are signed.  A Token Service that
+crashes (or fails over) between ``take`` and the signatures leaves that
+range committed and unused: burned indexes, holes the Alg. 2 bitmap never
+sees -- never a repeat.
 """
 
 from __future__ import annotations
@@ -41,12 +47,14 @@ class CounterStateMachine:
         self.applied_commands = 0
 
     def apply(self, command: Any) -> int:
-        if command != "increment":
-            raise ValueError(f"unknown counter command {command!r}")
-        value = self.value
-        self.value += 1
-        self.applied_commands += 1
-        return value
+        """Apply ``("take", count)``: reserve ``count`` indexes, return the first."""
+        match command:
+            case ("take", int(count)) if count >= 1:
+                value = self.value
+                self.value += count
+                self.applied_commands += 1
+                return value
+        raise ValueError(f"unknown counter command {command!r}")
 
 
 class CounterCluster:
@@ -104,11 +112,14 @@ class CounterCluster:
 
     # -- counter interface ----------------------------------------------------------
 
-    def increment(self, timeout: float = 5.0, retries: int = 10) -> int:
-        """Commit one increment and return the pre-increment value."""
+    def increment(self, count: int = 1, timeout: float = 5.0, retries: int = 10) -> int:
+        """Commit one command advancing the counter by ``count``; returns the
+        pre-increment value (the first index of the reserved range)."""
+        if count < 1:
+            raise ValueError("a counter command reserves at least one index")
         for _ in range(retries):
             leader = self.elect_leader(timeout=timeout)
-            handle = leader.client_request("increment")
+            handle = leader.client_request(("take", count))
             if handle is None:
                 self.network.run_for(0.05)
                 continue
@@ -127,10 +138,11 @@ class ReplicatedCounter:
         self.cluster = cluster or CounterCluster(size=size, seed=seed)
         self._issued = 0
 
-    def next_index(self) -> int:
-        index = self.cluster.increment()
-        self._issued += 1
-        return index
+    def take(self, count: int) -> range:
+        """Reserve ``count`` consecutive indexes with one Raft commit."""
+        first = self.cluster.increment(count)
+        self._issued += count
+        return range(first, first + count)
 
     @property
     def value(self) -> int:
@@ -140,6 +152,8 @@ class ReplicatedCounter:
         return self.cluster.machines[leader.node_id].value
 
     def restore(self, value: int) -> None:
-        """Catch the replicated counter up to ``value`` (persistence reload)."""
-        while self.value < value:
-            self.cluster.increment()
+        """Catch the replicated counter up to ``value`` (persistence reload):
+        one command for the whole gap, however large."""
+        behind = value - self.value
+        if behind > 0:
+            self.cluster.increment(behind)

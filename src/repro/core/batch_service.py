@@ -78,7 +78,7 @@ class IndexBlockAllocator:
 class ShardCounter:
     """Per-shard counter drawing contiguous blocks from a shared allocator.
 
-    Compatible with the ``next_index()`` / ``value`` interface of the Token
+    Compatible with the ``take(count)`` / ``value`` interface of the Token
     Service's local counter, so a shard is just a ``TokenService`` with this
     counter plugged in.
     """
@@ -86,14 +86,19 @@ class ShardCounter:
     def __init__(self, allocator: IndexBlockAllocator):
         self._allocator = allocator
         self._next = 0
-        self._limit = 0  # exhausted; first next_index() leases a block
+        self._limit = 0  # exhausted; the first take() leases a block
 
-    def next_index(self) -> int:
-        if self._next >= self._limit:
-            self._next, self._limit = self._allocator.lease()
-        value = self._next
-        self._next += 1
-        return value
+    def take(self, count: int) -> list[int]:
+        """The shard's next ``count`` indexes: the rest of its current block,
+        then freshly leased ones -- consecutive except across a lease."""
+        indexes: list[int] = []
+        while len(indexes) < count:
+            if self._next >= self._limit:
+                self._next, self._limit = self._allocator.lease()
+            end = min(self._limit, self._next + count - len(indexes))
+            indexes.extend(range(self._next, end))
+            self._next = end
+        return indexes
 
     @property
     def value(self) -> int:
@@ -177,12 +182,14 @@ class BatchTokenService:
         self.shards[0].front_end_session_overhead(requests)
         self.batches_processed += 1
 
-        results: list[IssuanceResult] = []
+        results: "list[IssuanceResult | None]" = [None] * len(requests)
         shard_count = len(self.shards)
-        for position, request in enumerate(requests):
-            shard_index = position % shard_count
-            self._shard_loads[shard_index] += 1
-            results.append(self.shards[shard_index]._guarded_try_issue(request))
+        for shard_index, shard in enumerate(self.shards):
+            positions = range(shard_index, len(requests), shard_count)
+            self._shard_loads[shard_index] += len(positions)
+            dealt = shard._issue([requests[position] for position in positions])
+            for position, result in zip(positions, dealt):
+                results[position] = result
         return results
 
     # -- owner management ------------------------------------------------------

@@ -7,6 +7,15 @@ the counter value; this module wires the Raft-backed
 :class:`repro.consensus.counter.ReplicatedCounter` into a group of TS
 replicas that share the signing key and the rule set, and puts a
 load-balancer/fail-over front end in front of them.
+
+The agreement costs one Raft commit per *envelope*, not per token: a
+replica's staged issuance path reserves the whole index range of a
+submission's allowed one-time requests with a single ``counter.take(n)``
+before it signs any of them.  A replica that times out on the commit fails
+exactly those requests (``COUNTER_TIMEOUT``, retried through the next
+replica); one that crashes after the commit but before its signatures
+leaves the range reserved and unused -- burned indexes the Alg. 2 bitmap
+never sees, never a repeated one.
 """
 
 from __future__ import annotations

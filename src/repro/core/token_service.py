@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -36,6 +37,7 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 
 DEFAULT_TOKEN_LIFETIME = 3600  # one hour, the lifetime used in §VI-A
+AUDIT_LOG_ENTRIES = 1024  # newest issuance/denial records a service keeps
 
 
 class TokenDenied(SmacsError):
@@ -101,10 +103,11 @@ class _LocalCounter:
     def __init__(self, start: int = 0):
         self._value = start
 
-    def next_index(self) -> int:
-        value = self._value
-        self._value += 1
-        return value
+    def take(self, count: int) -> range:
+        """Reserve the next ``count`` consecutive indexes."""
+        first = self._value
+        self._value += count
+        return range(first, first + count)
 
     @property
     def value(self) -> int:
@@ -142,7 +145,7 @@ class TokenService:
         self.label = label
         self.issued_count = 0
         self.denied_count = 0
-        self._audit_log: list[tuple[int, str, str]] = []
+        self._audit_log: deque[tuple[int, str, str]] = deque(maxlen=AUDIT_LOG_ENTRIES)
         if self.storage_path and os.path.exists(self.storage_path):
             self._load_state()
 
@@ -163,79 +166,101 @@ class TokenService:
         """Evaluate the request against the rules of its token type."""
         return self.rules.evaluate(request)
 
-    def _issue_token(self, request: TokenRequest) -> Token:
-        """Issue a token for a compliant request; raise :class:`TokenDenied` otherwise."""
-        decision = self.check_rules(request)
-        if not decision.allowed:
-            self.denied_count += 1
-            self._audit(request, f"denied: {decision.reason}")
-            raise TokenDenied(decision)
+    def _reusable_token(self, request: TokenRequest, expire: int) -> Token:
+        """A token without the one-time property, through the memo path."""
+        if self.signature_cache is None:
+            return self._sign_reusable(request, expire)
+        # A replayed request within the same lifetime window reproduces a
+        # byte-identical token (signing is deterministic), so the whole
+        # datagram/digest/sign chain collapses to one LRU lookup.
+        key = ("token", self.keypair.address, expire, request.encode())
+        return self.signature_cache.memoize(key, lambda: self._sign_reusable(request, expire))
 
-        expire = self.clock.now() + self.token_lifetime
-        if request.one_time:
-            # Unique index => unique datagram; nothing to memoize.
-            token = self._build_token(request, expire, self.counter.next_index())
-        elif self.signature_cache is not None:
-            # A replayed request within the same lifetime window reproduces a
-            # byte-identical token (signing is deterministic), so the whole
-            # datagram/digest/sign chain collapses to one LRU lookup.
-            key = ("token", self.keypair.address, expire, request.encode())
-            token = self.signature_cache.memoize(
-                key, lambda: self._build_token(request, expire, ONE_TIME_UNSET)
-            )
-        else:
-            token = self._build_token(request, expire, ONE_TIME_UNSET)
-        self.issued_count += 1
-        self._audit(request, "issued")
-        if self.storage_path:
-            self._save_state()
-        return token
-
-    def _build_token(self, request: TokenRequest, expire: int, index: int) -> Token:
-        """Construct and sign the token datagram (Fig. 3), cache-assisted."""
-        datagram = signing_datagram(
-            request.token_type,
-            expire,
-            index,
-            request.client,
-            request.contract,
-            method=request.method,
-            arguments=request.arguments if request.token_type is TokenType.ARGUMENT else None,
-        )
+    def _sign_reusable(self, request: TokenRequest, expire: int) -> Token:
+        datagram = _datagram(request, expire, ONE_TIME_UNSET)
         if self.signature_cache is not None:
+            # The deterministic signature is worth memoizing (signature_for
+            # primes the recovery side as well).
             digest = self.signature_cache.digest_for(datagram)
-            if index < 0:
-                # Reusable datagram: the deterministic signature is worth
-                # memoizing (signature_for primes the recovery side as well).
-                signature = self.signature_cache.signature_for(self.keypair, digest)
-            else:
-                # One-time datagrams are unique by construction (fresh index),
-                # so memoizing the *signing* step would only evict reusable
-                # entries -- but the digest and the known recovery result are
-                # exactly what the execution pipeline's pre-checks and the
-                # verifier's ``ecrecover`` will ask for, so prime those.
-                signature = self.keypair.sign(digest)
-                self.signature_cache.prime_recovery(digest, signature, self.keypair.address)
+            signature = self.signature_cache.signature_for(self.keypair, digest)
         else:
-            digest = keccak256(datagram)
-            signature = self.keypair.sign(digest)
-        return Token(request.token_type, expire, index, signature)
+            signature = self.keypair.sign(keccak256(datagram))
+        return Token(request.token_type, expire, ONE_TIME_UNSET, signature)
 
-    def _guarded_try_issue(self, request: TokenRequest) -> IssuanceResult:
-        """The batch-path unit of work: no exception escapes per-request.
+    def _one_time_tokens(
+        self, requests: Sequence[TokenRequest], expire: int, indexes: Sequence[int]
+    ) -> list[Token]:
+        """Datagrams, digests, one batch signature, cache priming (Fig. 3)."""
+        datagrams = [
+            _datagram(request, expire, index) for request, index in zip(requests, indexes)
+        ]
+        cache = self.signature_cache
+        digests = [
+            cache.digest_for(datagram) if cache is not None else keccak256(datagram)
+            for datagram in datagrams
+        ]
+        signatures = self.keypair.sign_batch(digests)
+        if cache is not None:
+            # One-time datagrams are unique by construction (fresh index), so
+            # memoizing the *signing* step would only evict reusable entries
+            # -- but the digest and the known recovery result are exactly
+            # what the execution pipeline's pre-checks and the verifier's
+            # ``ecrecover`` will ask for, so prime those.
+            for digest, signature in zip(digests, signatures):
+                cache.prime_recovery(digest, signature, self.keypair.address)
+        return [
+            Token(request.token_type, expire, index, signature)
+            for request, index, signature in zip(requests, indexes, signatures)
+        ]
 
-        Rule denials and transient infrastructure failures (a counter timeout
-        during a one-time issuance, a malformed request) come back as
-        error-carrying results; only genuine programming errors
+    def _issue(self, requests: Sequence[TokenRequest]) -> list[IssuanceResult]:
+        """The staged issuance path behind :meth:`submit` (no session overhead).
+
+        Rules run for every request; reusable requests issue through their
+        memo path; the *allowed* one-time requests then share one
+        ``counter.take(n)`` (one Raft commit on a replicated counter, indexes
+        consecutive in request order) and one batch signature.  No exception
+        escapes per request: a denied or malformed request fails alone and
+        consumes no index, and a failed ``take`` (a counter timeout) fails
+        exactly the one-time requests; only genuine programming errors
         (``ErrorCode.INTERNAL``) still propagate.
         """
-        try:
-            token = self._issue_token(request)
-        except Exception as exc:
-            error = classify(exc)
-            if error.code is ErrorCode.INTERNAL:
-                raise
-            return IssuanceResult.failure(request, error)
+        results: "list[IssuanceResult | None]" = [None] * len(requests)
+        expire = self.clock.now() + self.token_lifetime
+        one_time: list[int] = []
+        for position, request in enumerate(requests):
+            try:
+                decision = self.check_rules(request)
+                if not decision.allowed:
+                    self.denied_count += 1
+                    self._audit(request, f"denied: {decision.reason}")
+                    results[position] = IssuanceResult.failure(request, TokenDenied(decision))
+                elif request.one_time:
+                    one_time.append(position)
+                else:
+                    results[position] = self._issued(
+                        request, self._reusable_token(request, expire)
+                    )
+            except Exception as exc:
+                results[position] = _failure(request, exc)
+        if one_time:
+            allowed = [requests[position] for position in one_time]
+            try:
+                indexes = self.counter.take(len(allowed))
+            except Exception as exc:
+                for position, request in zip(one_time, allowed):
+                    results[position] = _failure(request, exc)
+            else:
+                tokens = self._one_time_tokens(allowed, expire, indexes)
+                for position, request, token in zip(one_time, allowed, tokens):
+                    results[position] = self._issued(request, token)
+        if self.storage_path and any(result.issued for result in results):
+            self._save_state()
+        return results
+
+    def _issued(self, request: TokenRequest, token: Token) -> IssuanceResult:
+        self.issued_count += 1
+        self._audit(request, "issued")
         return IssuanceResult(request, token, AccessDecision.allow("issued"))
 
     # -- front end (web interface substitute) ---------------------------------------------
@@ -243,9 +268,11 @@ class TokenService:
     def submit(self, requests: "TokenRequest | Sequence[TokenRequest]") -> list[IssuanceResult]:
         """Process one submission through the front end (the protocol batch path).
 
-        A submission carries one or more requests; the per-connection overhead
-        (modelled as an authentication-grade hash + signature verification of
-        the session payload) is paid once per submission, which is what makes
+        A submission carries one or more requests -- a single request is a
+        batch of one.  What an envelope pays once: the per-connection
+        overhead (modelled as an authentication-grade hash + signature
+        verification of the session payload), the one-time counter round and
+        the signing inversions (see :meth:`_issue`), which is what makes
         batched submissions faster per request (Fig. 9).  Per-request failures
         -- denials, counter timeouts, malformed requests -- are carried inside
         the matching :class:`IssuanceResult` rather than raised, so one bad
@@ -254,7 +281,7 @@ class TokenService:
         if isinstance(requests, TokenRequest):
             requests = [requests]
         self.front_end_session_overhead(requests)
-        return [self._guarded_try_issue(request) for request in requests]
+        return self._issue(requests)
 
     def front_end_session_overhead(self, requests: Sequence[TokenRequest]) -> None:
         """Fixed per-connection work: session authentication and request framing.
@@ -302,7 +329,8 @@ class TokenService:
         }
 
     def audit_log(self) -> list[tuple[int, str, str]]:
-        """(timestamp, request description, outcome) entries, newest last."""
+        """The newest :data:`AUDIT_LOG_ENTRIES` (timestamp, request description,
+        outcome) entries, oldest first."""
         return list(self._audit_log)
 
     def _audit(self, request: TokenRequest, outcome: str) -> None:
@@ -333,6 +361,27 @@ class TokenService:
             self.counter.restore(state.get("counter", 0))
         if state.get("rules"):
             self.rules = RuleSet.from_config(state["rules"])
+
+
+def _datagram(request: TokenRequest, expire: int, index: int) -> bytes:
+    """The datagram the Token Service signs for ``request`` (Fig. 3)."""
+    return signing_datagram(
+        request.token_type,
+        expire,
+        index,
+        request.client,
+        request.contract,
+        method=request.method,
+        arguments=request.arguments if request.token_type is TokenType.ARGUMENT else None,
+    )
+
+
+def _failure(request: TokenRequest, exc: Exception) -> IssuanceResult:
+    """An error-carrying result; ``INTERNAL`` (a programming error) re-raises."""
+    error = classify(exc)
+    if error.code is ErrorCode.INTERNAL:
+        raise exc
+    return IssuanceResult.failure(request, error)
 
 
 def build_fig6_ruleset(

@@ -6,6 +6,10 @@ This module provides:
 
 * :func:`sign` -- RFC-6979 deterministic ECDSA producing a recoverable
   signature (low-s normalised, as enforced by Ethereum since EIP-2).
+* :func:`sign_batch` -- the same signatures for a block of digests under one
+  key, byte for byte, with every ``k*G`` left Jacobian so the block shares one
+  affine conversion and one Montgomery inversion of the nonces -- the signing
+  mirror of :func:`recover_batch`, and what a Token Service envelope runs.
 * :func:`verify` -- signature verification against a public key, through the
   GLV dual-scalar ladder and rejecting high-s signatures (EIP-2).
 * :func:`recover` -- public-key recovery from a signature (``ecrecover``)
@@ -103,32 +107,64 @@ def _rfc6979_nonce(private_key: int, digest: bytes) -> int:
         v = hmac.new(k, v, hashlib.sha256).digest()
 
 
-def sign(digest: bytes, private_key: int) -> Signature:
-    """Sign a 32-byte message digest with the given private key scalar."""
+def _check_signing_input(digest: bytes, private_key: int) -> None:
     if len(digest) != 32:
         raise SignatureError("digest must be 32 bytes")
     if not 0 < private_key < N:
         raise SignatureError("private key out of range")
 
-    z = int.from_bytes(digest, "big")
+
+def _finish_signature(
+    digest: bytes, private_key: int, point: Point, k_inv: int
+) -> "Signature | None":
+    """``(r, s, v)`` from the nonce point ``k*G`` and ``k^-1``; None when the
+    nonce is unusable (``r`` or ``s`` zero) and the caller must draw another."""
+    r = point.x % N
+    s = k_inv * (int.from_bytes(digest, "big") + r * private_key) % N
+    if r == 0 or s == 0:
+        return None
+    v = point.y & 1
+    # Enforce low-s (EIP-2); flipping s flips the recovery parity.
+    if s > _HALF_N:
+        s = N - s
+        v ^= 1
+    return Signature(r, s, v)
+
+
+def sign(digest: bytes, private_key: int) -> Signature:
+    """Sign a 32-byte message digest with the given private key scalar."""
+    _check_signing_input(digest, private_key)
     k = _rfc6979_nonce(private_key, digest)
     while True:
-        point = generator_multiply(k)
-        r = point.x % N
-        if r == 0:
-            k = (k + 1) % N or 1
-            continue
-        k_inv = pow(k, -1, N)
-        s = k_inv * (z + r * private_key) % N
-        if s == 0:
-            k = (k + 1) % N or 1
-            continue
-        v = point.y & 1
-        # Enforce low-s (EIP-2); flipping s flips the recovery parity.
-        if s > N // 2:
-            s = N - s
-            v ^= 1
-        return Signature(r, s, v)
+        signature = _finish_signature(
+            digest, private_key, generator_multiply(k), pow(k, -1, N)
+        )
+        if signature is not None:
+            return signature
+        k = (k + 1) % N or 1
+
+
+def sign_batch(digests: "list[bytes]", private_key: int) -> "list[Signature]":
+    """Sign a block of digests with one key: ``[sign(d, key) for d in digests]``.
+
+    Byte-identical to the elementwise loop (each digest gets its own RFC 6979
+    nonce).  What the block shares is the two modular inversions a signature
+    otherwise pays alone: every ``k*G`` stays Jacobian until one
+    :func:`~repro.crypto.secp256k1.jacobian_to_affine_batch`, and the nonces
+    are inverted ``mod N`` by one :func:`~repro.crypto.secp256k1.batch_inverse`.
+    """
+    for digest in digests:
+        _check_signing_input(digest, private_key)
+    nonces = [_rfc6979_nonce(private_key, digest) for digest in digests]
+    points = secp256k1.jacobian_to_affine_batch(
+        [secp256k1.generator_multiply_jacobian(k) for k in nonces]
+    )
+    inverses = secp256k1.batch_inverse(nonces, N)
+    return [
+        # An unusable nonce (probability ~2^-256) re-draws on the single path.
+        _finish_signature(digest, private_key, point, k_inv) or sign(digest, private_key)
+        for digest, point, k_inv in zip(digests, points, inverses)
+    ]
 
 
 def verify(digest: bytes, signature: Signature, public_key: Point) -> bool:

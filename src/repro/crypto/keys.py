@@ -11,7 +11,7 @@ import secrets
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.crypto.ecdsa import Signature, recover, recover_batch, sign, verify
+from repro.crypto.ecdsa import Signature, recover, recover_batch, sign, sign_batch, verify
 from repro.crypto.keccak import keccak256
 from repro.crypto.secp256k1 import GENERATOR, N, Point, point_multiply
 
@@ -88,6 +88,9 @@ class PrivateKey:
     def sign(self, digest: bytes) -> Signature:
         return sign(digest, self.secret)
 
+    def sign_batch(self, digests: "list[bytes]") -> "list[Signature]":
+        return sign_batch(digests, self.secret)
+
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -120,6 +123,10 @@ class KeyPair:
 
     def sign(self, digest: bytes) -> Signature:
         return self.private.sign(digest)
+
+    def sign_batch(self, digests: "list[bytes]") -> "list[Signature]":
+        """``[self.sign(d) for d in digests]``, sharing the block's inversions."""
+        return self.private.sign_batch(digests)
 
     def verify(self, digest: bytes, signature: Signature) -> bool:
         return self.public.verify(digest, signature)

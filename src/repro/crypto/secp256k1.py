@@ -7,8 +7,9 @@ Ethereum signatures (and therefore SMACS tokens) live on the secp256k1 curve
 This module implements point addition, doubling and scalar multiplication in
 Jacobian coordinates, with two layers:
 
-* a **fast path** used by signing and verification: a fixed-base window table
-  for the generator (``k * G`` during signing), width-w non-adjacent-form
+* a **fast path** used by signing and verification: a fixed-base 8-bit
+  signed-window table for the generator (``k * G`` during signing: at most 33
+  mixed additions, no doublings), width-w non-adjacent-form
   (wNAF) recoding with precomputed odd multiples of ``G`` and an on-the-fly
   odd-multiples table for arbitrary points, one GLV four-stream ladder for
   ``u1*G + u2*P`` (both scalars split by the curve endomorphism, so a single
@@ -501,50 +502,55 @@ def apply_endomorphism(table: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 # --- Fixed-base precomputation for the generator ---------------------------
 #
-# Signing computes k * G for a fresh k on every token issuance; a 4-bit
-# windowed comb over the generator cuts that to ~64 point additions with no
-# doublings at all.  The comb entries and the wNAF odd multiples of G (and
-# lambda*G) are normalised to affine once at import, sharing one Montgomery
-# batch inversion, so every lookup feeds the cheaper mixed addition.
+# Signing computes k * G for a fresh k on every token issuance.  The scalar
+# is recoded into signed base-256 digits d_i in [-127, 128] (a digit above 128
+# borrows 256 from the next window), and row i of the table holds
+# j * 256^i * G for j = 1..128, so k * G is at most 33 mixed additions -- 32
+# windows plus the carry out of the top one -- and no doublings at all;
+# negative digits flip y, which is free.  The 33 x 128 window entries and the
+# wNAF odd multiples of G (and lambda*G) are normalised to affine once at
+# import, sharing one Montgomery batch inversion.
 
-_WINDOW_BITS = 4
-_NUM_WINDOWS = 256 // _WINDOW_BITS
+_WINDOW_ROWS = 33  # 32 byte windows of a 256-bit scalar + the final carry
+_WINDOW_HALF = 128
 
 
-def _build_generator_table() -> list[list[tuple[int, int, int]]]:
-    table: list[list[tuple[int, int, int]]] = []
-    base = _to_jacobian(GENERATOR)
-    for _ in range(_NUM_WINDOWS):
-        row = [_J_INFINITY]
-        for i in range(1, 1 << _WINDOW_BITS):
-            row.append(_jacobian_add(row[i - 1], base))
-        table.append(row)
-        for _ in range(_WINDOW_BITS):
-            base = _jacobian_double(base)
-    return table
+def _build_generator_windows() -> list[tuple[int, int, int]]:
+    """``j * 256^i * G`` for every row ``i`` and ``j = 1..128``, flattened."""
+    flat: list[tuple[int, int, int]] = []
+    base = (GX, GY)
+    for _ in range(_WINDOW_ROWS):
+        entry = (base[0], base[1], 1)
+        flat.append(entry)
+        for _ in range(_WINDOW_HALF - 1):
+            entry = _jacobian_add_mixed(entry, base)
+            flat.append(entry)
+        # 256 * base = 2 * (128 * base); affine, so the next row's 127
+        # additions are mixed ones too (one inversion a row, 33 in all).
+        next_base = _from_jacobian(_jacobian_double(entry))
+        base = (next_base.x, next_base.y)
+    return flat
 
 
 def _normalise_generator_tables() -> tuple[
-    list[list[tuple[int, int] | None]], list[tuple[int, int]]
+    list[list[tuple[int, int]]], list[tuple[int, int]]
 ]:
-    """Affine forms of the comb table and the wNAF odd multiples of G."""
-    comb_jac = _build_generator_table()
+    """Affine forms of the window table and the wNAF odd multiples of G."""
     odd_jac = _build_odd_multiples(
         _to_jacobian(GENERATOR), 1 << (_WNAF_WIDTH_FIXED - 2)
     )
-    flat = [entry for row in comb_jac for entry in row[1:]] + odd_jac
-    affine = jacobian_to_affine_batch(flat)
-    row_len = (1 << _WINDOW_BITS) - 1
-    comb: list[list[tuple[int, int] | None]] = []
-    for window in range(_NUM_WINDOWS):
-        chunk = affine[window * row_len:(window + 1) * row_len]
-        comb.append([None] + [(p.x, p.y) for p in chunk])
-    odd_start = _NUM_WINDOWS * row_len
-    odd = [(p.x, p.y) for p in affine[odd_start:]]
-    return comb, odd
+    affine = [
+        (p.x, p.y)
+        for p in jacobian_to_affine_batch(_build_generator_windows() + odd_jac)
+    ]
+    windows = [
+        affine[row * _WINDOW_HALF:(row + 1) * _WINDOW_HALF]
+        for row in range(_WINDOW_ROWS)
+    ]
+    return windows, affine[_WINDOW_ROWS * _WINDOW_HALF:]
 
 
-_GENERATOR_TABLE, _G_ODD_AFFINE = _normalise_generator_tables()
+_G_WINDOWS, _G_ODD_AFFINE = _normalise_generator_tables()
 _LAMBDA_G_ODD_AFFINE = apply_endomorphism(_G_ODD_AFFINE)
 
 # The (lambda, beta) pairing must match -- lambda*G == (beta*Gx, Gy) -- or the
@@ -559,19 +565,32 @@ assert (_lambda_g.x, _lambda_g.y) == (
 del _lambda_g
 
 
-def generator_multiply(scalar: int) -> Point:
-    """Compute ``scalar * G`` using the precomputed window table."""
+def generator_multiply_jacobian(scalar: int) -> tuple[int, int, int]:
+    """``scalar * G`` left in Jacobian coordinates (at most 33 mixed additions).
+
+    The caller converts to affine -- alone through :func:`generator_multiply`,
+    or a block at a time through :func:`jacobian_to_affine_batch`, which is
+    what :func:`repro.crypto.ecdsa.sign_batch` does.
+    """
     scalar %= N
     result = _J_INFINITY
     add_mixed = _jacobian_add_mixed
-    table = _GENERATOR_TABLE
-    mask = (1 << _WINDOW_BITS) - 1
-    for window in range(_NUM_WINDOWS):
-        digit = scalar & mask
-        scalar >>= _WINDOW_BITS
-        if digit:
-            result = add_mixed(result, table[window][digit])
-    return _from_jacobian(result)
+    for row in _G_WINDOWS:
+        digit = scalar & 0xFF
+        scalar >>= 8
+        if digit > _WINDOW_HALF:
+            # 256 - digit of this window is subtracted, 256 carried upwards.
+            x, y = row[255 - digit]
+            result = add_mixed(result, (x, P - y))
+            scalar += 1
+        elif digit:
+            result = add_mixed(result, row[digit - 1])
+    return result
+
+
+def generator_multiply(scalar: int) -> Point:
+    """Compute ``scalar * G`` using the precomputed signed-window table."""
+    return _from_jacobian(generator_multiply_jacobian(scalar))
 
 
 def point_add(p: Point, q: Point) -> Point:

@@ -11,8 +11,9 @@ outside it: components that keep answering with **wrong** answers --
   commit; the harness proves those answers are never converted into issued
   one-time indexes (the duplicate-index bug class PR 2's fix closed);
 * :class:`EquivocatingCounter` -- a Byzantine counter that *succeeds* with
-  wrong values: on a deterministic schedule it repeats an index it already
-  handed out, or skips ahead.  The Token Service trusting it will sign two
+  wrong values: on a deterministic schedule the range it hands out repeats
+  an index it already handed out (overlapping the previous range), or skips
+  ahead.  The Token Service trusting it will sign two
   tokens with the same one-time index -- the on-chain Alg. 2 bitmap (and the
   mempool's reservation table) must accept at most one;
 * :class:`CorruptingTransport` -- frame corruption at the transport edge: a
@@ -45,14 +46,16 @@ from repro.crypto.keys import KeyPair
 class StaleLeaderCounter:
     """Counter client pinned to a zombie leader, with honest fallback.
 
-    Drop-in for the Token Service's one-time counter (``next_index()``).
+    Drop-in for the Token Service's one-time counter (``take(count)``).
     :meth:`induce_zombie` partitions the current leader away from the
     majority and waits until a successor is elected -- the old leader is now
     *stale*: alive, reachable by this client, still role ``LEADER`` at an
-    outdated term, still accepting ``client_request``.  Every ``next_index``
-    call first offers the increment to the zombie and gives it a bounded
-    window to "commit"; only when the zombie (necessarily) fails does the
-    client fall back to the honest majority leader.
+    outdated term, still accepting ``client_request``.  Every ``take``
+    call first offers the range reservation to the zombie -- whose stale
+    counter value would make it overlap a range the majority has since
+    committed -- and gives it a bounded window to "commit"; only when the
+    zombie (necessarily) fails does the client fall back to the honest
+    majority leader.
 
     ``zombie_answers`` counts commands the stale leader accepted;
     ``zombie_results`` counts those that ever produced a fulfilled client
@@ -101,13 +104,13 @@ class StaleLeaderCounter:
 
     # -- counter interface --------------------------------------------------------
 
-    def _offer_to_zombie(self) -> None:
+    def _offer_to_zombie(self, count: int) -> None:
         zombie = self.cluster.nodes.get(self.zombie_id or "")
         if zombie is None or zombie.role is not Role.LEADER:
             # The node noticed a newer term (e.g. after heal) -- no zombie.
             self.zombie_id = None
             return
-        handle = zombie.client_request("increment")
+        handle = zombie.client_request(("take", count))
         if handle is None:
             return
         self.zombie_answers += 1
@@ -119,20 +122,21 @@ class StaleLeaderCounter:
                 f"index {handle.index} result {handle.result!r}"
             )
 
-    def next_index(self) -> int:
+    def take(self, count: int) -> range:
         if self.zombie_id is not None:
-            self._offer_to_zombie()
-        index = self.cluster.increment()
-        self._issued += 1
-        return index
+            self._offer_to_zombie(count)
+        first = self.cluster.increment(count)
+        self._issued += count
+        return range(first, first + count)
 
     @property
     def value(self) -> int:
         return max(self.cluster.committed_values().values(), default=0)
 
     def restore(self, value: int) -> None:  # pragma: no cover - persistence API
-        while self.value < value:
-            self.cluster.increment()
+        behind = value - self.value
+        if behind > 0:
+            self.cluster.increment(behind)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -145,15 +149,18 @@ class StaleLeaderCounter:
 class EquivocatingCounter:
     """A counter that answers -- sometimes with a lie.
 
-    Wraps any honest counter (the local one or a replicated client).  On a
-    deterministic schedule it equivocates instead of forwarding:
+    Wraps any honest counter (the local one or a replicated client).  The
+    lie schedule runs per index handed out, wherever in a range it falls:
 
-    * every ``duplicate_every``-th call returns the **previous** index again
-      (two one-time tokens will carry the same index);
-    * every ``skip_every``-th call burns one honest index and returns the
-      next (the issued index stream has holes).
+    * every ``duplicate_every``-th index is the **previous** one again -- the
+      last index of the preceding range when it falls first in a range, so
+      the two ranges overlap (two one-time tokens will carry the same index);
+    * every ``skip_every``-th index burns one honest index and is the next
+      (the issued index stream has holes).
 
-    Both behaviours are what a compromised counter replica (or a buggy
+    A whole range still costs the inner counter one ``take``: the schedule
+    says up front how many honest indexes the range needs.  Both behaviours
+    are what a compromised counter replica (or a buggy
     de-duplicating proxy) would produce.  Duplicates are the dangerous case:
     the Token Service signs both tokens, so only the mempool reservation
     table and the on-chain bitmap stand between the duplicate and a double
@@ -176,21 +183,28 @@ class EquivocatingCounter:
         self.skips_injected = 0
         self._last_index: "int | None" = None
 
-    def next_index(self) -> int:
-        self.calls += 1
-        if (
-            self.duplicate_every
-            and self._last_index is not None
-            and self.calls % self.duplicate_every == 0
-        ):
-            self.duplicates_injected += 1
-            return self._last_index
-        if self.skip_every and self.calls % self.skip_every == 0:
-            self.inner.next_index()  # burned: never handed to anyone
-            self.skips_injected += 1
-        index = self.inner.next_index()
-        self._last_index = index
-        return index
+    def take(self, count: int) -> list[int]:
+        # How many honest indexes each position consumes: 0 repeats the
+        # previous index, 2 burns one (never handed to anyone) first.
+        plan: list[int] = []
+        repeatable = self._last_index is not None
+        for _ in range(count):
+            self.calls += 1
+            if self.duplicate_every and repeatable and self.calls % self.duplicate_every == 0:
+                self.duplicates_injected += 1
+                plan.append(0)
+                continue
+            burn = bool(self.skip_every) and self.calls % self.skip_every == 0
+            self.skips_injected += burn
+            plan.append(1 + burn)
+            repeatable = True
+        honest = iter(self.inner.take(sum(plan)) if any(plan) else ())
+        indexes: list[int] = []
+        for consumed in plan:
+            for _ in range(consumed):
+                self._last_index = next(honest)
+            indexes.append(self._last_index)
+        return indexes
 
     @property
     def value(self) -> int:

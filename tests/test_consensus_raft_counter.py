@@ -117,15 +117,49 @@ def test_indexes_remain_unique_across_many_failovers():
 
 def test_replicated_counter_interface():
     counter = ReplicatedCounter(size=3, seed=13)
-    assert [counter.next_index() for _ in range(4)] == [0, 1, 2, 3]
-    assert counter.value == 4
+    assert [counter.take(1)[0] for _ in range(4)] == [0, 1, 2, 3]
+    assert counter.take(5) == range(4, 9)
+    assert counter.value == 9
 
 
 def test_replicated_counter_restore_catches_up():
     counter = ReplicatedCounter(size=3, seed=17)
     counter.restore(3)
     assert counter.value == 3
-    assert counter.next_index() == 3
+    assert counter.take(1) == range(3, 4)
+
+
+def test_restore_is_one_command_however_far_behind():
+    """A persistence reload at index 50,000 must not cost 50,000 Raft rounds."""
+    counter = ReplicatedCounter(size=3, seed=19)
+    assert counter.take(2) == range(0, 2)
+    cluster = counter.cluster
+    leader = cluster.elect_leader()
+    away = next(node_id for node_id in cluster.nodes if node_id != leader.node_id)
+    cluster.network.take_down(away)
+    before = cluster.machines[leader.node_id].applied_commands
+    counter.restore(50_000)
+    assert cluster.machines[leader.node_id].applied_commands == before + 1
+    assert counter.value == 50_000
+    counter.restore(49_000)  # already past it: nothing to commit
+    assert cluster.machines[leader.node_id].applied_commands == before + 1
+    cluster.restart(away)
+    cluster.network.run_for(2.0)
+    assert set(cluster.committed_values().values()) == {50_000}
+    assert counter.take(3) == range(50_000, 50_003)
+
+
+def test_range_commands_are_validated():
+    cluster = CounterCluster(size=1, seed=2)
+    with pytest.raises(ValueError):
+        cluster.increment(0)
+    machine = next(iter(cluster.machines.values()))
+    for bad in ("increment", ("take", 0), ("take", "3"), ("give", 1), ("take",)):
+        with pytest.raises(ValueError):
+            machine.apply(bad)
+    assert machine.value == 0 and machine.applied_commands == 0
+    assert cluster.increment(7) == 0
+    assert cluster.increment() == 7
 
 
 def test_cluster_validates_size_and_shared_network():

@@ -54,8 +54,22 @@ def test_block_allocator_restore_never_reuses():
 def test_shard_counters_issue_globally_unique_indexes():
     allocator = IndexBlockAllocator(block_size=4)
     counters = [ShardCounter(allocator) for _ in range(3)]
-    issued = [counters[i % 3].next_index() for i in range(60)]
+    issued = [counters[i % 3].take(1)[0] for i in range(60)]
     assert len(set(issued)) == len(issued)
+
+
+def test_shard_counter_range_spans_leases_like_single_takes():
+    allocator = IndexBlockAllocator(block_size=4)
+    a, b = ShardCounter(allocator), ShardCounter(allocator)
+    assert a.take(2) == [0, 1]
+    assert b.take(6) == [4, 5, 6, 7, 8, 9]
+    assert a.take(5) == [2, 3, 12, 13, 14]
+    assert b.take(0) == []
+    # A range is its single takes, concatenated.
+    c, d = ShardCounter(IndexBlockAllocator(block_size=4)), ShardCounter(
+        IndexBlockAllocator(block_size=4)
+    )
+    assert c.take(11) == [d.take(1)[0] for _ in range(11)] == list(range(11))
 
 
 def test_invalid_configuration_rejected():

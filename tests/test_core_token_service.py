@@ -1,5 +1,7 @@
 """Unit tests for the Token Service (issuance, rules, batching, persistence)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.api import issue_one, try_issue_one
@@ -8,12 +10,15 @@ from repro.core.acr import RuleSet, WhitelistRule
 from repro.core.token import ONE_TIME_UNSET, TokenType
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import (
+    AUDIT_LOG_ENTRIES,
     DEFAULT_TOKEN_LIFETIME,
     TokenDenied,
     TokenService,
+    _LocalCounter,
     build_fig6_ruleset,
 )
 from repro.crypto.keys import KeyPair
+from repro.crypto.sigcache import SignatureCache
 
 ALICE = KeyPair.from_seed("ts-alice").address
 EVE = KeyPair.from_seed("ts-eve").address
@@ -126,6 +131,81 @@ def test_audit_log_records_outcomes(clock):
     assert len(log) == 2
     assert log[0][2] == "issued"
     assert log[1][2].startswith("denied")
+
+
+def test_audit_log_is_bounded_and_keeps_the_newest_entries_last(service):
+    reusable = TokenRequest.method_token(CONTRACT, ALICE, "m")
+    for _ in range(AUDIT_LOG_ENTRIES // 64 + 1):
+        service.submit([reusable] * 64)
+    assert service.issued_count > AUDIT_LOG_ENTRIES
+    assert len(service.audit_log()) == AUDIT_LOG_ENTRIES
+    service.submit(TokenRequest.super_token(CONTRACT, EVE, one_time=True))
+    log = service.audit_log()
+    assert len(log) == AUDIT_LOG_ENTRIES
+    assert "super token" in log[-1][1] and "one-time" in log[-1][1]
+    assert "method token" in log[0][1]
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+def test_single_request_tokens_are_byte_identical_to_the_per_token_path(cache):
+    """Pinned from the commit before issuance was staged: fixed key, clock
+    and counter start, one request per submission."""
+    service = TokenService(
+        keypair=KeyPair.from_seed("pinned-token-key"),
+        clock=SimulatedClock(start=1_600_000_000),
+        counter=_LocalCounter(start=41),
+        signature_cache=cache() if cache else None,
+    )
+    contract, client = bytes(range(20)), bytes(range(20, 40))
+    requests = [
+        TokenRequest.argument_token(contract, client, "submit", {"amount": 7}, one_time=True),
+        TokenRequest.method_token(contract, client, "submit"),
+        TokenRequest.super_token(contract, client, one_time=True),
+    ]
+    tokens = [service.submit(request)[0].token.to_bytes().hex() for request in requests]
+    assert tokens == [
+        "025f5e1e1000000000000000000000000000000029"
+        "a73160f34cce046b6d76267d1438fd4b91fea66d4877b871ce19794bc13feb02"
+        "423d824f4b73e797428110b4a15532ca865852e6a113da2e8bfe6881db493acb01",
+        "035f5e1e10ffffffffffffffffffffffffffffffff"
+        "06cf58a058f87d585bd299e4f02308628576f949c59c56bf4d2e870f81679d9c"
+        "4c87f13520f14e6f3bcef8340dc7d2c47a91d4046bd3eaedea451cc41a02145500",
+        "015f5e1e100000000000000000000000000000002a"
+        "65fcc2e3f3a7ed048f0d62dbe7ec9284c4a44a9cc19e9b0f453a293b855eeb5f"
+        "5b125fe2c9855f1b51264fa16759b2a34cef948aedbbacde74c28f1fc1014d8300",
+    ]
+    # The same three requests in one envelope: same bytes, one take.
+    service.counter.restore(41)
+    assert [r.token.to_bytes().hex() for r in service.submit(requests)] == tokens
+
+
+def test_envelope_pays_session_overhead_and_counter_once(service, monkeypatch):
+    overhead = mock.Mock(wraps=service.front_end_session_overhead)
+    take = mock.Mock(wraps=service.counter.take)
+    monkeypatch.setattr(service, "front_end_session_overhead", overhead)
+    monkeypatch.setattr(service.counter, "take", take)
+    service.update_rules(lambda rules: rules.add_rule(WhitelistRule([ALICE])))
+    one_time = TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True)
+    results = service.submit(
+        [
+            one_time,
+            TokenRequest.method_token(CONTRACT, EVE, "m", one_time=True),  # denied
+            TokenRequest.method_token(CONTRACT, ALICE, "m"),  # reusable
+            one_time,
+            TokenRequest.super_token(CONTRACT, EVE),  # denied
+            one_time,
+        ]
+    )
+    assert overhead.call_count == 1
+    take.assert_called_once_with(3)
+    assert [r.issued for r in results] == [True, False, True, True, False, True]
+    assert [r.token.index for r in results if r.issued] == [0, ONE_TIME_UNSET, 1, 2]
+    assert [r.code.value for r in results if not r.issued] == ["DENIED", "DENIED"]
+    assert service.counter.value == 3  # a denied request consumed no index
+    assert (service.issued_count, service.denied_count) == (4, 2)
+    # An envelope with nothing to take never calls the counter.
+    service.submit([TokenRequest.method_token(CONTRACT, EVE, "m", one_time=True)])
+    take.assert_called_once_with(3)
 
 
 def test_persistence_roundtrip(tmp_path, clock):

@@ -1,8 +1,10 @@
 """Unit tests for ECDSA signatures, recovery and key/address handling."""
 
+import hashlib
+
 import pytest
 
-from repro.crypto.ecdsa import Signature, SignatureError, recover, sign, verify
+from repro.crypto.ecdsa import Signature, SignatureError, recover, sign, sign_batch, verify
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, recover_address
 from repro.crypto.secp256k1 import N
@@ -165,3 +167,87 @@ def test_private_key_bytes_roundtrip(keypair):
     raw = keypair.private.to_bytes()
     assert len(raw) == 32
     assert PrivateKey.from_bytes(raw) == keypair.private
+
+
+# --- known answers, and the batch signer against them ----------------------------------
+
+
+def _sha256(message: bytes) -> bytes:
+    return hashlib.sha256(message).digest()
+
+
+_FASTPATH_KEY = KeyPair.from_seed("fastpath-differential-key").private.secret
+
+#: (private key, digest, r || s || v).  The first two are the published
+#: RFC 6979 secp256k1 vectors for key 1; the rest were produced by the commit
+#: before the 8-bit window table and ``sign_batch`` -- signatures must not move.
+KNOWN_SIGNATURES = [
+    (
+        1,
+        _sha256(b"Satoshi Nakamoto"),
+        "934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8"
+        "2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e501",
+    ),
+    (
+        1,
+        _sha256(b"All those moments will be lost in time, like tears in rain. Time to die..."),
+        "8600dbd41e348fe5c9465ab92d23e3db8b98b873beecd930736488696438cb6b"
+        "547fe64427496db33bf66019dacbf0039c04199abb0122918601db38a72cfc2100",
+    ),
+    (
+        _FASTPATH_KEY,
+        keccak256(b"kat-0"),
+        "81d1f0774a452efd2020aefe8932bd6ed8c4cab0321a9d8fa73826ae926ade40"
+        "2ddc7e475d69d72e216d196244cace808c9dd0b1c15c59d4fa704c70a0c4aca201",
+    ),
+    (
+        _FASTPATH_KEY,
+        keccak256(b"kat-1"),
+        "baa838127504e1e0d4da8c20a0725c9be0c2685e1db2456a745736ebdc05762a"
+        "753aded1f6c612e117a797a442ada9b7db9ee62977ee29f8fa908a1a13d32b7001",
+    ),
+    (
+        _FASTPATH_KEY,
+        keccak256(b"kat-2"),
+        "879a2bd2911513d5910bd076a806662bb85a02638395a75ad3e91798d16db04e"
+        "6b6609b771081d90d6dfc63ddf6e64bbf2ac471aa7f03be86e770e2742e02ce901",
+    ),
+]
+
+
+@pytest.mark.parametrize("key,message_digest,expected", KNOWN_SIGNATURES)
+def test_sign_known_answers(key, message_digest, expected):
+    assert sign(message_digest, key).to_bytes().hex() == expected
+    assert sign_batch([message_digest], key)[0].to_bytes().hex() == expected
+
+
+def test_sign_batch_equals_elementwise_sign(keypair, digest):
+    key = keypair.private.secret
+    assert sign_batch([], key) == []
+    known = [d for k, d, _ in KNOWN_SIGNATURES if k == _FASTPATH_KEY]
+    assert [s.to_bytes().hex() for s in sign_batch(known, _FASTPATH_KEY)] == [
+        expected for k, _, expected in KNOWN_SIGNATURES if k == _FASTPATH_KEY
+    ]
+    repeated = [digest, keccak256(b"other"), digest, digest]
+    assert sign_batch(repeated, key) == [sign(d, key) for d in repeated]
+    block = [keccak256(b"block-%d" % i) for i in range(64)]
+    assert keypair.sign_batch(block) == [keypair.sign(d) for d in block]
+
+
+def test_sign_batch_checks_every_input_and_every_signature(keypair, digest, monkeypatch):
+    key = keypair.private.secret
+    with pytest.raises(SignatureError):
+        sign_batch([digest, digest[:31], digest], key)
+    with pytest.raises(SignatureError):
+        sign_batch([digest], N)
+    # Every element goes through Signature's validating constructor.
+    checked = []
+    range_checks = Signature.__post_init__
+
+    def counting(signature):
+        checked.append(signature)
+        range_checks(signature)
+
+    monkeypatch.setattr(Signature, "__post_init__", counting)
+    signatures = sign_batch([keccak256(b"%d" % i) for i in range(5)], key)
+    assert all(a is b for a, b in zip(checked, signatures)) and len(checked) == 5

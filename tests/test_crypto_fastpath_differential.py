@@ -7,6 +7,8 @@ congruent to 0 mod N, both y parities, r near N) run in the fast lane;
 hypothesis sweeps over random scalars run in the slow lane.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,43 @@ def _naive_multiply(point: Point, scalar: int) -> Point:
 @pytest.mark.parametrize("scalar", [0, 1, 2, 3, N - 1, N, N + 1, 2 * N, N >> 1])
 def test_generator_multiply_edge_scalars(scalar):
     assert generator_multiply(scalar) == _naive_multiply(GENERATOR, scalar)
+
+
+def _generator_multiply_counting_additions(scalar: int) -> tuple[Point, int]:
+    """``generator_multiply(scalar)`` and how many mixed additions it spent."""
+    add_mixed = secp256k1._jacobian_add_mixed
+    with mock.patch.object(secp256k1, "_jacobian_add_mixed", side_effect=add_mixed) as counted:
+        return generator_multiply(scalar), counted.call_count
+
+
+#: carry chains of the signed base-256 recoding: every byte at, just above and
+#: far above the half window (0x80 never borrows, 0x81 borrows in every window,
+#: 0xFF rides a carry through every window), N - 1 (fifteen 0xFF bytes on top:
+#: the carry leaves the top window into row 32) and each single bit.
+_WINDOW_TABLE_SCALARS = (
+    [0, 1, 2, N - 1, N, N + 1, (2**256 - 1) % N]
+    + [int.from_bytes(bytes([byte]) * 32, "big") for byte in (0x80, 0x81, 0xFF)]
+    + [1 << bit for bit in range(256)]
+)
+
+
+def test_generator_window_table_matches_the_reference_in_at_most_33_additions():
+    for scalar in _WINDOW_TABLE_SCALARS:
+        point, additions = _generator_multiply_counting_additions(scalar)
+        assert point == point_multiply_reference(GENERATOR, scalar), hex(scalar)
+        assert additions <= 33, (hex(scalar), additions)
+    # The bound is reached, not just respected: 0x81 in every byte borrows in
+    # all 32 windows and carries out of the top one -- against 64 additions on
+    # the 4-bit table this replaced.
+    assert _generator_multiply_counting_additions(int.from_bytes(b"\x81" * 32, "big"))[1] == 33
+
+
+@given(scalar=scalars)
+@settings(max_examples=40, deadline=None)
+def test_generator_window_table_property(scalar):
+    point, additions = _generator_multiply_counting_additions(scalar)
+    assert point == point_multiply_reference(GENERATOR, scalar)
+    assert additions <= 33
 
 
 @pytest.mark.parametrize("scalar", [0, 1, 2, N - 1, N, N + 1, 2 * N])

@@ -20,7 +20,7 @@ from repro.chain import Blockchain
 from repro.consensus.counter import CounterTimeout
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core import OwnerWallet
-from repro.core.acr import RuleSet
+from repro.core.acr import RuleSet, WhitelistRule
 from repro.core.replication import NoReplicaAvailable, ReplicatedTokenService
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
@@ -163,19 +163,49 @@ def test_transient_timeout_retries_on_another_replica(rts, protected, alice, mon
     """A single transient CounterTimeout is absorbed by fail-over."""
     request = _one_time_request(protected, alice)
     victim = rts.replicas[rts._next % len(rts.replicas)]  # the next pick
-    original = victim._issue_token
+    original = victim.counter.take
     calls = {"n": 0}
 
-    def flaky(req):
+    def flaky(count):
         if calls["n"] == 0:
             calls["n"] += 1
             raise CounterTimeout("injected: leader election in progress")
-        return original(req)
+        return original(count)
 
-    monkeypatch.setattr(victim, "_issue_token", flaky)
+    monkeypatch.setattr(victim.counter, "take", flaky)
     token = issue_one(rts, request)
     assert token is not None
     assert rts.transient_failovers == 1
+    assert rts.issued_indexes_are_unique()
+
+
+def test_timeout_in_an_envelope_fails_only_its_one_time_requests(
+    rts, protected, alice, monkeypatch
+):
+    """A mixed envelope hits a counter timeout: the reusable request issues on
+    the first replica, the one-time ones -- and only they -- are retried on the
+    next, and no index is handed out twice."""
+    one_time = _one_time_request(protected, alice)
+    reusable = TokenRequest.method_token(protected.this, alice.address, "submit")
+    first = [r.token.index for r in rts.submit([one_time, one_time])]
+    victim_index = rts._next % len(rts.replicas)
+    victim = rts.replicas[victim_index]
+
+    def timeout(count):
+        raise CounterTimeout("injected: leader election in progress")
+
+    monkeypatch.setattr(victim.counter, "take", timeout)
+    attempt = victim.submit([one_time, reusable, one_time])
+    assert [r.issued for r in attempt] == [False, True, False]
+    assert {r.code.value for r in attempt if not r.issued} == {"COUNTER_TIMEOUT"}
+
+    results = rts.submit([one_time, reusable, one_time])
+    assert all(r.issued for r in results)
+    assert rts.transient_failovers == 1
+    assert results[1].token == attempt[1].token  # deterministic, index-free
+    indexes = first + [r.token.index for r in results if r.token.is_one_time]
+    assert indexes == [0, 1, 2, 3]
+    assert victim.issued_count == 2  # the reusable token, twice
     assert rts.issued_indexes_are_unique()
 
 
@@ -202,10 +232,10 @@ def test_transient_timeout_in_submit_retries_whole_batch(rts, protected, alice, 
 def test_persistent_timeout_surfaces_after_all_replicas(rts, protected, alice, monkeypatch):
     request = _one_time_request(protected, alice)
     for replica in rts.replicas:
-        def always_timeout(req, _r=replica):
+        def always_timeout(count):
             raise CounterTimeout("injected: cluster has no quorum")
 
-        monkeypatch.setattr(replica, "_issue_token", always_timeout)
+        monkeypatch.setattr(replica.counter, "take", always_timeout)
     with pytest.raises(CounterTimeout):
         issue_one(rts, request)
     assert rts.transient_failovers == len(rts.replicas)
@@ -233,4 +263,43 @@ def test_real_no_quorum_timeout_is_transient_and_recovers(rts, protected, alice)
     cluster.network.bring_up(nodes[0])
     token = issue_one(rts, request)
     assert token.index != first.index
+    assert rts.issued_indexes_are_unique()
+
+
+# --- one commit per envelope --------------------------------------------------------
+
+
+def _leader_machine(rts):
+    cluster = rts.counter_cluster
+    return cluster.machines[cluster.elect_leader().node_id]
+
+
+def test_a_32_token_envelope_is_one_raft_command(rts, protected, alice):
+    issue_one(rts, _one_time_request(protected, alice))  # settle the election
+    machine = _leader_machine(rts)
+    commands, value = machine.applied_commands, machine.value
+    results = rts.submit([_one_time_request(protected, alice)] * 32)
+    assert all(r.issued for r in results)
+    assert machine.applied_commands == commands + 1
+    assert machine.value == value + 32
+    assert [r.token.index for r in results] == list(range(value, value + 32))
+    assert rts.issued_indexes_are_unique()
+
+
+def test_only_allowed_one_time_requests_advance_the_counter(rts, protected, alice, chain):
+    eve = chain.create_account("eve", seed="fault-eve")
+    rts.update_rules(lambda rules: rules.add_rule(WhitelistRule([alice.address])))
+    issue_one(rts, _one_time_request(protected, alice))
+    machine = _leader_machine(rts)
+    value = machine.value
+    one_time = _one_time_request(protected, alice)
+    denied = _one_time_request(protected, eve)
+    reusable = TokenRequest.method_token(protected.this, alice.address, "submit")
+    # k = 2 denied, m = 2 reusable, n = 3 one-time, interleaved.
+    results = rts.submit([denied, one_time, reusable, one_time, denied, reusable, one_time])
+    assert [r.issued for r in results] == [False, True, True, True, False, True, True]
+    assert machine.value == value + 3
+    assert [r.token.index for r in results if r.issued and r.token.is_one_time] == [
+        value, value + 1, value + 2
+    ]
     assert rts.issued_indexes_are_unique()

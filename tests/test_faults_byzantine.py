@@ -14,6 +14,7 @@ and leak a gateway fault for what is the caller's malformed request.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -41,14 +42,15 @@ class _HonestCounter:
     def __init__(self) -> None:
         self.value = 0
 
-    def next_index(self) -> int:
-        self.value += 1
-        return self.value
+    def take(self, count: int) -> range:
+        first = self.value + 1
+        self.value += count
+        return range(first, first + count)
 
 
 def test_equivocating_counter_duplicates_on_schedule():
     counter = EquivocatingCounter(_HonestCounter(), duplicate_every=3, skip_every=0)
-    indexes = [counter.next_index() for _ in range(9)]
+    indexes = [counter.take(1)[0] for _ in range(9)]
     # Every 3rd call re-serves the previous index; the rest are honest.
     assert indexes == [1, 2, 2, 3, 4, 4, 5, 6, 6]
     assert counter.stats() == {"calls": 9, "duplicates_injected": 3, "skips_injected": 0}
@@ -56,11 +58,29 @@ def test_equivocating_counter_duplicates_on_schedule():
 
 def test_equivocating_counter_skips_burn_honest_indexes():
     counter = EquivocatingCounter(_HonestCounter(), duplicate_every=0, skip_every=4)
-    indexes = [counter.next_index() for _ in range(8)]
+    indexes = [counter.take(1)[0] for _ in range(8)]
     # Calls 4 and 8 burn one honest index each before answering.
     assert indexes == [1, 2, 3, 5, 6, 7, 8, 10]
     assert counter.stats()["skips_injected"] == 2
     assert len(set(indexes)) == len(indexes)  # skips never duplicate
+
+
+def test_equivocating_counter_lies_the_same_inside_ranges():
+    """The schedule runs per index, so ranges of any size carry the same lies
+    as single calls -- and each range costs the inner counter one ``take``."""
+    single = EquivocatingCounter(_HonestCounter(), duplicate_every=3, skip_every=4)
+    expected = [single.take(1)[0] for _ in range(20)]
+    inner = _HonestCounter()
+    inner.take = mock.Mock(wraps=inner.take)
+    ranged = EquivocatingCounter(inner, duplicate_every=3, skip_every=4)
+    ranges = [ranged.take(count) for count in (1, 7, 1, 8, 3)]
+    assert [index for indexes in ranges for index in indexes] == expected
+    assert ranged.stats() == single.stats()
+    # The third range is one repeated index: it overlaps the range before it
+    # and takes nothing from the honest counter.
+    assert ranges[2] == [ranges[1][-1]]
+    assert [call.args[0] for call in inner.take.call_args_list] == [1, 7, 7, 3]
+    assert inner.value == 1 + 7 + 7 + 3
 
 
 def test_equivocating_counter_rejects_negative_schedules():
@@ -75,9 +95,9 @@ def test_stale_leader_answers_but_never_commits():
     cluster = CounterCluster(size=3, seed=7)
     harness = StaleLeaderCounter(cluster, patience=0.4)
     try:
-        first = harness.next_index()  # healthy before the zombie exists
+        first = harness.take(1)[0]  # healthy before the zombie exists
         zombie_id = harness.induce_zombie()
-        indexes = [harness.next_index() for _ in range(4)]
+        indexes = [harness.take(1)[0] for _ in range(4)]
         stats = harness.stats()
         # The zombie kept accepting commands ...
         assert stats["zombie_answers"] >= 1
@@ -89,9 +109,27 @@ def test_stale_leader_answers_but_never_commits():
         assert indexes[0] == first + 1
         harness.heal()
         assert harness.zombie_id is None
-        after_heal = harness.next_index()
+        after_heal = harness.take(1)[0]
         assert after_heal > indexes[-1]
         assert zombie_id in cluster.nodes
+    finally:
+        cluster.network.heal_partition()
+
+
+def test_stale_leader_is_offered_whole_ranges_and_commits_none():
+    cluster = CounterCluster(size=3, seed=7)
+    harness = StaleLeaderCounter(cluster, patience=0.4)
+    try:
+        assert harness.take(4) == range(0, 4)
+        zombie = cluster.nodes[harness.induce_zombie()]
+        stale_value = cluster.machines[zombie.node_id].value
+        ranges = [harness.take(8) for _ in range(3)]
+        # One offer per range, not per index; none fulfilled.
+        assert harness.stats() == {"zombie_answers": 3, "zombie_results": 0, "issued": 28}
+        # Every range came from the majority; the zombie's counter -- from
+        # which its range would have overlapped [4, 12) -- never moved.
+        assert [i for r in ranges for i in r] == list(range(4, 28))
+        assert cluster.machines[zombie.node_id].value == stale_value <= 4
     finally:
         cluster.network.heal_partition()
 
@@ -107,7 +145,7 @@ def test_stale_leader_offer_noops_once_the_node_steps_down():
         cluster.network.heal_partition()
         cluster.network.run_for(1.0)
         before = harness.stats()["zombie_answers"]
-        harness.next_index()
+        harness.take(1)
         assert harness.zombie_id is None
         assert harness.stats()["zombie_answers"] == before
     finally:
@@ -218,7 +256,7 @@ def test_replicated_counter_survives_the_harness_interface():
     cluster = CounterCluster(size=3, seed=5)
     try:
         counter = EquivocatingCounter(ReplicatedCounter(cluster), duplicate_every=0)
-        values = [counter.next_index() for _ in range(3)]
+        values = [counter.take(1)[0] for _ in range(3)]
         assert values == sorted(set(values))
         assert counter.value >= values[-1]
     finally:
