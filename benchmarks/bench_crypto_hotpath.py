@@ -19,7 +19,10 @@ times the primitives that path is built from:
   Montgomery batch inversions shared, measured per signature on a block of
   ``SMACS_CRYPTO_BLOCK`` signatures;
 * ``keccak256``        -- the datagram digest, on 1 KiB payloads (MB/s) and
-  on token-datagram-sized payloads (ops/s).
+  on token-datagram-sized payloads (ops/s);
+* ``keccak256_many``   -- the same datagram digest hashed by lanes, per
+  message on a block of ``SMACS_CRYPTO_BLOCK`` distinct datagrams (what an
+  envelope's issuance and a batch admission run).
 
 Acceptance (asserted here, regression-gated in CI via
 ``regression_gate.py crypto`` against the committed baseline):
@@ -42,7 +45,7 @@ import time
 
 from benchmarks.conftest import env_int, report
 from repro.crypto.ecdsa import recover, recover_batch, recover_reference, verify
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_many
 from repro.crypto.keys import KeyPair
 
 OPS = env_int("SMACS_CRYPTO_OPS", 32)
@@ -102,6 +105,8 @@ def test_crypto_hotpath(benchmark):
         rates["keccak_short"] = _best_rate(
             256, lambda: [keccak256(_DATAGRAM) for _ in range(256)]
         )
+        datagrams = [_DATAGRAM[:-1] + bytes([i % 256]) for i in range(BLOCK)]
+        rates["keccak_many_short"] = _best_rate(BLOCK, lambda: keccak256_many(datagrams))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -117,6 +122,7 @@ def test_crypto_hotpath(benchmark):
         f"{'recover (GLV ladder)':<24}{rates['recover']:>12.1f}",
         f"{'recover_batch /sig':<24}{rates['recover_batch']:>12.1f}",
         f"{'keccak 80B datagram':<24}{rates['keccak_short']:>12.1f}",
+        f"{'keccak256_many /msg':<24}{rates['keccak_many_short']:>12.1f}",
         f"keccak 1KiB payloads: {rates['keccak_mb_per_sec']:.2f} MB/s",
         f"recover speedup vs reference: {recover_speedup:.2f}x",
         f"batch ({BLOCK} sigs) vs looped recover, same kernel: {batch_speedup:.2f}x",
@@ -138,6 +144,7 @@ def test_crypto_hotpath(benchmark):
             "recover_speedup_vs_reference": round(recover_speedup, 2),
             "keccak_mb_per_sec": round(rates["keccak_mb_per_sec"], 3),
             "keccak_short_ops_per_sec": round(rates["keccak_short"], 1),
+            "keccak_many_short_ops_per_sec": round(rates["keccak_many_short"], 1),
         },
     )
     benchmark.extra_info.update(

@@ -56,6 +56,7 @@ GATES: "dict[str, dict[str, Any]]" = {
             "recover_batch_ops_per_sec",
             "keccak_mb_per_sec",
             "keccak_short_ops_per_sec",
+            "keccak_many_short_ops_per_sec",
             "recover_speedup_vs_reference",
         ),
         "context": ("recover_reference_ops_per_sec",),

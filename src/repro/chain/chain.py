@@ -212,7 +212,7 @@ class Blockchain:
                 tx, block_ctx, deploy_factory=factory, tracer=tracer
             )
             if tracer is not None:
-                receipt.trace = tracer  # type: ignore[attr-defined]
+                receipt.trace = tracer
             block.transactions.append(tx)
             block.gas_used += receipt.gas_used
             receipts.append(receipt)

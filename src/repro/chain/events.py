@@ -8,7 +8,7 @@ from typing import Any
 from repro.chain.address import Address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One emitted event."""
 

@@ -74,7 +74,7 @@ class Env:
     depth: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """The result of executing one transaction."""
 
@@ -87,6 +87,8 @@ class Receipt:
     logs: list[LogEntry] = field(default_factory=list)
     gas_breakdown: dict[str, int] = field(default_factory=dict)
     contract_address: Address | None = None
+    #: the call tree, when the chain mined with ``trace_transactions``
+    trace: "CallTracer | None" = field(default=None, repr=False, compare=False)
 
     def breakdown(self, category: str) -> int:
         """Gas attributed to a named category (``verify``, ``bitmap``, ...)."""

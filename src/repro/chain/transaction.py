@@ -10,18 +10,23 @@ Ethereum replay protection the paper relies on in §VII-A(b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.chain import abi
 from repro.chain.address import Address, ZERO_ADDRESS, address_hex
 from repro.crypto.ecdsa import Signature, SignatureError
-from repro.crypto.keccak import keccak256, keccak256_shared_prefix
+from repro.crypto.keccak import (
+    PACKED_CROSSOVER,
+    keccak256,
+    keccak256_many,
+    keccak256_shared_prefix,
+)
 from repro.crypto.keys import recover_address
 
 DEFAULT_GAS_LIMIT = 8_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A (possibly signed) transaction.
 
@@ -41,13 +46,13 @@ class Transaction:
     gas_limit: int = DEFAULT_GAS_LIMIT
     gas_price: int = 1
     signature: Signature | None = None
+    # The digest memo: two 32-byte values, never sponge state.
+    _hash: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _signing_digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.args, list):
             self.args = tuple(self.args)
-        # The digest memo: two 32-byte values, never sponge state.
-        self._hash: bytes | None = None
-        self._signing_digest: bytes | None = None
 
     @property
     def calldata(self) -> bytes:
@@ -129,3 +134,28 @@ class Transaction:
         target = address_hex(self.to) if self.to else "<create>"
         call = f".{self.method}()" if self.method else ""
         return f"tx nonce={self.nonce} from {address_hex(self.sender)} to {target}{call}"
+
+
+def prime_digests(transactions: "Sequence[Transaction]") -> None:
+    """Fill the digest memo of a batch's signed, not-yet-hashed transactions.
+
+    A node that holds N transactions at once (``Mempool.admit_many``) hashes
+    all their signing payloads and payload-plus-signature messages in one
+    :func:`~repro.crypto.keccak.keccak256_many` call instead of N
+    :meth:`Transaction.signing_digest` passes.  The values are the ones the
+    per-transaction path memoizes; below the packed crossover nothing is
+    primed and that path (one shared-prefix pass each) runs as before.
+    """
+    cold = [
+        tx
+        for tx in transactions
+        if tx.signature is not None and tx._hash is None and tx._signing_digest is None
+    ]
+    if len(cold) < PACKED_CROSSOVER:
+        return
+    payloads = [tx.signing_payload() for tx in cold]
+    signed = [payload + tx.signature.to_bytes() for payload, tx in zip(payloads, cold)]
+    digests = keccak256_many(payloads + signed)
+    for position, tx in enumerate(cold):
+        tx._signing_digest = digests[position]
+        tx._hash = digests[len(cold) + position]

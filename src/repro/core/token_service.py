@@ -32,7 +32,7 @@ from repro.core.acr import AccessDecision, RuleSet
 from repro.core.errors import ErrorCode, SmacsError, classify
 from repro.core.token import Token, TokenType, ONE_TIME_UNSET, signing_datagram
 from repro.core.token_request import TokenRequest
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_many
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 
@@ -195,10 +195,9 @@ class TokenService:
             _datagram(request, expire, index) for request, index in zip(requests, indexes)
         ]
         cache = self.signature_cache
-        digests = [
-            cache.digest_for(datagram) if cache is not None else keccak256(datagram)
-            for datagram in datagrams
-        ]
+        digests = (
+            cache.digests_for(datagrams) if cache is not None else keccak256_many(datagrams)
+        )
         signatures = self.keypair.sign_batch(digests)
         if cache is not None:
             # One-time datagrams are unique by construction (fresh index), so

@@ -44,7 +44,7 @@ class SignatureError(ValueError):
     """Raised for malformed or unrecoverable signatures."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A recoverable ECDSA signature.
 

@@ -27,10 +27,10 @@ for isolated measurements.
 """
 
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.crypto.ecdsa import Signature, SignatureError
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_many
 from repro.crypto.keys import recover_address, recover_address_batch
 
 _RECOVER_FAILED = object()  # cached sentinel for unrecoverable signatures
@@ -186,8 +186,8 @@ class SignatureCache:
     def digest_for(self, datagram: bytes) -> bytes:
         """Memoized ``keccak256(datagram)`` -- the token ``signing_digest``.
 
-        The pure-Python keccak costs as much as the ECDSA sign itself, so
-        replayed datagrams should pay it once.
+        A two-block datagram digest (~0.30 ms) costs more than the ECDSA
+        sign it feeds (~0.19 ms), so replayed datagrams should pay it once.
         """
         value, found = self._lookup(self._digests, datagram)
         if found:
@@ -195,6 +195,29 @@ class SignatureCache:
         digest = keccak256(datagram)
         self._store(self._digests, datagram, digest)
         return digest
+
+    def digests_for(self, datagrams: "Sequence[bytes]") -> list[bytes]:
+        """``[digest_for(d) for d in datagrams]`` with the misses hashed together.
+
+        Datagrams the cache does not hold are hashed in one
+        :func:`~repro.crypto.keccak.keccak256_many` call; the lookups and
+        stores then run element by element exactly as the loop would, so
+        hit/miss counters, LRU order and evictions are the loop's -- an
+        in-batch repeat scores the hit its second lookup would have.
+        """
+        table = self._digests
+        fresh = list(dict.fromkeys(d for d in datagrams if d not in table))
+        computed = dict(zip(fresh, keccak256_many(fresh)))
+        digests = []
+        for datagram in datagrams:
+            digest, found = self._lookup(table, datagram)
+            if not found:
+                # Only an entry this very batch evicted is missing from
+                # ``computed``; the loop would have re-hashed it too.
+                digest = computed.get(datagram) or keccak256(datagram)
+                self._store(table, datagram, digest)
+            digests.append(digest)
+        return digests
 
     def memoize(self, key: tuple, factory: Callable):
         """Generic LRU memo for derived issuance artefacts.

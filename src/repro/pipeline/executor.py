@@ -159,9 +159,8 @@ class BlockExecutor:
 
     def _pre_warm(self, transactions: list[Transaction]) -> tuple[int, int]:
         cache = self.signature_cache
-        hits = 0
-        pending: list[tuple[bytes, Signature]] = []
-        pending_keys: set[tuple] = set()
+        datagrams: list[bytes] = []
+        signatures: list[Signature] = []
         for tx in transactions:
             for address, raw in tokens_carried(tx):
                 # Call-chain bundles carry one entry per contract; each entry
@@ -177,20 +176,25 @@ class BlockExecutor:
                 datagram = reconstruct_datagram(tx, target, token)
                 if datagram is None:
                     continue
-                digest = cache.digest_for(datagram)
-                signature = token.signature
-                if cache.peek_recovery(digest, signature) is not None:
+                datagrams.append(datagram)
+                signatures.append(token.signature)
+        hits = 0
+        pending: list[tuple[bytes, Signature]] = []
+        pending_keys: set[tuple] = set()
+        # The whole plan's datagrams are in hand: hash the uncached ones by lanes.
+        for digest, signature in zip(cache.digests_for(datagrams), signatures):
+            if cache.peek_recovery(digest, signature) is not None:
+                hits += 1
+            else:
+                # An intra-block replay of a not-yet-cached token is a
+                # hit, not a miss: the batch computes each distinct pair
+                # once, so `misses` keeps meaning "curve math ran here".
+                key = (digest, signature.r, signature.s, signature.v)
+                if key in pending_keys:
                     hits += 1
                 else:
-                    # An intra-block replay of a not-yet-cached token is a
-                    # hit, not a miss: the batch computes each distinct pair
-                    # once, so `misses` keeps meaning "curve math ran here".
-                    key = (digest, signature.r, signature.s, signature.v)
-                    if key in pending_keys:
-                        hits += 1
-                    else:
-                        pending_keys.add(key)
-                        pending.append((digest, signature))
+                    pending_keys.add(key)
+                    pending.append((digest, signature))
         if pending:
             cache.recover_batch(pending)
         return hits, len(pending)

@@ -97,6 +97,26 @@ def keccak_permutations(monkeypatch):
 
 
 @pytest.fixture
+def packed_permutations(monkeypatch):
+    """A live one-element counter of ``_keccak_f_packed`` calls made from here on.
+
+    One call permutes every slot of a packed state, whatever its width, so
+    this counts round trips through the interpreter, not messages.
+    """
+    from repro.crypto import keccak
+
+    calls = [0]
+    permute = keccak._keccak_f_packed
+
+    def counting(state, width):
+        calls[0] += 1
+        return permute(state, width)
+
+    monkeypatch.setattr(keccak, "_keccak_f_packed", counting)
+    return calls
+
+
+@pytest.fixture
 def curve_multiplications(monkeypatch):
     """A live one-element counter of scalar-multiplication ladders run from here on.
 

@@ -179,6 +179,31 @@ def test_single_request_tokens_are_byte_identical_to_the_per_token_path(cache):
     assert [r.token.to_bytes().hex() for r in service.submit(requests)] == tokens
 
 
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+def test_envelope_hashes_its_datagrams_by_lanes(cache, keccak_permutations, packed_permutations):
+    """32 two-block argument datagrams are two packed permutations, not 64
+    scalar ones; the scalar sponge only sees the session payload."""
+    service = TokenService(
+        keypair=KeyPair.from_seed("ts-key"),
+        clock=SimulatedClock(start=1_000_000),
+        signature_cache=cache() if cache else None,
+    )
+    requests = [
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": i}, one_time=True)
+        for i in range(1, 33)
+    ]
+    session = b"session" + b"".join(request.encode() for request in requests[:16])
+    keccak_permutations[0] = 0
+    results = service.submit(requests)
+    assert all(result.issued for result in results)
+    assert packed_permutations[0] == 2
+    assert keccak_permutations[0] == len(session) // 136 + 1
+    # One request per submission never reaches the packed kernel.
+    packed_permutations[0] = 0
+    assert service.submit(requests[0])[0].issued
+    assert packed_permutations[0] == 0
+
+
 def test_envelope_pays_session_overhead_and_counter_once(service, monkeypatch):
     overhead = mock.Mock(wraps=service.front_end_session_overhead)
     take = mock.Mock(wraps=service.counter.take)

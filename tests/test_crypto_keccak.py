@@ -1,11 +1,20 @@
 """Unit tests for the pure-Python keccak-256 implementation."""
 
 import hashlib
+import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto.keccak import keccak256, keccak256_hex, keccak256_shared_prefix
+from repro.crypto import keccak
+from repro.crypto.keccak import (
+    PACKED_CROSSOVER,
+    keccak256,
+    keccak256_hex,
+    keccak256_many,
+    keccak256_shared_prefix,
+)
 
 # Known-answer vectors for Ethereum's keccak-256 (not NIST SHA3-256).
 KNOWN_VECTORS = {
@@ -134,3 +143,106 @@ def test_shared_prefix_pair_costs_the_longer_message_plus_one_final_block(keccak
     calls[0] = 0
     keccak256_shared_prefix(payload, signature)
     assert calls[0] == 5
+
+
+# --- hashing by lanes: keccak256_many and the packed permutation ----------------------
+
+_CAP = keccak._PACKED_CAP
+
+
+def _pack(states):
+    return [sum(state[i] << (64 * slot) for slot, state in enumerate(states)) for i in range(25)]
+
+
+def _unpack(packed, width):
+    return [[(lane >> (64 * slot)) & keccak._MASK for lane in packed] for slot in range(width)]
+
+
+@pytest.mark.parametrize("width", sorted({1, 2, PACKED_CROSSOVER, 32, _CAP}))
+def test_packed_permutation_equals_the_scalar_one_slot_by_slot(width):
+    rng = random.Random(width)
+    states = [[rng.getrandbits(64) for _ in range(25)] for _ in range(width)]
+    permuted = keccak._keccak_f_packed(_pack(states), width)
+    assert _unpack(permuted, width) == [keccak._keccak_f(state) for state in states]
+    assert all(lane < 1 << (64 * width) for lane in permuted)  # nothing leaks past the top slot
+
+
+def test_packed_permutation_refuses_a_state_wider_than_its_masks():
+    with pytest.raises(ValueError):
+        keccak._keccak_f_packed([0] * 25, _CAP + 1)
+
+
+@given(messages=st.lists(st.binary(max_size=700), max_size=70))
+@example(messages=[b"\x5a" * 135, b"\x5a" * 136] * 3)
+@settings(max_examples=30, deadline=None)
+def test_many_equals_the_per_message_hash(messages):
+    assert keccak256_many(messages) == [keccak256(message) for message in messages]
+
+
+def test_known_answers_inside_a_wide_batch():
+    filler = [bytes([i]) * (i * 7 % 300) for i in range(_CAP + 9)]
+    messages = filler[:20] + [b""] + filler[20:50] + [b"abc"] + filler[50:]
+    digests = keccak256_many(messages)
+    assert digests[20].hex() == KNOWN_VECTORS[b""]
+    assert digests[51].hex() == KNOWN_VECTORS[b"abc"]
+    assert digests == [keccak256(message) for message in messages]
+
+
+def test_many_accepts_mixed_lengths_duplicates_and_bytearrays_without_mutating_them():
+    lengths = (0, 135, 136, 137, 271, 272)
+    messages = [bytes(i % 251 for i in range(length)) for length in lengths]
+    messages += [bytearray(messages[2]), messages[4], bytearray(b"")]
+    before = [bytes(message) for message in messages]
+    assert keccak256_many(messages) == [keccak256(message) for message in before]
+    assert [bytes(message) for message in messages] == before
+    assert all(isinstance(m, bytearray) for m in (messages[6], messages[8]))
+    assert keccak256_many(iter(messages[:3])) == keccak256_many(tuple(messages[:3]))
+    assert keccak256_many([]) == []
+
+
+def test_many_type_checks_every_element_before_hashing_anything(
+    keccak_permutations, packed_permutations
+):
+    with pytest.raises(TypeError, match="keccak256 expects bytes, got str"):
+        keccak256_many([b"a", b"b", b"c", "a string"])  # type: ignore[list-item]
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 0)
+
+
+def test_many_packs_from_the_crossover_up_and_chunks_above_the_cap(
+    keccak_permutations, packed_permutations
+):
+    two_blocks = [bytes([i]) * 200 for i in range(_CAP + 1)]
+    keccak256_many(two_blocks[:PACKED_CROSSOVER - 1])
+    assert (keccak_permutations[0], packed_permutations[0]) == (2 * (PACKED_CROSSOVER - 1), 0)
+    keccak_permutations[0] = 0
+    keccak256_many(two_blocks[:PACKED_CROSSOVER])
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
+    packed_permutations[0] = 0
+    # cap + 1 messages: one full-width chunk, and the straggler goes scalar.
+    assert keccak256_many(two_blocks) == [keccak256(message) for message in two_blocks]
+    assert packed_permutations[0] == 2
+    # One group per padded length: 32 one-block and 32 three-block messages.
+    packed_permutations[0] = 0
+    keccak256_many([b"x" * 80] * 32 + [b"y" * 300] * 32)
+    assert packed_permutations[0] == 1 + 3
+
+
+def _table_bytes(value) -> int:
+    """``sys.getsizeof`` of an integer table, containers and all."""
+    if isinstance(value, int):
+        return sys.getsizeof(value)
+    if isinstance(value, dict):
+        value = [x for item in value.items() for x in item]
+    elif not isinstance(value, (tuple, list, set, frozenset)):
+        return 0
+    return sys.getsizeof(value) + sum(_table_bytes(x) for x in value)
+
+
+def test_kernel_tables_stay_bounded_whatever_widths_were_hashed():
+    """Fails if someone caches a mask table per width: every integer table the
+    module holds, after batches of every width from 1 to 200, fits in 64 KB."""
+    for width in range(1, 201):
+        keccak256_many([bytes([width % 256]) * 40] * width)
+    total = sum(_table_bytes(value) for value in vars(keccak).values())
+    assert total <= 64 * 1024
+    assert total >= 48 * 8 * _CAP  # the guard does see the rotation masks

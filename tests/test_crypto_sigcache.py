@@ -164,3 +164,45 @@ def test_recover_batch_deduplicates_replayed_pairs():
 
 def test_recover_batch_empty():
     assert SignatureCache().recover_batch([]) == []
+
+
+# --- digests_for: the element-wise loop, with the misses hashed by lanes ----------------
+
+
+def _loop(cache, datagrams):
+    return [cache.digest_for(datagram) for datagram in datagrams]
+
+
+def _books(cache):
+    return cache.hits, cache.misses, cache.stats(), list(cache._digests.items())
+
+
+@pytest.mark.parametrize(
+    "maxsize,warm,batch",
+    [
+        (64, [], [b"d%d" % i for i in range(40)]),  # cold
+        (64, [b"d%d" % i for i in range(0, 40, 3)], [b"d%d" % i for i in range(40)]),  # warm
+        (64, [b"d1"], [b"d0", b"d1", b"d0", b"d2", b"d2", b"d0"]),  # in-batch repeats
+        (8, [b"d%d" % i for i in range(8)], [b"d%d" % (i % 21) for i in range(50)]),  # > maxsize
+    ],
+    ids=["cold", "warm", "repeats", "larger-than-maxsize"],
+)
+def test_digests_for_keeps_the_books_of_the_element_wise_loop(maxsize, warm, batch):
+    batched, looped = SignatureCache(maxsize), SignatureCache(maxsize)
+    for cache in (batched, looped):
+        _loop(cache, warm)
+    assert batched.digests_for(batch) == _loop(looped, batch) == [keccak256(d) for d in batch]
+    assert _books(batched) == _books(looped)  # counters, stats, entries and LRU order
+    assert batched.digests_for([]) == []
+
+
+def test_digests_for_hashes_only_the_misses_and_each_once(keccak_permutations, packed_permutations):
+    cache = SignatureCache()
+    cache.digest_for(b"held" * 40)
+    keccak_permutations[0] = 0
+    batch = [b"held" * 40] + [bytes([i]) * 160 for i in range(32)] * 2
+    cache.digests_for(batch)
+    # 32 distinct two-block misses in one packed state; the repeats and the
+    # held datagram are hits.
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
+    assert (cache.hits, cache.misses) == (33, 1 + 32)

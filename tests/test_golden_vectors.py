@@ -1,0 +1,138 @@
+"""Golden vectors: the bytes one Fig. 6 argument envelope must always produce.
+
+``tests/golden/argument_envelope_32.json`` holds, for a fixed Token Service
+key, clock and counter start: the 32 token byte strings and datagram digests
+of one 32-request argument envelope, the signing digest and hash of the 32
+signed transactions that carry those tokens, and the hash and gas of the block
+that executes them.  It was written by this file, run as a script against the
+tree of commit ``6a4f6be`` (the parent of the PR that taught the sponge to hash
+by lanes)::
+
+    PYTHONPATH=<that tree>/src python tests/test_golden_vectors.py
+
+so whatever batches, packs or memoizes the hashing today is compared against
+what the scalar per-message path produced then -- never against itself.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.chain import Blockchain
+from repro.chain.clock import SimulatedClock
+from repro.chain.transaction import Transaction
+from repro.contracts.protected_target import ProtectedRecorder
+from repro.core import OwnerWallet
+from repro.core.token import signing_datagram
+from repro.core.token_request import TokenRequest
+from repro.core.token_service import TokenService, _LocalCounter, build_fig6_ruleset
+from repro.crypto.keys import KeyPair
+from repro.crypto.sigcache import SignatureCache
+from repro.pipeline import ExecutionPipeline
+from repro.pipeline.load import DEFAULT_CALL_GAS_LIMIT
+
+GOLDEN = Path(__file__).parent / "golden" / "argument_envelope_32.json"
+ENVELOPE = 32
+
+
+def build(batched: bool) -> dict:
+    """Issue, sign, admit and execute one envelope; every byte that came out.
+
+    ``batched`` sends the 32 requests as one submission and the 32
+    transactions as one ``ingest``; otherwise each goes alone.
+    """
+    cache = SignatureCache()
+    chain = Blockchain(auto_mine=True, clock=SimulatedClock(start=1_600_000_000))
+    chain.evm.signature_cache = cache
+    owner = chain.create_account("owner", seed="golden-owner")
+    clients = [
+        chain.create_account(f"client-{i}", seed=f"golden-client-{i}") for i in range(ENVELOPE)
+    ]
+    service = TokenService(
+        keypair=KeyPair.from_seed("golden-ts"),
+        rules=build_fig6_ruleset(
+            [client.address for client in clients],
+            method_blacklists={"submit": [owner.address]},
+            argument_whitelists={"amount": range(1, ENVELOPE + 1)},
+        ),
+        clock=chain.clock,
+        counter=_LocalCounter(start=41),
+        signature_cache=cache,
+    )
+    receipt = OwnerWallet(owner, service).deploy_protected(
+        ProtectedRecorder, one_time_bitmap_bits=1024
+    )
+    assert receipt.success, receipt.error
+    contract = receipt.return_value.this
+    chain.auto_mine = False
+    pipeline = ExecutionPipeline(chain, signature_cache=cache)
+
+    requests = [
+        TokenRequest.argument_token(
+            contract, client.address, "submit", {"amount": i + 1}, one_time=True
+        )
+        for i, client in enumerate(clients)
+    ]
+    if batched:
+        results = service.submit(requests)
+    else:
+        results = [service.submit(request)[0] for request in requests]
+    tokens = [result.token for result in results]
+    digests = [
+        cache.digest_for(
+            signing_datagram(
+                token.token_type,
+                token.expire,
+                token.index,
+                client.address,
+                contract,
+                method="submit",
+                arguments={"amount": i + 1},
+            )
+        )
+        for i, (token, client) in enumerate(zip(tokens, clients))
+    ]
+
+    txs = [
+        Transaction(
+            sender=client.address,
+            to=contract,
+            nonce=client.nonce,
+            method="submit",
+            kwargs={"amount": i + 1, "token": token.to_bytes()},
+            gas_limit=DEFAULT_CALL_GAS_LIMIT,
+        ).sign_with(client.keypair)
+        for i, (token, client) in enumerate(zip(tokens, clients))
+    ]
+    if batched:
+        decisions = pipeline.ingest(txs)
+    else:
+        decisions = [pipeline.mempool.admit(tx) for tx in txs]
+    assert all(decision.admitted for decision in decisions), decisions
+    block = pipeline.run_block()
+    assert block is not None and block.succeeded == ENVELOPE
+
+    return {
+        "tokens": [token.to_bytes().hex() for token in tokens],
+        "datagram_digests": [digest.hex() for digest in digests],
+        "tx_signing_digests": [tx.signing_digest().hex() for tx in txs],
+        "tx_hashes": [tx.hash().hex() for tx in txs],
+        "block_hash": chain.latest_block.hash().hex(),
+        "block_gas_used": chain.latest_block.gas_used,
+    }
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "one-by-one"])
+def test_envelope_bytes_match_the_golden_file(batched):
+    assert build(batched) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    vectors = build(batched=False)
+    assert vectors == build(batched=True)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(vectors, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -288,6 +288,91 @@ def test_one_admission_costs_at_most_five_keccak_permutations(
     assert calls[0] <= 5
 
 
+def _ledger_shaped_batch(batch_chain, protected, service, count, nonces=None):
+    """One ledger-shaped transaction from each of ``count`` fresh senders."""
+    accounts = [
+        batch_chain.create_account(f"batch-{i}", seed=f"pool-batch-{i}") for i in range(count)
+    ]
+    nonces = nonces or [0] * count
+    return [
+        _ledger_shaped_tx(account, protected, service, nonce=nonce)
+        for account, nonce in zip(accounts, nonces)
+    ]
+
+
+def test_a_batch_admission_hashes_its_transactions_by_lanes(
+    batch_chain, mempool, protected, service, keccak_permutations, packed_permutations
+):
+    """32 transactions: a 3-block and a 4-block group, seven packed
+    permutations, and not one scalar one (senders' addresses are memoized)."""
+    txs = _ledger_shaped_batch(batch_chain, protected, service, 32)
+    keccak_permutations[0] = 0
+    decisions = mempool.admit_many(txs)
+    assert all(decision.admitted for decision in decisions)
+    assert keccak_permutations[0] == 0
+    assert 0 < packed_permutations[0] <= 7
+    from repro.crypto.keccak import keccak256
+
+    for tx in txs:
+        payload = tx.signing_payload()
+        assert tx.signing_digest() == keccak256(payload)
+        assert tx.hash() == keccak256(payload + tx.signature.to_bytes())
+
+
+def test_a_single_admission_never_reaches_the_packed_kernel(
+    mempool, client, protected, service, packed_permutations
+):
+    assert mempool.admit(_ledger_shaped_tx(client, protected, service, nonce=0)).admitted
+    assert mempool.admit_many([_ledger_shaped_tx(client, protected, service, nonce=1)])[0].admitted
+    assert packed_permutations[0] == 0
+
+
+def test_admit_many_walks_a_generator_once_and_in_order(
+    batch_chain, mempool, protected, service
+):
+    txs = _ledger_shaped_batch(batch_chain, protected, service, 3, nonces=[0, 5, 0])
+    pulled = []
+
+    def stream():
+        for tx in txs:
+            pulled.append(tx)
+            yield tx
+
+    decisions = mempool.admit_many(stream())
+    assert pulled == txs
+    assert [decision.reason for decision in decisions] == ["admitted", "bad nonce", "admitted"]
+    assert [tx.hash() for tx in mempool.transactions()] == [txs[0].hash(), txs[2].hash()]
+
+
+def test_batch_hash_time_is_shared_over_the_batch_admission_samples(
+    batch_chain, mempool, protected, service
+):
+    """Count and sum, on a clock that ticks once per read: one sample per
+    transaction, and their sum is every tick between the first read and the
+    last -- the batch hash falls inside the stage, not between its samples."""
+
+    class TickingObs:
+        def __init__(self):
+            self.now = 0.0
+            self.samples = []
+
+        def clock(self):
+            self.now += 1.0
+            return self.now
+
+        def record_stage(self, stage, seconds):
+            assert stage == "admission"
+            self.samples.append(seconds)
+
+    txs = _ledger_shaped_batch(batch_chain, protected, service, 8)
+    obs = mempool.obs = TickingObs()
+    assert all(decision.admitted for decision in mempool.admit_many(txs))
+    assert len(obs.samples) == 8
+    assert sum(obs.samples) == pytest.approx(1.0 + 8)  # the batch hash, then 8 admissions
+    assert obs.samples == pytest.approx([1.0 / 8 + 1.0] * 8)
+    assert mempool.admit_many([]) == [] and len(obs.samples) == 8
+
+
 def test_hash_only_callers_do_not_pay_for_the_signing_digest(
     client, protected, service, keccak_permutations
 ):
@@ -565,3 +650,23 @@ def test_prewarm_counts_intra_block_replays_as_hits(batch_chain, client, protect
     assert (hits, misses) == (1, 1)
     # Once warmed, the same tokens are pure hits.
     assert executor.pre_warm(txs) == (2, 0)
+
+
+def test_prewarm_hashes_a_plan_of_foreign_tokens_by_lanes(
+    batch_chain, client, protected, keccak_permutations, packed_permutations
+):
+    """Eight uncached one-block datagrams: one packed permutation, no scalar one."""
+    from repro.pipeline.executor import BlockExecutor
+
+    foreign = TokenService(
+        keypair=KeyPair.from_seed("pool-ts"), rules=RuleSet(), clock=batch_chain.clock
+    )
+    txs = [
+        _token_tx(client, protected, foreign, one_time=True, nonce=i)[0] for i in range(8)
+    ]
+    executor = BlockExecutor(batch_chain)
+    keccak_permutations[0] = 0
+    assert executor.pre_warm(txs) == (0, 8)
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 1)
+    assert executor.pre_warm(txs) == (8, 0)
+    assert packed_permutations[0] == 1
