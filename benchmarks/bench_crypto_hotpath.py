@@ -18,6 +18,13 @@ times the primitives that path is built from:
 * ``recover_batch``    -- the same ladder per signature with the block's
   Montgomery batch inversions shared, measured per signature on a block of
   ``SMACS_CRYPTO_BLOCK`` signatures;
+* ``recovers_to``      -- the known-key check (``recover(...) == Q`` against
+  ``prepare_point(Q)``: no square root, a quarter of the doublings), and
+  ``prepare_point``, the table it needs, per key;
+* ``cold senders``     -- ``SignatureCache.signed_by`` over all-distinct
+  senders, each seen once: the first-sight path, beside the expression
+  admission ran before the memo (``recover_address(...) == sender``) over
+  the same signatures;
 * ``keccak256``        -- the datagram digest, on 1 KiB payloads (MB/s) and
   on token-datagram-sized payloads (ops/s);
 * ``keccak256_many``   -- the same datagram digest hashed by lanes, per
@@ -28,7 +35,12 @@ Acceptance (asserted here, regression-gated in CI via
 ``regression_gate.py crypto`` against the committed baseline):
 
 * single ``recover`` >= 2.9x the reference implementation (the 256-doubling
-  ladder this kernel replaced measured 2.72x).
+  ladder this kernel replaced measured 2.72x);
+* ``recovers_to`` >= 1.6x ``recover`` (what a returning sender saves);
+* table build + one check <= 1.25x one ``recover`` (what a sender that
+  returns exactly once costs extra);
+* ``cold senders`` >= 0.97x the parent expression (what a sender that never
+  returns costs extra: one dict insert).
 
 ``recover`` and ``recover_batch`` share one kernel, so their ratio is ~1.0
 by construction (the endomorphism, not the batching, was the old batch
@@ -44,9 +56,11 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import env_int, report
-from repro.crypto.ecdsa import recover, recover_batch, recover_reference, verify
+from repro.crypto.ecdsa import recover, recover_batch, recover_reference, recovers_to, verify
 from repro.crypto.keccak import keccak256, keccak256_many
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, recover_address
+from repro.crypto.secp256k1 import prepare_point
+from repro.crypto.sigcache import SignatureCache
 
 OPS = env_int("SMACS_CRYPTO_OPS", 32)
 BLOCK = env_int("SMACS_CRYPTO_BLOCK", 64)
@@ -77,6 +91,9 @@ def test_crypto_hotpath(benchmark):
     block = pairs[:BLOCK]
     single = pairs[:OPS]
     public = KEYPAIR.public.point
+    prepared = prepare_point(public)
+    senders = [KeyPair.from_seed(b"hotpath-sender-%d" % i) for i in range(OPS)]
+    cold = [(d, sender.sign(d), sender.address) for (d, _), sender in zip(single, senders)]
 
     rates: dict[str, float] = {}
 
@@ -99,6 +116,26 @@ def test_crypto_hotpath(benchmark):
         rates["recover_batch"] = _best_rate(
             BLOCK, lambda: recover_batch(block)
         )
+        rates["recovers_to"] = _best_rate(
+            OPS, lambda: [recovers_to(d, s, prepared) for d, s in single]
+        )
+        rates["prepare_point"] = _best_rate(
+            OPS, lambda: [prepare_point(public) for _ in range(OPS)]
+        )
+
+        def first_sights() -> None:
+            cache = SignatureCache()  # empty: every sender is new to it
+            assert all([cache.signed_by(d, s, address) for d, s, address in cold])
+
+        # Interleaved, so both sides of the ratio see the same machine.
+        cold_times, parent_times = [], []
+        for _ in range(ROUNDS):
+            cold_times.append(_timed(first_sights))
+            parent_times.append(
+                _timed(lambda: [recover_address(d, s) == address for d, s, address in cold])
+            )
+        rates["cold_senders"] = OPS / min(cold_times)
+        rates["cold_senders_parent"] = OPS / min(parent_times)
         payload = b"\xd5" * 1024
         keccak_rate = _best_rate(64, lambda: [keccak256(payload) for _ in range(64)])
         rates["keccak_mb_per_sec"] = keccak_rate * len(payload) / 1e6
@@ -112,6 +149,11 @@ def test_crypto_hotpath(benchmark):
 
     recover_speedup = rates["recover"] / rates["recover_reference"]
     batch_speedup = rates["recover_batch"] / rates["recover"]
+    known_key_speedup = rates["recovers_to"] / rates["recover"]
+    second_sight_cost = rates["recover"] * (
+        1 / rates["prepare_point"] + 1 / rates["recovers_to"]
+    )
+    cold_relative = rates["cold_senders"] / rates["cold_senders_parent"]
     lines = [
         "Crypto hot-path (secp256k1 + keccak-256 kernels)",
         f"{'operation':<24}{'ops/s':>12}",
@@ -121,11 +163,18 @@ def test_crypto_hotpath(benchmark):
         f"{'recover (reference)':<24}{rates['recover_reference']:>12.1f}",
         f"{'recover (GLV ladder)':<24}{rates['recover']:>12.1f}",
         f"{'recover_batch /sig':<24}{rates['recover_batch']:>12.1f}",
+        f"{'recovers_to /sig':<24}{rates['recovers_to']:>12.1f}",
+        f"{'prepare_point /key':<24}{rates['prepare_point']:>12.1f}",
+        f"{'cold senders /tx':<24}{rates['cold_senders']:>12.1f}",
+        f"{'  recover == sender /tx':<24}{rates['cold_senders_parent']:>12.1f}",
         f"{'keccak 80B datagram':<24}{rates['keccak_short']:>12.1f}",
         f"{'keccak256_many /msg':<24}{rates['keccak_many_short']:>12.1f}",
         f"keccak 1KiB payloads: {rates['keccak_mb_per_sec']:.2f} MB/s",
         f"recover speedup vs reference: {recover_speedup:.2f}x",
         f"batch ({BLOCK} sigs) vs looped recover, same kernel: {batch_speedup:.2f}x",
+        f"known-key check vs recover: {known_key_speedup:.2f}x",
+        f"table build + one check: {second_sight_cost:.2f}x one recover",
+        f"cold senders vs recover == sender: {cold_relative:.2f}x",
     ]
     report(
         "crypto_hotpath",
@@ -142,6 +191,12 @@ def test_crypto_hotpath(benchmark):
             ),
             "recover_batch_ops_per_sec": round(rates["recover_batch"], 1),
             "recover_speedup_vs_reference": round(recover_speedup, 2),
+            "recovers_to_ops_per_sec": round(rates["recovers_to"], 1),
+            "prepare_point_ops_per_sec": round(rates["prepare_point"], 1),
+            "cold_senders_ops_per_sec": round(rates["cold_senders"], 1),
+            "known_key_speedup_vs_recover": round(known_key_speedup, 2),
+            "second_sight_cost_vs_recover": round(second_sight_cost, 2),
+            "cold_senders_vs_parent": round(cold_relative, 3),
             "keccak_mb_per_sec": round(rates["keccak_mb_per_sec"], 3),
             "keccak_short_ops_per_sec": round(rates["keccak_short"], 1),
             "keccak_many_short_ops_per_sec": round(rates["keccak_many_short"], 1),
@@ -154,6 +209,11 @@ def test_crypto_hotpath(benchmark):
     # Acceptance: the GLV ladder must decisively beat the seed's
     # three-multiplication recovery on the single-signature path.
     assert recover_speedup >= 2.9, f"recover only {recover_speedup:.2f}x the reference"
+    # ... and the three prices of the known-sender memo, as ratios within
+    # this run: a returning sender, one that returns once, one that never does.
+    assert known_key_speedup >= 1.6, f"recovers_to only {known_key_speedup:.2f}x recover"
+    assert second_sight_cost <= 1.25, f"build + check is {second_sight_cost:.2f}x a recover"
+    assert cold_relative >= 0.97, f"cold senders at {cold_relative:.3f}x the parent expression"
 
 
 def test_batch_recovery_matches_looped(benchmark):

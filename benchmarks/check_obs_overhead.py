@@ -17,8 +17,9 @@ Takes the two artifacts the observability-smoke job produces from
 * ``BENCH_obs.json`` -- the default run with full tracing + metrics on the
   second lane; the instrumented lane must stay within 10% of baseline.
 
-Both runs are best-of-two per lane, so a single scheduler hiccup does not
-read as an instrumentation regression.  The gate also demands that the
+Both runs alternate their lanes for three rounds and report each lane's
+median, so a single scheduler hiccup does not read as an instrumentation
+regression.  The gate also demands that the
 instrumented run produced samples for every profiled stage of the token
 pipeline -- an empty breakdown means the hooks silently detached, which is
 a worse failure than slow ones.

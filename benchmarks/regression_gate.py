@@ -54,12 +54,20 @@ GATES: "dict[str, dict[str, Any]]" = {
             "verify_ops_per_sec",
             "recover_ops_per_sec",
             "recover_batch_ops_per_sec",
+            "recovers_to_ops_per_sec",
+            "prepare_point_ops_per_sec",
+            "cold_senders_ops_per_sec",
             "keccak_mb_per_sec",
             "keccak_short_ops_per_sec",
             "keccak_many_short_ops_per_sec",
             "recover_speedup_vs_reference",
+            "known_key_speedup_vs_recover",
         ),
-        "context": ("recover_reference_ops_per_sec",),
+        "context": (
+            "recover_reference_ops_per_sec",
+            "second_sight_cost_vs_recover",
+            "cold_senders_vs_parent",
+        ),
         "workload": ("ops", "block_size"),
     },
     "state": {

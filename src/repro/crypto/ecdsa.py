@@ -17,6 +17,13 @@ This module provides:
 * :func:`recover_batch` -- the same ladder per signature, with the block
   sharing one Montgomery batch inversion each for the ``r^-1`` scalars, the
   table normalisations and the Jacobian-to-affine conversions.
+* :func:`recovers_to` -- "does this signature recover to key Q" for a key
+  seen before, answered without recovering: with Q known the same equation
+  is solved for the nonce point, ``R' = (z/s)*G + (r/s)*Q``, against Q's
+  prepared table (:func:`~repro.crypto.secp256k1.prepare_point`), and
+  compared with what ``recover`` would have lifted -- ``x == r`` exactly and
+  the parity bit ``v``.  About half a recovery; :func:`verify` takes the same
+  table through the same helper, its own high-s / mod-N rules intact.
 * :func:`recover_reference` -- the seed's three-multiplication recovery,
   kept as the reference for differential tests and the microbench gate.
 """
@@ -31,10 +38,12 @@ from repro.crypto import secp256k1
 from repro.crypto.secp256k1 import (
     N,
     Point,
+    PreparedPoint,
     generator_multiply,
     lift_x,
     point_multiply_reference,
     shamir_multiply,
+    shamir_multiply_prepared,
 )
 
 _HALF_N = N >> 1
@@ -167,31 +176,69 @@ def sign_batch(digests: "list[bytes]", private_key: int) -> "list[Signature]":
     ]
 
 
-def verify(digest: bytes, signature: Signature, public_key: Point) -> bool:
-    """Verify a signature against a known public key.
+def _nonce_point(
+    digest: bytes, signature: Signature, public_key: "Point | PreparedPoint"
+) -> Point:
+    """``(z/s)*G + (r/s)*Q``: where a signature by ``Q`` over ``z`` puts its nonce.
 
-    Routes through the GLV dual-scalar ladder and rejects high-s
-    signatures (EIP-2), matching the canonical form :func:`sign` emits: a
-    mauled ``(r, N - s)`` variant of a valid signature is refused even
-    though classic ECDSA would accept it.
+    ``Q`` arrives as a :class:`Point` (the GLV ladder, eight odd multiples
+    built on the spot) or as the table :func:`prepare_point` made of it.
+    The identity for a key at infinity: no signature is by it.
     """
-    if len(digest) != 32:
-        raise SignatureError("digest must be 32 bytes")
-    if public_key.is_infinity():
-        return False
-    if signature.s > _HALF_N:
-        return False
-    z = int.from_bytes(digest, "big")
+    if public_key == secp256k1.INFINITY or public_key == ():
+        return secp256k1.INFINITY
     try:
         s_inv = pow(signature.s, -1, N)
     except ValueError:
-        return False
-    u1 = z * s_inv % N
+        return secp256k1.INFINITY
+    u1 = int.from_bytes(digest, "big") * s_inv % N
     u2 = signature.r * s_inv % N
-    point = shamir_multiply(u1, u2, public_key)
+    if isinstance(public_key, Point):
+        return shamir_multiply(u1, u2, public_key)
+    return shamir_multiply_prepared(u1, u2, public_key)
+
+
+def verify(
+    digest: bytes, signature: Signature, public_key: "Point | PreparedPoint"
+) -> bool:
+    """Verify a signature against a known public key.
+
+    Routes through the GLV dual-scalar ladder -- or, for a key passed as its
+    :func:`~repro.crypto.secp256k1.prepare_point` table, the split-exponent
+    one -- and rejects high-s signatures (EIP-2), matching the canonical
+    form :func:`sign` emits: a mauled ``(r, N - s)`` variant of a valid
+    signature is refused even though classic ECDSA would accept it.
+    """
+    if len(digest) != 32:
+        raise SignatureError("digest must be 32 bytes")
+    if signature.s > _HALF_N:
+        return False
+    point = _nonce_point(digest, signature, public_key)
     if point.is_infinity():
         return False
     return point.x % N == signature.r
+
+
+def recovers_to(digest: bytes, signature: Signature, table: PreparedPoint) -> bool:
+    """``recover(digest, signature) == Q`` for ``table = prepare_point(Q)``.
+
+    That is the definition, on every input: whatever makes :func:`recover`
+    raise is ``False`` here.  ``recover`` lifts ``x = r`` with y parity ``v``
+    to R and solves ``s*R = z*G + r*Q`` for Q; with Q given, the same
+    equation is solved for R instead -- :func:`_nonce_point` -- and holds
+    exactly when the result *is* R.  Hence the two comparisons below and
+    nothing else: ``x`` equal to ``r`` itself, not modulo N (``recover``
+    never lifts ``r + N``), the parity bit (a flipped ``v`` recovers another
+    key), and no low-s rule (``recover`` has none: the high-s twin with the
+    flipped parity recovers the same key, and is accepted here too).  A
+    nonce point at infinity has no ``x``; an ``r`` that is no abscissa can
+    equal no point's.  The square root, R's odd multiples and three quarters
+    of the doublings are what knowing Q removes.
+    """
+    if len(digest) != 32:
+        return False
+    point = _nonce_point(digest, signature, table)
+    return point.x == signature.r and point.y & 1 == signature.v & 1
 
 
 def _recovery_point(signature: Signature) -> Point:

@@ -8,12 +8,19 @@ uncompressed encoding without the ``0x04`` prefix).
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.crypto.ecdsa import Signature, recover, recover_batch, sign, sign_batch, verify
 from repro.crypto.keccak import keccak256
-from repro.crypto.secp256k1 import GENERATOR, N, Point, point_multiply
+from repro.crypto.secp256k1 import (
+    GENERATOR,
+    N,
+    Point,
+    PreparedPoint,
+    point_multiply,
+    prepare_point,
+)
 
 
 @dataclass(frozen=True)
@@ -21,6 +28,11 @@ class PublicKey:
     """A secp256k1 public key with Ethereum address derivation."""
 
     point: Point
+    #: what :meth:`verify` checks against: nothing yet, then the bare point,
+    #: then -- from the second call on -- the point's prepared table
+    _verify_key: "Point | PreparedPoint | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_bytes(self) -> bytes:
         """Uncompressed encoding without the 0x04 prefix (64 bytes)."""
@@ -45,7 +57,18 @@ class PublicKey:
         return "0x" + self.address().hex()
 
     def verify(self, digest: bytes, signature: Signature) -> bool:
-        return verify(digest, signature, self.point)
+        """:func:`~repro.crypto.ecdsa.verify` against this key.
+
+        A key object asked a second time is a fixed base: that call builds
+        the point's split-exponent table (about 0.7 of a verification, once)
+        and every later one costs about 0.6 of the first.  A key that
+        verifies once -- most of them -- builds nothing.
+        """
+        key = self._verify_key
+        if key is None or key is self.point:
+            key = self.point if key is None else prepare_point(self.point)
+            object.__setattr__(self, "_verify_key", key)
+        return verify(digest, signature, key)
 
 
 @lru_cache(maxsize=4096)

@@ -14,7 +14,10 @@ Jacobian coordinates, with two layers:
   odd-multiples table for arbitrary points, one GLV four-stream ladder for
   ``u1*G + u2*P`` (both scalars split by the curve endomorphism, so a single
   pass of ~128 doublings serves verification, recovery and batch recovery
-  alike), and a Montgomery batch inversion that converts many Jacobian
+  alike), a split-exponent table for a point that is known to come back
+  (:func:`prepare_point` / :func:`multiply_prepared`: four bases 32 doublings
+  apart, so ``u2*Q`` for a known key rides 32 shared doublings instead of
+  128), and a Montgomery batch inversion that converts many Jacobian
   results to affine with a single field inversion; and
 * a **reference path** (:func:`point_multiply_reference`, the naive
   double-and-add :func:`_jacobian_multiply`) kept deliberately simple so the
@@ -632,6 +635,103 @@ def shamir_multiply(u1: int, u2: int, point: Point) -> Point:
     """
     table = [] if point.is_infinity() else affine_odd_multiples_batch([point])[0]
     return _from_jacobian(_jacobian_shamir_glv(u1, u2, table))
+
+
+# --- Prepared points: a key seen twice is a fixed base -----------------------
+#
+# The ladders above treat every non-generator point as new: eight odd
+# multiples built per call, then ~128 doublings.  A *known* point Q (a
+# returning sender's key, a service's own key) can trade memory for almost
+# all of the doublings, the way ``_G_WINDOWS`` does for G, with a
+# split-exponent table: bases ``B_j = 2^(CHUNK*j) * Q`` for
+# ``j < _PREPARED_SPLIT`` (``CHUNK = 128 / _PREPARED_SPLIT``), each with its
+# width-``_WNAF_WIDTH_VAR`` odd multiples and their lambda-images, all affine.
+# A ~128-bit GLV half written in wNAF then reads as ``_PREPARED_SPLIT`` digit
+# streams of ``CHUNK`` positions each -- digit ``i`` belongs to base
+# ``i // CHUNK`` at height ``i % CHUNK`` -- so both halves ride
+# ``2 * _PREPARED_SPLIT`` streams over ``CHUNK`` shared doublings.
+#
+# Choosing the split (one pinned CPU, us per call; ``recover`` 1,207,
+# ``verify`` 1,076, ``lift_x`` alone 138 on the same host):
+#
+#     split  width   build   u1*G + u2*Q check   table
+#       1      5      107          951           16 points
+#       2      5      430          730           32
+#       4      5      745          627           64    <- chosen
+#       8      5    1,201          565          128
+#       4      6    1,148          590          128
+#      16      6    3,628          507          512
+#
+# Past four bases each doubling of the table buys under a tenth of the check
+# (what is left is the ~43 + 33 mixed additions no table removes), and four
+# is the last row where build + one check (1,372) stays within a quarter of
+# the one plain recovery it replaces -- so a key that returns exactly once
+# costs next to nothing extra -- and where a key fits 12 KB.
+
+_PREPARED_SPLIT = 4
+_PREPARED_CHUNK = 128 // _PREPARED_SPLIT
+
+#: the table of a prepared point: ``_PREPARED_SPLIT`` odd-multiples tables of
+#: the bases, then their lambda-images; empty for the point at infinity
+PreparedPoint = tuple[list[tuple[int, int]], ...]
+
+
+def prepare_point(point: Point) -> PreparedPoint:
+    """Split-exponent table for a point that will be multiplied again.
+
+    ``128 - CHUNK`` doublings walk the bases, every base gets its odd
+    multiples (:func:`_build_odd_multiples`), one Montgomery inversion
+    normalises all of them, and the lambda-images cost one multiplication
+    each: 64 affine points, under 12 KB, for the default geometry.
+    """
+    if point.is_infinity():
+        return ()
+    count = 1 << (_WNAF_WIDTH_VAR - 2)
+    base = (point.x, point.y, 1)
+    flat = _build_odd_multiples(base, count)
+    for _ in range(_PREPARED_SPLIT - 1):
+        for _ in range(_PREPARED_CHUNK):
+            base = _jacobian_double(base)
+        flat.extend(_build_odd_multiples(base, count))
+    affine = [(p.x, p.y) for p in jacobian_to_affine_batch(flat)]
+    tables = [affine[start:start + count] for start in range(0, len(affine), count)]
+    return tuple(tables + [apply_endomorphism(table) for table in tables])
+
+
+def multiply_prepared(table: PreparedPoint, scalar: int) -> tuple[int, int, int]:
+    """``scalar * Q`` for ``table = prepare_point(Q)``, left Jacobian.
+
+    The scalar is GLV-split, each half recoded once, and the digit stream
+    cut every ``_PREPARED_CHUNK`` positions (the top chunk keeps whatever a
+    half carries past 128 bits); a negative half negates its digits as in
+    :func:`_jacobian_shamir_glv`.  The joint ladder then runs
+    ``_PREPARED_CHUNK`` doublings, not 128.
+    """
+    if not table:
+        return _J_INFINITY
+    streams: list[tuple[list[int], list[tuple[int, int]]]] = []
+    top = (_PREPARED_SPLIT - 1) * _PREPARED_CHUNK
+    for half, tables in zip(
+        _glv_split(scalar % N), (table[:_PREPARED_SPLIT], table[_PREPARED_SPLIT:])
+    ):
+        naf = _wnaf(abs(half), _WNAF_WIDTH_VAR)
+        if half < 0:
+            naf = [-d for d in naf]
+        chunks = [naf[i:i + _PREPARED_CHUNK] for i in range(0, top, _PREPARED_CHUNK)]
+        streams.extend(zip(chunks + [naf[top:]], tables))
+    return _jacobian_multi_wnaf_affine(streams)
+
+
+def shamir_multiply_prepared(u1: int, u2: int, table: PreparedPoint) -> Point:
+    """``u1 * G + u2 * Q`` for a prepared ``Q``: what a known-key check runs.
+
+    No doubling touches G (the window table, at most 33 mixed additions)
+    and ``_PREPARED_CHUNK`` serve Q; the two Jacobian sums meet in one
+    general addition and one inversion.
+    """
+    return _from_jacobian(
+        _jacobian_add(generator_multiply_jacobian(u1), multiply_prepared(table, u2))
+    )
 
 
 def lift_x(x: int, is_odd: bool) -> Point:

@@ -15,6 +15,19 @@ decision, only skips redundant curve operations when the same token (or the
 same request payload) is seen again, as happens constantly under replayed
 workloads and batched issuance.
 
+A third memo remembers *who* signed rather than *what* was signed:
+:meth:`SignatureCache.signed_by` keeps ``address -> public key`` for senders
+whose transaction signature already recovered to their address once.  A
+transaction signature is new every time, so nothing about it can be cached
+-- but its claimed sender repeats, and "does this signature recover to key
+Q" is, for a known Q, a fixed-base computation
+(:func:`repro.crypto.ecdsa.recovers_to`: no square root, a quarter of the
+doublings).  This memo is invisible for a stronger reason than the other
+two: the question asked of a known key *is* ``recover(digest, signature) ==
+Q`` by definition, on every input, so the answer is the one a fresh recovery
+would give; only a signature that did recover to the address can teach the
+memo a key, so a forger never plants one.
+
 Gas accounting is unaffected: the on-chain verifier still charges the full
 ``ecrecover`` precompile cost on every call (the cache models a node-level
 optimisation, not a protocol change).
@@ -29,18 +42,27 @@ for isolated measurements.
 from collections import OrderedDict
 from typing import Callable, Sequence
 
-from repro.crypto.ecdsa import Signature, SignatureError
+from repro.crypto.ecdsa import Signature, SignatureError, recover, recovers_to
 from repro.crypto.keccak import keccak256, keccak256_many
-from repro.crypto.keys import recover_address, recover_address_batch
+from repro.crypto.keys import PublicKey, recover_address, recover_address_batch
+from repro.crypto.secp256k1 import Point, PreparedPoint, prepare_point
 
 _RECOVER_FAILED = object()  # cached sentinel for unrecoverable signatures
+
+#: Known sender keys kept per cache, least recently seen evicted first: the
+#: paper's own Fig. 6 sender whitelist.  A full memo of prepared keys is
+#: ~10.2 KB x 1,024 = 10.4 MB; the ledger's 64 accounts take 0.7 MB.  A
+#: population that outgrows it falls back to one plain recovery per
+#: transaction -- the cost without the memo -- plus a dict insert.
+KNOWN_KEY_CAPACITY = 1024
 
 
 class SignatureCache:
     """LRU memo for signature recovery and deterministic signing.
 
-    ``maxsize`` bounds each of the two internal maps independently; the
-    eviction policy is least-recently-used.
+    ``maxsize`` bounds each of the internal lookup maps independently; the
+    eviction policy is least-recently-used.  The known-sender memo behind
+    :meth:`signed_by` is bounded by :data:`KNOWN_KEY_CAPACITY` instead.
     """
 
     def __init__(self, maxsize: int = 4096):
@@ -51,8 +73,13 @@ class SignatureCache:
         self._signatures: "OrderedDict[tuple, Signature]" = OrderedDict()
         self._digests: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._derived: "OrderedDict[tuple, object]" = OrderedDict()
+        #: sender address -> its key: the bare point after one sight, the
+        #: prepared table from the second on (``KNOWN_KEY_CAPACITY`` entries)
+        self._keys: "OrderedDict[bytes, Point | PreparedPoint]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.key_checks = 0
+        self.key_builds = 0
 
     # -- internal LRU plumbing ------------------------------------------------
 
@@ -164,6 +191,41 @@ class SignatureCache:
                 results[position] = address
         return results
 
+    # -- known senders (the admission path) ------------------------------------
+
+    def signed_by(self, digest: bytes, signature: Signature, address: bytes) -> bool:
+        """``recover_address(digest, signature) == address``, unrecoverable = False.
+
+        First sight of ``address``: exactly that -- one plain recovery -- and
+        the recovered key is remembered only if it matched.  Second sight:
+        the key has come back, so its split-exponent table is built (about
+        0.6 of a recovery, once) and the signature checked against it.
+        Every later sight: the check alone, about half a recovery.  A refusal
+        by the check is final -- a forged signature under a known sender's
+        name costs less than it does under an unknown one, and teaches
+        nothing.  Not a lookup of a cached answer, so ``hits`` / ``misses``
+        and ``len()`` do not move.
+        """
+        keys = self._keys
+        key = keys.get(address)
+        if key is None:
+            try:
+                point = recover(digest, signature)
+            except SignatureError:
+                return False
+            if PublicKey(point).address() != address:
+                return False
+            keys[address] = point
+            if len(keys) > KNOWN_KEY_CAPACITY:
+                keys.popitem(last=False)
+            return True
+        keys.move_to_end(address)
+        if isinstance(key, Point):
+            key = keys[address] = prepare_point(key)
+            self.key_builds += 1
+        self.key_checks += 1
+        return recovers_to(digest, signature, key)
+
     # -- signing (the issuance path) ------------------------------------------
 
     def signature_for(self, keypair, digest: bytes) -> Signature:
@@ -258,6 +320,9 @@ class SignatureCache:
             "signature_entries": len(self._signatures),
             "digest_entries": len(self._digests),
             "derived_entries": len(self._derived),
+            "known_keys": len(self._keys),
+            "key_checks": self.key_checks,
+            "key_builds": self.key_builds,
         }
 
     def clear(self) -> None:
@@ -265,8 +330,11 @@ class SignatureCache:
         self._signatures.clear()
         self._digests.clear()
         self._derived.clear()
+        self._keys.clear()
         self.hits = 0
         self.misses = 0
+        self.key_checks = 0
+        self.key_builds = 0
 
 
 #: Process-wide cache shared by the batch issuance and on-chain verifier paths.

@@ -21,12 +21,17 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
   table refuses a second pending transaction carrying the same index.
 
 Checks run cheapest first -- dedup, deadline, gas limit, nonce, balance, the
-SMACS screens -- and the transaction signature's curve recovery last, so only
-a transaction that every lookup would let through pays for it.  Admission is
-the only place transaction signatures are verified; the block executor hands
-admitted transactions to the chain through
-:meth:`repro.chain.chain.Blockchain.enqueue_validated`, so the expensive
-recovery is paid at most once per transaction.
+SMACS screens -- and the transaction signature last, so only a transaction
+that every lookup would let through pays for curve math.  What it pays
+depends on whether the node has met the sender
+(:meth:`repro.crypto.sigcache.SignatureCache.signed_by`): a first sight is a
+full ``ecrecover`` (~1.2 ms) compared with the claimed address; the second
+builds the now-known key's table and checks against it (~1.4 ms, once); every
+later one is a fixed-base check of "recovers to this key" (~0.63 ms), the same
+decision on every input.  Admission is the only place transaction signatures
+are verified; the block executor hands admitted transactions to the chain
+through :meth:`repro.chain.chain.Blockchain.enqueue_validated`, so the check
+is paid at most once per transaction.
 """
 
 from __future__ import annotations
@@ -243,8 +248,10 @@ class Mempool:
 
         # Curve math last: every screen above is a dict lookup or a storage
         # read, so a replayed index or a stale nonce is refused without
-        # paying the ~1 ms recovery it could never have passed anyway.
-        if not tx.verify_signature():
+        # paying for a signature check it could never have passed anyway.
+        if tx.signature is None or not self.signature_cache.signed_by(
+            tx.signing_digest(), tx.signature, tx.sender
+        ):
             return self._reject("invalid signature")
 
         self._pool[tx_hash] = _PoolEntry(tx, reservations)

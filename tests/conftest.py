@@ -118,25 +118,37 @@ def packed_permutations(monkeypatch):
 
 @pytest.fixture
 def curve_multiplications(monkeypatch):
-    """A live one-element counter of scalar-multiplication ladders run from here on.
+    """A live ``Counter`` of the curve work done from here on, by kind.
 
-    Every signature verification and recovery ends in ``_jacobian_shamir_glv``;
-    the plain wNAF ladder covers any other multiplication of a non-generator
-    point.
+    ``ladders``: every first-sight signature verification and recovery ends in
+    ``_jacobian_shamir_glv``, and the plain wNAF ladder covers any other
+    multiplication of a non-generator point.  ``builds`` / ``prepared``: a
+    known key's table built (``prepare_point``) and multiplied
+    (``multiply_prepared`` -- one per known-key check).  ``lifts``: the
+    square root only a recovery takes (``lift_x``).  ``clear()`` it to start
+    a new count; ``sum(counts.values())`` is all of it.
     """
-    from repro.crypto import secp256k1
+    from collections import Counter
 
-    calls = [0]
+    from repro.crypto import ecdsa, keys, secp256k1, sigcache
 
-    def counting(name):
-        ladder = getattr(secp256k1, name)
+    counts = Counter()
+
+    def counting(name, kind):
+        original = getattr(secp256k1, name)
 
         def wrapper(*args):
-            calls[0] += 1
-            return ladder(*args)
+            counts[kind] += 1
+            return original(*args)
 
-        monkeypatch.setattr(secp256k1, name, wrapper)
+        # Wherever the name was imported to, not only where it is defined.
+        for module in (secp256k1, ecdsa, keys, sigcache):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
 
-    counting("_jacobian_shamir_glv")
-    counting("_jacobian_multiply_wnaf")
-    return calls
+    counting("_jacobian_shamir_glv", "ladders")
+    counting("_jacobian_multiply_wnaf", "ladders")
+    counting("prepare_point", "builds")
+    counting("multiply_prepared", "prepared")
+    counting("lift_x", "lifts")
+    return counts

@@ -19,11 +19,12 @@ from repro.crypto.ecdsa import (
     recover,
     recover_batch,
     recover_reference,
+    recovers_to,
     sign,
     verify,
 )
 from repro.crypto.keccak import keccak256
-from repro.crypto.keys import KeyPair, recover_address, recover_address_batch
+from repro.crypto.keys import KeyPair, PublicKey, recover_address, recover_address_batch
 from repro.crypto.secp256k1 import (
     GENERATOR,
     INFINITY,
@@ -40,9 +41,11 @@ from repro.crypto.secp256k1 import (
     generator_multiply,
     jacobian_to_affine_batch,
     lift_x,
+    multiply_prepared,
     point_add,
     point_multiply,
     point_multiply_reference,
+    prepare_point,
     shamir_multiply,
 )
 
@@ -345,6 +348,246 @@ def test_verify_matches_naive_on_right_and_wrong_inputs():
         (digest, _OTHER.public.point),
     ):
         assert verify(d, signature, public) == _verify_naive(d, signature, public)
+
+
+# --- known keys: the prepared-point kernel vs its definition (fast lane) ------
+#
+# ``recovers_to(d, sig, prepare_point(Q))`` is *defined* as
+# ``recover(d, sig) == Q`` with every raising input mapped to False, and
+# ``multiply_prepared`` as a scalar multiplication; both are pinned to the
+# oracles they replace on the node's hot path.
+
+_PREPARED = prepare_point(_KEYPAIR.public.point)
+_CHUNK = secp256k1._PREPARED_CHUNK
+
+
+def _agrees(recover_fn, digest, signature, public: Point) -> bool:
+    """The oracle: ``recover_fn(digest, signature) == public``, raising = False."""
+    try:
+        return recover_fn(digest, signature) == public
+    except SignatureError:
+        return False
+
+
+def _mutations(digest, signature, other_digest):
+    """The signature, its flipped parity, its high-s twin at both parities,
+    another digest, and an ``r`` that is no curve abscissa."""
+    r, s, v = signature.r, signature.s, signature.v
+    no_abscissa = next(x for x in range(r, r + 64) if x < N and not _liftable(x))
+    return [
+        (digest, signature),
+        (digest, Signature(r, s, v ^ 1)),
+        (digest, Signature(r, N - s, v ^ 1)),
+        (digest, Signature(r, N - s, v)),
+        (other_digest, signature),
+        (digest, Signature(no_abscissa, s, v)),
+    ]
+
+
+def _assert_known_key_check_is_recover_and_compare(digest, signature, other_digest, key, other):
+    tables = {point: prepare_point(point) for point in (key, other)}
+    verdicts = []
+    for d, sig in _mutations(digest, signature, other_digest):
+        for point, table in tables.items():
+            expected = _agrees(recover, d, sig, point)
+            assert recovers_to(d, sig, table) == expected, (d.hex(), sig, point)
+            verdicts.append(expected)
+    return verdicts
+
+
+def test_known_key_check_agrees_with_recovery_on_the_whole_mutation_set():
+    digest, other_digest = keccak256(b"known-a"), keccak256(b"known-b")
+    verdicts = _assert_known_key_check_is_recover_and_compare(
+        digest, _KEYPAIR.sign(digest), other_digest,
+        _KEYPAIR.public.point, _OTHER.public.point,
+    )
+    # The valid signature and its high-s twin (parity flipped with it) are
+    # the signer's; nothing else on the list is anybody's.
+    assert verdicts == [True, False] + [False, False] + [True, False] + [False] * 6
+
+
+@given(
+    seed=st.binary(min_size=1, max_size=16),
+    other_seed=st.binary(min_size=1, max_size=16),
+    message=st.binary(max_size=32),
+)
+@settings(max_examples=20, deadline=None)
+def test_known_key_check_agrees_with_recovery_property(seed, other_seed, message):
+    keypair, other = KeyPair.from_seed(seed), KeyPair.from_seed(b"other:" + other_seed)
+    digest = keccak256(message)
+    _assert_known_key_check_is_recover_and_compare(
+        digest, keypair.sign(digest), keccak256(message + b"'"),
+        keypair.public.point, other.public.point,
+    )
+
+
+@given(
+    r=st.integers(min_value=1, max_value=N - 1),
+    s=st.integers(min_value=1, max_value=N - 1),
+    v=st.integers(min_value=0, max_value=1),
+    message=st.binary(max_size=8),
+)
+@settings(max_examples=20, deadline=None)
+def test_known_key_check_on_arbitrary_signatures(r, s, v, message):
+    """Garbage in: whatever key the garbage recovers to, the check against
+    that key says yes and against another says no; unrecoverable says no."""
+    digest = keccak256(message)
+    signature = Signature(r, s, v)
+    assert recovers_to(digest, signature, _PREPARED) == _agrees(
+        recover, digest, signature, _KEYPAIR.public.point
+    )
+    recovered = _recover_or_none(recover, digest, signature)
+    if recovered is not None:
+        assert recovers_to(digest, signature, prepare_point(recovered))
+
+
+@pytest.mark.parametrize("z", [0, N])
+def test_known_key_check_with_a_digest_congruent_to_zero(z):
+    """u1 = 0: the generator contributes nothing, the table everything."""
+    digest = z.to_bytes(32, "big")
+    signature = _KEYPAIR.sign(digest)
+    assert _agrees(recover, digest, signature, _KEYPAIR.public.point)
+    assert recovers_to(digest, signature, _PREPARED)
+    assert not recovers_to(digest, signature, prepare_point(_OTHER.public.point))
+
+
+def test_known_key_check_with_the_nonce_point_at_infinity_is_false():
+    """z = -r*d (mod N) makes u1*G = -u2*Q for any s: no point, no match."""
+    signature = _KEYPAIR.sign(keccak256(b"any"))
+    digest = (-signature.r * _KEYPAIR.private.secret % N).to_bytes(32, "big")
+    assert secp256k1.shamir_multiply_prepared(
+        int.from_bytes(digest, "big"), signature.r, _PREPARED
+    ).is_infinity()
+    for v in (0, 1):
+        forged = Signature(signature.r, signature.s, v)
+        assert not _agrees(recover, digest, forged, _KEYPAIR.public.point)
+        assert not recovers_to(digest, forged, _PREPARED)
+
+
+def test_known_key_check_with_r_just_below_n():
+    """``x == r`` is exact: r within 2^32 of N is an abscissa like any other
+    (and ``r + N`` would not fit the field, so it is the only candidate)."""
+    digest = keccak256(b"r-near-n")
+    checked = 0
+    for r in (N - 1, N - 2, N - 3, N - 4, N - 2**31, N - 2**32 + 1):
+        for v in (0, 1):
+            signature = Signature(r, 12345, v)
+            assert not recovers_to(digest, signature, _PREPARED)
+            recovered = _recover_or_none(recover, digest, signature)
+            if recovered is not None:
+                table = prepare_point(recovered)
+                assert recovers_to(digest, signature, table)
+                assert not recovers_to(digest, Signature(r, 12345, v ^ 1), table)
+                checked += 1
+    assert checked  # some of them are on the curve
+
+
+def test_known_key_check_maps_every_raising_input_to_false():
+    signature = _KEYPAIR.sign(keccak256(b"ok"))
+    with pytest.raises(SignatureError):
+        recover(b"short", signature)
+    assert not recovers_to(b"short", signature, _PREPARED)
+    # No key is the point at infinity: recover raises before returning it.
+    assert prepare_point(INFINITY) == ()
+    assert not recovers_to(keccak256(b"ok"), signature, ())
+    assert not verify(keccak256(b"ok"), signature, ())
+
+
+def _prepared_multiply(point: Point, scalar: int) -> Point:
+    return secp256k1._from_jacobian(multiply_prepared(prepare_point(point), scalar))
+
+
+def _scalar_with_halves(k1: int, k2: int) -> int:
+    scalar = (k1 + k2 * LAMBDA) % N
+    assert _glv_split(scalar) == (k1, k2)
+    return scalar
+
+
+#: every chunk boundary of both GLV halves from below and above, in all four
+#: sign combinations (a negative half negates its digits, not its table)
+_CHUNK_BOUNDARY_SCALARS = [
+    _scalar_with_halves(sign1 * ((1 << (_CHUNK * i)) + d), sign2 * ((1 << (_CHUNK * j)) - d))
+    for i in range(1, secp256k1._PREPARED_SPLIT)
+    for j in range(1, secp256k1._PREPARED_SPLIT)
+    for d in (-1, 1)
+    for sign1 in (1, -1)
+    for sign2 in (1, -1)
+]
+
+
+def test_prepared_multiply_matches_the_reference_on_edge_scalars():
+    point = _KEYPAIR.public.point
+    plain = [0, 1, 2, N - 1, N, N + 1, 2 * N, LAMBDA, N - LAMBDA, N >> 1]
+    powers = [(1 << (_CHUNK * i)) + d for i in range(1, 9) for d in (-1, 0, 1)]
+    for scalar in plain + powers + _CHUNK_BOUNDARY_SCALARS:
+        assert _prepared_multiply(point, scalar) == point_multiply_reference(
+            point, scalar
+        ), hex(scalar)
+    assert multiply_prepared((), 5) == secp256k1._J_INFINITY
+
+
+def test_prepared_multiply_of_the_generator_itself():
+    for scalar in (1, 2, N - 1, 0xC0FFEE, _CHUNK_BOUNDARY_SCALARS[0]):
+        assert _prepared_multiply(GENERATOR, scalar) == generator_multiply(scalar)
+
+
+def test_prepared_top_chunk_takes_a_half_that_overflows_128_bits(monkeypatch):
+    """This lattice basis keeps both halves under 2^128, so the overflow is
+    forced: any (k1, k2) with k1 + k2*lambda = k is a valid split, and the
+    top chunk's stream must carry whatever lies past position 128."""
+    point = _KEYPAIR.public.point
+    scalar = int.from_bytes(keccak256(b"overflow"), "big") % N
+    expected = point_multiply_reference(point, scalar)
+    wide = (1 << 140) + 12345
+    for split in (
+        lambda k: (k, 0),
+        lambda k: (k - wide * LAMBDA, wide),
+        lambda k: (-(N - k), 0),
+    ):
+        monkeypatch.setattr(secp256k1, "_glv_split", split)
+        assert max(abs(half).bit_length() for half in split(scalar)) > 128
+        assert _prepared_multiply(point, scalar) == expected
+
+
+@given(scalar=scalars, base=small_scalars.filter(lambda s: s > 0))
+@settings(max_examples=20, deadline=None)
+def test_prepared_multiply_matches_the_reference_property(scalar, base):
+    point = generator_multiply(base)
+    assert _prepared_multiply(point, scalar) == point_multiply_reference(point, scalar)
+
+
+def test_public_key_verify_is_ecdsa_verify_on_every_call():
+    """First call (bare point), second (builds the table), hundredth (uses
+    it): the answer is ``ecdsa.verify(..., point)``, high-s refusal included."""
+    digest, other_digest = keccak256(b"pk-a"), keccak256(b"pk-b")
+    good = _KEYPAIR.sign(digest)
+    mauled = Signature(good.r, N - good.s, good.v ^ 1)
+    cases = [(digest, good), (digest, mauled), (other_digest, good), (digest, _OTHER.sign(digest))]
+    expected = [verify(d, sig, _KEYPAIR.public.point) for d, sig in cases]
+    assert expected == [True, False, False, False]
+    public = PublicKey(_KEYPAIR.public.point)
+    for call in range(100):
+        d, sig = cases[call % len(cases)]
+        assert public.verify(d, sig) == expected[call % len(cases)], call
+    for d, sig in cases:
+        assert public.verify(d, sig) == verify(d, sig, _KEYPAIR.public.point)
+    assert public == _KEYPAIR.public and hash(public) == hash(_KEYPAIR.public)
+    with pytest.raises(SignatureError):
+        public.verify(b"short", good)
+
+
+def test_public_key_builds_its_table_on_the_second_verification(curve_multiplications):
+    digest = keccak256(b"pk-counts")
+    signature = _KEYPAIR.sign(digest)
+    public = PublicKey(_KEYPAIR.public.point)
+    curve_multiplications.clear()
+    assert public.verify(digest, signature)
+    assert curve_multiplications == {"ladders": 1}
+    assert public.verify(digest, signature)
+    assert curve_multiplications == {"ladders": 1, "builds": 1, "prepared": 1}
+    for _ in range(3):
+        assert public.verify(digest, signature)
+    assert curve_multiplications == {"ladders": 1, "builds": 1, "prepared": 4}
 
 
 # --- hypothesis sweeps (slow lane) -----------------------------------------

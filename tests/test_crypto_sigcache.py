@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import TokenType
-from repro.crypto.ecdsa import Signature
+from repro.crypto.ecdsa import Signature, SignatureError
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import KeyPair, recover_address
+from repro.crypto import sigcache
+from repro.crypto.secp256k1 import N
 from repro.crypto.sigcache import DEFAULT_SIGNATURE_CACHE, SignatureCache
 
 KEYPAIR = KeyPair.from_seed("sigcache-key")
@@ -87,6 +89,18 @@ def test_stats_and_clear():
     assert stats["digest_entries"] == 1
     cache.clear()
     assert len(cache) == 0 and cache.hit_rate == 0.0
+
+
+def test_known_key_memo_shows_in_stats_and_clear_forgets_it():
+    cache = SignatureCache()
+    signature = KEYPAIR.sign(DIGEST)
+    for _ in range(3):
+        assert cache.signed_by(DIGEST, signature, KEYPAIR.address)
+    stats = cache.stats()
+    assert (stats["known_keys"], stats["key_checks"], stats["key_builds"]) == (1, 2, 1)
+    cache.clear()
+    stats = cache.stats()
+    assert (stats["known_keys"], stats["key_checks"], stats["key_builds"]) == (0, 0, 0)
 
 
 def test_invalid_maxsize_rejected():
@@ -206,3 +220,145 @@ def test_digests_for_hashes_only_the_misses_and_each_once(keccak_permutations, p
     # held datagram are hits.
     assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
     assert (cache.hits, cache.misses) == (33, 1 + 32)
+
+
+# --- known senders: signed_by ------------------------------------------------------
+
+
+def _parent_check(digest, signature, address) -> bool:
+    """What admission ran before the memo: ``Transaction.verify_signature``."""
+    try:
+        return recover_address(digest, signature) == address
+    except SignatureError:
+        return False
+
+
+def test_signed_by_costs_a_recovery_then_a_build_then_only_checks(curve_multiplications):
+    cache = SignatureCache()
+    digests = [keccak256(b"sight-%d" % i) for i in range(5)]
+    signatures = [KEYPAIR.sign(d) for d in digests]
+    counts = curve_multiplications
+    counts.clear()
+    assert cache.signed_by(digests[0], signatures[0], KEYPAIR.address)
+    assert counts == {"ladders": 1, "lifts": 1}  # the parent's work, nothing built
+    counts.clear()
+    assert cache.signed_by(digests[1], signatures[1], KEYPAIR.address)
+    assert counts == {"builds": 1, "prepared": 1}
+    counts.clear()
+    for digest, signature in zip(digests[2:], signatures[2:]):
+        assert cache.signed_by(digest, signature, KEYPAIR.address)
+    assert counts == {"prepared": 3}  # no ladder, no build, no square root
+    assert (cache.key_checks, cache.key_builds) == (4, 1)
+
+
+def test_a_forgery_under_a_known_name_is_refused_by_the_check_alone(curve_multiplications):
+    cache = SignatureCache()
+    forger = KeyPair.from_seed("sigcache-forger")
+    for i in range(2):
+        digest = keccak256(b"warm-%d" % i)
+        assert cache.signed_by(digest, KEYPAIR.sign(digest), KEYPAIR.address)
+    known = dict(cache._keys)
+    curve_multiplications.clear()
+    assert not cache.signed_by(DIGEST, forger.sign(DIGEST), KEYPAIR.address)
+    assert curve_multiplications == {"prepared": 1}  # final: no fallback recovery
+    assert dict(cache._keys) == known
+    # ... and the real sender is still recognised afterwards.
+    assert cache.signed_by(DIGEST, KEYPAIR.sign(DIGEST), KEYPAIR.address)
+
+
+def test_only_a_signature_that_matched_teaches_the_memo_a_key():
+    cache = SignatureCache()
+    victim = KeyPair.from_seed("sigcache-victim")
+    signature = KEYPAIR.sign(DIGEST)  # valid -- by KEYPAIR, not by the victim
+    assert not cache.signed_by(DIGEST, signature, victim.address)
+    assert cache.stats()["known_keys"] == 0  # neither key was learned
+    assert not cache.signed_by(DIGEST, Signature(2**200, 2**200, 0), victim.address)
+    assert cache.stats()["known_keys"] == 0
+    assert cache.signed_by(DIGEST, victim.sign(DIGEST), victim.address)
+    assert list(cache._keys) == [victim.address]
+
+
+def test_signed_by_answers_like_the_parent_on_the_mutation_set():
+    cache = SignatureCache()
+    other = KeyPair.from_seed("sigcache-other")
+    digest = keccak256(b"mutations")
+    good = KEYPAIR.sign(digest)
+    cases = [
+        (digest, good, KEYPAIR.address),
+        (digest, Signature(good.r, good.s, good.v ^ 1), KEYPAIR.address),
+        (digest, Signature(good.r, N - good.s, good.v ^ 1), KEYPAIR.address),  # high-s twin
+        (digest, Signature(good.r, N - good.s, good.v), KEYPAIR.address),
+        (DIGEST, good, KEYPAIR.address),
+        (digest, other.sign(digest), KEYPAIR.address),
+        (digest, good, other.address),
+        (b"short", good, KEYPAIR.address),
+    ]
+    expected = [_parent_check(*case) for case in cases]
+    # Recovery has no low-s rule, so neither has admission: the twin is the sender's.
+    assert expected == [True, False, True, False, False, False, False, False]
+    for sight in range(3):  # unknown, known without a table, known with one
+        assert [cache.signed_by(*case) for case in cases] == expected, sight
+
+
+def test_the_memo_is_bounded_and_an_evicted_sender_is_a_first_sight_again(
+    monkeypatch, curve_multiplications
+):
+    monkeypatch.setattr(sigcache, "KNOWN_KEY_CAPACITY", 4)
+    cache = SignatureCache()
+    senders = [KeyPair.from_seed(f"sigcache-churn-{i}") for i in range(40)]
+    for sender in senders:
+        assert cache.signed_by(DIGEST, sender.sign(DIGEST), sender.address)
+        assert cache.stats()["known_keys"] <= 4
+    assert list(cache._keys) == [sender.address for sender in senders[-4:]]
+    assert cache.key_builds == 0  # nobody came back: the parent's work, no table
+    curve_multiplications.clear()
+    assert cache.signed_by(DIGEST, senders[0].sign(DIGEST), senders[0].address)
+    assert curve_multiplications == {"ladders": 1, "lifts": 1}
+    # Least recently *seen*, not least recently learned, goes first.
+    assert cache.signed_by(DIGEST, senders[-3].sign(DIGEST), senders[-3].address)
+    newcomer = KeyPair.from_seed("sigcache-churn-new")
+    assert cache.signed_by(DIGEST, newcomer.sign(DIGEST), newcomer.address)
+    assert senders[-3].address in cache._keys and senders[-2].address not in cache._keys
+
+
+def test_signed_by_moves_no_lookup_counter_and_no_length():
+    """The frozen ledger reads ``hits`` / ``misses`` / ``len()`` for
+    ``crypto.sigcache.*``: the key memo is not a lookup of a cached answer."""
+    cache = SignatureCache()
+    cache.digest_for(b"x")
+    cache.digest_for(b"x")
+    before = (cache.hits, cache.misses, len(cache))
+    for i in range(3):
+        digest = keccak256(b"quiet-%d" % i)
+        assert cache.signed_by(digest, KEYPAIR.sign(digest), KEYPAIR.address)
+    assert not cache.signed_by(DIGEST, KEYPAIR.sign(DIGEST), b"\x11" * 20)
+    assert (cache.hits, cache.misses, len(cache)) == before
+
+
+def _footprint(obj, seen) -> int:
+    """``sys.getsizeof`` summed over every distinct object reachable from ``obj``."""
+    import sys
+
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        size += sum(_footprint(item, seen) for item in obj)
+    return size
+
+
+def test_a_prepared_key_is_at_most_12_kb_and_a_full_memo_that_times_its_capacity(monkeypatch):
+    from repro.crypto.secp256k1 import prepare_point
+
+    per_key = 12 * 1024
+    assert _footprint(prepare_point(KEYPAIR.public.point), set()) <= per_key
+    assert sigcache.KNOWN_KEY_CAPACITY == 1024  # Fig. 6's whitelist: <= 12 MB when full
+    monkeypatch.setattr(sigcache, "KNOWN_KEY_CAPACITY", 6)
+    cache = SignatureCache()
+    for i in range(8):
+        sender = KeyPair.from_seed(f"sigcache-footprint-{i}")
+        for _ in range(2):  # twice: every resident key carries its table
+            assert cache.signed_by(DIGEST, sender.sign(DIGEST), sender.address)
+    assert cache.stats()["known_keys"] == 6
+    assert _footprint(list(cache._keys.values()), set()) <= 6 * per_key

@@ -65,6 +65,12 @@ def test_trace_driven_loop_executes_cleanly(env, cache):
     assert env["chain"].read(env["recorder"], "entries") == 25
     stats = pipeline.stats()
     assert stats["mempool"]["rejected"] == {}
+    # The known-sender memo is visible where the cache's other books are:
+    # every sender learned once, every later transaction a key check.
+    memo = stats["signature_cache"]
+    senders = len({tx.sender for tx in txs})
+    assert (memo["known_keys"], memo["key_checks"]) == (senders, 25 - senders)
+    assert 1 <= memo["key_builds"] <= senders
 
 
 def test_prewarm_hits_for_issuance_primed_tokens(env, cache):

@@ -452,21 +452,128 @@ def test_refusal_precedence_when_two_checks_fail(
 
 
 def test_replayed_index_is_refused_without_curve_math(
-    mempool, client, protected, service, monkeypatch
+    mempool, client, protected, service, curve_multiplications
 ):
-    from repro.crypto import secp256k1
-
     spent = _ledger_shaped_tx(client, protected, service, nonce=0)
     assert mempool.admit(spent).admitted
     replay = _ledger_shaped_tx(client, protected, service, nonce=1)
     replay.kwargs["token"] = spent.kwargs["token"]
     replay.sign_with(client.keypair)
 
-    def no_ladder(*_args):
-        raise AssertionError("a replayed index reached the signature recovery")
-
-    monkeypatch.setattr(secp256k1, "_jacobian_shamir_glv", no_ladder)
+    curve_multiplications.clear()
     assert mempool.admit(replay).reason == "duplicate one-time index in pool"
+    # Neither a recovery nor the known sender's table check was reached.
+    assert sum(curve_multiplications.values()) == 0
+
+
+# --- a sender seen twice is a fixed base ----------------------------------------------
+
+
+def test_admission_recovers_a_new_sender_once_then_checks_against_its_key(
+    mempool, cache, client, protected, service, curve_multiplications
+):
+    """Counts, not clocks: the first admission from a sender is the parent's
+    one recovery, the second builds the key's table, and from the third on
+    nothing but the prepared check runs."""
+    txs = [_ledger_shaped_tx(client, protected, service, nonce=n) for n in range(5)]
+    counts = curve_multiplications
+    counts.clear()
+    assert mempool.admit(txs[0]).admitted
+    assert counts == {"ladders": 1, "lifts": 1}
+    counts.clear()
+    assert mempool.admit(txs[1]).admitted
+    assert counts == {"builds": 1, "prepared": 1}
+    counts.clear()
+    assert [d.admitted for d in mempool.admit_many(txs[2:])] == [True] * 3
+    assert counts == {"prepared": 3}
+    stats = cache.stats()
+    assert (stats["known_keys"], stats["key_checks"], stats["key_builds"]) == (1, 4, 1)
+
+
+def test_forgery_under_a_known_sender_costs_one_check_and_changes_nothing(
+    mempool, cache, client, protected, service, curve_multiplications
+):
+    for nonce in range(2):
+        assert mempool.admit(_ledger_shaped_tx(client, protected, service, nonce)).admitted
+    known = dict(cache._keys)
+    forged = _forged(_ledger_shaped_tx(client, protected, service, nonce=2))
+    curve_multiplications.clear()
+    assert mempool.admit(forged).reason == "invalid signature"
+    assert curve_multiplications == {"prepared": 1}
+    assert dict(cache._keys) == known
+    assert mempool.admit(_ledger_shaped_tx(client, protected, service, nonce=2)).admitted
+
+
+def test_a_valid_signature_under_somebody_elses_name_teaches_no_key(
+    mempool, cache, batch_chain, protected
+):
+    ghost = KeyPair.from_seed("never-seen")
+    tx = Transaction(sender=ghost.address, to=protected.this, nonce=0)
+    assert mempool.admit(_forged(tx)).reason == "invalid signature"
+    assert cache.stats()["known_keys"] == 0  # neither the forger's key nor the ghost's
+
+
+def test_admission_leaves_the_lookup_counters_as_verify_signature_did(
+    mempool, cache, client, protected, service
+):
+    """``crypto.sigcache.hit_ratio`` / ``misses_per_tx`` / ``entries`` in the
+    frozen ledger read ``hits`` / ``misses`` / ``len()``: a sender's second
+    and third admission move them exactly as the first -- which is the
+    parent's path -- does."""
+    moves = []
+    for nonce in range(3):
+        tx = _ledger_shaped_tx(client, protected, service, nonce)
+        before = (cache.hits, cache.misses, len(cache))
+        assert mempool.admit(tx).admitted
+        moves.append(tuple(b - a for a, b in zip(before, (cache.hits, cache.misses, len(cache)))))
+    assert moves[1] == moves[2] == moves[0]
+
+
+def test_decisions_match_the_recover_and_compare_oracle(
+    mempool, cache, batch_chain, protected, service, monkeypatch
+):
+    """Three senders x four transactions, then a forged, an unsigned and a
+    wrong-``v`` one, through ``admit_many`` and through a second pool whose
+    signature check is the parent's ``tx.verify_signature()``: identical
+    decisions and reject counters."""
+    from repro.crypto.ecdsa import Signature
+
+    batch_chain.auto_mine = True
+    senders = [batch_chain.create_account(f"s{i}", seed=f"pool-oracle-{i}") for i in range(3)]
+    batch_chain.auto_mine = False
+    txs = [
+        _ledger_shaped_tx(sender, protected, service, nonce)
+        for nonce in range(4)
+        for sender in senders
+    ]
+    # Mid-stream, under the nonce the pool expects next from a sender it knows.
+    forged = _forged(_ledger_shaped_tx(senders[0], protected, service, nonce=3))
+    unsigned = _ledger_shaped_tx(senders[1], protected, service, nonce=4)
+    unsigned.signature = None
+    wrong_v = _ledger_shaped_tx(senders[2], protected, service, nonce=4)
+    good = wrong_v.signature
+    wrong_v.signature = Signature(good.r, good.s, good.v ^ 1)
+    stranger = _forged(
+        Transaction(sender=KeyPair.from_seed("stranger").address, to=protected.this, nonce=0)
+    )
+    txs = txs[:7] + [forged] + txs[7:] + [unsigned, wrong_v, stranger]
+
+    decisions = mempool.admit_many(txs)
+    # Every signed transaction from a sender already admitted once went
+    # through the known-key check, the two forgeries among them.
+    assert cache.key_checks == 9 + 2
+
+    oracle = Mempool(batch_chain, signature_cache=cache)
+    by_digest = {tx.signing_digest(): tx for tx in txs}
+    monkeypatch.setattr(
+        cache,
+        "signed_by",
+        lambda digest, signature, address: by_digest[digest].verify_signature(),
+    )
+    assert not unsigned.verify_signature()
+    assert oracle.admit_many(txs) == decisions
+    assert oracle.rejected == mempool.rejected == {"invalid signature": 4}
+    assert [d.admitted for d in decisions].count(True) == 12
 
 
 def test_unauthenticated_sender_never_grows_the_world_state(mempool, batch_chain, protected):

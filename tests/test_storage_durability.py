@@ -447,9 +447,10 @@ def test_replaying_spent_one_time_tokens_hashes_nothing_and_multiplies_nothing(
 
     node2 = _node()
     store2 = DurableStore(workdir, "sqlite")
-    keccak_permutations[0] = curve_multiplications[0] = 0
+    keccak_permutations[0] = 0
+    curve_multiplications.clear()
     report = store2.recover_into(node2.pipeline)
-    assert (keccak_permutations[0], curve_multiplications[0]) == (0, 0)
+    assert (keccak_permutations[0], sum(curve_multiplications.values())) == (0, 0)
     assert report.state_root == final_root
     assert sum(len(block.transactions) for block in report.blocks) == 12
     assert (report.mempool_seen, report.signatures_primed) == (0, 0)
