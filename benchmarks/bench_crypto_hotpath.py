@@ -7,9 +7,12 @@ times the primitives that path is built from:
 
 * ``sign``             -- RFC-6979 issuance signature (8-bit signed-window
   fixed-base table: at most 33 mixed additions per ``k*G``);
-* ``sign_batch``       -- the same signatures with the block's two inversions
-  shared, per signature on a block of ``SMACS_CRYPTO_BLOCK`` digests (what a
-  Token Service envelope runs);
+* ``sign_batch``       -- the same signatures with the block's ``k*G`` sums
+  added affine, one shared inversion per tree level, per signature on a block
+  of ``SMACS_CRYPTO_BLOCK`` digests (what a Token Service envelope runs), and
+  ``generator_multiply_batch``, the curve half of it, per scalar;
+* ``sign pair``        -- ``sign_batch`` on two digests beside two ``sign``
+  calls over the same digests: the crossover's other side;
 * ``verify``           -- the GLV four-stream dual-scalar ladder;
 * ``recover``          -- one-pass ``Q = (s*r^-1)*R + (-z*r^-1)*G`` on that
   same ladder;
@@ -36,6 +39,9 @@ Acceptance (asserted here, regression-gated in CI via
 
 * single ``recover`` >= 2.9x the reference implementation (the 256-doubling
   ladder this kernel replaced measured 2.72x);
+* ``sign_batch`` >= 1.4x ``sign`` per signature (1.19x when the block shared
+  only its two trailing inversions), and a block of two not slower than two
+  ``sign`` calls (>= 0.97x: the crossover is 2);
 * ``recovers_to`` >= 1.6x ``recover`` (what a returning sender saves);
 * table build + one check <= 1.25x one ``recover`` (what a sender that
   returns exactly once costs extra);
@@ -59,7 +65,7 @@ from benchmarks.conftest import env_int, report
 from repro.crypto.ecdsa import recover, recover_batch, recover_reference, recovers_to, verify
 from repro.crypto.keccak import keccak256, keccak256_many
 from repro.crypto.keys import KeyPair, recover_address
-from repro.crypto.secp256k1 import prepare_point
+from repro.crypto.secp256k1 import N, generator_multiply_batch, prepare_point
 from repro.crypto.sigcache import SignatureCache
 
 OPS = env_int("SMACS_CRYPTO_OPS", 32)
@@ -84,6 +90,13 @@ def _timed(run) -> float:
     return time.perf_counter() - start
 
 
+def _best_times_interleaved(first, second) -> "tuple[float, float]":
+    """Best of ``ROUNDS`` for each of two runs, taken turn by turn so both
+    sides of their ratio see the same machine."""
+    times = [(_timed(first), _timed(second)) for _ in range(ROUNDS)]
+    return min(a for a, _ in times), min(b for _, b in times)
+
+
 def test_crypto_hotpath(benchmark):
     digests = [keccak256(b"hotpath-%d" % i) for i in range(max(OPS, BLOCK))]
     signatures = {d: KEYPAIR.sign(d) for d in digests}
@@ -104,6 +117,17 @@ def test_crypto_hotpath(benchmark):
         rates["sign_batch"] = _best_rate(
             BLOCK, lambda: KEYPAIR.sign_batch([d for d, _ in block])
         )
+        scalars = [int.from_bytes(d, "big") % N for d, _ in block]
+        rates["generator_multiply_batch"] = _best_rate(
+            BLOCK, lambda: generator_multiply_batch(scalars)
+        )
+        couples = [[a, b] for (a, _), (b, _) in zip(single[::2], single[1::2])]
+        pair_time, alone_time = _best_times_interleaved(
+            lambda: [KEYPAIR.sign_batch(two) for two in couples],
+            lambda: [[KEYPAIR.sign(d) for d in two] for two in couples],
+        )
+        rates["sign_pair"] = 2 * len(couples) / pair_time
+        rates["sign_pair_alone"] = 2 * len(couples) / alone_time
         rates["verify"] = _best_rate(
             OPS, lambda: [verify(d, s, public) for d, s in single]
         )
@@ -127,15 +151,12 @@ def test_crypto_hotpath(benchmark):
             cache = SignatureCache()  # empty: every sender is new to it
             assert all([cache.signed_by(d, s, address) for d, s, address in cold])
 
-        # Interleaved, so both sides of the ratio see the same machine.
-        cold_times, parent_times = [], []
-        for _ in range(ROUNDS):
-            cold_times.append(_timed(first_sights))
-            parent_times.append(
-                _timed(lambda: [recover_address(d, s) == address for d, s, address in cold])
-            )
-        rates["cold_senders"] = OPS / min(cold_times)
-        rates["cold_senders_parent"] = OPS / min(parent_times)
+        cold_time, parent_time = _best_times_interleaved(
+            first_sights,
+            lambda: [recover_address(d, s) == address for d, s, address in cold],
+        )
+        rates["cold_senders"] = OPS / cold_time
+        rates["cold_senders_parent"] = OPS / parent_time
         payload = b"\xd5" * 1024
         keccak_rate = _best_rate(64, lambda: [keccak256(payload) for _ in range(64)])
         rates["keccak_mb_per_sec"] = keccak_rate * len(payload) / 1e6
@@ -147,6 +168,8 @@ def test_crypto_hotpath(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
+    sign_batch_speedup = rates["sign_batch"] / rates["sign"]
+    pair_relative = rates["sign_pair"] / rates["sign_pair_alone"]
     recover_speedup = rates["recover"] / rates["recover_reference"]
     batch_speedup = rates["recover_batch"] / rates["recover"]
     known_key_speedup = rates["recovers_to"] / rates["recover"]
@@ -159,6 +182,9 @@ def test_crypto_hotpath(benchmark):
         f"{'operation':<24}{'ops/s':>12}",
         f"{'sign':<24}{rates['sign']:>12.1f}",
         f"{'sign_batch /sig':<24}{rates['sign_batch']:>12.1f}",
+        f"{'k*G batch /scalar':<24}{rates['generator_multiply_batch']:>12.1f}",
+        f"{'sign pair /sig':<24}{rates['sign_pair']:>12.1f}",
+        f"{'  two signs /sig':<24}{rates['sign_pair_alone']:>12.1f}",
         f"{'verify':<24}{rates['verify']:>12.1f}",
         f"{'recover (reference)':<24}{rates['recover_reference']:>12.1f}",
         f"{'recover (GLV ladder)':<24}{rates['recover']:>12.1f}",
@@ -170,6 +196,8 @@ def test_crypto_hotpath(benchmark):
         f"{'keccak 80B datagram':<24}{rates['keccak_short']:>12.1f}",
         f"{'keccak256_many /msg':<24}{rates['keccak_many_short']:>12.1f}",
         f"keccak 1KiB payloads: {rates['keccak_mb_per_sec']:.2f} MB/s",
+        f"sign_batch ({BLOCK} digests) vs sign: {sign_batch_speedup:.2f}x",
+        f"sign_batch on two digests vs two signs: {pair_relative:.2f}x",
         f"recover speedup vs reference: {recover_speedup:.2f}x",
         f"batch ({BLOCK} sigs) vs looped recover, same kernel: {batch_speedup:.2f}x",
         f"known-key check vs recover: {known_key_speedup:.2f}x",
@@ -184,6 +212,11 @@ def test_crypto_hotpath(benchmark):
             "block_size": BLOCK,
             "sign_ops_per_sec": round(rates["sign"], 1),
             "sign_batch_ops_per_sec": round(rates["sign_batch"], 1),
+            "generator_multiply_batch_ops_per_sec": round(
+                rates["generator_multiply_batch"], 1
+            ),
+            "sign_batch_speedup_vs_sign": round(sign_batch_speedup, 2),
+            "sign_pair_vs_two_signs": round(pair_relative, 3),
             "verify_ops_per_sec": round(rates["verify"], 1),
             "recover_ops_per_sec": round(rates["recover"], 1),
             "recover_reference_ops_per_sec": round(
@@ -209,6 +242,10 @@ def test_crypto_hotpath(benchmark):
     # Acceptance: the GLV ladder must decisively beat the seed's
     # three-multiplication recovery on the single-signature path.
     assert recover_speedup >= 2.9, f"recover only {recover_speedup:.2f}x the reference"
+    # The affine tree: what a block saves per signature, and that the
+    # crossover sits where the code says (two digests already share enough).
+    assert sign_batch_speedup >= 1.4, f"sign_batch only {sign_batch_speedup:.2f}x sign"
+    assert pair_relative >= 0.97, f"a block of two at {pair_relative:.3f}x two signs"
     # ... and the three prices of the known-sender memo, as ratios within
     # this run: a returning sender, one that returns once, one that never does.
     assert known_key_speedup >= 1.6, f"recovers_to only {known_key_speedup:.2f}x recover"

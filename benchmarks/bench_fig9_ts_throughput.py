@@ -58,11 +58,17 @@ def _workload(token_type: TokenType, one_time: bool) -> TokenRequestWorkload:
 
 
 def _throughput(service: TokenService, requests) -> float:
-    start = time.perf_counter()
-    results = service.submit(requests)
-    elapsed = time.perf_counter() - start
-    assert all(r.issued for r in results)
-    return len(results) / elapsed
+    """Requests per second through one submission; the best of a few for the
+    batches short enough (a 100-request batch is ~20 ms) that one scheduler
+    hiccup would otherwise decide the saturation check."""
+    best = 0.0
+    for _ in range(max(1, min(5, 300 // len(requests)))):
+        start = time.perf_counter()
+        results = service.submit(requests)
+        elapsed = time.perf_counter() - start
+        assert all(r.issued for r in results)
+        best = max(best, len(results) / elapsed)
+    return best
 
 
 @pytest.mark.parametrize("label,token_type,one_time", SERIES)
@@ -109,11 +115,23 @@ def test_fig9_full_figure(benchmark):
         )
     report("fig9_ts_throughput", lines)
 
+    # The paper's shape, not its absolute height (it saturates near 200 req/s
+    # on a Node.js server; this curve's height is whatever the crypto kernels
+    # reach): every series rises with the batch size, absorbs Ethereum's peak
+    # load (48 tx/s, SVI-B), and has flattened by batch 1,000 ...
     for label, _, _ in SERIES:
         series = table[label]
-        assert series[batch_sizes[-1]] > series[1]
-        # Saturated throughput lands in the hundreds-of-requests/s regime.
-        assert 50 < series[batch_sizes[-1]] < 5000
+        assert series[batch_sizes[-1]] > series[1] > 48
+        if 1000 in series:
+            assert series[1000] < 1.25 * series[100], f"{label} has not saturated"
+    # ... and the one-time series carries the surcharge (a counter round on
+    # top of the same signature), so no reusable series may sit below it
+    # (10 % for noise) once batches amortise the session overhead.
+    for size in batch_sizes:
+        if size >= 100:
+            floor = 0.9 * table["argument-one-time"][size]
+            for label, _, one_time in SERIES:
+                assert one_time or table[label][size] >= floor, (label, size)
 
 
 def test_fig9_denied_requests_do_not_crash_batches(benchmark):

@@ -51,6 +51,7 @@ GATES: "dict[str, dict[str, Any]]" = {
         "higher": (
             "sign_ops_per_sec",
             "sign_batch_ops_per_sec",
+            "generator_multiply_batch_ops_per_sec",
             "verify_ops_per_sec",
             "recover_ops_per_sec",
             "recover_batch_ops_per_sec",
@@ -62,8 +63,10 @@ GATES: "dict[str, dict[str, Any]]" = {
             "keccak_many_short_ops_per_sec",
             "recover_speedup_vs_reference",
             "known_key_speedup_vs_recover",
+            "sign_batch_speedup_vs_sign",
         ),
         "context": (
+            "sign_pair_vs_two_signs",
             "recover_reference_ops_per_sec",
             "second_sight_cost_vs_recover",
             "cold_senders_vs_parent",

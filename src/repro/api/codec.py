@@ -26,7 +26,11 @@ hex, and argument values as JSON scalars with a ``{"$bytes": ...}`` tag for
 byte strings -- the values an :class:`~repro.core.acr.ArgumentRule` can bind.
 Anything undecodable raises :class:`~repro.core.errors.SmacsError` with
 ``MALFORMED_REQUEST``; codec errors never escape as bare ``KeyError`` /
-``ValueError``.
+``ValueError`` -- nor as ``RecursionError``: both lanes refuse an envelope
+that nests more than :data:`MAX_ENVELOPE_DEPTH` containers ("envelope nested
+too deeply"), the binary reader as it descends, the JSON lane on the decoded
+value (and by mapping the parser's own ``RecursionError``), so the two lanes
+accept exactly the same envelopes.
 """
 
 from __future__ import annotations
@@ -55,9 +59,20 @@ CODECS = (CODEC_JSON, CODEC_BINARY)
 #: text, so the lane is identifiable from the first byte)
 BINARY_MAGIC = b"\xc5SB"
 
+#: containers (objects, lists) an envelope may nest, the envelope itself
+#: counted, in either lane.  The protocol's own envelopes are 5-6 deep and an
+#: argument value may nest a little further; both decoders recurse, so the
+#: cap sits far below the interpreter's recursion limit (1,000 frames) and a
+#: frame of nothing but openers is refused, not a ``RecursionError``.
+MAX_ENVELOPE_DEPTH = 64
+
 
 def _malformed(detail: str) -> SmacsError:
     return SmacsError(detail, ErrorCode.MALFORMED_REQUEST)
+
+
+def _too_deep() -> SmacsError:
+    return _malformed("envelope nested too deeply")
 
 
 def sniff_codec(raw: bytes) -> str:
@@ -213,6 +228,9 @@ _TAG_DICT = 0x08
 
 
 def _pack_varint(value: int, out: bytearray) -> None:
+    if value < 0x80:  # every length and count of an ordinary envelope
+        out.append(value)
+        return
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -264,35 +282,78 @@ def _pack_value(value: Any, out: bytearray) -> None:
         raise _malformed(f"value of type {type(value).__name__} is not wire-safe")
 
 
-class _Unpacker:
-    """Cursor-based TLV reader; every violation is ``MALFORMED_REQUEST``."""
+def _unpack_value(raw: bytes, offset: int, depth_limit: int) -> "tuple[Any, int]":
+    """Read one TLV value at ``offset``: ``(value, offset past it)``.
 
-    def __init__(self, raw: bytes, offset: int) -> None:
-        self.raw = raw
-        self.offset = offset
+    Every violation is ``MALFORMED_REQUEST``.  The cursor is a closure
+    variable and tags and one-byte varints -- all an ordinary envelope has --
+    are read by index, so only payloads are sliced.
+    """
+    size = len(raw)
 
-    def _take(self, count: int) -> bytes:
-        end = self.offset + count
-        if end > len(self.raw):
+    def varint() -> int:
+        nonlocal offset
+        result = shift = 0
+        try:
+            while True:
+                byte = raw[offset]
+                offset += 1
+                if byte < 0x80:
+                    return result | byte << shift
+                result |= (byte & 0x7F) << shift
+                shift += 7
+                if shift > 10_000 * 7:  # a continuation run this long is an attack
+                    raise _malformed("binary envelope varint too long")
+        except IndexError:
+            raise _malformed("binary envelope truncated") from None
+
+    def take(count: int) -> bytes:
+        nonlocal offset
+        end = offset + count
+        if end > size:
             raise _malformed("binary envelope truncated")
-        chunk = self.raw[self.offset:end]
-        self.offset = end
+        chunk = raw[offset:end]
+        offset = end
         return chunk
 
-    def _varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            byte = self._take(1)[0]
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 10_000 * 7:  # a continuation run this long is an attack
-                raise _malformed("binary envelope varint too long")
+    def string() -> str:
+        nonlocal offset
+        # Keys and strings are most of an envelope: their (nearly always
+        # one-byte) length is read in place, not through varint() and take().
+        if offset < size and raw[offset] < 0x80:
+            end = offset + 1 + raw[offset]
+            start = offset + 1
+        else:
+            length = varint()
+            start, end = offset, offset + length
+        if end > size:
+            raise _malformed("binary envelope truncated")
+        offset = end
+        try:
+            return raw[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _malformed(f"binary envelope string is not UTF-8: {exc}") from exc
 
-    def value(self) -> Any:
-        tag = self._take(1)[0]
+    def value(depth: int) -> Any:
+        nonlocal offset
+        try:
+            tag = raw[offset]
+        except IndexError:
+            raise _malformed("binary envelope truncated") from None
+        offset += 1
+        if tag == _TAG_STR:
+            return string()
+        if tag == _TAG_DICT or tag == _TAG_LIST:
+            if depth >= depth_limit:
+                raise _too_deep()
+            depth += 1
+            if tag == _TAG_LIST:
+                return [value(depth) for _ in range(varint())]
+            result: dict[str, Any] = {}
+            for _ in range(varint()):
+                key = string()
+                result[key] = value(depth)
+            return result
         if tag == _TAG_NONE:
             return None
         if tag == _TAG_TRUE:
@@ -300,30 +361,15 @@ class _Unpacker:
         if tag == _TAG_FALSE:
             return False
         if tag == _TAG_INT:
-            zigzag = self._varint()
+            zigzag = varint()
             return zigzag // 2 if zigzag % 2 == 0 else -(zigzag // 2) - 1
         if tag == _TAG_FLOAT:
-            return cast(float, struct.unpack(">d", self._take(8))[0])
-        if tag == _TAG_STR:
-            return self._utf8(self._take(self._varint()))
+            return cast(float, struct.unpack(">d", take(8))[0])
         if tag == _TAG_BYTES:
-            return bytes(self._take(self._varint()))
-        if tag == _TAG_LIST:
-            return [self.value() for _ in range(self._varint())]
-        if tag == _TAG_DICT:
-            result: dict[str, Any] = {}
-            for _ in range(self._varint()):
-                key = self._utf8(self._take(self._varint()))
-                result[key] = self.value()
-            return result
+            return bytes(take(varint()))
         raise _malformed(f"unknown binary tag 0x{tag:02x}")
 
-    @staticmethod
-    def _utf8(raw: bytes) -> str:
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _malformed(f"binary envelope string is not UTF-8: {exc}") from exc
+    return value(0), offset
 
 
 def _pack_envelope(envelope: Mapping[str, Any]) -> bytes:
@@ -333,18 +379,17 @@ def _pack_envelope(envelope: Mapping[str, Any]) -> bytes:
     return bytes(out)
 
 
-def _unpack_envelope(raw: bytes) -> dict[str, Any]:
+def _unpack_envelope(raw: bytes, depth_limit: int) -> dict[str, Any]:
     version = raw[len(BINARY_MAGIC)] if len(raw) > len(BINARY_MAGIC) else None
     if version != WIRE_VERSION:
         raise SmacsError(
             f"unsupported wire version {version!r} (this endpoint speaks {WIRE_VERSION})",
             ErrorCode.UNSUPPORTED,
         )
-    unpacker = _Unpacker(raw, len(BINARY_MAGIC) + 1)
-    envelope = unpacker.value()
+    envelope, end = _unpack_value(raw, len(BINARY_MAGIC) + 1, depth_limit)
     if not isinstance(envelope, dict):
         raise _malformed("binary envelope must be an object")
-    if unpacker.offset != len(raw):
+    if end != len(raw):
         raise _malformed("binary envelope carries trailing bytes")
     return cast("dict[str, Any]", envelope)
 
@@ -412,10 +457,13 @@ class Request(NamedTuple):
 def decode_request_full(raw: bytes) -> Request:
     """Decode a request envelope with every optional field (the one decoder)."""
     lane = sniff_codec(raw)
+    # An answer echoes each request one level further down than it arrived,
+    # so a request is held to one level less than the answer may have.
+    depth_limit = MAX_ENVELOPE_DEPTH - 1
     if lane == CODEC_BINARY:
-        envelope = _unpack_envelope(raw)
+        envelope = _unpack_envelope(raw, depth_limit)
     else:
-        envelope = _load_json(raw)
+        envelope = _load_json(raw, depth_limit)
         version = envelope.get("smacs")
         if version != WIRE_VERSION:
             raise SmacsError(
@@ -452,9 +500,9 @@ def encode_error_envelope(error: SmacsError, *, codec: str = CODEC_JSON) -> byte
 def decode_response_envelope(raw: bytes) -> dict[str, Any]:
     """Unwrap a response; a carried gateway-level error is raised as-is."""
     if sniff_codec(raw) == CODEC_BINARY:
-        envelope = _unpack_envelope(raw)
+        envelope = _unpack_envelope(raw, MAX_ENVELOPE_DEPTH)
     else:
-        envelope = _load_json(raw)
+        envelope = _load_json(raw, MAX_ENVELOPE_DEPTH)
         if envelope.get("smacs") != WIRE_VERSION:
             raise SmacsError(
                 f"unsupported wire version {envelope.get('smacs')!r}", ErrorCode.UNSUPPORTED
@@ -467,14 +515,32 @@ def decode_response_envelope(raw: bytes) -> dict[str, Any]:
     return cast("dict[str, Any]", body)
 
 
-def _load_json(raw: bytes) -> dict[str, Any]:
+def _load_json(raw: bytes, depth_limit: int) -> dict[str, Any]:
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _malformed(f"envelope is not valid JSON: {exc}") from exc
+    except RecursionError:  # the parser ran out of stack before the cap could look
+        raise _too_deep() from None
     if not isinstance(payload, dict):
         raise _malformed("envelope must be a JSON object")
-    return cast("dict[str, Any]", payload)
+    # The binary reader's cap, so both lanes accept the same envelopes.  Every
+    # level costs the text an opener, so most envelopes cannot reach the cap
+    # and skip the walk; ``level`` holds the containers one level further down
+    # each round.
+    if raw.count(b"{") + raw.count(b"[") <= depth_limit:
+        return cast("dict[str, Any]", payload)
+    level: list[Any] = [payload]
+    for _ in range(depth_limit):
+        level = [
+            child
+            for node in level
+            for child in (node.values() if isinstance(node, dict) else node)
+            if isinstance(child, (dict, list))
+        ]
+        if not level:
+            return cast("dict[str, Any]", payload)
+    raise _too_deep()
 
 
 __all__ = [
@@ -482,6 +548,7 @@ __all__ = [
     "CODECS",
     "CODEC_BINARY",
     "CODEC_JSON",
+    "MAX_ENVELOPE_DEPTH",
     "Request",
     "WIRE_VERSION",
     "decode_issuance_result",

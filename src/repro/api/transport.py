@@ -320,6 +320,8 @@ class GatewayServer:
                         request = self.gateway.arrive(payload)
                     except SmacsError as error:  # answered on the read loop
                         self.frames_shed += error.code in _SHED_CODES
+                        # Well framed, so the connection stays usable.
+                        self.malformed_frames += error.code is ErrorCode.MALFORMED_REQUEST
                         response = codec.encode_error_envelope(
                             error, codec=codec.reply_codec(payload)
                         )

@@ -166,47 +166,63 @@ class TokenService:
         """Evaluate the request against the rules of its token type."""
         return self.rules.evaluate(request)
 
-    def _reusable_token(self, request: TokenRequest, expire: int) -> Token:
-        """A token without the one-time property, through the memo path."""
-        if self.signature_cache is None:
-            return self._sign_reusable(request, expire)
+    def _reusable_tokens(self, requests: Sequence[TokenRequest], expire: int) -> list[Token]:
+        """Tokens without the one-time property, through the memo path.
+
+        With a cache this is the per-request chain (token memo, then
+        ``digest_for``, then ``signature_for``) with the envelope's misses
+        hashed and signed together: the same tokens, and the cache's books
+        are the loop's.  (One corner differs in LRU order only: an entry the
+        envelope's own stores evict before the envelope needs it -- a cache
+        smaller than the envelope -- is rebuilt alone, so its digest and
+        signature lookups come after the others'.)
+        """
+        cache = self.signature_cache
+        if cache is None:
+            return self._tokens(requests, expire)
         # A replayed request within the same lifetime window reproduces a
         # byte-identical token (signing is deterministic), so the whole
         # datagram/digest/sign chain collapses to one LRU lookup.
-        key = ("token", self.keypair.address, expire, request.encode())
-        return self.signature_cache.memoize(key, lambda: self._sign_reusable(request, expire))
+        keys = [("token", self.keypair.address, expire, request.encode()) for request in requests]
+        request_of = dict(zip(keys, requests))
+        return cache.memoize_many(
+            keys, lambda missing: self._tokens([request_of[key] for key in missing], expire)
+        )
 
-    def _sign_reusable(self, request: TokenRequest, expire: int) -> Token:
-        datagram = _datagram(request, expire, ONE_TIME_UNSET)
-        if self.signature_cache is not None:
-            # The deterministic signature is worth memoizing (signature_for
-            # primes the recovery side as well).
-            digest = self.signature_cache.digest_for(datagram)
-            signature = self.signature_cache.signature_for(self.keypair, digest)
-        else:
-            signature = self.keypair.sign(keccak256(datagram))
-        return Token(request.token_type, expire, ONE_TIME_UNSET, signature)
-
-    def _one_time_tokens(
-        self, requests: Sequence[TokenRequest], expire: int, indexes: Sequence[int]
+    def _tokens(
+        self,
+        requests: Sequence[TokenRequest],
+        expire: int,
+        indexes: "Sequence[int] | None" = None,
     ) -> list[Token]:
-        """Datagrams, digests, one batch signature, cache priming (Fig. 3)."""
+        """Datagrams, digests, one batch signature, cache priming (Fig. 3).
+
+        ``indexes`` are the one-time indexes of the requests; ``None`` builds
+        reusable tokens (the index field unset).
+        """
+        one_time = indexes is not None
+        if indexes is None:
+            indexes = [ONE_TIME_UNSET] * len(requests)
         datagrams = [
             _datagram(request, expire, index) for request, index in zip(requests, indexes)
         ]
         cache = self.signature_cache
-        digests = (
-            cache.digests_for(datagrams) if cache is not None else keccak256_many(datagrams)
-        )
-        signatures = self.keypair.sign_batch(digests)
-        if cache is not None:
+        if cache is None:
+            signatures = self.keypair.sign_batch(keccak256_many(datagrams))
+        elif one_time:
             # One-time datagrams are unique by construction (fresh index), so
             # memoizing the *signing* step would only evict reusable entries
             # -- but the digest and the known recovery result are exactly
             # what the execution pipeline's pre-checks and the verifier's
             # ``ecrecover`` will ask for, so prime those.
+            digests = cache.digests_for(datagrams)
+            signatures = self.keypair.sign_batch(digests)
             for digest, signature in zip(digests, signatures):
                 cache.prime_recovery(digest, signature, self.keypair.address)
+        else:
+            # The deterministic signature of a reusable datagram is worth
+            # memoizing (signatures_for primes the recovery side as well).
+            signatures = cache.signatures_for(self.keypair, cache.digests_for(datagrams))
         return [
             Token(request.token_type, expire, index, signature)
             for request, index, signature in zip(requests, indexes, signatures)
@@ -215,33 +231,41 @@ class TokenService:
     def _issue(self, requests: Sequence[TokenRequest]) -> list[IssuanceResult]:
         """The staged issuance path behind :meth:`submit` (no session overhead).
 
-        Rules run for every request; reusable requests issue through their
-        memo path; the *allowed* one-time requests then share one
-        ``counter.take(n)`` (one Raft commit on a replicated counter, indexes
-        consecutive in request order) and one batch signature.  No exception
-        escapes per request: a denied or malformed request fails alone and
-        consumes no index, and a failed ``take`` (a counter timeout) fails
-        exactly the one-time requests; only genuine programming errors
-        (``ErrorCode.INTERNAL``) still propagate.
+        Rules run for every request; the *allowed* reusable requests then
+        share their memo misses' hashing and one batch signature, and the
+        allowed one-time requests share one ``counter.take(n)`` (one Raft
+        commit on a replicated counter, indexes consecutive in request order)
+        and another.  Counters and the audit log read as if the requests had
+        been served one by one: denials and reusable tokens in request order,
+        then the one-time tokens.  No exception escapes per request: a denied
+        or malformed request fails alone and consumes no index, and a failed
+        ``take`` (a counter timeout) fails exactly the one-time requests;
+        only genuine programming errors (``ErrorCode.INTERNAL``) still
+        propagate.
         """
         results: "list[IssuanceResult | None]" = [None] * len(requests)
         expire = self.clock.now() + self.token_lifetime
         one_time: list[int] = []
+        in_order: list[tuple[int, TokenRequest, AccessDecision]] = []  # denied or reusable
         for position, request in enumerate(requests):
             try:
                 decision = self.check_rules(request)
-                if not decision.allowed:
-                    self.denied_count += 1
-                    self._audit(request, f"denied: {decision.reason}")
-                    results[position] = IssuanceResult.failure(request, TokenDenied(decision))
-                elif request.one_time:
-                    one_time.append(position)
-                else:
-                    results[position] = self._issued(
-                        request, self._reusable_token(request, expire)
-                    )
             except Exception as exc:
                 results[position] = _failure(request, exc)
+                continue
+            if decision.allowed and request.one_time:
+                one_time.append(position)
+            else:
+                in_order.append((position, request, decision))
+        reusable = [request for _, request, decision in in_order if decision.allowed]
+        tokens = iter(self._reusable_tokens(reusable, expire) if reusable else ())
+        for position, request, decision in in_order:
+            if decision.allowed:
+                results[position] = self._issued(request, next(tokens))
+            else:
+                self.denied_count += 1
+                self._audit(request, f"denied: {decision.reason}")
+                results[position] = IssuanceResult.failure(request, TokenDenied(decision))
         if one_time:
             allowed = [requests[position] for position in one_time]
             try:
@@ -250,8 +274,9 @@ class TokenService:
                 for position, request in zip(one_time, allowed):
                     results[position] = _failure(request, exc)
             else:
-                tokens = self._one_time_tokens(allowed, expire, indexes)
-                for position, request, token in zip(one_time, allowed, tokens):
+                for position, request, token in zip(
+                    one_time, allowed, self._tokens(allowed, expire, indexes)
+                ):
                     results[position] = self._issued(request, token)
         if self.storage_path and any(result.issued for result in results):
             self._save_state()

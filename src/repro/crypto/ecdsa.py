@@ -7,9 +7,14 @@ This module provides:
 * :func:`sign` -- RFC-6979 deterministic ECDSA producing a recoverable
   signature (low-s normalised, as enforced by Ethereum since EIP-2).
 * :func:`sign_batch` -- the same signatures for a block of digests under one
-  key, byte for byte, with every ``k*G`` left Jacobian so the block shares one
-  affine conversion and one Montgomery inversion of the nonces -- the signing
-  mirror of :func:`recover_batch`, and what a Token Service envelope runs.
+  key, byte for byte.  Unlike :func:`recover_batch`, which shares only its
+  trailing inversions (a recovery's doublings are sequential), a block of
+  signatures shares the coordinate system of its curve work: ``k*G`` from the
+  window table is a *sum* of affine points, so all the block's sums are added
+  affine, level by level, one Montgomery inversion per level
+  (:func:`~repro.crypto.secp256k1.generator_multiply_batch`), plus one for
+  the nonces.  What a Token Service envelope runs; a block of one is
+  :func:`sign`.
 * :func:`verify` -- signature verification against a public key, through the
   GLV dual-scalar ladder and rejecting high-s signatures (EIP-2).
 * :func:`recover` -- public-key recovery from a signature (``ecrecover``)
@@ -157,17 +162,21 @@ def sign_batch(digests: "list[bytes]", private_key: int) -> "list[Signature]":
     """Sign a block of digests with one key: ``[sign(d, key) for d in digests]``.
 
     Byte-identical to the elementwise loop (each digest gets its own RFC 6979
-    nonce).  What the block shares is the two modular inversions a signature
-    otherwise pays alone: every ``k*G`` stays Jacobian until one
-    :func:`~repro.crypto.secp256k1.jacobian_to_affine_batch`, and the nonces
-    are inverted ``mod N`` by one :func:`~repro.crypto.secp256k1.batch_inverse`.
+    nonce).  What the block shares is the price of its curve additions: the
+    nonce points come from one
+    :func:`~repro.crypto.secp256k1.generator_multiply_batch` (every ``k*G`` a
+    sum of table points, added affine with one field inversion per tree level
+    for the whole block) and the nonces are inverted ``mod N`` by one
+    :func:`~repro.crypto.secp256k1.batch_inverse`.  Below
+    :data:`~repro.crypto.secp256k1.GENERATOR_BATCH_CROSSOVER` digests there
+    is nothing to share and the block *is* the loop.
     """
     for digest in digests:
         _check_signing_input(digest, private_key)
+    if len(digests) < secp256k1.GENERATOR_BATCH_CROSSOVER:
+        return [sign(digest, private_key) for digest in digests]
     nonces = [_rfc6979_nonce(private_key, digest) for digest in digests]
-    points = secp256k1.jacobian_to_affine_batch(
-        [secp256k1.generator_multiply_jacobian(k) for k in nonces]
-    )
+    points = secp256k1.generator_multiply_batch(nonces)
     inverses = secp256k1.batch_inverse(nonces, N)
     return [
         # An unusable nonce (probability ~2^-256) re-draws on the single path.

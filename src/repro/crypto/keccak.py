@@ -53,6 +53,19 @@ One packed permutation costs about what a scalar one does at width 1-3
 messages already halve the bill and ``PACKED_CROSSOVER = 2``; a lone message,
 and a group of one, stays on the scalar path, which is also the
 differential reference the packed kernel is tested against slot by slot.
+
+The ragged pair
+---------------
+:func:`keccak256_many` needs equal padded lengths.  One pair of unequal
+messages is common enough to have its own shape: a transaction's signing
+payload and the payload-plus-signature it is hashed as, a 3- and a 4-block
+message sharing a prefix.  :func:`keccak256_shared_prefix` absorbs the shared
+whole blocks once (scalar), then runs the *next* block of both messages --
+the shorter one's last -- as the two slots of one width-2 packed permutation
+(~180 us against two scalar ones at ~176 each), and only the longer message's
+remaining blocks go on alone: 3 scalar + 1 packed permutations where two
+separate hashes cost 7 and the shared prefix alone left 5 (the pair 862 ->
+695 us here).
 """
 
 from __future__ import annotations
@@ -351,12 +364,15 @@ def _padding(length: int) -> bytes:
     return b"\x81" if missing == 1 else b"\x01" + bytes(missing - 2) + b"\x80"
 
 
-def _finish(state: list[int], tail: bytes) -> bytes:
-    """Pad ``tail``, absorb it on top of ``state`` and squeeze the digest."""
-    state = _absorb(state, tail + _padding(len(tail)))
-    # Squeeze phase: 256 bits fit within a single rate block.
+def _squeeze(state: list[int]) -> bytes:
+    """The digest of a finished sponge: 256 bits fit within a single rate block."""
     return _PACK_DIGEST(state[0] & _MASK, state[1] & _MASK,
                         state[2] & _MASK, state[3] & _MASK)
+
+
+def _finish(state: list[int], tail: bytes) -> bytes:
+    """Pad ``tail``, absorb it on top of ``state`` and squeeze the digest."""
+    return _squeeze(_absorb(state, tail + _padding(len(tail))))
 
 
 _EMPTY_SPONGE = [0] * 25
@@ -430,17 +446,35 @@ def keccak256_many(messages: "Sequence[bytes | bytearray]") -> list[bytes]:
 def keccak256_shared_prefix(prefix: bytes, suffix: bytes) -> tuple[bytes, bytes]:
     """``(keccak256(prefix), keccak256(prefix + suffix))`` hashing ``prefix`` once.
 
-    The whole rate blocks of ``prefix`` are absorbed a single time and both
-    digests are finished from that shared sponge state, so the pair costs
-    the permutations of the longer message plus the shorter one's final
-    block(s) -- 5 instead of 7 for a transaction's signing payload and its
-    payload-plus-signature hash.  Both digests are byte-identical to two
-    separate :func:`keccak256` calls.
+    The whole rate blocks of ``prefix`` are absorbed a single time; from that
+    shared sponge state the two messages are *ragged lanes*: what is left of
+    ``prefix`` pads to exactly one block, what is left of ``prefix + suffix``
+    to one or more, and the first block of each is one slot of a single
+    width-2 :func:`_keccak_f_packed`.  Slot 0 is then ``keccak256(prefix)``;
+    slot 1 carries on alone through the longer message's remaining blocks.
+    A transaction's signing payload and its payload-plus-signature hash (a 3-
+    and a 4-block message) cost 3 scalar permutations and 1 packed one
+    instead of 7 scalar apart.  An empty
+    ``suffix`` is one message, hashed once.  Both digests are byte-identical
+    to two separate :func:`keccak256` calls.
     """
     shared = len(prefix) - len(prefix) % _RATE_BYTES
     state = _absorb(_EMPTY_SPONGE, prefix[:shared])
     tail = prefix[shared:]
-    return _finish(state, tail), _finish(state, tail + suffix)
+    if not suffix:
+        digest = _finish(state, tail)
+        return digest, digest
+    short = _UNPACK_RATE(tail + _padding(len(tail)))
+    rest = tail + suffix
+    rest += _padding(len(rest))
+    long = _UNPACK_RATE(rest)
+    # Slot 0 absorbs the shorter message's block, slot 1 the longer one's;
+    # the capacity lanes are the shared state in both.
+    packed = [(lane ^ a) | (lane ^ b) << 64 for lane, a, b in zip(state, short, long)]
+    packed += [lane | lane << 64 for lane in state[_RATE_LANES:]]
+    packed = _keccak_f_packed(packed, 2)
+    longer = _absorb([lane >> 64 for lane in packed], rest[_RATE_BYTES:])
+    return _squeeze(packed), _squeeze(longer)
 
 
 def keccak256_hex(data: bytes) -> str:

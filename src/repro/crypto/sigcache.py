@@ -98,6 +98,31 @@ class SignatureCache:
         if len(table) > self.maxsize:
             table.popitem(last=False)
 
+    def _memo_many(
+        self, table: OrderedDict, keys: Sequence, compute: "Callable[[list], Sequence]"
+    ) -> "tuple[list, list[int]]":
+        """Look every key up, computing and storing on a miss, the misses'
+        values computed *together*: ``(values, positions that missed)``.
+
+        ``compute(keys)`` is called once, ahead, for the distinct keys the
+        table does not hold; the lookups and stores then run element by
+        element exactly as a loop of single memo calls would, so hit/miss
+        counters, LRU order and evictions are the loop's -- an in-batch
+        repeat scores the hit its second lookup would have.  Only an entry
+        this very batch evicted is computed alone, as the loop would have.
+        """
+        fresh = list(dict.fromkeys(key for key in keys if key not in table))
+        computed = dict(zip(fresh, compute(fresh))) if fresh else {}
+        values, missed = [], []
+        for position, key in enumerate(keys):
+            value, found = self._lookup(table, key)
+            if not found:
+                value = computed[key] if key in computed else compute([key])[0]
+                self._store(table, key, value)
+                missed.append(position)
+            values.append(value)
+        return values, missed
+
     # -- recovery (the verifier path) -----------------------------------------
 
     @staticmethod
@@ -245,6 +270,19 @@ class SignatureCache:
         self.prime_recovery(digest, signature, keypair.address)
         return signature
 
+    def signatures_for(self, keypair, digests: "Sequence[bytes]") -> "list[Signature]":
+        """``[signature_for(keypair, d) for d in digests]``, the misses signed
+        by one ``keypair.sign_batch`` (books as the loop's: :meth:`_memo_many`)."""
+        signer = keypair.address
+        signatures, missed = self._memo_many(
+            self._signatures,
+            [(signer, digest) for digest in digests],
+            lambda keys: keypair.sign_batch([digest for _, digest in keys]),
+        )
+        for position in missed:
+            self.prime_recovery(digests[position], signatures[position], signer)
+        return signatures
+
     def digest_for(self, datagram: bytes) -> bytes:
         """Memoized ``keccak256(datagram)`` -- the token ``signing_digest``.
 
@@ -259,27 +297,10 @@ class SignatureCache:
         return digest
 
     def digests_for(self, datagrams: "Sequence[bytes]") -> list[bytes]:
-        """``[digest_for(d) for d in datagrams]`` with the misses hashed together.
-
-        Datagrams the cache does not hold are hashed in one
-        :func:`~repro.crypto.keccak.keccak256_many` call; the lookups and
-        stores then run element by element exactly as the loop would, so
-        hit/miss counters, LRU order and evictions are the loop's -- an
-        in-batch repeat scores the hit its second lookup would have.
-        """
-        table = self._digests
-        fresh = list(dict.fromkeys(d for d in datagrams if d not in table))
-        computed = dict(zip(fresh, keccak256_many(fresh)))
-        digests = []
-        for datagram in datagrams:
-            digest, found = self._lookup(table, datagram)
-            if not found:
-                # Only an entry this very batch evicted is missing from
-                # ``computed``; the loop would have re-hashed it too.
-                digest = computed.get(datagram) or keccak256(datagram)
-                self._store(table, datagram, digest)
-            digests.append(digest)
-        return digests
+        """``[digest_for(d) for d in datagrams]``, the misses hashed by one
+        :func:`~repro.crypto.keccak.keccak256_many` (books as the loop's:
+        :meth:`_memo_many`)."""
+        return self._memo_many(self._digests, datagrams, keccak256_many)[0]
 
     def memoize(self, key: tuple, factory: Callable):
         """Generic LRU memo for derived issuance artefacts.
@@ -295,6 +316,13 @@ class SignatureCache:
         value = factory()
         self._store(self._derived, key, value)
         return value
+
+    def memoize_many(
+        self, keys: "Sequence[tuple]", factory: "Callable[[list[tuple]], Sequence]"
+    ) -> list:
+        """``[memoize(key, ...) for key in keys]``, the misses built by one
+        ``factory(keys)`` call (books as the loop's: :meth:`_memo_many`)."""
+        return self._memo_many(self._derived, keys, factory)[0]
 
     # -- introspection ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ neither lane maps to ``MALFORMED_REQUEST`` (never an exception leak).
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import codec
 from repro.core.errors import ErrorCode, SmacsError
@@ -117,3 +117,188 @@ def test_error_envelopes_round_trip_in_both_lanes(message, code, lane):
 def test_binary_lane_carries_arbitrary_precision_ints(value):
     raw = codec.encode_response_envelope({"n": value}, codec=codec.CODEC_BINARY)
     assert codec.decode_response_envelope(raw)["n"] == value
+
+
+# --- the depth cap -------------------------------------------------------------------
+
+
+def _nested(levels: int):
+    value: object = 0
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("lane", codec.CODECS)
+def test_both_lanes_cap_nesting_at_the_same_depth(lane):
+    # An envelope and its body are two levels; a response may nest
+    # MAX_ENVELOPE_DEPTH, a request one less (its answer echoes it one down).
+    cap = codec.MAX_ENVELOPE_DEPTH
+    body = {"a": _nested(cap - 3)}
+    request = codec.encode_request_envelope("submit", "r", body, codec=lane)
+    assert codec.decode_request_full(request).body == body
+    body = {"a": _nested(cap - 2)}
+    assert codec.decode_response_envelope(codec.encode_response_envelope(body, codec=lane)) == body
+    for raw, decode in (
+        (codec.encode_request_envelope("submit", "r", body, codec=lane), codec.decode_request_full),
+        (
+            codec.encode_response_envelope({"a": _nested(cap - 1)}, codec=lane),
+            codec.decode_response_envelope,
+        ),
+    ):
+        with pytest.raises(SmacsError) as failure:
+            decode(raw)
+        assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+        assert str(failure.value) == "envelope nested too deeply"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        codec.BINARY_MAGIC + bytes([codec.WIRE_VERSION]) + b"\x07\x01" * 5000 + b"\x00",
+        codec.BINARY_MAGIC + bytes([codec.WIRE_VERSION]) + b"\x08\x01\x01k" * 5000 + b"\x00",
+        b'{"smacs": 1, "op": "submit", "route": "r", "body": ' + b"[" * 100_000,
+        b'{"smacs": 1, "ok": true, "body": ' + b'{"k": ' * 100_000,
+    ],
+    ids=["binary-lists", "binary-objects", "json-lists", "json-objects"],
+)
+def test_a_frame_of_openers_is_malformed_not_a_recursion_error(raw):
+    for decode in (codec.decode_request_full, codec.decode_response_envelope):
+        with pytest.raises(SmacsError) as failure:
+            decode(raw)
+        assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+        assert str(failure.value) == "envelope nested too deeply"
+
+
+# --- fuzz: both lanes decode or refuse with a stable code, and agree ----------------
+
+
+def _issuance_envelopes() -> list[bytes]:
+    """The ledger-shaped traffic: a 4-request envelope and its answer, per lane."""
+    from repro.core.acr import AccessDecision
+    from repro.core.token_request import TokenRequest
+    from repro.core.token_service import IssuanceResult, TokenDenied
+
+    requests = [
+        TokenRequest.argument_token(
+            bytes(range(20)), bytes(range(20, 40)), "submit", {"amount": i, "memo": b"\x00\xff"},
+            one_time=True,
+        )
+        for i in range(4)
+    ]
+    denial = AccessDecision.deny("client not on whitelist")
+    results = [IssuanceResult.failure(request, TokenDenied(denial)) for request in requests]
+    body = {"requests": [codec.encode_token_request(r) for r in requests]}
+    answer = {"results": [codec.encode_issuance_result(r) for r in results]}
+    return [
+        raw
+        for lane in codec.CODECS
+        for raw in (
+            codec.encode_request_envelope(
+                "submit", "route", body, codec=lane, trace={"id": "t1"}, deadline=12.5
+            ),
+            codec.encode_response_envelope(answer, codec=lane),
+            codec.encode_error_envelope(SmacsError("shed", ErrorCode.OVERLOADED), codec=lane),
+        )
+    ]
+
+
+_OPENERS = (b"\x07\x01", b"\x08\x01\x01k", b"[", b'{"k":')
+
+envelopes = st.one_of(
+    st.sampled_from(_issuance_envelopes()),
+    st.builds(
+        lambda body, lane: codec.encode_request_envelope("submit", "r", body, codec=lane),
+        bodies, st.sampled_from(codec.CODECS),
+    ),
+    st.builds(
+        lambda body, lane: codec.encode_response_envelope(body, codec=lane),
+        bodies, st.sampled_from(codec.CODECS),
+    ),
+)
+
+#: (kind, where in the frame as a fraction, payload): flip a byte, cut the
+#: frame, splice junk in, drop a slice, or splice a run of container openers
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "truncate", "insert", "delete", "nest"]),
+        st.floats(min_value=0, max_value=1),
+        st.binary(min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=3000),  # past the interpreter's recursion limit
+    ),
+    max_size=3,
+)
+
+
+def _mutate(raw: bytes, steps) -> bytes:
+    for kind, where, junk, count in steps:
+        at = int(where * len(raw))
+        if kind == "flip" and raw:
+            at = min(at, len(raw) - 1)
+            raw = raw[:at] + bytes([raw[at] ^ junk[0] or 1]) + raw[at + 1:]
+        elif kind == "truncate":
+            raw = raw[:at]
+        elif kind == "insert":
+            raw = raw[:at] + junk + raw[at:]
+        elif kind == "delete":
+            raw = raw[:at] + raw[at + len(junk):]
+        elif kind == "nest":
+            raw = raw[:at] + _OPENERS[junk[0] % len(_OPENERS)] * count + raw[at:]
+    return raw
+
+
+def _canonical(value):
+    """Floats by their repr (NaN equals itself), containers element-wise."""
+    if isinstance(value, float):
+        return ("float", repr(value))
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def _json_model(value) -> bool:
+    """Raw byte strings are the one thing only the binary lane carries."""
+    if isinstance(value, dict):
+        return all(_json_model(item) for item in value.values())
+    if isinstance(value, list):
+        return all(_json_model(item) for item in value)
+    return not isinstance(value, bytes)
+
+
+def _other(lane: str) -> str:
+    return codec.CODEC_JSON if lane == codec.CODEC_BINARY else codec.CODEC_BINARY
+
+
+@given(raw=envelopes, steps=mutations)
+@example(raw=b'{"smacs": 1, "ok": true, "body": 0}', steps=[("nest", 0.95, b"\x02", 3000)])  # "["
+@example(raw=_issuance_envelopes()[3], steps=[("nest", 0.25, b"\x00", 3000)])  # binary, lists
+@settings(max_examples=300, deadline=None)
+def test_decoding_a_fuzzed_envelope_returns_or_raises_a_stable_code(raw, steps):
+    raw = _mutate(raw, steps)
+    # Anything but SmacsError escaping either decoder fails the test.
+    try:
+        request = codec.decode_request_full(raw)
+    except SmacsError as error:
+        assert error.code in (ErrorCode.MALFORMED_REQUEST, ErrorCode.UNSUPPORTED)
+    else:
+        # Accepted: the other lane carries the same request to the same fields.
+        if _json_model([request.body, request.trace]):
+            again = codec.decode_request_full(
+                codec.encode_request_envelope(
+                    request.op, request.route, request.body, codec=_other(request.codec),
+                    trace=request.trace, deadline=request.deadline,
+                )
+            )
+            assert _canonical(list(again[:5])) == _canonical(list(request[:5]))
+            assert again.codec == _other(request.codec)
+    try:
+        body = codec.decode_response_envelope(raw)
+    except SmacsError as error:
+        assert isinstance(error.code, ErrorCode)  # a carried error keeps its own code
+    else:
+        if _json_model(body):
+            lane = _other(codec.sniff_codec(raw))
+            again = codec.decode_response_envelope(codec.encode_response_envelope(body, codec=lane))
+            assert _canonical(again) == _canonical(body)

@@ -26,6 +26,7 @@ from repro.api import (
     dial,
     serve,
 )
+from repro.api.gateway import InProcessTransport
 from repro.api.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_HEADER_BYTES,
@@ -241,6 +242,49 @@ def test_garbage_payload_is_answered_not_fatal():
             sock.sendall(_framed(_submit_envelope()))
             answer = codec.decode_response_envelope(_read_frame(sock))
             assert codec.decode_issuance_result(answer["results"][0]).issued
+
+
+#: well-formed frames that are nothing but container openers: 10 KB of nested
+#: one-element lists in the binary lane, 100,000 ``[`` in the JSON lane
+NESTED_FRAMES = {
+    codec.CODEC_BINARY: codec.BINARY_MAGIC
+    + bytes([codec.WIRE_VERSION])
+    + b"\x07\x01" * 5000
+    + b"\x00",
+    codec.CODEC_JSON: b'{"smacs": 1, "op": "submit", "route": "r", "body": ' + b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("lane", codec.CODECS)
+def test_a_nested_envelope_is_refused_and_the_connection_lives(lane):
+    # Used to raise RecursionError out of the decoder: the handler task died,
+    # the socket closed unanswered and the frame was never counted.
+    with serve(_gateway()) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=2.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(_framed(NESTED_FRAMES[lane]))
+            answer = _read_frame(sock)
+            assert codec.sniff_codec(answer) == lane  # answered in its own lane
+            with pytest.raises(SmacsError) as failure:
+                codec.decode_response_envelope(answer)
+            assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+            assert "nested too deeply" in str(failure.value)
+            sock.sendall(_framed(_submit_envelope(lane=lane)))
+            answer = codec.decode_response_envelope(_read_frame(sock))
+            assert codec.decode_issuance_result(answer["results"][0]).issued
+        stats = server.stats()
+        assert (stats["malformed_frames"], stats["frames_served"]) == (1, 2)
+        assert stats["connections_accepted"] == 1
+
+
+@pytest.mark.parametrize("lane", codec.CODECS)
+def test_a_nested_envelope_is_answered_in_process_too(lane):
+    transport = InProcessTransport(_gateway())
+    with pytest.raises(SmacsError) as failure:
+        codec.decode_response_envelope(transport.send(NESTED_FRAMES[lane]))
+    assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+    answer = codec.decode_response_envelope(transport.send(_submit_envelope(lane=lane)))
+    assert codec.decode_issuance_result(answer["results"][0]).issued
 
 
 def test_oversized_request_is_rejected_client_side():

@@ -204,6 +204,158 @@ def test_envelope_hashes_its_datagrams_by_lanes(cache, keccak_permutations, pack
     assert packed_permutations[0] == 0
 
 
+# --- reusable tokens staged per envelope: the per-request loop is the oracle ---------
+
+
+def _twin_services(cache):
+    def make():
+        service = TokenService(
+            keypair=KeyPair.from_seed("ts-key"),
+            clock=SimulatedClock(start=1_000_000),
+            counter=_LocalCounter(start=7),
+            signature_cache=cache() if cache else None,
+        )
+        service.update_rules(lambda rules: rules.add_rule(WhitelistRule([ALICE])))
+        return service
+
+    return make(), make()
+
+
+def _served_one_by_one(service, requests):
+    """What the envelope must equal: denials and reusable requests served one
+    request at a time in order, then the one-time requests as their block
+    (how issuance ran before reusable requests were staged)."""
+    results = [None] * len(requests)
+    one_time = []
+    for position, request in enumerate(requests):
+        if request.one_time and service.check_rules(request).allowed:
+            one_time.append(position)
+        else:
+            (results[position],) = service._issue([request])
+    for position, result in zip(one_time, service._issue([requests[p] for p in one_time])):
+        results[position] = result
+    return results
+
+
+def _outcome(result):
+    return (
+        result.request,
+        result.token.to_bytes() if result.issued else None,
+        result.decision,
+        result.code,
+    )
+
+
+def _service_books(service):
+    cache = service.signature_cache
+    return (
+        service.issued_count,
+        service.denied_count,
+        service.counter.value,
+        service.audit_log(),
+        cache
+        and (
+            cache.hits,
+            cache.misses,
+            cache.stats(),
+            [
+                list(table.items())
+                for table in (cache._derived, cache._digests, cache._signatures, cache._recovered)
+            ],
+        ),
+    )
+
+
+def _mixed_envelope():
+    method = TokenRequest.method_token(CONTRACT, ALICE, "submit")
+    return [
+        method,
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 1}),
+        TokenRequest.method_token(CONTRACT, EVE, "submit"),  # denied
+        TokenRequest.super_token(CONTRACT, ALICE, one_time=True),
+        method,  # an in-envelope repeat
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 2}),
+        TokenRequest.super_token(CONTRACT, EVE, one_time=True),  # denied
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 1}),  # repeat
+        TokenRequest.method_token(CONTRACT, ALICE, "other", one_time=True),
+        TokenRequest.super_token(CONTRACT, ALICE),
+    ] + [
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": i}) for i in range(3, 30)
+    ]
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+def test_staged_reusable_tokens_equal_the_per_request_loop(cache):
+    staged, looped = _twin_services(cache)
+    requests = _mixed_envelope()
+    for _ in range(2):  # cold, then with every reusable token memoized
+        results = staged._issue(requests)
+        assert [_outcome(r) for r in results] == [
+            _outcome(r) for r in _served_one_by_one(looped, requests)
+        ]
+        assert _service_books(staged) == _service_books(looped)
+    assert [r.issued for r in results[:10]] == [
+        True, True, False, True, True, True, False, True, True, True
+    ]
+    assert results[0].token == results[4].token and results[1].token == results[7].token
+    # A warm envelope that adds three requests builds exactly those.
+    requests = requests[5:] + [
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": i}) for i in (40, 41, 40)
+    ]
+    assert [_outcome(r) for r in staged._issue(requests)] == [
+        _outcome(r) for r in _served_one_by_one(looped, requests)
+    ]
+    assert _service_books(staged) == _service_books(looped)
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+def test_a_counter_timeout_fails_the_one_time_requests_and_only_them(cache):
+    from repro.consensus.counter import CounterTimeout
+
+    staged, looped = _twin_services(cache)
+    for service in (staged, looped):
+        service.counter.take = mock.Mock(side_effect=CounterTimeout("no leader"))
+    requests = _mixed_envelope()
+    results = staged._issue(requests)
+    assert [_outcome(r) for r in results] == [
+        _outcome(r) for r in _served_one_by_one(looped, requests)
+    ]
+    assert _service_books(staged) == _service_books(looped)
+    assert [r.code.value for r in results if r.request.one_time] == [
+        "COUNTER_TIMEOUT", "DENIED", "COUNTER_TIMEOUT"
+    ]
+    assert all(r.issued for r in results if not r.request.one_time and r.request.client == ALICE)
+
+
+def test_an_envelope_signs_its_reusable_misses_in_one_block(keccak_permutations, packed_permutations):
+    """Counts, not clocks: 32 reusable argument requests are two packed
+    permutations and one ``sign_batch``; replayed, one memo hit each."""
+    cache = SignatureCache()
+    service = TokenService(
+        keypair=KeyPair.from_seed("ts-key"),
+        clock=SimulatedClock(start=1_000_000),
+        signature_cache=cache,
+    )
+    requests = [
+        TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": i}) for i in range(32)
+    ]
+    with mock.patch.object(KeyPair, "sign_batch", autospec=True, side_effect=KeyPair.sign_batch) as blocks, \
+            mock.patch.object(KeyPair, "sign", side_effect=AssertionError("signed alone")):
+        keccak_permutations[0] = 0
+        tokens = [result.token for result in service._issue(requests)]
+        assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
+        assert [len(call.args[1]) for call in blocks.call_args_list] == [32]
+        assert (cache.hits, cache.misses) == (0, 3 * 32)
+        assert [result.token for result in service._issue(requests)] == tokens
+        assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
+        assert len(blocks.call_args_list) == 1
+        assert (cache.hits, cache.misses) == (32, 3 * 32)
+    for request, token in zip(requests, tokens):
+        digest = token.digest_for(ALICE, CONTRACT, method="submit", arguments=request.arguments)
+        assert service.keypair.verify(digest, token.signature)
+        assert cache.peek_recovery(digest, token.signature) == service.address
+
+
 def test_envelope_pays_session_overhead_and_counter_once(service, monkeypatch):
     overhead = mock.Mock(wraps=service.front_end_session_overhead)
     take = mock.Mock(wraps=service.counter.take)

@@ -234,6 +234,44 @@ def test_sign_batch_equals_elementwise_sign(keypair, digest):
     assert keypair.sign_batch(block) == [keypair.sign(d) for d in block]
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 32, 33, 64, 65])
+def test_sign_batch_equals_elementwise_sign_at_every_tree_shape(keypair, count):
+    """Either side of the crossover, a full tree, one past it (an odd list
+    riding up) and the sizes around a second block; some digests repeat."""
+    digests = [keccak256(b"tree-%d" % (i % 50)) for i in range(count)]
+    key = keypair.private.secret
+    assert [s.to_bytes() for s in sign_batch(digests, key)] == [
+        sign(d, key).to_bytes() for d in digests
+    ]
+
+
+def test_sign_batch_adds_affine_and_a_block_of_one_is_sign(keypair, digest):
+    """Counts, not clocks: 32 signatures make no mixed addition and at most
+    seven inversions (six tree levels and the nonces); one signature makes no
+    shared inversion at all -- it runs ``sign``'s own path."""
+    from unittest import mock
+
+    from repro.crypto import ecdsa, secp256k1
+
+    key = keypair.private.secret
+    inverse, add_mixed, multiply = (
+        secp256k1.batch_inverse, secp256k1._jacobian_add_mixed, ecdsa.generator_multiply
+    )
+
+    def counted(digests):
+        with mock.patch.object(secp256k1, "batch_inverse", side_effect=inverse) as inversions, \
+                mock.patch.object(secp256k1, "_jacobian_add_mixed", side_effect=add_mixed) as mixed, \
+                mock.patch.object(ecdsa, "generator_multiply", side_effect=multiply) as singles:
+            signatures = sign_batch(digests, key)
+        assert signatures == [sign(d, key) for d in digests]
+        return inversions.call_count, mixed.call_count, singles.call_count
+
+    inversions, mixed, singles = counted([keccak256(b"count-%d" % i) for i in range(32)])
+    assert (mixed, singles) == (0, 0) and 0 < inversions <= 7
+    inversions, mixed, singles = counted([digest])
+    assert (inversions, singles) == (0, 1) and 0 < mixed <= 33
+
+
 def test_sign_batch_checks_every_input_and_every_signature(keypair, digest, monkeypatch):
     key = keypair.private.secret
     with pytest.raises(SignatureError):

@@ -590,6 +590,117 @@ def test_public_key_builds_its_table_on_the_second_verification(curve_multiplica
     assert curve_multiplications == {"ladders": 1, "builds": 1, "prepared": 4}
 
 
+# --- batch sites add affine: the level tree behind sign_batch ---------------------
+
+#: the window recoding's corners: digits at, just below and just above the
+#: half window in the bottom window and in every other one (a borrow, a carry
+#: into a zero digit, a carry out of the top window into row 32), zero digits
+#: everywhere else, and the scalars that reduce.
+_BATCH_TREE_SCALARS = (
+    [0, 1, 2, 127, 128, 129, 255, 256, 257, N - 1, N, N + 1, 2**256 % N]
+    + [(1 << (8 * i)) + sign for i in range(1, 32) for sign in (-1, 1)]
+    + [129 << (8 * i) for i in range(32)]
+)
+
+
+def test_generator_multiply_batch_matches_singles_on_the_window_corners():
+    expected = [generator_multiply(k) for k in _BATCH_TREE_SCALARS]
+    assert secp256k1.generator_multiply_batch(_BATCH_TREE_SCALARS) == expected
+    assert [p for p, k in zip(expected, _BATCH_TREE_SCALARS) if k % N == 0] == [INFINITY] * 2
+
+
+def test_generator_multiply_batch_matches_singles_at_every_batch_size():
+    import random
+
+    rng = random.Random(19)
+    pool = [rng.randrange(2 * N) for _ in range(70)]
+    expected = [generator_multiply(k) for k in pool]
+    for n in range(71):
+        start = n % 7  # not always the same leading scalars
+        ks = (pool[start:] + pool[:start])[:n]
+        want = (expected[start:] + expected[:start])[:n]
+        assert secp256k1.generator_multiply_batch(ks) == want, n
+
+
+@given(ks=st.lists(scalars, max_size=70))
+@settings(max_examples=25, deadline=None)
+def test_generator_multiply_batch_property(ks):
+    assert secp256k1.generator_multiply_batch(ks) == [generator_multiply(k) for k in ks]
+
+
+def _xy(point: Point) -> tuple[int, int]:
+    return (point.x, point.y)
+
+
+def _fold(points: list[Point]) -> Point:
+    total = INFINITY
+    for point in points:
+        total = point_add(total, point)
+    return total
+
+
+def test_affine_sum_batch_on_hand_made_lists():
+    p, q, r = (_naive_multiply(GENERATOR, k) for k in (5, 11, 1000003))
+    neg = secp256k1.point_negate
+    lists = [
+        [],
+        [p],
+        [p, q],
+        [p, p],  # a doubling: the affine formula cannot
+        [p, neg(p)],  # cancels: infinity
+        [p, q, neg(point_add(p, q))],  # cancels one level up
+        [p, q, r, p, q, r, p],  # an odd element rides up, repeats meet late
+        [p, neg(p), q],
+        [q, p, neg(p)],
+    ]
+    sums = secp256k1.affine_sum_batch([[_xy(point) for point in points] for points in lists])
+    assert sums == [_fold(points) for points in lists]
+    assert sums[0] == sums[4] == sums[5] == INFINITY
+    assert secp256k1.affine_sum_batch([]) == []
+
+
+def test_an_exceptional_list_leaves_the_tree_alone():
+    """Its zero denominator never enters the level's running product (which
+    would raise, or poison every slope of the level): it is summed by mixed
+    additions, the others by the tree, in one call."""
+    honest = [secp256k1._generator_window_points(k) for k in (3**150, 5**100, 7**80, 11**60)]
+    p = _naive_multiply(GENERATOR, 77)
+    exceptional = honest[0][:8] + [_xy(p), _xy(p)] + honest[1][:8]
+    lists = honest[:2] + [exceptional] + honest[2:]
+    add_mixed = secp256k1._jacobian_add_mixed
+    with mock.patch.object(secp256k1, "_jacobian_add_mixed", side_effect=add_mixed) as mixed:
+        sums = secp256k1.affine_sum_batch(lists)
+    assert sums == [_fold([Point(x, y) for x, y in points]) for points in lists]
+    assert sums[:2] + sums[3:] == [generator_multiply(k) for k in (3**150, 5**100, 7**80, 11**60)]
+    assert mixed.call_count == len(exceptional)  # that list only, whole
+
+
+def test_affine_sum_batch_keeps_its_inputs():
+    lists = [secp256k1._generator_window_points(k) for k in (12345, 2**200 + 9)]
+    before = [list(points) for points in lists]
+    secp256k1.affine_sum_batch(lists)
+    assert lists == before
+
+
+def test_a_block_of_k_g_costs_one_inversion_a_level_and_no_mixed_addition():
+    import random
+
+    rng = random.Random(7)
+    ks = [rng.randrange(1, N) for _ in range(32)]
+    inverse, add_mixed = secp256k1.batch_inverse, secp256k1._jacobian_add_mixed
+    with mock.patch.object(secp256k1, "batch_inverse", side_effect=inverse) as inversions, \
+            mock.patch.object(secp256k1, "_jacobian_add_mixed", side_effect=add_mixed) as mixed:
+        points = secp256k1.generator_multiply_batch(ks)
+    assert points == [generator_multiply(k) for k in ks]
+    # 33 points are six levels: 33 -> 17 -> 9 -> 5 -> 3 -> 2 -> 1.
+    assert 0 < inversions.call_count <= 6
+    assert mixed.call_count == 0
+    # ... and each level's inversion serves every pair of every sum.
+    assert sum(len(call.args[0]) for call in inversions.call_args_list) == sum(
+        len(secp256k1._generator_window_points(k)) - 1 for k in ks
+    )
+
+
 # --- hypothesis sweeps (slow lane) -----------------------------------------
 
 

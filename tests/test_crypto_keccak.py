@@ -134,15 +134,27 @@ def test_any_prefix_suffix_split_matches_plain_keccak(message, cut):
     )
 
 
-def test_shared_prefix_pair_costs_the_longer_message_plus_one_final_block(keccak_permutations):
-    """A transaction-shaped pair: 3 + 4 permutations apart, 5 together."""
-    calls = keccak_permutations
+def test_shared_prefix_pair_costs_the_longer_message_plus_one_final_block(
+    keccak_permutations, packed_permutations
+):
+    """A transaction-shaped pair: 3 + 4 permutations apart; together the two
+    shared blocks, one packed permutation for both messages' next block (the
+    shorter one's last) and the longer one's final block."""
+    calls, packed = keccak_permutations, packed_permutations
     payload, signature = b"\x11" * 350, b"\x22" * 65
     keccak256(payload), keccak256(payload + signature)
-    assert calls[0] == 7
+    assert (calls[0], packed[0]) == (7, 0)
     calls[0] = 0
     keccak256_shared_prefix(payload, signature)
-    assert calls[0] == 5
+    assert (calls[0], packed[0]) == (3, 1)
+    # Tails of equal block count finish in the packed permutation alone; an
+    # empty suffix is one message.
+    calls[0] = packed[0] = 0
+    keccak256_shared_prefix(payload, b"\x22")
+    assert (calls[0], packed[0]) == (2, 1)
+    calls[0] = packed[0] = 0
+    keccak256_shared_prefix(payload, b"")
+    assert (calls[0], packed[0]) == (3, 0)
 
 
 # --- hashing by lanes: keccak256_many and the packed permutation ----------------------

@@ -188,7 +188,11 @@ def _loop(cache, datagrams):
 
 
 def _books(cache):
-    return cache.hits, cache.misses, cache.stats(), list(cache._digests.items())
+    """Counters, stats, and every table's entries in LRU order."""
+    return cache.hits, cache.misses, cache.stats(), [
+        list(table.items())
+        for table in (cache._digests, cache._signatures, cache._recovered, cache._derived)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -220,6 +224,81 @@ def test_digests_for_hashes_only_the_misses_and_each_once(keccak_permutations, p
     # held datagram are hits.
     assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
     assert (cache.hits, cache.misses) == (33, 1 + 32)
+
+
+# --- signatures_for / memoize_many: the same contract, the misses signed / built together
+
+
+_BATCH_CASES = pytest.mark.parametrize(
+    "maxsize,warm,batch",
+    [
+        (64, [], list(range(40))),
+        (64, list(range(0, 40, 3)), list(range(40))),
+        (64, [1], [0, 1, 0, 2, 2, 0]),
+        (8, list(range(8)), [i % 21 for i in range(50)]),
+    ],
+    ids=["cold", "warm", "repeats", "larger-than-maxsize"],
+)
+
+
+@_BATCH_CASES
+def test_signatures_for_keeps_the_books_of_the_element_wise_loop(maxsize, warm, batch):
+    digest = lambda i: keccak256(b"sig-%d" % i)  # noqa: E731
+    batched, looped = SignatureCache(maxsize), SignatureCache(maxsize)
+    for cache in (batched, looped):
+        for i in warm:
+            cache.signature_for(KEYPAIR, digest(i))
+    digests = [digest(i) for i in batch]
+    assert (
+        batched.signatures_for(KEYPAIR, digests)
+        == [looped.signature_for(KEYPAIR, d) for d in digests]
+        == [KEYPAIR.sign(d) for d in digests]
+    )
+    assert _books(batched) == _books(looped)  # the primed recoveries too
+    assert batched.signatures_for(KEYPAIR, []) == []
+
+
+@_BATCH_CASES
+def test_memoize_many_keeps_the_books_of_the_element_wise_loop(maxsize, warm, batch):
+    batched, looped = SignatureCache(maxsize), SignatureCache(maxsize)
+    for cache in (batched, looped):
+        for i in warm:
+            cache.memoize(("k", i), lambda: f"value-{i}")
+    keys = [("k", i) for i in batch]
+    built = []
+
+    def factory(missing):
+        built.append(list(missing))
+        return [f"value-{i}" for _, i in missing]
+
+    assert batched.memoize_many(keys, factory) == [
+        looped.memoize(key, lambda: f"value-{key[1]}") for key in keys
+    ]
+    assert _books(batched) == _books(looped)
+    # One call for every distinct key the memo did not hold, each once; only
+    # an entry this very batch evicted is rebuilt alone, as the loop would.
+    assert built[0] == list(dict.fromkeys(k for k in keys if k[1] not in warm))
+    assert all(len(alone) == 1 for alone in built[1:])
+    assert (len(built) > 1) == (maxsize < len(set(batch)))
+
+
+def test_signatures_for_signs_the_misses_in_one_block(monkeypatch):
+    cache = SignatureCache()
+    held = keccak256(b"held")
+    cache.signature_for(KEYPAIR, held)
+    blocks = []
+    sign_batch = KeyPair.sign_batch
+
+    def counting(self, digests):
+        blocks.append(list(digests))
+        return sign_batch(self, digests)
+
+    monkeypatch.setattr(KeyPair, "sign_batch", counting)
+    monkeypatch.setattr(KeyPair, "sign", lambda *_: pytest.fail("a miss signed alone"))
+    fresh = [keccak256(b"fresh-%d" % i) for i in range(5)]
+    cache.signatures_for(KEYPAIR, [held] + fresh + fresh[:2])
+    assert blocks == [fresh]
+    assert (cache.hits, cache.misses) == (1 + 2, 1 + 5)  # held + the repeats; warm-up + fresh
 
 
 # --- known senders: signed_by ------------------------------------------------------

@@ -265,11 +265,12 @@ def _ledger_shaped_tx(client, protected, service, nonce):
 
 
 def test_one_admission_costs_at_most_five_keccak_permutations(
-    mempool, client, protected, service, keccak_permutations
+    mempool, client, protected, service, keccak_permutations, packed_permutations
 ):
     """The exact-count guard: hash + signing digest share the payload's full
-    blocks (5 permutations, not 4 + 3) and a seen sender's address comes out
-    of the key -> address memo (0, not 1).  The parent paid 8."""
+    blocks and then one packed permutation (3 scalar + 1 packed, not 4 + 3)
+    and a seen sender's address comes out of the key -> address memo (0, not
+    1).  Before any of it an admission paid 8."""
     from repro.crypto.keys import _address_of
 
     first = _ledger_shaped_tx(client, protected, service, nonce=0)
@@ -279,13 +280,14 @@ def test_one_admission_costs_at_most_five_keccak_permutations(
     assert (payload // 136 + 1, (payload + 65) // 136 + 1) == (3, 4)
 
     _address_of.cache_clear()
-    calls = keccak_permutations
+    calls, packed = keccak_permutations, packed_permutations
     calls[0] = 0
     assert mempool.admit(first).admitted
-    assert calls[0] <= 6  # a sender never seen before: one address hash
-    calls[0] = 0
+    # A sender never seen before: one address hash.
+    assert (calls[0], packed[0]) == (4, 1)
+    calls[0] = packed[0] = 0
     assert mempool.admit(second).admitted
-    assert calls[0] <= 5
+    assert (calls[0], packed[0]) == (3, 1)
 
 
 def _ledger_shaped_batch(batch_chain, protected, service, count, nonces=None):
@@ -319,12 +321,16 @@ def test_a_batch_admission_hashes_its_transactions_by_lanes(
         assert tx.hash() == keccak256(payload + tx.signature.to_bytes())
 
 
-def test_a_single_admission_never_reaches_the_packed_kernel(
+def test_a_single_admission_packs_only_its_own_two_digests(
     mempool, client, protected, service, packed_permutations
 ):
+    """Below the packed crossover nothing is batched across transactions: the
+    one packed permutation an admission makes is its own signing digest and
+    hash as two ragged lanes (``keccak256_shared_prefix``)."""
     assert mempool.admit(_ledger_shaped_tx(client, protected, service, nonce=0)).admitted
+    assert packed_permutations[0] == 1
     assert mempool.admit_many([_ledger_shaped_tx(client, protected, service, nonce=1)])[0].admitted
-    assert packed_permutations[0] == 0
+    assert packed_permutations[0] == 2
 
 
 def test_admit_many_walks_a_generator_once_and_in_order(
