@@ -32,7 +32,13 @@ times the primitives that path is built from:
   on token-datagram-sized payloads (ops/s);
 * ``keccak256_many``   -- the same datagram digest hashed by lanes, per
   message on a block of ``SMACS_CRYPTO_BLOCK`` distinct datagrams (what an
-  envelope's issuance and a batch admission run).
+  envelope's issuance and a batch admission run);
+* ``ragged pair``      -- two one-block messages of different lengths (a lone
+  submission's session message and its token's datagram) through
+  ``keccak256_many`` beside two ``keccak256`` calls;
+* ``session rider``    -- an 8-block session message hashed *with* an
+  envelope's 32 two-block datagrams (it rides their two packed steps and
+  finishes its last six blocks alone) beside the two separate calls.
 
 Acceptance (asserted here, regression-gated in CI via
 ``regression_gate.py crypto`` against the committed baseline):
@@ -46,7 +52,11 @@ Acceptance (asserted here, regression-gated in CI via
 * table build + one check <= 1.25x one ``recover`` (what a sender that
   returns exactly once costs extra);
 * ``cold senders`` >= 0.97x the parent expression (what a sender that never
-  returns costs extra: one dict insert).
+  returns costs extra: one dict insert);
+* ``ragged pair`` >= 1.5x two ``keccak256`` calls (measured 1.84x: one
+  width-2 packed permutation costs about what one scalar one does) and
+  ``session rider`` >= 1.1x the separate calls (measured 1.16x: two of the
+  session's eight sequential blocks cost nothing).
 
 ``recover`` and ``recover_batch`` share one kernel, so their ratio is ~1.0
 by construction (the endomorphism, not the batching, was the old batch
@@ -165,6 +175,21 @@ def test_crypto_hotpath(benchmark):
         )
         datagrams = [_DATAGRAM[:-1] + bytes([i % 256]) for i in range(BLOCK)]
         rates["keccak_many_short"] = _best_rate(BLOCK, lambda: keccak256_many(datagrams))
+        lone = [[b"session" + bytes([i]) * 100, datagram] for i, datagram in enumerate(datagrams)]
+        pair_time, apart_time = _best_times_interleaved(
+            lambda: [keccak256_many(two) for two in lone],
+            lambda: [[keccak256(message) for message in two] for two in lone],
+        )
+        rates["keccak_ragged_pair"] = 2 * len(lone) / pair_time
+        rates["keccak_pair_apart"] = 2 * len(lone) / apart_time
+        session = b"session" + b"\xee" * (8 * 136 - 64)
+        envelope = [bytes([i]) * 200 for i in range(32)]
+        rider_time, prelude_time = _best_times_interleaved(
+            lambda: [keccak256_many(envelope + [session]) for _ in range(4)],
+            lambda: [(keccak256(session), keccak256_many(envelope)) for _ in range(4)],
+        )
+        rates["session_rider"] = 4 / rider_time
+        rates["session_prelude"] = 4 / prelude_time
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -177,6 +202,8 @@ def test_crypto_hotpath(benchmark):
         1 / rates["prepare_point"] + 1 / rates["recovers_to"]
     )
     cold_relative = rates["cold_senders"] / rates["cold_senders_parent"]
+    ragged_pair_speedup = rates["keccak_ragged_pair"] / rates["keccak_pair_apart"]
+    session_rider_speedup = rates["session_rider"] / rates["session_prelude"]
     lines = [
         "Crypto hot-path (secp256k1 + keccak-256 kernels)",
         f"{'operation':<24}{'ops/s':>12}",
@@ -195,6 +222,10 @@ def test_crypto_hotpath(benchmark):
         f"{'  recover == sender /tx':<24}{rates['cold_senders_parent']:>12.1f}",
         f"{'keccak 80B datagram':<24}{rates['keccak_short']:>12.1f}",
         f"{'keccak256_many /msg':<24}{rates['keccak_many_short']:>12.1f}",
+        f"{'ragged pair /msg':<24}{rates['keccak_ragged_pair']:>12.1f}",
+        f"{'  two keccak256 /msg':<24}{rates['keccak_pair_apart']:>12.1f}",
+        f"{'session rider /envelope':<24}{rates['session_rider']:>12.1f}",
+        f"{'  session, then 32 /env':<24}{rates['session_prelude']:>12.1f}",
         f"keccak 1KiB payloads: {rates['keccak_mb_per_sec']:.2f} MB/s",
         f"sign_batch ({BLOCK} digests) vs sign: {sign_batch_speedup:.2f}x",
         f"sign_batch on two digests vs two signs: {pair_relative:.2f}x",
@@ -203,6 +234,8 @@ def test_crypto_hotpath(benchmark):
         f"known-key check vs recover: {known_key_speedup:.2f}x",
         f"table build + one check: {second_sight_cost:.2f}x one recover",
         f"cold senders vs recover == sender: {cold_relative:.2f}x",
+        f"ragged pair (two one-block messages) vs two keccak256: {ragged_pair_speedup:.2f}x",
+        f"session rider (8 blocks + 32 x 2) vs separate calls: {session_rider_speedup:.2f}x",
     ]
     report(
         "crypto_hotpath",
@@ -233,6 +266,9 @@ def test_crypto_hotpath(benchmark):
             "keccak_mb_per_sec": round(rates["keccak_mb_per_sec"], 3),
             "keccak_short_ops_per_sec": round(rates["keccak_short"], 1),
             "keccak_many_short_ops_per_sec": round(rates["keccak_many_short"], 1),
+            "keccak_ragged_pair_ops_per_sec": round(rates["keccak_ragged_pair"], 1),
+            "ragged_pair_speedup_vs_two_hashes": round(ragged_pair_speedup, 2),
+            "session_rider_speedup_vs_separate": round(session_rider_speedup, 3),
         },
     )
     benchmark.extra_info.update(
@@ -251,6 +287,10 @@ def test_crypto_hotpath(benchmark):
     assert known_key_speedup >= 1.6, f"recovers_to only {known_key_speedup:.2f}x recover"
     assert second_sight_cost <= 1.25, f"build + check is {second_sight_cost:.2f}x a recover"
     assert cold_relative >= 0.97, f"cold senders at {cold_relative:.3f}x the parent expression"
+    # Ragged lanes: a lone submission's two messages, and the session message
+    # riding an envelope's datagrams.
+    assert ragged_pair_speedup >= 1.5, f"ragged pair only {ragged_pair_speedup:.2f}x two hashes"
+    assert session_rider_speedup >= 1.1, f"session rider only {session_rider_speedup:.3f}x"
 
 
 def test_batch_recovery_matches_looped(benchmark):

@@ -61,6 +61,9 @@ GATES: "dict[str, dict[str, Any]]" = {
             "keccak_mb_per_sec",
             "keccak_short_ops_per_sec",
             "keccak_many_short_ops_per_sec",
+            "keccak_ragged_pair_ops_per_sec",
+            "ragged_pair_speedup_vs_two_hashes",
+            "session_rider_speedup_vs_separate",
             "recover_speedup_vs_reference",
             "known_key_speedup_vs_recover",
             "sign_batch_speedup_vs_sign",

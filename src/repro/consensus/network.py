@@ -14,16 +14,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _Event:
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    action: Callable[[], None]
+    cancelled: bool = False
 
 
 class Timer:
@@ -55,7 +53,10 @@ class SimulatedNetwork:
         self.max_delay = max_delay
         self.drop_rate = drop_rate
         self.now = 0.0
-        self._queue: list[_Event] = []
+        # Heap of (time, sequence, event): the sequence is unique, so two
+        # entries are ordered by C tuple comparison of a float and an int and
+        # the event itself is never compared.
+        self._queue: list[tuple[float, int, _Event]] = []
         self._sequence = itertools.count()
         self._handlers: dict[str, Callable[[str, Any], None]] = {}
         self._down: set[str] = set()
@@ -103,8 +104,8 @@ class SimulatedNetwork:
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Timer:
         """Run ``action`` after ``delay`` simulated seconds."""
-        event = _Event(self.now + max(delay, 0.0), next(self._sequence), action)
-        heapq.heappush(self._queue, event)
+        event = _Event(action)
+        heapq.heappush(self._queue, (self.now + max(delay, 0.0), next(self._sequence), event))
         return Timer(event)
 
     def send(self, src: str, dst: str, message: Any) -> None:
@@ -137,10 +138,10 @@ class SimulatedNetwork:
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             event.action()
             return True
         return False
@@ -148,7 +149,7 @@ class SimulatedNetwork:
     def run_for(self, duration: float) -> None:
         """Advance virtual time by ``duration`` seconds."""
         deadline = self.now + duration
-        while self._queue and self._queue[0].time <= deadline:
+        while self._queue and self._queue[0][0] <= deadline:
             self.step()
         self.now = max(self.now, deadline)
 

@@ -45,6 +45,7 @@ from repro.core.token_service import (
     DEFAULT_TOKEN_LIFETIME,
     IssuanceResult,
     TokenService,
+    session_message,
 )
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import DEFAULT_SIGNATURE_CACHE, SignatureCache
@@ -178,16 +179,20 @@ class BatchTokenService:
         if isinstance(requests, TokenRequest):
             requests = [requests]
 
-        # One session's worth of real front-end work for the whole batch.
-        self.shards[0].front_end_session_overhead(requests)
         self.batches_processed += 1
-
+        # One session's worth of real front-end work for the whole batch: it
+        # rides the first shard's pass (and is all that pass does when the
+        # batch is empty).
+        session = session_message(requests)
         results: "list[IssuanceResult | None]" = [None] * len(requests)
         shard_count = len(self.shards)
         for shard_index, shard in enumerate(self.shards):
             positions = range(shard_index, len(requests), shard_count)
             self._shard_loads[shard_index] += len(positions)
-            dealt = shard._issue([requests[position] for position in positions])
+            dealt = shard._issue(
+                [requests[position] for position in positions],
+                session if shard_index == 0 else None,
+            )
             for position, result in zip(positions, dealt):
                 results[position] = result
         return results

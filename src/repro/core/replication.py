@@ -15,7 +15,10 @@ before it signs any of them.  A replica that times out on the commit fails
 exactly those requests (``COUNTER_TIMEOUT``, retried through the next
 replica); one that crashes after the commit but before its signatures
 leaves the range reserved and unused -- burned indexes the Alg. 2 bitmap
-never sees, never a repeated one.
+never sees, never a repeated one.  The same holds for a submission whose
+session signature fails its check: the check runs after ``take`` (the session
+is signed in the batch the range's tokens are signed in), so the submission
+is answered ``INTERNAL`` and its range is burned, never handed out again.
 """
 
 from __future__ import annotations

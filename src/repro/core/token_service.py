@@ -10,8 +10,22 @@ token signed over the datagram that the contract will later reconstruct.
 The in-process implementation substitutes the paper's Node.js web server.
 The front end models the per-connection overhead of an HTTPS request
 (session setup, TLS, JSON parsing) as a fixed amount of *real* work per
-submission -- a client-signature check -- so that batch submissions amortise
-it and the throughput curve of Fig. 9 keeps its shape.
+submission -- three operations: an authentication-grade hash of the framed
+payload, a signature over it, and a verification of that signature standing
+in for the client's -- so that batch submissions amortise it and the
+throughput curve of Fig. 9 keeps its shape.
+:meth:`TokenService.front_end_session_overhead` is that cost model, kept as
+the definition; :meth:`TokenService.submit` performs the same three
+operations on the same bytes but *staged*: the session message is one more
+lane of the hash call that digests the envelope's datagrams and its digest
+one more scalar of the batch signature that signs them, because neither
+depends on anything but the submission's bytes.  Only the verification needs
+the signature, so it is the one session kernel left on its own -- and it
+fails closed: a submission whose session signature does not verify issues
+nothing.  Per submission the model is intact (one hash, one signature, one
+verification, whatever the batch size); what changed is that a lone
+submission no longer runs five kernels in a row where only two of the edges
+were data dependencies.
 
 Rule storage can be persisted to a JSON file (the ``node-localStorage``
 substitute), and the one-time counter can be delegated to a replicated
@@ -32,6 +46,7 @@ from repro.core.acr import AccessDecision, RuleSet
 from repro.core.errors import ErrorCode, SmacsError, classify
 from repro.core.token import Token, TokenType, ONE_TIME_UNSET, signing_datagram
 from repro.core.token_request import TokenRequest
+from repro.crypto.ecdsa import Signature
 from repro.crypto.keccak import keccak256, keccak256_many
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
@@ -166,82 +181,116 @@ class TokenService:
         """Evaluate the request against the rules of its token type."""
         return self.rules.evaluate(request)
 
-    def _reusable_tokens(self, requests: Sequence[TokenRequest], expire: int) -> list[Token]:
-        """Tokens without the one-time property, through the memo path.
+    def _tokens(
+        self,
+        reusable: Sequence[TokenRequest],
+        one_time: Sequence[TokenRequest],
+        indexes: Sequence[int],
+        expire: int,
+        session: "bytes | None",
+    ) -> "tuple[list[Token], list[Token]]":
+        """``(reusable tokens, one-time tokens)`` through the token memo.
 
-        With a cache this is the per-request chain (token memo, then
-        ``digest_for``, then ``signature_for``) with the envelope's misses
-        hashed and signed together: the same tokens, and the cache's books
-        are the loop's.  (One corner differs in LRU order only: an entry the
-        envelope's own stores evict before the envelope needs it -- a cache
-        smaller than the envelope -- is rebuilt alone, so its digest and
-        signature lookups come after the others'.)
+        With a cache the reusable tokens keep the books of the per-request
+        chain -- token memo, then ``digest_for``, then ``signature_for`` --
+        while the memo's misses are built in the one pass that also builds
+        the one-time tokens (:meth:`_build`).  (One corner differs in LRU
+        order only: an entry the envelope's own stores evict before the
+        envelope needs it -- a cache smaller than the envelope -- is rebuilt
+        alone, so its digest and signature lookups come after the others',
+        the one-time tokens' included.)
         """
         cache = self.signature_cache
         if cache is None:
-            return self._tokens(requests, expire)
+            tokens = self._build(reusable, one_time, indexes, expire, session)
+            return tokens[:len(reusable)], tokens[len(reusable):]
         # A replayed request within the same lifetime window reproduces a
         # byte-identical token (signing is deterministic), so the whole
         # datagram/digest/sign chain collapses to one LRU lookup.
-        keys = [("token", self.keypair.address, expire, request.encode()) for request in requests]
-        request_of = dict(zip(keys, requests))
-        return cache.memoize_many(
-            keys, lambda missing: self._tokens([request_of[key] for key in missing], expire)
+        keys = [("token", self.keypair.address, expire, request.encode()) for request in reusable]
+        request_of = dict(zip(keys, reusable))
+        unbuilt = cache.unmemoized(keys)
+        tokens = self._build(
+            [request_of[key] for key in unbuilt], one_time, indexes, expire, session
         )
+        built = dict(zip(unbuilt, tokens))
 
-    def _tokens(
+        def misses(missing: "list[tuple]") -> list[Token]:
+            # What was just built -- or, for an entry evicted since, alone.
+            return [
+                built[key] if key in built
+                else self._build([request_of[key]], (), (), expire, None)[0]
+                for key in missing
+            ]
+
+        return cache.memoize_many(keys, misses), tokens[len(unbuilt):]
+
+    def _build(
         self,
-        requests: Sequence[TokenRequest],
+        reusable: Sequence[TokenRequest],
+        one_time: Sequence[TokenRequest],
+        indexes: Sequence[int],
         expire: int,
-        indexes: "Sequence[int] | None" = None,
+        session: "bytes | None",
     ) -> list[Token]:
-        """Datagrams, digests, one batch signature, cache priming (Fig. 3).
+        """Tokens for ``reusable`` (the index field unset), then for
+        ``one_time[i]`` at ``indexes[i]``: datagrams, one hash call, one batch
+        signature, cache priming (Fig. 3).
 
-        ``indexes`` are the one-time indexes of the requests; ``None`` builds
-        reusable tokens (the index field unset).
+        The ``session`` message, when this pass carries the submission's,
+        rides both kernels and is checked before any signature reaches a
+        token or the cache (:class:`_SessionSigner`).
         """
-        one_time = indexes is not None
-        if indexes is None:
-            indexes = [ONE_TIME_UNSET] * len(requests)
-        datagrams = [
-            _datagram(request, expire, index) for request, index in zip(requests, indexes)
-        ]
+        items = [(request, ONE_TIME_UNSET) for request in reusable] + list(zip(one_time, indexes))
+        datagrams = [_datagram(request, expire, index) for request, index in items]
+        riders = [] if session is None else [session]
         cache = self.signature_cache
+        keypair = self.keypair
+        digests = (
+            keccak256_many(datagrams + riders)
+            if cache is None
+            else cache.digests_for(datagrams, riders)
+        )
+        signer = keypair if session is None else _SessionSigner(keypair, digests[-1])
         if cache is None:
-            signatures = self.keypair.sign_batch(keccak256_many(datagrams))
-        elif one_time:
-            # One-time datagrams are unique by construction (fresh index), so
-            # memoizing the *signing* step would only evict reusable entries
-            # -- but the digest and the known recovery result are exactly
-            # what the execution pipeline's pre-checks and the verifier's
-            # ``ecrecover`` will ask for, so prime those.
-            digests = cache.digests_for(datagrams)
-            signatures = self.keypair.sign_batch(digests)
-            for digest, signature in zip(digests, signatures):
-                cache.prime_recovery(digest, signature, self.keypair.address)
+            signatures = signer.sign_batch(digests)
         else:
             # The deterministic signature of a reusable datagram is worth
             # memoizing (signatures_for primes the recovery side as well).
-            signatures = cache.signatures_for(self.keypair, cache.digests_for(datagrams))
+            # One-time datagrams are unique by construction (fresh index), so
+            # memoizing their signatures would only evict reusable entries:
+            # they ride -- but the digest and the known recovery result are
+            # exactly what the execution pipeline's pre-checks and the
+            # verifier's ``ecrecover`` will ask for, so prime those.
+            memoized = len(reusable)
+            signatures = cache.signatures_for(signer, digests[:memoized], digests[memoized:])
+            for digest, signature in zip(digests[memoized:len(items)], signatures[memoized:]):
+                cache.prime_recovery(digest, signature, keypair.address)
         return [
             Token(request.token_type, expire, index, signature)
-            for request, index, signature in zip(requests, indexes, signatures)
+            for (request, index), signature in zip(items, signatures)
         ]
 
-    def _issue(self, requests: Sequence[TokenRequest]) -> list[IssuanceResult]:
-        """The staged issuance path behind :meth:`submit` (no session overhead).
+    def _issue(
+        self, requests: Sequence[TokenRequest], session: "bytes | None" = None
+    ) -> list[IssuanceResult]:
+        """The staged issuance pass behind :meth:`submit`.
 
-        Rules run for every request; the *allowed* reusable requests then
-        share their memo misses' hashing and one batch signature, and the
-        allowed one-time requests share one ``counter.take(n)`` (one Raft
-        commit on a replicated counter, indexes consecutive in request order)
-        and another.  Counters and the audit log read as if the requests had
-        been served one by one: denials and reusable tokens in request order,
-        then the one-time tokens.  No exception escapes per request: a denied
-        or malformed request fails alone and consumes no index, and a failed
-        ``take`` (a counter timeout) fails exactly the one-time requests;
-        only genuine programming errors (``ErrorCode.INTERNAL``) still
-        propagate.
+        Rules run for every request; the allowed one-time requests then share
+        one ``counter.take(n)`` (one Raft commit on a replicated counter,
+        indexes consecutive in request order), and everything that has to be
+        hashed and signed -- the reusable memo misses, the one-time tokens
+        and the ``session`` message when the caller hands one over -- shares
+        one hash call and one batch signature (:meth:`_tokens`).  Counters
+        and the audit log read as if the requests had been served one by one:
+        denials and reusable tokens in request order, then the one-time
+        tokens.  No exception escapes per request: a denied or malformed
+        request fails alone and consumes no index, and a failed ``take`` (a
+        counter timeout) fails exactly the one-time requests; only genuine
+        programming errors (``ErrorCode.INTERNAL``) still propagate -- among
+        them a session signature that does not verify, which ends the
+        submission after ``take``: its index range is burned, no token is
+        built and nothing it signed reaches the cache.
         """
         results: "list[IssuanceResult | None]" = [None] * len(requests)
         expire = self.clock.now() + self.token_lifetime
@@ -257,8 +306,19 @@ class TokenService:
                 one_time.append(position)
             else:
                 in_order.append((position, request, decision))
+        allowed = [requests[position] for position in one_time]
+        indexes: Sequence[int] = ()
+        refused: "Exception | None" = None
+        if allowed:
+            try:
+                indexes = self.counter.take(len(allowed))
+            except Exception as exc:
+                refused = exc  # reported below, where the loop would have met it
         reusable = [request for _, request, decision in in_order if decision.allowed]
-        tokens = iter(self._reusable_tokens(reusable, expire) if reusable else ())
+        reusable_tokens, one_time_tokens = self._tokens(
+            reusable, allowed, indexes, expire, session
+        )
+        tokens = iter(reusable_tokens)
         for position, request, decision in in_order:
             if decision.allowed:
                 results[position] = self._issued(request, next(tokens))
@@ -266,18 +326,11 @@ class TokenService:
                 self.denied_count += 1
                 self._audit(request, f"denied: {decision.reason}")
                 results[position] = IssuanceResult.failure(request, TokenDenied(decision))
-        if one_time:
-            allowed = [requests[position] for position in one_time]
-            try:
-                indexes = self.counter.take(len(allowed))
-            except Exception as exc:
-                for position, request in zip(one_time, allowed):
-                    results[position] = _failure(request, exc)
-            else:
-                for position, request, token in zip(
-                    one_time, allowed, self._tokens(allowed, expire, indexes)
-                ):
-                    results[position] = self._issued(request, token)
+        for position, request, token in zip(one_time, allowed, one_time_tokens):
+            results[position] = self._issued(request, token)
+        if refused is not None:
+            for position, request in zip(one_time, allowed):
+                results[position] = _failure(request, refused)
         if self.storage_path and any(result.issued for result in results):
             self._save_state()
         return results
@@ -293,33 +346,44 @@ class TokenService:
         """Process one submission through the front end (the protocol batch path).
 
         A submission carries one or more requests -- a single request is a
-        batch of one.  What an envelope pays once: the per-connection
-        overhead (modelled as an authentication-grade hash + signature
-        verification of the session payload), the one-time counter round and
-        the signing inversions (see :meth:`_issue`), which is what makes
-        batched submissions faster per request (Fig. 9).  Per-request failures
-        -- denials, counter timeouts, malformed requests -- are carried inside
+        batch of one.  By definition it is :meth:`front_end_session_overhead`
+        followed by the requests served one by one -- same tokens, results,
+        counters, audit log and cache books -- and it runs as one staged pass
+        (:meth:`_issue`) in which the session's hash and signature are not a
+        prelude but two more lanes of the envelope's own hash call and batch
+        signature.  What an envelope still pays once, and a request never:
+        the per-connection overhead (an authentication-grade hash, a
+        signature and a verification of the session payload -- the same three
+        operations on the same bytes, so Fig. 9's per-session cost model
+        holds; only *when* two of them run has changed), the one-time counter
+        round and the signing inversions, which is what makes batched
+        submissions faster per request (Fig. 9).  Per-request failures --
+        denials, counter timeouts, malformed requests -- are carried inside
         the matching :class:`IssuanceResult` rather than raised, so one bad
-        request never aborts the rest of the batch.
+        request never aborts the rest of the batch.  A session signature that
+        does not verify is not per-request: it raises ``INTERNAL`` and no
+        token leaves the service.
         """
         if isinstance(requests, TokenRequest):
             requests = [requests]
-        self.front_end_session_overhead(requests)
-        return self._issue(requests)
+        return self._issue(requests, session_message(requests))
 
     def front_end_session_overhead(self, requests: Sequence[TokenRequest]) -> None:
         """Fixed per-connection work: session authentication and request framing.
 
         The work is real (a signature over the framed payload is created and
         verified) so throughput measurements capture it honestly rather than
-        through artificial sleeps.  Public because batching front ends
-        (:class:`~repro.core.batch_service.BatchTokenService`) pay it once per
-        batch on behalf of their worker shards.
+        through artificial sleeps.  Public as the *definition* of what a
+        submission pays: :meth:`submit` performs these three operations on
+        these bytes, staged into the envelope's own kernels, and is tested
+        against this method followed by the per-request loop.  Fails closed:
+        a signature the service's public key does not verify raises
+        ``INTERNAL``.
         """
         payload = b"".join(request.encode() for request in requests[:16]) or b"empty"
         digest = keccak256(b"session" + payload)
         session_signature = self.keypair.sign(digest)
-        self.keypair.verify(digest, session_signature)
+        _check_session(self.keypair, digest, session_signature)
 
     # -- owner management -------------------------------------------------------------------
 
@@ -385,6 +449,45 @@ class TokenService:
             self.counter.restore(state.get("counter", 0))
         if state.get("rules"):
             self.rules = RuleSet.from_config(state["rules"])
+
+
+def session_message(requests: Sequence[TokenRequest]) -> bytes:
+    """The framed session payload a submission of ``requests`` authenticates."""
+    return b"session" + (b"".join(request.encode() for request in requests[:16]) or b"empty")
+
+
+def _check_session(keypair: KeyPair, digest: bytes, signature: Signature) -> None:
+    """The front end's verification, failing closed.
+
+    The check stands in for a client's signature, so it is a real
+    verification against the public half; a service whose halves do not
+    match would otherwise authenticate every session and issue tokens no
+    contract accepts.
+    """
+    if not keypair.verify(digest, signature):
+        raise SmacsError(
+            "session signature does not verify under the service's public key",
+            ErrorCode.INTERNAL,
+        )
+
+
+class _SessionSigner:
+    """``keypair`` as :meth:`TokenService._build` signs with it when the
+    session rides: a batch whose last digest is the session's is released
+    only if that signature verifies -- before a signature reaches a token,
+    and inside the cache's ``sign_batch`` call, so before the cache stores
+    one either."""
+
+    def __init__(self, keypair: KeyPair, session_digest: bytes):
+        self.keypair = keypair
+        self.address = keypair.address
+        self.session_digest = session_digest
+
+    def sign_batch(self, digests: "list[bytes]") -> "list[Signature]":
+        signatures = self.keypair.sign_batch(digests)
+        if digests[-1] == self.session_digest:  # not a rebuilt entry signed alone
+            _check_session(self.keypair, self.session_digest, signatures[-1])
+        return signatures
 
 
 def _datagram(request: TokenRequest, expire: int, index: int) -> bytes:

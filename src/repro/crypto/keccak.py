@@ -16,11 +16,11 @@ signature over it (~0.19 ms) and a third of the recovery that verifies it.
 Hashing by lanes
 ----------------
 :func:`keccak256` hashes one message; :func:`keccak256_many` hashes N, and
-above :data:`PACKED_CROSSOVER` messages of equal padded length it does so
-*across* them.  The packed state is still 25 integers, but each is N x 64
-bits wide: slot ``j`` (bits ``64j .. 64j+63``) of lane ``i`` is lane ``i``
-of message ``j``'s sponge.  XOR and AND act on every slot at once for free,
-so :func:`_keccak_f_packed` is :func:`_keccak_f` line for line and the
+from :data:`PACKED_CROSSOVER` messages up it does so *across* them.  The
+packed state is still 25 integers, but each is N x 64 bits wide: slot ``j``
+(bits ``64j .. 64j+63``) of lane ``i`` is lane ``i`` of message ``j``'s
+sponge.  XOR and AND act on every slot at once for free, so
+:func:`_keccak_f_packed` is :func:`_keccak_f` line for line and the
 interpreter is paid once per round step instead of once per message.  Two
 steps need care:
 
@@ -36,9 +36,9 @@ The masks exist for the 24 distinct rho offsets (theta's 1 is one of them),
 are built once at import for ``_PACKED_CAP`` = 64 slots and are used as they
 are by every narrower state (``&`` stops at the shorter operand), so there is
 no table per width: ~26 KB, immutable module constants, safe to share between
-the issuing thread and the node thread.  Groups wider than the cap are hashed
-in chunks of it.  Packing is a strided ``memoryview`` slice per lane (no
-per-message loop); unpacking the four digest lanes is the same in reverse.
+the issuing thread and the node thread.  Batches wider than the cap are hashed
+in chunks of it.  Packing is a strided ``memoryview`` slice per lane;
+unpacking the four digest lanes is the same in reverse.
 
 The crossover is where the packed path wins *including* pack and unpack,
 measured on one pinned CPU with ``keccak256_many`` against a ``keccak256``
@@ -50,22 +50,46 @@ loop (two-block messages, ms per call)::
 
 One packed permutation costs about what a scalar one does at width 1-3
 (~160 us against ~150), ~285 us at width 32 and ~440 us at width 64, so two
-messages already halve the bill and ``PACKED_CROSSOVER = 2``; a lone message,
-and a group of one, stays on the scalar path, which is also the
-differential reference the packed kernel is tested against slot by slot.
+messages already halve the bill and ``PACKED_CROSSOVER = 2``; a lone message
+stays on the scalar path, which is also the differential reference the
+packed kernel is tested against slot by slot.
 
-The ragged pair
----------------
-:func:`keccak256_many` needs equal padded lengths.  One pair of unequal
-messages is common enough to have its own shape: a transaction's signing
-payload and the payload-plus-signature it is hashed as, a 3- and a 4-block
-message sharing a prefix.  :func:`keccak256_shared_prefix` absorbs the shared
-whole blocks once (scalar), then runs the *next* block of both messages --
-the shorter one's last -- as the two slots of one width-2 packed permutation
-(~180 us against two scalar ones at ~176 each), and only the longer message's
-remaining blocks go on alone: 3 scalar + 1 packed permutations where two
-separate hashes cost 7 and the shared prefix alone left 5 (the pair 862 ->
-695 us here).
+Ragged lanes
+------------
+The messages of a batch need not pad to the same length: a slot is a sponge
+of its own, so each step every live slot absorbs *its* message's next block.
+:func:`keccak256_many` orders the batch by block count, longest first, and
+cuts it into chunks of ``_PACKED_CAP``; within a chunk the messages that end
+first therefore sit in the top slots, are squeezed when their last block has
+been permuted, and the state is truncated to the slots still live -- later
+steps run narrower, and the last survivor finishes on the scalar
+:func:`_keccak_f`.  A chunk costs ``max(blocks)`` interpreter round trips
+instead of one pass per length group, and equal-length input performs
+exactly the permutations it always did.  What that buys where the lengths
+differ (ms per call, one pinned CPU)::
+
+                                              apart   one call
+    two one-block messages (keccak256 x 2)    0.340      0.191
+    8-block message + 32 two-block ones        2.06       1.79
+    32 three-block + 32 four-block             2.32       2.00
+
+-- a lone submission's session message beside its token's datagram (one
+width-2 permutation, no scalar one), the session message riding an
+envelope's datagrams (two of its eight sequential blocks cost nothing), and
+a 32-transaction admission (4 packed permutations, three of them at width 64,
+instead of 7 at width 32).
+
+What stays apart is a *shared state*, which is not a ragged length: a
+transaction's signing payload and the payload-plus-signature it is hashed
+as are a 3- and a 4-block message with a common prefix, and hashing them as
+two ragged lanes would absorb that prefix twice.
+:func:`keccak256_shared_prefix` absorbs the shared whole blocks once
+(scalar), then runs the *next* block of both messages -- the shorter one's
+last -- as the two slots of one width-2 packed permutation (~180 us against
+two scalar ones at ~176 each), and only the longer message's remaining
+blocks go on alone: 3 scalar + 1 packed permutations where two separate
+hashes cost 7 and the shared prefix alone left 5 (the pair 862 -> 695 us
+here).
 """
 
 from __future__ import annotations
@@ -389,57 +413,77 @@ def keccak256(data: bytes) -> bytes:
     return _finish(_EMPTY_SPONGE, data)
 
 
-def _sponge_packed(messages: "list[bytes | bytearray]", blocks: int) -> list[bytes]:
-    """Digests of messages that all pad to ``blocks`` rate blocks, hashed packed."""
-    width = len(messages)
-    padded: "list[bytes | bytearray]" = []
-    for message in messages:
-        padded.append(message)
-        padded.append(_padding(len(message)))
-    # One 8-byte item per lane, message after message; lane i of block b of
-    # every message is then a strided slice, and its bytes are the packed
-    # lane.  ``tobytes`` copies items without interpreting them, so the only
-    # byte order involved is the explicit "little" below.
-    lanes = memoryview(b"".join(padded)).cast("Q")
-    per_message = blocks * _RATE_LANES
+def _sponge_ragged(messages: "list[bytes | bytearray]") -> list[bytes]:
+    """Digests of one chunk of ``messages`` ordered longest first, every step
+    one packed permutation.
+
+    Slot ``j`` absorbs message ``j``'s own next block each step.  The order
+    puts the messages that finish first in the top slots, so they are
+    squeezed and the state cut back to the slots still live; once fewer than
+    :data:`PACKED_CROSSOVER` are, they go on alone on the scalar permutation.
+    """
+    padded = [message + _padding(len(message)) for message in messages]
+    digests = [b""] * len(messages)
     from_bytes = int.from_bytes
     state = [0] * 25
-    for block in range(0, per_message, _RATE_LANES):
+    live = len(messages)
+    offset = 0
+    while live >= PACKED_CROSSOVER:
+        # One 8-byte item per lane, slot after slot; lane i of every slot's
+        # block is then a strided slice, and its bytes are the packed lane.
+        # ``tobytes`` copies items without interpreting them, so the only
+        # byte order involved is the explicit "little" below.
+        end = offset + _RATE_BYTES
+        blocks = [message[offset:end] for message in padded[:live]]
+        lanes = memoryview(b"".join(blocks)).cast("Q")
         for i in range(_RATE_LANES):
-            state[i] ^= from_bytes(lanes[block + i::per_message].tobytes(), "little")
-        state = _keccak_f_packed(state, width)
-    squeezed = memoryview(
-        b"".join(lane.to_bytes(8 * width, "little") for lane in state[:4])
-    ).cast("Q")
-    return [squeezed[slot::width].tobytes() for slot in range(width)]
+            state[i] ^= from_bytes(lanes[i::_RATE_LANES].tobytes(), "little")
+        state = _keccak_f_packed(state, live)
+        offset = end
+        staying = live
+        while staying and len(padded[staying - 1]) == offset:
+            staying -= 1
+        if staying < live:
+            squeezed = memoryview(
+                b"".join(lane.to_bytes(8 * live, "little") for lane in state[:4])
+            ).cast("Q")
+            for slot in range(staying, live):
+                digests[slot] = squeezed[slot::live].tobytes()
+            keep = (1 << 64 * staying) - 1
+            state = [lane & keep for lane in state]
+            live = staying
+    for slot in range(live):
+        alone = [lane >> 64 * slot & _MASK for lane in state]
+        digests[slot] = _squeeze(_absorb(alone, padded[slot][offset:]))
+    return digests
 
 
 def keccak256_many(messages: "Sequence[bytes | bytearray]") -> list[bytes]:
     """``[keccak256(m) for m in messages]``, hashing by lanes across messages.
 
-    Messages are grouped by padded length; a group of at least
-    :data:`PACKED_CROSSOVER` is absorbed and permuted as one packed state (in
-    chunks of at most ``_PACKED_CAP``), anything smaller goes through
-    :func:`keccak256`.  Every element is type-checked before anything is
-    hashed, and no input is mutated or retained.
+    Messages are ordered by rate-block count, longest first, and cut into
+    chunks of at most ``_PACKED_CAP``; a chunk is one packed state whose slots
+    each absorb their own message (:func:`_sponge_ragged`), so it costs as
+    many interpreter round trips as its longest message has blocks, whatever
+    the other lengths are.  A lone message never leaves the scalar path.
+    Every element is type-checked before anything is hashed, and no input is
+    mutated or retained.
     """
     messages = list(messages)
-    groups: dict[int, list[int]] = {}
-    for position, message in enumerate(messages):
+    for message in messages:
         if not isinstance(message, (bytes, bytearray)):
             raise TypeError(f"keccak256 expects bytes, got {type(message).__name__}")
-        groups.setdefault(len(message) // _RATE_BYTES + 1, []).append(position)
+    # sorted() is stable: equal lengths keep their order, so equal-length
+    # input is chunked exactly as it arrives.
+    order = sorted(
+        range(len(messages)), key=lambda position: -(len(messages[position]) // _RATE_BYTES)
+    )
     digests: list[bytes] = [b""] * len(messages)
-    for blocks, positions in groups.items():
-        for start in range(0, len(positions), _PACKED_CAP):
-            chunk = positions[start:start + _PACKED_CAP]
-            if len(chunk) < PACKED_CROSSOVER:
-                for position in chunk:
-                    digests[position] = _finish(_EMPTY_SPONGE, messages[position])
-            else:
-                packed = _sponge_packed([messages[position] for position in chunk], blocks)
-                for position, digest in zip(chunk, packed):
-                    digests[position] = digest
+    for start in range(0, len(order), _PACKED_CAP):
+        chunk = order[start:start + _PACKED_CAP]
+        hashed = _sponge_ragged([messages[position] for position in chunk])
+        for position, digest in zip(chunk, hashed):
+            digests[position] = digest
     return digests
 
 

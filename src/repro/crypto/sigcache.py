@@ -28,6 +28,19 @@ Q`` by definition, on every input, so the answer is the one a fresh recovery
 would give; only a signature that did recover to the address can teach the
 memo a key, so a forger never plants one.
 
+The batch forms (:meth:`SignatureCache.digests_for`,
+:meth:`SignatureCache.signatures_for`, :meth:`SignatureCache.memoize_many`)
+are each defined as their element-wise loop -- same values, same hit/miss
+counters, same LRU order -- with the misses computed by one kernel call.  The
+first two also take *riders*: messages hashed, or digests signed, in that
+same kernel call because the caller needs them now and they cost next to
+nothing beside the misses, but which are not the cache's business -- a rider
+is never looked up, stored or counted, and its value is simply handed back.
+The Token Service's session message rides an envelope's datagrams that way
+(its digest must not evict a datagram's), and so do one-time digests on the
+signing side (unique by construction, so memoizing them would only evict
+reusable entries).
+
 Gas accounting is unaffected: the on-chain verifier still charges the full
 ``ecrecover`` precompile cost on every call (the cache models a node-level
 optimisation, not a protocol change).
@@ -98,11 +111,22 @@ class SignatureCache:
         if len(table) > self.maxsize:
             table.popitem(last=False)
 
+    @staticmethod
+    def _absent(table: OrderedDict, keys: Sequence) -> list:
+        """The distinct ``keys`` the table does not hold, in order (no lookup
+        is counted, no LRU position moves)."""
+        return list(dict.fromkeys(key for key in keys if key not in table))
+
     def _memo_many(
-        self, table: OrderedDict, keys: Sequence, compute: "Callable[[list], Sequence]"
+        self,
+        table: OrderedDict,
+        keys: Sequence,
+        compute: "Callable[[list], Sequence]",
+        riders: Sequence = (),
     ) -> "tuple[list, list[int]]":
         """Look every key up, computing and storing on a miss, the misses'
-        values computed *together*: ``(values, positions that missed)``.
+        values computed *together*: ``(values + rider values, positions
+        that missed)``.
 
         ``compute(keys)`` is called once, ahead, for the distinct keys the
         table does not hold; the lookups and stores then run element by
@@ -110,9 +134,16 @@ class SignatureCache:
         counters, LRU order and evictions are the loop's -- an in-batch
         repeat scores the hit its second lookup would have.  Only an entry
         this very batch evicted is computed alone, as the loop would have.
+
+        ``riders`` go through that one ``compute`` call behind the misses and
+        their values come back behind the keys' -- nothing else: a rider is
+        never looked up, stored or counted, so the books cannot tell it rode.
+        If ``compute`` raises, nothing has been stored.
         """
-        fresh = list(dict.fromkeys(key for key in keys if key not in table))
-        computed = dict(zip(fresh, compute(fresh))) if fresh else {}
+        fresh = self._absent(table, keys)
+        ahead = list(compute(fresh + list(riders))) if fresh or riders else []
+        computed = dict(zip(fresh, ahead))
+        ridden = ahead[len(fresh):]
         values, missed = [], []
         for position, key in enumerate(keys):
             value, found = self._lookup(table, key)
@@ -121,7 +152,7 @@ class SignatureCache:
                 self._store(table, key, value)
                 missed.append(position)
             values.append(value)
-        return values, missed
+        return values + ridden, missed
 
     # -- recovery (the verifier path) -----------------------------------------
 
@@ -270,14 +301,22 @@ class SignatureCache:
         self.prime_recovery(digest, signature, keypair.address)
         return signature
 
-    def signatures_for(self, keypair, digests: "Sequence[bytes]") -> "list[Signature]":
+    def signatures_for(
+        self, keypair, digests: "Sequence[bytes]", riders: "Sequence[bytes]" = ()
+    ) -> "list[Signature]":
         """``[signature_for(keypair, d) for d in digests]``, the misses signed
-        by one ``keypair.sign_batch`` (books as the loop's: :meth:`_memo_many`)."""
+        by one ``keypair.sign_batch`` (books as the loop's: :meth:`_memo_many`).
+
+        ``riders`` are digests signed in that same block and never memoized:
+        their signatures follow the ``digests``' in the result.  A
+        ``sign_batch`` that raises leaves the cache as it was.
+        """
         signer = keypair.address
         signatures, missed = self._memo_many(
             self._signatures,
             [(signer, digest) for digest in digests],
             lambda keys: keypair.sign_batch([digest for _, digest in keys]),
+            [(signer, digest) for digest in riders],
         )
         for position in missed:
             self.prime_recovery(digests[position], signatures[position], signer)
@@ -296,11 +335,17 @@ class SignatureCache:
         self._store(self._digests, datagram, digest)
         return digest
 
-    def digests_for(self, datagrams: "Sequence[bytes]") -> list[bytes]:
+    def digests_for(
+        self, datagrams: "Sequence[bytes]", riders: "Sequence[bytes]" = ()
+    ) -> list[bytes]:
         """``[digest_for(d) for d in datagrams]``, the misses hashed by one
         :func:`~repro.crypto.keccak.keccak256_many` (books as the loop's:
-        :meth:`_memo_many`)."""
-        return self._memo_many(self._digests, datagrams, keccak256_many)[0]
+        :meth:`_memo_many`).
+
+        ``riders`` are messages hashed in that same call and never memoized:
+        their digests follow the ``datagrams``' in the result.
+        """
+        return self._memo_many(self._digests, datagrams, keccak256_many, riders)[0]
 
     def memoize(self, key: tuple, factory: Callable):
         """Generic LRU memo for derived issuance artefacts.
@@ -323,6 +368,12 @@ class SignatureCache:
         """``[memoize(key, ...) for key in keys]``, the misses built by one
         ``factory(keys)`` call (books as the loop's: :meth:`_memo_many`)."""
         return self._memo_many(self._derived, keys, factory)[0]
+
+    def unmemoized(self, keys: "Sequence[tuple]") -> "list[tuple]":
+        """The distinct ``keys`` :meth:`memoize_many` would hand its factory
+        now, in order: a look ahead for a caller that builds them as part of a
+        larger stage.  Touches no counter and no LRU position."""
+        return self._absent(self._derived, keys)
 
     # -- introspection ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ client -> TS -> contract path.
 from repro.pipeline.builder import BlockBuilder, BlockPlan, DEFAULT_BLOCK_GAS_LIMIT
 from repro.pipeline.executor import BlockExecutor, BlockResult
 from repro.pipeline.load import SmacsLoadGenerator
-from repro.pipeline.mempool import AdmissionDecision, BitmapView, Mempool
+from repro.pipeline.mempool import AdmissionDecision, BitmapView, Mempool, RejectReason
 from repro.pipeline.openloop import (
     LatencySummary,
     OpenLoopReport,
@@ -53,6 +53,7 @@ __all__ = [
     "LatencySummary",
     "Mempool",
     "OpenLoopReport",
+    "RejectReason",
     "SmacsLoadGenerator",
     "arrival_offsets",
     "percentile",

@@ -36,6 +36,7 @@ is paid at most once per transaction.
 
 from __future__ import annotations
 
+import enum
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -64,6 +65,34 @@ _WORD_BITS = 256
 #: full burst of SMACS calls.  Lives here (not in the builder) because
 #: admission must refuse transactions that could never fit one block.
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
+
+
+class RejectReason(str, enum.Enum):
+    """Stable identifiers for every reason admission refuses a transaction.
+
+    The mempool's counterpart of :class:`~repro.core.errors.ErrorCode`: each
+    member *is* its string (``decision.reason == "bad nonce"`` holds, and the
+    values are what :meth:`Mempool.stats` and the committed scenario baselines
+    are keyed by), so the strings are pinned and a new refusal is a new
+    member, not a new spelling.
+    """
+
+    DUPLICATE_TRANSACTION = "duplicate transaction"
+    DEADLINE_EXCEEDED = "deadline exceeded before admission"
+    GAS_LIMIT = "transaction gas limit exceeds the block gas limit"
+    BAD_NONCE = "bad nonce"
+    INSUFFICIENT_FUNDS = "insufficient funds"
+    MALFORMED_TOKEN = "malformed or missing token entry"
+    EXPIRED_TOKEN = "expired token"
+    UNTRUSTED_TOKEN = "token not signed by the trusted Token Service"
+    INDEX_IN_POOL = "duplicate one-time index in pool"
+    NO_BITMAP = "contract has no one-time bitmap"
+    INDEX_BEHIND_WINDOW = "one-time index fell behind the bitmap window (token miss)"
+    INDEX_CONSUMED = "one-time index already consumed on-chain"
+    INVALID_SIGNATURE = "invalid signature"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 class BitmapView:
@@ -99,18 +128,18 @@ class BitmapView:
         )
         return (word >> (cell % _WORD_BITS)) & 1
 
-    def screen(self, index: int) -> "str | None":
+    def screen(self, index: int) -> "RejectReason | None":
         """Why ``index`` would certainly be refused on-chain, or None if it
         may still be accepted."""
         size = self.size
         if not size:
-            return "contract has no one-time bitmap"
+            return RejectReason.NO_BITMAP
         start = self.start
         if index < start:
-            return "one-time index fell behind the bitmap window (token miss)"
+            return RejectReason.INDEX_BEHIND_WINDOW
         end = start + size - 1
         if index <= end and self._bit((self.start_ptr + index - start) % size):
-            return "one-time index already consumed on-chain"
+            return RejectReason.INDEX_CONSUMED
         return None
 
 
@@ -119,6 +148,7 @@ class AdmissionDecision:
     """Outcome of one mempool admission attempt."""
 
     admitted: bool
+    #: a :class:`RejectReason` when refused
     reason: str = "admitted"
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
@@ -228,13 +258,13 @@ class Mempool:
         tx.signing_digest()  # one pass over the payload also memoizes the hash
         tx_hash = tx.hash()
         if tx_hash in self._pool or tx_hash in self.chain.receipts:
-            return self._reject("duplicate transaction")
+            return self._reject(RejectReason.DUPLICATE_TRANSACTION)
 
         if deadline is not None and self.wall_clock() >= deadline:
             # Checked after the O(1) dedup but before ecrecover: shedding
             # dead work here costs microseconds, admitting it costs a curve
             # recovery plus a pool slot nobody will claim.
-            return self._reject("deadline exceeded before admission")
+            return self._reject(RejectReason.DEADLINE_EXCEEDED)
 
         decision = self._check_node_rules(tx)
         if decision is not None:
@@ -252,7 +282,7 @@ class Mempool:
         if tx.signature is None or not self.signature_cache.signed_by(
             tx.signing_digest(), tx.signature, tx.sender
         ):
-            return self._reject("invalid signature")
+            return self._reject(RejectReason.INVALID_SIGNATURE)
 
         self._pool[tx_hash] = _PoolEntry(tx, reservations)
         self._pending_nonces[tx.sender] = self._pending_nonces.get(tx.sender, 0) + 1
@@ -297,8 +327,8 @@ class Mempool:
             obs.record_stage("admission", share + obs.clock() - t0)
         return decisions
 
-    def _reject(self, reason: str) -> AdmissionDecision:
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
+    def _reject(self, reason: RejectReason) -> AdmissionDecision:
+        self.rejected[reason.value] = self.rejected.get(reason.value, 0) + 1
         return AdmissionDecision(False, reason)
 
     def _check_node_rules(self, tx: Transaction) -> "AdmissionDecision | None":
@@ -311,7 +341,7 @@ class Mempool:
         by the sender's balance but not jointly would otherwise both reach
         the EVM, where the second blows up mid-block."""
         if tx.gas_limit > self.max_gas_limit:
-            return self._reject("transaction gas limit exceeds the block gas limit")
+            return self._reject(RejectReason.GAS_LIMIT)
         state = self.chain.state
         # The sender is not authenticated yet and the state's reads create
         # the record they look up: an unknown sender reads as 0 / 0 here
@@ -323,10 +353,10 @@ class Mempool:
             + self._enqueued_count(tx.sender)
         )
         if tx.nonce != expected:
-            return self._reject("bad nonce")
+            return self._reject(RejectReason.BAD_NONCE)
         committed = self._pending_spend.get(tx.sender, 0)
         if (state.balance_of(tx.sender) if known else 0) < committed + tx.value:
-            return self._reject("insufficient funds")
+            return self._reject(RejectReason.INSUFFICIENT_FUNDS)
         return None
 
     def _enqueued_count(self, sender: Address) -> int:
@@ -367,16 +397,16 @@ class Mempool:
 
         token_bytes = self._token_bytes_for(raw, tx.to)
         if token_bytes is None:
-            return self._reject("malformed or missing token entry"), ()
+            return self._reject(RejectReason.MALFORMED_TOKEN), ()
         try:
             token = Token.from_bytes(token_bytes)
         except MalformedToken:
-            return self._reject("malformed or missing token entry"), ()
+            return self._reject(RejectReason.MALFORMED_TOKEN), ()
 
         # Cheap check 1: expiry.  Admission uses the node clock; the
         # authoritative check re-runs against the block timestamp.
         if self.chain.clock.now() > token.expire:
-            return self._reject("expired token"), ()
+            return self._reject(RejectReason.EXPIRED_TOKEN), ()
 
         # Cheap check 2: datagram digest through the shared cache.  When the
         # recovery result is already known (primed at issuance or by an
@@ -387,13 +417,13 @@ class Mempool:
             known_signer = self.signature_cache.peek_recovery(digest, token.signature)
             trusted = self.chain.state.storage_get(tx.to, TS_ADDRESS_SLOT, None)
             if known_signer is not None and known_signer != trusted:
-                return self._reject("token not signed by the trusted Token Service"), ()
+                return self._reject(RejectReason.UNTRUSTED_TOKEN), ()
 
         # Cheap check 3: one-time index screening.
         if token.is_one_time:
             reservation = (tx.to, token.index)
             if reservation in self._reserved_indexes:
-                return self._reject("duplicate one-time index in pool"), ()
+                return self._reject(RejectReason.INDEX_IN_POOL), ()
             refusal = BitmapView(self.chain.state, tx.to).screen(token.index)
             if refusal is not None:
                 return self._reject(refusal), ()
@@ -479,4 +509,5 @@ __all__ = [
     "BitmapView",
     "DEFAULT_BLOCK_GAS_LIMIT",
     "Mempool",
+    "RejectReason",
 ]

@@ -14,6 +14,7 @@ import socket
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import (
     ErrorCode,
@@ -293,6 +294,156 @@ def test_oversized_request_is_rejected_client_side():
         transport.send(b"x" * 65)
     assert failure.value.code is ErrorCode.MALFORMED_REQUEST
     assert DEFAULT_MAX_FRAME_BYTES == 8 * 1024 * 1024
+
+
+# --- fuzz: byte streams against a live server ---------------------------------------
+
+_FUZZ_MAX_FRAME = 2048
+_FUZZ_IDLE = 0.25
+
+
+def _describe_envelope(lane: str) -> bytes:
+    return codec.encode_request_envelope("describe", ROUTE, {}, codec=lane)
+
+
+#: what a stream is made of: frames the server must serve, frames it must
+#: refuse, and bytes that are no frame at all
+_PIECES = st.one_of(
+    st.sampled_from(codec.CODECS).map(lambda lane: _framed(_submit_envelope(lane=lane))),
+    st.sampled_from(codec.CODECS).map(lambda lane: _framed(_describe_envelope(lane))),
+    st.binary(min_size=1, max_size=24).map(_framed),  # well framed, undecodable
+    st.just((0).to_bytes(FRAME_HEADER_BYTES, "big")),  # zero length
+    st.integers(_FUZZ_MAX_FRAME + 1, 2**32 - 1).map(
+        lambda length: length.to_bytes(FRAME_HEADER_BYTES, "big")  # oversize
+    ),
+    st.binary(min_size=1, max_size=12),  # garbage where a header should be
+)
+
+
+def _modelled_answers(stream: bytes) -> "tuple[list[bytes], bool]":
+    """The payload of every complete frame in ``stream`` up to (and with) the
+    first unframeable header, and whether that header ends the connection."""
+    payloads, offset = [], 0
+    while len(stream) - offset >= FRAME_HEADER_BYTES:
+        length = int.from_bytes(stream[offset:offset + FRAME_HEADER_BYTES], "big")
+        if not 0 < length <= _FUZZ_MAX_FRAME:
+            return payloads, True
+        offset += FRAME_HEADER_BYTES
+        if len(stream) - offset < length:
+            break  # a body cut short is never answered
+        payloads.append(stream[offset:offset + length])
+        offset += length
+    return payloads, False
+
+
+def _expect_eof(sock: socket.socket) -> None:
+    try:
+        assert sock.recv(1) == b"", "bytes after the last answer"
+    except ConnectionResetError:
+        pass  # closed with our unread garbage still queued: a close all the same
+
+
+def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
+    """Header cut at 1-3 bytes, body cut short, then the socket closed or left
+    idle; oversize and zero lengths; a valid frame followed by garbage; a
+    stream dripped one byte per write; several frames in one segment.  Every
+    complete frame is answered in order and in its lane (refusals as
+    ``MALFORMED_REQUEST``), a fresh connection is served while the fuzzed one
+    is still open, and afterwards no connection and no admission slot is
+    left held."""
+    from repro.resilience import AdmissionController
+
+    gateway = _gateway()
+    gateway.admission = admission = AdmissionController(target_delay_s=30.0)
+    served = {
+        envelope
+        for lane in codec.CODECS
+        for envelope in (_submit_envelope(lane=lane), _describe_envelope(lane))
+    }
+
+    with serve(gateway, max_frame_bytes=_FUZZ_MAX_FRAME, idle_timeout=_FUZZ_IDLE) as server:
+        address = parse_endpoint(server.url)
+
+        @given(
+            pieces=st.lists(_PIECES, min_size=1, max_size=4),
+            cut=st.integers(0, 3),
+            drip=st.booleans(),
+            leave_idle=st.booleans(),
+        )
+        @example(pieces=[_framed(_submit_envelope())], cut=0, drip=True, leave_idle=False)
+        @example(pieces=[_framed(_submit_envelope())] * 2, cut=1, drip=False, leave_idle=True)
+        @example(pieces=[_framed(_submit_envelope())[:3]], cut=0, drip=False, leave_idle=True)
+        @settings(max_examples=25, deadline=None)
+        def run(pieces, cut, drip, leave_idle):
+            stream = b"".join(pieces)
+            stream = stream[:len(stream) - cut] or stream[:1]
+            payloads, unframeable = _modelled_answers(stream)
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                write = 1 if drip else len(stream)
+                try:
+                    for start in range(0, len(stream), write):
+                        sock.sendall(stream[start:start + write])
+                except (BrokenPipeError, ConnectionResetError):
+                    # Only a header that cannot be framed lets the server hang
+                    # up on a sender; its answers are still there to be read.
+                    assert unframeable
+                for payload in payloads:
+                    answer = _read_frame(sock)
+                    assert codec.sniff_codec(answer) == codec.reply_codec(payload)
+                    if payload in served:
+                        codec.decode_response_envelope(answer)
+                    else:
+                        with pytest.raises(SmacsError) as refusal:
+                            codec.decode_response_envelope(answer)
+                        assert refusal.value.code is ErrorCode.MALFORMED_REQUEST
+                if unframeable:
+                    with pytest.raises(SmacsError) as refusal:
+                        codec.decode_response_envelope(_read_frame(sock))
+                    assert refusal.value.code is ErrorCode.MALFORMED_REQUEST
+                # Whatever this connection is waiting for, the server is not.
+                with socket.create_connection(address, timeout=5.0) as fresh:
+                    fresh.sendall(_framed(_describe_envelope("json")))
+                    assert ROUTE in codec.decode_response_envelope(_read_frame(fresh))["routes"]
+                if not (unframeable or leave_idle):
+                    sock.shutdown(socket.SHUT_WR)
+                _expect_eof(sock)  # closed by the server: on EOF, or past idle_timeout
+
+        run()
+        deadline = time.monotonic() + 5.0
+        while server.stats()["connections_open"]:
+            assert time.monotonic() < deadline, server.stats()
+            time.sleep(0.01)
+        assert admission.stats()["inflight"] == 0
+        stats = server.stats()
+        assert stats["frames_served"] > 0 and stats["malformed_frames"] > 0
+        assert stats["idle_closes"] > 0
+
+
+def test_a_service_with_mismatched_key_halves_answers_internal_over_tcp():
+    """The session check fails closed on the wire too: ``INTERNAL``, the
+    connection stays usable, and the reserved range is burned."""
+    from repro.core.token_service import TokenService
+
+    service = TokenService(
+        keypair=KeyPair(
+            KeyPair.from_seed("transport-ts").private, KeyPair.from_seed("not-it").public
+        )
+    )
+    gateway = ServiceGateway()
+    gateway.register(ROUTE, service)
+    with serve(gateway) as server:
+        client = connect(server.url)
+        try:
+            for burned in (2, 4):
+                with pytest.raises(SmacsError) as failure:
+                    client.submit([_request(one_time=True), _request(), _request(one_time=True)])
+                assert failure.value.code is ErrorCode.INTERNAL
+                assert service.counter.value == burned
+            assert service.issued_count == 0
+        finally:
+            client.close()
+    assert list(service.counter.take(1)) == [4]
 
 
 # --- fault: slow reader (backpressure) ----------------------------------------------

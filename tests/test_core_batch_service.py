@@ -93,6 +93,32 @@ def test_batch_issuance_indexes_unique_across_shards_and_batches():
     assert service.issued_count == 120
 
 
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_a_batch_pays_one_session_and_it_rides_the_first_shards_pass(
+    count, curve_multiplications
+):
+    """One session per batch whatever the shard count: the whole batch's
+    session message is the last digest of the first shard's ``sign_batch``
+    (alone in it when the batch is empty) and the batch's only verification."""
+    from unittest import mock
+
+    from repro.core.token_service import session_message
+    from repro.crypto.keccak import keccak256
+
+    service = _service(shards=4)
+    requests = _one_time_requests(count)
+    with mock.patch.object(
+        KeyPair, "sign_batch", autospec=True, side_effect=KeyPair.sign_batch
+    ) as blocks:
+        assert all(result.issued for result in service.submit(requests))
+    signed = [call.args[1] for call in blocks.call_args_list]
+    dealt = [len(range(shard, count, 4)) + (shard == 0) for shard in range(4)]
+    assert [len(digests) for digests in signed] == [size for size in dealt if size]
+    assert signed[0][-1] == keccak256(session_message(requests))
+    assert sum(curve_multiplications.values()) == 1
+    assert service.batches_processed == 1
+
+
 def test_result_order_matches_request_order():
     service = _service()
     requests = [

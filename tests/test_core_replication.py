@@ -95,6 +95,27 @@ def test_one_time_tokens_from_different_replicas_consumed_once_on_chain(
     assert not alice.transact(protected, "submit", 5, token=token.to_bytes()).success
 
 
+def test_a_failed_session_check_burns_the_range_the_raft_counter_reserved(chain):
+    """Mismatched key halves: the submission dies ``INTERNAL`` after its one
+    commit, and the next range any replica takes starts past the burned one."""
+    from repro.core.errors import ErrorCode, SmacsError
+
+    keys = KeyPair.from_seed("replicated-ts")
+    service = ReplicatedTokenService(
+        replica_count=3,
+        keypair=KeyPair(keys.private, KeyPair.from_seed("someone-else").public),
+        clock=chain.clock,
+        seed=23,
+    )
+    one_time = TokenRequest.method_token(b"\xaa" * 20, b"\xbb" * 20, "submit", one_time=True)
+    with pytest.raises(SmacsError) as failure:
+        service.submit([one_time] * 3)
+    assert failure.value.code is ErrorCode.INTERNAL
+    assert service.issued_count == 0
+    assert list(service.replicas[1].counter.take(2)) == [3, 4]
+    assert service.issued_indexes_are_unique()
+
+
 def test_shared_rule_updates_apply_to_every_replica(chain, alice, eve, replicated_ts, protected):
     replicated_ts.update_rules(lambda rules: rules.add_rule(WhitelistRule([alice.address])))
     ok = replicated_ts.submit(

@@ -7,6 +7,7 @@ import pytest
 from repro.api import issue_one, try_issue_one
 from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet, WhitelistRule
+from repro.core.errors import ErrorCode, SmacsError
 from repro.core.token import ONE_TIME_UNSET, TokenType
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import (
@@ -16,7 +17,9 @@ from repro.core.token_service import (
     TokenService,
     _LocalCounter,
     build_fig6_ruleset,
+    session_message,
 )
+from repro.crypto.keccak import keccak256
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 
@@ -182,7 +185,10 @@ def test_single_request_tokens_are_byte_identical_to_the_per_token_path(cache):
 @pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
 def test_envelope_hashes_its_datagrams_by_lanes(cache, keccak_permutations, packed_permutations):
     """32 two-block argument datagrams are two packed permutations, not 64
-    scalar ones; the scalar sponge only sees the session payload."""
+    scalar ones -- and since the session message rides the same call, its
+    first two blocks are the 33rd lane of those two: the scalar sponge sees
+    only its last six (it was all eight, (8, 2), while the session was hashed
+    ahead of the envelope)."""
     service = TokenService(
         keypair=KeyPair.from_seed("ts-key"),
         clock=SimulatedClock(start=1_000_000),
@@ -192,16 +198,18 @@ def test_envelope_hashes_its_datagrams_by_lanes(cache, keccak_permutations, pack
         TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": i}, one_time=True)
         for i in range(1, 33)
     ]
-    session = b"session" + b"".join(request.encode() for request in requests[:16])
+    assert len(session_message(requests)) // 136 + 1 == 8
     keccak_permutations[0] = 0
     results = service.submit(requests)
     assert all(result.issued for result in results)
-    assert packed_permutations[0] == 2
-    assert keccak_permutations[0] == len(session) // 136 + 1
-    # One request per submission never reaches the packed kernel.
-    packed_permutations[0] = 0
-    assert service.submit(requests[0])[0].issued
-    assert packed_permutations[0] == 0
+    assert (keccak_permutations[0], packed_permutations[0]) == (6, 2)
+    # One request per submission is a pair of one-block lanes -- the session
+    # message and the datagram -- so it is one packed permutation and no
+    # scalar one (it was two scalar ones, and "never reaches the packed
+    # kernel" was this assertion).
+    keccak_permutations[0] = packed_permutations[0] = 0
+    assert service.submit(TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True))[0].issued
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 1)
 
 
 # --- reusable tokens staged per envelope: the per-request loop is the oracle ---------
@@ -253,7 +261,7 @@ def _service_books(service):
         service.denied_count,
         service.counter.value,
         service.audit_log(),
-        cache
+        cache is not None  # an empty cache is falsy
         and (
             cache.hits,
             cache.misses,
@@ -356,24 +364,169 @@ def test_an_envelope_signs_its_reusable_misses_in_one_block(keccak_permutations,
         assert cache.peek_recovery(digest, token.signature) == service.address
 
 
-def test_envelope_pays_session_overhead_and_counter_once(service, monkeypatch):
-    overhead = mock.Mock(wraps=service.front_end_session_overhead)
+# --- submit staged into the envelope's kernels: its definition is the oracle ----------
+
+
+def _by_definition(service, requests):
+    """What ``submit`` is defined as: the front end's session overhead, then
+    the requests served one at a time -- denials and reusable requests in
+    request order, then the one-time ones."""
+    service.front_end_session_overhead(requests)
+    results = [None] * len(requests)
+    later = []
+    for position, request in enumerate(requests):
+        if request.one_time and service.check_rules(request).allowed:
+            later.append(position)
+        else:
+            (results[position],) = service._issue([request])
+    for position in later:
+        (results[position],) = service._issue([requests[position]])
+    return results
+
+
+_LONE_REQUESTS = [
+    TokenRequest.super_token(CONTRACT, ALICE),
+    TokenRequest.super_token(CONTRACT, ALICE, one_time=True),
+    TokenRequest.method_token(CONTRACT, ALICE, "submit"),
+    TokenRequest.method_token(CONTRACT, ALICE, "submit", one_time=True),
+    TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 7}),
+    TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 7}, one_time=True),
+]
+_SUBMISSIONS = {
+    **{f"lone-{r.token_type.name.lower()}{'-once' * r.one_time}": [r] for r in _LONE_REQUESTS},
+    "mixed": _mixed_envelope(),
+    "all-denied": [
+        TokenRequest.method_token(CONTRACT, EVE, "submit"),
+        TokenRequest.super_token(CONTRACT, EVE, one_time=True),
+    ],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("requests", _SUBMISSIONS.values(), ids=_SUBMISSIONS)
+def test_staged_submit_equals_its_definition(cache, requests):
+    staged, defined = _twin_services(cache)
+    for _ in range(2):  # cold, then with every reusable token memoized
+        assert [_outcome(r) for r in staged.submit(requests)] == [
+            _outcome(r) for r in _by_definition(defined, requests)
+        ]
+        assert _service_books(staged) == _service_books(defined)
+    if cache:
+        # The session rode the envelope's kernels and left nothing behind.
+        held = staged.signature_cache
+        message = session_message(requests)
+        digest = keccak256(message)
+        assert message not in held._digests
+        assert (staged.address, digest) not in held._signatures
+        assert all(key[0] != digest for key in held._recovered)
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+def test_staged_submit_equals_its_definition_through_a_counter_timeout(cache):
+    from repro.consensus.counter import CounterTimeout
+
+    staged, defined = _twin_services(cache)
+    for service in (staged, defined):
+        service.counter.take = mock.Mock(side_effect=CounterTimeout("no leader"))
+    requests = _mixed_envelope()
+    results = staged.submit(requests)
+    assert [_outcome(r) for r in results] == [
+        _outcome(r) for r in _by_definition(defined, requests)
+    ]
+    assert _service_books(staged) == _service_books(defined)
+    assert [r.code.value for r in results if r.request.one_time] == [
+        "COUNTER_TIMEOUT", "DENIED", "COUNTER_TIMEOUT"
+    ]
+    staged.counter.take.assert_called_once_with(2)
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("requests", _SUBMISSIONS.values(), ids=_SUBMISSIONS)
+def test_a_submission_signs_once_and_checks_its_session_once(
+    cache, requests, curve_multiplications
+):
+    """Counts, not clocks: whatever the envelope holds -- nothing included --
+    one ``sign_batch`` whose last digest is the session's, no lone ``sign``,
+    and one known-key check (the service's key is a table from its second
+    verification on)."""
+    staged, _ = _twin_services(cache)
+    for _ in range(2):
+        staged.submit([])  # first sight of the key, then its table
+    curve_multiplications.clear()
+    with mock.patch.object(
+        KeyPair, "sign_batch", autospec=True, side_effect=KeyPair.sign_batch
+    ) as blocks, mock.patch.object(KeyPair, "sign", side_effect=AssertionError("signed alone")):
+        results = staged.submit(requests)
+    (block,) = blocks.call_args_list
+    issued = [r.token.to_bytes() for r in results if r.issued]
+    built = len(set(issued)) if cache else len(issued)  # the memo builds a repeat once
+    assert len(block.args[1]) == built + 1
+    assert block.args[1][-1] == keccak256(session_message(requests))
+    assert dict(curve_multiplications) == {"prepared": 1}
+
+
+def _mismatched_keypair():
+    """``skTS`` with someone else's public half: what it signs, nobody's
+    ``pkTS`` verifies."""
+    return KeyPair(KeyPair.from_seed("ts-key").private, KeyPair.from_seed("not-ts-key").public)
+
+
+@pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
+def test_a_key_pair_with_mismatched_halves_issues_nothing(cache):
+    """The session check fails closed (its verdict used to be discarded, so
+    such a service authenticated every session and issued tokens no contract
+    accepts -- and primed the node's cache with recoveries that are false)."""
+    service = TokenService(
+        keypair=_mismatched_keypair(),
+        clock=SimulatedClock(start=1_000_000),
+        counter=_LocalCounter(start=7),
+        signature_cache=cache() if cache else None,
+    )
+    one_time = TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True)
+    requests = [TokenRequest.method_token(CONTRACT, ALICE, "m"), one_time, one_time, one_time]
+    for attempt in (service.submit, service.front_end_session_overhead):
+        with pytest.raises(SmacsError) as failure:
+            attempt(requests)
+        assert failure.value.code is ErrorCode.INTERNAL
+    assert (service.issued_count, service.denied_count, service.audit_log()) == (0, 0, [])
+    # The check runs after ``take``: the range is burned, never handed out again.
+    assert service.counter.value == 7 + 3
+    assert list(service.counter.take(1)) == [10]
+    if cache:
+        held = service.signature_cache
+        assert not (held._derived or held._signatures or held._recovered)
+
+
+def test_envelope_pays_session_overhead_and_counter_once(
+    service, monkeypatch, curve_multiplications
+):
+    """One session signature, one session verification and one ``take`` per
+    envelope.  (This mocked ``front_end_session_overhead`` while ``submit``
+    called it; the staged pass performs its three operations inside the
+    envelope's own kernels, so they are counted where they run: the session
+    digest is the last of the one ``sign_batch``, and the verification is the
+    submission's only curve multiplication by a non-generator point.)"""
     take = mock.Mock(wraps=service.counter.take)
-    monkeypatch.setattr(service, "front_end_session_overhead", overhead)
     monkeypatch.setattr(service.counter, "take", take)
     service.update_rules(lambda rules: rules.add_rule(WhitelistRule([ALICE])))
     one_time = TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True)
-    results = service.submit(
-        [
-            one_time,
-            TokenRequest.method_token(CONTRACT, EVE, "m", one_time=True),  # denied
-            TokenRequest.method_token(CONTRACT, ALICE, "m"),  # reusable
-            one_time,
-            TokenRequest.super_token(CONTRACT, EVE),  # denied
-            one_time,
-        ]
-    )
-    assert overhead.call_count == 1
+    requests = [
+        one_time,
+        TokenRequest.method_token(CONTRACT, EVE, "m", one_time=True),  # denied
+        TokenRequest.method_token(CONTRACT, ALICE, "m"),  # reusable
+        one_time,
+        TokenRequest.super_token(CONTRACT, EVE),  # denied
+        one_time,
+    ]
+    with mock.patch.object(
+        KeyPair, "sign_batch", autospec=True, side_effect=KeyPair.sign_batch
+    ) as blocks, mock.patch.object(KeyPair, "sign", side_effect=AssertionError("signed alone")):
+        results = service.submit(requests)
+    (block,) = blocks.call_args_list
+    assert len(block.args[1]) == 4 + 1
+    assert block.args[1][-1] == keccak256(session_message(requests))
+    assert sum(curve_multiplications.values()) == curve_multiplications["ladders"] == 1
     take.assert_called_once_with(3)
     assert [r.issued for r in results] == [True, False, True, True, False, True]
     assert [r.token.index for r in results if r.issued] == [0, ONE_TIME_UNSET, 1, 2]

@@ -215,8 +215,9 @@ def test_many_accepts_mixed_lengths_duplicates_and_bytearrays_without_mutating_t
 def test_many_type_checks_every_element_before_hashing_anything(
     keccak_permutations, packed_permutations
 ):
-    with pytest.raises(TypeError, match="keccak256 expects bytes, got str"):
-        keccak256_many([b"a", b"b", b"c", "a string"])  # type: ignore[list-item]
+    for batch in ([b"a", b"b", b"c"], [b"a" * 300, bytearray(b"b"), b""]):  # equal, ragged
+        with pytest.raises(TypeError, match="keccak256 expects bytes, got str"):
+            keccak256_many(batch + ["a string"])  # type: ignore[list-item]
     assert (keccak_permutations[0], packed_permutations[0]) == (0, 0)
 
 
@@ -233,10 +234,64 @@ def test_many_packs_from_the_crossover_up_and_chunks_above_the_cap(
     # cap + 1 messages: one full-width chunk, and the straggler goes scalar.
     assert keccak256_many(two_blocks) == [keccak256(message) for message in two_blocks]
     assert packed_permutations[0] == 2
-    # One group per padded length: 32 one-block and 32 three-block messages.
-    packed_permutations[0] = 0
+    # 32 one-block and 32 three-block messages are one ragged chunk: as many
+    # permutations as the longest message has blocks (it was 1 + 3 while each
+    # padded length was hashed as a group of its own).
+    keccak_permutations[0] = packed_permutations[0] = 0
     keccak256_many([b"x" * 80] * 32 + [b"y" * 300] * 32)
-    assert packed_permutations[0] == 1 + 3
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 3)
+
+
+# --- ragged lanes: every slot absorbs its own message ---------------------------------
+
+_BLOCK_EDGES = (0, 1, 135, 136, 137, 271, 272, 273, 983)
+
+
+@given(
+    lengths=st.lists(
+        st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(0, 700)), max_size=140
+    ),
+    seed=st.integers(0, 2**32),
+)
+@example(lengths=[983] + [200] * 32, seed=0)  # the session message riding an envelope
+@example(lengths=[0] * 70 + [137] * 70, seed=1)  # two chunks, each of one length
+@example(lengths=list(range(0, 140 * 7, 7)), seed=2)  # every slot leaves alone
+@settings(max_examples=25, deadline=None)
+def test_ragged_batches_equal_the_per_message_hash(lengths, seed):
+    rng = random.Random(seed)
+    messages = [
+        (bytearray if rng.random() < 0.25 else bytes)(rng.randbytes(length))
+        for length in lengths
+    ]
+    before = [bytes(message) for message in messages]
+    assert keccak256_many(messages) == [keccak256(message) for message in before]
+    assert [bytes(message) for message in messages] == before
+
+
+@pytest.mark.parametrize(
+    "blocks, scalar, packed",
+    [
+        ([1, 1], 0, 1),  # a lone submission: session message + datagram
+        ([8] + [2] * 32, 6, 2),  # the session rides the envelope, then finishes alone
+        ([3] * 32 + [4] * 32, 0, 4),  # a batch admission: three steps at 64, one at 32
+        ([2] * (_CAP + 1), 2, 2),  # equal lengths: a full chunk and a scalar straggler
+        ([1] * 5 + [3], 2, 1),  # five leave after the first step, the last goes on alone
+        ([5], 5, 0),  # one message never leaves the scalar path
+        ([], 0, 0),
+    ],
+    ids=["pair", "rider", "admission", "cap+1", "survivor", "lone", "empty"],
+)
+def test_a_chunk_costs_its_longest_message_in_round_trips(
+    blocks, scalar, packed, keccak_permutations, packed_permutations
+):
+    """Exact counts: a chunk is ``max(blocks)`` permutations -- packed while at
+    least ``PACKED_CROSSOVER`` slots are live, scalar for the last survivor --
+    not one pass per length group."""
+    messages = [bytes([i % 256]) * (136 * count - 9) for i, count in enumerate(blocks)]
+    keccak_permutations[0] = 0
+    digests = keccak256_many(messages)
+    assert (keccak_permutations[0], packed_permutations[0]) == (scalar, packed)
+    assert digests == [keccak256(message) for message in messages]
 
 
 def _table_bytes(value) -> int:

@@ -212,6 +212,15 @@ def test_digests_for_keeps_the_books_of_the_element_wise_loop(maxsize, warm, bat
     assert batched.digests_for(batch) == _loop(looped, batch) == [keccak256(d) for d in batch]
     assert _books(batched) == _books(looped)  # counters, stats, entries and LRU order
     assert batched.digests_for([]) == []
+    # Riders are hashed and handed back, and the books cannot tell they rode --
+    # not even a rider the table holds, or one the batch is about to store.
+    riders = [b"rider", batch[0], b"d-unseen"]
+    assert batched.digests_for(batch + [b"d-unseen"], riders) == _loop(
+        looped, batch + [b"d-unseen"]
+    ) + [keccak256(rider) for rider in riders]
+    assert _books(batched) == _books(looped)
+    assert batched.digests_for([], [b"rider"]) == [keccak256(b"rider")]
+    assert _books(batched) == _books(looped)
 
 
 def test_digests_for_hashes_only_the_misses_and_each_once(keccak_permutations, packed_permutations):
@@ -219,11 +228,12 @@ def test_digests_for_hashes_only_the_misses_and_each_once(keccak_permutations, p
     cache.digest_for(b"held" * 40)
     keccak_permutations[0] = 0
     batch = [b"held" * 40] + [bytes([i]) * 160 for i in range(32)] * 2
-    cache.digests_for(batch)
-    # 32 distinct two-block misses in one packed state; the repeats and the
-    # held datagram are hits.
+    cache.digests_for(batch, riders=[b"rider" * 40])
+    # 32 distinct two-block misses in one packed state, the rider its 33rd
+    # slot; the repeats and the held datagram are hits.
     assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
     assert (cache.hits, cache.misses) == (33, 1 + 32)
+    assert b"rider" * 40 not in cache._digests
 
 
 # --- signatures_for / memoize_many: the same contract, the misses signed / built together
@@ -256,6 +266,12 @@ def test_signatures_for_keeps_the_books_of_the_element_wise_loop(maxsize, warm, 
     )
     assert _books(batched) == _books(looped)  # the primed recoveries too
     assert batched.signatures_for(KEYPAIR, []) == []
+    # Riders are signed and handed back; nothing of them is memoized or primed.
+    riders = [keccak256(b"rider"), digests[0]]
+    assert batched.signatures_for(KEYPAIR, digests, riders) == [
+        looped.signature_for(KEYPAIR, d) for d in digests
+    ] + [KEYPAIR.sign(d) for d in riders]
+    assert _books(batched) == _books(looped)
 
 
 @_BATCH_CASES
@@ -271,9 +287,12 @@ def test_memoize_many_keeps_the_books_of_the_element_wise_loop(maxsize, warm, ba
         built.append(list(missing))
         return [f"value-{i}" for _, i in missing]
 
+    ahead = batched.unmemoized(keys)  # a look ahead moves nothing
+    assert _books(batched) == _books(looped)
     assert batched.memoize_many(keys, factory) == [
         looped.memoize(key, lambda: f"value-{key[1]}") for key in keys
     ]
+    assert built[0] == ahead
     assert _books(batched) == _books(looped)
     # One call for every distinct key the memo did not hold, each once; only
     # an entry this very batch evicted is rebuilt alone, as the loop would.
@@ -296,9 +315,18 @@ def test_signatures_for_signs_the_misses_in_one_block(monkeypatch):
     monkeypatch.setattr(KeyPair, "sign_batch", counting)
     monkeypatch.setattr(KeyPair, "sign", lambda *_: pytest.fail("a miss signed alone"))
     fresh = [keccak256(b"fresh-%d" % i) for i in range(5)]
-    cache.signatures_for(KEYPAIR, [held] + fresh + fresh[:2])
-    assert blocks == [fresh]
+    riders = [keccak256(b"rider"), held]
+    signatures = cache.signatures_for(KEYPAIR, [held] + fresh + fresh[:2], riders)
+    assert blocks == [fresh + riders]  # the riders close the misses' block
     assert (cache.hits, cache.misses) == (1 + 2, 1 + 5)  # held + the repeats; warm-up + fresh
+    assert all(KEYPAIR.verify(d, s) for d, s in zip(riders, signatures[-2:]))
+    assert cache.peek_recovery(riders[0], signatures[-2]) is None
+    # A block that raises (the Token Service's session check does) stores nothing.
+    books = _books(cache)
+    monkeypatch.setattr(KeyPair, "sign_batch", lambda *_: pytest.fail("refused"))
+    with pytest.raises(pytest.fail.Exception):
+        cache.signatures_for(KEYPAIR, [keccak256(b"never")], riders)
+    assert _books(cache) == books
 
 
 # --- known senders: signed_by ------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.core.token_request import TokenRequest
 from repro.core.token_service import TokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
-from repro.pipeline import BitmapView, BlockBuilder, Mempool
+from repro.pipeline import BitmapView, BlockBuilder, Mempool, RejectReason
 
 
 @pytest.fixture
@@ -242,6 +242,36 @@ def test_oversized_gas_limit_rejected_at_admission(mempool, batch_chain, client)
     assert len(mempool) == 0
 
 
+def test_reject_reasons_are_stable(mempool, client, protected, service):
+    """Names and values are pinned like the wire's ``ErrorCode``: the values
+    are the free-text strings admission always answered with, byte for byte
+    (committed baselines and ``stats()["rejected"]`` are keyed by them)."""
+    assert {reason.name: reason.value for reason in RejectReason} == {
+        "DUPLICATE_TRANSACTION": "duplicate transaction",
+        "DEADLINE_EXCEEDED": "deadline exceeded before admission",
+        "GAS_LIMIT": "transaction gas limit exceeds the block gas limit",
+        "BAD_NONCE": "bad nonce",
+        "INSUFFICIENT_FUNDS": "insufficient funds",
+        "MALFORMED_TOKEN": "malformed or missing token entry",
+        "EXPIRED_TOKEN": "expired token",
+        "UNTRUSTED_TOKEN": "token not signed by the trusted Token Service",
+        "INDEX_IN_POOL": "duplicate one-time index in pool",
+        "NO_BITMAP": "contract has no one-time bitmap",
+        "INDEX_BEHIND_WINDOW": "one-time index fell behind the bitmap window (token miss)",
+        "INDEX_CONSUMED": "one-time index already consumed on-chain",
+        "INVALID_SIGNATURE": "invalid signature",
+    }
+    tx, _ = _token_tx(client, protected, service, nonce=7)
+    decision = mempool.admit(tx)
+    # A member where a string was: equal to it, printed as it, counted under it.
+    assert decision.reason is RejectReason.BAD_NONCE
+    assert decision.reason == "bad nonce" and f"{decision.reason}" == "bad nonce"
+    assert decision.reason in {"bad nonce"}
+    assert mempool.stats()["rejected"] == {"bad nonce": 1}
+    assert all(type(key) is str for key in mempool.stats()["rejected"])
+    assert BitmapView(mempool.chain.state, client.address).screen(0) is RejectReason.NO_BITMAP
+
+
 # --- cheap screens run before the curve recovery ------------------------------------
 
 
@@ -270,7 +300,10 @@ def test_one_admission_costs_at_most_five_keccak_permutations(
     """The exact-count guard: hash + signing digest share the payload's full
     blocks and then one packed permutation (3 scalar + 1 packed, not 4 + 3)
     and a seen sender's address comes out of the key -> address memo (0, not
-    1).  Before any of it an admission paid 8."""
+    1).  Before any of it an admission paid 8.  Both counters start after
+    issuance: since the session message rides the token's datagram, each
+    lone ``submit`` that made these tokens is a packed permutation of its own,
+    and the admission's count must not see it."""
     from repro.crypto.keys import _address_of
 
     first = _ledger_shaped_tx(client, protected, service, nonce=0)
@@ -281,7 +314,7 @@ def test_one_admission_costs_at_most_five_keccak_permutations(
 
     _address_of.cache_clear()
     calls, packed = keccak_permutations, packed_permutations
-    calls[0] = 0
+    calls[0] = packed[0] = 0
     assert mempool.admit(first).admitted
     # A sender never seen before: one address hash.
     assert (calls[0], packed[0]) == (4, 1)
@@ -305,14 +338,16 @@ def _ledger_shaped_batch(batch_chain, protected, service, count, nonces=None):
 def test_a_batch_admission_hashes_its_transactions_by_lanes(
     batch_chain, mempool, protected, service, keccak_permutations, packed_permutations
 ):
-    """32 transactions: a 3-block and a 4-block group, seven packed
-    permutations, and not one scalar one (senders' addresses are memoized)."""
+    """32 transactions, 32 three-block and 32 four-block messages: four
+    packed permutations -- three at width 64, then the longer half alone at
+    width 32 -- and not one scalar one (senders' addresses are memoized).
+    It was seven while ``keccak256_many`` hashed one length group at a time;
+    the counters start after issuance, whose lone submissions pack too."""
     txs = _ledger_shaped_batch(batch_chain, protected, service, 32)
-    keccak_permutations[0] = 0
+    keccak_permutations[0] = packed_permutations[0] = 0
     decisions = mempool.admit_many(txs)
     assert all(decision.admitted for decision in decisions)
-    assert keccak_permutations[0] == 0
-    assert 0 < packed_permutations[0] <= 7
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 4)
     from repro.crypto.keccak import keccak256
 
     for tx in txs:
@@ -326,10 +361,15 @@ def test_a_single_admission_packs_only_its_own_two_digests(
 ):
     """Below the packed crossover nothing is batched across transactions: the
     one packed permutation an admission makes is its own signing digest and
-    hash as two ragged lanes (``keccak256_shared_prefix``)."""
-    assert mempool.admit(_ledger_shaped_tx(client, protected, service, nonce=0)).admitted
+    hash as two ragged lanes (``keccak256_shared_prefix``).  Issuing each
+    token is a packed permutation too (the session message beside the
+    datagram), so the count starts once the transaction exists."""
+    first = _ledger_shaped_tx(client, protected, service, nonce=0)
+    second = _ledger_shaped_tx(client, protected, service, nonce=1)
+    packed_permutations[0] = 0
+    assert mempool.admit(first).admitted
     assert packed_permutations[0] == 1
-    assert mempool.admit_many([_ledger_shaped_tx(client, protected, service, nonce=1)])[0].admitted
+    assert mempool.admit_many([second])[0].admitted
     assert packed_permutations[0] == 2
 
 
@@ -768,7 +808,8 @@ def test_prewarm_counts_intra_block_replays_as_hits(batch_chain, client, protect
 def test_prewarm_hashes_a_plan_of_foreign_tokens_by_lanes(
     batch_chain, client, protected, keccak_permutations, packed_permutations
 ):
-    """Eight uncached one-block datagrams: one packed permutation, no scalar one."""
+    """Eight uncached one-block datagrams: one packed permutation, no scalar
+    one (counted from after issuance, which packs its own)."""
     from repro.pipeline.executor import BlockExecutor
 
     foreign = TokenService(
@@ -778,7 +819,7 @@ def test_prewarm_hashes_a_plan_of_foreign_tokens_by_lanes(
         _token_tx(client, protected, foreign, one_time=True, nonce=i)[0] for i in range(8)
     ]
     executor = BlockExecutor(batch_chain)
-    keccak_permutations[0] = 0
+    keccak_permutations[0] = packed_permutations[0] = 0
     assert executor.pre_warm(txs) == (0, 8)
     assert (keccak_permutations[0], packed_permutations[0]) == (0, 1)
     assert executor.pre_warm(txs) == (8, 0)
