@@ -9,8 +9,8 @@ string; everything the factory returns satisfies
 touching call sites.
 
 Layer order (innermost first): base service -> RetryFailover (replicated
-profile: the base makes one attempt per submission and the wrapper rotates
-replicas) -> RateLimiter -> Audit -> Metrics.
+profile: the §VII-B fail-over, one retry round per replica) -> RateLimiter
+-> Audit -> Metrics.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.core.replication import ReplicatedTokenService
 from repro.core.token_service import DEFAULT_TOKEN_LIFETIME, TokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
-from repro.obs import MetricsRegistry
 
 from repro.api.middleware import Audit, Metrics, RateLimiter, RetryFailover
 from repro.api.protocol import TokenIssuer
@@ -46,25 +45,19 @@ def build_service(
     index_block_size: int = 64,
     # replicated profile
     replica_count: int = 3,
-    replicate_counter: bool = True,
     seed: int = 7,
-    failover_attempts: "int | None" = None,
     # cross-cutting layers
     signature_cache: "SignatureCache | None" = None,
     rate_limit: "tuple[float, int] | None" = None,
     audit: bool = False,
     metrics: bool = False,
-    metrics_registry: "MetricsRegistry | None" = None,
 ) -> TokenIssuer:
     """Assemble an issuance stack for the requested deployment profile.
 
     ``signature_cache`` is handed to the base service, whose issuance path
     primes it inline.  ``rate_limit`` is ``(rate_per_second, burst)``;
     ``audit`` and ``metrics`` stack the corresponding layers (metrics
-    outermost, so it observes rate-limited results too).  ``metrics_registry`` shares an existing
-    :class:`repro.obs.MetricsRegistry` with the metrics layer -- passing one
-    implies ``metrics=True`` -- so issuance counters land in the same
-    snapshot the ``metrics`` gateway route exports.
+    outermost, so it observes rate-limited results too).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown service profile {profile!r}; pick one of {PROFILES}")
@@ -99,30 +92,26 @@ def build_service(
             **kwargs,
         )
     else:
-        # The base makes exactly one attempt per submission; the composable
-        # RetryFailover layer below owns the §VII-B fail-over, rotating
-        # replicas because the base round-robins on every call.
+        # The base makes one attempt per submission on the next replica;
+        # RetryFailover re-submits what failed, so each retry rotates.
         issuer = ReplicatedTokenService(
             replica_count=replica_count,
             keypair=keypair,
             rules=rules,
             clock=clock,
             token_lifetime=token_lifetime,
-            replicate_counter=replicate_counter,
             seed=seed,
             signature_cache=signature_cache,
-            failover=False,
         )
-        attempts = failover_attempts if failover_attempts is not None else replica_count
-        issuer = RetryFailover(issuer, attempts=attempts)
+        issuer = RetryFailover(issuer, attempts=replica_count)
 
     if rate_limit is not None:
         rate_per_second, burst = rate_limit
         issuer = RateLimiter(issuer, rate_per_second, burst, clock=clock)
     if audit:
         issuer = Audit(issuer)
-    if metrics or metrics_registry is not None:
-        issuer = Metrics(issuer, registry=metrics_registry)
+    if metrics:
+        issuer = Metrics(issuer)
     return issuer
 
 

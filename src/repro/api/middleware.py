@@ -1,13 +1,13 @@
 """Composable issuance middleware.
 
-Cross-cutting concerns that used to be welded into one concrete service --
-rate limits, audit trails, fail-over retries inside
-``ReplicatedTokenService`` -- become stackable wrappers that
-satisfy the same :class:`~repro.api.protocol.TokenIssuer` protocol they wrap
-(the layered approach py-evm takes with its VM/chain variants).  A stack is
-built innermost-first::
+Cross-cutting concerns -- rate limits, audit trails, metrics, the §VII-B
+fail-over retry (:class:`RetryFailover` is the only one; no service retries
+on its own) -- are stackable wrappers that satisfy the same
+:class:`~repro.api.protocol.TokenIssuer` protocol they wrap (the layered
+approach py-evm takes with its VM/chain variants).  A stack is built
+innermost-first::
 
-    issuer = Metrics(RetryFailover(ReplicatedTokenService(failover=False)))
+    issuer = Metrics(RetryFailover(ReplicatedTokenService()))
 
 or, more conveniently, through :func:`repro.api.factory.build_service`.
 
@@ -328,12 +328,13 @@ class RetryFailover(IssuerMiddleware):
     """Re-submit requests whose results carry a retryable error.
 
     This is the replication fail-over of §VII-B as a composable layer: the
-    wrapped issuer makes one attempt per submission (e.g. a
-    ``ReplicatedTokenService(failover=False)``, whose round-robin picks a
-    *different* replica on every call), and this wrapper re-submits the
-    failed subset up to ``attempts`` extra times.  A submission that dies
-    whole with a transient exception is converted to error results first, so
-    the never-raise-mid-batch contract holds through the stack.
+    wrapped issuer makes one attempt per submission (a
+    ``ReplicatedTokenService``'s round-robin picks a *different* replica on
+    every call), and this wrapper re-submits the failed subset up to
+    ``attempts`` extra times -- ``len(replicas) - 1`` is one try per replica.
+    A submission that dies whole with a transient exception is converted to
+    error results first, so the never-raise-mid-batch contract holds through
+    the stack.
     """
 
     layer = "retry_failover"

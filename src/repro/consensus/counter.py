@@ -110,6 +110,18 @@ class CounterCluster:
         """Counter value applied on each replica (for agreement checks)."""
         return {node_id: machine.value for node_id, machine in self.machines.items()}
 
+    def replicas_agree(self) -> bool:
+        """Let in-flight replication drain, then: did every live replica
+        converge on one committed value?  (Agreement implies no index was
+        handed out twice.)"""
+        self.network.run_for(2.0)
+        live = {
+            value
+            for node_id, value in self.committed_values().items()
+            if not self.network.is_down(node_id)
+        }
+        return len(live) <= 1
+
     # -- counter interface ----------------------------------------------------------
 
     def increment(self, count: int = 1, timeout: float = 5.0, retries: int = 10) -> int:

@@ -12,7 +12,7 @@ downstream contracts can do the same.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.chain.address import Address, address_hex
 from repro.core.token import TOKEN_SIZE, Token
@@ -92,6 +92,36 @@ class TokenBundle:
         return " || ".join(
             f"{address_hex(addr)[:10]}…:tk({raw[0]})" for addr, raw in self._entries.items()
         )
+
+
+def token_entries(argument: Any, target: Address) -> dict[Address, bytes]:
+    """Raw token bytes by contract for a call's ``token=`` argument.
+
+    The one reading of that argument for everything that only looks at it
+    (admission, pre-warm, recovery, Alg. 1's extraction): a single token -- a
+    :class:`Token` or its 86 bytes -- belongs to ``target``, the called
+    contract; a :class:`TokenBundle` or its wire array carries one entry per
+    contract in the chain.  Empty when the argument is none of these (absent,
+    another type, an array that does not split into whole entries).
+    """
+    if isinstance(argument, Token):
+        return {target: argument.to_bytes()}
+    if isinstance(argument, (bytes, bytearray)):
+        argument = bytes(argument)
+        if len(argument) == TOKEN_SIZE:
+            return {target: argument}
+        try:
+            argument = TokenBundle.from_bytes(argument)
+        except ValueError:
+            return {}
+    if isinstance(argument, TokenBundle):
+        return dict(argument._entries)
+    return {}
+
+
+def tokens_carried(tx: Any) -> dict[Address, bytes]:
+    """:func:`token_entries` of a transaction (only a contract call carries any)."""
+    return token_entries(tx.kwargs.get("token"), tx.to) if tx.is_contract_call else {}
 
 
 def normalise_token_argument(value: "bytes | Token | TokenBundle | None") -> TokenBundle | bytes | None:

@@ -5,20 +5,22 @@ property, replicas are stateless with respect to each other and a simple
 fail-over front end suffices.  For one-time tokens the replicas must agree on
 the counter value; this module wires the Raft-backed
 :class:`repro.consensus.counter.ReplicatedCounter` into a group of TS
-replicas that share the signing key and the rule set, and puts a
-load-balancer/fail-over front end in front of them.
+replicas that share the signing key and the rule set, and puts a round-robin
+front end in front of them.  The front end makes one attempt per submission
+and carries what failed; re-submitting the failed requests to the next
+replica is :class:`repro.api.middleware.RetryFailover`, around it.
 
 The agreement costs one Raft commit per *envelope*, not per token: a
 replica's staged issuance path reserves the whole index range of a
 submission's allowed one-time requests with a single ``counter.take(n)``
 before it signs any of them.  A replica that times out on the commit fails
-exactly those requests (``COUNTER_TIMEOUT``, retried through the next
-replica); one that crashes after the commit but before its signatures
-leaves the range reserved and unused -- burned indexes the Alg. 2 bitmap
-never sees, never a repeated one.  The same holds for a submission whose
-session signature fails its check: the check runs after ``take`` (the session
-is signed in the batch the range's tokens are signed in), so the submission
-is answered ``INTERNAL`` and its range is burned, never handed out again.
+exactly those requests (``COUNTER_TIMEOUT``, retryable); one that crashes
+after the commit but before its signatures leaves the range reserved and
+unused -- burned indexes the Alg. 2 bitmap never sees, never a repeated one.
+The same holds for a submission whose session signature fails its check: the
+check runs after ``take`` (the session is signed in the batch the range's
+tokens are signed in), so the submission is answered ``INTERNAL`` and its
+range is burned, never handed out again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.chain.address import Address, address_hex
 from repro.chain.clock import SimulatedClock
 from repro.consensus.counter import CounterCluster, CounterTimeout, ReplicatedCounter
 from repro.core.acr import RuleSet
-from repro.core.errors import ErrorCode, SmacsError, classify
+from repro.core.errors import ErrorCode, SmacsError
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import IssuanceResult, TokenService
 from repro.crypto.keys import KeyPair
@@ -43,16 +45,16 @@ class NoReplicaAvailable(SmacsError):
 
 
 class ReplicatedTokenService:
-    """A group of TS replicas behind a round-robin fail-over front end.
+    """A group of TS replicas behind a round-robin front end.
 
     All replicas share the same ``skTS`` (so any of them can issue tokens the
     contract will accept), the same rule set object (owner updates apply
     everywhere at once), and -- when one-time tokens are enabled -- a
     Raft-replicated counter guaranteeing globally unique indexes.  Each
     replica holds its *own* client handle onto the shared counter cluster
-    (modelling one Raft client connection per web server), so a transient
-    counter timeout at one replica is retried through another before the
-    error ever reaches the client.
+    (modelling one Raft client connection per web server), and every
+    submission goes to the next live replica -- so a caller that re-submits
+    what came back ``COUNTER_TIMEOUT`` reaches a different replica.
     """
 
     def __init__(
@@ -65,7 +67,6 @@ class ReplicatedTokenService:
         replicate_counter: bool = True,
         seed: int = 7,
         signature_cache: SignatureCache | None = None,
-        failover: bool = True,
     ):
         if replica_count < 1:
             raise ValueError("need at least one replica")
@@ -94,11 +95,8 @@ class ReplicatedTokenService:
             self.replicas.append(replica)
         self._down: set[int] = set()
         self._next = 0
+        #: submissions a replica failed *whole* with a counter timeout
         self.transient_failovers = 0
-        #: When False the front end makes exactly one attempt per operation
-        #: (errors come back in the results) -- the mode the composable
-        #: :class:`repro.api.middleware.RetryFailover` wrapper builds on.
-        self.failover = failover
 
     # -- identity --------------------------------------------------------------
 
@@ -128,73 +126,37 @@ class ReplicatedTokenService:
 
     # -- request routing -------------------------------------------------------------
 
-    def _pick_replica(self) -> tuple[int, TokenService]:
+    def _pick_replica(self) -> TokenService:
         available = self.available_replicas()
         if not available:
             raise NoReplicaAvailable("all Token Service replicas are down")
         # Round-robin over the available replicas.
         choice = available[self._next % len(available)]
         self._next += 1
-        return choice, self.replicas[choice]
+        return self.replicas[choice]
 
     def submit(self, requests: "TokenRequest | Sequence[TokenRequest]") -> list[IssuanceResult]:
         """The :class:`~repro.api.protocol.TokenIssuer` batch path.
 
-        Never raises mid-batch: requests that keep failing after every live
-        replica was tried come back with their classified error
-        (``COUNTER_TIMEOUT`` / ``NO_REPLICA``) inside the result.  Two retry
-        layers cooperate: a replica whose *whole submission* dies with a
-        transient error is skipped, and individual error-carrying results
-        with a retryable code are re-submitted through the next replica.
+        One attempt, on the next live replica.  Never raises mid-batch: what
+        failed comes back with its classified error (``COUNTER_TIMEOUT`` /
+        ``NO_REPLICA``) inside the result, for the caller -- usually a
+        :class:`~repro.api.middleware.RetryFailover` -- to re-submit.
         """
-        if isinstance(requests, TokenRequest):
-            requests = [requests]
-        request_list = list(requests)
+        request_list = [requests] if isinstance(requests, TokenRequest) else list(requests)
         if not request_list:
             return []
-        results: "list[IssuanceResult | None]" = [None] * len(request_list)
-        pending = list(range(len(request_list)))
-        tried: set[int] = set()
-        while pending:
-            available = self.available_replicas()
-            if not available:
-                error = NoReplicaAvailable("all Token Service replicas are down")
-                for position in pending:
-                    results[position] = IssuanceResult.failure(request_list[position], error)
-                break
-            if tried and tried.issuperset(available):
-                break  # every live replica tried; the carried errors stand
-            index, replica = self._pick_replica()
-            if index in tried:
-                continue
-            tried.add(index)
-            try:
-                batch = replica.submit([request_list[position] for position in pending])
-            except CounterTimeout as exc:
-                # A real TokenService.submit carries timeouts in its results,
-                # so this branch guards against replicas whose whole
-                # submission dies (custom issuers, fault injection at the
-                # submit boundary) -- the per-result path below is the one a
-                # healthy stack exercises.
-                self.transient_failovers += 1
-                for position in pending:
-                    results[position] = IssuanceResult.failure(
-                        request_list[position], classify(exc)
-                    )
-                if not self.failover:
-                    break
-                continue
-            still_pending: list[int] = []
-            for position, result in zip(pending, batch):
-                results[position] = result
-                if result.error is not None and result.error.retryable:
-                    still_pending.append(position)
-            if still_pending and self.failover:
-                self.transient_failovers += 1
-                pending = still_pending
-            else:
-                pending = []
-        return [result for result in results if result is not None]
+        try:
+            return self._pick_replica().submit(request_list)
+        except NoReplicaAvailable as exc:
+            error: SmacsError = exc
+        except CounterTimeout as exc:
+            # A real TokenService.submit carries timeouts in its results, so
+            # this branch guards against replicas whose whole submission dies
+            # (custom issuers, fault injection at the submit boundary).
+            self.transient_failovers += 1
+            error = exc
+        return [IssuanceResult.failure(request, error) for request in request_list]
 
     # -- owner management --------------------------------------------------------------
 
@@ -226,19 +188,5 @@ class ReplicatedTokenService:
         }
 
     def issued_indexes_are_unique(self) -> bool:
-        """Sanity check used by tests: the replicated counter never repeats.
-
-        Lets in-flight replication drain, then checks that every live replica
-        converged on the same committed counter value (agreement implies no
-        index was handed out twice).
-        """
-        if self.counter_cluster is None:
-            return True
-        self.counter_cluster.network.run_for(2.0)
-        committed = self.counter_cluster.committed_values()
-        live_values = {
-            value
-            for node_id, value in committed.items()
-            if not self.counter_cluster.network.is_down(node_id)
-        }
-        return len(live_values) == 1
+        """The replicated counter's replicas agree (so no index repeats)."""
+        return self.counter_cluster is None or self.counter_cluster.replicas_agree()

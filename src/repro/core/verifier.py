@@ -20,15 +20,17 @@ benchmark harnesses can reproduce the cost split of Tab. II and Tab. III.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Mapping, TYPE_CHECKING
 
 from repro.chain import gas, precompiles
 from repro.chain.errors import Revert
 from repro.core import token as token_mod
-from repro.core.call_chain import TokenBundle
+from repro.core.call_chain import token_entries
 from repro.core.token import MalformedToken, Token, TokenType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chain.transaction import Transaction
     from repro.core.smacs_contract import SMACSContract
 
 #: storage slot holding the Token Service address the contract trusts
@@ -41,24 +43,9 @@ def extract_token(contract: "SMACSContract", token_argument: Any) -> bytes | Non
     Charges the calibrated array-parsing cost when the argument is a
     call-chain bundle (the "Parse" row of Tab. III).
     """
-    if token_argument is None:
-        return None
-    if isinstance(token_argument, Token):
-        return token_argument.to_bytes()
-    if isinstance(token_argument, TokenBundle):
-        _charge_array_parse(contract, len(token_argument))
-        return token_argument.token_for(contract.this)
-    if isinstance(token_argument, (bytes, bytearray)):
-        raw = bytes(token_argument)
-        if len(raw) == token_mod.TOKEN_SIZE:
-            return raw
-        try:
-            bundle = TokenBundle.from_bytes(raw)
-        except ValueError:
-            return None
-        _charge_array_parse(contract, len(bundle))
-        return bundle.token_for(contract.this)
-    return None
+    entries = token_entries(token_argument, contract.this)
+    _charge_array_parse(contract, len(entries))
+    return entries.get(contract.this)
 
 
 def _charge_array_parse(contract: "SMACSContract", entries: int) -> None:
@@ -163,3 +150,46 @@ def _method_binding(contract: "SMACSContract", token: Token) -> str | None:
     if method_name is None:
         raise Revert("SMACS verification outside a protected method")
     return method_name
+
+
+def reconstruct_datagram(
+    tx: "Transaction", contract: "SMACSContract", token: Token
+) -> "bytes | None":
+    """The datagram Alg. 1 will rebuild for ``token`` carried by ``tx``.
+
+    The gas-free mirror of :func:`verify_token`'s step 3, for the node's
+    admission screen and pre-warm: ``tx.origin`` is the transaction sender,
+    the contract address comes from the target, method/argument tokens bind
+    the called method's name, and argument tokens additionally bind the call
+    arguments by name (positional arguments are resolved against the method
+    signature).  Returns None when the arguments cannot be bound -- such a
+    call reverts before verification anyway.
+    """
+    method_name = tx.method if token.token_type is not TokenType.SUPER else None
+    arguments = None
+    if token.token_type is TokenType.ARGUMENT:
+        handler = getattr(contract, tx.method or "", None)
+        wrapped = getattr(handler, "_smacs_wrapped", None)
+        if wrapped is None:
+            return None
+        try:
+            bound = inspect.signature(wrapped).bind_partial(
+                contract, *tx.args, **{k: v for k, v in tx.kwargs.items() if k != "token"}
+            )
+        except TypeError:
+            return None
+        arguments = {
+            name: value for name, value in bound.arguments.items() if name != "self"
+        }
+    try:
+        return token_mod.signing_datagram(
+            token.token_type,
+            token.expire,
+            token.index,
+            tx.sender,
+            getattr(contract, "this", tx.to),
+            method=method_name,
+            arguments=arguments,
+        )
+    except ValueError:
+        return None

@@ -205,47 +205,22 @@ class SignatureCache:
     def recover_batch(
         self, pairs: "list[tuple[bytes, Signature]]"
     ) -> "list[bytes | None]":
-        """Memoized batch recovery for a block of ``(digest, signature)``.
-
-        Cache hits resolve immediately; all misses are deduplicated and
-        resolved in one :func:`repro.crypto.keys.recover_address_batch`
-        call, sharing the GLV block kernel and its Montgomery batch
-        inversions across every missing signature.  Results (failures
-        included) land in the cache exactly as single :meth:`recover`
-        calls would.
-        """
-        results: "list[bytes | None]" = [None] * len(pairs)
-        pending: list[tuple[int, tuple]] = []
-        compute_index: dict[tuple, int] = {}
-        compute: list[tuple[bytes, Signature]] = []
-        for position, (digest, signature) in enumerate(pairs):
-            key = self._recover_key(digest, signature)
-            if key in compute_index:
-                # A block can replay the same token many times; only the
-                # first occurrence is a miss (and is computed once below),
-                # exactly as a sequence of single `recover` calls would
-                # miss once and then hit.
-                self.hits += 1
-                pending.append((position, key))
-                continue
-            value, found = self._lookup(self._recovered, key)
-            if found:
-                results[position] = None if value is _RECOVER_FAILED else value
-            else:
-                compute_index[key] = len(compute)
-                compute.append((digest, signature))
-                pending.append((position, key))
-        if compute:
-            addresses = recover_address_batch(compute)
-            for position, key in pending:
-                address = addresses[compute_index[key]]
-                self._store(
-                    self._recovered,
-                    key,
-                    _RECOVER_FAILED if address is None else address,
-                )
-                results[position] = address
-        return results
+        """``[recover(d, s) for d, s in pairs]``, the misses resolved by one
+        :func:`repro.crypto.keys.recover_address_batch` call -- the GLV block
+        kernel and its Montgomery batch inversions shared across every
+        missing signature (books as the loop's: :meth:`_memo_many`; failures
+        are cached as :meth:`recover` caches them)."""
+        keys = [self._recover_key(digest, signature) for digest, signature in pairs]
+        pair_of = dict(zip(keys, pairs))
+        values, _ = self._memo_many(
+            self._recovered,
+            keys,
+            lambda missing: [
+                _RECOVER_FAILED if address is None else address
+                for address in recover_address_batch([pair_of[key] for key in missing])
+            ],
+        )
+        return [None if value is _RECOVER_FAILED else value for value in values]
 
     # -- known senders (the admission path) ------------------------------------
 

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is the *fault axis* of one matrix cell: a small object
 the runner (:mod:`repro.workloads.matrix`) consults while it assembles the
 issuance stack and drives the workload.  Plans are deliberately passive --
-they only act through four well-defined seams, so the same workload code
+they only act through five well-defined seams, so the same workload code
 runs unchanged under every fault:
 
 ``wrap_counter(counter, cluster)``
@@ -12,17 +12,24 @@ runs unchanged under every fault:
 ``wrap_transport(transport)``
     wrap the wire transport a gateway-backed cell dials through
     (corrupt-frame plans live here);
-``setup / between_batches / teardown``
+``disk_hooks()``
+    WAL fault hooks for the durable store of a ``needs_durability`` cell;
+``setup / between_batches / before_block / teardown``
     lifecycle hooks around the load batches -- crash a Raft leader, cut a
-    partition, heal it, restore monkey-patched replicas;
+    partition, heal it, arm a disk fault under the block about to commit,
+    restore monkey-patched replicas;
 ``observations(env)``
     plan-specific counters merged into the cell's benchmark record.
 
 The ``env`` passed to the lifecycle hooks is the runner's cell environment;
-plans rely only on three documented attributes: ``env.cluster`` (the
+plans rely only on four documented attributes: ``env.cluster`` (the
 :class:`~repro.consensus.counter.CounterCluster` behind issuance, possibly
-``None``), ``env.rts`` (the replicated front end, possibly ``None``) and
-``env.notes`` (a free-form dict merged into the cell record).
+``None``), ``env.rts`` (the replicated front end, possibly ``None``),
+``env.notes`` (a free-form dict merged into the cell record) and
+``env.forged_hashes`` (every forged transaction the runner sent so far).  Fail-over is
+not a plan's business: every cell issues through the stack the product ships
+(``RetryFailover`` around the replicated front end, ``GatewayClient``'s own
+retry on the wire), and plans only make it work.
 """
 
 from __future__ import annotations
@@ -54,11 +61,11 @@ class FaultPlan:
     #: generators and the issuer (the transport seam)
     needs_transport_seam = False
     #: plans that need a durable node (WAL + backend) so they can kill it
-    #: mid-workload and demand a recovery (the disk seam); the matrix runs
-    #: such cells through its two-phase crash-restart driver
+    #: mid-workload and demand a recovery (the disk seam); the runner
+    #: restarts the node from its disk image when the fault fires
     needs_durability = False
-    #: error codes the matrix's re-sending client retries for this plan --
-    #: corrupt-frame plans surface ``MALFORMED_REQUEST``, netem drops
+    #: error codes a transport-seam cell's gateway client re-sends a frame
+    #: for -- corrupt-frame plans surface ``MALFORMED_REQUEST``, netem drops
     #: surface ``UNAVAILABLE``; everything else must propagate so a cell
     #: cannot paper over an unexpected failure by retrying it
     retry_codes: "frozenset[ErrorCode]" = frozenset({ErrorCode.MALFORMED_REQUEST})
@@ -83,14 +90,14 @@ class FaultPlan:
     def between_batches(self, env: Any, batch_no: int) -> None:
         pass
 
+    def before_block(self, env: Any, batch_no: int) -> None:
+        """Batch ``batch_no`` is admitted; its block is about to be mined."""
+
     def teardown(self, env: Any) -> None:
         pass
 
     def observations(self, env: Any) -> dict[str, Any]:
         return {}
-
-    def describe(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": self.kind, "byzantine": self.byzantine}
 
 
 class LeaderCrashPlan(FaultPlan):
@@ -159,13 +166,13 @@ class PartitionPlan(FaultPlan):
 
 
 class TransientTimeoutPlan(FaultPlan):
-    """Replicas intermittently answer ``COUNTER_TIMEOUT``; failover absorbs it.
+    """Replicas intermittently answer ``COUNTER_TIMEOUT``; fail-over absorbs it.
 
     Every ``every``-th front-end batch submission against a replica raises a
     transient :class:`~repro.consensus.counter.CounterTimeout` before any
     token is issued, exactly the shape of a commit deadline missed during a
-    leader election.  The replicated front end must absorb each one by
-    retrying the still-pending requests on the next replica.
+    leader election.  The front end answers it as error results and the
+    cell's ``RetryFailover`` re-submits them to the next replica.
     """
 
     kind = "timeout"
@@ -298,9 +305,9 @@ class NetemPlan(FaultPlan):
     """Impaired network path: latency, jitter, frame drop, duplication.
 
     Wraps the cell's transport in a :class:`~repro.faults.netem.NetemTransport`.
-    Dropped frames surface as ``UNAVAILABLE`` -- the re-sending client
-    retries those (and only those, beyond the default), which is exactly
-    what the client resilience layer (retry budgets, breakers) is for.
+    Dropped frames surface as ``UNAVAILABLE`` -- the gateway client re-sends
+    those (and only those, beyond the default), which is exactly what the
+    client resilience layer (retry budgets, breakers) is for.
     """
 
     kind = "network"
@@ -349,9 +356,10 @@ class NetemPlan(FaultPlan):
 class UntrustedSignerPlan(FaultPlan):
     """Byzantine: a twin Token Service with the wrong ``skTS`` joins the load.
 
-    The runner interleaves forged-token transactions from the twin alongside
-    the honest load; the plan records how many forgeries were generated so
-    the trusted-signer invariant can demand exactly zero of them succeed.
+    The runner interleaves ``forgeries_per_batch`` forged-token transactions
+    from the twin alongside every batch of the honest load and counts them
+    (with its own canary) in the record's ``forged_attempted``; the
+    trusted-signer invariant demands exactly zero of them succeed.
     """
 
     kind = "byzantine"
@@ -360,20 +368,20 @@ class UntrustedSignerPlan(FaultPlan):
     def __init__(self, forgeries_per_batch: int = 2, name: str = "untrusted-signer"):
         self.name = name
         self.forgeries_per_batch = forgeries_per_batch
-        self.forged_hashes: list[bytes] = []
 
     def observations(self, env: Any) -> dict[str, Any]:
-        return {"forged_txs": len(self.forged_hashes)}
+        # every forgery the runner sent but its one canary
+        return {"forged_txs": len(env.forged_hashes) - 1}
 
 
 class DiskCrashPlan(FaultPlan):
     """Kill the durable node at a block-commit fsync; demand a recovery.
 
-    The matrix's two-phase crash-restart driver builds a durable node with
-    this plan's WAL hooks, arms the injector at ``crash_after_batch``, and
-    expects the very next block commit to die with ``SimulatedCrash``.
-    Phase two rebuilds the node from disk and resumes the workload; the
-    block-derived invariants are then asserted across the restart boundary.
+    The runner attaches a durable store carrying this plan's WAL hooks; the
+    plan arms the injector once batch ``crash_after_batch`` is admitted, so
+    that batch's block commit dies with ``SimulatedCrash``.  The runner then
+    rebuilds the node from disk and resumes the workload at the next batch;
+    the block-derived invariants are asserted across the restart boundary.
 
     ``mode`` picks the disk image left behind (see
     :mod:`repro.faults.disk`): clean page-cache loss, a torn write, or a
@@ -397,6 +405,10 @@ class DiskCrashPlan(FaultPlan):
     def disk_hooks(self) -> DiskFaultInjector:
         self.harness = DiskFaultInjector(mode=self.mode)
         return self.harness
+
+    def before_block(self, env: Any, batch_no: int) -> None:
+        if batch_no == self.crash_after_batch and self.harness is not None:
+            self.harness.arm()
 
     def observations(self, env: Any) -> dict[str, Any]:
         harness_stats = self.harness.stats() if self.harness else {}

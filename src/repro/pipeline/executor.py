@@ -21,84 +21,17 @@ critical path (and collapses it entirely for issuance-primed tokens).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 from repro.chain.chain import Blockchain
 from repro.chain.evm import Receipt
 from repro.chain.transaction import Transaction
-from repro.core.call_chain import TokenBundle
+from repro.core.call_chain import tokens_carried
 from repro.core.smacs_contract import SMACSContract
-from repro.core.token import MalformedToken, Token, TokenType, TOKEN_SIZE, signing_datagram
+from repro.core.token import MalformedToken, Token
+from repro.core.verifier import reconstruct_datagram
 from repro.crypto.ecdsa import Signature
 from repro.crypto.sigcache import SignatureCache
-
-
-def reconstruct_datagram(
-    tx: Transaction, contract: SMACSContract, token: Token
-) -> "bytes | None":
-    """The datagram Alg. 1 will rebuild for ``token`` carried by ``tx``.
-
-    Mirrors the verifier exactly: ``tx.origin`` is the transaction sender,
-    the contract address comes from the target, method/argument tokens bind
-    the called method's name, and argument tokens additionally bind the call
-    arguments by name (positional arguments are resolved against the method
-    signature).  Returns None when the arguments cannot be bound -- such a
-    call reverts before verification anyway.
-    """
-    method_name = tx.method if token.token_type is not TokenType.SUPER else None
-    arguments = None
-    if token.token_type is TokenType.ARGUMENT:
-        handler = getattr(contract, tx.method or "", None)
-        wrapped = getattr(handler, "_smacs_wrapped", None)
-        if wrapped is None:
-            return None
-        try:
-            bound = inspect.signature(wrapped).bind_partial(
-                contract, *tx.args, **{k: v for k, v in tx.kwargs.items() if k != "token"}
-            )
-        except TypeError:
-            return None
-        arguments = {
-            name: value for name, value in bound.arguments.items() if name != "self"
-        }
-    try:
-        return signing_datagram(
-            token.token_type,
-            token.expire,
-            token.index,
-            tx.sender,
-            getattr(contract, "this", tx.to),
-            method=method_name,
-            arguments=arguments,
-        )
-    except ValueError:
-        return None
-
-
-def tokens_carried(tx: Transaction) -> list[tuple["bytes | None", bytes]]:
-    """(contract address or None, raw token bytes) for every token in ``tx``.
-
-    A single token belongs to the target contract; a bundle carries one entry
-    per contract in the chain.
-    """
-    raw = tx.kwargs.get("token") if tx.is_contract_call else None
-    if raw is None:
-        return []
-    if isinstance(raw, Token):
-        return [(tx.to, raw.to_bytes())]
-    if isinstance(raw, TokenBundle):
-        return [(addr, raw.token_for(addr)) for addr in raw.addresses()]
-    if isinstance(raw, (bytes, bytearray)):
-        raw = bytes(raw)
-        if len(raw) == TOKEN_SIZE:
-            return [(tx.to, raw)]
-        try:
-            bundle = TokenBundle.from_bytes(raw)
-        except ValueError:
-            return []
-        return [(addr, bundle.token_for(addr)) for addr in bundle.addresses()]
-    return []
 
 
 @dataclass(slots=True)
@@ -162,12 +95,12 @@ class BlockExecutor:
         datagrams: list[bytes] = []
         signatures: list[Signature] = []
         for tx in transactions:
-            for address, raw in tokens_carried(tx):
+            for address, raw in tokens_carried(tx).items():
                 # Call-chain bundles carry one entry per contract; each entry
                 # is verified by its own contract with the same datagram
                 # rules, so each is warmed against that contract.
                 target = self.chain.evm.contracts.get(address)
-                if raw is None or not isinstance(target, SMACSContract):
+                if not isinstance(target, SMACSContract):
                     continue
                 try:
                     token = Token.from_bytes(raw)
@@ -201,13 +134,12 @@ class BlockExecutor:
 
     # -- execution ----------------------------------------------------------------
 
-    def execute(self, transactions: list[Transaction], pre_warm: bool = True) -> BlockResult:
+    def execute(self, transactions: list[Transaction]) -> BlockResult:
         """Mine one block from already-admitted transactions."""
         result = BlockResult()
         if not transactions:
             return result
-        if pre_warm:
-            result.prewarm_hits, result.prewarm_misses = self.pre_warm(transactions)
+        result.prewarm_hits, result.prewarm_misses = self.pre_warm(transactions)
         obs = self.obs
         if obs is None:
             return self._execute(transactions, result)
@@ -234,5 +166,4 @@ __all__ = [
     "BlockExecutor",
     "BlockResult",
     "reconstruct_datagram",
-    "tokens_carried",
 ]

@@ -46,7 +46,7 @@ from repro.chain.address import Address
 from repro.chain.chain import Blockchain
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, prime_digests
-from repro.core.call_chain import TokenBundle
+from repro.core.call_chain import token_entries
 from repro.core.smacs_contract import (
     BITMAP_SIZE_SLOT,
     BITMAP_START_SLOT,
@@ -54,8 +54,8 @@ from repro.core.smacs_contract import (
     BITMAP_WORD_SLOT,
     SMACSContract,
 )
-from repro.core.token import MalformedToken, Token, TOKEN_SIZE
-from repro.core.verifier import TS_ADDRESS_SLOT
+from repro.core.token import MalformedToken, Token
+from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
 from repro.crypto.sigcache import SignatureCache
 
 _WORD_BITS = 256
@@ -395,7 +395,7 @@ class Mempool:
             # problem; nothing to screen here.
             return None, ()
 
-        token_bytes = self._token_bytes_for(raw, tx.to)
+        token_bytes = token_entries(raw, tx.to).get(tx.to)
         if token_bytes is None:
             return self._reject(RejectReason.MALFORMED_TOKEN), ()
         try:
@@ -412,8 +412,11 @@ class Mempool:
         # recovery result is already known (primed at issuance or by an
         # earlier block), a signer mismatch is definitive; unknown signatures
         # are deferred to the executor's batched pre-warm.
-        digest = self._datagram_digest(tx, contract, token)
-        if digest is not None:
+        # (Arguments that do not bind give no datagram: the EVM reverts
+        # such a call anyway.)
+        datagram = reconstruct_datagram(tx, contract, token)
+        if datagram is not None:
+            digest = self.signature_cache.digest_for(datagram)
             known_signer = self.signature_cache.peek_recovery(digest, token.signature)
             trusted = self.chain.state.storage_get(tx.to, TS_ADDRESS_SLOT, None)
             if known_signer is not None and known_signer != trusted:
@@ -429,37 +432,6 @@ class Mempool:
                 return self._reject(refusal), ()
             return None, (reservation,)
         return None, ()
-
-    def _token_bytes_for(self, raw: Any, contract: Address) -> "bytes | None":
-        """This contract's token bytes out of a single token or a bundle."""
-        if isinstance(raw, Token):
-            return raw.to_bytes()
-        if isinstance(raw, TokenBundle):
-            return raw.token_for(contract)
-        if isinstance(raw, (bytes, bytearray)):
-            raw = bytes(raw)
-            if len(raw) == TOKEN_SIZE:
-                return raw
-            try:
-                return TokenBundle.from_bytes(raw).token_for(contract)
-            except ValueError:
-                return None
-        return None
-
-    def _datagram_digest(
-        self, tx: Transaction, contract: SMACSContract, token: Token
-    ) -> "bytes | None":
-        """Digest of the datagram the verifier will reconstruct, via the cache.
-
-        Returns None when the call arguments cannot be bound to the target
-        method (the EVM will revert such calls anyway).
-        """
-        from repro.pipeline.executor import reconstruct_datagram
-
-        datagram = reconstruct_datagram(tx, contract, token)
-        if datagram is None:
-            return None
-        return self.signature_cache.digest_for(datagram)
 
     # -- builder interface ------------------------------------------------------
 

@@ -83,7 +83,7 @@ class ExecutionPipeline:
 
     # -- block production ----------------------------------------------------------
 
-    def run_block(self, pre_warm: bool = True) -> "BlockResult | None":
+    def run_block(self) -> "BlockResult | None":
         """Pack and execute the next block; None when the pool is empty.
 
         With a durability engine attached, ``begin_block`` announces the block
@@ -95,20 +95,20 @@ class ExecutionPipeline:
         """
         obs = self.obs
         if obs is None:
-            return self._run_block(pre_warm)
+            return self._run_block()
         # Root span for the block: the build / pre_warm / execute /
         # commit_fsync stage timers nest under it when tracing is enabled.
         with obs.tracer.span("pipeline.run_block"):
-            return self._run_block(pre_warm)
+            return self._run_block()
 
-    def _run_block(self, pre_warm: bool = True) -> "BlockResult | None":
+    def _run_block(self) -> "BlockResult | None":
         plan = self.builder.build()
         if not plan:
             return None
         durability = self.durability
         if durability is not None:
             durability.begin_block()
-        result = self.executor.execute(plan.transactions, pre_warm=pre_warm)
+        result = self.executor.execute(plan.transactions)
         self.mempool.remove(plan.transactions)
         self.blocks_executed += 1
         self.transactions_executed += result.executed
@@ -116,11 +116,11 @@ class ExecutionPipeline:
             durability.commit_block(self.chain.latest_block, result)
         return result
 
-    def drain(self, pre_warm: bool = True, max_blocks: int = 10_000) -> list[BlockResult]:
+    def drain(self, max_blocks: int = 10_000) -> list[BlockResult]:
         """Run blocks until the mempool is empty."""
         results: list[BlockResult] = []
         while len(self.mempool):
-            result = self.run_block(pre_warm=pre_warm)
+            result = self.run_block()
             if result is None:
                 break
             results.append(result)

@@ -51,6 +51,7 @@ from typing import Any, Callable
 
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
+from repro.core.call_chain import tokens_carried
 from repro.core.token import MalformedToken, Token
 from repro.storage.backend import Backend, open_backend
 from repro.storage.codec import (
@@ -106,27 +107,6 @@ class RecoveryReport:
     max_one_time_index: int = -1
     wal: "ReplaySummary | None" = None
     sources: list[str] = field(default_factory=list)
-
-    def accepted_token_calls(self) -> list[tuple[Transaction, Token]]:
-        """(tx, token) for every successful token call in the durable blocks.
-
-        Mirrors the scenario matrix's block-derived extraction so crash
-        cells can assert the one-time and trusted-signer invariants across
-        the restart boundary.
-        """
-        accepted: list[tuple[Transaction, Token]] = []
-        for block in self.blocks:
-            for tx, ok in zip(block.transactions, block.statuses):
-                if not ok:
-                    continue
-                raw = tx.kwargs.get("token")
-                if not isinstance(raw, (bytes, bytearray)):
-                    continue
-                try:
-                    accepted.append((tx, Token.from_bytes(bytes(raw))))
-                except MalformedToken:  # pragma: no cover - WAL txs were admitted
-                    continue
-        return accepted
 
     def describe(self) -> dict[str, Any]:
         """JSON-ready summary (uploaded by the CI durability smoke job)."""
@@ -551,10 +531,8 @@ def _presentable(
 
 
 def _tokens(tx: Transaction) -> list[Token]:
-    from repro.pipeline.executor import tokens_carried
-
     tokens = []
-    for _, raw in tokens_carried(tx):
+    for raw in tokens_carried(tx).values():
         try:
             tokens.append(Token.from_bytes(raw))
         except MalformedToken:

@@ -7,10 +7,17 @@ window, rule-churn storms against the epoch-guarded gateway update path,
 multi-tenant mixes sharing one TS fleet) with one *fault axis* (the
 crash/partition/timeout plans plus the Byzantine harnesses of
 :mod:`repro.faults`).  Each cell drives the full production loop -- token
-issuance through the (possibly faulted) front-end stack, signed transactions
-through :class:`~repro.pipeline.SmacsLoadGenerator`, admission + block
-production through :class:`~repro.pipeline.ExecutionPipeline` -- and then
-asserts the SMACS safety invariants on the chain that came out:
+issuance through the (possibly faulted) stack the product ships
+(:class:`~repro.api.middleware.RetryFailover` around the replicated front
+end is the only fail-over, :class:`~repro.api.gateway.GatewayClient`'s own
+retry the only frame re-send), signed transactions through
+:class:`~repro.pipeline.SmacsLoadGenerator`, admission + block production
+through :class:`~repro.pipeline.ExecutionPipeline` -- and then asserts the
+SMACS safety invariants on the chain that came out.  One loop
+(:func:`run_cell`) runs every cell; a disk fault that kills the node is a
+phase of it (:func:`_restart`: a fresh node recovered from the disk image,
+the workload resumed at the next batch), and the invariants below are then
+asserted over the durable pre-crash blocks and the post-restart ones alike:
 
 * **no-duplicate-one-time-index** -- across every successful transaction in
   every block, each ``(contract, index)`` one-time pair was accepted at most
@@ -48,11 +55,12 @@ import random
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.api.gateway import GatewayClient, InProcessTransport, ServiceGateway
-from repro.api.middleware import RateLimiter
+from repro.api.gateway import Backoff, GatewayClient, InProcessTransport, ServiceGateway
+from repro.api.middleware import RateLimiter, RetryFailover
 from repro.api.protocol import issue_one
 from repro.chain.account import ExternallyOwnedAccount
 from repro.chain.chain import Blockchain
@@ -60,7 +68,6 @@ from repro.chain.transaction import Transaction
 from repro.consensus.counter import CounterCluster, ReplicatedCounter
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core.acr import BlacklistRule, RuleSet
-from repro.core.errors import ErrorCode, SmacsError
 from repro.core.replication import ReplicatedTokenService
 from repro.core.token import Token, TokenType
 from repro.core.token_request import TokenRequest
@@ -83,8 +90,9 @@ from repro.faults.injectors import (
     UntrustedSignerPlan,
 )
 from repro.pipeline.load import DEFAULT_CALL_GAS_LIMIT, SmacsLoadGenerator
+from repro.pipeline.mempool import AdmissionDecision
 from repro.pipeline.pipeline import ExecutionPipeline
-from repro.storage import DurableStore
+from repro.storage import DurableStore, RecoveryReport
 from repro.storage.codec import state_root
 from repro.workloads.generator import ScenarioMix, flash_sale_bursts, replay_storm
 
@@ -139,7 +147,12 @@ class CellEnv:
     notes: dict[str, Any] = field(default_factory=dict)
     extra: dict[str, Any] = field(default_factory=dict)
     forged_hashes: list[bytes] = field(default_factory=list)
-    _canary_nonce: int = 0
+    #: set by :func:`_restart`: the batch whose commit killed the previous
+    #: node, what recovery found on its disk, and the dead nodes' generators
+    #: (their tallies are the cell's too)
+    crashed_at_batch: "int | None" = None
+    recovery: "RecoveryReport | None" = None
+    retired: list[SmacsLoadGenerator] = field(default_factory=list)
 
     def forge_tx(self, tenant: int = 0, amount: int = 1) -> Transaction:
         """A structurally valid transaction carrying a wrong-``skTS`` token."""
@@ -151,73 +164,19 @@ class CellEnv:
         tx = Transaction(
             sender=self.canary.address,
             to=contract.this,
-            nonce=self._canary_nonce,
+            nonce=len(self.forged_hashes),  # the canary sends nothing else
             method="submit",
             args=(),
             kwargs={"amount": amount, "token": forged.to_bytes()},
             gas_limit=DEFAULT_CALL_GAS_LIMIT,
         ).sign_with(self.canary.keypair)
-        self._canary_nonce += 1
         self.forged_hashes.append(tx.hash())
         return tx
 
     def set_token_lifetime(self, seconds: int) -> None:
-        if self.rts is not None:
-            for replica in self.rts.replicas:
-                replica.token_lifetime = seconds
-        base = self.extra.get("base_service")
-        if isinstance(base, TokenService):
-            base.token_lifetime = seconds
-
-
-class _ResendingClient:
-    """Client-side re-send driver around a gateway client.
-
-    A corrupted frame comes back as a ``MALFORMED_REQUEST`` error envelope
-    and the gateway client raises the carried error; a real client re-sends
-    the (uncorrupted) request.  A netem-dropped frame surfaces as
-    ``UNAVAILABLE`` and is re-sent for plans that declare it retryable.
-    Every other error propagates -- the plan's ``retry_codes`` is the
-    whole policy, so a cell cannot paper over an unexpected failure.
-    """
-
-    def __init__(
-        self,
-        inner: GatewayClient,
-        attempts: int = 6,
-        retry_codes: "frozenset[ErrorCode] | None" = None,
-    ):
-        self.inner = inner
-        self.attempts = attempts
-        self.retry_codes = (
-            frozenset({ErrorCode.MALFORMED_REQUEST})
-            if retry_codes is None
-            else retry_codes
-        )
-        self.resends = 0
-
-    @property
-    def address(self) -> bytes:
-        return self._retry(lambda: self.inner.address)
-
-    def submit(self, requests: Any) -> list[Any]:
-        return self._retry(lambda: self.inner.submit(requests))
-
-    def update_rules(self, mutate: Callable[[RuleSet], None]) -> None:
-        self._retry(lambda: self.inner.update_rules(mutate))
-
-    def stats(self) -> dict[str, Any]:
-        return self._retry(lambda: self.inner.stats())
-
-    def _retry(self, operation: Callable[[], Any]) -> Any:
-        for attempt in range(self.attempts):
-            try:
-                return operation()
-            except SmacsError as error:
-                if error.code not in self.retry_codes or attempt == self.attempts - 1:
-                    raise
-                self.resends += 1
-        raise RuntimeError("unreachable")  # pragma: no cover
+        services = self.rts.replicas if self.rts is not None else [self.extra["base_service"]]
+        for service in services:
+            service.token_lifetime = seconds
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +184,7 @@ class _ResendingClient:
 # ---------------------------------------------------------------------------
 
 
-def _build_env(spec: CellSpec, plan: "FaultPlan | None" = None) -> CellEnv:
-    plan = plan if plan is not None else spec.fault()
+def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
     chain = Blockchain(auto_mine=False)
     # A private signature cache isolates cells from each other AND from the
     # process-global DEFAULT_SIGNATURE_CACHE: a recovery cached by an earlier
@@ -265,23 +223,29 @@ def _build_env(spec: CellSpec, plan: "FaultPlan | None" = None) -> CellEnv:
         )
         cluster = rts.counter_cluster
         base_service = rts.replicas[0]
-        issuer = rts
+        # The §VII-B fail-over: one try per replica.
+        issuer = RetryFailover(rts, attempts=len(rts.replicas) - 1)
 
     # The transport seam: rule-churn cells always speak the gateway protocol;
-    # corrupt-frame plans wrap whatever transport the cell dials through.
+    # corrupt-frame plans wrap whatever transport the cell dials through, and
+    # the client re-sends (without sleeping) a frame the plan damaged or
+    # dropped -- the plan's ``retry_codes`` is the whole policy, so a cell
+    # cannot paper over an unexpected failure.
     service: Any = issuer
     extra: dict[str, Any] = {"base_service": base_service}
     if plan.needs_transport_seam or spec.workload == "rule-churn":
         gateway = ServiceGateway()
         gateway.register("ts", issuer)
-        transport = plan.wrap_transport(InProcessTransport(gateway))
-        client = GatewayClient(transport, "ts")
-        service = (
-            _ResendingClient(client, retry_codes=plan.retry_codes)
-            if plan.needs_transport_seam
-            else client
+        service = GatewayClient(
+            plan.wrap_transport(InProcessTransport(gateway)),
+            "ts",
+            backoff=(
+                Backoff(retries=5, sleep=lambda _delay: None)
+                if plan.needs_transport_seam
+                else None
+            ),
+            retry_codes=plan.retry_codes,
         )
-        extra["gateway"] = gateway
         if spec.workload == "rule-churn":
             # A second, independent client for the conflicting updater.
             extra["churn_rival"] = GatewayClient(InProcessTransport(gateway), "ts")
@@ -314,27 +278,25 @@ def _build_env(spec: CellSpec, plan: "FaultPlan | None" = None) -> CellEnv:
     # Per-tenant issuance path: multi-tenant cells interpose one identically
     # provisioned rate limiter per tenant (fairness is an invariant there).
     limiters: list[RateLimiter] = []
-    tenant_services: list[Any] = []
     if spec.workload == "multi-tenant":
-        for _ in range(spec.tenants):
-            limiter = RateLimiter(
+        limiters = [
+            RateLimiter(
                 issuer,
                 rate_per_second=spec.params.get("rate_per_second", 0.5),
                 burst=spec.params.get("burst", 8),
                 clock=chain.clock,
             )
-            limiters.append(limiter)
-            tenant_services.append(limiter)
-    else:
-        tenant_services = [service] * spec.tenants
+            for _ in range(spec.tenants)
+        ]
     extra["limiters"] = limiters
+    tenant_services = limiters or [service] * spec.tenants
 
     generators = [
         SmacsLoadGenerator(tenant_services[t], contracts[t], tenant_accounts[t])
         for t in range(spec.tenants)
     ]
 
-    env = CellEnv(
+    return CellEnv(
         spec=spec,
         plan=plan,
         chain=chain,
@@ -350,7 +312,6 @@ def _build_env(spec: CellSpec, plan: "FaultPlan | None" = None) -> CellEnv:
         canary=canary,
         extra=extra,
     )
-    return env
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +321,12 @@ def _build_env(spec: CellSpec, plan: "FaultPlan | None" = None) -> CellEnv:
 
 def _single_batch(generator: SmacsLoadGenerator, batch: list[TokenRequest]) -> list[Transaction]:
     return generator.from_scenario(ScenarioMix("cell-batch", [batch]))
+
+
+def _mix_batches(
+    env: CellEnv, batches: list[list[TokenRequest]]
+) -> list[Callable[[], list[Transaction]]]:
+    return [(lambda batch=batch: _single_batch(env.generators[0], batch)) for batch in batches]
 
 
 def _wl_flash_sale(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
@@ -372,10 +339,7 @@ def _wl_flash_sale(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
         method="submit",
         seed=spec.seed,
     )
-    return [
-        (lambda batch=batch: _single_batch(env.generators[0], batch))
-        for batch in mix.batches
-    ]
+    return _mix_batches(env, mix.batches)
 
 
 def _wl_replay_storm(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
@@ -389,17 +353,14 @@ def _wl_replay_storm(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
         batch_size=spec.batch_size,
         seed=spec.seed,
     )
-    batches = mix.batches[: spec.batches]
-    return [
-        (lambda batch=batch: _single_batch(env.generators[0], batch))
-        for batch in batches
-    ]
+    return _mix_batches(env, mix.batches[: spec.batches])
 
 
-def _wl_fan_out(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
-    spec = env.spec
-    rng = random.Random(spec.seed)
-    per_tenant = max(1, spec.batch_size // spec.tenants)
+def _per_tenant_batches(
+    env: CellEnv, per_tenant: int, one_time: Callable[[int], bool]
+) -> list[Callable[[], list[Transaction]]]:
+    """Every batch asks ``per_tenant`` method tokens of every tenant's contract."""
+    rng = random.Random(env.spec.seed)
 
     def make_batch() -> list[Transaction]:
         txs: list[Transaction] = []
@@ -410,14 +371,26 @@ def _wl_fan_out(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
                     env.contracts[tenant].this,
                     rng.choice(pool).address,
                     "submit",
-                    one_time=(tenant % 2 == 0),
+                    one_time=one_time(tenant),
                 )
                 for _ in range(per_tenant)
             ]
             txs.extend(_single_batch(generator, requests))
         return txs
 
-    return [make_batch for _ in range(spec.batches)]
+    return [make_batch for _ in range(env.spec.batches)]
+
+
+def _wl_fan_out(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
+    per_tenant = max(1, env.spec.batch_size // env.spec.tenants)
+    return _per_tenant_batches(env, per_tenant, lambda tenant: tenant % 2 == 0)
+
+
+def _wl_multi_tenant(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
+    # Identical per-tenant demand against identically provisioned limiters
+    # sharing one clock: admission counts must come out equal.
+    per_tenant = env.spec.params.get("demand_per_tenant", env.spec.batch_size)
+    return _per_tenant_batches(env, per_tenant, lambda tenant: False)
 
 
 def _wl_state_stress(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
@@ -480,7 +453,6 @@ def _wl_rule_churn(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
         # The rival lands a full read-modify-write inside our read/replace
         # window, so our replace hits a stale epoch (EXPIRED_RULESET) and the
         # client must re-read and retry -- the race the epoch guard exists for.
-        fired = {"done": False}
         attempts = {"n": 0}
 
         def rival_update(rules: RuleSet) -> None:
@@ -491,8 +463,7 @@ def _wl_rule_churn(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
 
         def conflicted_update(rules: RuleSet) -> None:
             attempts["n"] += 1
-            if not fired["done"]:
-                fired["done"] = True
+            if attempts["n"] == 1:
                 rival.update_rules(rival_update)
             rules.add_rule(
                 BlacklistRule([rng.choice(decoys)], method="maintenance"),
@@ -519,32 +490,6 @@ def _wl_rule_churn(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
     return [make_batch for _ in range(spec.batches)]
 
 
-def _wl_multi_tenant(env: CellEnv) -> list[Callable[[], list[Transaction]]]:
-    spec = env.spec
-    rng = random.Random(spec.seed)
-    per_tenant = spec.params.get("demand_per_tenant", spec.batch_size)
-
-    def make_batch() -> list[Transaction]:
-        txs: list[Transaction] = []
-        # Identical per-tenant demand against identically provisioned
-        # limiters sharing one clock: admission counts must come out equal.
-        for tenant, generator in enumerate(env.generators):
-            pool = env.tenant_accounts[tenant]
-            requests = [
-                TokenRequest.method_token(
-                    env.contracts[tenant].this,
-                    pool[rng.randrange(len(pool))].address,
-                    "submit",
-                    one_time=False,
-                )
-                for _ in range(per_tenant)
-            ]
-            txs.extend(_single_batch(generator, requests))
-        return txs
-
-    return [make_batch for _ in range(spec.batches)]
-
-
 WORKLOADS: dict[str, Callable[[CellEnv], list[Callable[[], list[Transaction]]]]] = {
     "flash-sale": _wl_flash_sale,
     "replay-storm": _wl_replay_storm,
@@ -561,18 +506,18 @@ WORKLOADS: dict[str, Callable[[CellEnv], list[Callable[[], list[Transaction]]]]]
 # ---------------------------------------------------------------------------
 
 
-def _accepted_token_calls(env: CellEnv) -> list[tuple[Transaction, Token]]:
-    accepted: list[tuple[Transaction, Token]] = []
+def _token_calls(env: CellEnv) -> list[tuple[Transaction, bool]]:
+    """``(transaction, succeeded)`` for every token-carrying call in a block:
+    the durable blocks a restart recovered from disk, then the live chain's."""
+    executed: list[tuple[Transaction, bool]] = []
+    if env.recovery is not None:
+        for recovered in env.recovery.blocks:
+            executed.extend(zip(recovered.transactions, recovered.statuses))
     for block in env.chain.blocks:
-        for tx in block.transactions:
-            receipt = env.chain.receipts.get(tx.hash())
-            if receipt is None or not receipt.success:
-                continue
-            raw = tx.kwargs.get("token")
-            if not isinstance(raw, (bytes, bytearray)):
-                continue
-            accepted.append((tx, Token.from_bytes(bytes(raw))))
-    return accepted
+        executed.extend((tx, env.chain.receipts[tx.hash()].success) for tx in block.transactions)
+    return [
+        (tx, ok) for tx, ok in executed if isinstance(tx.kwargs.get("token"), (bytes, bytearray))
+    ]
 
 
 def _check_no_duplicate_one_time(env: CellEnv, accepted: list[tuple[Transaction, Token]]) -> int:
@@ -592,7 +537,11 @@ def _check_no_duplicate_one_time(env: CellEnv, accepted: list[tuple[Transaction,
     return one_time
 
 
-def _check_trusted_signer(env: CellEnv, accepted: list[tuple[Transaction, Token]]) -> None:
+def _check_trusted_signer(
+    env: CellEnv,
+    calls: list[tuple[Transaction, bool]],
+    accepted: list[tuple[Transaction, Token]],
+) -> None:
     for tx, token in accepted:
         arguments = None
         if token.token_type is TokenType.ARGUMENT:
@@ -610,33 +559,27 @@ def _check_trusted_signer(env: CellEnv, accepted: list[tuple[Transaction, Token]
                 f"[{env.spec.name}] accepted token recovers to untrusted signer "
                 f"0x{recovered.hex()} (trusted 0x{env.trusted_address.hex()})"
             )
-    succeeded = {
-        tx.hash()
-        for block in env.chain.blocks
-        for tx in block.transactions
-        if env.chain.receipts[tx.hash()].success
-    }
-    for forged in env.forged_hashes:
-        if forged in succeeded:
+    forged = set(env.forged_hashes)
+    for tx, ok in calls:
+        if ok and tx.hash() in forged:
             raise InvariantViolation(
-                f"[{env.spec.name}] forged transaction {forged.hex()} from the "
+                f"[{env.spec.name}] forged transaction {tx.hash().hex()} from the "
                 "untrusted twin signer was accepted on-chain"
             )
 
 
 def _check_counter_agreement(env: CellEnv) -> None:
-    if env.cluster is None:
-        return
-    env.cluster.network.run_for(2.0)
-    committed = env.cluster.committed_values()
-    live = {
-        value
-        for node_id, value in committed.items()
-        if not env.cluster.network.is_down(node_id)
-    }
-    if len(live) > 1:
+    if env.cluster is not None and not env.cluster.replicas_agree():
         raise InvariantViolation(
-            f"[{env.spec.name}] counter replicas diverged: {committed}"
+            f"[{env.spec.name}] counter replicas diverged: {env.cluster.committed_values()}"
+        )
+
+
+def _check_recovered_root(env: CellEnv) -> None:
+    if env.chain.latest_block.state_root != state_root(env.chain.state):
+        raise InvariantViolation(
+            f"[{env.spec.name}] the recovered node's last committed state root is "
+            "missing or does not match a full recomputation over the live state"
         )
 
 
@@ -685,196 +628,90 @@ def _check_fairness(env: CellEnv) -> "dict[str, Any] | None":
 # ---------------------------------------------------------------------------
 
 
-def _run_crash_restart_cell(spec: CellSpec, plan: DiskCrashPlan) -> dict[str, Any]:
-    """Two-phase crash-restart cell: kill a durable node mid-workload, recover.
+def _restart(dead: CellEnv, batch_no: int) -> CellEnv:
+    """The node died committing batch ``batch_no``: recover a fresh one from its disk.
 
-    Phase one runs the workload on a pipeline backed by a
-    :class:`~repro.storage.DurableStore` whose WAL carries the plan's disk
-    fault hooks; the injector is armed right before the crash batch's block
-    commit, so the fsync that would make that block durable dies instead
-    (crash-before-fsync / torn-write / bit-flip images).  Phase two builds a
-    *fresh* node with the same deployment recipe, recovers it from the disk
-    image, drains the re-admitted mempool survivors (the crashed batch was
-    fsync'd at admission, so no accepted work is lost), fast-forwards the
-    counter fleet from the highest durable one-time index, and resumes the
-    remaining workload batches.  The block-derived invariants are then
-    asserted over the union of durable pre-crash blocks and post-restart
-    blocks -- one-time uniqueness and trusted-signer across the restart
-    boundary -- and the last block's state root must match a full
-    recomputation over the live state.
+    The fresh node is built by the same deployment recipe, recovered from the
+    crash image and given a clean disk.  The crashed batch was fsync'd at
+    admission, so recovery re-admitted it and the drain executes it exactly
+    once; the TS fleet recovers its issuance counter the same way the node
+    recovered its state -- from the durable record (highest one-time index
+    on disk), so fresh tokens can never reuse an accepted index.  What only
+    the dead node knew (its generators' tallies, the forgeries sent so far,
+    the workload's notes) rides over on the new environment.
     """
-    workdir = tempfile.mkdtemp(prefix="smacs-wal-")
-    store1: "DurableStore | None" = None
-    store2: "DurableStore | None" = None
-    try:
-        # -- phase 1: durable node under load, killed at a block-commit fsync --
-        env1 = _build_env(spec, plan)
-        store1 = DurableStore(
-            workdir, "sqlite", fsync_on_admit=True, hooks=plan.disk_hooks()
-        )
-        store1.attach(env1.pipeline)
-        thunks = WORKLOADS[spec.workload](env1)
-        crash_at = min(plan.crash_after_batch, len(thunks) - 1)
-        txs_built = 0
-        crashed = False
-        for batch_no, thunk in enumerate(thunks[: crash_at + 1]):
-            txs = thunk()
-            txs_built += len(txs)
-            env1.pipeline.ingest(txs)
-            if batch_no == crash_at:
-                assert plan.harness is not None
-                plan.harness.arm()
-            try:
-                env1.pipeline.run_block()
-            except SimulatedCrash:
-                crashed = True
-                break
-        if not crashed:
-            raise InvariantViolation(
-                f"[{spec.name}] armed disk fault never fired: batch {crash_at} "
-                "committed without reaching the WAL fsync boundary"
-            )
-        durable_blocks_committed = store1.blocks_committed
-        store1.close()
-
-        # -- phase 2: fresh node, recover from the crash image, resume --------
-        env2 = _build_env(spec, FaultPlan())
-        store2 = DurableStore(workdir, "sqlite", fsync_on_admit=True)
-        report = store2.recover_into(env2.pipeline)
-        store2.attach(env2.pipeline)
-        # The crashed batch survives as fsync'd admission records; recovery
-        # re-admitted it, so draining now executes it exactly once.
-        env2.pipeline.drain()
-        # The TS fleet recovers its issuance counter the same way the node
-        # recovered its state: from the durable record (highest committed
-        # one-time index), so fresh tokens can never reuse an accepted index.
-        base2 = env2.extra["base_service"]
-        base2.counter.restore(report.max_one_time_index + 1)
-        for generator in env2.generators:
-            generator.refresh_nonces()
-        thunks2 = WORKLOADS[spec.workload](env2)
-        for thunk in thunks2[crash_at + 1 :]:
-            txs = thunk()
-            txs_built += len(txs)
-            env2.pipeline.ingest(txs)
-            env2.pipeline.run_block()
-        canary_tx = env2.forge_tx()
-        txs_built += 1
-        env2.pipeline.ingest([canary_tx])
-        env2.pipeline.drain()
-
-        # -- invariants across the restart boundary ---------------------------
-        combined = report.accepted_token_calls() + _accepted_token_calls(env2)
-        one_time_accepted = _check_no_duplicate_one_time(env2, combined)
-        _check_trusted_signer(env2, combined)
-        _check_counter_agreement(env2)
-        accounting = _check_mempool_accounting(env2)
-        latest = env2.chain.latest_block
-        if not latest.state_root:
-            raise InvariantViolation(
-                f"[{spec.name}] recovered node mined a block without a state root"
-            )
-        if latest.state_root != state_root(env2.chain.state):
-            raise InvariantViolation(
-                f"[{spec.name}] committed state root does not match a full "
-                "recomputation over the live state after recovery"
-            )
-
-        record: dict[str, Any] = {
-            "cell": spec.name,
-            "workload": spec.workload,
-            "fault": plan.name,
-            "fault_kind": plan.kind,
-            "byzantine": plan.byzantine,
-            "tenants": spec.tenants,
-            "batches": spec.batches,
-            "batch_size": spec.batch_size,
-            "crashed_at_batch": crash_at,
-            "tokens_issued": sum(
-                g.tokens_issued for g in env1.generators + env2.generators
-            ),
-            "requests_failed": sum(
-                g.requests_failed for g in env1.generators + env2.generators
-            ),
-            "txs_built": txs_built,
-            "blocks_executed": durable_blocks_committed
-            + env2.pipeline.blocks_executed,
-            "txs_executed": sum(len(b.transactions) for b in report.blocks)
-            + env2.pipeline.transactions_executed,
-            "token_txs_succeeded": len(combined),
-            "accepted_token_calls": len(combined),
-            "one_time_accepted": one_time_accepted,
-            "forged_attempted": len(env2.forged_hashes),
-            "recovery": report.describe(),
-            "invariants": {
-                "no_duplicate_one_time_index": True,
-                "trusted_signer_only": True,
-                "counter_agreement": True,
-                "mempool_accounting_clean": True,
-                "crash_recovered": True,
-                "state_root_matches_recomputation": True,
-            },
-            "mempool_accounting": accounting,
-            "fault_observations": plan.observations(env1),
-        }
-        window = env2.contracts[0].bitmap_state()
-        if window.get("size"):
-            record["bitmap_window"] = {"size": window["size"], "start": window["start"]}
-        return record
-    finally:
-        for store in (store1, store2):
-            if store is not None:
-                try:
-                    store.close()
-                except Exception:  # pragma: no cover - best-effort cleanup
-                    pass
-        shutil.rmtree(workdir, ignore_errors=True)
+    dead.pipeline.durability.close()
+    env = _build_env(dead.spec, dead.plan)
+    store = DurableStore(dead.pipeline.durability.directory, "sqlite", fsync_on_admit=True)
+    env.recovery = store.recover_into(env.pipeline)
+    store.attach(env.pipeline)
+    env.pipeline.drain()
+    env.extra["base_service"].counter.restore(env.recovery.max_one_time_index + 1)
+    for generator in env.generators:
+        generator.refresh_nonces()
+    env.forged_hashes = dead.forged_hashes
+    env.notes = dead.notes
+    env.crashed_at_batch = batch_no
+    env.retired = dead.retired + dead.generators
+    return env
 
 
 def run_cell(spec: CellSpec) -> dict[str, Any]:
     """Run one (workload, fault) cell and return its benchmark record."""
     plan = spec.fault()
-    if isinstance(plan, DiskCrashPlan) or getattr(plan, "needs_durability", False):
-        return _run_crash_restart_cell(spec, plan)  # type: ignore[arg-type]
     env = _build_env(spec, plan)
-    thunks = WORKLOADS[spec.workload](env)
     forgeries_per_batch = getattr(plan, "forgeries_per_batch", 0)
-
-    plan.setup(env)
-    txs_built = 0
+    decisions: list[AdmissionDecision] = []  # one per transaction the cell built
     try:
-        for batch_no, thunk in enumerate(thunks):
+        if plan.needs_durability:
+            DurableStore(
+                tempfile.mkdtemp(prefix="smacs-wal-"),
+                "sqlite",
+                fsync_on_admit=True,
+                hooks=plan.disk_hooks(),
+            ).attach(env.pipeline)
+        thunks = WORKLOADS[spec.workload](env)
+        plan.setup(env)
+        for batch_no in range(len(thunks)):
             plan.between_batches(env, batch_no)
-            txs = thunk()
-            if forgeries_per_batch:
-                txs.extend(env.forge_tx(tenant=batch_no) for _ in range(forgeries_per_batch))
-            txs_built += len(txs)
-            env.pipeline.ingest(txs)
-            env.pipeline.run_block()
+            txs = thunks[batch_no]()
+            txs.extend(env.forge_tx(tenant=batch_no) for _ in range(forgeries_per_batch))
+            decisions += env.pipeline.ingest(txs)
+            plan.before_block(env, batch_no)
+            try:
+                env.pipeline.run_block()
+            except SimulatedCrash:
+                # Restart is a phase, not a second program: the same loop
+                # goes on over the recovered node, its workload thunks
+                # rebuilt and resumed at the next batch.
+                env = _restart(env, batch_no)
+                thunks = WORKLOADS[spec.workload](env)
         # One forged canary rides through EVERY cell so the trusted-signer
         # invariant is exercised, not just vacuously true.
-        canary_tx = env.forge_tx()
-        txs_built += 1
-        env.pipeline.ingest([canary_tx])
+        decisions += env.pipeline.ingest([env.forge_tx()])
         env.pipeline.drain()
     finally:
         plan.teardown(env)
+        store = env.pipeline.durability  # whichever node is live now
+        if store is not None:
+            store.close()
+            shutil.rmtree(store.directory, ignore_errors=True)
+    if plan.needs_durability and env.recovery is None:
+        raise InvariantViolation(
+            f"[{spec.name}] disk fault never fired: no block commit reached the "
+            "WAL fsync boundary with the injector armed"
+        )
 
-    accepted = _accepted_token_calls(env)
+    calls = _token_calls(env)
+    accepted = [(tx, Token.from_bytes(bytes(tx.kwargs["token"]))) for tx, ok in calls if ok]
     one_time_accepted = _check_no_duplicate_one_time(env, accepted)
-    _check_trusted_signer(env, accepted)
+    _check_trusted_signer(env, calls, accepted)
     _check_counter_agreement(env)
     accounting = _check_mempool_accounting(env)
     fairness = _check_fairness(env)
 
-    pipeline_stats = env.pipeline.stats()
-    executed = env.pipeline.transactions_executed
-    token_txs_total = sum(
-        1
-        for block in env.chain.blocks
-        for tx in block.transactions
-        if isinstance(tx.kwargs.get("token"), (bytes, bytearray))
-    )
+    recovered = env.recovery.blocks if env.recovery is not None else []
+    generators = env.retired + env.generators
     record: dict[str, Any] = {
         "cell": spec.name,
         "workload": spec.workload,
@@ -884,15 +721,18 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
         "tenants": spec.tenants,
         "batches": spec.batches,
         "batch_size": spec.batch_size,
-        "tokens_issued": sum(g.tokens_issued for g in env.generators),
-        "requests_failed": sum(g.requests_failed for g in env.generators),
-        "txs_built": txs_built,
-        "txs_admitted": pipeline_stats["mempool"]["admitted"],
-        "rejected": dict(pipeline_stats["mempool"]["rejected"]),
-        "blocks_executed": env.pipeline.blocks_executed,
-        "txs_executed": executed,
+        "tokens_issued": sum(g.tokens_issued for g in generators),
+        "requests_failed": sum(g.requests_failed for g in generators),
+        "txs_built": len(decisions),
+        "txs_admitted": sum(decision.admitted for decision in decisions),
+        "rejected": dict(
+            Counter(str(decision.reason) for decision in decisions if not decision.admitted)
+        ),
+        "blocks_executed": len(recovered) + env.pipeline.blocks_executed,
+        "txs_executed": sum(len(block.transactions) for block in recovered)
+        + env.pipeline.transactions_executed,
         "token_txs_succeeded": len(accepted),
-        "token_txs_failed_onchain": token_txs_total - len(accepted),
+        "token_txs_failed_onchain": len(calls) - len(accepted),
         "accepted_token_calls": len(accepted),
         "one_time_accepted": one_time_accepted,
         "forged_attempted": len(env.forged_hashes),
@@ -906,14 +746,21 @@ def run_cell(spec: CellSpec) -> dict[str, Any]:
         "mempool_accounting": accounting,
         "fault_observations": plan.observations(env),
     }
+    if env.recovery is not None:
+        _check_recovered_root(env)
+        record["crashed_at_batch"] = env.crashed_at_batch
+        record["recovery"] = env.recovery.describe()
+        record["invariants"].update(
+            crash_recovered=True, state_root_matches_recomputation=True
+        )
     if fairness:
         record["fairness"] = fairness
     window = env.contracts[0].bitmap_state()
     if window.get("size"):
         # ``start`` > 0 on the entry contract proves the Alg. 2 window slid.
         record["bitmap_window"] = {"size": window["size"], "start": window["start"]}
-    if isinstance(env.service, _ResendingClient):
-        record["frame_resends"] = env.service.resends
+    if plan.needs_transport_seam:
+        record["frame_resends"] = env.service.retries_performed
     if env.notes:
         record["notes"] = dict(env.notes)
     return record

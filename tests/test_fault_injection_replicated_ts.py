@@ -5,8 +5,9 @@ counter:
 
 * the counter **leader crashes mid-batch** of issuance;
 * the cluster suffers a **network partition** that later heals;
-* a replica raises a **transient counter timeout**, which the front end must
-  retry on a different replica instead of surfacing to the client.
+* a replica raises a **transient counter timeout**, which the §VII-B
+  fail-over (``RetryFailover`` around the one-attempt front end) must retry
+  on a different replica instead of surfacing to the client.
 
 The safety property under every scenario is the same: issued one-time
 indexes stay globally unique, and no one-time token is ever accepted twice
@@ -15,7 +16,7 @@ on-chain.
 
 import pytest
 
-from repro.api import issue_one
+from repro.api import RetryFailover, issue_one
 from repro.chain import Blockchain
 from repro.consensus.counter import CounterTimeout
 from repro.contracts.protected_target import ProtectedRecorder
@@ -40,6 +41,12 @@ def rts(chain):
         clock=chain.clock,
         seed=41,
     )
+
+
+@pytest.fixture
+def stack(rts):
+    """The §VII-B fail-over as the matrix builds it: one try per replica."""
+    return RetryFailover(rts, attempts=len(rts.replicas) - 1)
 
 
 @pytest.fixture
@@ -159,7 +166,9 @@ def test_minority_leader_cannot_commit_duplicates(chain, rts, protected, alice):
 # --- transient counter timeouts (the failover-retry fix) ----------------------------
 
 
-def test_transient_timeout_retries_on_another_replica(rts, protected, alice, monkeypatch):
+def test_transient_timeout_retries_on_another_replica(
+    rts, stack, protected, alice, monkeypatch
+):
     """A single transient CounterTimeout is absorbed by fail-over."""
     request = _one_time_request(protected, alice)
     victim = rts.replicas[rts._next % len(rts.replicas)]  # the next pick
@@ -173,14 +182,15 @@ def test_transient_timeout_retries_on_another_replica(rts, protected, alice, mon
         return original(count)
 
     monkeypatch.setattr(victim.counter, "take", flaky)
-    token = issue_one(rts, request)
+    token = issue_one(stack, request)
     assert token is not None
-    assert rts.transient_failovers == 1
+    assert (stack.failovers, stack.recovered) == (1, 1)
+    assert rts.transient_failovers == 0  # the replica answered; nothing died whole
     assert rts.issued_indexes_are_unique()
 
 
 def test_timeout_in_an_envelope_fails_only_its_one_time_requests(
-    rts, protected, alice, monkeypatch
+    rts, stack, protected, alice, monkeypatch
 ):
     """A mixed envelope hits a counter timeout: the reusable request issues on
     the first replica, the one-time ones -- and only they -- are retried on the
@@ -199,17 +209,20 @@ def test_timeout_in_an_envelope_fails_only_its_one_time_requests(
     assert [r.issued for r in attempt] == [False, True, False]
     assert {r.code.value for r in attempt if not r.issued} == {"COUNTER_TIMEOUT"}
 
-    results = rts.submit([one_time, reusable, one_time])
+    results = stack.submit([one_time, reusable, one_time])
     assert all(r.issued for r in results)
-    assert rts.transient_failovers == 1
+    assert (stack.failovers, stack.recovered) == (1, 2)
+    assert rts.transient_failovers == 0
     assert results[1].token == attempt[1].token  # deterministic, index-free
     indexes = first + [r.token.index for r in results if r.token.is_one_time]
     assert indexes == [0, 1, 2, 3]
-    assert victim.issued_count == 2  # the reusable token, twice
+    assert victim.issued_count == 2  # the reusable token, twice; never retried
     assert rts.issued_indexes_are_unique()
 
 
-def test_transient_timeout_in_submit_retries_whole_batch(rts, protected, alice, monkeypatch):
+def test_transient_timeout_in_submit_retries_whole_batch(
+    rts, stack, protected, alice, monkeypatch
+):
     request = _one_time_request(protected, alice)
     victim = rts.replicas[rts._next % len(rts.replicas)]
     original = victim.submit
@@ -222,23 +235,63 @@ def test_transient_timeout_in_submit_retries_whole_batch(rts, protected, alice, 
         return original(requests)
 
     monkeypatch.setattr(victim, "submit", flaky)
-    results = rts.submit([request, request])
+    results = stack.submit([request, request])
     assert all(result.issued for result in results)
-    assert rts.transient_failovers == 1
+    assert rts.transient_failovers == 1  # a submission that died whole
+    assert (stack.failovers, stack.recovered) == (1, 2)
     indexes = [result.token.index for result in results]
     assert len(set(indexes)) == len(indexes)
 
 
-def test_persistent_timeout_surfaces_after_all_replicas(rts, protected, alice, monkeypatch):
+def test_persistent_timeout_surfaces_after_all_replicas(
+    rts, stack, protected, alice, monkeypatch
+):
     request = _one_time_request(protected, alice)
-    for replica in rts.replicas:
-        def always_timeout(count):
+    tried = []
+    for index, replica in enumerate(rts.replicas):
+        def always_timeout(count, index=index):
+            tried.append(index)
             raise CounterTimeout("injected: cluster has no quorum")
 
         monkeypatch.setattr(replica.counter, "take", always_timeout)
     with pytest.raises(CounterTimeout):
-        issue_one(rts, request)
-    assert rts.transient_failovers == len(rts.replicas)
+        issue_one(stack, request)
+    assert sorted(tried) == [0, 1, 2]  # one try per live replica, no more
+    assert stack.failovers == len(rts.replicas) - 1
+    assert rts.transient_failovers == 0
+
+
+def test_replicas_timing_out_in_phase_exhaust_after_one_try_each(
+    rts, stack, protected, alice, monkeypatch
+):
+    """The matrix's ``every=4`` x 3-replica case: every replica's submission
+    dies whole on the same round.  The front end alone makes one attempt and
+    carries the error; the fail-over tries each live replica once, never a
+    taken-down one, and then lets ``COUNTER_TIMEOUT`` through."""
+    request = _one_time_request(protected, alice)
+    tried = []
+    for index, replica in enumerate(rts.replicas):
+        def dies_whole(requests, index=index):
+            tried.append(index)
+            raise CounterTimeout("injected: commit deadline exceeded")
+
+        monkeypatch.setattr(replica, "submit", dies_whole)
+
+    [carried] = rts.submit([request])
+    assert carried.code.value == "COUNTER_TIMEOUT"
+    assert tried == [0] and rts.transient_failovers == 1
+
+    tried.clear()
+    results = stack.submit([request, request])
+    assert [r.code.value for r in results] == ["COUNTER_TIMEOUT"] * 2
+    assert tried == [1, 2, 0]  # exactly len(replicas) tries
+    assert stack.failovers == len(rts.replicas) - 1
+    assert rts.transient_failovers == 1 + len(rts.replicas)
+
+    rts.take_down(1)
+    tried.clear()
+    stack.submit([request])
+    assert 1 not in tried and len(tried) == len(rts.replicas)
 
 
 def test_all_replicas_down_still_raises_no_replica(rts, protected, alice):

@@ -14,10 +14,11 @@ import json
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults import DiskCrashPlan, FaultPlan
 from repro.workloads.matrix import (
     SMOKE_CELLS,
     CellSpec,
+    InvariantViolation,
     default_cells,
     main,
     run_cell,
@@ -90,8 +91,12 @@ def test_smoke_equivocation_cell_screens_duplicate_indexes():
 
 
 def test_smoke_untrusted_signer_cell_rejects_every_forgery():
-    record = run_cell(_cells_by_name()["multi-tenant/untrusted-signer"])
-    assert record["forged_attempted"] > record["batches"]  # plan + canary
+    spec = _cells_by_name()["multi-tenant/untrusted-signer"]
+    record = run_cell(spec)
+    # the plan's two forgeries a batch, plus the runner's one canary
+    forged = spec.fault().forgeries_per_batch * record["batches"]
+    assert record["fault_observations"]["forged_txs"] == forged
+    assert record["forged_attempted"] == forged + 1
     assert record["invariants"]["trusted_signer_only"]
     fairness = record["fairness"]
     assert max(fairness["admitted"]) - min(fairness["admitted"]) <= 1
@@ -128,6 +133,96 @@ def test_smoke_torn_wal_cell_truncates_and_recovers():
 def test_crash_restart_cells_are_deterministic():
     spec = _cells_by_name()["flash-sale/crash-restart"]
     assert run_cell(spec) == run_cell(spec)
+
+
+# --- restart is a phase of the one runner ---------------------------------------------
+
+
+class _CrashWithForgeries(DiskCrashPlan):
+    """A disk crash sharing its cell with another fault's knob and hooks."""
+
+    forgeries_per_batch = 2
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.hooks_seen = []
+
+    def setup(self, env):
+        self.hooks_seen.append("setup")
+
+    def between_batches(self, env, batch_no):
+        self.hooks_seen.append(batch_no)
+
+    def teardown(self, env):
+        self.hooks_seen.append("teardown")
+
+
+def _restart_spec(fault):
+    return CellSpec(
+        workload="flash-sale",
+        fault=fault,
+        fault_name="crash-restart",
+        batches=3,
+        batch_size=6,
+        seed=41,
+    )
+
+
+def _assert_nothing_lost(record):
+    # one record builder: restart cells carry the keys every cell carries
+    assert record["invariants"]["crash_recovered"]
+    assert record["invariants"]["state_root_matches_recomputation"]
+    assert record["one_time_accepted"] == record["tokens_issued"] == 18
+    assert record["txs_executed"] == record["txs_admitted"]
+
+
+def test_restart_cell_crashing_on_the_first_batch():
+    spec = _restart_spec(lambda: DiskCrashPlan(crash_after_batch=0))
+    record = run_cell(spec)
+    assert record == run_cell(spec)
+    assert record["crashed_at_batch"] == 0
+    assert record["recovery"]["blocks_recovered"] == 0  # nothing durable but the base
+    assert record["recovery"]["readmitted"] == spec.batch_size
+    assert record["txs_admitted"] == record["txs_built"] == 19 and record["rejected"] == {}
+    _assert_nothing_lost(record)
+
+
+def test_restart_cell_crashing_on_the_last_batch_still_sends_the_canary():
+    spec = _restart_spec(lambda: DiskCrashPlan(crash_after_batch=2))
+    record = run_cell(spec)
+    assert record == run_cell(spec)
+    assert record["crashed_at_batch"] == spec.batches - 1  # nothing left to resume
+    assert record["recovery"]["blocks_recovered"] == spec.batches - 1
+    assert record["forged_attempted"] == 1
+    assert record["token_txs_failed_onchain"] == 1  # the canary, on the recovered node
+    _assert_nothing_lost(record)
+
+
+def test_restart_cell_runs_the_plan_hooks_and_forgeries_across_the_restart():
+    plans = []
+
+    def fault():
+        plans.append(_CrashWithForgeries(crash_after_batch=1))
+        return plans[-1]
+
+    spec = _restart_spec(fault)
+    record = run_cell(spec)
+    assert record == run_cell(spec)
+    assert plans[0].hooks_seen == ["setup", 0, 1, 2, "teardown"]
+    assert record["forged_attempted"] == 2 * spec.batches + 1  # before, across and after
+    assert record["recovery"]["txs_recovered"] == spec.batch_size + 2  # durable forgeries too
+    # every forgery was refused: at admission by the recovered node's primed
+    # cache (which strands the canary's later nonces), else on-chain
+    refused = record["token_txs_failed_onchain"] + sum(record["rejected"].values())
+    assert refused == record["forged_attempted"]
+    assert record["invariants"]["trusted_signer_only"]
+    _assert_nothing_lost(record)
+
+
+def test_a_disk_fault_that_never_fires_is_a_violation():
+    spec = _restart_spec(lambda: DiskCrashPlan(crash_after_batch=7))
+    with pytest.raises(InvariantViolation, match="never fired"):
+        run_cell(spec)
 
 
 def test_expiry_avalanche_slides_the_bitmap_window():

@@ -455,7 +455,7 @@ def test_replaying_spent_one_time_tokens_hashes_nothing_and_multiplies_nothing(
     assert sum(len(block.transactions) for block in report.blocks) == 12
     assert (report.mempool_seen, report.signatures_primed) == (0, 0)
     assert report.max_one_time_index == max(
-        token.index for _, token in report.accepted_token_calls()
+        _index(tx) for block in report.blocks for tx in block.transactions
     )
     store2.close()
 
