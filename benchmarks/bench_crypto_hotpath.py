@@ -24,6 +24,10 @@ times the primitives that path is built from:
 * ``recovers_to``      -- the known-key check (``recover(...) == Q`` against
   ``prepare_point(Q)``: no square root, a quarter of the doublings), and
   ``prepare_point``, the table it needs, per key;
+* ``token check``      -- ``SignatureCache.recovery_matches``, Alg. 1's "did
+  the trusted Token Service sign this?", over distinct token signatures
+  against a key the cache has already met twice (what a node pays per
+  foreign token, and a restarted node per token it re-primes);
 * ``cold senders``     -- ``SignatureCache.signed_by`` over all-distinct
   senders, each seen once: the first-sight path, beside the expression
   admission ran before the memo (``recover_address(...) == sender``) over
@@ -48,7 +52,9 @@ Acceptance (asserted here, regression-gated in CI via
 * ``sign_batch`` >= 1.4x ``sign`` per signature (1.19x when the block shared
   only its two trailing inversions), and a block of two not slower than two
   ``sign`` calls (>= 0.97x: the crossover is 2);
-* ``recovers_to`` >= 1.6x ``recover`` (what a returning sender saves);
+* ``recovers_to`` >= 1.6x ``recover`` (what a returning sender saves), and
+  ``token check`` >= 1.6x ``recover`` too (the memo around it costs a dict
+  lookup and a store);
 * table build + one check <= 1.25x one ``recover`` (what a sender that
   returns exactly once costs extra);
 * ``cold senders`` >= 0.97x the parent expression (what a sender that never
@@ -157,6 +163,20 @@ def test_crypto_hotpath(benchmark):
             OPS, lambda: [prepare_point(public) for _ in range(OPS)]
         )
 
+        def token_checks() -> float:
+            times = []
+            for _ in range(ROUNDS):
+                cache = SignatureCache()  # no answers yet; the key met twice
+                for d, s in pairs[-2:]:
+                    assert cache.recovery_matches(d, s, KEYPAIR.address)
+                times.append(_timed(lambda: [
+                    cache.recovery_matches(d, s, KEYPAIR.address) for d, s in pairs[:OPS - 2]
+                ]))
+                assert cache.key_checks == OPS - 1
+            return (OPS - 2) / min(times)
+
+        rates["token_check"] = token_checks()
+
         def first_sights() -> None:
             cache = SignatureCache()  # empty: every sender is new to it
             assert all([cache.signed_by(d, s, address) for d, s, address in cold])
@@ -201,6 +221,7 @@ def test_crypto_hotpath(benchmark):
     second_sight_cost = rates["recover"] * (
         1 / rates["prepare_point"] + 1 / rates["recovers_to"]
     )
+    token_check_speedup = rates["token_check"] / rates["recover"]
     cold_relative = rates["cold_senders"] / rates["cold_senders_parent"]
     ragged_pair_speedup = rates["keccak_ragged_pair"] / rates["keccak_pair_apart"]
     session_rider_speedup = rates["session_rider"] / rates["session_prelude"]
@@ -218,6 +239,7 @@ def test_crypto_hotpath(benchmark):
         f"{'recover_batch /sig':<24}{rates['recover_batch']:>12.1f}",
         f"{'recovers_to /sig':<24}{rates['recovers_to']:>12.1f}",
         f"{'prepare_point /key':<24}{rates['prepare_point']:>12.1f}",
+        f"{'token check, warm key':<24}{rates['token_check']:>12.1f}",
         f"{'cold senders /tx':<24}{rates['cold_senders']:>12.1f}",
         f"{'  recover == sender /tx':<24}{rates['cold_senders_parent']:>12.1f}",
         f"{'keccak 80B datagram':<24}{rates['keccak_short']:>12.1f}",
@@ -232,6 +254,7 @@ def test_crypto_hotpath(benchmark):
         f"recover speedup vs reference: {recover_speedup:.2f}x",
         f"batch ({BLOCK} sigs) vs looped recover, same kernel: {batch_speedup:.2f}x",
         f"known-key check vs recover: {known_key_speedup:.2f}x",
+        f"token check against a warm trusted key vs recover: {token_check_speedup:.2f}x",
         f"table build + one check: {second_sight_cost:.2f}x one recover",
         f"cold senders vs recover == sender: {cold_relative:.2f}x",
         f"ragged pair (two one-block messages) vs two keccak256: {ragged_pair_speedup:.2f}x",
@@ -259,6 +282,8 @@ def test_crypto_hotpath(benchmark):
             "recover_speedup_vs_reference": round(recover_speedup, 2),
             "recovers_to_ops_per_sec": round(rates["recovers_to"], 1),
             "prepare_point_ops_per_sec": round(rates["prepare_point"], 1),
+            "token_check_ops_per_sec": round(rates["token_check"], 1),
+            "token_check_speedup_vs_recover": round(token_check_speedup, 2),
             "cold_senders_ops_per_sec": round(rates["cold_senders"], 1),
             "known_key_speedup_vs_recover": round(known_key_speedup, 2),
             "second_sight_cost_vs_recover": round(second_sight_cost, 2),
@@ -285,6 +310,7 @@ def test_crypto_hotpath(benchmark):
     # ... and the three prices of the known-sender memo, as ratios within
     # this run: a returning sender, one that returns once, one that never does.
     assert known_key_speedup >= 1.6, f"recovers_to only {known_key_speedup:.2f}x recover"
+    assert token_check_speedup >= 1.6, f"token check only {token_check_speedup:.2f}x recover"
     assert second_sight_cost <= 1.25, f"build + check is {second_sight_cost:.2f}x a recover"
     assert cold_relative >= 0.97, f"cold senders at {cold_relative:.3f}x the parent expression"
     # Ragged lanes: a lone submission's two messages, and the session message

@@ -66,6 +66,8 @@ GATES: "dict[str, dict[str, Any]]" = {
             "session_rider_speedup_vs_separate",
             "recover_speedup_vs_reference",
             "known_key_speedup_vs_recover",
+            "token_check_ops_per_sec",
+            "token_check_speedup_vs_recover",
             "sign_batch_speedup_vs_sign",
         ),
         "context": (

@@ -35,6 +35,7 @@ orthogonal availability problem); wall-clock wins come from doing strictly
 less cryptographic work per request, not from pretend concurrency.
 """
 
+import threading
 from typing import Any, Callable, Sequence
 
 from repro.chain.address import Address, address_hex
@@ -144,6 +145,9 @@ class BatchTokenService:
         ]
         self.batches_processed = 0
         self._shard_loads = [0] * shards
+        # The shards are dealt to through ``_issue``, under this lock instead
+        # of their own: the allocator and the books above are shared.
+        self._submit_lock = threading.Lock()
 
     # -- identity --------------------------------------------------------------
 
@@ -175,27 +179,29 @@ class BatchTokenService:
         The front-end session overhead is paid once for the whole batch, and
         requests are dealt round-robin across the shards; result order
         matches request order.  Single requests are one-element batches.
+        Batches are serialized, as :meth:`TokenService.submit` serializes
+        submissions: the shards share one index allocator.
         """
         if isinstance(requests, TokenRequest):
             requests = [requests]
-
-        self.batches_processed += 1
-        # One session's worth of real front-end work for the whole batch: it
-        # rides the first shard's pass (and is all that pass does when the
-        # batch is empty).
-        session = session_message(requests)
-        results: "list[IssuanceResult | None]" = [None] * len(requests)
-        shard_count = len(self.shards)
-        for shard_index, shard in enumerate(self.shards):
-            positions = range(shard_index, len(requests), shard_count)
-            self._shard_loads[shard_index] += len(positions)
-            dealt = shard._issue(
-                [requests[position] for position in positions],
-                session if shard_index == 0 else None,
-            )
-            for position, result in zip(positions, dealt):
-                results[position] = result
-        return results
+        with self._submit_lock:
+            self.batches_processed += 1
+            # One session's worth of real front-end work for the whole batch: it
+            # rides the first shard's pass (and is all that pass does when the
+            # batch is empty).
+            session = session_message(requests)
+            results: "list[IssuanceResult | None]" = [None] * len(requests)
+            shard_count = len(self.shards)
+            for shard_index, shard in enumerate(self.shards):
+                positions = range(shard_index, len(requests), shard_count)
+                self._shard_loads[shard_index] += len(positions)
+                dealt = shard._issue(
+                    [requests[position] for position in positions],
+                    session if shard_index == 0 else None,
+                )
+                for position, result in zip(positions, dealt):
+                    results[position] = result
+            return results
 
     # -- owner management ------------------------------------------------------
 

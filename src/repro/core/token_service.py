@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -161,6 +162,7 @@ class TokenService:
         self.issued_count = 0
         self.denied_count = 0
         self._audit_log: deque[tuple[int, str, str]] = deque(maxlen=AUDIT_LOG_ENTRIES)
+        self._submit_lock = threading.Lock()  # one submission at a time (see submit)
         if self.storage_path and os.path.exists(self.storage_path):
             self._load_state()
 
@@ -363,10 +365,17 @@ class TokenService:
         request never aborts the rest of the batch.  A session signature that
         does not verify is not per-request: it raises ``INTERNAL`` and no
         token leaves the service.
+
+        Submissions are serialized: the staged pass reads and advances the
+        one-time counter, the issuance counters and the audit log in several
+        steps, so two threads inside it could hand out one index twice.  The
+        wire path is single-writer already (one dispatch thread) and pays one
+        uncontended acquire; in-process callers on several threads queue here.
         """
         if isinstance(requests, TokenRequest):
             requests = [requests]
-        return self._issue(requests, session_message(requests))
+        with self._submit_lock:
+            return self._issue(requests, session_message(requests))
 
     def front_end_session_overhead(self, requests: Sequence[TokenRequest]) -> None:
         """Fixed per-connection work: session authentication and request framing.

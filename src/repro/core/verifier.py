@@ -114,7 +114,7 @@ def verify_token(
         # keccak gas is charged as usual; the digest itself goes through the
         # node-level signature cache (primed at issuance / by the mempool) so
         # a warm pipeline skips the pure-Python hash, exactly like the
-        # ``ecrecover`` memo below skips the curve math.
+        # precompile's memo below skips the curve math.
         meter.charge(gas.keccak_cost(len(datagram)))
         cache = getattr(env.evm, "signature_cache", None)
         digest = (
@@ -122,11 +122,14 @@ def verify_token(
             if cache is not None
             else token_mod.keccak256(datagram)
         )
-        recovered = precompiles.ecrecover(env, digest, token.signature)
-
-        meter.charge(gas.SLOAD)  # load the trusted TS address
+        # Alg. 1 compares the recovered signer with the trusted TS address
+        # and uses it for nothing else, so the precompile is asked for the
+        # comparison.  The address is read ahead of the call; the charges
+        # keep the contract's order: precompile, then the SLOAD.
         expected = env.evm.state.storage_get(contract.this, TS_ADDRESS_SLOT, None)
-        if expected is None or recovered != expected:
+        signed = precompiles.ecrecover_matches(env, digest, token.signature, expected)
+        meter.charge(gas.SLOAD)  # load the trusted TS address
+        if not signed:
             return False
 
     # Step 4: the one-time property (charged to the "bitmap" category).

@@ -28,6 +28,17 @@ Q`` by definition, on every input, so the answer is the one a fresh recovery
 would give; only a signature that did recover to the address can teach the
 memo a key, so a forger never plants one.
 
+Alg. 1 asks the same kind of question of a token: not *who* signed it, only
+whether the contract's trusted Token Service did.
+:meth:`SignatureCache.recovery_matches` is that question, memoized: answered
+by the ``signed_by`` ladder (the trusted key always returns, so from its third
+token on every check is the fixed-base one) and stored beside the recoveries
+-- a match as the address itself, exactly the entry a full recovery would
+have left, a refusal as a *not this address* verdict.  A refusal names who
+did not sign, never who did: it answers only the question it was computed
+for, :meth:`SignatureCache.peek_recovery` reads it as unknown, and
+:meth:`SignatureCache.recover` as a miss it overwrites with the real signer.
+
 The batch forms (:meth:`SignatureCache.digests_for`,
 :meth:`SignatureCache.signatures_for`, :meth:`SignatureCache.memoize_many`)
 are each defined as their element-wise loop -- same values, same hit/miss
@@ -48,22 +59,31 @@ optimisation, not a protocol change).
 One process-wide :data:`DEFAULT_SIGNATURE_CACHE` is shared by default between
 the :class:`~repro.core.batch_service.BatchTokenService` issuance path and
 the execution engine's verifier path
-(:func:`repro.chain.precompiles.ecrecover`); both accept a private instance
+(:func:`repro.chain.precompiles.ecrecover_matches`); both accept a private instance
 for isolated measurements.
 """
 
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.crypto.ecdsa import Signature, SignatureError, recover, recovers_to
 from repro.crypto.keccak import keccak256, keccak256_many
-from repro.crypto.keys import PublicKey, recover_address, recover_address_batch
+from repro.crypto.keys import PublicKey, recover_address
 from repro.crypto.secp256k1 import Point, PreparedPoint, prepare_point
 
 _RECOVER_FAILED = object()  # cached sentinel for unrecoverable signatures
 
-#: Known sender keys kept per cache, least recently seen evicted first: the
-#: paper's own Fig. 6 sender whitelist.  A full memo of prepared keys is
+
+class _NotSignedBy(NamedTuple):
+    """Cached refusal: the signature does not recover to ``address`` (it may
+    recover to anyone else, or to nobody)."""
+
+    address: bytes
+
+
+#: Known keys (senders, and the trusted signers tokens are checked against)
+#: kept per cache, least recently seen evicted first: the paper's own Fig. 6
+#: sender whitelist.  A full memo of prepared keys is
 #: ~10.2 KB x 1,024 = 10.4 MB; the ledger's 64 accounts take 0.7 MB.  A
 #: population that outgrows it falls back to one plain recovery per
 #: transaction -- the cost without the memo -- plus a dict insert.
@@ -86,8 +106,9 @@ class SignatureCache:
         self._signatures: "OrderedDict[tuple, Signature]" = OrderedDict()
         self._digests: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._derived: "OrderedDict[tuple, object]" = OrderedDict()
-        #: sender address -> its key: the bare point after one sight, the
-        #: prepared table from the second on (``KNOWN_KEY_CAPACITY`` entries)
+        #: sender or trusted-signer address -> its key: the bare point after
+        #: one sight, the prepared table from the second on
+        #: (``KNOWN_KEY_CAPACITY`` entries)
         self._keys: "OrderedDict[bytes, Point | PreparedPoint]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -172,15 +193,32 @@ class SignatureCache:
         """
         self._store(self._recovered, self._recover_key(digest, signature), signer)
 
-    def peek_recovery(self, digest: bytes, signature: Signature) -> "bytes | None":
-        """Cached recovery result without computing on a miss (and without
-        touching hit/miss counters).  ``None`` means unknown *or* cached
-        failure -- cheap-screening callers treat both as "defer to the full
-        check"."""
-        value = self._recovered.get(self._recover_key(digest, signature))
-        if value is None or value is _RECOVER_FAILED:
+    def _recovery_entry(self, key: tuple, address: "bytes | None"):
+        """The recovery table's entry for a caller asking about ``address``
+        (``None``: asking who signed) -- ``None`` when it holds nothing, or
+        only a refusal about some other address, which answers nothing."""
+        value = self._recovered.get(key)
+        if isinstance(value, _NotSignedBy) and value.address != address:
             return None
         return value
+
+    def _lookup_recovery(self, key: tuple, address: "bytes | None"):
+        """:meth:`_recovery_entry`, booked the way :meth:`_lookup` books."""
+        value = self._recovery_entry(key, address)
+        if value is None:
+            self.misses += 1
+        else:
+            self._recovered.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def peek_recovery(self, digest: bytes, signature: Signature) -> "bytes | None":
+        """Cached recovery result without computing on a miss (and without
+        touching hit/miss counters).  ``None`` means unknown, cached failure
+        *or* cached refusal (which names no signer) -- cheap-screening
+        callers treat all three as "defer to the full check"."""
+        value = self._recovered.get(self._recover_key(digest, signature))
+        return value if isinstance(value, bytes) else None
 
     def recover(self, digest: bytes, signature: Signature) -> "bytes | None":
         """Memoized :func:`repro.crypto.keys.recover_address`.
@@ -188,11 +226,13 @@ class SignatureCache:
         Returns the 20-byte signer address, or ``None`` when the signature is
         unrecoverable (the caller maps that to the zero address, mirroring
         Solidity's ``ecrecover``).  Failures are cached too, so a replay storm
-        of forged tokens cannot force repeated curve work.
+        of forged tokens cannot force repeated curve work.  A cached refusal
+        (:meth:`recovery_matches`) is a miss here: the real signer is
+        computed and takes the entry over.
         """
         key = self._recover_key(digest, signature)
-        value, found = self._lookup(self._recovered, key)
-        if found:
+        value = self._lookup_recovery(key, None)
+        if value is not None:
             return None if value is _RECOVER_FAILED else value
         try:
             address = recover_address(digest, signature)
@@ -202,25 +242,31 @@ class SignatureCache:
         self._store(self._recovered, key, address)
         return address
 
-    def recover_batch(
-        self, pairs: "list[tuple[bytes, Signature]]"
-    ) -> "list[bytes | None]":
-        """``[recover(d, s) for d, s in pairs]``, the misses resolved by one
-        :func:`repro.crypto.keys.recover_address_batch` call -- the GLV block
-        kernel and its Montgomery batch inversions shared across every
-        missing signature (books as the loop's: :meth:`_memo_many`; failures
-        are cached as :meth:`recover` caches them)."""
-        keys = [self._recover_key(digest, signature) for digest, signature in pairs]
-        pair_of = dict(zip(keys, pairs))
-        values, _ = self._memo_many(
-            self._recovered,
-            keys,
-            lambda missing: [
-                _RECOVER_FAILED if address is None else address
-                for address in recover_address_batch([pair_of[key] for key in missing])
-            ],
-        )
-        return [None if value is _RECOVER_FAILED else value for value in values]
+    def recovery_matches(self, digest: bytes, signature: Signature, address: bytes) -> bool:
+        """Memoized ``recover_address(digest, signature) == address``,
+        unrecoverable = False: Alg. 1's question of a token signature.
+
+        A miss is answered by :meth:`signed_by` -- a full recovery only until
+        the node has met ``address``'s key twice -- and stored: a match as
+        ``address`` (what :meth:`prime_recovery` stores for a token the node
+        watched being signed), a refusal as a verdict about ``address`` alone.
+        ``misses`` still counts the times curve math ran.
+        """
+        key = self._recover_key(digest, signature)
+        value = self._lookup_recovery(key, address)
+        if value is not None:
+            return value == address
+        matched = self.signed_by(digest, signature, address)
+        self._store(self._recovered, key, address if matched else _NotSignedBy(address))
+        return matched
+
+    def peek_recovery_matches(
+        self, digest: bytes, signature: Signature, address: bytes
+    ) -> "bool | None":
+        """The cached answer to :meth:`recovery_matches`, ``None`` when there
+        is none (no counter moves, nothing is computed)."""
+        value = self._recovery_entry(self._recover_key(digest, signature), address)
+        return None if value is None else value == address
 
     # -- known senders (the admission path) ------------------------------------
 

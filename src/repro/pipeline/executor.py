@@ -10,9 +10,12 @@ every ``(digest, signature)`` pair through the cache:
 
 * tokens issued by a cache-sharing Token Service were primed at issuance and
   hit immediately;
-* foreign tokens are computed here, once, in a tight batch -- so the in-EVM
+* foreign tokens are checked here, once, against the trusted signer their
+  contract stores (Alg. 1's own question, so from the third token a trusted
+  key signs it is a fixed-base check, not a recovery) -- so the in-EVM
   ``ecrecover`` (and the verifier's datagram digest) are cache hits for every
-  transaction in the block, no matter where its token came from.
+  transaction in the block, no matter where its token came from.  A node
+  restarted from disk re-primes its cold cache through this same pass.
 
 Gas accounting is untouched: the EVM still charges the full precompile and
 keccak costs; the pre-warm only moves the node-level work off the per-frame
@@ -29,7 +32,7 @@ from repro.chain.transaction import Transaction
 from repro.core.call_chain import tokens_carried
 from repro.core.smacs_contract import SMACSContract
 from repro.core.token import MalformedToken, Token
-from repro.core.verifier import reconstruct_datagram
+from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
 from repro.crypto.ecdsa import Signature
 from repro.crypto.sigcache import SignatureCache
 
@@ -71,14 +74,14 @@ class BlockExecutor:
     # -- the batched pre-warm pass ----------------------------------------------
 
     def pre_warm(self, transactions: list[Transaction]) -> tuple[int, int]:
-        """Resolve every token's digest + recovery through the shared cache.
+        """Resolve every token's digest + Alg. 1 verdict through the shared cache.
 
-        Walks the block plan collecting every ``(digest, signature)`` pair
-        that is not already cached, then resolves all of them in a single
-        :meth:`SignatureCache.recover_batch` call -- one GLV block kernel
-        and one set of Montgomery batch inversions for the whole block,
-        instead of one full recovery (and one modular inversion per
-        Jacobian-to-affine conversion) per token.
+        Walks the block plan, hashes the uncached datagrams by lanes, and asks
+        :meth:`SignatureCache.recovery_matches` of every ``(digest,
+        signature)`` pair the cache cannot answer yet whether it recovers to
+        the trusted signer its contract stores -- the answer, and the only
+        one, the in-EVM verifier will want.  A token whose contract stores no
+        trusted signer can never verify and is not warmed.
 
         Returns ``(hits, misses)`` where a miss means the curve math ran
         here -- once, outside any gas-metered frame -- instead of inside
@@ -92,8 +95,9 @@ class BlockExecutor:
 
     def _pre_warm(self, transactions: list[Transaction]) -> tuple[int, int]:
         cache = self.signature_cache
+        state = self.chain.state
         datagrams: list[bytes] = []
-        signatures: list[Signature] = []
+        checks: list[tuple[Signature, bytes]] = []  # (signature, trusted signer)
         for tx in transactions:
             for address, raw in tokens_carried(tx).items():
                 # Call-chain bundles carry one entry per contract; each entry
@@ -101,6 +105,9 @@ class BlockExecutor:
                 # rules, so each is warmed against that contract.
                 target = self.chain.evm.contracts.get(address)
                 if not isinstance(target, SMACSContract):
+                    continue
+                trusted = state.storage_get(address, TS_ADDRESS_SLOT, None)
+                if trusted is None:
                     continue
                 try:
                     token = Token.from_bytes(raw)
@@ -110,27 +117,17 @@ class BlockExecutor:
                 if datagram is None:
                     continue
                 datagrams.append(datagram)
-                signatures.append(token.signature)
-        hits = 0
-        pending: list[tuple[bytes, Signature]] = []
-        pending_keys: set[tuple] = set()
+                checks.append((token.signature, trusted))
+        misses = 0
         # The whole plan's datagrams are in hand: hash the uncached ones by lanes.
-        for digest, signature in zip(cache.digests_for(datagrams), signatures):
-            if cache.peek_recovery(digest, signature) is not None:
-                hits += 1
-            else:
-                # An intra-block replay of a not-yet-cached token is a
-                # hit, not a miss: the batch computes each distinct pair
-                # once, so `misses` keeps meaning "curve math ran here".
-                key = (digest, signature.r, signature.s, signature.v)
-                if key in pending_keys:
-                    hits += 1
-                else:
-                    pending_keys.add(key)
-                    pending.append((digest, signature))
-        if pending:
-            cache.recover_batch(pending)
-        return hits, len(pending)
+        for digest, (signature, trusted) in zip(cache.digests_for(datagrams), checks):
+            # An intra-block replay of a not-yet-cached token finds the
+            # answer its first copy left, so `misses` keeps meaning "curve
+            # math ran here".
+            if cache.peek_recovery_matches(digest, signature, trusted) is None:
+                cache.recovery_matches(digest, signature, trusted)
+                misses += 1
+        return len(checks) - misses, misses
 
     # -- execution ----------------------------------------------------------------
 

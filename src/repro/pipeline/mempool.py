@@ -10,11 +10,12 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
   the transaction is refused on arrival;
 * **datagram digest screen** -- the token's signed datagram is reconstructed
   from the transaction context and its digest fetched through the shared
-  :class:`~repro.crypto.sigcache.SignatureCache`; when issuance primed the
-  cache (the normal case) this also yields the known recovery result, letting
-  the mempool refuse tokens that provably do not recover to the contract's
-  trusted Token Service.  Unknown signatures are *not* computed here -- they
-  are left for the block executor's batched pre-warm pass;
+  :class:`~repro.crypto.sigcache.SignatureCache`; when the cache already
+  holds Alg. 1's verdict on the signature (primed at issuance, the normal
+  case, or left by an earlier block) the mempool refuses tokens that provably
+  do not recover to the contract's trusted Token Service.  Unknown signatures
+  are *not* computed here -- they are left for the block executor's pre-warm
+  pass;
 * **one-time index screen** -- a read-only view over the contract's stored
   Alg. 2 bitmap (:class:`BitmapView`) refuses indexes that were already
   consumed on-chain or fell behind the window, and an in-pool reservation
@@ -408,18 +409,19 @@ class Mempool:
         if self.chain.clock.now() > token.expire:
             return self._reject(RejectReason.EXPIRED_TOKEN), ()
 
-        # Cheap check 2: datagram digest through the shared cache.  When the
-        # recovery result is already known (primed at issuance or by an
-        # earlier block), a signer mismatch is definitive; unknown signatures
-        # are deferred to the executor's batched pre-warm.
+        # Cheap check 2: datagram digest through the shared cache.  When
+        # Alg. 1's verdict on this signature is already known (primed at
+        # issuance or by an earlier block), a refusal is definitive; unknown
+        # signatures are deferred to the executor's pre-warm.
         # (Arguments that do not bind give no datagram: the EVM reverts
         # such a call anyway.)
         datagram = reconstruct_datagram(tx, contract, token)
         if datagram is not None:
             digest = self.signature_cache.digest_for(datagram)
-            known_signer = self.signature_cache.peek_recovery(digest, token.signature)
             trusted = self.chain.state.storage_get(tx.to, TS_ADDRESS_SLOT, None)
-            if known_signer is not None and known_signer != trusted:
+            if self.signature_cache.peek_recovery_matches(
+                digest, token.signature, trusted
+            ) is False:
                 return self._reject(RejectReason.UNTRUSTED_TOKEN), ()
 
         # Cheap check 3: one-time index screening.

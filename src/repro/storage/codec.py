@@ -33,6 +33,7 @@ path at C speed; the commitment is strictly off-chain.
 
 from __future__ import annotations
 
+import itertools
 from hashlib import sha256
 from typing import Any, Iterable, Mapping
 
@@ -51,6 +52,15 @@ _T_FLOAT = 0x06
 _T_TUPLE = 0x07
 _T_LIST = 0x08
 _T_DICT = 0x09
+
+
+#: Containers may nest this deep, on the way out and on the way back: what
+#: the encoder would write and the decoder refuse is refused at the write,
+#: and a buffer of nothing but container openers -- the decoder recurses per
+#: level -- is a :class:`CodecError`, not a ``RecursionError``.  Real records
+#: nest six deep (a block's delta: list, entry, writes, slot); the cap is the
+#: wire codec's ``MAX_ENVELOPE_DEPTH``.
+MAX_VALUE_DEPTH = 64
 
 
 class CodecError(ValueError):
@@ -82,7 +92,7 @@ def _read_varint(raw: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _encode_into(out: bytearray, value: Any) -> None:
+def _encode_into(out: bytearray, value: Any, depth: int = 0) -> None:
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -108,19 +118,25 @@ def _encode_into(out: bytearray, value: Any) -> None:
         out.append(_T_FLOAT)
         out += struct.pack(">d", value)
     elif type(value) is tuple or type(value) is list:
+        if depth >= MAX_VALUE_DEPTH:
+            raise CodecError("value nested too deep")
+        depth += 1
         out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
         _write_varint(out, len(value))
         for item in value:
-            _encode_into(out, item)
+            _encode_into(out, item, depth)
     elif type(value) is dict:
+        if depth >= MAX_VALUE_DEPTH:
+            raise CodecError("value nested too deep")
+        depth += 1
         out.append(_T_DICT)
         _write_varint(out, len(value))
         entries = []
         for key, item in value.items():
             key_buf = bytearray()
-            _encode_into(key_buf, key)
+            _encode_into(key_buf, key, depth)
             item_buf = bytearray()
-            _encode_into(item_buf, item)
+            _encode_into(item_buf, item, depth)
             entries.append((bytes(key_buf), bytes(item_buf)))
         entries.sort(key=lambda entry: entry[0])
         for key_bytes, item_bytes in entries:
@@ -137,7 +153,7 @@ def encode_value(value: Any) -> bytes:
     return bytes(out)
 
 
-def _decode_at(raw: bytes, pos: int) -> tuple[Any, int]:
+def _decode_at(raw: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
     if pos >= len(raw):
         raise CodecError("truncated value")
     tag = raw[pos]
@@ -156,33 +172,45 @@ def _decode_at(raw: bytes, pos: int) -> tuple[Any, int]:
         if pos + length > len(raw):
             raise CodecError("truncated bytes payload")
         payload = raw[pos : pos + length]
-        return (payload if tag == _T_BYTES else payload.decode("utf-8")), pos + length
+        if tag == _T_BYTES:
+            return payload, pos + length
+        try:
+            return payload.decode("utf-8"), pos + length
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"str payload is not UTF-8: {exc}") from exc
     if tag == _T_FLOAT:
         import struct
 
         if pos + 8 > len(raw):
             raise CodecError("truncated float payload")
         return struct.unpack(">d", raw[pos : pos + 8])[0], pos + 8
-    if tag == _T_TUPLE or tag == _T_LIST:
+    if tag == _T_TUPLE or tag == _T_LIST or tag == _T_DICT:
+        if depth >= MAX_VALUE_DEPTH:
+            raise CodecError("value nested too deep")
+        depth += 1
         count, pos = _read_varint(raw, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(raw, pos)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        count, pos = _read_varint(raw, pos)
+        if tag != _T_DICT:
+            items = []
+            for _ in range(count):
+                item, pos = _decode_at(raw, pos, depth)
+                items.append(item)
+            return (tuple(items) if tag == _T_TUPLE else items), pos
         result = {}
         for _ in range(count):
-            key, pos = _decode_at(raw, pos)
-            value, pos = _decode_at(raw, pos)
-            result[key] = value
+            key, pos = _decode_at(raw, pos, depth)
+            value, pos = _decode_at(raw, pos, depth)
+            try:
+                result[key] = value
+            except TypeError as exc:  # a list or dict where a key belongs
+                raise CodecError(f"unhashable dict key: {exc}") from exc
         return result, pos
     raise CodecError(f"unknown tag 0x{tag:02x}")
 
 
 def decode_value(raw: bytes) -> Any:
     """Decode one canonical value; trailing bytes are an error."""
+    if not isinstance(raw, bytes):
+        raise CodecError(f"cannot decode {type(raw).__name__}: not bytes")
     value, pos = _decode_at(raw, 0)
     if pos != len(raw):
         raise CodecError(f"{len(raw) - pos} trailing bytes after value")
@@ -226,11 +254,53 @@ def encode_transaction(tx: Transaction) -> bytes:
     )
 
 
-def decode_transaction(raw: bytes) -> Transaction:
+def _shapes(fields: "dict[str, tuple]") -> "tuple[tuple[str, ...], frozenset]":
+    """A record schema -- field name -> the types it may have -- as the field
+    names and every tuple of types they may have together."""
+    return tuple(fields), frozenset(itertools.product(*fields.values()))
+
+
+_NONE = type(None)
+_TRANSACTION = _shapes(
+    {
+        "s": (bytes,),
+        "t": (bytes, _NONE),
+        "n": (int,),
+        "m": (str, _NONE),
+        "a": (tuple, list),
+        "k": (dict,),
+        "v": (int,),
+        "g": (int,),
+        "p": (int,),
+        "x": (bytes,),
+    }
+)
+_ACCOUNT = _shapes({"b": (int,), "n": (int,), "c": (bool,), "z": (int,), "s": (dict,)})
+
+
+def _decode_fields(raw: bytes, schema: "tuple[tuple[str, ...], frozenset]", what: str) -> dict:
+    """Decode a record that must be a dict carrying every field of ``schema``
+    with one of its types (exact types: the decoder produces no others)."""
     fields = decode_value(raw)
-    if not isinstance(fields, dict):
-        raise CodecError("transaction record is not a dict")
-    signature = Signature.from_bytes(fields["x"]) if fields["x"] else None
+    names, shapes = schema
+    try:
+        shape = tuple([type(fields[name]) for name in names])
+    except (TypeError, KeyError) as exc:
+        raise CodecError(f"{what} record is not a dict, or lacks a field: {exc!r}") from exc
+    if type(fields) is not dict or shape not in shapes:
+        raise CodecError(f"{what} record has a mistyped field")
+    return fields
+
+
+def decode_transaction(raw: bytes) -> Transaction:
+    fields = _decode_fields(raw, _TRANSACTION, "transaction")
+    for key in fields["k"]:
+        if type(key) is not str:
+            raise CodecError("transaction record: keyword arguments must be named by str")
+    try:
+        signature = Signature.from_bytes(fields["x"]) if fields["x"] else None
+    except ValueError as exc:  # SignatureError: wrong length, r / s / v out of range
+        raise CodecError(f"transaction record: {exc}") from exc
     return Transaction(
         sender=fields["s"],
         to=fields["t"],
@@ -262,7 +332,7 @@ def encode_account(record: AccountState) -> bytes:
 
 
 def decode_account(raw: bytes) -> AccountState:
-    fields = decode_value(raw)
+    fields = _decode_fields(raw, _ACCOUNT, "account")
     record = AccountState(
         balance=fields["b"],
         nonce=fields["n"],
@@ -387,6 +457,7 @@ class StateRootTracker:
 __all__ = [
     "COMMITMENT_VERSION",
     "CodecError",
+    "MAX_VALUE_DEPTH",
     "StateRootTracker",
     "account_digest",
     "decode_account",

@@ -56,6 +56,7 @@ from repro.core.token import MalformedToken, Token
 from repro.storage.backend import Backend, open_backend
 from repro.storage.codec import (
     COMMITMENT_VERSION,
+    CodecError,
     StateRootTracker,
     decode_account,
     decode_transaction,
@@ -292,14 +293,17 @@ class DurableStore:
 
     # -- recovery --------------------------------------------------------------------
 
-    def recover_into(self, pipeline: Any) -> RecoveryReport:
-        """Rebuild state from disk, install it, re-admit survivors, re-prime.
+    def _read_image(
+        self, report: RecoveryReport
+    ) -> "tuple[WorldState, StateRootTracker, int, list[Transaction]]":
+        """Rebuild, and verify, what the backend and the WAL hold: the state,
+        its root tracker, the height, and the admissions no block includes.
 
-        ``pipeline`` must be a freshly built node (same deployment recipe as
-        the crashed one -- contract *code* is live Python and is not stored).
-        Call :meth:`attach` afterwards to resume durable operation.
+        Trusts no record's shape: a missing or mistyped field surfaces as the
+        ``KeyError`` / ``TypeError`` / ``AttributeError`` / ``CodecError`` its
+        first use raises, which :meth:`recover_into` reports as one
+        :class:`RecoveryError`.
         """
-        report = RecoveryReport()
         scratch = WorldState()
         height = 0
         tracker = StateRootTracker()
@@ -397,6 +401,25 @@ class DurableStore:
             if raw not in accounted:
                 accounted.add(raw)
                 candidates.append(decode_transaction(raw))
+
+        if type(height) is not int:
+            raise RecoveryError(f"recorded height is not a number: {height!r}")
+        return scratch, tracker, height, candidates
+
+    def recover_into(self, pipeline: Any) -> RecoveryReport:
+        """Rebuild state from disk, install it, re-admit survivors, re-prime.
+
+        ``pipeline`` must be a freshly built node (same deployment recipe as
+        the crashed one -- contract *code* is live Python and is not stored).
+        Call :meth:`attach` afterwards to resume durable operation.
+        """
+        report = RecoveryReport()
+        try:
+            scratch, tracker, height, candidates = self._read_image(report)
+        except (CodecError, KeyError, TypeError, AttributeError) as exc:
+            # Bytes that pass their checksum and still are no record of ours:
+            # refused as a whole, before anything is installed.
+            raise RecoveryError(f"ill-shaped record in the durable image: {exc!r}") from exc
 
         pipeline.chain.install_state(scratch)
         self.tracker = tracker

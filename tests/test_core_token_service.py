@@ -567,3 +567,82 @@ def test_build_fig6_ruleset_helper():
         service,
         TokenRequest.argument_token(CONTRACT, ALICE, "submit", {"amount": 7})
     ).issued
+
+
+# --- submissions from two threads are serialized ---------------------------------------
+
+
+class _GatedCounter:
+    """Wraps a counter: ``take`` parks its first caller until released, and
+    records how many callers were ever inside ``take`` at once."""
+
+    def __init__(self, counter):
+        import threading
+
+        self.counter = counter
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.inside = 0
+        self.most_inside = 0
+
+    def take(self, count):
+        self.inside += 1
+        self.most_inside = max(self.most_inside, self.inside)
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+        try:
+            return self.counter.take(count)
+        finally:
+            self.inside -= 1
+
+
+def _two_submissions(submit, counter):
+    """Run ``submit`` on two threads, the second started while the first is
+    parked inside the counter; returns the two result lists."""
+    import threading
+
+    results = {}
+
+    def worker(name):
+        results[name] = submit(
+            [TokenRequest.method_token(CONTRACT, ALICE, "submit", one_time=True) for _ in range(3)]
+        )
+
+    first = threading.Thread(target=worker, args=("first",), daemon=True)
+    second = threading.Thread(target=worker, args=("second",), daemon=True)
+    first.start()
+    assert counter.entered.wait(timeout=10)
+    second.start()
+    second.join(timeout=0.3)  # long enough to reach take() if nothing stopped it
+    assert second.is_alive()  # ... it is queued behind the first submission
+    assert counter.most_inside == 1
+    counter.release.set()
+    for thread in (first, second):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    return results["first"], results["second"]
+
+
+def test_a_second_thread_waits_for_the_submission_in_flight(clock):
+    counter = _GatedCounter(_LocalCounter())
+    service = TokenService(keypair=KeyPair.from_seed("ts-key"), clock=clock, counter=counter)
+    first, second = _two_submissions(service.submit, counter)
+    assert counter.most_inside == 1
+    assert [r.token.index for r in first] == [0, 1, 2]
+    assert [r.token.index for r in second] == [3, 4, 5]
+    assert service.issued_count == 6 and len(service.audit_log()) == 6
+
+
+def test_a_second_thread_waits_for_the_batch_in_flight(clock):
+    from repro.core import BatchTokenService
+
+    service = BatchTokenService(
+        keypair=KeyPair.from_seed("ts-key"), clock=clock, shards=2,
+        signature_cache=SignatureCache(),
+    )
+    counter = service.shards[0].counter = _GatedCounter(service.shards[0].counter)
+    first, second = _two_submissions(service.submit, counter)
+    assert counter.most_inside == 1
+    assert service.batches_processed == 2 and service.issued_count == 6
+    assert len({r.token.index for r in first + second if r.issued}) == len(first + second)

@@ -130,56 +130,6 @@ def test_verifier_path_uses_the_engine_cache(chain, alice, alice_wallet, recorde
     assert engine_cache.hits > hits_before  # same signature: recovery memoised
 
 
-# --- batched recovery ---------------------------------------------------------
-
-
-def test_recover_batch_matches_singles_and_caches():
-    cache = SignatureCache()
-    digests = [keccak256(b"batch-%d" % i) for i in range(6)]
-    pairs = [(d, KEYPAIR.sign(d)) for d in digests]
-    results = cache.recover_batch(pairs)
-    assert results == [KEYPAIR.address] * len(pairs)
-    # Everything landed in the cache: a second batch is pure hits.
-    hits_before = cache.hits
-    assert cache.recover_batch(pairs) == results
-    assert cache.hits == hits_before + len(pairs)
-    # And the single-call path sees the same entries.
-    assert cache.recover(*pairs[0]) == KEYPAIR.address
-
-
-def test_recover_batch_mixes_hits_misses_and_failures():
-    cache = SignatureCache()
-    good = KEYPAIR.sign(DIGEST)
-    cache.recover(DIGEST, good)  # pre-warm one entry
-    other_digest = keccak256(b"other")
-    bad = Signature(12345, 67890, 1)
-    results = cache.recover_batch(
-        [(DIGEST, good), (other_digest, KEYPAIR.sign(other_digest)), (DIGEST, bad)]
-    )
-    assert results[0] == KEYPAIR.address
-    assert results[1] == KEYPAIR.address
-    assert results[2] != KEYPAIR.address  # forged: None or a different signer
-    # Failures are cached too: repeating the bad entry is a hit, not curve work.
-    hits_before = cache.hits
-    again = cache.recover_batch([(DIGEST, bad)])
-    assert again == [results[2]]
-    assert cache.hits == hits_before + 1
-
-
-def test_recover_batch_deduplicates_replayed_pairs():
-    cache = SignatureCache()
-    signature = KEYPAIR.sign(DIGEST)
-    results = cache.recover_batch([(DIGEST, signature)] * 5)
-    assert results == [KEYPAIR.address] * 5
-    # Same counters as five single recover() calls: one miss, then hits.
-    assert (cache.misses, cache.hits) == (1, 4)
-    assert cache.recover(DIGEST, signature) == KEYPAIR.address
-
-
-def test_recover_batch_empty():
-    assert SignatureCache().recover_batch([]) == []
-
-
 # --- digests_for: the element-wise loop, with the misses hashed by lanes ----------------
 
 
@@ -469,3 +419,182 @@ def test_a_prepared_key_is_at_most_12_kb_and_a_full_memo_that_times_its_capacity
             assert cache.signed_by(DIGEST, sender.sign(DIGEST), sender.address)
     assert cache.stats()["known_keys"] == 6
     assert _footprint(list(cache._keys.values()), set()) <= 6 * per_key
+
+
+# --- recovery_matches: Alg. 1's question of a token signature, memoized ---------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+TRUSTED = KeyPair.from_seed("sigcache-trusted-ts")
+RETIRED = KeyPair.from_seed("sigcache-retired-ts")  # the trusted address before / after a change
+FORGER = KeyPair.from_seed("sigcache-forger")
+
+
+def _wire(signature: Signature, v_byte: int) -> Signature:
+    """The signature as a token carrying recovery byte ``v_byte`` decodes it."""
+    return Signature.from_bytes(signature.to_bytes()[:64] + bytes([v_byte]))
+
+
+def _no_abscissa() -> int:
+    from repro.crypto.secp256k1 import lift_x
+
+    for r in range(2, 64):
+        try:
+            lift_x(r, False)
+        except ValueError:
+            return r
+    raise AssertionError("no small non-abscissa")
+
+
+def _token_signatures() -> list:
+    """(digest, signature) pairs: genuine, forged, mauled and unrecoverable."""
+    pairs = []
+    for i in range(3):
+        digest = keccak256(b"alg1-%d" % i)
+        good = TRUSTED.sign(digest)
+        pairs += [
+            (digest, good),
+            (digest, _wire(good, 27 + good.v)),                       # Ethereum's v
+            (digest, _wire(good, 28 - good.v)),                       # ... flipped
+            (digest, Signature(good.r, good.s, good.v ^ 1)),
+            (digest, Signature(good.r, N - good.s, good.v ^ 1)),      # high-s twin
+            (digest, Signature(good.r, N - good.s, good.v)),
+            (digest, RETIRED.sign(digest)),
+            (digest, FORGER.sign(digest)),                            # forged under the trusted address
+            (keccak256(b"alg1-stolen-%d" % i), good),                 # another origin's datagram
+            (digest, Signature(_no_abscissa(), good.s, i & 1)),
+            (digest, Signature(good.r, 2**200 + i, good.v)),
+        ]
+    return pairs
+
+
+TOKEN_SIGNATURES = _token_signatures()
+ADDRESSES = [TRUSTED.address, RETIRED.address]
+
+
+def _recover_or_none(digest, signature):
+    try:
+        return recover_address(digest, signature)
+    except SignatureError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.sampled_from([0, 1, 2, 1024]),
+    maxsize=st.sampled_from([2, 4096]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["matches", "matches", "matches", "recover", "peek"]),
+            st.integers(0, len(TOKEN_SIGNATURES) - 1),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_recovery_matches_is_recover_and_compare_on_every_sight(capacity, maxsize, steps):
+    """First sight, second, every later one, after the key (capacity) or the
+    answer (maxsize) was evicted, after the trusted address changed, and with
+    ``recover`` / the peeks interleaved: always the parent's verdict."""
+    original = sigcache.KNOWN_KEY_CAPACITY
+    sigcache.KNOWN_KEY_CAPACITY = capacity
+    try:
+        cache = SignatureCache(maxsize=maxsize)
+        for action, which, trusted in steps:
+            digest, signature = TOKEN_SIGNATURES[which]
+            address = ADDRESSES[trusted]
+            expected = _parent_check(digest, signature, address)
+            if action == "matches":
+                assert cache.recovery_matches(digest, signature, address) is expected
+                assert cache.peek_recovery_matches(digest, signature, address) is expected
+            elif action == "recover":
+                assert cache.recover(digest, signature) == _recover_or_none(digest, signature)
+            else:
+                assert cache.peek_recovery_matches(digest, signature, address) in (None, expected)
+                assert cache.peek_recovery(digest, signature) in (
+                    None, _recover_or_none(digest, signature),
+                )
+            assert cache.stats()["known_keys"] <= capacity
+    finally:
+        sigcache.KNOWN_KEY_CAPACITY = original
+
+
+def test_recovery_matches_costs_a_recovery_a_build_then_only_checks(curve_multiplications):
+    """N distinct tokens under one trusted key: 1 plain recovery + 1 table
+    build + (N - 1) fixed-base checks; a repeat of any of them costs nothing."""
+    cache = SignatureCache()
+    digests = [keccak256(b"token-%d" % i) for i in range(6)]
+    pairs = [(digest, TRUSTED.sign(digest)) for digest in digests]
+    curve_multiplications.clear()
+    for digest, signature in pairs:
+        assert cache.recovery_matches(digest, signature, TRUSTED.address)
+    assert curve_multiplications == {"ladders": 1, "lifts": 1, "builds": 1, "prepared": 5}
+    assert (cache.key_builds, cache.key_checks, cache.misses, cache.hits) == (1, 5, 6, 0)
+    curve_multiplications.clear()
+    for digest, signature in pairs:
+        assert cache.recovery_matches(digest, signature, TRUSTED.address)
+        assert cache.peek_recovery(digest, signature) == TRUSTED.address  # today's entry
+    assert not curve_multiplications
+    assert (cache.misses, cache.hits) == (6, 6)
+
+
+def test_a_match_is_stored_as_the_entry_issuance_would_have_primed():
+    primed, learned = SignatureCache(), SignatureCache()
+    signature = TRUSTED.sign(DIGEST)
+    primed.prime_recovery(DIGEST, signature, TRUSTED.address)
+    assert learned.recovery_matches(DIGEST, signature, TRUSTED.address)
+    assert learned._recovered == primed._recovered
+    assert primed.recovery_matches(DIGEST, signature, TRUSTED.address)  # a hit: no curve math
+    assert (primed.hits, primed.misses, primed.stats()["known_keys"]) == (1, 0, 0)
+
+
+def test_a_refusal_answers_only_its_own_question_and_recover_overwrites_it(
+    curve_multiplications,
+):
+    cache = SignatureCache()
+    forged = FORGER.sign(DIGEST)
+    assert not cache.recovery_matches(DIGEST, forged, TRUSTED.address)
+    # Cached: asking again costs nothing and says the same.
+    curve_multiplications.clear()
+    assert not cache.recovery_matches(DIGEST, forged, TRUSTED.address)
+    assert cache.peek_recovery_matches(DIGEST, forged, TRUSTED.address) is False
+    assert not curve_multiplications
+    # "Not the trusted service" names no signer ...
+    assert cache.peek_recovery(DIGEST, forged) is None
+    # ... and says nothing about any other address, the forger's own included.
+    assert cache.peek_recovery_matches(DIGEST, forged, RETIRED.address) is None
+    assert cache.peek_recovery_matches(DIGEST, forged, FORGER.address) is None
+    before = (cache.hits, cache.misses)
+    assert cache.recovery_matches(DIGEST, forged, FORGER.address)
+    assert (cache.hits, cache.misses) == (before[0], before[1] + 1)  # a miss: curve math ran
+    # recover() does not trust a refusal either: it computes who signed and overwrites.
+    assert not cache.recovery_matches(DIGEST, forged, TRUSTED.address)  # now answered by the signer entry
+    other = keccak256(b"refused-then-recovered")
+    forged = FORGER.sign(other)
+    assert not cache.recovery_matches(other, forged, TRUSTED.address)
+    before = cache.misses
+    assert cache.recover(other, forged) == FORGER.address
+    assert cache.misses == before + 1
+    assert cache.peek_recovery(other, forged) == FORGER.address
+    assert cache.peek_recovery_matches(other, forged, TRUSTED.address) is False
+    assert len(cache._recovered) == 2  # overwritten in place, not added beside
+
+
+def test_a_forger_never_plants_a_key_under_the_trusted_address():
+    """Only a signature that fully recovered to the address teaches the memo
+    its key: forgeries, however many, teach nothing and are refused each time."""
+    cache = SignatureCache()
+    for i in range(6):
+        digest = keccak256(b"planted-%d" % i)
+        assert not cache.recovery_matches(digest, FORGER.sign(digest), TRUSTED.address)
+        assert not cache.recovery_matches(digest, Signature(2**200 + i, 2**200, 0), TRUSTED.address)
+        stats = cache.stats()
+        assert (stats["known_keys"], stats["key_builds"], stats["key_checks"]) == (0, 0, 0)
+    genuine = [keccak256(b"genuine-%d" % i) for i in range(2)]
+    for digest in genuine:
+        assert cache.recovery_matches(digest, TRUSTED.sign(digest), TRUSTED.address)
+    assert list(cache._keys) == [TRUSTED.address] and cache.key_builds == 1
+    # Known now: a forgery is refused by the fixed-base check and changes nothing.
+    assert not cache.recovery_matches(DIGEST, FORGER.sign(DIGEST), TRUSTED.address)
+    assert list(cache._keys) == [TRUSTED.address] and cache.key_builds == 1

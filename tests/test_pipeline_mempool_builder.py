@@ -824,3 +824,147 @@ def test_prewarm_hashes_a_plan_of_foreign_tokens_by_lanes(
     assert (keccak_permutations[0], packed_permutations[0]) == (0, 1)
     assert executor.pre_warm(txs) == (8, 0)
     assert packed_permutations[0] == 1
+
+
+# --- Alg. 1 is a known-key check: pre-warm, the verifier and the mempool ask one question ----
+
+
+def _foreign_service(batch_chain, seed="pool-ts"):
+    """The trusted key (by default) in a box that does not share the node cache."""
+    return TokenService(keypair=KeyPair.from_seed(seed), rules=RuleSet(), clock=batch_chain.clock)
+
+
+def test_prewarm_checks_foreign_tokens_against_the_trusted_key_it_has_learned(
+    batch_chain, cache, client, protected, curve_multiplications
+):
+    """Counts, not clocks: N foreign tokens under one trusted key are one
+    plain recovery, one table build and N - 1 fixed-base checks; `misses`
+    still means "curve math ran here", and a warm block runs none."""
+    from repro.pipeline.executor import BlockExecutor
+
+    foreign = _foreign_service(batch_chain)
+    txs = [_token_tx(client, protected, foreign, one_time=True, nonce=i)[0] for i in range(6)]
+    executor = BlockExecutor(batch_chain)
+    curve_multiplications.clear()
+    assert executor.pre_warm(txs[:1]) == (0, 1)
+    assert curve_multiplications == {"ladders": 1, "lifts": 1}
+    curve_multiplications.clear()
+    assert executor.pre_warm(txs) == (1, 5)
+    assert curve_multiplications == {"builds": 1, "prepared": 5}
+    stats = cache.stats()
+    assert (stats["known_keys"], stats["key_builds"], stats["key_checks"]) == (1, 1, 5)
+    curve_multiplications.clear()
+    assert executor.pre_warm(txs) == (6, 0)
+    for tx in txs:
+        batch_chain.enqueue_validated(tx)
+    assert all(receipt.success for receipt in batch_chain.mine_block())
+    assert not curve_multiplications  # the in-EVM verifier found every answer
+
+
+def test_a_forged_token_is_refused_by_the_check_then_by_the_mempool_and_plants_nothing(
+    batch_chain, cache, mempool, client, protected, curve_multiplications
+):
+    from repro.pipeline.executor import BlockExecutor
+
+    forger = _foreign_service(batch_chain, seed="pool-forger")
+    executor = BlockExecutor(batch_chain)
+    forged = [
+        _token_tx(client, protected, forger, one_time=bool(i), nonce=i)[0] for i in range(3)
+    ]
+    # Unknown to the cache: admission defers to the pre-warm, which refuses it
+    # at the price of a recovery (the trusted key is not known yet) ...
+    assert mempool.admit(forged[0]).admitted
+    curve_multiplications.clear()
+    assert executor.pre_warm(forged[:1]) == (0, 1)
+    assert curve_multiplications == {"ladders": 1, "lifts": 1}
+    assert cache.stats()["known_keys"] == 1  # the sender's; not the forger's, not the TS's
+    assert client.address in cache._keys
+    # ... and the verdict is what the mempool's screen reads from then on.
+    replay = Transaction(
+        sender=client.address, to=protected.this, nonce=1, method="submit", args=(9,),
+        kwargs={"token": forged[0].kwargs["token"]}, gas_limit=300_000,
+    ).sign_with(client.keypair)
+    curve_multiplications.clear()
+    assert mempool.admit(replay).reason is RejectReason.UNTRUSTED_TOKEN
+    assert not curve_multiplications
+    # Once the node has met the trusted key twice, a forgery costs one check.
+    genuine = _foreign_service(batch_chain)
+    warm = [_token_tx(client, protected, genuine, one_time=True, nonce=i)[0] for i in range(2)]
+    assert executor.pre_warm(warm) == (0, 2)
+    curve_multiplications.clear()
+    assert executor.pre_warm(forged[1:]) == (0, 2)
+    assert curve_multiplications == {"prepared": 2}
+    assert cache.key_builds == 1
+    batch_chain.enqueue_validated(forged[0])
+    (receipt,) = batch_chain.mine_block()
+    assert not receipt.success and "SMACS" in receipt.error
+
+
+def test_a_contract_that_stores_no_trusted_signer_is_never_warmed_and_runs_no_curve_math(
+    batch_chain, cache, client, protected, curve_multiplications
+):
+    from repro.core.verifier import TS_ADDRESS_SLOT
+    from repro.pipeline.executor import BlockExecutor
+
+    foreign = _foreign_service(batch_chain)
+    tx, _ = _token_tx(client, protected, foreign)
+    batch_chain.state.storage_delete(protected.this, TS_ADDRESS_SLOT)
+    curve_multiplications.clear()
+    assert BlockExecutor(batch_chain).pre_warm([tx]) == (0, 0)
+    batch_chain.enqueue_validated(tx)
+    (receipt,) = batch_chain.mine_block()
+    assert not receipt.success and "SMACS" in receipt.error
+    assert not curve_multiplications
+    assert len(cache._recovered) == 0
+
+
+def test_the_verdict_follows_the_contracts_trusted_address(
+    batch_chain, cache, mempool, client, protected
+):
+    """A refusal is about one address: when the owner re-points the contract
+    at the key that signed, the stale verdict answers nothing and the token
+    is checked again -- and accepted."""
+    from repro.core.verifier import TS_ADDRESS_SLOT
+    from repro.pipeline.executor import BlockExecutor
+
+    successor = _foreign_service(batch_chain, seed="pool-successor")
+    tx, token = _token_tx(client, protected, successor)
+    executor = BlockExecutor(batch_chain)
+    assert executor.pre_warm([tx]) == (0, 1)  # refused: not the trusted service
+    assert mempool.admit(tx).reason is RejectReason.UNTRUSTED_TOKEN
+    batch_chain.state.storage_set(protected.this, TS_ADDRESS_SLOT, successor.keypair.address)
+    assert mempool.admit(tx).admitted  # no verdict about the new address: deferred
+    assert executor.pre_warm([tx]) == (0, 1)
+    batch_chain.enqueue_validated(tx)
+    (receipt,) = batch_chain.mine_block()
+    assert receipt.success, receipt.error
+
+
+def test_an_unrecoverable_signature_matches_no_stored_signer_not_even_the_zero_address(
+    batch_chain, client, protected
+):
+    """Solidity's ``ecrecover`` answers the zero address for an invalid
+    signature, so recover-and-compare accepted one at a contract that stored
+    the zero address as its signer; the comparison itself fails closed."""
+    from repro.chain.address import ZERO_ADDRESS
+    from repro.core.verifier import TS_ADDRESS_SLOT
+    from repro.crypto.ecdsa import Signature, SignatureError, recover
+
+    tx, token = _token_tx(client, protected, _foreign_service(batch_chain))
+    r = next(r for r in range(2, 64) if _raises(SignatureError, recover, b"\x00" * 32,
+                                                Signature(r, token.signature.s, 0)))
+    bogus = Token(token.token_type, token.expire, token.index, Signature(r, token.signature.s, 0))
+    tx.kwargs["token"] = bogus.to_bytes()
+    tx.sign_with(client.keypair)
+    batch_chain.state.storage_set(protected.this, TS_ADDRESS_SLOT, ZERO_ADDRESS)
+    batch_chain.enqueue_validated(tx)
+    (receipt,) = batch_chain.mine_block()
+    assert not receipt.success and "SMACS" in receipt.error
+
+
+def _raises(error, call, *args) -> bool:
+    try:
+        call(*args)
+    except error:
+        return True
+    return False

@@ -219,6 +219,145 @@ def test_restart_cell_runs_the_plan_hooks_and_forgeries_across_the_restart():
     _assert_nothing_lost(record)
 
 
+# --- the known-key memo is protocol-invisible ----------------------------------------
+
+
+def _memo_scenario(capacity, monkeypatch):
+    """One seeded run -- reusable, one-time, remote (trusted key, never primed),
+    forged, stolen and mauled tokens, five senders, a disk crash committing
+    batch 1 -- on a node whose known-key memo holds ``capacity`` keys.
+
+    Returns ``(trace, cache stats)``: the trace is everything a client or a
+    peer can observe, batch by batch, across the restart.
+    """
+    import shutil
+    import tempfile
+
+    from repro.api import issue_one
+    from repro.core.token import Token
+    from repro.core.token_request import TokenRequest
+    from repro.core.token_service import TokenService, _LocalCounter
+    from repro.crypto import sigcache
+    from repro.crypto.ecdsa import Signature
+    from repro.crypto.secp256k1 import N
+    from repro.faults.disk import SimulatedCrash
+    from repro.pipeline.load import DEFAULT_CALL_GAS_LIMIT
+    from repro.chain.transaction import Transaction
+    from repro.storage import DurableStore
+    from repro.workloads import matrix
+
+    monkeypatch.setattr(sigcache, "KNOWN_KEY_CAPACITY", capacity)
+    spec = CellSpec(
+        workload="replay-storm", fault=lambda: DiskCrashPlan(crash_after_batch=1),
+        fault_name="memo", accounts_per_tenant=5, seed=97,
+    )
+    plan = spec.fault()
+    env = matrix._build_env(spec, plan)
+    directory = tempfile.mkdtemp(prefix="smacs-memo-")
+    DurableStore(directory, "sqlite", fsync_on_admit=True, hooks=plan.disk_hooks()).attach(
+        env.pipeline
+    )
+    contract = env.contracts[0]
+    tokens: dict = {}  # the reusable tokens clients hold on to, across the restart
+
+    def send(trace, pending, client, token, amount):
+        tx = Transaction(
+            sender=client.address, to=contract.this,
+            nonce=client.nonce + pending.get(client.address, 0), method="submit",
+            kwargs={"amount": amount, "token": token.to_bytes()},
+            gas_limit=DEFAULT_CALL_GAS_LIMIT,
+        ).sign_with(client.keypair)
+        (decision,) = env.pipeline.ingest([tx])
+        pending[client.address] = pending.get(client.address, 0) + decision.admitted
+        trace.append(["admission", tx.hash().hex(), decision.admitted, str(decision.reason)])
+        return tx
+
+    def batch(batch_no, trace, env):
+        clients = env.tenant_accounts[0]
+        issuer = env.service
+        # The trusted key in another box: its tokens reach this node unprimed.
+        remote = TokenService(
+            keypair=env.extra["base_service"].keypair, clock=env.chain.clock,
+            counter=_LocalCounter(start=3000 + 10 * batch_no),
+        )
+        env.twin.counter = _LocalCounter(start=3500 + 10 * batch_no)  # clear of both
+        def method(service, client, one_time=False):
+            return issue_one(service, TokenRequest.method_token(
+                contract.this, client.address, "submit", one_time=one_time))
+        if not tokens:
+            tokens["reusable"] = [method(issuer, client) for client in clients]
+            tokens["forged"] = method(env.twin, clients[4])
+        pending: dict = {}
+        sent = []
+        for i, client in enumerate(clients):
+            sent.append(send(trace, pending, client, tokens["reusable"][i], batch_no + 1))
+        for client in clients[:2]:
+            sent.append(send(trace, pending, client, method(issuer, client, True), 7))
+        for client in clients[2:4]:
+            request = TokenRequest.argument_token(
+                contract.this, client.address, "submit", {"amount": 20 + batch_no})
+            sent.append(send(trace, pending, client, issue_one(remote, request), 20 + batch_no))
+            sent.append(send(trace, pending, client, method(remote, client, True), 8))
+        sent.append(send(trace, pending, clients[4], tokens["forged"], 9))  # replayed each batch
+        sent.append(send(trace, pending, clients[4], method(env.twin, clients[4], True), 9))
+        sent.append(send(trace, pending, clients[3], tokens["reusable"][0], 9))  # stolen
+        good = tokens["reusable"][1]
+        twin = Signature(good.signature.r, N - good.signature.s, good.signature.v ^ 1)
+        mauled = Signature(good.signature.r, good.signature.s, good.signature.v ^ 1)
+        for signature in (twin, mauled):  # the high-s twin recovers to skTS; the flip does not
+            sent.append(send(trace, pending, clients[1],
+                             Token(good.token_type, good.expire, good.index, signature), 9))
+        return sent
+
+    try:
+        trace: list = []
+        for batch_no in range(4):
+            sent = batch(batch_no, trace, env)
+            plan.before_block(env, batch_no)
+            try:
+                env.pipeline.run_block()
+            except SimulatedCrash:
+                env = matrix._restart(env, batch_no)
+                trace.append(["recovery", env.recovery.describe()])
+            for tx in sent:
+                receipt = env.chain.receipts.get(tx.hash())
+                trace.append(["receipt", tx.hash().hex()] + (
+                    [None] if receipt is None else
+                    [receipt.success, receipt.error, receipt.gas_used,
+                     sorted(receipt.gas_breakdown.items())]
+                ))
+            head = env.chain.latest_block
+            trace.append(["block", head.number, head.hash().hex(), head.state_root.hex()])
+        assert env.recovery is not None and env.crashed_at_batch == 1
+        return trace, env.pipeline.signature_cache.stats()
+    finally:
+        env.pipeline.durability.close()
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def test_the_known_key_memo_is_protocol_invisible(monkeypatch):
+    """The same scenario on three nodes -- the default memo, none at all (plain
+    recovery every time) and one two keys wide (constant eviction under five
+    senders and a Token Service): identical admission decisions and reject
+    reasons, receipts with their per-category gas, block hashes and state
+    roots, before and after the restart."""
+    default, stats = _memo_scenario(1024, monkeypatch)
+    without, stats_without = _memo_scenario(0, monkeypatch)
+    evicting, stats_evicting = _memo_scenario(2, monkeypatch)
+    assert default == without == evicting
+    # The scenario is the one described: every path was taken ...
+    reasons = {entry[3] for entry in default if entry[0] == "admission"}
+    assert {"admitted", "token not signed by the trusted Token Service"} <= reasons
+    receipts = [entry for entry in default if entry[0] == "receipt" and entry[2] is not None]
+    assert any(entry[2] for entry in receipts) and any(not entry[2] for entry in receipts)
+    assert any(entry[0] == "recovery" for entry in default)
+    # ... and the three nodes really did answer in three different ways.
+    assert (stats_without["known_keys"], stats_without["key_checks"]) == (0, 0)
+    assert stats["key_checks"] > 0 and stats["known_keys"] == 6  # five senders and the TS
+    assert stats_evicting["known_keys"] == 2
+    assert stats_evicting["key_builds"] > stats["key_builds"] == 6
+
+
 def test_a_disk_fault_that_never_fires_is_a_violation():
     spec = _restart_spec(lambda: DiskCrashPlan(crash_after_batch=7))
     with pytest.raises(InvariantViolation, match="never fired"):

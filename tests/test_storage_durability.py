@@ -506,6 +506,54 @@ def test_recovery_primes_what_can_still_be_presented(tmp_path):
     store2.close()
 
 
+def test_recovery_primes_n_reusable_tokens_with_one_recovery_one_build_and_n_minus_1_checks(
+    tmp_path, curve_multiplications
+):
+    """A restarted node meets its Token Service's tokens as foreign ones: the
+    re-prime asks Alg. 1's question of the trusted key -- one plain recovery,
+    one table build, then a fixed-base check per token -- and the resumed
+    node's next block runs no curve math for any of them."""
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    requests = [
+        factory(node1.recorder.this, client.address, "submit", *extra, one_time=False)
+        for client in node1.clients
+        for factory, extra in (
+            (TokenRequest.method_token, ()),
+            (TokenRequest.argument_token, ({"amount": 5},)),
+        )
+    ]
+    tokens = [result.token for result in node1.service.submit(requests)]
+    reusable = [
+        node1.generator._build_tx(node1.generator._account_for(request.client),
+                                  token.to_bytes(), (), {"amount": 5})
+        for request, token in zip(requests, tokens)
+    ]
+    spent = node1.generator.from_arrivals([4])  # one-time: nothing to re-prime
+    for batch in (reusable[:5], reusable[5:] + spent):
+        assert all(d.admitted for d in node1.pipeline.ingest(batch))
+        assert node1.pipeline.run_block().succeeded == len(batch)
+    store1.close()
+
+    node2 = _node()
+    cache = node2.pipeline.signature_cache
+    store2 = DurableStore(workdir, "sqlite")
+    curve_multiplications.clear()
+    report = store2.recover_into(node2.pipeline)
+    tokens_primed = len(reusable)
+    assert report.signatures_primed == tokens_primed == 8
+    assert curve_multiplications == {
+        "ladders": 1, "lifts": 1, "builds": 1, "prepared": tokens_primed - 1,
+    }
+    stats = cache.stats()
+    assert (stats["known_keys"], stats["key_builds"], stats["key_checks"]) == (1, 1, 7)
+    assert all(_cached(node2, tx) for tx in reusable)
+    assert not any(_cached(node2, tx) for tx in spent)
+    store2.close()
+
+
 def test_an_admission_is_counted_once_however_often_it_was_logged(tmp_path):
     workdir = str(tmp_path / "n")
     node1 = _node()
