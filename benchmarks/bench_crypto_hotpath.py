@@ -18,9 +18,8 @@ times the primitives that path is built from:
   same ladder;
 * ``recover_reference``-- the seed's three-multiplication recovery (kept as
   the differential-test reference and the speedup yardstick);
-* ``recover_batch``    -- the same ladder per signature with the block's
-  Montgomery batch inversions shared, measured per signature on a block of
-  ``SMACS_CRYPTO_BLOCK`` signatures;
+* ``recover_batch``    -- ``recover`` in a loop (``None`` where it raises),
+  per signature on a block of ``SMACS_CRYPTO_BLOCK`` signatures;
 * ``recovers_to``      -- the known-key check (``recover(...) == Q`` against
   ``prepare_point(Q)``: no square root, a quarter of the doublings), and
   ``prepare_point``, the table it needs, per key;
@@ -42,7 +41,11 @@ times the primitives that path is built from:
   ``keccak256_many`` beside two ``keccak256`` calls;
 * ``session rider``    -- an 8-block session message hashed *with* an
   envelope's 32 two-block datagrams (it rides their two packed steps and
-  finishes its last six blocks alone) beside the two separate calls.
+  finishes its last six blocks alone) beside the two separate calls;
+* ``block hash``       -- ``Block.hash()`` of a 64-transaction block with a
+  state root (a fan-out-4 transactions root hashed level by level through
+  ``keccak256_many``, then a one-permutation header) beside ``keccak256`` of
+  the flat ``header || 64 hashes`` message it replaced.
 
 Acceptance (asserted here, regression-gated in CI via
 ``regression_gate.py crypto`` against the committed baseline):
@@ -64,9 +67,13 @@ Acceptance (asserted here, regression-gated in CI via
   ``session rider`` >= 1.1x the separate calls (measured 1.16x: two of the
   session's eight sequential blocks cost nothing).
 
-``recover`` and ``recover_batch`` share one kernel, so their ratio is ~1.0
-by construction (the endomorphism, not the batching, was the old batch
-kernel's 1.4x); it is printed for context and no longer gated.
+* ``block hash, 64 txs`` >= 2.3x the flat header it replaced (measured 3.1x:
+  the fan-out-4 transactions root is two packed levels, one scalar node and a
+  one-permutation header where ``keccak256(header || 64 hashes)`` was 16
+  sequential scalar permutations).
+
+``recover_batch`` is a loop over ``recover``, so their ratio is 1.0 by
+construction; it is printed for context and not gated.
 
 Set ``SMACS_CRYPTO_OPS`` / ``SMACS_CRYPTO_BLOCK`` / ``SMACS_CRYPTO_ROUNDS``
 to scale the workload (CI runs the defaults; timings take the best of
@@ -77,7 +84,10 @@ from __future__ import annotations
 
 import time
 
+from types import SimpleNamespace
+
 from benchmarks.conftest import env_int, report
+from repro.chain.block import Block
 from repro.crypto.ecdsa import recover, recover_batch, recover_reference, recovers_to, verify
 from repro.crypto.keccak import keccak256, keccak256_many
 from repro.crypto.keys import KeyPair, recover_address
@@ -210,6 +220,21 @@ def test_crypto_hotpath(benchmark):
         )
         rates["session_rider"] = 4 / rider_time
         rates["session_prelude"] = 4 / prelude_time
+        # A 64-transaction block as the next block's ``_mine`` hashes it
+        # (transaction hashes memoized), against the flat header it replaced.
+        hashes = [keccak256(bytes([i])) for i in range(64)]
+        full = Block(
+            number=9, parent_hash=hashes[0], timestamp=1_600_000_000, gas_used=12_800_000,
+            transactions=[SimpleNamespace(hash=lambda h=h: h) for h in hashes],
+            state_root=hashes[1],
+        )
+        flat = bytes(56) + b"".join(hashes) + full.state_root
+        tree_time, flat_time = _best_times_interleaved(
+            lambda: [full.hash() for _ in range(8)],
+            lambda: [keccak256(flat) for _ in range(8)],
+        )
+        rates["block_hash_64"] = 8 / tree_time
+        rates["block_hash_64_flat"] = 8 / flat_time
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -225,6 +250,7 @@ def test_crypto_hotpath(benchmark):
     cold_relative = rates["cold_senders"] / rates["cold_senders_parent"]
     ragged_pair_speedup = rates["keccak_ragged_pair"] / rates["keccak_pair_apart"]
     session_rider_speedup = rates["session_rider"] / rates["session_prelude"]
+    block_hash_speedup = rates["block_hash_64"] / rates["block_hash_64_flat"]
     lines = [
         "Crypto hot-path (secp256k1 + keccak-256 kernels)",
         f"{'operation':<24}{'ops/s':>12}",
@@ -248,17 +274,20 @@ def test_crypto_hotpath(benchmark):
         f"{'  two keccak256 /msg':<24}{rates['keccak_pair_apart']:>12.1f}",
         f"{'session rider /envelope':<24}{rates['session_rider']:>12.1f}",
         f"{'  session, then 32 /env':<24}{rates['session_prelude']:>12.1f}",
+        f"{'block hash, 64 txs':<24}{rates['block_hash_64']:>12.1f}",
+        f"{'  flat header, 64 txs':<24}{rates['block_hash_64_flat']:>12.1f}",
         f"keccak 1KiB payloads: {rates['keccak_mb_per_sec']:.2f} MB/s",
         f"sign_batch ({BLOCK} digests) vs sign: {sign_batch_speedup:.2f}x",
         f"sign_batch on two digests vs two signs: {pair_relative:.2f}x",
         f"recover speedup vs reference: {recover_speedup:.2f}x",
-        f"batch ({BLOCK} sigs) vs looped recover, same kernel: {batch_speedup:.2f}x",
+        f"recover_batch ({BLOCK} sigs) vs looped recover, the same loop: {batch_speedup:.2f}x",
         f"known-key check vs recover: {known_key_speedup:.2f}x",
         f"token check against a warm trusted key vs recover: {token_check_speedup:.2f}x",
         f"table build + one check: {second_sight_cost:.2f}x one recover",
         f"cold senders vs recover == sender: {cold_relative:.2f}x",
         f"ragged pair (two one-block messages) vs two keccak256: {ragged_pair_speedup:.2f}x",
         f"session rider (8 blocks + 32 x 2) vs separate calls: {session_rider_speedup:.2f}x",
+        f"block hash (transactions root, 64 txs) vs flat header: {block_hash_speedup:.2f}x",
     ]
     report(
         "crypto_hotpath",
@@ -294,6 +323,8 @@ def test_crypto_hotpath(benchmark):
             "keccak_ragged_pair_ops_per_sec": round(rates["keccak_ragged_pair"], 1),
             "ragged_pair_speedup_vs_two_hashes": round(ragged_pair_speedup, 2),
             "session_rider_speedup_vs_separate": round(session_rider_speedup, 3),
+            "block_hash_64_ops_per_sec": round(rates["block_hash_64"], 1),
+            "block_hash_tree_speedup_vs_flat": round(block_hash_speedup, 2),
         },
     )
     benchmark.extra_info.update(
@@ -317,6 +348,8 @@ def test_crypto_hotpath(benchmark):
     # riding an envelope's datagrams.
     assert ragged_pair_speedup >= 1.5, f"ragged pair only {ragged_pair_speedup:.2f}x two hashes"
     assert session_rider_speedup >= 1.1, f"session rider only {session_rider_speedup:.3f}x"
+    # The header commits to a lane-hashed root, not to a 2 KB concatenation.
+    assert block_hash_speedup >= 2.3, f"block hash only {block_hash_speedup:.2f}x the flat header"
 
 
 def test_batch_recovery_matches_looped(benchmark):

@@ -69,6 +69,8 @@ GATES: "dict[str, dict[str, Any]]" = {
             "token_check_ops_per_sec",
             "token_check_speedup_vs_recover",
             "sign_batch_speedup_vs_sign",
+            "block_hash_64_ops_per_sec",
+            "block_hash_tree_speedup_vs_flat",
         ),
         "context": (
             "sign_pair_vs_two_signs",

@@ -380,7 +380,9 @@ def _pack_envelope(envelope: Mapping[str, Any]) -> bytes:
 
 
 def _unpack_envelope(raw: bytes, depth_limit: int) -> dict[str, Any]:
-    version = raw[len(BINARY_MAGIC)] if len(raw) > len(BINARY_MAGIC) else None
+    if len(raw) == len(BINARY_MAGIC):
+        raise _malformed("binary envelope ends after its magic")
+    version = raw[len(BINARY_MAGIC)]
     if version != WIRE_VERSION:
         raise SmacsError(
             f"unsupported wire version {version!r} (this endpoint speaks {WIRE_VERSION})",

@@ -25,6 +25,7 @@ range is burned, never handed out again.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Sequence
 
 from repro.chain.address import Address, address_hex
@@ -97,6 +98,7 @@ class ReplicatedTokenService:
         self._next = 0
         #: submissions a replica failed *whole* with a counter timeout
         self.transient_failovers = 0
+        self._submit_lock = threading.Lock()  # one submission at a time (see submit)
 
     # -- identity --------------------------------------------------------------
 
@@ -142,20 +144,26 @@ class ReplicatedTokenService:
         failed comes back with its classified error (``COUNTER_TIMEOUT`` /
         ``NO_REPLICA``) inside the result, for the caller -- usually a
         :class:`~repro.api.middleware.RetryFailover` -- to re-submit.
+
+        Submissions are serialized, as :meth:`TokenService.submit` serializes
+        its own: the round-robin cursor and the fail-over counter are
+        read-modify-write, and the replicas' counter handles drive one shared
+        cluster, so two threads on two replicas would race on all three.
         """
         request_list = [requests] if isinstance(requests, TokenRequest) else list(requests)
         if not request_list:
             return []
-        try:
-            return self._pick_replica().submit(request_list)
-        except NoReplicaAvailable as exc:
-            error: SmacsError = exc
-        except CounterTimeout as exc:
-            # A real TokenService.submit carries timeouts in its results, so
-            # this branch guards against replicas whose whole submission dies
-            # (custom issuers, fault injection at the submit boundary).
-            self.transient_failovers += 1
-            error = exc
+        with self._submit_lock:
+            try:
+                return self._pick_replica().submit(request_list)
+            except NoReplicaAvailable as exc:
+                error: SmacsError = exc
+            except CounterTimeout as exc:
+                # A real TokenService.submit carries timeouts in its results, so
+                # this branch guards against replicas whose whole submission dies
+                # (custom issuers, fault injection at the submit boundary).
+                self.transient_failovers += 1
+                error = exc
         return [IssuanceResult.failure(request, error) for request in request_list]
 
     # -- owner management --------------------------------------------------------------

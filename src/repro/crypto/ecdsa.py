@@ -7,11 +7,10 @@ This module provides:
 * :func:`sign` -- RFC-6979 deterministic ECDSA producing a recoverable
   signature (low-s normalised, as enforced by Ethereum since EIP-2).
 * :func:`sign_batch` -- the same signatures for a block of digests under one
-  key, byte for byte.  Unlike :func:`recover_batch`, which shares only its
-  trailing inversions (a recovery's doublings are sequential), a block of
-  signatures shares the coordinate system of its curve work: ``k*G`` from the
-  window table is a *sum* of affine points, so all the block's sums are added
-  affine, level by level, one Montgomery inversion per level
+  key, byte for byte.  A block of signatures shares the coordinate system
+  of its curve work: ``k*G`` from the window table is a *sum* of affine
+  points, so all the block's sums are added affine, level by level, one
+  Montgomery inversion per level
   (:func:`~repro.crypto.secp256k1.generator_multiply_batch`), plus one for
   the nonces.  What a Token Service envelope runs; a block of one is
   :func:`sign`.
@@ -19,9 +18,9 @@ This module provides:
   GLV dual-scalar ladder and rejecting high-s signatures (EIP-2).
 * :func:`recover` -- public-key recovery from a signature (``ecrecover``)
   computing ``Q = (s*r^-1)*R + (-z*r^-1)*G`` in one pass of that same ladder.
-* :func:`recover_batch` -- the same ladder per signature, with the block
-  sharing one Montgomery batch inversion each for the ``r^-1`` scalars, the
-  table normalisations and the Jacobian-to-affine conversions.
+* :func:`recover_batch` -- :func:`recover` per pair, ``None`` where it
+  raises (a recovery's doublings are sequential: a block shares nothing
+  worth a kernel of its own).
 * :func:`recovers_to` -- "does this signature recover to key Q" for a key
   seen before, answered without recovering: with Q known the same equation
   is solved for the nonce point, ``R' = (z/s)*G + (r/s)*Q``, against Q's
@@ -284,49 +283,17 @@ def recover(digest: bytes, signature: Signature) -> Point:
 def recover_batch(
     pairs: list[tuple[bytes, Signature]],
 ) -> "list[Point | None]":
-    """Recover public keys for a block of ``(digest, signature)`` pairs.
+    """:func:`recover` for each ``(digest, signature)`` pair, in order.
 
-    Per signature it runs exactly the ladder :func:`recover` runs (both
-    scalars GLV-split, R's odd-multiples table affine so every digit
-    addition is a mixed addition); what the block adds is sharing one
-    Montgomery batch inversion for the ``r^-1 (mod N)`` scalars, one for the
-    table normalisations and one for the final Jacobian-to-affine
-    conversions ``(mod P)`` -- three ``pow`` calls a block instead of three
-    a signature, under a tenth of a recovery.
-    Unrecoverable entries yield ``None`` instead of raising, so one forged
-    token cannot poison a whole block's pre-warm.
+    Unrecoverable entries (and digests that are not 32 bytes) yield ``None``
+    instead of raising, so one forged token cannot poison a whole block.
     """
-    results: "list[Point | None]" = [None] * len(pairs)
-    lifted: list[tuple[int, int, int, Point]] = []  # (index, z, s, R)
-    r_values: list[int] = []
-    for index, (digest, signature) in enumerate(pairs):
-        if len(digest) != 32:
-            continue
+    results: "list[Point | None]" = []
+    for digest, signature in pairs:
         try:
-            r_point = _recovery_point(signature)
+            results.append(recover(digest, signature))
         except SignatureError:
-            continue
-        lifted.append(
-            (index, int.from_bytes(digest, "big"), signature.s, r_point)
-        )
-        r_values.append(signature.r)
-    if not lifted:
-        return results
-    r_inverses = secp256k1.batch_inverse(r_values, N)
-    tables = secp256k1.affine_odd_multiples_batch(
-        [r_point for _, _, _, r_point in lifted]
-    )
-    jacobians = []
-    for (index, z, s, _r_point), r_inv, table in zip(
-        lifted, r_inverses, tables
-    ):
-        u1 = -z * r_inv % N
-        u2 = s * r_inv % N
-        jacobians.append(secp256k1._jacobian_shamir_glv(u1, u2, table))
-    points = secp256k1.jacobian_to_affine_batch(jacobians)
-    for (index, _z, _s, _r), point in zip(lifted, points):
-        if not point.is_infinity():
-            results[index] = point
+            results.append(None)
     return results
 
 

@@ -166,12 +166,8 @@ def recover_address(digest: bytes, signature: Signature) -> bytes:
 def recover_address_batch(
     pairs: "list[tuple[bytes, Signature]]",
 ) -> "list[bytes | None]":
-    """Batched :func:`recover_address` for a block of signatures.
-
-    Runs :func:`repro.crypto.ecdsa.recover_batch` (GLV split, shared
-    Montgomery inversions) and derives addresses from the recovered points;
-    unrecoverable entries come back as ``None`` instead of raising.
-    """
+    """:func:`recover_address` for each pair of a block of signatures;
+    unrecoverable entries come back as ``None`` instead of raising."""
     return [
         _address_of(point) if point is not None else None
         for point in recover_batch(pairs)

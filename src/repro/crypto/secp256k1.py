@@ -162,8 +162,7 @@ def jacobian_to_affine_batch(jacs: list[tuple[int, int, int]]) -> list[Point]:
     """Convert many Jacobian points to affine sharing one field inversion.
 
     The per-point cost drops from one modular inversion (hundreds of
-    multiplications via extended gcd) to three multiplications -- the batch
-    half of :func:`repro.crypto.ecdsa.recover_batch`.
+    multiplications via extended gcd) to three multiplications.
     """
     z_values = [z for _, _, z in jacs if z != 0]
     inverses = iter(batch_inverse(z_values, P))
@@ -355,8 +354,7 @@ def affine_odd_multiples_batch(
 
     Builds every table in Jacobian coordinates, then normalises all entries
     of all tables with a single shared Montgomery batch inversion -- the
-    per-point table cost of :func:`shamir_multiply` (one point) and
-    :func:`repro.crypto.ecdsa.recover_batch` (a block of them).
+    per-point table cost of :func:`shamir_multiply`.
     """
     count = 1 << (_WNAF_WIDTH_VAR - 2)
     flat: list[tuple[int, int, int]] = []
@@ -739,9 +737,7 @@ def shamir_multiply(u1: int, u2: int, point: Point) -> Point:
 
     One call into the GLV four-stream ladder: ``point``'s eight odd multiples
     are normalised to affine with a single field inversion, then both
-    scalars ride ~128 shared doublings -- the same kernel, at the same
-    per-signature cost, that :func:`repro.crypto.ecdsa.recover_batch` runs
-    over a block.
+    scalars ride ~128 shared doublings.
     """
     table = [] if point.is_infinity() else affine_odd_multiples_batch([point])[0]
     return _from_jacobian(_jacobian_shamir_glv(u1, u2, table))

@@ -30,10 +30,13 @@ state root incrementally and cross-checking the final root with a full
 recomputation -- a block either replays completely and root-verified, or
 recovery stops (torn tail) or fails loudly (mid-file corruption, gaps,
 root mismatches, an image written under another commitment version).  Only
-then is the state installed into the chain and the admission log turned
-back into a mempool.  Replay hashes nothing: an admission record and the
-block record of the same transaction hold the same ``encode_transaction``
-bytes, so admissions are matched to committed transactions by byte
+then is the state installed into the chain, the chain clock brought up to
+the last durable block's timestamp, and the admission log turned back into a
+mempool.  Replay hashes nothing: an admission record and the block record of
+the same transaction hold the same ``encode_transaction`` bytes -- by
+construction: :meth:`note_admitted` keeps the bytes it logged and
+:meth:`commit_block` writes those, encoding only a transaction the listener
+never saw -- so admissions are matched to committed transactions by byte
 equality and only the survivors are decoded and re-admitted through the
 normal admission path.  Last, the signature cache is re-primed with what a
 client can still present: reusable tokens from durable blocks and every
@@ -153,6 +156,10 @@ class DurableStore:
         self.tracker = StateRootTracker()
         self._block_open = False
         self._pending_delta: "list | None" = None
+        #: ``tx.hash() -> encode_transaction(tx)`` of the admissions logged
+        #: since the last flush: a block record repeats those bytes, it does
+        #: not encode them again.  Holds at most one pool.
+        self._encoded: dict[bytes, bytes] = {}
         self._recovered = False
         self.blocks_committed = 0
         self.admissions_logged = 0
@@ -239,7 +246,12 @@ class DurableStore:
                 "gas_used": block.gas_used,
                 "parent": block.parent_hash,
                 "root": block.state_root,
-                "txs": tuple(encode_transaction(tx) for tx in block.transactions),
+                # The bytes the admission record holds; encoded here only
+                # for a transaction the listener never saw.
+                "txs": tuple(
+                    self._encoded.pop(tx.hash(), None) or encode_transaction(tx)
+                    for tx in block.transactions
+                ),
                 "ok": tuple(bool(r.success) for r in result.receipts),
                 "delta": tuple(self._pending_delta),
             }
@@ -250,10 +262,8 @@ class DurableStore:
 
     def note_admitted(self, tx: Transaction) -> None:
         """Log one mempool admission (the re-admission source after a crash)."""
-        self.wal.append(
-            encode_value({"kind": "tx", "tx": encode_transaction(tx)}),
-            sync=self.fsync_on_admit,
-        )
+        blob = self._encoded[tx.hash()] = encode_transaction(tx)
+        self.wal.append(encode_value({"kind": "tx", "tx": blob}), sync=self.fsync_on_admit)
         self.admissions_logged += 1
 
     # -- compaction ------------------------------------------------------------------
@@ -281,11 +291,15 @@ class DurableStore:
                     "commitment": COMMITMENT_VERSION,
                     "height": chain.height,
                     "root": self.tracker.root,
+                    # An image whose WAL holds no block still tells a
+                    # recovered node how late it is (absent in old images).
+                    "timestamp": chain.latest_block.timestamp,
                 }
             ),
         )
         self.backend.flush()
         self.wal.reset()
+        self._encoded.clear()
         for tx in self.pipeline.mempool.transactions():
             self.note_admitted(tx)
         self.wal.sync()
@@ -295,9 +309,10 @@ class DurableStore:
 
     def _read_image(
         self, report: RecoveryReport
-    ) -> "tuple[WorldState, StateRootTracker, int, list[Transaction]]":
+    ) -> "tuple[WorldState, StateRootTracker, int, int | None, list[Transaction]]":
         """Rebuild, and verify, what the backend and the WAL hold: the state,
-        its root tracker, the height, and the admissions no block includes.
+        its root tracker, the height, the last durable block's timestamp
+        (None when the image records none) and the admissions no block includes.
 
         Trusts no record's shape: a missing or mistyped field surfaces as the
         ``KeyError`` / ``TypeError`` / ``AttributeError`` / ``CodecError`` its
@@ -306,6 +321,7 @@ class DurableStore:
         """
         scratch = WorldState()
         height = 0
+        timestamp = None
         tracker = StateRootTracker()
         saw_base = False
 
@@ -322,6 +338,7 @@ class DurableStore:
                     "backend snapshot does not hash to its recorded state root"
                 )
             height = meta["height"]
+            timestamp = meta.get("timestamp")
             report.base_height = height
             saw_base = True
             report.sources.append("backend")
@@ -367,6 +384,7 @@ class DurableStore:
                         f"state root mismatch replaying block {record['number']}"
                     )
                 height = record["number"]
+                timestamp = record["timestamp"]
                 accounted.update(record["txs"])
                 report.blocks.append(
                     RecoveredBlock(
@@ -402,9 +420,11 @@ class DurableStore:
                 accounted.add(raw)
                 candidates.append(decode_transaction(raw))
 
-        if type(height) is not int:
-            raise RecoveryError(f"recorded height is not a number: {height!r}")
-        return scratch, tracker, height, candidates
+        if type(height) is not int or type(timestamp) not in (int, type(None)):
+            raise RecoveryError(
+                f"recorded height / timestamp is not a number: {height!r} / {timestamp!r}"
+            )
+        return scratch, tracker, height, timestamp, candidates
 
     def recover_into(self, pipeline: Any) -> RecoveryReport:
         """Rebuild state from disk, install it, re-admit survivors, re-prime.
@@ -415,13 +435,19 @@ class DurableStore:
         """
         report = RecoveryReport()
         try:
-            scratch, tracker, height, candidates = self._read_image(report)
+            scratch, tracker, height, timestamp, candidates = self._read_image(report)
         except (CodecError, KeyError, TypeError, AttributeError) as exc:
             # Bytes that pass their checksum and still are no record of ours:
             # refused as a whole, before anything is installed.
             raise RecoveryError(f"ill-shaped record in the durable image: {exc!r}") from exc
 
         pipeline.chain.install_state(scratch)
+        # The fresh node's clock starts at its own genesis: bring it up to
+        # the last durable block, so block timestamps and token expiries go
+        # on from where the crashed node's stopped instead of repeating.
+        clock = pipeline.chain.clock
+        if timestamp is not None and timestamp > clock.now():
+            clock.set(timestamp)
         self.tracker = tracker
         self._recovered = True
         report.recovered_height = height

@@ -646,3 +646,23 @@ def test_a_second_thread_waits_for_the_batch_in_flight(clock):
     assert counter.most_inside == 1
     assert service.batches_processed == 2 and service.issued_count == 6
     assert len({r.token.index for r in first + second if r.issued}) == len(first + second)
+
+
+def test_a_second_thread_waits_for_the_replica_in_flight(clock):
+    from repro.core.replication import ReplicatedTokenService
+
+    rts = ReplicatedTokenService(
+        replica_count=3, keypair=KeyPair.from_seed("ts-key"), clock=clock,
+        signature_cache=SignatureCache(),
+    )
+    # One gate in front of every replica's handle: the second submission goes
+    # to replica 1, so only the front end's lock keeps it out of ``take``.
+    counter = _GatedCounter(rts.replicas[0].counter)
+    for replica in rts.replicas:
+        replica.counter = counter
+    first, second = _two_submissions(rts.submit, counter)
+    assert counter.most_inside == 1
+    assert [r.token.index for r in first] == [0, 1, 2]
+    assert [r.token.index for r in second] == [3, 4, 5]
+    assert rts._next == 2 and rts.transient_failovers == 0
+    assert [replica.issued_count for replica in rts.replicas] == [3, 3, 0]

@@ -3,15 +3,24 @@
 ``tests/golden/argument_envelope_32.json`` holds, for a fixed Token Service
 key, clock and counter start: the 32 token byte strings and datagram digests
 of one 32-request argument envelope, the signing digest and hash of the 32
-signed transactions that carry those tokens, and the hash and gas of the block
-that executes them.  It was written by this file, run as a script against the
-tree of commit ``6a4f6be`` (the parent of the PR that taught the sponge to hash
-by lanes)::
+signed transactions that carry those tokens, the hash and gas of the block
+that executes them and the v2 state root after it, then one reusable method
+token and the §IV-D array of a two-contract call chain.  It was written by
+this file, run as a script against the tree of commit ``6a4f6be`` (the parent
+of the PR that taught the sponge to hash by lanes; the state root, the
+reusable token and the array against ``97e01ad``, whose bytes for the older
+items are the same)::
 
     PYTHONPATH=<that tree>/src python tests/test_golden_vectors.py
 
 so whatever batches, packs or memoizes the hashing today is compared against
 what the scalar per-message path produced then -- never against itself.
+
+One value is this tree's own: ``block_hash`` was redefined once, on purpose,
+when the header began to commit to a lane-hashed transactions root instead
+of the flat concatenation of transaction hashes (5ff7b338... before).  It is
+held by :func:`test_the_block_hashes_are_the_scalar_reference` instead, which
+recomputes root and hash with the scalar ``keccak256`` alone.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from repro.chain.clock import SimulatedClock
 from repro.chain.transaction import Transaction
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core import OwnerWallet
+from repro.core.call_chain import TokenBundle
 from repro.core.token import signing_datagram
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import TokenService, _LocalCounter, build_fig6_ruleset
@@ -33,13 +43,20 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 from repro.pipeline import ExecutionPipeline
 from repro.pipeline.load import DEFAULT_CALL_GAS_LIMIT
+from repro.storage.codec import state_root
+
+from test_chain_transaction_block import scalar_block_hash
 
 GOLDEN = Path(__file__).parent / "golden" / "argument_envelope_32.json"
 ENVELOPE = 32
+#: the array's second entry names a contract that need not exist: the Token
+#: Service signs for the address it is asked about
+SECOND_CONTRACT = bytes.fromhex("5c" * 20)
 
 
-def build(batched: bool) -> dict:
-    """Issue, sign, admit and execute one envelope; every byte that came out.
+def run(batched: bool) -> "tuple[dict, Blockchain]":
+    """Issue, sign, admit and execute one envelope; every byte that came out,
+    and the chain it happened on.
 
     ``batched`` sends the 32 requests as one submission and the 32
     transactions as one ``ingest``; otherwise each goes alone.
@@ -114,25 +131,52 @@ def build(batched: bool) -> dict:
     assert all(decision.admitted for decision in decisions), decisions
     block = pipeline.run_block()
     assert block is not None and block.succeeded == ENVELOPE
+    root = state_root(chain.state)
 
-    return {
+    # Issued after the block, so nothing above depends on them.
+    reusable, second = (
+        result.token
+        for result in service.submit(
+            [
+                TokenRequest.method_token(contract, clients[0].address, "submit"),
+                TokenRequest.super_token(SECOND_CONTRACT, clients[0].address),
+            ]
+        )
+    )
+    bundle = TokenBundle().add(contract, reusable).add(SECOND_CONTRACT, second)
+
+    vectors = {
         "tokens": [token.to_bytes().hex() for token in tokens],
         "datagram_digests": [digest.hex() for digest in digests],
         "tx_signing_digests": [tx.signing_digest().hex() for tx in txs],
         "tx_hashes": [tx.hash().hex() for tx in txs],
         "block_hash": chain.latest_block.hash().hex(),
         "block_gas_used": chain.latest_block.gas_used,
+        "state_root_v2": root.hex(),
+        "reusable_token": reusable.to_bytes().hex(),
+        "token_bundle": bundle.to_bytes().hex(),
     }
+    return vectors, chain
 
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "one-by-one"])
 def test_envelope_bytes_match_the_golden_file(batched):
-    assert build(batched) == json.loads(GOLDEN.read_text())
+    assert run(batched)[0] == json.loads(GOLDEN.read_text())
+
+
+def test_the_block_hashes_are_the_scalar_reference(packed_permutations):
+    vectors, chain = run(batched=True)
+    packed_permutations[0] = 0
+    for parent, block in zip(chain.blocks, chain.blocks[1:]):
+        assert block.parent_hash == scalar_block_hash(parent)
+    assert scalar_block_hash(chain.latest_block).hex() == vectors["block_hash"]
+    assert packed_permutations[0] == 0  # the reference never touched the lanes
+    assert vectors["block_hash"] == json.loads(GOLDEN.read_text())["block_hash"]
 
 
 if __name__ == "__main__":
-    vectors = build(batched=False)
-    assert vectors == build(batched=True)
+    vectors = run(batched=False)[0]
+    assert vectors == run(batched=True)[0]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(vectors, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

@@ -219,6 +219,48 @@ def test_restart_cell_runs_the_plan_hooks_and_forgeries_across_the_restart():
     _assert_nothing_lost(record)
 
 
+def test_block_timestamps_and_token_expiries_go_on_across_a_restart(tmp_path):
+    """A recovered node's clock starts at its own genesis; ``recover_into``
+    brings it up to the last durable block, so a post-restart block never
+    predates a pre-crash one and fresh tokens never repeat an ``expire``."""
+    from repro.core.token import Token
+    from repro.faults.disk import SimulatedCrash
+    from repro.storage import DurableStore
+    from repro.workloads import matrix
+
+    spec = CellSpec(
+        workload="flash-sale", fault=lambda: DiskCrashPlan(crash_after_batch=2),
+        fault_name="clock", batches=4, batch_size=4, seed=43,
+    )
+    plan = spec.fault()
+    env = matrix._build_env(spec, plan)
+    DurableStore(
+        str(tmp_path / "n"), "sqlite", fsync_on_admit=True, hooks=plan.disk_hooks()
+    ).attach(env.pipeline)
+    try:
+        thunks = matrix.WORKLOADS[spec.workload](env)
+        for batch_no in range(spec.batches):
+            env.pipeline.ingest(thunks[batch_no]())
+            plan.before_block(env, batch_no)
+            try:
+                env.pipeline.run_block()
+            except SimulatedCrash:
+                env = matrix._restart(env, batch_no)
+                thunks = matrix.WORKLOADS[spec.workload](env)
+    finally:
+        env.pipeline.durability.close()
+    before = env.recovery.blocks
+    after = env.chain.blocks[env.recovery.base_height + 1:]
+    assert len(before) == 2 and len(after) == 2  # the crashed batch re-mined, then batch 3
+    stamps = [block.timestamp for block in [*before, *after]]
+    assert stamps == sorted(set(stamps))
+    expiries = [
+        max(Token.from_bytes(tx.kwargs["token"]).expire for tx in block.transactions)
+        for block in (before[-1], after[-1])
+    ]
+    assert expiries[0] < expiries[1]
+
+
 # --- the known-key memo is protocol-invisible ----------------------------------------
 
 

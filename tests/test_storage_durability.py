@@ -33,7 +33,12 @@ from repro.storage import (
     WriteAheadLog,
     state_root,
 )
-from repro.storage.codec import COMMITMENT_VERSION, encode_value
+from repro.storage.codec import (
+    COMMITMENT_VERSION,
+    decode_value,
+    encode_transaction,
+    encode_value,
+)
 
 
 def _node():
@@ -325,6 +330,38 @@ def test_flush_relogs_surviving_mempool_transactions(tmp_path):
     store2.close()
 
 
+def test_a_compacted_image_carries_the_clock_and_an_older_one_leaves_it(tmp_path):
+    from repro.storage.durable import META_KEY
+
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    _run_batch(node1, 3)
+    _run_batch(node1, 3)
+    store1.flush()  # no block record left on the WAL to read a timestamp from
+    head = node1.chain.latest_block.timestamp
+    store1.close()
+
+    node2 = _node()
+    fresh = node2.chain.clock.now()
+    store2 = DurableStore(workdir, "sqlite")
+    assert store2.recover_into(node2.pipeline).blocks == []
+    assert fresh < head == node2.chain.clock.now()
+    # An image flushed before the meta record carried a timestamp.
+    meta = decode_value(store2.backend.get(META_KEY))
+    del meta["timestamp"]
+    store2.backend.put(META_KEY, encode_value(meta))
+    store2.backend.flush()
+    store2.close()
+
+    node3 = _node()
+    store3 = DurableStore(workdir, "sqlite")
+    assert store3.recover_into(node3.pipeline).recovered_height == node1.chain.height
+    assert node3.chain.clock.now() == fresh
+    store3.close()
+
+
 # --- images that must be refused ----------------------------------------------------
 
 
@@ -579,6 +616,83 @@ def test_an_admission_is_counted_once_however_often_it_was_logged(tmp_path):
     assert {tx.hash() for tx in node2.pipeline.mempool.transactions()} == {
         tx.hash() for tx in pooled
     }
+    store2.close()
+
+
+# --- a transaction is encoded once ---------------------------------------------------
+
+
+def _wal_records(store):
+    frames, _ = store.wal.replay()
+    return [decode_value(frame) for frame in frames]
+
+
+def test_a_block_record_repeats_its_admission_blobs_without_encoding_again(
+    tmp_path, monkeypatch
+):
+    from repro.storage import durable
+
+    node = _node()
+    store = DurableStore(str(tmp_path / "n"), "memory")
+    store.attach(node.pipeline)
+    decisions = node.pipeline.ingest(node.generator.from_arrivals([64]))
+    assert all(d.admitted for d in decisions) and len(store._encoded) == 64
+    calls = []
+    monkeypatch.setattr(
+        durable, "encode_transaction", lambda tx: calls.append(tx) or encode_transaction(tx)
+    )
+    assert node.pipeline.run_block().executed == 64
+    assert calls == [] and store._encoded == {}
+    records = _wal_records(store)
+    admitted = [record["tx"] for record in records if record["kind"] == "tx"]
+    (block,) = [record for record in records if record["kind"] == "block"]
+    assert list(block["txs"]) == admitted and len(admitted) == 64
+    assert admitted == [encode_transaction(tx) for tx in node.chain.latest_block.transactions]
+    store.close()
+
+
+def test_the_encoding_memo_holds_one_pool_at_most(tmp_path):
+    node = _node()
+    store = DurableStore(str(tmp_path / "n"), "memory")
+    store.attach(node.pipeline)
+    _run_batch(node, 5)
+    assert store._encoded == {}  # popped by the block that took them
+    pooled = node.generator.from_arrivals([3])
+    node.pipeline.ingest(pooled)
+    store._encoded[b"gone"] = b"an admission that left the pool some other way"
+    store.flush()  # forgets everything, then re-logs the pool
+    assert set(store._encoded) == {tx.hash() for tx in pooled}
+    node.pipeline.run_block()
+    store.flush()
+    assert store._encoded == {} and len(node.pipeline.mempool) == 0
+    store.close()
+
+
+def test_transactions_admitted_before_attach_still_commit_and_recover(tmp_path):
+    """The listener never saw them: ``commit_block`` encodes them itself."""
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    early = node1.generator.from_arrivals([4])
+    node1.pipeline.ingest(early)
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    late = node1.generator.from_arrivals([2])
+    node1.pipeline.ingest(late)
+    assert set(store1._encoded) == {tx.hash() for tx in late}
+    node1.pipeline.run_block()
+    assert store1._encoded == {}
+    (block,) = [record for record in _wal_records(store1) if record["kind"] == "block"]
+    assert list(block["txs"]) == [encode_transaction(tx) for tx in early + late]
+    root = node1.chain.latest_block.state_root
+    store1.close()
+
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    report = store2.recover_into(node2.pipeline)
+    assert [tx.hash() for tx in report.blocks[0].transactions] == [
+        tx.hash() for tx in early + late
+    ]
+    assert report.state_root == root and report.mempool_seen == 0
     store2.close()
 
 
