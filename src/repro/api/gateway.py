@@ -130,7 +130,7 @@ class ServiceGateway:
         ``OVERLOADED`` from the shedding checks) -- before any request-body
         decode, route lookup or issuance: shedding here costs microseconds,
         the work it avoids costs an ecrecover.  Servers run this on their
-        read loop, *at arrival pace*: an admission check that ran behind the
+        event loop the moment a frame is whole, *at arrival pace*: an admission check that ran behind the
         dispatch queue would only ever see its own drain pace, never a queue
         building in front of it.
         """

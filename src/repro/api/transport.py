@@ -7,11 +7,13 @@ halves behind the :class:`~repro.api.protocol.Transport` protocol:
 * :class:`GatewayServer` -- an asyncio TCP server (run on a background
   thread so the synchronous world can drive it) that serves
   :meth:`~repro.api.gateway.ServiceGateway.handle` behind length-prefixed
-  frames.  Per connection it enforces an idle timeout, a maximum frame
-  size, and write-side backpressure: responses are written through
-  ``drain()`` with a bounded ``write_timeout``, so a slow reader first
-  pauses the connection and is then disconnected instead of ballooning
-  server memory.  An optional edge rate limit reuses the same
+  frames.  Every accepted socket is one ``asyncio.Protocol`` object that
+  owns the connection's bytes, deadline and flow control: an idle timeout
+  per frame (not per byte), a maximum frame size, a bound on how many
+  unanswered bytes it reads ahead, and write-side backpressure -- a reader
+  too slow to take its answers first pauses the connection and, past
+  ``write_timeout``, is disconnected instead of ballooning server memory.
+  An optional edge rate limit reuses the same
   :class:`~repro.api.middleware.TokenBucket` as the ``RateLimiter`` issuer
   middleware and answers ``RATE_LIMITED`` error envelopes before the
   gateway is ever invoked.
@@ -32,21 +34,27 @@ envelopes are small and Nagle/delayed-ACK interaction would otherwise put
 tens of milliseconds on every issuance.
 
 The server has one request path.  Its event loop frames, decodes and
-sheds: every frame goes through the gateway's
-:meth:`~repro.api.gateway.ServiceGateway.arrive` on the read loop.  What
-``arrive`` lets through is dispatched by exactly one thread, which owns
+sheds: the moment a frame is whole, ``data_received`` hands it to the
+gateway's :meth:`~repro.api.gateway.ServiceGateway.arrive`, on the loop
+thread.  There is no task per connection and none per read: a frame is
+served by plain calls from the socket callback to the response write, and
+the deadlines are one lazily re-armed timer per connection (awaiting each
+read and each drain under its own timeout cost three tasks, three timer
+handles and four extra loop turns a frame: 0.14 ms of a 1.8 ms token fetch).
+What ``arrive`` lets through is dispatched by exactly one thread, which owns
 every call into the gateway's issuers -- issuance is serialised exactly like
 the in-process path, so replica counters and bitmap words never see
 concurrent mutation from the wire, by construction rather than by option.
 Which thread that is follows from the gateway, not from a knob: when the
 gateway has an :class:`~repro.resilience.AdmissionController` as the server
-starts, one dispatch thread runs ``handle`` so the read loop keeps seeing
-arrivals *at arrival pace* (an admission check serialised behind dispatch
-could only ever observe its own drain pace, never a queue building in front
-of it); a gateway with nothing to shed with is served on the loop thread
-itself, which saves two thread wake-ups per frame (measured: the hop costs
-~0.1-0.2 ms of issuance latency on a one-CPU host and widens its run-to-run
-spread).
+starts, one dispatch thread runs ``handle`` (the connection is *busy*
+meanwhile: its later frames wait in its buffer, in order) so the loop keeps
+seeing arrivals *at arrival pace* (an admission check serialised behind
+dispatch could only ever observe its own drain pace, never a queue building
+in front of it); a gateway with nothing to shed with is served on the loop
+thread itself, which saves two thread wake-ups per frame (measured: the hop
+costs ~0.1-0.2 ms of issuance latency on a one-CPU host and widens its
+run-to-run spread).
 
 Factories: :func:`serve` starts a server for a gateway, :func:`connect`
 returns a protocol-speaking :class:`~repro.api.gateway.GatewayClient` for
@@ -76,6 +84,12 @@ FRAME_HEADER_BYTES = 4
 
 #: default ceiling for one frame's payload (requests and responses alike)
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: unanswered bytes a connection may hold while it cannot serve them (its frame
+#: is with the dispatcher, or its peer is not taking answers) before it stops
+#: reading its socket; one socket read (asyncio's are up to 256 KiB) can land
+#: on top of it
+READ_AHEAD_BYTES = 64 * 1024
 
 #: arrival-edge refusals that count as shed load (the rest are undecodable frames)
 _SHED_CODES = frozenset({ErrorCode.DEADLINE_EXCEEDED, ErrorCode.OVERLOADED})
@@ -124,6 +138,13 @@ class GatewayServer:
     the bound one back from :attr:`port` / :attr:`url`).  :meth:`close` is
     idempotent and tears down the loop, the listener and every open
     connection.
+
+    The server owns the listener, the gateway, the one dispatch thread and
+    the counters; everything about a single socket -- its buffer, where it
+    is in a frame, its deadline, whether it is busy or paused -- lives on
+    that socket's :class:`_Connection`.  The gateway's ``arrive`` and
+    ``handle`` are looked up on :attr:`gateway` for every frame, so a tracer
+    may wrap them on the instance while the server runs.
     """
 
     def __init__(
@@ -166,12 +187,13 @@ class GatewayServer:
         self.malformed_frames = 0
         self.idle_closes = 0
         self.backpressure_closes = 0
+        self.read_pauses = 0
         self.bytes_received = 0
         self.bytes_sent = 0
         self._thread: "threading.Thread | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._stop: "asyncio.Event | None" = None
-        self._writers: "set[asyncio.StreamWriter]" = set()
+        self._connections: "set[_Connection]" = set()
         self._ready = threading.Event()
         self._startup_error: "BaseException | None" = None
 
@@ -238,8 +260,8 @@ class GatewayServer:
     async def _serve_until_stopped(self) -> None:
         assert self._stop is not None
         try:
-            server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port
+            server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), self.host, self.port
             )
         except OSError as exc:
             self._startup_error = exc
@@ -253,120 +275,11 @@ class GatewayServer:
             await self._stop.wait()
         finally:
             server.close()
+            while self._connections:  # each leaves in its connection_lost()
+                for connection in list(self._connections):
+                    connection.transport.abort()
+                await asyncio.sleep(0)
             await server.wait_closed()
-            # Closing the writers unblocks every handler's pending read
-            # (IncompleteReadError), so connections drain cleanly; only
-            # stragglers are cancelled after a short grace period.
-            for writer in list(self._writers):
-                writer.close()
-            current = asyncio.current_task()
-            pending = {task for task in asyncio.all_tasks() if task is not current}
-            if pending:
-                _, pending = await asyncio.wait(pending, timeout=1.0)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
-    # -- the per-connection frame loop ----------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_accepted += 1
-        self.connections_open += 1
-        self._writers.add(writer)
-        _set_nodelay(writer.get_extra_info("socket"))
-        try:
-            while True:
-                try:
-                    header = await asyncio.wait_for(
-                        reader.readexactly(FRAME_HEADER_BYTES), self.idle_timeout
-                    )
-                except asyncio.IncompleteReadError:
-                    break  # clean EOF between frames
-                except asyncio.TimeoutError:
-                    self.idle_closes += 1
-                    break
-                length = int.from_bytes(header, "big")
-                if not 0 < length <= self.max_frame_bytes:
-                    self.malformed_frames += 1
-                    error = SmacsError(
-                        f"frame length {length} outside (0, {self.max_frame_bytes}]",
-                        ErrorCode.MALFORMED_REQUEST,
-                    )
-                    await self._write_frame(writer, codec.encode_error_envelope(error))
-                    break  # framing is unrecoverable on this connection
-                try:
-                    payload = await asyncio.wait_for(
-                        reader.readexactly(length), self.idle_timeout
-                    )
-                except (asyncio.IncompleteReadError, asyncio.TimeoutError):
-                    self.malformed_frames += 1
-                    break
-                self.bytes_received += FRAME_HEADER_BYTES + length
-                if self._bucket is not None and self._bucket.take(1) < 1:
-                    self.frames_limited += 1
-                    response = codec.encode_error_envelope(
-                        SmacsError(
-                            "gateway edge rate limit exceeded",
-                            ErrorCode.RATE_LIMITED,
-                            retry_after_s=round(self._bucket.retry_after(1), 6),
-                        ),
-                        codec=codec.reply_codec(payload),
-                    )
-                else:
-                    try:
-                        request = self.gateway.arrive(payload)
-                    except SmacsError as error:  # answered on the read loop
-                        self.frames_shed += error.code in _SHED_CODES
-                        # Well framed, so the connection stays usable.
-                        self.malformed_frames += error.code is ErrorCode.MALFORMED_REQUEST
-                        response = codec.encode_error_envelope(
-                            error, codec=codec.reply_codec(payload)
-                        )
-                    else:
-                        # The gateway never raises from handle(): unknown
-                        # routes and issuer failures come back as envelopes.
-                        # Either way exactly one thread calls into the issuers
-                        # and responses stay ordered per connection.
-                        if self._dispatcher is None:
-                            response = self.gateway.handle(request)
-                        else:
-                            response = await asyncio.get_running_loop().run_in_executor(
-                                self._dispatcher, self.gateway.handle, request
-                            )
-                    self.frames_served += 1
-                if not await self._write_frame(writer, response):
-                    break
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown straggler: finish the task cleanly so the stream
-            # machinery does not log the cancellation as an error.
-            pass
-        finally:
-            self.connections_open -= 1
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _write_frame(
-        self, writer: asyncio.StreamWriter, payload: bytes
-    ) -> bool:
-        writer.write(len(payload).to_bytes(FRAME_HEADER_BYTES, "big") + payload)
-        self.bytes_sent += FRAME_HEADER_BYTES + len(payload)
-        try:
-            await asyncio.wait_for(writer.drain(), self.write_timeout)
-        except asyncio.TimeoutError:
-            # Backpressure escalation: the reader paused us past the write
-            # timeout, so it is disconnected rather than buffered forever.
-            self.backpressure_closes += 1
-            return False
-        return True
 
     # -- introspection ---------------------------------------------------------
 
@@ -381,9 +294,221 @@ class GatewayServer:
             "malformed_frames": self.malformed_frames,
             "idle_closes": self.idle_closes,
             "backpressure_closes": self.backpressure_closes,
+            "read_pauses": self.read_pauses,
             "bytes_received": self.bytes_received,
             "bytes_sent": self.bytes_sent,
         }
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted socket of a :class:`GatewayServer`, served from its callbacks.
+
+    ``data_received`` appends to :attr:`buffer` and serves every complete
+    frame in it, in order; nothing is awaited, so a frame costs no task.  The
+    connection *holds* -- serves nothing, keeps what arrives -- while its
+    frame is with the dispatcher (:attr:`busy`) or its peer is not taking
+    answers (:attr:`write_paused`), and past :data:`READ_AHEAD_BYTES` of held
+    bytes it stops reading the socket until it can serve again.
+
+    Deadlines are per frame, never per byte: a header has ``idle_timeout``
+    from the previous answer (or the accept) to become whole, a body
+    ``idle_timeout`` from its header, and no read is owed while the connection
+    holds.  One timer keeps them: it is armed at the accept, and when it fires
+    early -- every served frame moves :attr:`deadline` on without touching it
+    -- it re-arms itself for what is left.
+    """
+
+    transport: asyncio.Transport
+
+    def __init__(self, server: GatewayServer) -> None:
+        self.server = server
+        self.loop = asyncio.get_running_loop()
+        self.buffer = bytearray()
+        #: payload length of the frame whose header is in; ``None`` between frames
+        self.length: "int | None" = None
+        self.busy = False
+        self.write_paused = False
+        self.read_paused = False
+        self.eof = False
+        self.deadline = 0.0
+        self.idle_timer: "asyncio.TimerHandle | None" = None
+        self.write_timer: "asyncio.TimerHandle | None" = None
+
+    @property
+    def holding(self) -> bool:
+        return self.busy or self.write_paused
+
+    # -- transport callbacks ---------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        server = self.server
+        server.connections_accepted += 1
+        server.connections_open += 1
+        server._connections.add(self)
+        _set_nodelay(transport.get_extra_info("socket"))
+        self.deadline = self.loop.time() + server.idle_timeout
+        self.idle_timer = self.loop.call_at(self.deadline, self._on_deadline)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._serve()
+        self._flow()
+
+    def eof_received(self) -> bool:
+        # A half-closed peer still gets every answer it is owed: the transport
+        # stays open for writing until the held frames are served.
+        self.eof = True
+        self._serve()
+        return self.holding
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.write_timer = self.loop.call_later(
+            self.server.write_timeout, self._on_write_timeout
+        )
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.write_timer is not None:
+            self.write_timer.cancel()
+        self._resume()
+
+    def connection_lost(self, exc: "Exception | None") -> None:
+        self.server.connections_open -= 1
+        self.server._connections.discard(self)
+        for timer in (self.idle_timer, self.write_timer):
+            if timer is not None:
+                timer.cancel()
+        self.buffer.clear()  # a dispatch that outlives the socket finds nothing to serve
+
+    # -- the frame loop --------------------------------------------------------
+
+    def _serve(self) -> None:
+        """Answer every complete frame in the buffer, oldest first, until the
+        connection holds, closes or runs out of whole frames."""
+        server, transport, buffer = self.server, self.transport, self.buffer
+        while not (self.holding or transport.is_closing()):
+            length = self.length
+            if length is None:
+                if len(buffer) < FRAME_HEADER_BYTES:
+                    break
+                length = int.from_bytes(buffer[:FRAME_HEADER_BYTES], "big")
+                if not 0 < length <= server.max_frame_bytes:
+                    server.malformed_frames += 1
+                    error = SmacsError(
+                        f"frame length {length} outside (0, {server.max_frame_bytes}]",
+                        ErrorCode.MALFORMED_REQUEST,
+                    )
+                    self._write(codec.encode_error_envelope(error))
+                    transport.close()  # framing is unrecoverable on this connection
+                    return
+                self.length = length
+                self.deadline = self.loop.time() + server.idle_timeout
+            end = FRAME_HEADER_BYTES + length
+            if len(buffer) < end:
+                break
+            payload = bytes(buffer[FRAME_HEADER_BYTES:end])
+            del buffer[:end]
+            self.length = None
+            server.bytes_received += end
+            if server._bucket is not None and server._bucket.take(1) < 1:
+                server.frames_limited += 1
+                response = codec.encode_error_envelope(
+                    SmacsError(
+                        "gateway edge rate limit exceeded",
+                        ErrorCode.RATE_LIMITED,
+                        retry_after_s=round(server._bucket.retry_after(1), 6),
+                    ),
+                    codec=codec.reply_codec(payload),
+                )
+            else:
+                try:
+                    request = server.gateway.arrive(payload)
+                except SmacsError as error:  # answered on the loop, at arrival pace
+                    server.frames_shed += error.code in _SHED_CODES
+                    # Well framed, so the connection stays usable.
+                    server.malformed_frames += error.code is ErrorCode.MALFORMED_REQUEST
+                    response = codec.encode_error_envelope(
+                        error, codec=codec.reply_codec(payload)
+                    )
+                else:
+                    # The gateway never raises from handle(): unknown routes
+                    # and issuer failures come back as envelopes.  Either way
+                    # exactly one thread calls into the issuers and responses
+                    # stay ordered per connection.
+                    if server._dispatcher is not None:
+                        self.busy = True
+                        self.loop.run_in_executor(
+                            server._dispatcher, server.gateway.handle, request
+                        ).add_done_callback(self._dispatched)
+                        return
+                    response = server.gateway.handle(request)
+                server.frames_served += 1
+            self._write(response)
+            self.deadline = self.loop.time() + server.idle_timeout
+        if self.eof and not (self.holding or transport.is_closing()):
+            # The peer has said everything; a body cut short is never answered.
+            server.malformed_frames += self.length is not None
+            transport.close()
+
+    def _dispatched(self, future: "asyncio.Future[bytes]") -> None:
+        self.busy = False
+        response = future.result()
+        self.server.frames_served += 1
+        if not self.transport.is_closing():
+            self._write(response)
+        self._resume()
+
+    def _write(self, payload: bytes) -> None:
+        # May call pause_writing() before it returns: the loop in _serve()
+        # checks after every answer.
+        self.transport.write(len(payload).to_bytes(FRAME_HEADER_BYTES, "big") + payload)
+        self.server.bytes_sent += FRAME_HEADER_BYTES + len(payload)
+
+    def _resume(self) -> None:
+        """The hold is over: the next header's clock starts now."""
+        self.deadline = self.loop.time() + self.server.idle_timeout
+        self._serve()
+        self._flow()
+
+    def _flow(self) -> None:
+        """Read the socket unless more than the bound is held unserved."""
+        hold = self.holding and len(self.buffer) > READ_AHEAD_BYTES
+        if hold is not self.read_paused:
+            self.read_paused = hold
+            if hold:
+                self.server.read_pauses += 1
+                self.transport.pause_reading()
+            else:
+                self.transport.resume_reading()
+
+    # -- deadlines -------------------------------------------------------------
+
+    def _on_deadline(self) -> None:
+        if self.transport.is_closing():
+            return
+        server, now = self.server, self.loop.time()
+        if self.holding:
+            # No read is owed; whatever ends the hold sets a later deadline.
+            when = now + server.idle_timeout
+        elif now < self.deadline:
+            when = self.deadline
+        else:
+            if self.length is None:
+                server.idle_closes += 1
+            else:
+                server.malformed_frames += 1
+            self.transport.close()
+            return
+        self.idle_timer = self.loop.call_at(when, self._on_deadline)
+
+    def _on_write_timeout(self) -> None:
+        # Backpressure escalation: the reader paused us past the write
+        # timeout, so it is disconnected rather than buffered forever.
+        self.server.backpressure_closes += 1
+        self.transport.abort()
 
 
 class _StaleConnection(Exception):

@@ -10,8 +10,11 @@ hang (every receive is bounded by ``request_timeout``).
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +34,7 @@ from repro.api.gateway import InProcessTransport
 from repro.api.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_HEADER_BYTES,
+    READ_AHEAD_BYTES,
     TcpTransport,
     endpoint_url,
     parse_endpoint,
@@ -39,11 +43,16 @@ from repro.core.acr import RuleSet, WhitelistRule
 from repro.core.discovery import ServiceDiscovery
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
+from repro.resilience import AdmissionController
 
 ROUTE = "tcp-test-route"
 
 
-def _gateway(*, rules: "RuleSet | None" = None, profile: str = "serial"):
+def _gateway(
+    *, rules: "RuleSet | None" = None, profile: str = "serial", dispatched: bool = False
+):
+    """``dispatched``: behind an admission controller, so the server started
+    for it runs ``handle`` on its dispatch thread instead of its loop."""
     service = build_service(
         profile,
         keypair=KeyPair.from_seed("transport-ts"),
@@ -51,6 +60,8 @@ def _gateway(*, rules: "RuleSet | None" = None, profile: str = "serial"):
     )
     gateway = ServiceGateway()
     gateway.register(ROUTE, service)
+    if dispatched:
+        gateway.admission = AdmissionController(target_delay_s=30.0)
     return gateway
 
 
@@ -350,11 +361,16 @@ def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
     complete frame is answered in order and in its lane (refusals as
     ``MALFORMED_REQUEST``), a fresh connection is served while the fuzzed one
     is still open, and afterwards no connection and no admission slot is
-    left held."""
-    from repro.resilience import AdmissionController
+    left held.  A peer that half-closes right after its last byte still reads
+    every answer before the close.  Run once behind the dispatcher thread and
+    once on the loop thread."""
+    _framing_fuzz(dispatched=True)
+    _framing_fuzz(dispatched=False)
 
-    gateway = _gateway()
-    gateway.admission = admission = AdmissionController(target_delay_s=30.0)
+
+def _framing_fuzz(*, dispatched: bool) -> None:
+    gateway = _gateway(dispatched=dispatched)
+    admission = gateway.admission
     served = {
         envelope
         for lane in codec.CODECS
@@ -369,12 +385,34 @@ def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
             cut=st.integers(0, 3),
             drip=st.booleans(),
             leave_idle=st.booleans(),
+            half_close=st.booleans(),
         )
-        @example(pieces=[_framed(_submit_envelope())], cut=0, drip=True, leave_idle=False)
-        @example(pieces=[_framed(_submit_envelope())] * 2, cut=1, drip=False, leave_idle=True)
-        @example(pieces=[_framed(_submit_envelope())[:3]], cut=0, drip=False, leave_idle=True)
+        @example(
+            pieces=[_framed(_submit_envelope())], cut=0, drip=True, leave_idle=False,
+            half_close=False,
+        )
+        @example(
+            pieces=[_framed(_submit_envelope())] * 2, cut=1, drip=False, leave_idle=True,
+            half_close=False,
+        )
+        @example(
+            pieces=[_framed(_submit_envelope())[:3]], cut=0, drip=False, leave_idle=True,
+            half_close=False,
+        )
+        @example(
+            pieces=[_framed(_submit_envelope())] * 4, cut=0, drip=False, leave_idle=False,
+            half_close=True,
+        )
+        @example(
+            pieces=[_framed(_describe_envelope("binary"))] * 3 + [_framed(_submit_envelope())],
+            cut=2, drip=False, leave_idle=True, half_close=True,
+        )
+        @example(
+            pieces=[_framed(codec.BINARY_MAGIC)], cut=0, drip=False, leave_idle=False,
+            half_close=False,
+        )
         @settings(max_examples=25, deadline=None)
-        def run(pieces, cut, drip, leave_idle):
+        def run(pieces, cut, drip, leave_idle, half_close):
             stream = b"".join(pieces)
             stream = stream[:len(stream) - cut] or stream[:1]
             payloads, unframeable = _modelled_answers(stream)
@@ -388,6 +426,9 @@ def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
                     # Only a header that cannot be framed lets the server hang
                     # up on a sender; its answers are still there to be read.
                     assert unframeable
+                half_close = half_close and not unframeable
+                if half_close:
+                    sock.shutdown(socket.SHUT_WR)  # every answer is still owed
                 for payload in payloads:
                     answer = _read_frame(sock)
                     assert codec.sniff_codec(answer) == codec.reply_codec(payload)
@@ -397,10 +438,11 @@ def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
                         with pytest.raises(SmacsError) as refusal:
                             codec.decode_response_envelope(answer)
                         # The magic followed by another version's byte is a
-                        # protocol this server does not speak, not garbage.
+                        # protocol this server does not speak, not garbage (the
+                        # magic with nothing after it is a truncated envelope).
                         other_version = (
                             payload[:3] == codec.BINARY_MAGIC
-                            and payload[3:4] != bytes([codec.WIRE_VERSION])
+                            and payload[3:4] not in (b"", bytes([codec.WIRE_VERSION]))
                         )
                         assert refusal.value.code is (
                             ErrorCode.UNSUPPORTED if other_version else ErrorCode.MALFORMED_REQUEST
@@ -413,7 +455,7 @@ def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
                 with socket.create_connection(address, timeout=5.0) as fresh:
                     fresh.sendall(_framed(_describe_envelope("json")))
                     assert ROUTE in codec.decode_response_envelope(_read_frame(fresh))["routes"]
-                if not (unframeable or leave_idle):
+                if not (unframeable or leave_idle or half_close):
                     sock.shutdown(socket.SHUT_WR)
                 _expect_eof(sock)  # closed by the server: on EOF, or past idle_timeout
 
@@ -422,7 +464,7 @@ def test_framing_fuzz_every_frame_is_answered_and_the_server_returns_to_rest():
         while server.stats()["connections_open"]:
             assert time.monotonic() < deadline, server.stats()
             time.sleep(0.01)
-        assert admission.stats()["inflight"] == 0
+        assert admission is None or admission.stats()["inflight"] == 0
         stats = server.stats()
         assert stats["frames_served"] > 0 and stats["malformed_frames"] > 0
         assert stats["idle_closes"] > 0
@@ -489,6 +531,188 @@ def test_slow_reader_is_disconnected_and_others_stay_served():
             assert client.submit(_request())[0].code is ErrorCode.DENIED
         finally:
             client.close()
+
+
+def test_a_pipelining_client_that_never_reads_is_held_to_the_read_ahead_bound():
+    """The slow reader again, watched from inside: once its answers stop
+    draining the server stops reading its socket, so what it holds unserved
+    stays under the bound plus one socket read (or one frame, if larger), and
+    the write timeout still cuts it."""
+    nobody = RuleSet()
+    nobody.add_rule(WhitelistRule([], name="nobody"))
+    frame = _framed(_submit_envelope(batch=400))
+    ceiling = READ_AHEAD_BYTES + max(len(frame), 256 * 1024)
+    with serve(_gateway(rules=nobody), write_timeout=0.3) as server:
+        slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.connect(parse_endpoint(server.url))
+            slow.settimeout(0.05)
+            held = 0
+            deadline = time.monotonic() + 15.0
+            while server.stats()["backpressure_closes"] < 1:
+                assert time.monotonic() < deadline, "backpressure never triggered"
+                try:
+                    slow.sendall(frame)
+                except (socket.timeout, OSError):
+                    pass  # our send side jammed: the server has stopped reading
+                held = max([held] + [len(c.buffer) for c in list(server._connections)])
+            assert READ_AHEAD_BYTES < held <= ceiling
+            stats = server.stats()
+            assert (stats["backpressure_closes"], stats["read_pauses"]) == (1, 1)
+        finally:
+            slow.close()
+
+
+@pytest.mark.parametrize("dispatched", [False, True], ids=["loop-thread", "dispatcher"])
+def test_a_one_mebibyte_frame_round_trips_without_a_read_pause(dispatched):
+    # Far past the read-ahead bound, but nothing holds the connection while
+    # the frame is still arriving: the bound is on bytes that *cannot* be served.
+    gateway = _gateway(dispatched=dispatched)
+    big = codec.encode_request_envelope("describe", ROUTE, {"pad": "x" * (1 << 20)})
+    with serve(gateway) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=5.0) as sock:
+            for _ in range(2):
+                sock.sendall(_framed(big))
+                assert ROUTE in codec.decode_response_envelope(_read_frame(sock))["routes"]
+        stats = server.stats()
+        assert (stats["frames_served"], stats["read_pauses"]) == (2, 0)
+        assert stats["bytes_received"] == 2 * (FRAME_HEADER_BYTES + len(big))
+
+
+def test_a_busy_connection_stops_reading_past_the_bound_and_resumes_as_it_drains():
+    gateway = _gateway(dispatched=True)
+    release, handle = threading.Event(), gateway.handle
+
+    def parked(request):
+        assert release.wait(10.0)
+        return handle(request)
+
+    # On the instance, as the ledger's tracer does: looked up frame by frame.
+    gateway.handle = parked
+    padded = _framed(codec.encode_request_envelope("describe", ROUTE, {"pad": "x" * 4000}))
+    pipelined = 3 * READ_AHEAD_BYTES // len(padded)
+    with serve(gateway) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=5.0) as sock:
+            sock.sendall(_framed(_describe_envelope("json")))  # parks the dispatcher
+            sock.sendall(padded * pipelined)
+            deadline = time.monotonic() + 5.0
+            while server.stats()["read_pauses"] < 1:
+                assert time.monotonic() < deadline, server.stats()
+                time.sleep(0.01)
+            (connection,) = server._connections
+            assert READ_AHEAD_BYTES < len(connection.buffer) <= READ_AHEAD_BYTES + 256 * 1024
+            assert server.stats()["frames_served"] == 0
+            release.set()
+            for _ in range(1 + pipelined):
+                assert ROUTE in codec.decode_response_envelope(_read_frame(sock))["routes"]
+            # Drained: the socket is read again.
+            sock.sendall(_framed(_describe_envelope("binary")))
+            assert ROUTE in codec.decode_response_envelope(_read_frame(sock))["routes"]
+            assert not connection.read_paused and not connection.buffer
+        assert server.stats()["frames_served"] == 2 + pipelined
+
+
+# --- deadlines: per frame, not per byte ---------------------------------------------
+
+
+def _drip_until_closed(sock: socket.socket, data: bytes, interval: float) -> float:
+    """Write ``data`` one byte per ``interval`` until the server hangs up;
+    seconds from the first byte to the close."""
+    sock.settimeout(interval)
+    started = time.monotonic()
+    for byte in data:
+        try:
+            sock.sendall(bytes([byte]))
+            if sock.recv(1) == b"":
+                return time.monotonic() - started
+            raise AssertionError("a dripped, incomplete frame was answered")
+        except socket.timeout:
+            continue  # the wait between two bytes
+        except OSError:
+            return time.monotonic() - started
+    raise AssertionError(f"still open after {len(data)} dripped bytes")
+
+
+def test_a_dripped_header_is_an_idle_close_and_a_dripped_body_a_malformed_frame():
+    """A clock reset by every byte would let one byte per 0.4 x idle_timeout
+    hold a connection for ever.  The header's deadline runs from the accept
+    (or the previous answer), the body's from its header."""
+    idle = 0.5
+    with serve(_gateway(), idle_timeout=idle) as server:
+        address = parse_endpoint(server.url)
+        with socket.create_connection(address, timeout=2.0) as sock:
+            header = (64).to_bytes(FRAME_HEADER_BYTES, "big")
+            assert _drip_until_closed(sock, header + b"x" * 8, 0.4 * idle) < 2 * idle
+        stats = server.stats()
+        assert (stats["idle_closes"], stats["malformed_frames"]) == (1, 0)
+        with socket.create_connection(address, timeout=2.0) as sock:
+            sock.sendall((64).to_bytes(FRAME_HEADER_BYTES, "big"))
+            assert _drip_until_closed(sock, b"x" * 16, 0.4 * idle) < 2 * idle
+        stats = server.stats()
+        assert (stats["idle_closes"], stats["malformed_frames"]) == (1, 1)
+        assert stats["frames_served"] == 0
+
+
+@pytest.mark.parametrize("dispatched", [False, True], ids=["loop-thread", "dispatcher"])
+def test_a_frame_inside_handle_longer_than_the_idle_timeout_is_not_an_idle_close(dispatched):
+    idle = 0.2
+    gateway = _gateway(dispatched=dispatched)
+    handle = gateway.handle
+
+    def slow(request):
+        time.sleep(2.5 * idle)
+        return handle(request)
+
+    gateway.handle = slow
+    with serve(gateway, idle_timeout=idle) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=5.0) as sock:
+            for lane in codec.CODECS:  # the second proves the connection outlived the first
+                sock.sendall(_framed(_describe_envelope(lane)))
+                assert ROUTE in codec.decode_response_envelope(_read_frame(sock))["routes"]
+            assert server.stats()["idle_closes"] == 0
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""  # and idles out once nothing is owed
+        stats = server.stats()
+        assert (stats["idle_closes"], stats["frames_served"]) == (1, 2)
+
+
+# --- count guard: the frame path ----------------------------------------------------
+
+
+@pytest.mark.parametrize("dispatched", [False, True], ids=["loop-thread", "dispatcher"])
+def test_serving_a_frame_creates_no_task_no_wait_for_and_no_timer(dispatched, monkeypatch):
+    """After a connection's first frame, a frame is plain calls from the
+    socket callback to the response write: with a dispatcher exactly one
+    ``run_in_executor``, without one nothing the loop could be asked for."""
+    gateway = _gateway(dispatched=dispatched)
+    asked: "Counter[str]" = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            asked[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    def task_factory(loop, coro, **kwargs):
+        asked["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    with serve(gateway) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=5.0) as sock:
+            sock.sendall(_framed(_submit_envelope()))
+            codec.decode_response_envelope(_read_frame(sock))
+            loop = server._loop
+            loop.set_task_factory(task_factory)
+            monkeypatch.setattr(asyncio, "wait_for", counting("wait_for", asyncio.wait_for))
+            for name in ("call_at", "run_in_executor"):  # call_later is a call_at
+                monkeypatch.setattr(loop, name, counting(name, getattr(loop, name)))
+            for lane in codec.CODECS * 50:
+                sock.sendall(_framed(_submit_envelope(lane=lane)))
+                codec.decode_response_envelope(_read_frame(sock))
+            assert asked == ({"run_in_executor": 100} if dispatched else {})
+        assert server.stats()["frames_served"] == 101
 
 
 # --- edge rate limiting -------------------------------------------------------------
