@@ -27,6 +27,10 @@ class Block:
     #: flat state-root commitment over the post-block world state; empty on
     #: nodes running without a durability layer (see ``repro.storage``).
     state_root: bytes = b""
+    #: the transactions a block this chain knows only by its header commits
+    #: to: a recovered node's head, whose body executed on the node that
+    #: crashed, so no receipt here answers for it (None: ``transactions``)
+    body: "list[Transaction] | None" = None
 
     def transactions_root(self) -> bytes:
         """Root of the fan-out-4 Merkle tree over the transaction hashes.
@@ -40,7 +44,7 @@ class Block:
         the leaf count alone, which is why :meth:`hash` commits to the count
         beside the root.
         """
-        level = [tx.hash() for tx in self.transactions]
+        level = [tx.hash() for tx in self._committed()]
         if not level:
             return b"\x00" * 32
         while len(level) > 1:
@@ -61,10 +65,13 @@ class Block:
             + self.parent_hash
             + self.timestamp.to_bytes(8, "big")
             + self.gas_used.to_bytes(8, "big")
-            + len(self.transactions).to_bytes(8, "big")
+            + len(self._committed()).to_bytes(8, "big")
             + self.transactions_root()
             + self.state_root
         )
+
+    def _committed(self) -> list[Transaction]:
+        return self.transactions if self.body is None else self.body
 
     @property
     def transaction_count(self) -> int:

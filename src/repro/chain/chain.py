@@ -266,15 +266,20 @@ class Blockchain:
 
     # -- crash recovery ----------------------------------------------------------------------
 
-    def install_state(self, state: WorldState) -> None:
+    def install_state(self, state: WorldState, head: "Block | None" = None) -> None:
         """Replace the world state wholesale (crash recovery / state sync).
 
         The recovered state becomes the chain's single source of truth and,
         as with :meth:`fork`, pre-existing per-block fork points collapse to
         one at the current height: a recovered node resumes forward from
-        here, it does not replay the pre-crash fork history.
+        here, it does not replay the pre-crash fork history.  ``head``, the
+        block that state is the post-state of, takes the place of this
+        chain's own latest block, so the next block is numbered after it and
+        names its hash as parent.
         """
         self.evm.state = state
+        if head is not None:
+            self.blocks[-1] = head
         self._rebase()
 
     # -- forks and reorgs ------------------------------------------------------------------------
@@ -317,11 +322,11 @@ class Blockchain:
             del self.evm.contracts[address]
         # revert_to consumed the mark: reopen it over the restored state.
         self._checkpoints[index:] = [self._checkpoint()]
-        kept_hashes = {
-            tx.hash() for block in self.blocks[: block_number + 1] for tx in block.transactions
-        }
+        # Positions, not numbers: an installed head may stand above a gap.
+        kept = len(self.blocks) - (self.height - block_number)
+        kept_hashes = {tx.hash() for block in self.blocks[:kept] for tx in block.transactions}
         self.receipts = {h: r for h, r in self.receipts.items() if h in kept_hashes}
-        del self.blocks[block_number + 1:]
+        del self.blocks[kept:]
 
     def fork(self) -> "Blockchain":
         """Return an independent copy of the chain at its current height.

@@ -407,6 +407,15 @@ class WorldState(_AccountStore):
             )
         self._accounts.pop(address, None)
 
+    def install_account(self, address: Address, record: AccountState) -> None:
+        """Place a whole account record (recovery/bootstrap only, and refused
+        while a checkpoint is open, as :meth:`discard_account` is)."""
+        if self._top is not None:
+            raise RuntimeError(
+                "install_account is not journal-aware; close all checkpoints first"
+            )
+        self._accounts[address] = record
+
     def storage_set(self, address: Address, slot: Any, value: Any) -> None:
         storage = self.account(address).storage
         top = self._top

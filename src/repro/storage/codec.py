@@ -9,7 +9,12 @@ The value codec is a small TLV scheme (one tag byte, varint lengths) over
 the closed set of types the reproduction actually stores: ``None``, bools,
 arbitrary-precision ints, bytes, str, floats, tuples, lists and dicts.
 Dict entries are sorted by their *encoded key bytes*, which makes the
-encoding canonical without demanding orderable heterogeneous keys.
+encoding canonical without demanding orderable heterogeneous keys.  The
+encoder dispatches on a value's exact type once and returns its bytes; the
+decoder is one loop over a stack of open containers, so neither pays an
+interpreter call per scalar, and what a restart costs is what its image
+holds (the recursive codec they replaced is the differential oracle under
+``tests/``).
 
 The state commitment is deliberately flat (ROADMAP: trie-backed state is a
 separate open item) and is a two-level XOR fold, version
@@ -26,7 +31,11 @@ XOR-folding makes both levels order-independent, so
 what the block touched: one sha256 per written slot plus one per written
 account, however many slots the account already holds.  The full O(state)
 recompute, :func:`state_root`, shares nothing with the tracker but the two
-digest formulas and stays the recovery cross-check.  sha256 (not the
+digest formulas and stays the recovery cross-check.  A stored account
+record holds its slots as ``enc(slot) || enc(value)`` entries, the very
+bytes a slot digest hashes: :func:`decode_account_digests` takes each digest
+from the span it read, so a snapshot is verified from its own bytes, not by
+encoding every slot a second time.  sha256 (not the
 pure-Python keccak used for consensus artifacts) keeps the durability hot
 path at C speed; the commitment is strictly off-chain.
 """
@@ -34,7 +43,10 @@ path at C speed; the commitment is strictly off-chain.
 from __future__ import annotations
 
 import itertools
+import struct
+from functools import reduce
 from hashlib import sha256
+from operator import itemgetter, xor
 from typing import Any, Iterable, Mapping
 
 from repro.chain.state import AccountState
@@ -56,10 +68,10 @@ _T_DICT = 0x09
 
 #: Containers may nest this deep, on the way out and on the way back: what
 #: the encoder would write and the decoder refuse is refused at the write,
-#: and a buffer of nothing but container openers -- the decoder recurses per
-#: level -- is a :class:`CodecError`, not a ``RecursionError``.  Real records
-#: nest six deep (a block's delta: list, entry, writes, slot); the cap is the
-#: wire codec's ``MAX_ENVELOPE_DEPTH``.
+#: and a buffer of nothing but container openers is a :class:`CodecError`,
+#: not a stack that grows with the buffer.  Real records nest six deep (a
+#: block's delta: list, entry, writes, slot); the cap is the wire codec's
+#: ``MAX_ENVELOPE_DEPTH``.
 MAX_VALUE_DEPTH = 64
 
 
@@ -67,153 +79,174 @@ class CodecError(ValueError):
     """Raised when a value cannot be encoded or a buffer cannot be decoded."""
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
+#: ``tag ‖ n`` for every tag and every length ``n`` one varint byte holds
+_HEADS = [[bytes((tag, n)) for n in range(0x80)] for tag in range(_T_DICT + 1)]
+#: ints in ``range(_SMALL_INTS)`` are encoded once, into ``_INTS``
+_SMALL_INTS = 1024
+_FLOAT = struct.Struct(">d")
+_key_bytes = itemgetter(0)
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
+    return bytes(out)
 
 
-def _read_varint(raw: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(raw):
-            raise CodecError("truncated varint")
-        byte = raw[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+def _head(tag: int, size: int) -> bytes:
+    return _HEADS[tag][size] if size < 0x80 else bytes((tag,)) + _varint(size)
 
 
-def _encode_into(out: bytearray, value: Any, depth: int = 0) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        out.append(_T_INT)
+_INTS = [bytes((_T_INT,)) + _varint(n << 1) for n in range(_SMALL_INTS)]
+
+
+def _encode(value: Any, depth: int) -> bytes:
+    """``value``'s canonical bytes, dispatched on its exact type once."""
+    kind = type(value)
+    if kind is str:
+        data = value.encode("utf-8")
+        return _head(_T_STR, len(data)) + data
+    if kind is int:
+        if 0 <= value < _SMALL_INTS:
+            return _INTS[value]
         # zigzag so negative ints get a canonical varint form
-        _write_varint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
-    elif type(value) is bytes:
-        out.append(_T_BYTES)
-        _write_varint(out, len(value))
-        out += value
-    elif type(value) is str:
-        encoded = value.encode("utf-8")
-        out.append(_T_STR)
-        _write_varint(out, len(encoded))
-        out += encoded
-    elif type(value) is float:
-        import struct
-
-        out.append(_T_FLOAT)
-        out += struct.pack(">d", value)
-    elif type(value) is tuple or type(value) is list:
+        return b"\x03" + _varint(value << 1 if value >= 0 else (-value << 1) - 1)
+    if kind is bytes:
+        return _head(_T_BYTES, len(value)) + value
+    if kind is tuple or kind is list or kind is dict:
         if depth >= MAX_VALUE_DEPTH:
             raise CodecError("value nested too deep")
         depth += 1
-        out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_into(out, item, depth)
-    elif type(value) is dict:
-        if depth >= MAX_VALUE_DEPTH:
-            raise CodecError("value nested too deep")
-        depth += 1
-        out.append(_T_DICT)
-        _write_varint(out, len(value))
-        entries = []
-        for key, item in value.items():
-            key_buf = bytearray()
-            _encode_into(key_buf, key, depth)
-            item_buf = bytearray()
-            _encode_into(item_buf, item, depth)
-            entries.append((bytes(key_buf), bytes(item_buf)))
-        entries.sort(key=lambda entry: entry[0])
-        for key_bytes, item_bytes in entries:
-            out += key_bytes
-            out += item_bytes
-    else:
-        raise CodecError(f"cannot encode {type(value).__name__} canonically")
+        if kind is dict:
+            # Sorted by encoded key: canonical without orderable keys.
+            # Encodings are prefix-free, so two distinct keys differ in a byte.
+            entries = [(_encode(key, depth), _encode(item, depth)) for key, item in value.items()]
+            entries.sort(key=_key_bytes)
+            return _head(_T_DICT, len(entries)) + b"".join(itertools.chain.from_iterable(entries))
+        out = _head(_T_TUPLE if kind is tuple else _T_LIST, len(value))
+        for item in value:  # a slot or a record field: its strs and small ints in place
+            if type(item) is str:
+                data = item.encode("utf-8")
+                out += _head(_T_STR, len(data)) + data
+            elif type(item) is int and 0 <= item < _SMALL_INTS:
+                out += _INTS[item]
+            else:
+                out += _encode(item, depth)
+        return out
+    if kind is bool:
+        return b"\x02" if value else b"\x01"
+    if value is None:
+        return b"\x00"
+    if kind is float:
+        return b"\x06" + _FLOAT.pack(value)
+    raise CodecError(f"cannot encode {kind.__name__} canonically")
 
 
 def encode_value(value: Any) -> bytes:
     """Canonically encode ``value``; equal values always yield equal bytes."""
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
+    return _encode(value, 0)
 
 
-def _decode_at(raw: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
-    if pos >= len(raw):
-        raise CodecError("truncated value")
-    tag = raw[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        zig, pos = _read_varint(raw, pos)
-        return (-((zig + 1) >> 1) if zig & 1 else zig >> 1), pos
-    if tag == _T_BYTES or tag == _T_STR:
-        length, pos = _read_varint(raw, pos)
-        if pos + length > len(raw):
-            raise CodecError("truncated bytes payload")
-        payload = raw[pos : pos + length]
-        if tag == _T_BYTES:
-            return payload, pos + length
-        try:
-            return payload.decode("utf-8"), pos + length
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"str payload is not UTF-8: {exc}") from exc
-    if tag == _T_FLOAT:
-        import struct
+def _varint_at(raw: bytes, pos: int, end: int) -> "tuple[int, int]":
+    result = shift = 0
+    while pos < end:
+        byte = raw[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
+    raise CodecError("truncated varint")
 
-        if pos + 8 > len(raw):
-            raise CodecError("truncated float payload")
-        return struct.unpack(">d", raw[pos : pos + 8])[0], pos + 8
-    if tag == _T_TUPLE or tag == _T_LIST or tag == _T_DICT:
-        if depth >= MAX_VALUE_DEPTH:
-            raise CodecError("value nested too deep")
-        depth += 1
-        count, pos = _read_varint(raw, pos)
-        if tag != _T_DICT:
-            items = []
-            for _ in range(count):
-                item, pos = _decode_at(raw, pos, depth)
-                items.append(item)
-            return (tuple(items) if tag == _T_TUPLE else items), pos
-        result = {}
-        for _ in range(count):
-            key, pos = _decode_at(raw, pos, depth)
-            value, pos = _decode_at(raw, pos, depth)
-            try:
-                result[key] = value
-            except TypeError as exc:  # a list or dict where a key belongs
-                raise CodecError(f"unhashable dict key: {exc}") from exc
-        return result, pos
-    raise CodecError(f"unknown tag 0x{tag:02x}")
+
+def _decode(raw: bytes, pos: int, end: int, depth: int = 0) -> "tuple[Any, int]":
+    """The value at ``raw[pos:end]`` and the position after it.
+
+    One loop, no call per value: an open container is a frame on a stack,
+    each value decoded goes to the innermost frame, and a frame that holds
+    all it was promised closes and goes to its own container.  Tags are
+    tested most frequent first (str names every field), and the varint
+    after a tag -- a length, an int, a count -- is read in place when it is
+    one byte.  ``depth`` counts the containers already open around ``pos``.
+    """
+    stack: list = []
+    kind = left = 0
+    items: "list | None" = None  # the innermost open container's values so far
+    while True:
+        if pos >= end:
+            raise CodecError("truncated value")
+        tag = raw[pos]
+        pos += 1
+        if _T_INT <= tag <= _T_DICT and tag != _T_FLOAT:
+            if pos >= end:
+                raise CodecError("truncated varint")
+            size = raw[pos]
+            pos += 1
+            if size > 0x7F:
+                size, pos = _varint_at(raw, pos - 1, end)
+            if tag == _T_STR or tag == _T_BYTES:
+                if pos + size > end:
+                    raise CodecError("truncated bytes payload")
+                value = raw[pos : pos + size]
+                pos += size
+                if tag == _T_STR:
+                    try:
+                        value = value.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise CodecError(f"str payload is not UTF-8: {exc}") from exc
+            elif tag == _T_INT:
+                value = -((size + 1) >> 1) if size & 1 else size >> 1
+            elif depth + len(stack) >= MAX_VALUE_DEPTH:
+                raise CodecError("value nested too deep")
+            elif size:
+                stack.append((kind, items, left))
+                kind, items, left = tag, [], 2 * size if tag == _T_DICT else size
+                continue
+            else:
+                value = () if tag == _T_TUPLE else {} if tag == _T_DICT else []
+        elif tag == _T_NONE:
+            value = None
+        elif tag == _T_TRUE:
+            value = True
+        elif tag == _T_FALSE:
+            value = False
+        elif tag == _T_FLOAT:
+            if pos + 8 > end:
+                raise CodecError("truncated float payload")
+            value = _FLOAT.unpack_from(raw, pos)[0]
+            pos += 8
+        else:
+            raise CodecError(f"unknown tag 0x{tag:02x}")
+        while items is not None:
+            items.append(value)
+            left -= 1
+            if left:
+                break
+            if kind == _T_TUPLE:
+                value = tuple(items)
+            elif kind == _T_LIST:
+                value = items
+            else:
+                try:
+                    value = dict(zip(items[::2], items[1::2]))
+                except TypeError as exc:  # a list or dict where a key belongs
+                    raise CodecError(f"unhashable dict key: {exc}") from exc
+            kind, items, left = stack.pop()
+        else:
+            return value, pos
 
 
 def decode_value(raw: bytes) -> Any:
     """Decode one canonical value; trailing bytes are an error."""
     if not isinstance(raw, bytes):
         raise CodecError(f"cannot decode {type(raw).__name__}: not bytes")
-    value, pos = _decode_at(raw, 0)
-    if pos != len(raw):
-        raise CodecError(f"{len(raw) - pos} trailing bytes after value")
+    end = len(raw)
+    value, pos = _decode(raw, 0, end)
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after value")
     return value
 
 
@@ -278,10 +311,9 @@ _TRANSACTION = _shapes(
 _ACCOUNT = _shapes({"b": (int,), "n": (int,), "c": (bool,), "z": (int,), "s": (dict,)})
 
 
-def _decode_fields(raw: bytes, schema: "tuple[tuple[str, ...], frozenset]", what: str) -> dict:
-    """Decode a record that must be a dict carrying every field of ``schema``
+def _check_fields(fields: Any, schema: "tuple[tuple[str, ...], frozenset]", what: str) -> dict:
+    """``fields`` itself, if it is a dict carrying every field of ``schema``
     with one of its types (exact types: the decoder produces no others)."""
-    fields = decode_value(raw)
     names, shapes = schema
     try:
         shape = tuple([type(fields[name]) for name in names])
@@ -293,7 +325,7 @@ def _decode_fields(raw: bytes, schema: "tuple[tuple[str, ...], frozenset]", what
 
 
 def decode_transaction(raw: bytes) -> Transaction:
-    fields = _decode_fields(raw, _TRANSACTION, "transaction")
+    fields = _check_fields(decode_value(raw), _TRANSACTION, "transaction")
     for key in fields["k"]:
         if type(key) is not str:
             raise CodecError("transaction record: keyword arguments must be named by str")
@@ -332,15 +364,61 @@ def encode_account(record: AccountState) -> bytes:
 
 
 def decode_account(raw: bytes) -> AccountState:
-    fields = _decode_fields(raw, _ACCOUNT, "account")
+    return decode_account_digests(raw)[0]
+
+
+def decode_account_digests(raw: bytes) -> "tuple[AccountState, dict[Any, int] | None]":
+    """Decode an account record, and each storage slot's :func:`slot_digest`
+    from the bytes the slot was read from.
+
+    The record stores its storage as ``enc(slot) ‖ enc(value)`` entries --
+    exactly what :func:`slot_digest` hashes -- so a slot's digest is one
+    sha256 of a span already in hand, and no slot is encoded again.  An
+    entry stored in another form than the canonical one hashes to a digest
+    no root was computed over, and so fails the root it is checked against.
+    The digests are ``None`` when the entries are not in ascending key-byte
+    order: that record is equivalent, but not the canonical bytes either.
+    """
+    digests: "dict[Any, int] | None" = None
+    if not isinstance(raw, bytes) or raw[:1] != b"\x09":
+        fields = decode_value(raw)  # not a dict: the field check refuses it
+    else:
+        fields = {}
+        end = len(raw)
+        count, pos = _varint_at(raw, 1, end)
+        try:
+            for _ in range(count):
+                name, pos = _decode(raw, pos, end, 1)
+                if name != "s" or raw[pos : pos + 1] != b"\x09":
+                    fields[name], pos = _decode(raw, pos, end, 1)
+                    continue
+                storage: dict = {}
+                digests = {}
+                ordered, previous = True, b""
+                slots, pos = _varint_at(raw, pos + 1, end)
+                for _ in range(slots):
+                    start = pos
+                    slot, middle = _decode(raw, pos, end, 2)
+                    storage[slot], pos = _decode(raw, middle, end, 2)
+                    digests[slot] = _digest(raw[start:pos])
+                    key = raw[start:middle]
+                    ordered = ordered and previous < key
+                    previous = key
+                fields[name] = storage
+                digests = digests if ordered else None
+        except TypeError as exc:  # a list or dict where a key belongs
+            raise CodecError(f"unhashable dict key: {exc}") from exc
+        if pos != end:
+            raise CodecError(f"{end - pos} trailing bytes after value")
+    _check_fields(fields, _ACCOUNT, "account")
     record = AccountState(
         balance=fields["b"],
         nonce=fields["n"],
         is_contract=fields["c"],
         code_size=fields["z"],
+        storage=fields["s"],
     )
-    record.storage.update(fields["s"])
-    return record
+    return record, digests
 
 
 #: Version of the commitment formulas below.  Base and backend-meta records
@@ -446,6 +524,16 @@ class StateRootTracker:
             fresh = self._digests[addr] = account_digest(addr, record, storage_acc)
             self._acc ^= fresh
 
+    def add_account(self, addr: bytes, record: AccountState, slot_digests: dict) -> None:
+        """Fold in an account whose slot digests are already known -- taken
+        from its stored bytes by :func:`decode_account_digests` -- at one
+        sha256 (the header) and no slot encoded."""
+        self._acc ^= self._digests.pop(addr, 0)
+        self._slot_digests[addr] = slot_digests
+        storage_acc = self._storage_accs[addr] = reduce(xor, slot_digests.values(), 0)
+        fresh = self._digests[addr] = account_digest(addr, record, storage_acc)
+        self._acc ^= fresh
+
     @property
     def root(self) -> bytes:
         return _root_of(self._acc)
@@ -461,6 +549,7 @@ __all__ = [
     "StateRootTracker",
     "account_digest",
     "decode_account",
+    "decode_account_digests",
     "decode_transaction",
     "decode_value",
     "encode_account",

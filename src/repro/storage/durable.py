@@ -25,13 +25,17 @@ state root moves by those slots alone (see :mod:`repro.storage.codec`).
 Crash model: the node may die at any point; everything after the last
 fsync is gone (the disk-fault hooks simulate exactly that, plus torn and
 bit-flipped tails).  :meth:`recover_into` rebuilds a scratch ``WorldState``
-from the backend snapshot plus the WAL suffix, re-verifying the per-block
-state root incrementally and cross-checking the final root with a full
-recomputation -- a block either replays completely and root-verified, or
-recovery stops (torn tail) or fails loudly (mid-file corruption, gaps,
-root mismatches, an image written under another commitment version).  Only
-then is the state installed into the chain, the chain clock brought up to
-the last durable block's timestamp, and the admission log turned back into a
+from the backend snapshot plus the WAL suffix.  The snapshot is verified
+from the bytes it was read from -- each slot's digest is the hash of its
+stored entry, and together they must make the recorded root -- each block
+then moves that root by what it wrote, and one full recomputation over the
+rebuilt state cross-checks the result.  A block either replays completely
+and root-verified, or recovery stops (torn tail) or fails loudly (mid-file
+corruption, gaps, root mismatches, a snapshot record that is not the
+canonical one, an image written under another commitment version).  Only
+then is the state installed into the chain with the last durable block as
+its head (so numbering and parent hashes go on), the chain clock brought up
+to that block's timestamp, and the admission log turned back into a
 mempool.  Replay hashes nothing: an admission record and the block record of
 the same transaction hold the same ``encode_transaction`` bytes -- by
 construction: :meth:`note_admitted` keeps the bytes it logged and
@@ -50,8 +54,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
+from repro.chain.block import GENESIS_PARENT_HASH, Block
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.core.call_chain import tokens_carried
@@ -61,7 +66,7 @@ from repro.storage.codec import (
     COMMITMENT_VERSION,
     CodecError,
     StateRootTracker,
-    decode_account,
+    decode_account_digests,
     decode_transaction,
     decode_value,
     encode_account,
@@ -309,10 +314,17 @@ class DurableStore:
 
     def _read_image(
         self, report: RecoveryReport
-    ) -> "tuple[WorldState, StateRootTracker, int, int | None, list[Transaction]]":
+    ) -> "tuple[WorldState, StateRootTracker, int, Block | None, list[Transaction]]":
         """Rebuild, and verify, what the backend and the WAL hold: the state,
-        its root tracker, the height, the last durable block's timestamp
-        (None when the image records none) and the admissions no block includes.
+        its root tracker, the height, the head block (None for a WAL base
+        alone) and the admissions no block includes.
+
+        A snapshot (backend records or a WAL base) is verified from the bytes
+        it was read from: each slot's digest hashes its stored entry, and
+        together they must make the recorded root.  Each block then moves the
+        root by what it wrote.  The closing :func:`state_root` recomputes it
+        over the state as installed, so a decoder, install or tracker bug is
+        caught before anything reaches the chain.
 
         Trusts no record's shape: a missing or mistyped field surfaces as the
         ``KeyError`` / ``TypeError`` / ``AttributeError`` / ``CodecError`` its
@@ -320,25 +332,28 @@ class DurableStore:
         :class:`RecoveryError`.
         """
         scratch = WorldState()
-        height = 0
-        timestamp = None
         tracker = StateRootTracker()
+        height = 0
+        head = None
         saw_base = False
 
         meta_raw = self.backend.get(META_KEY)
         if meta_raw is not None:
             meta = decode_value(meta_raw)
             _check_commitment(meta, "backend snapshot")
-            for key, value in self.backend.items():
-                if key.startswith(ACCOUNT_PREFIX):
-                    _install_account(scratch, key[len(ACCOUNT_PREFIX):], value)
-            tracker = StateRootTracker.from_state(scratch)
-            if tracker.root != meta["root"]:
-                raise RecoveryError(
-                    "backend snapshot does not hash to its recorded state root"
-                )
+            accounts = (
+                (key[len(ACCOUNT_PREFIX):], raw)
+                for key, raw in self.backend.items()
+                if key.startswith(ACCOUNT_PREFIX)
+            )
+            _install_accounts(
+                scratch, tracker, accounts, meta["root"],
+                "backend snapshot does not hash to its recorded state root",
+            )
             height = meta["height"]
-            timestamp = meta.get("timestamp")
+            # A compacted image keeps no header (see recover_into); an image
+            # flushed before the meta carried a timestamp stands at 0.
+            head = _header(height, GENESIS_PARENT_HASH, meta.get("timestamp", 0), 0, meta["root"])
             report.base_height = height
             saw_base = True
             report.sources.append("backend")
@@ -360,11 +375,10 @@ class DurableStore:
                         "(stale or mixed-up directory)"
                     )
                 _check_commitment(record, "WAL base record")
-                for addr, raw in record["accounts"].items():
-                    _install_account(scratch, addr, raw)
-                tracker = StateRootTracker.from_state(scratch)
-                if tracker.root != record["root"]:
-                    raise RecoveryError("base snapshot does not hash to its state root")
+                _install_accounts(
+                    scratch, tracker, record["accounts"].items(), record["root"],
+                    "base snapshot does not hash to its state root",
+                )
                 height = record["height"]
                 report.base_height = height
                 saw_base = True
@@ -384,15 +398,19 @@ class DurableStore:
                         f"state root mismatch replaying block {record['number']}"
                     )
                 height = record["number"]
-                timestamp = record["timestamp"]
                 accounted.update(record["txs"])
+                transactions = [decode_transaction(raw) for raw in record["txs"]]
+                head = _header(
+                    height, record["parent"], record["timestamp"], record["gas_used"],
+                    record["root"], transactions,
+                )
                 report.blocks.append(
                     RecoveredBlock(
-                        number=record["number"],
-                        timestamp=record["timestamp"],
-                        gas_used=record["gas_used"],
-                        state_root=record["root"],
-                        transactions=[decode_transaction(raw) for raw in record["txs"]],
+                        number=height,
+                        timestamp=head.timestamp,
+                        gas_used=head.gas_used,
+                        state_root=head.state_root,
+                        transactions=transactions,
                         statuses=[bool(ok) for ok in record["ok"]],
                     )
                 )
@@ -405,8 +423,9 @@ class DurableStore:
             raise RecoveryError(
                 "nothing to recover: no backend snapshot and no WAL base record"
             )
-        # Defence in depth: the incremental root must agree with a full
-        # recomputation over the rebuilt state before anything is installed.
+        if type(height) is not int:
+            raise RecoveryError(f"recorded height is not a number: {height!r}")
+        # The one independent recompute: what was installed, encoded afresh.
         if state_root(scratch) != tracker.root:
             raise RecoveryError(
                 "incremental state root disagrees with full recomputation"
@@ -419,12 +438,7 @@ class DurableStore:
             if raw not in accounted:
                 accounted.add(raw)
                 candidates.append(decode_transaction(raw))
-
-        if type(height) is not int or type(timestamp) not in (int, type(None)):
-            raise RecoveryError(
-                f"recorded height / timestamp is not a number: {height!r} / {timestamp!r}"
-            )
-        return scratch, tracker, height, timestamp, candidates
+        return scratch, tracker, height, head, candidates
 
     def recover_into(self, pipeline: Any) -> RecoveryReport:
         """Rebuild state from disk, install it, re-admit survivors, re-prime.
@@ -432,22 +446,33 @@ class DurableStore:
         ``pipeline`` must be a freshly built node (same deployment recipe as
         the crashed one -- contract *code* is live Python and is not stored).
         Call :meth:`attach` afterwards to resume durable operation.
+
+        The last durable block, rebuilt from its WAL record, becomes the
+        chain's head: the next block is numbered after it and names its real
+        hash as parent (hashed at that mine, not here).  Its transactions are
+        its ``body``, not ``transactions``: no receipt here answers for them.
+        A WAL base alone keeps the fresh node's head, at the height the
+        recipe built.  A compacted image without a block cannot name its
+        head's hash -- the backend keeps state, height, root and timestamp,
+        not a header, and carrying one would change the meta record -- so its
+        head is a stand-in at the recorded height whose parent hash is 32
+        zero bytes: numbering goes on, the next parent hash is this node's own.
         """
         report = RecoveryReport()
         try:
-            scratch, tracker, height, timestamp, candidates = self._read_image(report)
+            scratch, tracker, height, head, candidates = self._read_image(report)
         except (CodecError, KeyError, TypeError, AttributeError) as exc:
             # Bytes that pass their checksum and still are no record of ours:
             # refused as a whole, before anything is installed.
             raise RecoveryError(f"ill-shaped record in the durable image: {exc!r}") from exc
 
-        pipeline.chain.install_state(scratch)
+        pipeline.chain.install_state(scratch, head)
         # The fresh node's clock starts at its own genesis: bring it up to
         # the last durable block, so block timestamps and token expiries go
         # on from where the crashed node's stopped instead of repeating.
         clock = pipeline.chain.clock
-        if timestamp is not None and timestamp > clock.now():
-            clock.set(timestamp)
+        if head is not None and head.timestamp > clock.now():
+            clock.set(head.timestamp)
         self.tracker = tracker
         self._recovered = True
         report.recovered_height = height
@@ -541,14 +566,28 @@ def _apply_delta(state: WorldState, delta: Any) -> dict[bytes, list]:
     return touched
 
 
-def _install_account(state: WorldState, addr: bytes, raw: bytes) -> None:
-    record = decode_account(raw)
-    state.set_balance(addr, record.balance)
-    state.set_nonce(addr, record.nonce)
-    state.set_is_contract(addr, record.is_contract)
-    state.set_code_size(addr, record.code_size)
-    for slot, value in record.storage.items():
-        state.storage_set(addr, slot, value)
+def _install_accounts(
+    state: WorldState, tracker: StateRootTracker, accounts: Iterable, root: bytes, refusal: str
+) -> None:
+    """Install a snapshot's ``(address, record bytes)`` pairs and verify them
+    against ``root`` from those bytes (:func:`decode_account_digests`)."""
+    for addr, raw in accounts:
+        record, digests = decode_account_digests(raw)
+        if digests is None:  # equivalent, but not the bytes any root was taken over
+            raise RecoveryError(refusal)
+        state.install_account(addr, record)
+        tracker.add_account(addr, record, digests)
+    if tracker.root != root:
+        raise RecoveryError(refusal)
+
+
+def _header(
+    number: int, parent: bytes, timestamp: int, gas: int, root: bytes, body: Any = None
+) -> Block:
+    """A head block from recorded fields, which must have a header's types."""
+    if not (type(number) is type(timestamp) is type(gas) is int and type(parent) is bytes):
+        raise RecoveryError(f"mistyped block header: {number!r} / {timestamp!r} / {gas!r}")
+    return Block(number, parent, timestamp, gas_used=gas, state_root=root, body=body)
 
 
 def _check_commitment(record: dict, what: str) -> None:

@@ -11,6 +11,10 @@ input that is well framed and wrong.  Here the input is structured on purpose:
   :class:`CodecError`;
 * **round trip** -- ``decode(encode(v)) == v``, type for type, over the
   closed set of values the codec carries;
+* **differential** -- the codec against the recursive one it replaced
+  (``storage_codec_reference``): byte-identical encodings, depth cap
+  included; on tag soup equal values or ``CodecError`` on both sides; and an
+  account record's span digests are :func:`slot_digest` of its slots;
 * **CRC-valid garbage** -- a WAL whose frames pass their checksum and hold
   records that are ill-shaped (a field missing, a field of the wrong type,
   no record at all): ``recover_into`` raises only :class:`RecoveryError` /
@@ -20,6 +24,7 @@ input that is well framed and wrong.  Here the input is structured on purpose:
 
 import math
 import os
+import re
 import shutil
 import tempfile
 
@@ -33,13 +38,16 @@ from repro.storage.codec import (
     MAX_VALUE_DEPTH,
     CodecError,
     decode_account,
+    decode_account_digests,
     decode_transaction,
     decode_value,
     encode_account,
     encode_transaction,
     encode_value,
+    slot_digest,
 )
 
+import storage_codec_reference as reference  # the recursive codec, as the oracle
 from test_property_durability import _node, _pristine_image  # the real three-block WAL image
 
 # --- the closed value set -----------------------------------------------------------
@@ -257,6 +265,70 @@ def test_an_ill_shaped_transaction_record_is_a_codec_error(record):
 def test_an_ill_shaped_account_record_is_a_codec_error(record):
     with pytest.raises(CodecError):
         decode_account(encode_value(record))
+
+
+# --- the production codec against the recursive reference ----------------------------
+
+
+@pytest.mark.slow  # hypothesis-heavy: the CI slow lane
+@given(value=values, wrap=st.integers(0, 2 * MAX_VALUE_DEPTH))
+@example(  # the encoder's tables and in-place scalars at their edges
+    value=[(-1, 0, 63, 64, 1023, 1024, -(2**70), "", "é" * 70, b"\x00" * 200, [None, 1.5])],
+    wrap=0,
+)
+@example(value={(-1, "a"): {1024: -1}, "é" * 64: (True, False)}, wrap=0)
+@settings(max_examples=300, deadline=None)
+def test_encodings_are_byte_identical_to_the_reference(value, wrap):
+    for _ in range(wrap):
+        value = [value] if wrap % 2 else (value,)
+    try:
+        expected = reference.encode_value(value)
+    except CodecError as exc:
+        with pytest.raises(CodecError, match=re.escape(str(exc))):
+            encode_value(value)
+    else:
+        assert encode_value(value) == expected
+
+
+@pytest.mark.slow  # hypothesis-heavy: the CI slow lane
+@given(raw=soup, steps=mutations)
+@example(raw=b"", steps=[("nest", 0.0, b"\x01", 5000)])
+@example(raw=b"\x09\x02\x08\x00\x00\x05\x02\xff\xfe\x00", steps=[])  # [] key, then bad UTF-8
+@example(raw=b"\x03\x80\x00", steps=[])                             # a padded varint
+@settings(max_examples=400, deadline=None)
+def test_tag_soup_decodes_to_what_the_reference_decodes(raw, steps):
+    """Equal values, or both sides refuse with ``CodecError`` -- which
+    refusal first may differ, no other exception type may escape."""
+    raw = _mutate(raw, steps)
+    try:
+        expected = reference.decode_value(raw)
+    except CodecError:
+        with pytest.raises(CodecError):
+            decode_value(raw)
+    else:
+        assert _typed(decode_value(raw)) == _typed(expected)
+
+
+@pytest.mark.slow  # hypothesis-heavy: the CI slow lane
+@given(storage=st.dictionaries(keys, values, max_size=8), balance=st.integers(0, 2**80))
+@settings(max_examples=200, deadline=None)
+def test_span_digests_of_a_canonical_account_record_are_its_slot_digests(storage, balance):
+    record = AccountState(balance=balance, nonce=3, is_contract=True, code_size=9, storage=storage)
+    decoded, digests = decode_account_digests(encode_account(record))
+    assert _typed(decoded.storage) == _typed(storage)
+    assert digests == {slot: slot_digest(slot, value) for slot, value in decoded.storage.items()}
+
+
+def test_an_account_record_out_of_key_order_decodes_but_yields_no_digests():
+    storage = {("record", n): (b"\x11" * 20, n, "memo") for n in range(3)}
+    raw = encode_account(AccountState(balance=5, storage=storage))
+    entries = sorted(encode_value(slot) + encode_value(value) for slot, value in storage.items())
+    canonical = b"".join(entries)
+    assert raw.count(canonical) == 1
+    shuffled = raw.replace(canonical, b"".join(entries[::-1]))
+    assert decode_account(shuffled) == decode_account(raw)
+    assert decode_account_digests(raw)[1] is not None
+    assert decode_account_digests(shuffled)[1] is None
 
 
 def test_well_shaped_records_still_round_trip():

@@ -35,10 +35,13 @@ from repro.storage import (
 )
 from repro.storage.codec import (
     COMMITMENT_VERSION,
+    decode_account,
     decode_value,
+    encode_account,
     encode_transaction,
     encode_value,
 )
+from repro.storage.durable import ACCOUNT_PREFIX
 
 
 def _node():
@@ -750,4 +753,203 @@ def test_recovered_node_resumes_issuance_without_index_reuse(tmp_path):
     assert accepted == 17  # 6 durable + 5 re-admitted + 6 post-restart
     assert node2.chain.read(node2.recorder, "entries") == 17
     assert node2.chain.latest_block.state_root == state_root(node2.chain.state)
+    store2.close()
+
+
+def _resume(node, report):
+    """What a restarted node does before it takes fresh traffic."""
+    node.pipeline.drain()
+    node.service.replicas[0].counter.restore(report.max_one_time_index + 1)
+    node.generator.refresh_nonces()
+
+
+def _crash_committing(node, injector, count):
+    node.pipeline.ingest(node.generator.from_arrivals([count]))
+    injector.arm()
+    with pytest.raises(SimulatedCrash):
+        node.pipeline.run_block()
+    node.pipeline.durability.close()
+
+
+def test_a_recovered_chain_continues_the_durable_chain(tmp_path):
+    """Crash, recover, resume two blocks, crash, recover: the second image
+    is one chain -- numbered without a gap across both restarts, each block
+    naming the real hash of the one before it -- and recovers to the live root."""
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    injector = DiskFaultInjector("crash-before-fsync")
+    DurableStore(workdir, "sqlite", fsync_on_admit=True, hooks=injector).attach(node1.pipeline)
+    _run_batch(node1, 4)
+    _run_batch(node1, 4)
+    durable_head = node1.chain.latest_block
+    _crash_committing(node1, injector, 3)
+
+    node2 = _node()
+    injector = DiskFaultInjector("crash-before-fsync")
+    store2 = DurableStore(workdir, "sqlite", fsync_on_admit=True, hooks=injector)
+    fresh_head = node2.chain.latest_block  # the recipe's own head: replaced
+    report = store2.recover_into(node2.pipeline)
+    assert node2.chain.height == report.recovered_height == durable_head.number
+    assert node2.chain.latest_block.hash() == durable_head.hash() != fresh_head.hash()
+    assert node2.chain.latest_block.transactions == []  # its body ran on node1
+    store2.attach(node2.pipeline)
+    _resume(node2, report)  # the re-admitted batch: the first block after the restart
+    _run_batch(node2, 4)
+    resumed = node2.chain.blocks[-2:]
+    assert [block.number for block in resumed] == [durable_head.number + 1, durable_head.number + 2]
+    assert resumed[0].parent_hash == durable_head.hash()
+    assert resumed[1].parent_hash == resumed[0].hash()
+    live = node2.chain.latest_block
+    _crash_committing(node2, injector, 2)
+
+    node3 = _node()
+    store3 = DurableStore(workdir, "sqlite")
+    again = store3.recover_into(node3.pipeline)
+    assert again.state_root == live.state_root
+    assert state_root(node3.chain.state) == live.state_root
+    numbers = [block.number for block in again.blocks]
+    assert numbers == list(range(again.base_height + 1, live.number + 1))
+    assert node3.chain.latest_block.hash() == live.hash()
+    store3.close()
+
+
+def test_a_compacted_image_resumes_numbering_from_a_stand_in_head(tmp_path):
+    """``flush()`` keeps state, height, root and timestamp, not a header: the
+    head a node recovers from it has the recorded number and a parent hash of
+    32 zero bytes, so its hash is not the crashed node's -- and the chain
+    after it is still gapless."""
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    _run_batch(node1, 3)
+    store1.flush()
+    crashed_head = node1.chain.latest_block
+    store1.close()
+
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    report = store2.recover_into(node2.pipeline)
+    stand_in = node2.chain.latest_block
+    assert (report.blocks, report.sources) == ([], ["backend"])
+    assert (stand_in.number, stand_in.parent_hash) == (crashed_head.number, bytes(32))
+    assert stand_in.state_root == crashed_head.state_root
+    assert stand_in.timestamp == crashed_head.timestamp
+    assert stand_in.hash() != crashed_head.hash()
+    store2.attach(node2.pipeline)
+    # No block record holds a spent index: the issuer's counter comes over.
+    node2.service.replicas[0].counter.restore(node1.service.replicas[0].counter.value)
+    node2.generator.refresh_nonces()
+    _run_batch(node2, 3)
+    assert node2.chain.latest_block.number == crashed_head.number + 1
+    assert node2.chain.latest_block.parent_hash == stand_in.hash()
+    live = node2.chain.latest_block.state_root
+    store2.close()
+    # A reorg on the recovered chain finds blocks by position above the gap.
+    resumed = node2.chain.latest_block.transactions
+    node2.chain.revert_to_block(crashed_head.number)
+    assert node2.chain.latest_block is stand_in
+    assert not any(tx.hash() in node2.chain.receipts for tx in resumed)
+
+    node3 = _node()
+    store3 = DurableStore(workdir, "sqlite")
+    again = store3.recover_into(node3.pipeline)
+    assert [block.number for block in again.blocks] == [crashed_head.number + 1]
+    assert again.state_root == live
+    store3.close()
+
+
+# --- a snapshot is verified from its stored bytes ------------------------------------
+
+
+SNAPSHOT_REFUSED = "backend snapshot does not hash to its recorded state root"
+
+
+def _compacted_image(workdir):
+    """A flushed image whose recorder account holds a few record slots."""
+    node = _node()
+    store = DurableStore(workdir, "sqlite")
+    store.attach(node.pipeline)
+    _run_batch(node, 4)
+    store.flush()
+    store.close()
+    key = ACCOUNT_PREFIX + bytes(node.recorder.this)
+    return node, key
+
+
+def _recover_tampered(workdir, key, tamper):
+    store = DurableStore(workdir, "sqlite")
+    store.backend.put(key, tamper(store.backend.get(key)))
+    store.backend.flush()
+    node = _node()
+    try:
+        return store.recover_into(node.pipeline)
+    finally:
+        store.close()
+
+
+def test_a_backend_record_with_one_slot_value_altered_fails_the_snapshot_root(tmp_path):
+    workdir = str(tmp_path / "n")
+    _, key = _compacted_image(workdir)
+
+    def alter(raw):
+        record = decode_account(raw)
+        slot = next(slot for slot in record.storage if slot[:1] == ("record",))
+        sender, amount, memo = record.storage[slot]
+        record.storage[slot] = (sender, amount + 1, memo)
+        return encode_account(record)
+
+    with pytest.raises(RecoveryError, match=SNAPSHOT_REFUSED):
+        _recover_tampered(workdir, key, alter)
+
+
+def test_a_backend_record_with_its_entries_reordered_is_refused(tmp_path):
+    """Equivalent, and every entry canonical, but not the canonical record:
+    the snapshot is verified from the bytes it was read from, so these bytes
+    are refused (a full re-encode would have accepted them)."""
+    workdir = str(tmp_path / "n")
+    _, key = _compacted_image(workdir)
+
+    def reorder(raw):
+        storage = decode_account(raw).storage
+        entries = sorted(encode_value(slot) + encode_value(item) for slot, item in storage.items())
+        assert len(entries) > 2 and raw.count(b"".join(entries)) == 1
+        return raw.replace(b"".join(entries), b"".join(entries[1:] + entries[:1]))
+
+    _recover_tampered(workdir, key, lambda raw: raw)  # untouched, the image recovers
+    with pytest.raises(RecoveryError, match=SNAPSHOT_REFUSED):
+        _recover_tampered(workdir, key, reorder)
+
+
+def test_recovery_encodes_no_snapshot_slot(tmp_path, monkeypatch):
+    """An image of S snapshot slots, T slot writes across its WAL blocks and
+    F slots in the final state runs ``slot_digest`` exactly T + F times: the
+    snapshot is hashed from its stored spans, and only the blocks' writes
+    and the closing cross-check encode a slot."""
+    from repro.storage import codec
+
+    workdir = str(tmp_path / "n")
+    node1 = _node()
+    store1 = DurableStore(workdir, "sqlite")
+    store1.attach(node1.pipeline)
+    _run_batch(node1, 4)
+    store1.flush()
+    _run_batch(node1, 5)
+    _run_batch(node1, 3)
+    snapshot = [decode_account(raw) for key, raw in store1.backend.items() if key != b"meta"]
+    blocks = [record for record in _wal_records(store1) if record["kind"] == "block"]
+    store1.close()
+    s = sum(len(record.storage) for record in snapshot)
+    t = sum(len(entry.get("w", ())) for block in blocks for entry in block["delta"])
+    f = sum(len(node1.chain.state.account(a).storage) for a in node1.chain.state.addresses())
+    assert s > 20 and t > 0 and len(blocks) == 2
+
+    calls = []
+    original = codec.slot_digest
+    monkeypatch.setattr(codec, "slot_digest", lambda *args: calls.append(args) or original(*args))
+    node2 = _node()
+    store2 = DurableStore(workdir, "sqlite")
+    report = store2.recover_into(node2.pipeline)
+    assert report.state_root == node1.chain.latest_block.state_root
+    assert len(calls) == t + f
     store2.close()
