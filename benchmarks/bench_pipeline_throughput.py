@@ -1,4 +1,4 @@
-"""Token-pipeline throughput: serial vs batched vs sharded issuance.
+"""Token-pipeline throughput: serial vs batched vs cached issuance.
 
 The Fig. 9 harness measures one Token Service against uniform batches; this
 harness measures the *pipeline* against the named scenario mixes
@@ -7,9 +7,9 @@ three configurations over the same request stream:
 
 * ``serial``  -- one request per submission (per-request session overhead);
 * ``batched`` -- one submission per scenario batch (amortised overhead);
-* ``sharded`` -- :class:`~repro.core.batch_service.BatchTokenService` with
-  worker shards, per-batch overhead and the shared deterministic-signature
-  cache.
+* ``cached``  -- the same batches through a service that issues through a
+  :class:`~repro.crypto.sigcache.SignatureCache`, so a replayed reusable
+  request is one memo lookup instead of a hash and a signature.
 
 A second micro-benchmark times the packed-word Alg. 2 bitmap against the
 list-of-bits implementation it replaced, over an identical index stream with
@@ -38,7 +38,6 @@ from repro.workloads import (
 )
 
 BURST = env_int("SMACS_PIPELINE_BURST", 48)
-SHARDS = env_int("SMACS_PIPELINE_SHARDS", 4)
 BITMAP_OPS = env_int("SMACS_BITMAP_OPS", 20_000)
 
 TS_KEYPAIR = KeyPair.from_seed("pipeline-ts")
@@ -67,8 +66,10 @@ def _scenarios() -> list[ScenarioMix]:
     return [flash, storm, fanout, combined]
 
 
-def _fresh_service() -> TokenIssuer:
-    return build_service("serial", keypair=TS_KEYPAIR, rules=RuleSet())
+def _fresh_service(signature_cache: "SignatureCache | None" = None) -> TokenIssuer:
+    return build_service(
+        "serial", keypair=TS_KEYPAIR, rules=RuleSet(), signature_cache=signature_cache
+    )
 
 
 def _run_serial(mix: ScenarioMix) -> float:
@@ -81,8 +82,8 @@ def _run_serial(mix: ScenarioMix) -> float:
     return len(requests) / (time.perf_counter() - start)
 
 
-def _run_batched(mix: ScenarioMix) -> float:
-    service = _fresh_service()
+def _run_batched(mix: ScenarioMix, signature_cache: "SignatureCache | None" = None) -> float:
+    service = _fresh_service(signature_cache)
     start = time.perf_counter()
     results = submit_mix(service, mix)
     elapsed = time.perf_counter() - start
@@ -90,94 +91,72 @@ def _run_batched(mix: ScenarioMix) -> float:
     return len(results) / elapsed
 
 
-def _run_sharded(mix: ScenarioMix) -> tuple[float, dict]:
-    # Same call site as the serial/batched runs -- the deployment shape is
-    # the build_service profile, not a different method surface.
-    service = build_service(
-        "sharded",
-        keypair=TS_KEYPAIR,
-        rules=RuleSet(),
-        shards=SHARDS,
-        signature_cache=SignatureCache(),
-    )
-    start = time.perf_counter()
-    results = submit_mix(service, mix)
-    elapsed = time.perf_counter() - start
-    assert all(result.issued for result in results)
-    return len(results) / elapsed, service.stats()
-
-
-def test_pipeline_throughput_serial_vs_batched_vs_sharded(benchmark):
+def test_pipeline_throughput_serial_vs_batched_vs_cached(benchmark):
     table: dict[str, dict[str, float]] = {}
     stats: dict[str, dict] = {}
 
     def run():
         for mix in _scenarios():
+            cache = SignatureCache()
             serial = _run_serial(mix)
             batched = _run_batched(mix)
-            sharded, shard_stats = _run_sharded(mix)
-            table[mix.name] = {"serial": serial, "batched": batched, "sharded": sharded}
-            stats[mix.name] = shard_stats
+            cached = _run_batched(mix, cache)
+            table[mix.name] = {"serial": serial, "batched": batched, "cached": cached}
+            stats[mix.name] = cache.stats()
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = [
         "Pipeline throughput (tokens issued per second, same request stream)",
-        f"{'scenario':<24}{'serial':>12}{'batched':>12}{'sharded':>12}"
-        f"{'batch x':>10}{'shard x':>10}",
+        f"{'scenario':<24}{'serial':>12}{'batched':>12}{'cached':>12}"
+        f"{'batch x':>10}{'cache x':>10}",
     ]
     data: dict[str, dict] = {}
     for name, row in table.items():
         batch_speedup = row["batched"] / row["serial"]
-        shard_speedup = row["sharded"] / row["serial"]
+        cache_speedup = row["cached"] / row["serial"]
         lines.append(
             f"{name:<24}{row['serial']:>12.1f}{row['batched']:>12.1f}"
-            f"{row['sharded']:>12.1f}{batch_speedup:>10.2f}{shard_speedup:>10.2f}"
+            f"{row['cached']:>12.1f}{batch_speedup:>10.2f}{cache_speedup:>10.2f}"
         )
         data[name] = {
             **{k: round(v, 1) for k, v in row.items()},
             "batched_speedup": round(batch_speedup, 2),
-            "sharded_speedup": round(shard_speedup, 2),
-            "signature_cache": stats[name]["signature_cache"],
-            "shard_loads": stats[name]["shard_loads"],
+            "cached_speedup": round(cache_speedup, 2),
+            "signature_cache": stats[name],
         }
     report("pipeline_throughput", lines, data=data)
     benchmark.extra_info.update(
-        {f"{name}_sharded_speedup": data[name]["sharded_speedup"] for name in data}
+        {f"{name}_cached_speedup": data[name]["cached_speedup"] for name in data}
     )
 
     for name, row in table.items():
         # Amortising the session overhead must always pay.
         assert row["batched"] > row["serial"], name
-        assert row["sharded"] > row["serial"], name
-    # Acceptance: the batched+sharded pipeline sustains >= 3x serial issuance
+        assert row["cached"] > row["serial"], name
+    # Acceptance: the batched, cached pipeline sustains >= 3x serial issuance
     # on the same workload; the replay storm (where the signature cache bites
     # hardest) carries the hard bound, the mixed stream a conservative one.
-    assert table["replay-storm"]["sharded"] >= 3.0 * table["replay-storm"]["serial"]
-    assert table["combined"]["sharded"] >= 2.5 * table["combined"]["serial"]
+    assert table["replay-storm"]["cached"] >= 3.0 * table["replay-storm"]["serial"]
+    assert table["combined"]["cached"] >= 2.5 * table["combined"]["serial"]
     # The deterministic-signature cache must actually be hitting under replay.
-    assert stats["replay-storm"]["signature_cache"]["hit_rate"] > 0.5
+    assert stats["replay-storm"]["hit_rate"] > 0.5
 
 
-def test_sharded_issuance_matches_serial_decisions(benchmark):
+def test_cached_issuance_matches_serial_decisions(benchmark):
     """Same workload, same accept/deny decisions -- speed must not change policy."""
     mix = _scenarios()[1]  # replay storm
     serial_service = _fresh_service()
-    sharded_service = build_service(
-        "sharded", keypair=TS_KEYPAIR, rules=RuleSet(), shards=SHARDS,
-        signature_cache=SignatureCache(),
-    )
+    cached_service = _fresh_service(SignatureCache())
 
     def run():
         requests = mix.flattened()
         serial = serial_service.submit(requests)
-        sharded = []
-        for offset in range(0, len(requests), BURST):
-            sharded += sharded_service.submit(requests[offset:offset + BURST])
-        return serial, sharded
+        cached = submit_mix(cached_service, mix)
+        return serial, cached
 
-    serial, sharded = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert [r.issued for r in serial] == [r.issued for r in sharded]
+    serial, cached = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert [r.issued for r in serial] == [r.issued for r in cached]
 
 
 # --- packed-word bitmap vs the list-of-bits baseline --------------------------

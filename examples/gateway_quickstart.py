@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """The unified issuance API: one protocol, composable stacks, a wire gateway.
 
-The script tours ``repro.api``, the PR-4 layer that turns the three divergent
-issuer classes into one surface:
+The script tours ``repro.api``, the layer that puts every issuer behind one
+surface:
 
-1. ``build_service(profile=...)`` assembles serial / sharded / replicated
-   issuance stacks from one factory -- all satisfying the ``TokenIssuer``
+1. ``build_service(profile=...)`` assembles serial / replicated issuance
+   stacks from one factory -- all satisfying the ``TokenIssuer``
    protocol, so the calling code never changes;
 2. cross-cutting concerns (metrics, audit, rate limiting, fail-over retries)
    are middleware layers, not forked classes;
@@ -26,6 +26,7 @@ Run with:  python examples/gateway_quickstart.py
 
 from repro.api import (
     CODEC_BINARY,
+    PROFILES,
     ErrorCode,
     ServiceGateway,
     build_service,
@@ -49,9 +50,9 @@ def main() -> None:
     alice = chain.create_account("alice", seed="gw-alice")
     eve = chain.create_account("eve", seed="gw-eve")
 
-    # --- 1. one factory, three deployment shapes ------------------------------
+    # --- 1. one factory, every deployment shape -------------------------------
     keypair = KeyPair.from_seed("gw-ts")
-    for profile in ("serial", "sharded", "replicated"):
+    for profile in PROFILES:
         stack = build_service(profile, keypair=keypair, clock=chain.clock)
         print(f"build_service({profile!r:12}) -> {type(stack).__name__:16} "
               f"base={type(unwrap(stack)).__name__}")

@@ -5,15 +5,15 @@ wire-level gateway:
 
 * :mod:`repro.api.protocol` -- the batch-first
   :class:`~repro.api.protocol.TokenIssuer` protocol every issuance stack
-  satisfies (serial, sharded, replicated, middleware-wrapped, gateway
-  clients), plus the single-request helpers built on the batch path;
+  satisfies (serial, replicated, middleware-wrapped, gateway clients), plus
+  the single-request helpers built on the batch path;
 * :mod:`repro.api.errors` -- the :class:`~repro.core.errors.SmacsError`
   taxonomy with stable :class:`~repro.core.errors.ErrorCode` values, carried
   inside results so batch submissions never raise mid-batch;
 * :mod:`repro.api.middleware` -- ``RateLimiter`` / ``Metrics`` / ``Audit`` /
   ``RetryFailover`` wrappers, stackable in any order;
 * :mod:`repro.api.factory` -- ``build_service(profile=...)`` assembling the
-  serial/sharded/replicated stacks from one place;
+  serial/replicated stacks from one place;
 * :mod:`repro.api.gateway` -- ``ServiceGateway`` with versioned wire
   envelopes (:mod:`repro.api.codec`: JSON plus a compact binary lane with
   per-envelope negotiation) and a protocol-speaking ``GatewayClient`` that

@@ -526,12 +526,25 @@ def _load_json(raw: bytes, depth_limit: int) -> dict[str, Any]:
         raise _too_deep() from None
     if not isinstance(payload, dict):
         raise _malformed("envelope must be a JSON object")
+    _check_json_depth(raw, payload, depth_limit)
+    # A ``\uD800``-``\uDFFF`` escape outside a pair decodes to a lone
+    # surrogate, which is not text: the binary lane refuses its UTF-8, so this
+    # lane refuses the escape.  Only an envelope with an escape can carry one.
+    if b"\\u" in raw:
+        try:
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise _malformed(f"envelope string is not Unicode text: {exc}") from exc
+    return cast("dict[str, Any]", payload)
+
+
+def _check_json_depth(raw: bytes, payload: dict[str, Any], depth_limit: int) -> None:
     # The binary reader's cap, so both lanes accept the same envelopes.  Every
     # level costs the text an opener, so most envelopes cannot reach the cap
     # and skip the walk; ``level`` holds the containers one level further down
     # each round.
     if raw.count(b"{") + raw.count(b"[") <= depth_limit:
-        return cast("dict[str, Any]", payload)
+        return
     level: list[Any] = [payload]
     for _ in range(depth_limit):
         level = [
@@ -541,7 +554,7 @@ def _load_json(raw: bytes, depth_limit: int) -> dict[str, Any]:
             if isinstance(child, (dict, list))
         ]
         if not level:
-            return cast("dict[str, Any]", payload)
+            return
     raise _too_deep()
 
 

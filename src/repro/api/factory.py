@@ -1,8 +1,8 @@
 """One factory for every issuance stack.
 
-``build_service(profile=...)`` assembles the serial, sharded and replicated
-Token Service deployments from the same parts: a concrete base service plus
-the composable middleware of :mod:`repro.api.middleware`.  What used to
+``build_service(profile=...)`` assembles the serial and replicated Token
+Service deployments from the same parts: a concrete base service plus the
+composable middleware of :mod:`repro.api.middleware`.  What used to
 require choosing (and hard-coupling to) a concrete class is now a profile
 string; everything the factory returns satisfies
 :class:`~repro.api.protocol.TokenIssuer`, so consumers swap profiles without
@@ -15,11 +15,8 @@ profile: the §VII-B fail-over, one retry round per replica) -> RateLimiter
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet
-from repro.core.batch_service import BatchTokenService
 from repro.core.replication import ReplicatedTokenService
 from repro.core.token_service import DEFAULT_TOKEN_LIFETIME, TokenService
 from repro.crypto.keys import KeyPair
@@ -29,7 +26,7 @@ from repro.api.middleware import Audit, Metrics, RateLimiter, RetryFailover
 from repro.api.protocol import TokenIssuer
 
 #: the deployment shapes the factory knows how to assemble
-PROFILES = ("serial", "sharded", "replicated")
+PROFILES = ("serial", "replicated")
 
 
 def build_service(
@@ -40,9 +37,6 @@ def build_service(
     clock: "SimulatedClock | None" = None,
     token_lifetime: int = DEFAULT_TOKEN_LIFETIME,
     label: "str | None" = None,
-    # sharded profile
-    shards: int = 4,
-    index_block_size: int = 64,
     # replicated profile
     replica_count: int = 3,
     seed: int = 7,
@@ -74,22 +68,6 @@ def build_service(
             token_lifetime=token_lifetime,
             signature_cache=signature_cache,
             label=label if label is not None else "token-service",
-        )
-    elif profile == "sharded":
-        kwargs: dict[str, Any] = {}
-        if signature_cache is not None:
-            # BatchTokenService defaults to the process-wide cache; only
-            # override when the caller supplied one.
-            kwargs["signature_cache"] = signature_cache
-        issuer = BatchTokenService(
-            keypair=keypair,
-            rules=rules,
-            clock=clock,
-            token_lifetime=token_lifetime,
-            shards=shards,
-            index_block_size=index_block_size,
-            label=label if label is not None else "batch-token-service",
-            **kwargs,
         )
     else:
         # The base makes one attempt per submission on the next replica;

@@ -288,7 +288,7 @@ class Audit(IssuerMiddleware):
     """Append-only issuance audit trail, stack-level.
 
     Mirrors the per-service ``TokenService.audit_log`` but sits at the top of
-    a composed stack, so sharded/replicated deployments get one merged trail.
+    a composed stack, so replicated deployments get one merged trail.
     Entries are ``(request description, outcome)`` where outcome is
     ``"issued"`` or the stable error-code value.
     """

@@ -3,8 +3,7 @@
 SMACS presents the Token Service as *one* service interface (§IV): clients
 submit token requests, the TS checks its Access Control Rules and signs.
 :class:`TokenIssuer` is that interface as a structural protocol -- the serial
-:class:`~repro.core.token_service.TokenService`, the sharded
-:class:`~repro.core.batch_service.BatchTokenService`, the Raft-backed
+:class:`~repro.core.token_service.TokenService`, the Raft-backed
 :class:`~repro.core.replication.ReplicatedTokenService`, every middleware
 wrapper in :mod:`repro.api.middleware` and the wire-level
 :class:`~repro.api.gateway.GatewayClient` all satisfy it, so consumers

@@ -28,11 +28,6 @@ from repro.core.acr import (
 )
 from repro.core.errors import ErrorCode, SmacsError
 from repro.core.token_service import IssuanceResult, TokenService, TokenDenied
-from repro.core.batch_service import (
-    BatchTokenService,
-    IndexBlockAllocator,
-    ShardCounter,
-)
 from repro.core.smacs_contract import SMACSContract, smacs_protected
 from repro.core.call_chain import TokenBundle
 from repro.core.wallet import ClientWallet, OwnerWallet
@@ -49,9 +44,6 @@ __all__ = [
     "SmacsError",
     "ErrorCode",
     "IssuanceResult",
-    "BatchTokenService",
-    "IndexBlockAllocator",
-    "ShardCounter",
     "OneTimeBitmap",
     "ONE_TIME_UNSET",
     "SMACSContract",

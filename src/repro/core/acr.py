@@ -291,10 +291,10 @@ class RuleSet:
     def load_config(self, config: Mapping[str, Any]) -> None:
         """Replace the config-expressible rules in place from a Fig. 6 config.
 
-        In place, not by swapping the object: sharded and replicated front
-        ends share one ``RuleSet`` by reference, so the wire-level rule
+        In place, not by swapping the object: a replicated front end's
+        replicas share one ``RuleSet`` by reference, so the wire-level rule
         replacement of the service gateway must mutate the shared instance
-        for every shard/replica to observe the update.
+        for every replica to observe the update.
 
         Only the whitelist/blacklist/argument rules the config can express
         are replaced; programmatic rules (:class:`PredicateRule`,

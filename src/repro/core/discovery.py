@@ -7,8 +7,8 @@ discovery registry resolves a contract address to a live issuer by reading
 that slot and looking the URL up in its directory of known services.
 
 The directory holds :class:`~repro.api.protocol.TokenIssuer` stacks, not a
-concrete service class: a serial ``TokenService``, a sharded or replicated
-stack from :func:`repro.api.factory.build_service`, or a wire-level
+concrete service class: a serial ``TokenService``, a replicated stack
+from :func:`repro.api.factory.build_service`, or a wire-level
 :class:`~repro.api.gateway.GatewayClient` all publish and resolve the same
 way (the URL a gateway client was built for is naturally the route it
 answers under).

@@ -154,8 +154,8 @@ class TokenService:
         self.counter = counter if counter is not None else _LocalCounter()
         # Optional memo for the deterministic token signature (see
         # repro.crypto.sigcache).  Left off by default so the single-service
-        # Fig. 9 numbers keep measuring the raw signing cost; the batched
-        # pipeline turns it on.
+        # Fig. 9 numbers keep measuring the raw signing cost; a deployment
+        # that serves replays hands one in.
         self.signature_cache = signature_cache
         self.storage_path = os.fspath(storage_path) if storage_path else None
         self.label = label
@@ -402,11 +402,6 @@ class TokenService:
         if self.storage_path:
             self._save_state()
 
-    def replace_rules(self, rules: RuleSet) -> None:
-        self.rules = rules
-        if self.storage_path:
-            self._save_state()
-
     def set_token_lifetime(self, seconds: int) -> None:
         if seconds <= 0:
             raise ValueError("token lifetime must be positive")
@@ -436,6 +431,9 @@ class TokenService:
     # -- persistence (node-localStorage substitute) ----------------------------------------------
 
     def _save_state(self) -> None:
+        """Checkpoint atomically: a sibling temporary file is written and
+        fsync'd, then renamed over the checkpoint, so a write that fails
+        part-way leaves the previous checkpoint whole."""
         state = {
             "label": self.label,
             "token_lifetime": self.token_lifetime,
@@ -445,8 +443,12 @@ class TokenService:
             "rules": self.rules.to_config(),
             "ts_address": self.address_hex,
         }
-        with open(self.storage_path, "w", encoding="utf-8") as handle:
+        temporary = self.storage_path + ".tmp"
+        with open(temporary, "w", encoding="utf-8") as handle:
             json.dump(state, handle, indent=2, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, self.storage_path)
 
     def _load_state(self) -> None:
         with open(self.storage_path, "r", encoding="utf-8") as handle:

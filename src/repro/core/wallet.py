@@ -14,8 +14,8 @@ The :class:`OwnerWallet` adds the owner-side operations: deploying a
 SMACS-enabled contract preloaded with the TS address, and managing rules.
 
 Both wallets are written against the :class:`~repro.api.protocol.TokenIssuer`
-protocol, not a concrete service class: a serial ``TokenService``, a sharded
-``BatchTokenService``, a ``ReplicatedTokenService``, any middleware stack
+protocol, not a concrete service class: a serial ``TokenService``, a
+``ReplicatedTokenService``, any middleware stack
 from :func:`repro.api.factory.build_service` or a wire-level
 :class:`~repro.api.gateway.GatewayClient` all plug in unchanged.  Token
 acquisition goes through the protocol's batch path (``submit``), with the

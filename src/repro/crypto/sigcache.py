@@ -56,11 +56,12 @@ Gas accounting is unaffected: the on-chain verifier still charges the full
 ``ecrecover`` precompile cost on every call (the cache models a node-level
 optimisation, not a protocol change).
 
-One process-wide :data:`DEFAULT_SIGNATURE_CACHE` is shared by default between
-the :class:`~repro.core.batch_service.BatchTokenService` issuance path and
-the execution engine's verifier path
-(:func:`repro.chain.precompiles.ecrecover_matches`); both accept a private instance
-for isolated measurements.
+One process-wide :data:`DEFAULT_SIGNATURE_CACHE` is the execution engine's
+default for its verifier path
+(:func:`repro.chain.precompiles.ecrecover_matches`); a
+:class:`~repro.core.token_service.TokenService` handed the same instance
+warms that path as it issues.  Both accept a private instance for isolated
+measurements.
 """
 
 from collections import OrderedDict

@@ -111,7 +111,7 @@ def submit_mix(issuer: "TokenIssuer", mix: ScenarioMix) -> "list[IssuanceResult]
     Each pre-materialised batch becomes one protocol submission (one
     front-end session overhead per batch), against whatever
     :class:`~repro.api.protocol.TokenIssuer` is supplied -- a serial service,
-    a sharded/replicated stack from ``build_service`` or a gateway client.
+    a replicated stack from ``build_service`` or a gateway client.
     Results come back flattened, in request order, failures carried inside.
     """
     results: "list[IssuanceResult]" = []

@@ -75,6 +75,17 @@ def test_truncated_and_padded_binary_envelopes_are_malformed():
         assert failure.value.code is ErrorCode.MALFORMED_REQUEST
 
 
+def test_json_lane_refuses_a_lone_surrogate_the_binary_lane_could_not_carry():
+    paired = codec.encode_request_envelope("submit", "r", {"s": "\U00010000"})
+    assert b"\\ud800\\udc00" in paired
+    assert codec.decode_request_full(paired).body == {"s": "\U00010000"}
+    for lone in (paired.replace(b"\\ud800", b""), paired.replace(b"\\udc00", b"")):
+        for decode in (codec.decode_request_full, codec.decode_response_envelope):
+            with pytest.raises(SmacsError) as failure:
+                decode(lone)
+            assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+
+
 # --- round-trip properties ----------------------------------------------------------
 
 
@@ -274,6 +285,9 @@ def _other(lane: str) -> str:
 @given(raw=envelopes, steps=mutations)
 @example(raw=b'{"smacs": 1, "ok": true, "body": 0}', steps=[("nest", 0.95, b"\x02", 3000)])  # "["
 @example(raw=_issuance_envelopes()[3], steps=[("nest", 0.25, b"\x00", 3000)])  # binary, lists
+@example(  # the deletion leaves "\udc00" unpaired: a lone surrogate
+    raw=codec.encode_response_envelope({"payload": ["\U00010000"]}), steps=[("delete", 0.37, b"\x00", 1)]
+)
 @settings(max_examples=300, deadline=None)
 def test_decoding_a_fuzzed_envelope_returns_or_raises_a_stable_code(raw, steps):
     raw = _mutate(raw, steps)

@@ -226,12 +226,10 @@ def test_client_update_rules_retries_past_a_conflict(gateway, client, alice, bob
 
 def test_wallet_through_gateway_client_verifies_on_chain(chain, owner, alice):
     service = build_service(
-        "sharded",
+        "serial",
         keypair=KeyPair.from_seed("gateway-e2e-ts"),
         rules=RuleSet(),
         clock=chain.clock,
-        shards=2,
-        index_block_size=8,
     )
     gateway = ServiceGateway()
     gateway.register(ROUTE, service)

@@ -247,7 +247,7 @@ def test_factory_validates_inputs(chain):
 
 
 def test_factory_signature_cache_is_primed_by_issuance(chain, recorder, alice):
-    for profile in ("serial", "sharded", "replicated"):
+    for profile in ("serial", "replicated"):
         cache = SignatureCache()
         stack = build_service(
             profile,

@@ -1,7 +1,7 @@
 """Protocol conformance: one suite, every issuer stack.
 
 The acceptance bar for the unified API: the same requests produce the same
-decisions through the serial, sharded and replicated stacks -- and through
+decisions through the serial, cached and replicated stacks -- and through
 the wire-level gateway clients wrapping them -- with one-time indexes unique
 per stack, batch submissions that never raise mid-batch, and tokens that
 verify on-chain regardless of which stack signed them.
@@ -33,10 +33,13 @@ from repro.core.acr import RuleSet, WhitelistRule
 from repro.core.replication import ReplicatedTokenService
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
+from repro.crypto.sigcache import SignatureCache
 
 STACKS = [
     "serial",
-    "sharded",
+    # The memo path: a serial service issuing through a private signature
+    # cache, so every cell also runs the cached issuance pass.
+    "serial-cached",
     "replicated",
     "gateway-serial",
     "gateway-replicated",
@@ -68,8 +71,6 @@ def _build_stack(name: str, *, keypair, rules, clock, cleanups=None) -> TokenIss
         keypair=keypair,
         rules=rules,
         clock=clock,
-        shards=4,
-        index_block_size=8,
         replica_count=3,
         seed=29,
     )
@@ -120,6 +121,8 @@ def _build_stack(name: str, *, keypair, rules, clock, cleanups=None) -> TokenIss
             cleanups.append(client.close)
             cleanups.append(server.close)
         return client
+    if name == "serial-cached":
+        return build_service("serial", signature_cache=SignatureCache(), **kwargs)
     return build_service(name, **kwargs)
 
 
@@ -366,15 +369,14 @@ def test_update_rules_signatures_are_uniformly_typed():
     import inspect
     import typing
 
-    from repro.core.batch_service import BatchTokenService
     from repro.core.token_service import TokenService
 
-    for cls in (TokenService, BatchTokenService, ReplicatedTokenService):
+    for cls in (TokenService, ReplicatedTokenService):
         hints = typing.get_type_hints(cls.update_rules)
         assert hints["mutate"] == typing.Callable[[RuleSet], None], cls
         assert hints["return"] is type(None), cls
 
-    stats_hints = typing.get_type_hints(BatchTokenService.stats)
+    stats_hints = typing.get_type_hints(ReplicatedTokenService.stats)
     assert stats_hints["return"] == dict[str, typing.Any]
-    assert inspect.signature(BatchTokenService.submit).parameters.keys() == \
+    assert inspect.signature(ReplicatedTokenService.submit).parameters.keys() == \
         inspect.signature(TokenService.submit).parameters.keys()

@@ -343,7 +343,7 @@ def test_the_read_loop_sheds_while_the_dispatch_thread_is_busy():
 def test_concurrent_wire_clients_share_one_issuing_thread():
     admission = AdmissionController(target_delay_s=60.0)
     gateway = ServiceGateway(admission=admission)
-    issuer = _RecordingIssuer(build_service("sharded", rules=RuleSet()))
+    issuer = _RecordingIssuer(build_service("serial", rules=RuleSet()))
     gateway.register(ROUTE, issuer)
     indexes: list[int] = []
 

@@ -34,7 +34,7 @@ def _deploy_for(owner, issuer, url):
     return receipt.return_value
 
 
-@pytest.mark.parametrize("profile", ["serial", "sharded", "replicated"])
+@pytest.mark.parametrize("profile", ["serial", "replicated"])
 def test_discovery_resolves_every_issuer_profile(chain, owner, alice, discovery, profile):
     url = f"https://{profile}.ts.example.org"
     issuer = build_service(
@@ -42,7 +42,6 @@ def test_discovery_resolves_every_issuer_profile(chain, owner, alice, discovery,
         keypair=KeyPair.from_seed(f"disc-{profile}"),
         rules=RuleSet(),
         clock=chain.clock,
-        index_block_size=8,
     )
     assert conforms(issuer)
     discovery.publish(url, issuer)
@@ -64,11 +63,10 @@ def test_discovery_resolves_gateway_clients(chain, owner, alice, discovery):
     hands back a wire-level client and the wallet cannot tell the difference."""
     url = "https://gw.ts.example.org"
     issuer = build_service(
-        "sharded",
+        "serial",
         keypair=KeyPair.from_seed("disc-gateway"),
         rules=RuleSet(),
         clock=chain.clock,
-        index_block_size=8,
     )
     gateway = ServiceGateway()
     gateway.register(url, issuer)

@@ -155,12 +155,11 @@ def test_address_is_normalized_across_issuers(chain, replicated_ts):
     import typing
 
     from repro.chain.address import Address, is_address
-    from repro.core.batch_service import BatchTokenService
     from repro.core.token_service import TokenService
 
     assert is_address(replicated_ts.address)
     assert replicated_ts.address_hex == "0x" + replicated_ts.address.hex()
-    for cls in (TokenService, BatchTokenService, ReplicatedTokenService):
+    for cls in (TokenService, ReplicatedTokenService):
         hints = typing.get_type_hints(cls.address.fget)
         assert hints["return"] is Address, cls
     # The value itself is what contracts get preloaded with.

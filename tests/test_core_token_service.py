@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import issue_one, try_issue_one
 from repro.chain.clock import SimulatedClock
+from repro.contracts.protected_target import ProtectedRecorder
 from repro.core.acr import RuleSet, WhitelistRule
 from repro.core.errors import ErrorCode, SmacsError
 from repro.core.token import ONE_TIME_UNSET, TokenType
@@ -19,6 +20,7 @@ from repro.core.token_service import (
     build_fig6_ruleset,
     session_message,
 )
+from repro.core.wallet import OwnerWallet
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
@@ -180,6 +182,12 @@ def test_single_request_tokens_are_byte_identical_to_the_per_token_path(cache):
     # The same three requests in one envelope: same bytes, one take.
     service.counter.restore(41)
     assert [r.token.to_bytes().hex() for r in service.submit(requests)] == tokens
+    # A repeated reusable request: with a cache it is the memoised token (a
+    # hit), and a memoised token is the uncached bytes above.
+    hits = service.signature_cache.hits if cache else 0
+    assert service.submit(requests[1])[0].token.to_bytes().hex() == tokens[1]
+    if cache:
+        assert service.signature_cache.hits == hits + 1
 
 
 @pytest.mark.parametrize("cache", [None, SignatureCache], ids=["no-cache", "cache"])
@@ -364,6 +372,56 @@ def test_an_envelope_signs_its_reusable_misses_in_one_block(keccak_permutations,
         assert cache.peek_recovery(digest, token.signature) == service.address
 
 
+def test_duplicate_requests_reuse_the_cached_token(clock):
+    cache = SignatureCache()
+    service = TokenService(keypair=KeyPair.from_seed("ts-key"), clock=clock, signature_cache=cache)
+    request = TokenRequest.method_token(CONTRACT, ALICE, "submit")
+    first, second = service.submit([request, request])
+    assert first.token.to_bytes() == second.token.to_bytes()
+    assert cache.hits > 0
+
+
+def test_memoised_token_is_identical_to_uncached_issuance(clock):
+    plain = TokenService(keypair=KeyPair.from_seed("ts-key"), clock=clock)
+    cached = TokenService(
+        keypair=KeyPair.from_seed("ts-key"), clock=clock, signature_cache=SignatureCache()
+    )
+    request = TokenRequest.method_token(CONTRACT, ALICE, "submit")
+    issue_one(cached, request)  # the second issuance is served from the memo
+    memoised = issue_one(cached, request)
+    assert cached.signature_cache.hits == 1
+    assert issue_one(plain, request).to_bytes() == memoised.to_bytes()
+
+
+def test_clock_advance_invalidates_the_token_memo(clock):
+    service = TokenService(
+        keypair=KeyPair.from_seed("ts-key"), clock=clock, signature_cache=SignatureCache()
+    )
+    request = TokenRequest.method_token(CONTRACT, ALICE, "submit")
+    before = issue_one(service, request)
+    clock.advance(60)
+    after = issue_one(service, request)
+    assert after.expire == before.expire + 60
+    assert after.to_bytes() != before.to_bytes()
+    assert service.signature_cache.hits == 0
+
+
+def test_memoised_duplicate_reusable_tokens_all_verify_on_chain(chain, owner, alice):
+    service = TokenService(
+        keypair=KeyPair.from_seed("ts-onchain"), clock=chain.clock,
+        signature_cache=SignatureCache(),
+    )
+    recorder = OwnerWallet(owner, service).deploy_protected(
+        ProtectedRecorder, one_time_bitmap_bits=256
+    ).return_value
+    request = TokenRequest.method_token(recorder.this, alice.address, "submit")
+    results = service.submit([request] * 3) + service.submit(request)
+    assert service.signature_cache.hits == 3
+    for result in results:  # memoised signatures, still accepted by Alg. 1
+        receipt = alice.transact(recorder, "submit", 7, token=result.token.to_bytes())
+        assert receipt.success, receipt.error
+
+
 # --- submit staged into the envelope's kernels: its definition is the oracle ----------
 
 
@@ -399,6 +457,7 @@ _SUBMISSIONS = {
         TokenRequest.method_token(CONTRACT, EVE, "submit"),
         TokenRequest.super_token(CONTRACT, EVE, one_time=True),
     ],
+    "one-time-repeats": [TokenRequest.method_token(CONTRACT, ALICE, "submit", one_time=True)] * 10,
     "empty": [],
 }
 
@@ -408,10 +467,14 @@ _SUBMISSIONS = {
 def test_staged_submit_equals_its_definition(cache, requests):
     staged, defined = _twin_services(cache)
     for _ in range(2):  # cold, then with every reusable token memoized
-        assert [_outcome(r) for r in staged.submit(requests)] == [
+        results = staged.submit(requests)
+        assert [_outcome(r) for r in results] == [
             _outcome(r) for r in _by_definition(defined, requests)
         ]
         assert _service_books(staged) == _service_books(defined)
+        # One-time duplicates are never memoised: each gets its own index.
+        indexes = [r.token.index for r in results if r.issued and r.request.one_time]
+        assert len(set(indexes)) == len(indexes)
     if cache:
         # The session rode the envelope's kernels and left nothing behind.
         held = staged.signature_cache
@@ -554,6 +617,30 @@ def test_persistence_roundtrip(tmp_path, clock):
     assert not try_issue_one(restarted, TokenRequest.super_token(CONTRACT, EVE)).issued
 
 
+def test_a_checkpoint_write_that_fails_part_way_leaves_the_previous_one(tmp_path, clock):
+    """A disk that fills mid-write must leave the previous checkpoint
+    loadable: one truncated in place fails the restart on half a JSON file."""
+    import errno
+    import json
+
+    path = tmp_path / "ts-state.json"
+    service = TokenService(keypair=KeyPair.from_seed("k"), clock=clock, storage_path=path)
+    one_time = TokenRequest.method_token(CONTRACT, ALICE, "m", one_time=True)
+    for _ in range(3):
+        issue_one(service, one_time)
+
+    def disk_full(state, handle, **kwargs):
+        handle.write(json.dumps(state)[:20])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with mock.patch("repro.core.token_service.json.dump", side_effect=disk_full):
+        with pytest.raises(OSError):
+            service.submit(one_time)
+    restarted = TokenService(keypair=KeyPair.from_seed("k"), clock=clock, storage_path=path)
+    assert restarted.counter.value == 3
+    assert issue_one(restarted, one_time).index == 3
+
+
 def test_build_fig6_ruleset_helper():
     rules = build_fig6_ruleset(
         [ALICE],
@@ -632,20 +719,6 @@ def test_a_second_thread_waits_for_the_submission_in_flight(clock):
     assert [r.token.index for r in first] == [0, 1, 2]
     assert [r.token.index for r in second] == [3, 4, 5]
     assert service.issued_count == 6 and len(service.audit_log()) == 6
-
-
-def test_a_second_thread_waits_for_the_batch_in_flight(clock):
-    from repro.core import BatchTokenService
-
-    service = BatchTokenService(
-        keypair=KeyPair.from_seed("ts-key"), clock=clock, shards=2,
-        signature_cache=SignatureCache(),
-    )
-    counter = service.shards[0].counter = _GatedCounter(service.shards[0].counter)
-    first, second = _two_submissions(service.submit, counter)
-    assert counter.most_inside == 1
-    assert service.batches_processed == 2 and service.issued_count == 6
-    assert len({r.token.index for r in first + second if r.issued}) == len(first + second)
 
 
 def test_a_second_thread_waits_for_the_replica_in_flight(clock):

@@ -85,7 +85,7 @@ def test_submit_mix_drives_any_issuer_stack():
         CONTRACTS[0], CLIENTS, unique_requests=4, replays_per_request=4,
         batch_size=8, seed=9,
     )
-    for profile in ("serial", "sharded"):
+    for profile in ("serial", "replicated"):
         issuer = build_service(profile, keypair=KeyPair.from_seed("scenario-ts"))
         results = submit_mix(issuer, mix)
         assert len(results) == mix.total_requests
