@@ -13,7 +13,8 @@ times the primitives that path is built from:
   ``generator_multiply_batch``, the curve half of it, per scalar;
 * ``sign pair``        -- ``sign_batch`` on two digests beside two ``sign``
   calls over the same digests: the crossover's other side;
-* ``verify``           -- the GLV four-stream dual-scalar ladder;
+* ``verify``           -- ``u1*G + u2*Q`` on the one ladder: G's window
+  points plus Q's GLV-split wNAF digits, Q's one-base table built per call;
 * ``recover``          -- one-pass ``Q = (s*r^-1)*R + (-z*r^-1)*G`` on that
   same ladder;
 * ``recover_reference``-- the seed's three-multiplication recovery (kept as

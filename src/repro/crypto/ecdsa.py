@@ -14,10 +14,10 @@ This module provides:
   (:func:`~repro.crypto.secp256k1.generator_multiply_batch`), plus one for
   the nonces.  What a Token Service envelope runs; a block of one is
   :func:`sign`.
-* :func:`verify` -- signature verification against a public key, through the
-  GLV dual-scalar ladder and rejecting high-s signatures (EIP-2).
+* :func:`verify` -- signature verification against a public key, rejecting
+  high-s signatures (EIP-2).
 * :func:`recover` -- public-key recovery from a signature (``ecrecover``)
-  computing ``Q = (s*r^-1)*R + (-z*r^-1)*G`` in one pass of that same ladder.
+  computing ``Q = (s*r^-1)*R + (-z*r^-1)*G`` in one ladder.
 * :func:`recover_batch` -- :func:`recover` per pair, ``None`` where it
   raises (a recovery's doublings are sequential: a block shares nothing
   worth a kernel of its own).
@@ -30,6 +30,11 @@ This module provides:
   table through the same helper, its own high-s / mod-N rules intact.
 * :func:`recover_reference` -- the seed's three-multiplication recovery,
   kept as the reference for differential tests and the microbench gate.
+
+Every ``u1*G + u2*Q`` above is one
+:func:`~repro.crypto.secp256k1.shamir_multiply`: G's window-table points plus
+Q's digit events, summed by one ladder, whether Q arrives as a point (its
+one-base table built on the spot) or as a known key's four-base table.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from repro.crypto.secp256k1 import (
     lift_x,
     point_multiply_reference,
     shamir_multiply,
-    shamir_multiply_prepared,
 )
 
 _HALF_N = N >> 1
@@ -189,8 +193,8 @@ def _nonce_point(
 ) -> Point:
     """``(z/s)*G + (r/s)*Q``: where a signature by ``Q`` over ``z`` puts its nonce.
 
-    ``Q`` arrives as a :class:`Point` (the GLV ladder, eight odd multiples
-    built on the spot) or as the table :func:`prepare_point` made of it.
+    ``Q`` arrives as a :class:`Point` (its one-base table built on the spot)
+    or as the table :func:`prepare_point` made of it; either way one ladder.
     The identity for a key at infinity: no signature is by it.
     """
     if public_key == secp256k1.INFINITY or public_key == ():
@@ -201,9 +205,7 @@ def _nonce_point(
         return secp256k1.INFINITY
     u1 = int.from_bytes(digest, "big") * s_inv % N
     u2 = signature.r * s_inv % N
-    if isinstance(public_key, Point):
-        return shamir_multiply(u1, u2, public_key)
-    return shamir_multiply_prepared(u1, u2, public_key)
+    return shamir_multiply(u1, u2, public_key)
 
 
 def verify(
@@ -211,9 +213,9 @@ def verify(
 ) -> bool:
     """Verify a signature against a known public key.
 
-    Routes through the GLV dual-scalar ladder -- or, for a key passed as its
-    :func:`~repro.crypto.secp256k1.prepare_point` table, the split-exponent
-    one -- and rejects high-s signatures (EIP-2), matching the canonical
+    Runs one ladder against the key -- a point, or its
+    :func:`~repro.crypto.secp256k1.prepare_point` table (32 doublings, not
+    128) -- and rejects high-s signatures (EIP-2), matching the canonical
     form :func:`sign` emits: a mauled ``(r, N - s)`` variant of a valid
     signature is refused even though classic ECDSA would accept it.
     """
@@ -262,9 +264,9 @@ def _recovery_point(signature: Signature) -> Point:
 def recover(digest: bytes, signature: Signature) -> Point:
     """Recover the signing public key from a signature (``ecrecover``).
 
-    One pass: ``Q = (s*r^-1)*R + (-z*r^-1)*G`` evaluated in the GLV
-    four-stream ladder (~128 shared doublings), instead of the three full
-    scalar multiplications of the textbook formulation.  Raises
+    One pass: ``Q = (s*r^-1)*R + (-z*r^-1)*G`` is R's GLV-split digits and
+    G's window points on one ladder (~128 shared doublings), instead of the
+    three full scalar multiplications of the textbook formulation.  Raises
     :class:`SignatureError` when no valid key can be recovered.
     """
     if len(digest) != 32:

@@ -14,11 +14,10 @@ from functools import lru_cache
 from repro.crypto.ecdsa import Signature, recover, recover_batch, sign, sign_batch, verify
 from repro.crypto.keccak import keccak256
 from repro.crypto.secp256k1 import (
-    GENERATOR,
     N,
     Point,
     PreparedPoint,
-    point_multiply,
+    generator_multiply,
     prepare_point,
 )
 
@@ -106,7 +105,7 @@ class PrivateKey:
         return self.secret.to_bytes(32, "big")
 
     def public_key(self) -> PublicKey:
-        return PublicKey(point_multiply(GENERATOR, self.secret))
+        return PublicKey(generator_multiply(self.secret))
 
     def sign(self, digest: bytes) -> Signature:
         return sign(digest, self.secret)

@@ -4,26 +4,30 @@ Ethereum signatures (and therefore SMACS tokens) live on the secp256k1 curve
 
     y^2 = x^3 + 7  over  F_p,  p = 2^256 - 2^32 - 977
 
-This module implements point addition, doubling and scalar multiplication in
-Jacobian coordinates, with two layers:
+Every fast scalar multiplication here is a *sum of affine table points*, each
+filed at the height (the number of doublings) it still needs, built from four
+pieces:
 
-* a **fast path** used by signing and verification: a fixed-base 8-bit
-  signed-window table for the generator (``k * G`` during signing: at most 33
-  mixed additions, no doublings -- and, for a block of scalars, the same 33
-  table points per scalar added *affine* as balanced trees with one shared
-  field inversion per tree level, :func:`generator_multiply_batch`: 6 field
-  multiplications an addition instead of 11), width-w non-adjacent-form
-  (wNAF) recoding with precomputed odd multiples of ``G`` and an on-the-fly
-  odd-multiples table for arbitrary points, one GLV four-stream ladder for
-  ``u1*G + u2*P`` (both scalars split by the curve endomorphism, so a single
-  pass of ~128 doublings serves verification, recovery and batch recovery
-  alike), a split-exponent table for a point that is known to come back
-  (:func:`prepare_point` / :func:`multiply_prepared`: four bases 32 doublings
-  apart, so ``u2*Q`` for a known key rides 32 shared doublings instead of
-  128), and a Montgomery batch inversion that converts many Jacobian
-  results to affine with a single field inversion; and
-* a **reference path** (:func:`point_multiply_reference`, the naive
-  double-and-add :func:`_jacobian_multiply`) kept deliberately simple so the
+* **one recoder** per kind of base.  ``k * G`` is at most 33 points of a
+  fixed-base signed-window table, all at height 0
+  (:func:`_generator_window_points`).  ``k * Q`` is GLV-split, each half
+  wNAF-recoded, and every nonzero digit filed at its height under the base of
+  Q's split-exponent table it belongs to (:func:`_digit_events` against
+  :func:`prepare_point`: one base for a point seen once, built on the spot;
+  four bases for a key known to come back, so its digits need 32 doublings
+  instead of 128);
+* **one ladder**, :func:`_ladder`: one doubling a height, one mixed addition a
+  point.  ``u1*G + u2*Q`` -- verification, recovery, the known-key check --
+  is G's window points plus Q's digit events in one call
+  (:func:`shamir_multiply`), ``k * G`` is the window points alone
+  (:func:`generator_multiply`) and ``k * P`` is Q's events alone;
+* **the affine tree** for a block of ``k * G``: the same window points added
+  affine as balanced trees in lockstep, one shared field inversion per tree
+  level (:func:`generator_multiply_batch`: 6 field multiplications an
+  addition instead of 11), plus the Montgomery batch inversion both it and
+  the table builders use; and
+* **the oracle**: the naive double-and-add :func:`_jacobian_multiply`
+  (:func:`point_multiply_reference`), kept deliberately simple so the
   differential tests can check every fast-path result against it.
 
 Intermediate points produced by the fast path skip the curve-membership check
@@ -50,11 +54,13 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 class Point:
     """An affine point on secp256k1.  ``Point(None, None)`` is the identity.
 
-    Constructing a ``Point`` directly validates curve membership -- this is
-    the trust boundary for coordinates arriving from outside (deserialised
-    public keys, test vectors).  Internal arithmetic uses
-    :func:`_point_unchecked`, which skips the check: the group operations are
-    closed, so results of curve math are on the curve by construction.
+    Constructing a ``Point`` directly validates it -- both coordinates
+    reduced (``0 <= x, y < P``, so a point has one encoding) and on the
+    curve, or exactly ``(None, None)`` -- this is the trust boundary for
+    coordinates arriving from outside (deserialised public keys, test
+    vectors).  Internal arithmetic uses :func:`_point_unchecked`, which skips
+    the check: the group operations are closed and reduce modulo P, so
+    results of curve math are valid by construction.
     """
 
     x: int | None
@@ -64,9 +70,9 @@ class Point:
         return self.x is None
 
     def __post_init__(self) -> None:
-        if self.x is None:
+        if self.x is None and self.y is None:
             return
-        if not is_on_curve(self.x, self.y):
+        if self.x is None or not is_on_curve(self.x, self.y):
             raise ValueError("point is not on secp256k1")
 
 
@@ -83,8 +89,9 @@ def _point_unchecked(x: int, y: int) -> Point:
 
 
 def is_on_curve(x: int, y: int | None) -> bool:
-    """Return True iff (x, y) satisfies the secp256k1 curve equation."""
-    if y is None:
+    """Return True iff (x, y) are reduced field elements satisfying the
+    secp256k1 curve equation."""
+    if y is None or not (0 <= x < P and 0 <= y < P):
         return False
     return (y * y - x * x * x - B) % P == 0
 
@@ -223,10 +230,10 @@ def _jacobian_add(
 def _jacobian_multiply(
     jac: tuple[int, int, int], scalar: int
 ) -> tuple[int, int, int]:
-    """Naive double-and-add scalar multiplication (left-to-right).
+    """Naive double-and-add scalar multiplication (right-to-left).
 
-    This is the reference ladder: the wNAF fast path below is checked
-    against it by the differential test suite.
+    This is the oracle: the ladder below is checked against it by the
+    differential test suite.
     """
     scalar %= N
     result = _J_INFINITY
@@ -245,9 +252,9 @@ def _jacobian_add_mixed(
     """Add an affine point (implicit z = 1) to a Jacobian point.
 
     With ``z2 == 1`` the ``z2^2``/``z2^3`` scalings of the general formula
-    vanish: 11 field multiplications instead of 16.  Table lookups in the
-    wNAF ladders are affine (normalised once, or once per batch), so every
-    digit addition takes this cheaper path.
+    vanish: 11 field multiplications instead of 16.  Every table is affine
+    (normalised once, or once per build), so every addition of the ladder
+    takes this cheaper path.
     """
     if p[2] == 0:
         return (q[0], q[1], 1)
@@ -271,16 +278,18 @@ def _jacobian_add_mixed(
     return (nx, ny, nz)
 
 
-# --- wNAF recoding and odd-multiples tables --------------------------------
+# --- One recoder, one ladder ------------------------------------------------
 #
 # Width-w non-adjacent form rewrites a scalar as a sequence of digits that
 # are either zero or odd with |digit| < 2^(w-1); at most one digit in any w
 # consecutive positions is nonzero, so an n-bit scalar costs n doublings but
 # only ~n/(w+1) additions.  Negative digits are free on an elliptic curve
-# (negate the y coordinate), which is where wNAF beats a plain window.
+# (negate the y coordinate), which is where wNAF beats a plain window.  A
+# digit d at position i is the table point |d| * B (y flipped when d < 0)
+# still owing i doublings; the ladder pays those doublings once for all
+# points at the same height.
 
-_WNAF_WIDTH_FIXED = 8  # generator: 64 precomputed odd multiples (affine)
-_WNAF_WIDTH_VAR = 5  # arbitrary points: 8 odd multiples built per call
+_WNAF_WIDTH = 5  # 8 odd multiples per table base
 
 
 def _wnaf(scalar: int, width: int) -> list[int]:
@@ -324,122 +333,19 @@ def _build_odd_multiples(
     return table
 
 
-def _jacobian_multiply_wnaf(
-    jac: tuple[int, int, int], scalar: int
-) -> tuple[int, int, int]:
-    """wNAF scalar multiplication for an arbitrary point."""
-    scalar %= N
-    if scalar == 0 or jac[2] == 0:
-        return _J_INFINITY
-    digits = _wnaf(scalar, _WNAF_WIDTH_VAR)
-    table = _build_odd_multiples(jac, 1 << (_WNAF_WIDTH_VAR - 2))
-    double, add = _jacobian_double, _jacobian_add
-    result = _J_INFINITY
-    for i in range(len(digits) - 1, -1, -1):
-        result = double(result)
-        digit = digits[i]
-        if digit:
-            if digit > 0:
-                result = add(result, table[digit >> 1])
-            else:
-                x, y, z = table[(-digit) >> 1]
-                result = add(result, (x, P - y, z))
-    return result
+def _ladder(events: list[list[tuple[int, int]]]) -> tuple[int, int, int]:
+    """The sum of ``2^h * p`` over every affine point ``p`` in ``events[h]``.
 
-
-def affine_odd_multiples_batch(
-    points: list[Point],
-) -> list[list[tuple[int, int]]]:
-    """Width-5 odd-multiples tables for many points, affine via one inversion.
-
-    Builds every table in Jacobian coordinates, then normalises all entries
-    of all tables with a single shared Montgomery batch inversion -- the
-    per-point table cost of :func:`shamir_multiply`.
+    Top height first: one doubling a height, shared by every point, and one
+    mixed addition a point (exceptional pairs included).  ``[points]`` --
+    height 0 alone -- is a plain sum that doubles nothing but the identity.
     """
-    count = 1 << (_WNAF_WIDTH_VAR - 2)
-    flat: list[tuple[int, int, int]] = []
-    for point in points:
-        flat.extend(_build_odd_multiples((point.x, point.y, 1), count))
-    affine = jacobian_to_affine_batch(flat)
-    return [
-        [(p.x, p.y) for p in affine[i * count:(i + 1) * count]]
-        for i in range(len(points))
-    ]
-
-
-def _jacobian_shamir_glv(
-    u1: int, u2: int, table_r: list[tuple[int, int]]
-) -> tuple[int, int, int]:
-    """``u1*G + u2*R`` with both scalars GLV-split: the one dual-scalar kernel.
-
-    ``table_r`` is R's affine odd-multiples table (from
-    :func:`affine_odd_multiples_batch`; empty for the point at infinity).
-    Each 256-bit scalar splits into two ~128-bit halves against
-    (G, lambda*G) and (R, lambda*R), so the joint ladder runs ~128 doublings
-    instead of 256 and every digit addition is a mixed (affine) addition.
-    Verification, single recovery and batch recovery all end here; the
-    saving is the endomorphism's, so it is the same at batch size 1.
-    """
-    g1, g2 = _glv_split(u1 % N)
-    k1, k2 = _glv_split(u2 % N)
-    streams: list[tuple[list[int], list[tuple[int, int]]]] = []
-    for scalar, width, table in (
-        (g1, _WNAF_WIDTH_FIXED, _G_ODD_AFFINE),
-        (g2, _WNAF_WIDTH_FIXED, _LAMBDA_G_ODD_AFFINE),
-        (k1, _WNAF_WIDTH_VAR, table_r),
-        (k2, _WNAF_WIDTH_VAR, apply_endomorphism(table_r)),
-    ):
-        if scalar and table:
-            naf = _wnaf(abs(scalar), width)
-            # A negative half negates its digits, not its table: -d * P is
-            # the table point for |d| with y flipped, which the ladder does
-            # per addition anyway.
-            streams.append(([-d for d in naf] if scalar < 0 else naf, table))
-    return _jacobian_multi_wnaf_affine(streams)
-
-
-def _jacobian_multi_wnaf_affine(
-    streams: list[tuple[list[int], list[tuple[int, int]]]],
-) -> tuple[int, int, int]:
-    """Sum of ``k_i * P_i`` over several wNAF digit streams, one joint ladder.
-
-    Every stream pairs its NAF digits with an *affine* odd-multiples table,
-    so all digit additions are mixed additions; the doublings are shared by
-    all streams: four ~128-bit streams (G, lambda*G, R, lambda*R after the
-    GLV split) replace two 256-bit ones, halving the doublings.
-
-    The digit streams are resolved to per-step addition events up front --
-    wNAF digits are sparse (one nonzero per ``width+1`` positions on
-    average), so the hot ladder loop only ever sees the table points it
-    will actually add.
-    """
-    length = 0
-    for naf, _table in streams:
-        if len(naf) > length:
-            length = len(naf)
-    if length == 0:
-        return _J_INFINITY
-    events: list[list[tuple[int, int]] | None] = [None] * length
-    for naf, table in streams:
-        for i, digit in enumerate(naf):
-            if digit:
-                if digit > 0:
-                    point = table[digit >> 1]
-                else:
-                    x, y = table[(-digit) >> 1]
-                    point = (x, P - y)
-                if events[i] is None:
-                    events[i] = [point]
-                else:
-                    events[i].append(point)
     double, add_mixed = _jacobian_double, _jacobian_add_mixed
     result = _J_INFINITY
-    for i in range(length - 1, -1, -1):
+    for points in reversed(events):
         result = double(result)
-        step = events[i]
-        if step is not None:
-            for point in step:
-                result = add_mixed(result, point)
+        for point in points:
+            result = add_mixed(result, point)
     return result
 
 
@@ -448,8 +354,8 @@ def _jacobian_multi_wnaf_affine(
 # secp256k1 has an efficiently computable endomorphism phi(x, y) = (beta*x, y)
 # with phi(Q) = lambda*Q, where lambda^3 = 1 (mod N) and beta^3 = 1 (mod P).
 # Splitting a 256-bit scalar k into k1 + k2*lambda with |k1|, |k2| ~ 2^128
-# halves the doublings of a scalar multiplication.  The dual-scalar kernel
-# uses it to turn u1*G + u2*R into four ~128-bit streams.
+# halves the doublings of a scalar multiplication: the two halves ride one
+# ladder against a table and its lambda-image.
 
 LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
 BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
@@ -490,7 +396,7 @@ def _glv_split(scalar: int) -> tuple[int, int]:
     """Split ``scalar`` into (k1, k2) with k1 + k2*lambda = scalar (mod N).
 
     Both halves are ~128 bits (possibly negative); negation is free on the
-    curve, so the ladder flips the table's y coordinates instead.
+    curve, so the recoder flips the table's y coordinates instead.
     """
     c1 = (2 * _GLV_B2 * scalar + _GLV_DET) // (2 * _GLV_DET)
     c2 = (-2 * _GLV_B1 * scalar + _GLV_DET) // (2 * _GLV_DET)
@@ -509,18 +415,19 @@ def apply_endomorphism(table: list[tuple[int, int]]) -> list[tuple[int, int]]:
 # Signing computes k * G for a fresh k on every token issuance.  The scalar
 # is recoded into signed base-256 digits d_i in [-127, 128] (a digit above 128
 # borrows 256 from the next window), and row i of the table holds
-# j * 256^i * G for j = 1..128, so k * G is at most 33 mixed additions -- 32
-# windows plus the carry out of the top one -- and no doublings at all;
-# negative digits flip y, which is free.  The 33 x 128 window entries and the
-# wNAF odd multiples of G (and lambda*G) are normalised to affine once at
-# import, sharing one Montgomery batch inversion.
+# j * 256^i * G for j = 1..128, so k * G is at most 33 points -- 32 windows
+# plus the carry out of the top one -- all at height 0: no doublings at all;
+# negative digits flip y, which is free.  The 33 x 128 entries are normalised
+# to affine once at import, sharing one Montgomery batch inversion.  The
+# G-half of every ``u1*G + u2*Q`` is these points too: at most 33 additions
+# against ~28 for a GLV-split wNAF of G, but no recoding or split to pay.
 
 _WINDOW_ROWS = 33  # 32 byte windows of a 256-bit scalar + the final carry
 _WINDOW_HALF = 128
 
 
-def _build_generator_windows() -> list[tuple[int, int, int]]:
-    """``j * 256^i * G`` for every row ``i`` and ``j = 1..128``, flattened."""
+def _build_generator_windows() -> list[list[tuple[int, int]]]:
+    """``j * 256^i * G`` for every row ``i`` and ``j = 1..128``, affine."""
     flat: list[tuple[int, int, int]] = []
     base = (GX, GY)
     for _ in range(_WINDOW_ROWS):
@@ -533,29 +440,11 @@ def _build_generator_windows() -> list[tuple[int, int, int]]:
         # additions are mixed ones too (one inversion a row, 33 in all).
         next_base = _from_jacobian(_jacobian_double(entry))
         base = (next_base.x, next_base.y)
-    return flat
+    affine = [(p.x, p.y) for p in jacobian_to_affine_batch(flat)]
+    return [affine[row:row + _WINDOW_HALF] for row in range(0, len(affine), _WINDOW_HALF)]
 
 
-def _normalise_generator_tables() -> tuple[
-    list[list[tuple[int, int]]], list[tuple[int, int]]
-]:
-    """Affine forms of the window table and the wNAF odd multiples of G."""
-    odd_jac = _build_odd_multiples(
-        _to_jacobian(GENERATOR), 1 << (_WNAF_WIDTH_FIXED - 2)
-    )
-    affine = [
-        (p.x, p.y)
-        for p in jacobian_to_affine_batch(_build_generator_windows() + odd_jac)
-    ]
-    windows = [
-        affine[row * _WINDOW_HALF:(row + 1) * _WINDOW_HALF]
-        for row in range(_WINDOW_ROWS)
-    ]
-    return windows, affine[_WINDOW_ROWS * _WINDOW_HALF:]
-
-
-_G_WINDOWS, _G_ODD_AFFINE = _normalise_generator_tables()
-_LAMBDA_G_ODD_AFFINE = apply_endomorphism(_G_ODD_AFFINE)
+_G_WINDOWS = _build_generator_windows()
 
 # The (lambda, beta) pairing must match -- lambda*G == (beta*Gx, Gy) -- or the
 # GLV split would multiply the wrong point.  Checked once at import.
@@ -590,29 +479,13 @@ def _generator_window_points(scalar: int) -> list[tuple[int, int]]:
     return points
 
 
-def _jacobian_sum_mixed(points: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Sum of affine points accumulated in Jacobian coordinates, one mixed
-    addition a point; every exceptional pair (equal, opposite) is handled."""
-    result = _J_INFINITY
-    add_mixed = _jacobian_add_mixed
-    for point in points:
-        result = add_mixed(result, point)
-    return result
-
-
-def generator_multiply_jacobian(scalar: int) -> tuple[int, int, int]:
-    """``scalar * G`` left in Jacobian coordinates (at most 33 mixed additions).
-
-    The path of a lone ``k * G`` (:func:`generator_multiply`, so ``sign``) and
-    of the G-half of a known-key check; a block of them goes through
-    :func:`generator_multiply_batch`.
-    """
-    return _jacobian_sum_mixed(_generator_window_points(scalar))
-
-
 def generator_multiply(scalar: int) -> Point:
-    """Compute ``scalar * G`` using the precomputed signed-window table."""
-    return _from_jacobian(generator_multiply_jacobian(scalar))
+    """``scalar * G``: the window table's points, summed by :func:`_ladder`.
+
+    The path of a lone ``k * G`` (``sign``, key derivation); a block of them
+    goes through :func:`generator_multiply_batch`.
+    """
+    return _from_jacobian(_ladder([_generator_window_points(scalar)]))
 
 
 # --- Batch sites add affine ---------------------------------------------------
@@ -651,8 +524,8 @@ def generator_multiply(scalar: int) -> Point:
 # sums cover disjoint digit ranges), but the tree takes arbitrary lists, and a
 # zero in the running product would poison every sum of the level.  So a zero
 # difference is looked for *before* a list's denominators join the level's;
-# that list alone leaves the tree and is summed by ``_jacobian_add_mixed``,
-# which knows both cases.
+# that list alone leaves the tree and is summed by :func:`_ladder`, whose
+# mixed addition knows both cases.
 
 #: scalars from which :func:`generator_multiply_batch` beats a loop of
 #: :func:`generator_multiply` (the n-table above)
@@ -677,7 +550,7 @@ def affine_sum_batch(point_lists: "list[list[tuple[int, int]]]") -> list[Point]:
             points = sums[index]
             differences = [b[0] - a[0] for a, b in zip(points[::2], points[1::2])]
             if 0 in differences:
-                total = _from_jacobian(_jacobian_sum_mixed(points))
+                total = _from_jacobian(_ladder([points]))
                 sums[index] = [] if total.is_infinity() else [(total.x, total.y)]
                 continue
             denominators += differences
@@ -710,17 +583,15 @@ def point_add(p: Point, q: Point) -> Point:
 
 
 def point_multiply(point: Point, scalar: int) -> Point:
-    """Affine scalar multiplication ``scalar * point`` (wNAF fast path)."""
-    if point == GENERATOR:
-        return generator_multiply(scalar)
-    return _from_jacobian(_jacobian_multiply_wnaf(_to_jacobian(point), scalar))
+    """Affine scalar multiplication ``scalar * point``: the ladder, no G half."""
+    return shamir_multiply(0, scalar, point)
 
 
 def point_multiply_reference(point: Point, scalar: int) -> Point:
     """Naive double-and-add scalar multiplication.
 
     Mirrors the seed implementation (including the validated affine
-    conversion); kept as the reference against which the wNAF fast path is
+    conversion); kept as the reference against which the ladder is
     differentially tested and benchmarked.
     """
     return _from_jacobian_checked(_jacobian_multiply(_to_jacobian(point), scalar))
@@ -732,38 +603,26 @@ def point_negate(point: Point) -> Point:
     return _point_unchecked(point.x, (-point.y) % P)
 
 
-def shamir_multiply(u1: int, u2: int, point: Point) -> Point:
-    """Compute ``u1 * G + u2 * point`` (used by verification and recovery).
-
-    One call into the GLV four-stream ladder: ``point``'s eight odd multiples
-    are normalised to affine with a single field inversion, then both
-    scalars ride ~128 shared doublings.
-    """
-    table = [] if point.is_infinity() else affine_odd_multiples_batch([point])[0]
-    return _from_jacobian(_jacobian_shamir_glv(u1, u2, table))
-
-
-# --- Prepared points: a key seen twice is a fixed base -----------------------
+# --- Split-exponent tables: every Q is a table, a key seen twice a wide one ---
 #
-# The ladders above treat every non-generator point as new: eight odd
-# multiples built per call, then ~128 doublings.  A *known* point Q (a
-# returning sender's key, a service's own key) can trade memory for almost
-# all of the doublings, the way ``_G_WINDOWS`` does for G, with a
-# split-exponent table: bases ``B_j = 2^(CHUNK*j) * Q`` for
-# ``j < _PREPARED_SPLIT`` (``CHUNK = 128 / _PREPARED_SPLIT``), each with its
-# width-``_WNAF_WIDTH_VAR`` odd multiples and their lambda-images, all affine.
-# A ~128-bit GLV half written in wNAF then reads as ``_PREPARED_SPLIT`` digit
-# streams of ``CHUNK`` positions each -- digit ``i`` belongs to base
-# ``i // CHUNK`` at height ``i % CHUNK`` -- so both halves ride
-# ``2 * _PREPARED_SPLIT`` streams over ``CHUNK`` shared doublings.
+# Q's table is built the way ``_G_WINDOWS`` is for G, trading memory for
+# doublings: bases ``B_j = 2^(chunk*j) * Q`` for ``j < bases`` (``chunk =
+# 128 / bases``), each with its width-``_WNAF_WIDTH`` odd multiples and their
+# lambda-images, all affine.  A ~128-bit GLV half written in wNAF then reads
+# as ``bases`` digit streams of ``chunk`` positions each -- digit ``i``
+# belongs to base ``i // chunk`` at height ``i % chunk`` -- so the ladder
+# runs ``chunk`` doublings.  A point seen once (a recovery's R, a first-sight
+# key) gets one base, built on the spot; a *known* point (a returning
+# sender's key, a service's own key) gets ``_PREPARED_SPLIT``, built once.
 #
 # Choosing the split (one pinned CPU, us per call; ``recover`` 1,207,
-# ``verify`` 1,076, ``lift_x`` alone 138 on the same host):
+# ``verify`` 1,076, ``lift_x`` alone 138 on the same host).  The 1-base row
+# is what a point seen once pays, build and ladder, on every call:
 #
 #     split  width   build   u1*G + u2*Q check   table
-#       1      5      107          951           16 points
+#       1      5      107          951           16 points   <- first sight
 #       2      5      430          730           32
-#       4      5      745          627           64    <- chosen
+#       4      5      745          627           64          <- known key
 #       8      5    1,201          565          128
 #       4      6    1,148          590          128
 #      16      6    3,628          507          512
@@ -775,28 +634,28 @@ def shamir_multiply(u1: int, u2: int, point: Point) -> Point:
 # costs next to nothing extra -- and where a key fits 12 KB.
 
 _PREPARED_SPLIT = 4
-_PREPARED_CHUNK = 128 // _PREPARED_SPLIT
 
-#: the table of a prepared point: ``_PREPARED_SPLIT`` odd-multiples tables of
-#: the bases, then their lambda-images; empty for the point at infinity
+#: the table of a prepared point: one odd-multiples table per base, then
+#: their lambda-images; empty for the point at infinity
 PreparedPoint = tuple[list[tuple[int, int]], ...]
 
 
-def prepare_point(point: Point) -> PreparedPoint:
-    """Split-exponent table for a point that will be multiplied again.
+def prepare_point(point: Point, bases: int = _PREPARED_SPLIT) -> PreparedPoint:
+    """Split-exponent table for ``point``: ``bases`` of its powers of two.
 
-    ``128 - CHUNK`` doublings walk the bases, every base gets its odd
+    ``128 - chunk`` doublings walk the bases, every base gets its odd
     multiples (:func:`_build_odd_multiples`), one Montgomery inversion
     normalises all of them, and the lambda-images cost one multiplication
-    each: 64 affine points, under 12 KB, for the default geometry.
+    each: 64 affine points, under 12 KB, for a known key's four bases; 16
+    for the one base :func:`shamir_multiply` builds for a point seen once.
     """
     if point.is_infinity():
         return ()
-    count = 1 << (_WNAF_WIDTH_VAR - 2)
+    count = 1 << (_WNAF_WIDTH - 2)
     base = (point.x, point.y, 1)
     flat = _build_odd_multiples(base, count)
-    for _ in range(_PREPARED_SPLIT - 1):
-        for _ in range(_PREPARED_CHUNK):
+    for _ in range(bases - 1):
+        for _ in range(128 // bases):
             base = _jacobian_double(base)
         flat.extend(_build_odd_multiples(base, count))
     affine = [(p.x, p.y) for p in jacobian_to_affine_batch(flat)]
@@ -804,40 +663,44 @@ def prepare_point(point: Point) -> PreparedPoint:
     return tuple(tables + [apply_endomorphism(table) for table in tables])
 
 
-def multiply_prepared(table: PreparedPoint, scalar: int) -> tuple[int, int, int]:
-    """``scalar * Q`` for ``table = prepare_point(Q)``, left Jacobian.
+def _digit_events(scalar: int, table: PreparedPoint) -> list[list[tuple[int, int]]]:
+    """``scalar * Q``'s table points by height, for ``table = prepare_point(Q, bases)``.
 
-    The scalar is GLV-split, each half recoded once, and the digit stream
-    cut every ``_PREPARED_CHUNK`` positions (the top chunk keeps whatever a
-    half carries past 128 bits); a negative half negates its digits as in
-    :func:`_jacobian_shamir_glv`.  The joint ladder then runs
-    ``_PREPARED_CHUNK`` doublings, not 128.
+    The scalar is GLV-split and each half recoded once; digit ``i`` is filed
+    under base ``i // chunk`` at height ``i % chunk``, except that the top
+    base keeps whatever a half carries past 128 bits.  A negative half
+    negates its digits, not its table: ``-d * B`` is the table point for
+    ``|d|`` with y flipped.
     """
-    if not table:
-        return _J_INFINITY
-    streams: list[tuple[list[int], list[tuple[int, int]]]] = []
-    top = (_PREPARED_SPLIT - 1) * _PREPARED_CHUNK
-    for half, tables in zip(
-        _glv_split(scalar % N), (table[:_PREPARED_SPLIT], table[_PREPARED_SPLIT:])
-    ):
-        naf = _wnaf(abs(half), _WNAF_WIDTH_VAR)
-        if half < 0:
-            naf = [-d for d in naf]
-        chunks = [naf[i:i + _PREPARED_CHUNK] for i in range(0, top, _PREPARED_CHUNK)]
-        streams.extend(zip(chunks + [naf[top:]], tables))
-    return _jacobian_multi_wnaf_affine(streams)
+    bases = len(table) // 2
+    chunk = 128 // bases
+    top = bases - 1
+    halves = [(half, _wnaf(abs(half), _WNAF_WIDTH)) for half in _glv_split(scalar % N)]
+    events: list[list[tuple[int, int]]] = [
+        [] for _ in range(max(chunk, max(len(naf) for _, naf in halves) - top * chunk))
+    ]
+    for (half, naf), tables in zip(halves, (table[:bases], table[bases:])):
+        for i, digit in enumerate(naf):
+            if digit:
+                base = min(i // chunk, top)
+                x, y = tables[base][abs(digit) >> 1]
+                events[i - base * chunk].append((x, y) if (digit > 0) == (half > 0) else (x, P - y))
+    return events
 
 
-def shamir_multiply_prepared(u1: int, u2: int, table: PreparedPoint) -> Point:
-    """``u1 * G + u2 * Q`` for a prepared ``Q``: what a known-key check runs.
+def shamir_multiply(u1: int, u2: int, key: "Point | PreparedPoint") -> Point:
+    """``u1 * G + u2 * Q``, with ``Q`` a point or its :func:`prepare_point` table.
 
-    No doubling touches G (the window table, at most 33 mixed additions)
-    and ``_PREPARED_CHUNK`` serve Q; the two Jacobian sums meet in one
-    general addition and one inversion.
+    What verification, recovery and the known-key check run.  A bare point
+    is seen once: its one-base table is built here (eight odd multiples and
+    their lambda-images behind one inversion) and Q's digits ride ~128
+    doublings; a known key's four bases need 32.  G's window points join at
+    height 0, so both halves are one :func:`_ladder` call and one inversion.
     """
-    return _from_jacobian(
-        _jacobian_add(generator_multiply_jacobian(u1), multiply_prepared(table, u2))
-    )
+    table = prepare_point(key, 1) if isinstance(key, Point) else key
+    events = _digit_events(u2, table) if table else [[]]
+    events[0] += _generator_window_points(u1)
+    return _from_jacobian(_ladder(events))
 
 
 def lift_x(x: int, is_odd: bool) -> Point:

@@ -120,13 +120,13 @@ def packed_permutations(monkeypatch):
 def curve_multiplications(monkeypatch):
     """A live ``Counter`` of the curve work done from here on, by kind.
 
-    ``ladders``: every first-sight signature verification and recovery ends in
-    ``_jacobian_shamir_glv``, and the plain wNAF ladder covers any other
-    multiplication of a non-generator point.  ``builds`` / ``prepared``: a
-    known key's table built (``prepare_point``) and multiplied
-    (``multiply_prepared`` -- one per known-key check).  ``lifts``: the
-    square root only a recovery takes (``lift_x``).  ``clear()`` it to start
-    a new count; ``sum(counts.values())`` is all of it.
+    ``ladders``: ``shamir_multiply`` given a bare point -- every first-sight
+    signature verification and recovery, and ``point_multiply``.
+    ``builds`` / ``prepared``: a known key's four-base table built
+    (``prepare_point``) and ``shamir_multiply`` given it (one per known-key
+    check); the one-base table a bare point gets is part of its ladder.
+    ``lifts``: the square root only a recovery takes (``lift_x``).
+    ``clear()`` it to start a new count; ``sum(counts.values())`` is all of it.
     """
     from collections import Counter
 
@@ -134,11 +134,13 @@ def curve_multiplications(monkeypatch):
 
     counts = Counter()
 
-    def counting(name, kind):
+    def counting(name, kind_of):
         original = getattr(secp256k1, name)
 
         def wrapper(*args):
-            counts[kind] += 1
+            kind = kind_of(*args)
+            if kind:
+                counts[kind] += 1
             return original(*args)
 
         # Wherever the name was imported to, not only where it is defined.
@@ -146,9 +148,11 @@ def curve_multiplications(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
 
-    counting("_jacobian_shamir_glv", "ladders")
-    counting("_jacobian_multiply_wnaf", "ladders")
-    counting("prepare_point", "builds")
-    counting("multiply_prepared", "prepared")
-    counting("lift_x", "lifts")
+    split = secp256k1._PREPARED_SPLIT
+    counting(
+        "shamir_multiply",
+        lambda u1, u2, key: "ladders" if isinstance(key, secp256k1.Point) else "prepared",
+    )
+    counting("prepare_point", lambda point, bases=split: "builds" if bases == split else None)
+    counting("lift_x", lambda x, is_odd: "lifts")
     return counts

@@ -34,14 +34,12 @@ from repro.crypto.secp256k1 import (
     Point,
     _glv_split,
     _jacobian_multiply,
-    _jacobian_multiply_wnaf,
     _to_jacobian,
     _wnaf,
     batch_inverse,
     generator_multiply,
     jacobian_to_affine_batch,
     lift_x,
-    multiply_prepared,
     point_add,
     point_multiply,
     point_multiply_reference,
@@ -354,11 +352,11 @@ def test_verify_matches_naive_on_right_and_wrong_inputs():
 #
 # ``recovers_to(d, sig, prepare_point(Q))`` is *defined* as
 # ``recover(d, sig) == Q`` with every raising input mapped to False, and
-# ``multiply_prepared`` as a scalar multiplication; both are pinned to the
-# oracles they replace on the node's hot path.
+# ``shamir_multiply(0, k, table)`` as a scalar multiplication; both are pinned
+# to the oracles they replace on the node's hot path.
 
 _PREPARED = prepare_point(_KEYPAIR.public.point)
-_CHUNK = secp256k1._PREPARED_CHUNK
+_CHUNK = 128 // secp256k1._PREPARED_SPLIT
 
 
 def _agrees(recover_fn, digest, signature, public: Point) -> bool:
@@ -455,7 +453,7 @@ def test_known_key_check_with_the_nonce_point_at_infinity_is_false():
     """z = -r*d (mod N) makes u1*G = -u2*Q for any s: no point, no match."""
     signature = _KEYPAIR.sign(keccak256(b"any"))
     digest = (-signature.r * _KEYPAIR.private.secret % N).to_bytes(32, "big")
-    assert secp256k1.shamir_multiply_prepared(
+    assert shamir_multiply(
         int.from_bytes(digest, "big"), signature.r, _PREPARED
     ).is_infinity()
     for v in (0, 1):
@@ -493,8 +491,8 @@ def test_known_key_check_maps_every_raising_input_to_false():
     assert not verify(keccak256(b"ok"), signature, ())
 
 
-def _prepared_multiply(point: Point, scalar: int) -> Point:
-    return secp256k1._from_jacobian(multiply_prepared(prepare_point(point), scalar))
+def _prepared_multiply(point: Point, scalar: int, bases: int = secp256k1._PREPARED_SPLIT) -> Point:
+    return shamir_multiply(0, scalar, prepare_point(point, bases))
 
 
 def _scalar_with_halves(k1: int, k2: int) -> int:
@@ -523,7 +521,7 @@ def test_prepared_multiply_matches_the_reference_on_edge_scalars():
         assert _prepared_multiply(point, scalar) == point_multiply_reference(
             point, scalar
         ), hex(scalar)
-    assert multiply_prepared((), 5) == secp256k1._J_INFINITY
+    assert shamir_multiply(0, 5, ()) == INFINITY
 
 
 def test_prepared_multiply_of_the_generator_itself():
@@ -534,19 +532,22 @@ def test_prepared_multiply_of_the_generator_itself():
 def test_prepared_top_chunk_takes_a_half_that_overflows_128_bits(monkeypatch):
     """This lattice basis keeps both halves under 2^128, so the overflow is
     forced: any (k1, k2) with k1 + k2*lambda = k is a valid split, and the
-    top chunk's stream must carry whatever lies past position 128."""
+    top chunk's stream must carry whatever lies past position 128.  Both
+    table sizes: a known key's four bases and the one base a point seen once
+    gets, whose digits are filed by the same code."""
     point = _KEYPAIR.public.point
     scalar = int.from_bytes(keccak256(b"overflow"), "big") % N
     expected = point_multiply_reference(point, scalar)
     wide = (1 << 140) + 12345
-    for split in (
-        lambda k: (k, 0),
-        lambda k: (k - wide * LAMBDA, wide),
-        lambda k: (-(N - k), 0),
-    ):
-        monkeypatch.setattr(secp256k1, "_glv_split", split)
-        assert max(abs(half).bit_length() for half in split(scalar)) > 128
-        assert _prepared_multiply(point, scalar) == expected
+    for bases in (1, secp256k1._PREPARED_SPLIT):
+        for split in (
+            lambda k: (k, 0),
+            lambda k: (k - wide * LAMBDA, wide),
+            lambda k: (-(N - k), 0),
+        ):
+            monkeypatch.setattr(secp256k1, "_glv_split", split)
+            assert max(abs(half).bit_length() for half in split(scalar)) > 128
+            assert _prepared_multiply(point, scalar, bases) == expected, bases
 
 
 @given(scalar=scalars, base=small_scalars.filter(lambda s: s > 0))
@@ -588,6 +589,25 @@ def test_public_key_builds_its_table_on_the_second_verification(curve_multiplica
     for _ in range(3):
         assert public.verify(digest, signature)
     assert curve_multiplications == {"ladders": 1, "builds": 1, "prepared": 4}
+
+
+def test_one_ladder_per_check_and_no_general_addition():
+    """G's window points are filed at height 0 beside Q's digits, so a
+    known-key check and a prepared ``verify`` are one ladder each, with no
+    separate G sum to join by a general addition; a recovery is one ladder."""
+    digest = keccak256(b"one-ladder")
+    signature = _KEYPAIR.sign(digest)
+    ladder, add = secp256k1._ladder, secp256k1._jacobian_add
+
+    def counted(check):
+        with mock.patch.object(secp256k1, "_ladder", side_effect=ladder) as ladders, \
+                mock.patch.object(secp256k1, "_jacobian_add", side_effect=add) as adds:
+            assert check()
+        return ladders.call_count, adds.call_count
+
+    assert counted(lambda: recovers_to(digest, signature, _PREPARED)) == (1, 0)
+    assert counted(lambda: verify(digest, signature, _PREPARED)) == (1, 0)
+    assert counted(lambda: recover(digest, signature) == _KEYPAIR.public.point)[0] == 1
 
 
 # --- batch sites add affine: the level tree behind sign_batch ---------------------
@@ -729,10 +749,7 @@ def test_generator_multiply_matches_naive(scalar):
 @settings(max_examples=25, deadline=None)
 def test_wnaf_multiply_matches_naive(base, scalar):
     point = _naive_multiply(GENERATOR, base)
-    fast = secp256k1._from_jacobian(
-        _jacobian_multiply_wnaf(_to_jacobian(point), scalar)
-    )
-    assert fast == _naive_multiply(point, scalar)
+    assert point_multiply(point, scalar) == _naive_multiply(point, scalar)
 
 
 @pytest.mark.slow
@@ -761,10 +778,7 @@ def test_glv_split_reconstructs_scalar(scalar):
 @settings(max_examples=20, deadline=None)
 def test_glv_kernel_matches_naive_composition(u1, u2, base):
     point = _naive_multiply(GENERATOR, base)
-    tables = secp256k1.affine_odd_multiples_batch([point])
-    fast = secp256k1._from_jacobian(
-        secp256k1._jacobian_shamir_glv(u1, u2, tables[0])
-    )
+    fast = shamir_multiply(u1, u2, prepare_point(point, 1))
     expected = point_add(
         _naive_multiply(GENERATOR, u1), _naive_multiply(point, u2)
     )

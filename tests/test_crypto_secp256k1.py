@@ -96,6 +96,25 @@ def test_point_constructor_rejects_off_curve_points():
         Point(1, 1)
 
 
+def test_point_constructor_rejects_unreduced_coordinates_and_half_identities():
+    """One point, one encoding: ``x + P`` satisfies the curve equation mod P
+    but would be another key with another address."""
+    from repro.crypto.keys import PublicKey
+
+    point = lift_x(1, False)  # x = 1 is an abscissa
+    assert Point(point.x, point.y) == point
+    for x, y in ((point.x + P, point.y), (point.x, point.y + P), (-P + 1, point.y)):
+        with pytest.raises(ValueError):
+            Point(x, y)
+    with pytest.raises(ValueError):
+        PublicKey.from_bytes((1 + P).to_bytes(32, "big") + point.y.to_bytes(32, "big"))
+    assert PublicKey.from_bytes(PublicKey(point).to_bytes()).address() == PublicKey(point).address()
+    for x, y in ((None, 5), (GENERATOR.x, None)):
+        with pytest.raises(ValueError):
+            Point(x, y)
+    assert Point(None, None) == INFINITY
+
+
 def test_field_and_order_are_prime_sized():
     assert P.bit_length() == 256
     assert N.bit_length() == 256
