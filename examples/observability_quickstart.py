@@ -6,7 +6,8 @@ The script tours ``repro.obs``, the zero-dependency observability layer:
 1. ``Observability()`` bundles a metrics registry (counters, gauges,
    log-scale histograms) with a structured tracer; instrumenting a gateway
    and an execution pipeline is two method calls, and an uninstrumented
-   deployment pays one attribute check;
+   deployment runs the same hooks on a shared dormant handle that records
+   nothing;
 2. a replicated issuance profile is served over real TCP; the traced client
    stamps a trace context onto each wire envelope (one optional field, both
    codec lanes -- old peers simply ignore it) and the server's

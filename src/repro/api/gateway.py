@@ -31,7 +31,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.chain.address import Address, address_hex, to_address
 from repro.core.acr import RuleSet
@@ -41,7 +41,7 @@ from repro.core.token_service import IssuanceResult
 
 from repro.api import codec
 from repro.api.protocol import TokenIssuer, Transport
-from repro.obs import Observability
+from repro.obs import DORMANT, Observability
 from repro.obs.trace import TraceContext
 from repro.resilience import AdmissionController, RetryBudget
 from repro.resilience.deadline import check_deadline, deadline_in, remaining
@@ -66,15 +66,15 @@ class ServiceGateway:
     def __init__(
         self,
         *,
-        observability: "Observability | None" = None,
+        observability: Observability = DORMANT,
         admission: "AdmissionController | None" = None,
         now: "Callable[[], float] | None" = None,
     ) -> None:
         self._routes: dict[str, TokenIssuer] = {}
         self._rule_epochs: dict[str, int] = {}
-        #: optional :class:`repro.obs.Observability` handle; when attached,
-        #: the gateway times ``gateway_decode``/``issuance`` stages, adopts
-        #: incoming trace contexts and serves the ``metrics`` route.
+        #: the :class:`repro.obs.Observability` handle; a live one times the
+        #: ``gateway_decode``/``issuance`` stages, adopts incoming trace
+        #: contexts and fills the ``metrics`` route's snapshot.
         self.observability = observability
         #: optional :class:`repro.resilience.AdmissionController`; when
         #: attached, ``submit`` envelopes are shed with ``OVERLOADED`` (plus
@@ -135,10 +135,9 @@ class ServiceGateway:
         building in front of it.
         """
         obs = self.observability
-        started = obs.clock() if obs is not None else 0.0
+        started = obs.clock()
         request = codec.decode_request_full(raw)
-        if obs is not None:
-            obs.record_stage("gateway_decode", obs.clock() - started)
+        obs.record_stage("gateway_decode", obs.clock() - started)
         try:
             check_deadline(request.deadline, stage="gateway", now=self._now)
         except SmacsError:
@@ -160,20 +159,16 @@ class ServiceGateway:
     def handle(self, request: codec.Request) -> bytes:
         """Dispatch one request :meth:`arrive` let through; always answers
         with an envelope, in the codec lane the request arrived in."""
-        obs = self.observability
         try:
-            if obs is None:
+            # Adopt the caller's trace (if any) so the server-side spans
+            # nest under the client's -- one trace id across the wire.
+            with self.observability.tracer.span(
+                "gateway.handle",
+                context=TraceContext.from_wire(request.trace),
+                op=request.op,
+                route=request.route,
+            ):
                 payload = self._dispatch(request)
-            else:
-                # Adopt the caller's trace (if any) so the server-side spans
-                # nest under the client's -- one trace id across the wire.
-                with obs.tracer.span(
-                    "gateway.handle",
-                    context=TraceContext.from_wire(request.trace),
-                    op=request.op,
-                    route=request.route,
-                ):
-                    payload = self._dispatch(request)
             return codec.encode_response_envelope(payload, codec=request.codec)
         except SmacsError as error:
             return codec.encode_error_envelope(error, codec=request.codec)
@@ -183,9 +178,7 @@ class ServiceGateway:
     def _count_shed(self, reason: str) -> None:
         with self._shed_lock:  # arrive() and handle() may run on different threads
             self.shed[reason] += 1
-        obs = self.observability
-        if obs is not None:
-            obs.registry.counter(f"gateway.shed.{reason}").inc()
+        self.observability.count(f"gateway.shed.{reason}")
 
     def _dispatch(self, request: codec.Request) -> dict[str, Any]:
         op, route, body = request.op, request.route, request.body
@@ -203,10 +196,7 @@ class ServiceGateway:
         if op == "metrics":
             # Served before the route lookup: the registry snapshot is a
             # gateway-wide view, not a per-issuer one.
-            obs = self.observability
-            if obs is None:
-                return {"metrics": {"enabled": False}}
-            return {"metrics": obs.snapshot()}
+            return {"metrics": self.observability.snapshot()}
         if op == "submit":
             return self._submit(request)
         issuer = self.issuer_for(route)
@@ -278,13 +268,9 @@ class ServiceGateway:
             except SmacsError:
                 self._count_shed("deadline")
                 raise
-            obs = self.observability
             started = time.monotonic()
-            if obs is None:
+            with self.observability.stage("issuance"):
                 results = issuer.submit(requests)
-            else:
-                with obs.stage("issuance"):
-                    results = issuer.submit(requests)
             served = time.monotonic() - started
             return {"results": [codec.encode_issuance_result(result) for result in results]}
         finally:
@@ -364,6 +350,20 @@ class Backoff:
 DEFAULT_RETRY_CODES = frozenset({ErrorCode.COUNTER_TIMEOUT, ErrorCode.UNAVAILABLE})
 
 
+_T = TypeVar("_T")
+_WIRE_KINDS = {dict: "object", list: "array", str: "string"}
+
+
+def _field(payload: dict[str, Any], op: str, key: str, kind: type[_T]) -> _T:
+    """An answer's ``key`` field, or ``MALFORMED_REQUEST`` when it is not a ``kind``."""
+    value = payload.get(key)
+    if not isinstance(value, kind):
+        raise SmacsError(
+            f"{op} response requires a {key!r} {_WIRE_KINDS[kind]}", ErrorCode.MALFORMED_REQUEST
+        )
+    return value
+
+
 class GatewayClient:
     """A :class:`~repro.api.protocol.TokenIssuer` that lives across the wire.
 
@@ -407,7 +407,7 @@ class GatewayClient:
         wire_codec: str = codec.CODEC_JSON,
         backoff: "Backoff | None" = None,
         retry_codes: "frozenset[ErrorCode] | None" = None,
-        observability: "Observability | None" = None,
+        observability: Observability = DORMANT,
         deadline_s: "float | None" = None,
         retry_budget: "RetryBudget | None" = None,
         now: "Callable[[], float] | None" = None,
@@ -431,26 +431,20 @@ class GatewayClient:
         self.deadline_s = deadline_s
         self.retry_budget = retry_budget
         self._now: Callable[[], float] = now if now is not None else time.time
-        #: optional :class:`repro.obs.Observability`: when its tracer is
+        #: the :class:`repro.obs.Observability` handle: when its tracer is
         #: enabled, every call opens a ``client.<op>`` span and sends its
         #: context on the envelope so server spans join the same trace.
         self.observability = observability
         self._address: "Address | None" = None
 
     def _call(self, op: str, body: dict[str, Any]) -> dict[str, Any]:
-        obs = self.observability
-        span = None
-        trace = None
-        if obs is not None and obs.tracer.enabled:
-            span = obs.tracer.start(f"client.{op}", route=self.route)
-            if span is not None:
-                trace = span.context().to_wire()
         deadline = (
             deadline_in(self.deadline_s, now=self._now)
             if self.deadline_s is not None
             else None
         )
-        try:
+        with self.observability.tracer.span(f"client.{op}", route=self.route) as span:
+            trace = None if span is None else span.context().to_wire()
             raw = codec.encode_request_envelope(
                 op, self.route, body, codec=self.wire_codec, trace=trace, deadline=deadline
             )
@@ -479,10 +473,6 @@ class GatewayClient:
                     self._pause_before_retry(error, attempt, deadline)
                     attempt += 1
                     self.retries_performed += 1
-        finally:
-            if span is not None:
-                assert obs is not None
-                obs.tracer.finish(span)
 
     def _pause_before_retry(
         self, error: SmacsError, attempt: int, deadline: "float | None"
@@ -507,7 +497,13 @@ class GatewayClient:
     @property
     def address(self) -> Address:
         if self._address is None:
-            self._address = to_address(str(self._call("address", {})["address"]))
+            text = _field(self._call("address", {}), "address", "address", str)
+            try:
+                self._address = to_address(text)
+            except ValueError as exc:
+                raise SmacsError(
+                    f"undecodable address {text!r}: {exc}", ErrorCode.MALFORMED_REQUEST
+                ) from exc
         return self._address
 
     def submit(
@@ -516,18 +512,11 @@ class GatewayClient:
         if isinstance(requests, TokenRequest):
             requests = [requests]
         body = {"requests": [codec.encode_token_request(request) for request in requests]}
-        payload = self._call("submit", body)
-        raw_results = payload.get("results")
-        if not isinstance(raw_results, list):
-            raise SmacsError(
-                "submit response requires a 'results' array", ErrorCode.MALFORMED_REQUEST
-            )
+        raw_results = _field(self._call("submit", body), "submit", "results", list)
         return [codec.decode_issuance_result(item) for item in raw_results]
 
     def stats(self) -> dict[str, Any]:
-        stats = self._call("stats", {})["stats"]
-        if not isinstance(stats, dict):
-            raise SmacsError("stats response must be an object", ErrorCode.MALFORMED_REQUEST)
+        stats = _field(self._call("stats", {}), "stats", "stats", dict)
         stats["transport"] = self.transport.describe()
         return stats
 
@@ -536,7 +525,7 @@ class GatewayClient:
     ) -> None:
         for attempt in range(max_retries):
             current = self._call("get_rules", {})
-            rules = RuleSet.from_config(current.get("config") or {})
+            rules = RuleSet.from_config(_field(current, "get_rules", "config", dict))
             mutate(rules)
             try:
                 self._call(
@@ -564,20 +553,12 @@ class GatewayClient:
     def health(self) -> dict[str, Any]:
         """The gateway's liveness answer (the ``health`` wire op)."""
         payload = self._call("health", {})
-        if not isinstance(payload.get("status"), str):
-            raise SmacsError(
-                "health response requires a 'status' string", ErrorCode.MALFORMED_REQUEST
-            )
+        _field(payload, "health", "status", str)
         return payload
 
     def metrics(self) -> dict[str, Any]:
         """Fetch the server's observability snapshot over the wire."""
-        payload = self._call("metrics", {})["metrics"]
-        if not isinstance(payload, dict):
-            raise SmacsError(
-                "metrics response must be an object", ErrorCode.MALFORMED_REQUEST
-            )
-        return payload
+        return _field(self._call("metrics", {}), "metrics", "metrics", dict)
 
     def close(self) -> None:
         """Release the underlying transport (idempotent)."""

@@ -201,22 +201,17 @@ class RateLimiter(IssuerMiddleware):
 class Metrics(IssuerMiddleware):
     """Uniform issuance metrics for any stack (what Fig. 9 harnesses read).
 
-    Since the :mod:`repro.obs` subsystem landed, this layer is a thin facade
-    over a :class:`~repro.obs.MetricsRegistry` -- the repo has exactly one
-    metrics implementation, and a stack's issuance counters show up in the
-    same registry snapshot (``issuance.*`` names) the ``metrics`` gateway
-    route exports.  The public fields (``submissions``, ``requests``,
-    ``issued``, ``failed``, ``errors_by_code``, ``largest_batch``) and the
-    ``layer_stats()`` shape are unchanged.
+    A thin facade over a :class:`~repro.obs.MetricsRegistry` -- the repo has
+    exactly one metrics implementation -- whose ``issuance.*`` counters
+    ``layer_stats()`` reads back as ``submissions``, ``requests``,
+    ``issued``, ``failed``, ``errors_by_code`` and ``largest_batch``.
     """
 
     layer = "metrics"
 
-    def __init__(
-        self, inner: TokenIssuer, *, registry: "MetricsRegistry | None" = None
-    ) -> None:
+    def __init__(self, inner: TokenIssuer) -> None:
         super().__init__(inner)
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._submissions = self.registry.counter("issuance.submissions")
         self._requests = self.registry.counter("issuance.requests")
         self._issued = self.registry.counter("issuance.issued")
@@ -241,46 +236,20 @@ class Metrics(IssuerMiddleware):
                 self.registry.counter(f"issuance.errors.{name}").inc()
         return results
 
-    # -- the pre-repro.obs public fields, kept byte-compatible ----------------
-
-    @property
-    def submissions(self) -> int:
-        return self._submissions.value
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def issued(self) -> int:
-        return self._issued.value
-
-    @property
-    def failed(self) -> int:
-        return self._failed.value
-
-    @property
-    def largest_batch(self) -> int:
-        return int(self._largest_batch.value)
-
-    @property
-    def errors_by_code(self) -> dict[str, int]:
-        prefix = "issuance.errors."
-        snap = self.registry.snapshot()["counters"]
-        return {
-            name[len(prefix):]: count
-            for name, count in snap.items()
-            if name.startswith(prefix)
-        }
-
     def layer_stats(self) -> dict[str, Any]:
+        prefix = "issuance.errors."
+        counters = self.registry.snapshot()["counters"]
         return {
-            "submissions": self.submissions,
-            "requests": self.requests,
-            "issued": self.issued,
-            "failed": self.failed,
-            "errors_by_code": self.errors_by_code,
-            "largest_batch": self.largest_batch,
+            "submissions": self._submissions.value,
+            "requests": self._requests.value,
+            "issued": self._issued.value,
+            "failed": self._failed.value,
+            "errors_by_code": {
+                name[len(prefix):]: count
+                for name, count in counters.items()
+                if name.startswith(prefix)
+            },
+            "largest_batch": int(self._largest_batch.value),
         }
 
 

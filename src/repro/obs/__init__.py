@@ -6,14 +6,14 @@ reproduction could only observe itself through ad-hoc benchmark scripts.
 ``repro.obs`` gives every layer one shared vocabulary:
 
 - :mod:`repro.obs.registry` -- ``Counter`` / ``Gauge`` / log-scale
-  ``Histogram`` metrics with mergeable snapshots and an injectable
-  monotonic clock so tests are deterministic;
+  ``Histogram`` metrics with JSON-safe snapshots;
 - :mod:`repro.obs.trace` -- a ``Tracer`` producing nested spans whose
   context rides the wire envelopes (one optional field, both codec lanes);
-- :mod:`repro.obs.handle` -- the process-local ``Observability`` handle
-  gluing the two together plus the named stage timers
-  (``gateway_decode`` ... ``commit_fsync``) that instrument the hot path.
-  The disabled path costs one attribute check per call site.
+- :mod:`repro.obs.handle` -- the ``Observability`` handle gluing the two
+  together plus the named stage timers (``gateway_decode`` ...
+  ``commit_fsync``) that instrument the hot path.  Uninstrumented objects
+  hold the shared ``DORMANT`` handle, whose hooks do nothing, so every hook
+  site has one path.
 - :mod:`repro.obs.dump` -- ``python -m repro.obs.dump`` renders a snapshot
   (file, stdin or a live ``tcp://`` gateway) as text or JSON.
 
@@ -23,24 +23,12 @@ cycles.  Instrumentation is strictly off-chain: no metric or span ever
 touches gas accounting or consensus state.
 """
 
-from repro.obs.handle import (
-    STAGES,
-    Observability,
-    disable,
-    enable,
-    observability,
-    set_observability,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_histogram_snapshots,
-)
+from repro.obs.handle import DORMANT, STAGES, Observability
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import Span, TraceContext, Tracer
 
 __all__ = [
+    "DORMANT",
     "STAGES",
     "Counter",
     "Gauge",
@@ -50,9 +38,4 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "disable",
-    "enable",
-    "merge_histogram_snapshots",
-    "observability",
-    "set_observability",
 ]

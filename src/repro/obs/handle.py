@@ -1,35 +1,24 @@
 """The ``Observability`` handle: registry + tracer + named stage timers.
 
-Instrumented objects (gateway, mempool, builder, executor, WAL) carry an
-``obs`` attribute that defaults to ``None``; every hot call site reads it
-once and branches, so the disabled path costs exactly one attribute check.
-When a handle is attached, ``obs.stage("admission")`` times the section
-into the ``stage.admission`` histogram and -- only when tracing is enabled
-*and* a span is already open -- nests a child span so per-stage time lands
-inside the request's trace.
-
-One process usually wants one handle; :func:`enable` / :func:`disable` /
-:func:`observability` manage that process-local default, while benchmarks
-that need isolated side-by-side registries construct handles directly.
+Instrumented objects (gateway, client, pipeline, mempool, builder, executor,
+WAL) carry an ``obs`` / ``observability`` attribute that defaults to
+:data:`DORMANT`, one shared handle whose hooks do nothing, so every hook
+site has a single path.  When a live handle is attached,
+``obs.stage("admission")`` times the section into the ``stage.admission``
+histogram and -- only when tracing is enabled *and* a span is already open
+-- nests a child span so per-stage time lands inside the request's trace.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional
-from time import monotonic as _monotonic
+from contextlib import AbstractContextManager, nullcontext
+from typing import Any, Dict
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
-__all__ = [
-    "STAGES",
-    "Observability",
-    "disable",
-    "enable",
-    "observability",
-    "set_observability",
-]
+__all__ = ["DORMANT", "STAGES", "Observability"]
 
 #: The canonical pipeline stages, in request order.  ``gateway_decode`` and
 #: ``issuance`` happen inside the gateway; ``admission`` .. ``commit_fsync``
@@ -81,19 +70,10 @@ class Observability:
     compare against full tracing.
     """
 
-    def __init__(
-        self,
-        *,
-        registry: "MetricsRegistry | None" = None,
-        tracer: "Tracer | None" = None,
-        now: Callable[[], float] = _monotonic,
-        tracing: bool = True,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry(now=now)
+    def __init__(self, *, tracing: bool = True) -> None:
+        self.registry = MetricsRegistry()
         self.clock = self.registry.now
-        self.tracer = (
-            tracer if tracer is not None else Tracer(now=self.clock, enabled=tracing)
-        )
+        self.tracer = Tracer(now=self.clock, enabled=tracing)
         self._stage_hists: Dict[str, Histogram] = {}
         self._stage_lock = threading.Lock()
 
@@ -109,13 +89,17 @@ class Observability:
                     self._stage_hists[name] = hist
         return hist
 
-    def stage(self, name: str) -> _StageTimer:
+    def stage(self, name: str) -> AbstractContextManager[Any]:
         """``with obs.stage("build"): plan = builder.build()``"""
         return _StageTimer(self, self._stage_hist(name), name)
 
     def record_stage(self, name: str, seconds: float) -> None:
         """Direct recording for call sites too hot for a context manager."""
         self._stage_hist(name).observe(seconds)
+
+    def count(self, name: str) -> None:
+        """Add one to the counter ``name``."""
+        self.registry.counter(name).inc()
 
     def stage_breakdown(self) -> Dict[str, Dict[str, Any]]:
         """Per-stage latency summary in milliseconds, canonical order first."""
@@ -157,48 +141,41 @@ class Observability:
     def instrument_pipeline(self, pipeline: Any) -> None:
         """Attach this handle to a pipeline and everything underneath it.
 
-        Call *after* ``DurableStore.attach`` so the WAL picks the handle up
-        too (``attach`` also re-propagates, so either order works).
+        ``DurableStore.attach`` hands the pipeline's handle to its WAL, so
+        either order of the two calls times ``commit_fsync``.
         """
         pipeline.obs = self
         pipeline.mempool.obs = self
         pipeline.builder.obs = self
         pipeline.executor.obs = self
-        durability = getattr(pipeline, "durability", None)
-        if durability is not None:
-            durability.wal.obs = self
-
-    def instrument_gateway(self, gateway: Any) -> None:
-        gateway.observability = self
+        if pipeline.durability is not None:
+            pipeline.durability.wal.obs = self
 
 
-# -- process-local default handle ---------------------------------------------
-
-_process_lock = threading.Lock()
-_process_handle: "Observability | None" = None
+_NO_STAGE: AbstractContextManager[Any] = nullcontext()
 
 
-def observability() -> "Observability | None":
-    """The process-local handle, or ``None`` when observability is off."""
-    return _process_handle
+class _Dormant(Observability):
+    """The handle of an uninstrumented object: times, counts and traces nothing.
+
+    It is shared by every such object, so it never holds state: its tracer
+    is disabled (``start`` hands back ``None``) and the hooks that would
+    write its registry are no-ops.
+    """
+
+    def stage(self, name: str) -> AbstractContextManager[Any]:
+        return _NO_STAGE
+
+    def record_stage(self, name: str, seconds: float) -> None:
+        pass
+
+    def count(self, name: str) -> None:
+        pass
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {"enabled": False}
 
 
-def set_observability(handle: "Observability | None") -> "Observability | None":
-    """Install (or clear, with ``None``) the process-local handle."""
-    global _process_handle
-    with _process_lock:
-        previous = _process_handle
-        _process_handle = handle
-    return previous
-
-
-def enable(*, tracing: bool = True, now: Callable[[], float] = _monotonic) -> Observability:
-    """Create and install a fresh process-local handle."""
-    handle = Observability(now=now, tracing=tracing)
-    set_observability(handle)
-    return handle
-
-
-def disable() -> Optional[Observability]:
-    """Clear the process-local handle; returns the displaced one, if any."""
-    return set_observability(None)
+#: The one dormant handle: the default ``obs`` / ``observability`` of every
+#: instrumented object.
+DORMANT: Observability = _Dormant(tracing=False)

@@ -4,20 +4,18 @@ The registry is deliberately tiny -- three metric kinds, a dict of names,
 a lock per metric -- because it sits inside per-transaction hot paths
 (mempool admission records one histogram sample per tx).  Design points:
 
-- **Fixed log-scale buckets.**  A :class:`Histogram` covers
-  ``[lower, lower * 10**decades)`` with ``buckets_per_decade`` buckets per
+- **One fixed log-scale geometry.**  Every :class:`Histogram` covers
+  ``[LOWER, LOWER * 10**DECADES)`` with ``BUCKETS_PER_DECADE`` buckets per
   factor of ten, so bucket ``i`` spans
-  ``[lower * 10**(i/bpd), lower * 10**((i+1)/bpd))``.  With the defaults
-  (1 microsecond .. 1000 s, 10 buckets/decade) any quantile estimate is
-  within one bucket boundary -- a factor of ``10**0.1 ~ 1.26`` -- of the
-  exact nearest-rank percentile, which is plenty for stage profiling.
-- **Mergeable snapshots.**  ``snapshot()`` emits plain JSON-safe dicts and
-  :func:`merge_histogram_snapshots` adds them bucket-wise, so per-worker or
-  per-process registries fold into one fleet view without any wire format
-  beyond JSON.
+  ``[LOWER * 10**(i/bpd), LOWER * 10**((i+1)/bpd))``: 1 microsecond ..
+  1000 s at 10 buckets/decade.  Any quantile estimate is within one bucket
+  boundary -- a factor of ``10**0.1 ~ 1.26`` -- of the exact nearest-rank
+  percentile, which is plenty for stage profiling.
+- **JSON-safe snapshots.**  ``snapshot()`` emits plain dicts (sparse
+  non-empty buckets only), which the ``metrics`` gateway route and the dump
+  CLI carry as they are.
 - **Injectable clock.**  The registry carries the monotonic ``now`` used by
-  every stage timer built on top of it; tests pass a fake clock and get
-  byte-stable histograms.
+  every stage timer built on top of it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, List
 from time import monotonic as _monotonic
 
 __all__ = [
@@ -33,8 +31,17 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_histogram_snapshots",
 ]
+
+#: The histogram geometry: the lowest in-range sample (seconds), the buckets
+#: per factor of ten and the factors of ten covered.
+LOWER = 1e-6
+BUCKETS_PER_DECADE = 10
+DECADES = 9
+_EDGES = tuple(
+    LOWER * 10.0 ** (i / BUCKETS_PER_DECADE)
+    for i in range(BUCKETS_PER_DECADE * DECADES + 1)
+)
 
 
 class Counter:
@@ -75,10 +82,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
-
     def set_max(self, value: float) -> None:
         """Keep the high-water mark (``largest_batch`` style gauges)."""
         with self._lock:
@@ -96,40 +99,21 @@ class Gauge:
 class Histogram:
     """Fixed-bucket log-scale histogram with nearest-rank quantile estimates.
 
-    Samples below ``lower`` land in a dedicated underflow bucket (estimated
-    as ``lower``); samples at or above the top edge land in overflow
+    Samples below ``LOWER`` land in a dedicated underflow bucket (estimated
+    as ``LOWER``); samples at or above the top edge land in overflow
     (estimated as the observed max).  Everything else is bisected into the
-    precomputed edge table, so ``observe`` costs one lock, one bisect over
-    ~90 floats and two adds -- cheap enough for per-transaction call sites.
+    shared edge table, so ``observe`` costs one lock, one bisect over ~90
+    floats and two adds -- cheap enough for per-transaction call sites.
     """
 
     __slots__ = (
-        "name", "lower", "buckets_per_decade", "decades", "_edges",
-        "_counts", "_underflow", "_overflow", "_count", "_sum",
+        "name", "_counts", "_underflow", "_overflow", "_count", "_sum",
         "_min", "_max", "_lock",
     )
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        lower: float = 1e-6,
-        buckets_per_decade: int = 10,
-        decades: int = 9,
-    ) -> None:
-        if lower <= 0.0:
-            raise ValueError("lower bound must be positive")
-        if buckets_per_decade < 1 or decades < 1:
-            raise ValueError("need at least one bucket per decade and one decade")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.lower = float(lower)
-        self.buckets_per_decade = int(buckets_per_decade)
-        self.decades = int(decades)
-        n = self.buckets_per_decade * self.decades
-        self._edges: List[float] = [
-            self.lower * 10.0 ** (i / self.buckets_per_decade) for i in range(n + 1)
-        ]
-        self._counts: List[int] = [0] * n
+        self._counts: List[int] = [0] * (len(_EDGES) - 1)
         self._underflow = 0
         self._overflow = 0
         self._count = 0
@@ -147,12 +131,12 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if value < self._edges[0]:
+            if value < LOWER:
                 self._underflow += 1
-            elif value >= self._edges[-1]:
+            elif value >= _EDGES[-1]:
                 self._overflow += 1
             else:
-                self._counts[bisect_right(self._edges, value) - 1] += 1
+                self._counts[bisect_right(_EDGES, value) - 1] += 1
 
     @property
     def count(self) -> int:
@@ -174,45 +158,23 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be within [0, 1], got {q}")
         with self._lock:
-            if self._count == 0:
-                return None
-            rank = max(1, math.ceil(q * self._count))
-            seen = self._underflow
-            if rank <= seen:
-                return min(self.lower, self._max)
-            for i, bucket in enumerate(self._counts):
-                seen += bucket
-                if rank <= seen:
-                    return min(self._edges[i + 1], self._max)
-            return self._max  # overflow bucket
+            return self._quantile_locked(q)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (same bucket geometry only)."""
-        if (other.lower, other.buckets_per_decade, other.decades) != (
-            self.lower, self.buckets_per_decade, self.decades,
-        ):
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: bucket geometry differs"
-            )
-        with other._lock:
-            counts = list(other._counts)
-            under, over = other._underflow, other._overflow
-            count, total = other._count, other._sum
-            lo, hi = other._min, other._max
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._underflow += under
-            self._overflow += over
-            self._count += count
-            self._sum += total
-            if lo < self._min:
-                self._min = lo
-            if hi > self._max:
-                self._max = hi
+    def _quantile_locked(self, q: float) -> "float | None":
+        if self._count == 0:
+            return None
+        rank = max(1, math.ceil(q * self._count))
+        seen = self._underflow
+        if rank <= seen:
+            return min(LOWER, self._max)
+        for i, bucket in enumerate(self._counts):
+            seen += bucket
+            if rank <= seen:
+                return min(_EDGES[i + 1], self._max)
+        return self._max  # overflow bucket
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe, mergeable state dump (sparse non-empty buckets only)."""
+        """JSON-safe state dump (sparse non-empty buckets only)."""
         with self._lock:
             return {
                 "count": self._count,
@@ -224,59 +186,10 @@ class Histogram:
                 "buckets": {
                     str(i): c for i, c in enumerate(self._counts) if c
                 },
-                "lower": self.lower,
-                "buckets_per_decade": self.buckets_per_decade,
-                "decades": self.decades,
                 "p50": self._quantile_locked(0.50),
                 "p99": self._quantile_locked(0.99),
                 "p999": self._quantile_locked(0.999),
             }
-
-    def _quantile_locked(self, q: float) -> "float | None":
-        # snapshot() already holds the lock; duplicate the walk lock-free.
-        if self._count == 0:
-            return None
-        rank = max(1, math.ceil(q * self._count))
-        seen = self._underflow
-        if rank <= seen:
-            return min(self.lower, self._max)
-        for i, bucket in enumerate(self._counts):
-            seen += bucket
-            if rank <= seen:
-                return min(self._edges[i + 1], self._max)
-        return self._max
-
-
-def merge_histogram_snapshots(
-    base: Mapping[str, Any], other: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Add two :meth:`Histogram.snapshot` dicts bucket-wise.
-
-    The merged dict reports counts, sum, min/max and buckets exactly as a
-    single histogram that observed both streams would; the quantile fields
-    are re-derived from the merged buckets via a throwaway histogram.
-    """
-    geometry = ("lower", "buckets_per_decade", "decades")
-    if any(base[k] != other[k] for k in geometry):
-        raise ValueError("cannot merge snapshots: bucket geometry differs")
-    merged = Histogram(
-        "merged",
-        lower=base["lower"],
-        buckets_per_decade=base["buckets_per_decade"],
-        decades=base["decades"],
-    )
-    for snap in (base, other):
-        for key, count in snap["buckets"].items():
-            merged._counts[int(key)] += count
-        merged._underflow += snap["underflow"]
-        merged._overflow += snap["overflow"]
-        merged._count += snap["count"]
-        merged._sum += snap["sum"]
-        if snap["min"] is not None and snap["min"] < merged._min:
-            merged._min = snap["min"]
-        if snap["max"] is not None and snap["max"] > merged._max:
-            merged._max = snap["max"]
-    return merged.snapshot()
 
 
 class MetricsRegistry:
@@ -285,9 +198,7 @@ class MetricsRegistry:
     ``counter(name)`` / ``gauge(name)`` / ``histogram(name)`` are
     get-or-create: repeated calls return the same object, and asking for an
     existing name with a different metric kind is an error (one name, one
-    meaning).  ``snapshot()`` emits the whole registry as a JSON-safe dict;
-    :meth:`merge_snapshot` folds another registry's snapshot in (counters
-    add, gauges keep the max, histograms merge bucket-wise).
+    meaning).  ``snapshot()`` emits the whole registry as a JSON-safe dict.
     """
 
     def __init__(self, *, now: Callable[[], float] = _monotonic) -> None:
@@ -295,12 +206,11 @@ class MetricsRegistry:
         self._metrics: Dict[str, Any] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, name: str, kind: type, factory: Callable[[], Any]) -> Any:
+    def _get_or_create(self, name: str, kind: type) -> Any:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
+                metric = self._metrics[name] = kind(name)
             elif not isinstance(metric, kind):
                 raise ValueError(
                     f"metric {name!r} already registered as "
@@ -309,37 +219,13 @@ class MetricsRegistry:
             return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, lambda: Counter(name))
+        return self._get_or_create(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
+        return self._get_or_create(name, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        *,
-        lower: float = 1e-6,
-        buckets_per_decade: int = 10,
-        decades: int = 9,
-    ) -> Histogram:
-        return self._get_or_create(
-            name,
-            Histogram,
-            lambda: Histogram(
-                name,
-                lower=lower,
-                buckets_per_decade=buckets_per_decade,
-                decades=decades,
-            ),
-        )
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
-    def get(self, name: str) -> Optional[Any]:
-        with self._lock:
-            return self._metrics.get(name)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -354,36 +240,3 @@ class MetricsRegistry:
             else:
                 out["histograms"][name] = metric.snapshot()
         return out
-
-    def merge_snapshot(self, snap: Mapping[str, Any]) -> None:
-        """Fold another registry's ``snapshot()`` into this registry."""
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(int(value))
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set_max(float(value))
-        for name, hist_snap in snap.get("histograms", {}).items():
-            hist = self.histogram(
-                name,
-                lower=hist_snap["lower"],
-                buckets_per_decade=hist_snap["buckets_per_decade"],
-                decades=hist_snap["decades"],
-            )
-            merged = merge_histogram_snapshots(hist.snapshot(), hist_snap)
-            with hist._lock:
-                hist._counts = [0] * len(hist._counts)
-                for key, count in merged["buckets"].items():
-                    hist._counts[int(key)] = count
-                hist._underflow = merged["underflow"]
-                hist._overflow = merged["overflow"]
-                hist._count = merged["count"]
-                hist._sum = merged["sum"]
-                hist._min = math.inf if merged["min"] is None else merged["min"]
-                hist._max = -math.inf if merged["max"] is None else merged["max"]
-
-    @staticmethod
-    def merge_snapshots(snaps: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Merge whole-registry snapshots into one combined snapshot."""
-        combined = MetricsRegistry()
-        for snap in snaps:
-            combined.merge_snapshot(snap)
-        return combined.snapshot()

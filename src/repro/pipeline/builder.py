@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chain.transaction import Transaction
+from repro.obs import DORMANT, Observability
 from repro.pipeline.mempool import DEFAULT_BLOCK_GAS_LIMIT, Mempool
 
 
@@ -49,9 +50,9 @@ class BlockBuilder:
         self.mempool = mempool
         self.block_gas_limit = block_gas_limit
         self.blocks_planned = 0
-        #: optional :class:`repro.obs.Observability` handle; when attached,
-        #: :meth:`build` is timed into the ``build`` stage histogram.
-        self.obs = None
+        #: the :class:`repro.obs.Observability` handle; a live one times
+        #: :meth:`build` into the ``build`` stage histogram.
+        self.obs: Observability = DORMANT
 
     def build(self) -> BlockPlan:
         """Plan the next block from the current pool contents.
@@ -60,30 +61,24 @@ class BlockBuilder:
         reports them included (crash safety: an executor that dies mid-block
         loses no transactions).
         """
-        obs = self.obs
-        if obs is None:
-            return self._build()
-        with obs.stage("build"):
-            return self._build()
-
-    def _build(self) -> BlockPlan:
-        plan = BlockPlan(gas_limit=self.block_gas_limit)
-        skipped_senders: set[bytes] = set()
-        for tx in self.mempool.transactions():
-            if tx.sender in skipped_senders:
-                plan.deferred += 1
-                continue
-            if plan.gas_budget + tx.gas_limit > self.block_gas_limit:
-                # Nonce ordering: once one of a sender's transactions is
-                # deferred, all its later ones must wait too.
-                skipped_senders.add(tx.sender)
-                plan.deferred += 1
-                continue
-            plan.transactions.append(tx)
-            plan.gas_budget += tx.gas_limit
-        if plan:
-            self.blocks_planned += 1
-        return plan
+        with self.obs.stage("build"):
+            plan = BlockPlan(gas_limit=self.block_gas_limit)
+            skipped_senders: set[bytes] = set()
+            for tx in self.mempool.transactions():
+                if tx.sender in skipped_senders:
+                    plan.deferred += 1
+                    continue
+                if plan.gas_budget + tx.gas_limit > self.block_gas_limit:
+                    # Nonce ordering: once one of a sender's transactions is
+                    # deferred, all its later ones must wait too.
+                    skipped_senders.add(tx.sender)
+                    plan.deferred += 1
+                    continue
+                plan.transactions.append(tx)
+                plan.gas_budget += tx.gas_limit
+            if plan:
+                self.blocks_planned += 1
+            return plan
 
 
 __all__ = ["BlockBuilder", "BlockPlan", "DEFAULT_BLOCK_GAS_LIMIT"]

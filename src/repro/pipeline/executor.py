@@ -35,6 +35,7 @@ from repro.core.token import MalformedToken, Token
 from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
 from repro.crypto.ecdsa import Signature
 from repro.crypto.sigcache import SignatureCache
+from repro.obs import DORMANT, Observability
 
 
 @dataclass(slots=True)
@@ -66,10 +67,10 @@ class BlockExecutor:
         self.signature_cache = (
             signature_cache if signature_cache is not None else chain.evm.signature_cache
         )
-        #: optional :class:`repro.obs.Observability` handle; when attached,
-        #: the ``pre_warm`` and ``execute`` stages are timed separately so a
-        #: block's cache-warming cost is attributable apart from the EVM run.
-        self.obs = None
+        #: the :class:`repro.obs.Observability` handle; a live one times the
+        #: ``pre_warm`` and ``execute`` stages separately so a block's
+        #: cache-warming cost is attributable apart from the EVM run.
+        self.obs: Observability = DORMANT
 
     # -- the batched pre-warm pass ----------------------------------------------
 
@@ -87,47 +88,41 @@ class BlockExecutor:
         here -- once, outside any gas-metered frame -- instead of inside
         the EVM.
         """
-        obs = self.obs
-        if obs is None:
-            return self._pre_warm(transactions)
-        with obs.stage("pre_warm"):
-            return self._pre_warm(transactions)
-
-    def _pre_warm(self, transactions: list[Transaction]) -> tuple[int, int]:
-        cache = self.signature_cache
-        state = self.chain.state
-        datagrams: list[bytes] = []
-        checks: list[tuple[Signature, bytes]] = []  # (signature, trusted signer)
-        for tx in transactions:
-            for address, raw in tokens_carried(tx).items():
-                # Call-chain bundles carry one entry per contract; each entry
-                # is verified by its own contract with the same datagram
-                # rules, so each is warmed against that contract.
-                target = self.chain.evm.contracts.get(address)
-                if not isinstance(target, SMACSContract):
-                    continue
-                trusted = state.storage_get(address, TS_ADDRESS_SLOT, None)
-                if trusted is None:
-                    continue
-                try:
-                    token = Token.from_bytes(raw)
-                except MalformedToken:
-                    continue
-                datagram = reconstruct_datagram(tx, target, token)
-                if datagram is None:
-                    continue
-                datagrams.append(datagram)
-                checks.append((token.signature, trusted))
-        misses = 0
-        # The whole plan's datagrams are in hand: hash the uncached ones by lanes.
-        for digest, (signature, trusted) in zip(cache.digests_for(datagrams), checks):
-            # An intra-block replay of a not-yet-cached token finds the
-            # answer its first copy left, so `misses` keeps meaning "curve
-            # math ran here".
-            if cache.peek_recovery_matches(digest, signature, trusted) is None:
-                cache.recovery_matches(digest, signature, trusted)
-                misses += 1
-        return len(checks) - misses, misses
+        with self.obs.stage("pre_warm"):
+            cache = self.signature_cache
+            state = self.chain.state
+            datagrams: list[bytes] = []
+            checks: list[tuple[Signature, bytes]] = []  # (signature, trusted signer)
+            for tx in transactions:
+                for address, raw in tokens_carried(tx).items():
+                    # Call-chain bundles carry one entry per contract; each entry
+                    # is verified by its own contract with the same datagram
+                    # rules, so each is warmed against that contract.
+                    target = self.chain.evm.contracts.get(address)
+                    if not isinstance(target, SMACSContract):
+                        continue
+                    trusted = state.storage_get(address, TS_ADDRESS_SLOT, None)
+                    if trusted is None:
+                        continue
+                    try:
+                        token = Token.from_bytes(raw)
+                    except MalformedToken:
+                        continue
+                    datagram = reconstruct_datagram(tx, target, token)
+                    if datagram is None:
+                        continue
+                    datagrams.append(datagram)
+                    checks.append((token.signature, trusted))
+            misses = 0
+            # The whole plan's datagrams are in hand: hash the uncached ones by lanes.
+            for digest, (signature, trusted) in zip(cache.digests_for(datagrams), checks):
+                # An intra-block replay of a not-yet-cached token finds the
+                # answer its first copy left, so `misses` keeps meaning "curve
+                # math ran here".
+                if cache.peek_recovery_matches(digest, signature, trusted) is None:
+                    cache.recovery_matches(digest, signature, trusted)
+                    misses += 1
+            return len(checks) - misses, misses
 
     # -- execution ----------------------------------------------------------------
 
@@ -137,26 +132,20 @@ class BlockExecutor:
         if not transactions:
             return result
         result.prewarm_hits, result.prewarm_misses = self.pre_warm(transactions)
-        obs = self.obs
-        if obs is None:
-            return self._execute(transactions, result)
         # Timed after pre-warm, so "execute" is the enqueue + EVM mine alone.
-        with obs.stage("execute"):
-            return self._execute(transactions, result)
-
-    def _execute(self, transactions: list[Transaction], result: BlockResult) -> BlockResult:
-        for tx in transactions:
-            self.chain.enqueue_validated(tx)
-        result.receipts = self.chain.mine_block()
-        result.executed = len(result.receipts)
-        for receipt in result.receipts:
-            if receipt.success:
-                result.succeeded += 1
-            elif receipt.error is not None and "SMACS" in receipt.error:
-                result.smacs_denied += 1
-            else:
-                result.other_failures += 1
-        return result
+        with self.obs.stage("execute"):
+            for tx in transactions:
+                self.chain.enqueue_validated(tx)
+            result.receipts = self.chain.mine_block()
+            result.executed = len(result.receipts)
+            for receipt in result.receipts:
+                if receipt.success:
+                    result.succeeded += 1
+                elif receipt.error is not None and "SMACS" in receipt.error:
+                    result.smacs_denied += 1
+                else:
+                    result.other_failures += 1
+            return result
 
 
 __all__ = [

@@ -58,6 +58,7 @@ from repro.core.smacs_contract import (
 from repro.core.token import MalformedToken, Token
 from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
 from repro.crypto.sigcache import SignatureCache
+from repro.obs import DORMANT, Observability
 
 _WORD_BITS = 256
 
@@ -205,10 +206,10 @@ class Mempool:
         #: called with each successfully admitted transaction -- the seam
         #: the durability layer uses to write mempool WAL records.
         self.admission_listener: "Any | None" = None
-        #: optional :class:`repro.obs.Observability`; when attached (via
-        #: ``Observability.instrument_pipeline``), :meth:`admit` records the
-        #: ``admission`` stage histogram.  ``None`` costs one attribute check.
-        self.obs: "Any | None" = None
+        #: the :class:`repro.obs.Observability` handle; a live one (attached
+        #: by ``Observability.instrument_pipeline``) makes :meth:`admit_many`
+        #: record the ``admission`` stage histogram.
+        self.obs: Observability = DORMANT
         #: wall clock for propagated-deadline checks.  Deliberately *not*
         #: ``chain.clock`` (simulated block time): deadlines are stamped by
         #: wire clients from ``time.time()`` and must be compared against
@@ -310,14 +311,11 @@ class Mempool:
         """
         txs = list(txs)
         obs = self.obs
-        if obs is None:
-            prime_digests(txs)
-            return [self._admit(tx, deadline) for tx in txs]
         # Direct stage recording (no context manager, no span): admission is
-        # the per-transaction hot path, so the instrumented cost is two clock
-        # reads and one histogram observe per transaction.  The batch hash
-        # belongs to no single transaction; its wall time is shared equally
-        # so the stage's sum still covers it.
+        # the per-transaction hot path, so the cost is two clock reads and
+        # one ``record_stage`` call per transaction.  The batch hash belongs
+        # to no single transaction; its wall time is shared equally so the
+        # stage's sum still covers it.
         t0 = obs.clock()
         prime_digests(txs)
         share = (obs.clock() - t0) / len(txs) if txs else 0.0

@@ -25,6 +25,7 @@ from typing import Iterable
 from repro.chain.chain import Blockchain
 from repro.chain.transaction import Transaction
 from repro.crypto.sigcache import SignatureCache
+from repro.obs import DORMANT, Observability
 from repro.pipeline.builder import BlockBuilder, DEFAULT_BLOCK_GAS_LIMIT
 from repro.pipeline.executor import BlockExecutor, BlockResult
 from repro.pipeline.mempool import AdmissionDecision, Mempool
@@ -58,10 +59,10 @@ class ExecutionPipeline:
         #: by its ``attach()`` -- the pipeline only drives the block-commit
         #: protocol, it never imports the storage layer.
         self.durability = None
-        #: optional :class:`repro.obs.Observability` handle; set by
+        #: the :class:`repro.obs.Observability` handle; a live one is set by
         #: ``Observability.instrument_pipeline`` (which also attaches it to
         #: the mempool, builder, executor and -- when present -- the WAL).
-        self.obs = None
+        self.obs: Observability = DORMANT
 
     # -- ingest -----------------------------------------------------------------
 
@@ -93,28 +94,22 @@ class ExecutionPipeline:
         rebuilds from the admission log (the crash-before-fsync scenario of
         the fault matrix).
         """
-        obs = self.obs
-        if obs is None:
-            return self._run_block()
         # Root span for the block: the build / pre_warm / execute /
         # commit_fsync stage timers nest under it when tracing is enabled.
-        with obs.tracer.span("pipeline.run_block"):
-            return self._run_block()
-
-    def _run_block(self) -> "BlockResult | None":
-        plan = self.builder.build()
-        if not plan:
-            return None
-        durability = self.durability
-        if durability is not None:
-            durability.begin_block()
-        result = self.executor.execute(plan.transactions)
-        self.mempool.remove(plan.transactions)
-        self.blocks_executed += 1
-        self.transactions_executed += result.executed
-        if durability is not None:
-            durability.commit_block(self.chain.latest_block, result)
-        return result
+        with self.obs.tracer.span("pipeline.run_block"):
+            plan = self.builder.build()
+            if not plan:
+                return None
+            durability = self.durability
+            if durability is not None:
+                durability.begin_block()
+            result = self.executor.execute(plan.transactions)
+            self.mempool.remove(plan.transactions)
+            self.blocks_executed += 1
+            self.transactions_executed += result.executed
+            if durability is not None:
+                durability.commit_block(self.chain.latest_block, result)
+            return result
 
     def drain(self, max_blocks: int = 10_000) -> list[BlockResult]:
         """Run blocks until the mempool is empty."""

@@ -179,11 +179,10 @@ class DurableStore:
         chain.state_root_provider = self._seal_block
         pipeline.durability = self
         pipeline.mempool.admission_listener = self.note_admitted
-        # Instrumented pipelines propagate their handle down to the WAL so
-        # the commit_fsync stage is timed no matter which of attach() /
+        # The pipeline's handle reaches the WAL so the commit_fsync stage is
+        # timed no matter which of attach() /
         # Observability.instrument_pipeline() ran first.
-        if getattr(pipeline, "obs", None) is not None:
-            self.wal.obs = pipeline.obs
+        self.wal.obs = pipeline.obs
         self.tracker = StateRootTracker.from_state(chain.state)
         if (
             not self._recovered

@@ -33,6 +33,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs import DORMANT, Observability
+
 MAGIC = b"SWAL1"
 _HEADER = 8  # u32 length + u32 crc32
 
@@ -63,10 +65,10 @@ class WriteAheadLog:
         self.path = path
         self.hooks = hooks
         self._dead = False
-        #: optional :class:`repro.obs.Observability` handle; when attached,
-        #: every :meth:`sync` is timed into the ``commit_fsync`` stage (the
-        #: duration is recorded even when a fault hook kills the sync).
-        self.obs: Any = None
+        #: the :class:`repro.obs.Observability` handle; a live one times
+        #: every :meth:`sync` into the ``commit_fsync`` stage (the duration
+        #: is recorded even when a fault hook kills the sync).
+        self.obs: Observability = DORMANT
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         self._file = open(path, "w+b" if fresh else "r+b")
         if fresh:
@@ -95,22 +97,15 @@ class WriteAheadLog:
 
     def sync(self) -> None:
         """Flush and fsync; the fault seam fires between the two."""
-        obs = self.obs
-        if obs is None:
-            self._sync()
-            return
         # Context-managed so the stage sample is recorded even when a fault
         # hook raises SimulatedCrash mid-sync (the crash cells still profile).
-        with obs.stage("commit_fsync"):
-            self._sync()
-
-    def _sync(self) -> None:
-        self._check_alive()
-        self._file.flush()
-        if self.hooks is not None:
-            self.hooks.before_sync(self)
-        os.fsync(self._file.fileno())
-        self._synced = self._size
+        with self.obs.stage("commit_fsync"):
+            self._check_alive()
+            self._file.flush()
+            if self.hooks is not None:
+                self.hooks.before_sync(self)
+            os.fsync(self._file.fileno())
+            self._synced = self._size
 
     def _check_alive(self) -> None:
         if self._dead:

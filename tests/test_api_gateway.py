@@ -259,6 +259,58 @@ def test_decision_encoding_is_faithful():
     assert not decision.allowed and decision.reason
 
 
+class StubTransport:
+    """Answers every frame with one fixed success envelope."""
+
+    def __init__(self, body: dict):
+        self.answer = codec.encode_response_envelope(body)
+
+    def send(self, raw: bytes) -> bytes:
+        return self.answer
+
+    def close(self) -> None:
+        pass
+
+    def describe(self):
+        return {"kind": "stub"}
+
+
+_CLIENT_CALLS = {
+    "address": lambda client: client.address,
+    "stats": lambda client: client.stats(),
+    "metrics": lambda client: client.metrics(),
+    "health": lambda client: client.health(),
+    "submit": lambda client: client.submit(
+        TokenRequest.method_token(b"\x01" * 20, b"\x02" * 20, "submit")
+    ),
+    "update_rules": lambda client: client.update_rules(lambda rules: None),
+}
+
+
+@pytest.mark.parametrize(
+    "call, body",
+    [
+        ("address", {}),
+        ("address", {"address": "zz"}),
+        ("address", {"address": 5}),
+        ("stats", {}),
+        ("stats", {"stats": []}),
+        ("metrics", {}),
+        ("health", {}),
+        ("submit", {}),
+        ("update_rules", {"config": 5, "epoch": 0}),
+        ("update_rules", {"epoch": 0}),
+    ],
+)
+def test_client_refuses_answer_bodies_it_cannot_read(call, body):
+    """A well-framed answer whose body lacks or mistypes the field the call
+    reads is the server's malformed answer, not a client crash."""
+    client = GatewayClient(StubTransport(body), ROUTE)
+    with pytest.raises(SmacsError) as raised:
+        _CLIENT_CALLS[call](client)
+    assert raised.value.code is ErrorCode.MALFORMED_REQUEST
+
+
 # --- retry backoff ------------------------------------------------------------------
 
 

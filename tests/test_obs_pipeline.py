@@ -1,15 +1,19 @@
 """Stage timers through the full pipeline + durable store, and the exporters.
 
 The profiling hooks must (a) attribute a real workload's time to the named
-stages (admission, build, pre_warm, execute, commit_fsync), (b) cost nothing
-but one attribute check when disabled, and (c) export through every path --
-``Observability.snapshot``, the stage breakdown, and the
-``python -m repro.obs.dump`` CLI.
+stages (admission, build, pre_warm, execute, commit_fsync), (b) leave the
+shared dormant handle untouched when nothing is instrumented, and (c)
+export through every path -- ``Observability.snapshot``, the stage
+breakdown, and the ``python -m repro.obs.dump`` CLI.
 """
 
 from __future__ import annotations
 
+import ast
+import collections
 import json
+import pathlib
+import time
 
 import pytest
 
@@ -20,7 +24,7 @@ from repro.core.acr import RuleSet
 from repro.core.replication import ReplicatedTokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
-from repro.obs import STAGES, Observability, disable, enable, observability
+from repro.obs import DORMANT, STAGES, Observability
 from repro.obs.dump import load_snapshot, main as dump_main, render_text
 from repro.pipeline import ExecutionPipeline, SmacsLoadGenerator
 from repro.storage import DurableStore
@@ -108,15 +112,18 @@ def test_metrics_without_tracing_records_stages_only(env, cache):
     assert obs.snapshot()["tracing"] is False
 
 
-def test_disabled_path_is_untouched(env, cache):
-    """obs=None: no handle anywhere, and behaviour is byte-identical."""
-    pipeline, decisions, results = _run_workload(env, cache, None)
-    assert pipeline.obs is None
-    assert pipeline.mempool.obs is None
-    assert pipeline.builder.obs is None
-    assert pipeline.executor.obs is None
+def test_disabled_path_is_untouched(env, cache, tmp_path):
+    """Nothing instrumented: every hook holds the dormant handle, and the
+    decisions are the instrumented run's (all admitted, all succeeded)."""
+    pipeline, decisions, results = _run_workload(env, cache, None, tmp_path)
+    assert pipeline.obs is DORMANT
+    assert pipeline.mempool.obs is DORMANT
+    assert pipeline.builder.obs is DORMANT
+    assert pipeline.executor.obs is DORMANT
+    assert pipeline.durability.wal.obs is DORMANT
     assert all(d.admitted for d in decisions)
     assert sum(r.succeeded for r in results) == 10
+    assert sum(r.prewarm_hits for r in results) == 10
 
 
 def test_instrumented_run_matches_uninstrumented_decisions(env, cache):
@@ -141,18 +148,6 @@ def test_attach_after_instrument_still_times_the_wal(env, cache, tmp_path):
     pipeline.drain()
     store.close()
     assert obs.stage_breakdown()["commit_fsync"]["count"] >= 1
-
-
-def test_process_local_handle_lifecycle():
-    assert observability() is None
-    handle = enable(tracing=False)
-    try:
-        assert observability() is handle
-        assert handle.tracer.enabled is False
-    finally:
-        displaced = disable()
-    assert displaced is handle
-    assert observability() is None
 
 
 def test_stage_breakdown_orders_canonical_stages_first():
@@ -231,3 +226,124 @@ def test_dump_fetches_a_live_gateway_over_tcp():
     assert snapshot["enabled"] is True
     assert snapshot["stages"]["issuance"]["count"] == 1
     assert "issuance" in render_text(snapshot)
+
+
+# --- one instrumentation path -------------------------------------------------------
+
+_ROUTE = "https://ts.dormant.example"
+_HANDLES = {"obs", "observability"}
+
+
+def _one_tcp_submit(gateway) -> None:
+    from repro.api import connect, serve
+    from repro.chain.address import to_address
+    from repro.core.token_request import TokenRequest
+
+    with serve(gateway) as server:
+        client = connect(server.url, route=_ROUTE)
+        try:
+            request = TokenRequest.method_token(to_address(1), to_address(2), "submit")
+            assert client.submit(request)[0].issued
+        finally:
+            client.close()
+
+
+def _serial_gateway():
+    from repro.api import ServiceGateway, build_service
+
+    gateway = ServiceGateway()
+    gateway.register(_ROUTE, build_service("serial", seed=5))
+    return gateway
+
+
+def test_the_dormant_handle_stays_empty(env, cache, tmp_path):
+    """Count guard: blocks through a durable pipeline, a TCP submit and a
+    deadline shed through an uninstrumented gateway leave the shared dormant
+    handle with zero metrics and zero spans."""
+    from repro.api import InProcessTransport, codec
+
+    _, _, results = _run_workload(env, cache, None, tmp_path)
+    assert results
+    gateway = _serial_gateway()
+    assert gateway.observability is DORMANT
+    _one_tcp_submit(gateway)
+    expired = codec.encode_request_envelope(
+        "submit", _ROUTE, {"requests": []}, deadline=time.time() - 1.0
+    )
+    InProcessTransport(gateway).send(expired)
+    assert gateway.shed["deadline"] == 1
+
+    assert DORMANT.registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert DORMANT.stage_breakdown() == {}
+    assert DORMANT.tracer.finished_total == 0
+    assert DORMANT.tracer.finished_spans() == []
+    assert DORMANT.snapshot() == {"enabled": False}
+
+
+def _names_a_handle(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in _HANDLES
+    if isinstance(node, ast.Attribute):
+        return node.attr in _HANDLES
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+        return any(isinstance(arg, ast.Constant) and arg.value in _HANDLES for arg in node.args)
+    return False
+
+
+def test_no_module_under_src_compares_a_handle_with_none():
+    """Every hook has one path: no ``obs`` / ``observability`` value is ever
+    compared with ``None`` (the dormant handle stands in for "off")."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(map(_names_a_handle, operands)) and any(
+                isinstance(operand, ast.Constant) and operand.value is None
+                for operand in operands
+            ):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_the_ledger_seams_fire_once_per_block_and_frame(env, cache, tmp_path):
+    """The performance ledger wraps these public methods on their instances;
+    each must still be reached through the instance, once per block (or per
+    frame), so a fold that calls a private helper directly fails here."""
+    pipeline = ExecutionPipeline(env["chain"], signature_cache=cache)
+    store = DurableStore(str(tmp_path), "sqlite")
+    store.attach(pipeline)
+    gateway = _serial_gateway()
+    calls: collections.Counter = collections.Counter()
+
+    def count(target, name: str) -> None:
+        inner = getattr(target, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{type(target).__name__}.{name}"] += 1
+            return inner(*args, **kwargs)
+
+        setattr(target, name, counted)
+
+    count(pipeline, "run_block")
+    count(pipeline.builder, "build")
+    count(pipeline.executor, "pre_warm")
+    count(pipeline.executor, "execute")
+    count(store.wal, "sync")
+    count(gateway, "handle")
+
+    generator = SmacsLoadGenerator(env["service"], env["recorder"], env["clients"])
+    pipeline.ingest(generator.from_arrivals([4]))
+    assert pipeline.run_block().executed == 4
+    _one_tcp_submit(gateway)
+    store.close()
+    assert calls == {
+        "ExecutionPipeline.run_block": 1,
+        "BlockBuilder.build": 1,
+        "BlockExecutor.pre_warm": 1,
+        "BlockExecutor.execute": 1,
+        "WriteAheadLog.sync": 1,
+        "ServiceGateway.handle": 1,
+    }

@@ -7,13 +7,8 @@ import threading
 
 import pytest
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_histogram_snapshots,
-)
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import BUCKETS_PER_DECADE, DECADES, LOWER
 
 
 # --- counters / gauges --------------------------------------------------------------
@@ -31,7 +26,7 @@ def test_counter_only_goes_up():
 def test_gauge_levels_and_high_water_mark():
     gauge = Gauge("largest_batch")
     gauge.set(3.0)
-    gauge.add(2.0)
+    gauge.set(5.0)
     assert gauge.value == 5.0
     gauge.set_max(4.0)  # below the current level: no change
     assert gauge.value == 5.0
@@ -46,7 +41,7 @@ def test_histogram_quantiles_land_within_one_bucket():
     hist = Histogram("latency")
     for ms in (1.0, 2.0, 3.0, 4.0, 100.0):
         hist.observe(ms / 1000.0)
-    growth = 10.0 ** (1.0 / hist.buckets_per_decade)
+    growth = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
     p50 = hist.quantile(0.5)
     assert 0.003 <= p50 <= 0.003 * growth * (1 + 1e-9)
     # p999 of five samples is the max; the estimate clamps to it exactly.
@@ -66,14 +61,15 @@ def test_histogram_empty_and_single_sample_edges():
 
 
 def test_histogram_underflow_and_overflow():
-    hist = Histogram("edges", lower=1e-3, decades=2)  # covers [1ms, 100ms)
+    hist = Histogram("edges")  # covers [1 us, 1000 s)
+    top = LOWER * 10.0 ** DECADES
     hist.observe(0.0)       # underflow
-    hist.observe(5.0)       # overflow
+    hist.observe(5 * top)   # overflow
     snap = hist.snapshot()
     assert snap["underflow"] == 1
     assert snap["overflow"] == 1
-    assert hist.quantile(0.0) <= 1e-3          # underflow estimates the floor
-    assert hist.quantile(1.0) == pytest.approx(5.0)  # overflow estimates the max
+    assert hist.quantile(0.0) <= LOWER                   # underflow estimates the floor
+    assert hist.quantile(1.0) == pytest.approx(5 * top)  # overflow estimates the max
 
 
 def test_histogram_snapshot_is_json_safe_and_sparse():
@@ -87,45 +83,6 @@ def test_histogram_snapshot_is_json_safe_and_sparse():
     assert len(snap["buckets"]) == 1  # only the touched bucket is emitted
 
 
-def test_histogram_merge_matches_single_stream():
-    left, right, single = (Histogram(n) for n in ("l", "r", "s"))
-    samples_left = [0.001, 0.002, 0.5]
-    samples_right = [0.0001, 0.040, 0.040, 3.0]
-    for value in samples_left:
-        left.observe(value)
-        single.observe(value)
-    for value in samples_right:
-        right.observe(value)
-        single.observe(value)
-    left.merge(right)
-    merged_snap, single_snap = left.snapshot(), single.snapshot()
-    assert merged_snap["buckets"] == single_snap["buckets"]
-    assert merged_snap["count"] == single_snap["count"]
-    assert merged_snap["p50"] == single_snap["p50"]
-    assert merged_snap["sum"] == pytest.approx(single_snap["sum"])
-
-
-def test_histogram_merge_rejects_mismatched_geometry():
-    with pytest.raises(ValueError):
-        Histogram("a").merge(Histogram("b", lower=1e-3))
-    with pytest.raises(ValueError):
-        merge_histogram_snapshots(
-            Histogram("a").snapshot(), Histogram("b", decades=3).snapshot()
-        )
-
-
-def test_merge_histogram_snapshots_adds_bucketwise():
-    a, b = Histogram("a"), Histogram("b")
-    for value in (0.001, 0.010):
-        a.observe(value)
-    b.observe(0.010)
-    merged = merge_histogram_snapshots(a.snapshot(), b.snapshot())
-    assert merged["count"] == 3
-    assert merged["min"] == 0.001
-    assert merged["max"] == 0.010
-    assert sum(merged["buckets"].values()) == 3
-
-
 # --- registry -----------------------------------------------------------------------
 
 
@@ -135,8 +92,7 @@ def test_registry_get_or_create_and_kind_conflicts():
     assert registry.counter("x") is counter
     with pytest.raises(ValueError):
         registry.gauge("x")  # one name, one meaning
-    assert registry.names() == ["x"]
-    assert registry.get("missing") is None
+    assert registry.snapshot()["counters"] == {"x": 0}
 
 
 def test_registry_snapshot_shape():
@@ -149,21 +105,6 @@ def test_registry_snapshot_shape():
     assert snap["counters"] == {"c": 3}
     assert snap["gauges"] == {"g": 1.5}
     assert snap["histograms"]["h"]["count"] == 1
-
-
-def test_registry_merge_snapshot_folds_fleet_views():
-    worker1, worker2 = MetricsRegistry(), MetricsRegistry()
-    worker1.counter("reqs").inc(10)
-    worker2.counter("reqs").inc(5)
-    worker1.gauge("peak").set(3.0)
-    worker2.gauge("peak").set(7.0)
-    worker1.histogram("lat").observe(0.001)
-    worker2.histogram("lat").observe(0.010)
-
-    combined = MetricsRegistry.merge_snapshots([worker1.snapshot(), worker2.snapshot()])
-    assert combined["counters"]["reqs"] == 15
-    assert combined["gauges"]["peak"] == 7.0
-    assert combined["histograms"]["lat"]["count"] == 2
 
 
 def test_registry_injectable_clock_is_exposed():

@@ -23,7 +23,7 @@ from repro.api import (
 from repro.core.acr import RuleSet
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
-from repro.obs import Observability, TraceContext, Tracer
+from repro.obs import DORMANT, Observability, TraceContext, Tracer
 
 ROUTE = "https://ts.obs.example"
 
@@ -42,7 +42,7 @@ def _request() -> TokenRequest:
     return TokenRequest.method_token(b"\xaa" * 20, b"\xbb" * 20, "submit")
 
 
-def _gateway(obs: "Observability | None") -> ServiceGateway:
+def _gateway(obs: Observability = DORMANT) -> ServiceGateway:
     service = build_service(
         "serial", keypair=KeyPair.from_seed("obs-ts"), rules=RuleSet()
     )
@@ -168,7 +168,7 @@ def test_trace_context_survives_tcp_round_trip(lane):
 @pytest.mark.parametrize("lane", codec.CODECS)
 def test_traced_client_against_untraced_server(lane):
     """Old servers ignore the trace field: requests succeed unchanged."""
-    gateway = _gateway(None)  # no observability handle at all
+    gateway = _gateway()  # the dormant default handle
     with serve(gateway) as server:
         client = connect(server.url, route=ROUTE, wire_codec=lane)
         client.observability = client_obs = Observability()
@@ -235,6 +235,6 @@ def test_metrics_route_over_tcp_reports_the_snapshot():
 
 
 def test_metrics_route_without_observability_reports_disabled():
-    gateway = _gateway(None)
+    gateway = _gateway()
     client = gateway.client_for(ROUTE)
     assert client.metrics() == {"enabled": False}
