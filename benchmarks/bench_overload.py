@@ -144,10 +144,10 @@ def test_overload_sheds_and_protects_goodput(benchmark):
     assert peak.failed > 0, "4x overload produced no shedding"
     assert peak.errors_by_code.get("OVERLOADED", 0) > 0, peak.errors_by_code
 
-    goodput_ratio = peak.goodput_per_s / base.goodput_per_s
+    goodput_ratio = peak.achieved_rate_per_s / base.achieved_rate_per_s
     assert goodput_ratio >= MIN_GOODPUT_RATIO_4X, (
-        f"goodput collapsed under 4x overload: {base.goodput_per_s:.1f}/s -> "
-        f"{peak.goodput_per_s:.1f}/s (ratio {goodput_ratio:.2f})"
+        f"goodput collapsed under 4x overload: {base.achieved_rate_per_s:.1f}/s -> "
+        f"{peak.achieved_rate_per_s:.1f}/s (ratio {goodput_ratio:.2f})"
     )
 
     base_p99 = base.accepted_service.p99_ms
@@ -178,7 +178,7 @@ def test_overload_sheds_and_protects_goodput(benchmark):
         outcome, admission = measured[multiplier]
         tag = f"{multiplier}x"
         data[f"offered_{tag}_per_s"] = outcome.offered_rate_per_s
-        data[f"goodput_{tag}_per_s"] = round(outcome.goodput_per_s, 3)
+        data[f"goodput_{tag}_per_s"] = round(outcome.achieved_rate_per_s, 3)
         data[f"shed_rate_{tag}"] = round(outcome.error_rate, 6)
         data[f"overloaded_{tag}"] = outcome.errors_by_code.get("OVERLOADED", 0)
         data.update(
@@ -188,7 +188,7 @@ def test_overload_sheds_and_protects_goodput(benchmark):
         accepted = outcome.accepted_service
         lines.append(
             f"  {tag:>2} offered {outcome.offered_rate_per_s:7.0f}/s   "
-            f"goodput {outcome.goodput_per_s:6.1f}/s   "
+            f"goodput {outcome.achieved_rate_per_s:6.1f}/s   "
             f"shed {outcome.error_rate:6.1%}   "
             f"accepted p99 {accepted.p99_ms:6.2f} ms   "
             f"shed p99 {outcome.shed.p99_ms if outcome.shed.p99_ms is not None else 0.0:6.2f} ms"

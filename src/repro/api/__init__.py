@@ -17,19 +17,20 @@ wire-level gateway:
 * :mod:`repro.api.gateway` -- ``ServiceGateway`` with versioned wire
   envelopes (:mod:`repro.api.codec`: JSON plus a compact binary lane with
   per-envelope negotiation) and a protocol-speaking ``GatewayClient`` that
-  depends only on the small ``Transport`` protocol;
+  depends only on the small ``Transport`` protocol; its ``Backoff`` is the
+  one loop that re-sends a frame;
 * :mod:`repro.api.transport` -- the real wire: an asyncio TCP
   ``GatewayServer`` (length-prefixed frames, idle/write timeouts,
   backpressure, edge rate limiting) and the pooled, load-balancing
-  ``TcpTransport``, behind ``serve(gateway, addr)`` / ``connect(url)``
-  factories and the ``dial`` hook for ``ServiceDiscovery``.
+  ``TcpTransport`` that sends each frame once, behind
+  ``serve(gateway, addr)`` / ``connect(url)`` factories and the ``dial``
+  hook for ``ServiceDiscovery``.
 
 Overload resilience (:mod:`repro.resilience`) is re-exported here because
 it is part of the wire contract: ``AdmissionController`` (gateway-edge
-load shedding answering ``OVERLOADED`` + ``retry_after_s``),
+load shedding answering ``OVERLOADED`` + ``retry_after_s``) and
 ``CircuitBreaker`` (per-endpoint closed/open/half-open ejection inside
-``TcpTransport``) and ``RetryBudget`` (client retries capped to a fraction
-of successful traffic), plus the optional absolute-deadline envelope field
+``TcpTransport``), plus the optional absolute-deadline envelope field
 checked at every hop (``DEADLINE_EXCEEDED``).
 
 The public names below are covered by an API-stability snapshot test; grow
@@ -65,7 +66,7 @@ from repro.api.middleware import (
 )
 from repro.api.protocol import TokenIssuer, Transport, conforms, issue_one, try_issue_one
 from repro.api.transport import GatewayServer, TcpTransport, connect, dial, serve
-from repro.resilience import AdmissionController, CircuitBreaker, RetryBudget
+from repro.resilience import AdmissionController, CircuitBreaker
 
 __all__ = [
     "AdmissionController",
@@ -87,7 +88,6 @@ __all__ = [
     "PROFILES",
     "RETRYABLE_CODES",
     "RateLimiter",
-    "RetryBudget",
     "RetryFailover",
     "ServiceGateway",
     "SmacsError",

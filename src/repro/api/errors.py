@@ -14,8 +14,9 @@ Stable codes: ``DENIED``, ``COUNTER_TIMEOUT``, ``NO_REPLICA``,
 
 Retry classification of the two overload codes is deliberate:
 ``OVERLOADED`` is in :data:`RETRYABLE_CODES` (a transient queueing
-condition carrying a ``retry_after_s`` hint; retry it -- within a
-:class:`~repro.resilience.RetryBudget`), ``DEADLINE_EXCEEDED`` is not
+condition carrying a ``retry_after_s`` hint; a
+:class:`~repro.api.gateway.Backoff` whose ``codes`` include it honours the
+hint), ``DEADLINE_EXCEEDED`` is not
 (the deadline that killed the first attempt is just as dead on the
 second).
 """

@@ -9,8 +9,8 @@ string; everything the factory returns satisfies
 touching call sites.
 
 Layer order (innermost first): base service -> RetryFailover (replicated
-profile: the §VII-B fail-over, one retry round per replica) -> RateLimiter
--> Audit -> Metrics.
+profile: the §VII-B fail-over, one try per replica) -> RateLimiter -> Audit
+-> Metrics.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ def build_service(
         )
     else:
         # The base makes one attempt per submission on the next replica;
-        # RetryFailover re-submits what failed, so each retry rotates.
+        # RetryFailover re-submits what failed, so each retry rotates and a
+        # full outage tries every replica exactly once.
         issuer = ReplicatedTokenService(
             replica_count=replica_count,
             keypair=keypair,
@@ -81,7 +82,7 @@ def build_service(
             seed=seed,
             signature_cache=signature_cache,
         )
-        issuer = RetryFailover(issuer, attempts=replica_count)
+        issuer = RetryFailover(issuer, attempts=replica_count - 1)
 
     if rate_limit is not None:
         rate_per_second, burst = rate_limit

@@ -43,7 +43,7 @@ from repro.api import codec
 from repro.api.protocol import TokenIssuer, Transport
 from repro.obs import DORMANT, Observability
 from repro.obs.trace import TraceContext
-from repro.resilience import AdmissionController, RetryBudget
+from repro.resilience import AdmissionController
 from repro.resilience.deadline import check_deadline, deadline_in, remaining
 
 
@@ -314,20 +314,35 @@ class InProcessTransport:
         }
 
 
+#: codes a :class:`Backoff` re-sends by default.  Deliberately narrower than
+#: :data:`~repro.core.errors.RETRYABLE_CODES`: ``RATE_LIMITED`` is a
+#: *policy* answer, not an outage -- blind re-sends would fight the limiter
+#: for the tenant's own budget (and double-count denials in the fairness
+#: cells).  Callers that want the full set pass ``codes=RETRYABLE_CODES``.
+DEFAULT_RETRY_CODES = frozenset({ErrorCode.COUNTER_TIMEOUT, ErrorCode.UNAVAILABLE})
+
+#: read-modify-write rounds :meth:`GatewayClient.update_rules` makes before
+#: an ``EXPIRED_RULESET`` conflict reaches the caller
+RULE_UPDATE_ATTEMPTS = 3
+
+
 @dataclass
 class Backoff:
-    """Bounded exponential backoff with full jitter for wire retries.
+    """A gateway client's whole retry policy: which codes, how often, how long.
 
-    ``delay(attempt)`` draws uniformly from ``[0, min(cap, base * 2**attempt)]``
-    (the AWS "full jitter" scheme: staggers a thundering herd of retrying
-    clients instead of re-synchronising them on the failing service).  Both
-    the sleeper and the RNG are injectable so tests drive retries with zero
-    wall-clock and deterministic delays.
+    A frame whose error code is in ``codes`` is re-sent up to ``retries``
+    times.  ``delay(attempt)`` draws uniformly from
+    ``[0, min(cap, base * 2**attempt)]`` (the AWS "full jitter" scheme:
+    staggers a thundering herd of retrying clients instead of
+    re-synchronising them on the failing service); ``cap=0.0`` re-sends at
+    once.  Both the sleeper and the RNG are injectable so tests drive
+    retries with zero wall-clock and deterministic delays.
     """
 
     retries: int = 3
     base: float = 0.05
     cap: float = 1.0
+    codes: "frozenset[ErrorCode]" = DEFAULT_RETRY_CODES
     sleep: Callable[[float], None] = time.sleep
     rng: random.Random = field(default_factory=random.Random)
 
@@ -339,15 +354,6 @@ class Backoff:
         delay = self.delay(attempt)
         self.sleep(delay)
         return delay
-
-
-#: codes a gateway client retries by default when given a :class:`Backoff`.
-#: Deliberately narrower than :data:`~repro.core.errors.RETRYABLE_CODES`:
-#: ``RATE_LIMITED`` is a *policy* answer, not an outage -- blind re-sends
-#: would fight the limiter for the tenant's own budget (and double-count
-#: denials in the fairness cells).  Callers that want the full set pass
-#: ``retry_codes=RETRYABLE_CODES`` explicitly.
-DEFAULT_RETRY_CODES = frozenset({ErrorCode.COUNTER_TIMEOUT, ErrorCode.UNAVAILABLE})
 
 
 _T = TypeVar("_T")
@@ -377,22 +383,20 @@ class GatewayClient:
     Every protocol operation round-trips through the transport as envelopes.
     ``update_rules`` is read-modify-write with epoch-based conflict
     detection: on ``EXPIRED_RULESET`` the client re-reads and re-applies the
-    mutation (bounded retries), so lost updates are impossible.
+    mutation (up to :data:`RULE_UPDATE_ATTEMPTS` rounds), so lost updates
+    are impossible.
 
-    Passing a :class:`Backoff` turns on bounded retries for transient wire
-    failures: a :class:`~repro.core.errors.SmacsError` whose code is in
-    ``retry_codes`` (default :data:`DEFAULT_RETRY_CODES`) is re-sent after a
-    jittered pause, up to ``backoff.retries`` extra attempts.  Without a
-    backoff the client fails fast, exactly as before.  Three resilience
-    knobs refine the retry loop:
+    :meth:`_call` is the only loop on the wire that re-sends a frame (a
+    transport sends each frame once).  Passing a :class:`Backoff` turns it
+    on: a :class:`~repro.core.errors.SmacsError` whose code is in
+    ``backoff.codes`` is re-sent after a jittered pause, up to
+    ``backoff.retries`` extra attempts.  Without a backoff the client fails
+    fast.  Two more things shape the loop:
 
     * ``deadline_s`` -- a per-call budget; every envelope is stamped with
       the absolute deadline and retries stop (locally, with
       ``DEADLINE_EXCEEDED``) once it passes, so a retrying client never
       outlives its caller's patience;
-    * ``retry_budget`` -- a shared :class:`~repro.resilience.RetryBudget`;
-      when it cannot afford a retry the original error is raised instead,
-      capping fleet-wide retry amplification during an outage;
     * server ``retry_after_s`` hints (``RATE_LIMITED`` / ``OVERLOADED``)
       are honored in place of blind exponential backoff: the client sleeps
       the server-computed horizon (capped at ``backoff.cap``) instead of
@@ -406,10 +410,8 @@ class GatewayClient:
         *,
         wire_codec: str = codec.CODEC_JSON,
         backoff: "Backoff | None" = None,
-        retry_codes: "frozenset[ErrorCode] | None" = None,
         observability: Observability = DORMANT,
         deadline_s: "float | None" = None,
-        retry_budget: "RetryBudget | None" = None,
         now: "Callable[[], float] | None" = None,
     ) -> None:
         if wire_codec not in codec.CODECS:
@@ -422,14 +424,9 @@ class GatewayClient:
         self.route = route
         self.wire_codec = wire_codec
         self.backoff = backoff
-        self.retry_codes = (
-            DEFAULT_RETRY_CODES if retry_codes is None else frozenset(retry_codes)
-        )
         self.retries_performed = 0
-        self.retries_denied = 0
         self.retry_hints_honored = 0
         self.deadline_s = deadline_s
-        self.retry_budget = retry_budget
         self._now: Callable[[], float] = now if now is not None else time.time
         #: the :class:`repro.obs.Observability` handle: when its tracer is
         #: enabled, every call opens a ``client.<op>`` span and sends its
@@ -454,21 +451,13 @@ class GatewayClient:
                 # must not burn a round-trip announcing it.
                 check_deadline(deadline, stage="client", now=self._now)
                 try:
-                    payload = codec.decode_response_envelope(self.transport.send(raw))
-                    if self.retry_budget is not None:
-                        self.retry_budget.record_success()
-                    return payload
+                    return codec.decode_response_envelope(self.transport.send(raw))
                 except SmacsError as error:
                     if (
                         self.backoff is None
-                        or error.code not in self.retry_codes
+                        or error.code not in self.backoff.codes
                         or attempt >= self.backoff.retries
                     ):
-                        raise
-                    if self.retry_budget is not None and not self.retry_budget.try_spend():
-                        # Out of budget: surface the server's answer rather
-                        # than amplify the outage with another attempt.
-                        self.retries_denied += 1
                         raise
                     self._pause_before_retry(error, attempt, deadline)
                     attempt += 1
@@ -480,7 +469,9 @@ class GatewayClient:
         """Sleep before a retry: the server's hint when offered, jitter else.
 
         Never sleeps past the call deadline -- the pre-send check would only
-        convert the overrun into ``DEADLINE_EXCEEDED`` after the fact.
+        convert the overrun into ``DEADLINE_EXCEEDED`` after the fact -- and
+        never for zero seconds: a ``cap=0.0`` hop to the next endpoint does
+        not sleep at all.
         """
         assert self.backoff is not None
         if error.retry_after_s is not None:
@@ -490,7 +481,8 @@ class GatewayClient:
             delay = self.backoff.delay(attempt)
         if deadline is not None:
             delay = min(delay, remaining(deadline, now=self._now))
-        self.backoff.sleep(delay)
+        if delay > 0:
+            self.backoff.sleep(delay)
 
     # -- TokenIssuer ----------------------------------------------------------
 
@@ -520,10 +512,8 @@ class GatewayClient:
         stats["transport"] = self.transport.describe()
         return stats
 
-    def update_rules(
-        self, mutate: Callable[[RuleSet], None], max_retries: int = 3
-    ) -> None:
-        for attempt in range(max_retries):
+    def update_rules(self, mutate: Callable[[RuleSet], None]) -> None:
+        for attempt in range(RULE_UPDATE_ATTEMPTS):
             current = self._call("get_rules", {})
             rules = RuleSet.from_config(_field(current, "get_rules", "config", dict))
             mutate(rules)
@@ -534,7 +524,10 @@ class GatewayClient:
                 )
                 return
             except SmacsError as error:
-                if error.code is not ErrorCode.EXPIRED_RULESET or attempt == max_retries - 1:
+                if (
+                    error.code is not ErrorCode.EXPIRED_RULESET
+                    or attempt == RULE_UPDATE_ATTEMPTS - 1
+                ):
                     raise
                 if self.backoff is not None:
                     # stagger contending rule writers the same way wire

@@ -304,14 +304,19 @@ class RetryFailover(IssuerMiddleware):
     A submission that dies whole with a transient exception is converted to
     error results first, so the never-raise-mid-batch contract holds through
     the stack.
+
+    It has the shape of :class:`~repro.api.gateway.Backoff` on the wire
+    (one attempt on the next target, one wrapper re-sending) but not its
+    object: this re-submits the failed *subset* of a batch at once, in
+    simulated time; a backoff re-sends a whole frame, in wall time.
     """
 
     layer = "retry_failover"
 
     def __init__(self, inner: TokenIssuer, attempts: int = 3) -> None:
         super().__init__(inner)
-        if attempts < 1:
-            raise ValueError("need at least one retry attempt")
+        if attempts < 0:
+            raise ValueError("attempts must be non-negative")
         self.attempts = attempts
         self.failovers = 0
         self.recovered = 0

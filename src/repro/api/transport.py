@@ -18,9 +18,10 @@ halves behind the :class:`~repro.api.protocol.Transport` protocol:
   middleware and answers ``RATE_LIMITED`` error envelopes before the
   gateway is ever invoked.
 * :class:`TcpTransport` -- the client half: a thread-safe, connection-
-  pooling blocking-socket transport that load-balances round-robin across
-  multiple endpoints and fails over to the next endpoint when one is
-  unreachable.  Transport failures map onto stable
+  pooling blocking-socket transport that sends each frame once, to the
+  next endpoint round-robin; the client's
+  :class:`~repro.api.gateway.Backoff` re-sends, so each re-send lands on
+  the next endpoint.  Transport failures map onto stable
   :class:`~repro.core.errors.ErrorCode` values (``UNAVAILABLE`` for
   unreachable or slow endpoints, ``MALFORMED_REQUEST`` for framing
   violations) and every receive is bounded by ``request_timeout`` -- the
@@ -74,7 +75,7 @@ from typing import Any, Callable, Sequence, Union
 from repro.core.errors import ErrorCode, SmacsError
 
 from repro.api import codec
-from repro.api.gateway import GatewayClient, ServiceGateway
+from repro.api.gateway import Backoff, GatewayClient, ServiceGateway
 from repro.api.middleware import TokenBucket
 from repro.api.protocol import TokenIssuer
 from repro.resilience import CircuitBreaker
@@ -521,19 +522,20 @@ class TcpTransport:
     Satisfies :class:`~repro.api.protocol.Transport`.  Connections are
     pooled per endpoint (``pool_size`` idle sockets each) and reused across
     requests; a pooled socket that turns out to be stale -- the server
-    closed it while idle -- is replaced with one fresh dial before the
-    request counts as failed.  With several endpoints, requests are
-    load-balanced round-robin and an unreachable endpoint fails over to the
-    next (the same at-least-once semantics as the replicated issuer's
-    §VII-B fail-over; one-time indexes stay unique because the counter, not
-    the transport, allocates them).
+    closed it while idle, so no response byte arrived -- is replaced with
+    one fresh dial before the request counts as failed.  Otherwise
+    :meth:`send` sends a frame at most once, to the next endpoint
+    round-robin.  Re-sending is the caller's one loop (the §VII-B shape: a
+    base makes one attempt on its next target, one wrapper re-sends);
+    :func:`connect` gives a multi-endpoint client the
+    :class:`~repro.api.gateway.Backoff` that does it.
 
     Balancing is *health-aware*: each endpoint carries a
-    :class:`~repro.resilience.CircuitBreaker` (closed -> open -> half-open;
-    ``breaker_failure_threshold`` consecutive ``UNAVAILABLE`` outcomes eject
-    it, half-open probing re-admits it), so round-robin skips endpoints that
-    are down or drowning instead of paying a dial timeout per request.
-    When *every* breaker is open the transport fails fast with
+    :class:`~repro.resilience.CircuitBreaker` (closed -> open -> half-open,
+    at its own defaults), so round-robin skips endpoints that are down or
+    drowning instead of paying a dial timeout per request.  Any answer,
+    even a malformed one, counts as alive; only ``UNAVAILABLE`` counts as
+    dead.  When *every* breaker is open the transport fails fast with
     ``UNAVAILABLE`` carrying a ``retry_after_s`` hint -- the soonest
     half-open probe time.  :meth:`probe_endpoints` drives the ``health``
     wire op through each endpoint to re-close breakers without waiting for
@@ -551,9 +553,6 @@ class TcpTransport:
         request_timeout: float = 30.0,
         pool_size: int = 2,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        breaker_failure_threshold: int = 5,
-        breaker_reset_timeout: float = 0.25,
-        breaker_half_open_probes: int = 1,
         now: "Callable[[], float] | None" = None,
     ) -> None:
         if isinstance(endpoints, (str, tuple)):
@@ -567,15 +566,7 @@ class TcpTransport:
         self.request_timeout = float(request_timeout)
         self.pool_size = int(pool_size)
         self.max_frame_bytes = int(max_frame_bytes)
-        self.breakers = [
-            CircuitBreaker(
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout=breaker_reset_timeout,
-                half_open_probes=breaker_half_open_probes,
-                now=now,
-            )
-            for _ in self.endpoints
-        ]
+        self.breakers = [CircuitBreaker(now=now) for _ in self.endpoints]
         self._pools: "list[list[socket.socket]]" = [[] for _ in self.endpoints]
         self._lock = threading.Lock()
         self._cursor = 0
@@ -585,12 +576,12 @@ class TcpTransport:
         self.bytes_received = 0
         self.dials = 0
         self.reconnects = 0
-        self.failovers = 0
         self.breaker_skips = 0
 
     # -- Transport -------------------------------------------------------------
 
     def send(self, raw: bytes) -> bytes:
+        """Send ``raw`` once, to the next endpoint whose breaker admits it."""
         if self._closed:
             raise SmacsError("transport is closed", ErrorCode.UNAVAILABLE)
         if len(raw) > self.max_frame_bytes:
@@ -602,38 +593,18 @@ class TcpTransport:
         with self._lock:
             start = self._cursor
             self._cursor += 1
-        last_error: "SmacsError | None" = None
-        attempted = 0
-        for offset in range(len(self.endpoints)):
-            index = (start + offset) % len(self.endpoints)
-            breaker = self.breakers[index]
-            if not breaker.allow():
-                with self._lock:
-                    self.breaker_skips += 1
-                continue
-            if attempted:
-                with self._lock:
-                    self.failovers += 1
-            attempted += 1
-            try:
-                payload = self._exchange(index, raw)
-            except SmacsError as error:
-                if error.code is not ErrorCode.UNAVAILABLE:
-                    # The endpoint answered (badly); that is a framing
-                    # problem, not an availability signal for the breaker.
-                    raise
-                breaker.record_failure()
-                last_error = error
-                continue
-            breaker.record_success()
-            return payload
-        if last_error is not None:
-            raise last_error
+        count = len(self.endpoints)
+        for offset in range(count):
+            index = (start + offset) % count
+            if self.breakers[index].allow():
+                return self._attempt(index, raw)
+            with self._lock:
+                self.breaker_skips += 1
         # Every endpoint was skipped by its breaker: fail fast (no dial, no
         # timeout wait) and tell the caller when the next probe can go.
         hint = min(breaker.retry_after() for breaker in self.breakers)
         raise SmacsError(
-            f"all {len(self.endpoints)} endpoints are circuit-broken; "
+            f"all {count} endpoints are circuit-broken; "
             f"next half-open probe in {hint:.3f}s",
             ErrorCode.UNAVAILABLE,
             retry_after_s=round(hint, 6),
@@ -642,9 +613,8 @@ class TcpTransport:
     def probe_endpoints(self) -> "dict[str, bool]":
         """Probe every endpoint with the ``health`` wire op.
 
-        Any response at all -- even an error envelope from a pre-health
-        gateway -- counts as alive; only ``UNAVAILABLE`` (unreachable, timed
-        out) counts as dead.  Outcomes feed the breakers, so a probe sweep
+        Outcomes feed the breakers exactly as user traffic does (an error
+        envelope from a pre-health gateway is alive), so a probe sweep
         re-closes breakers around recovered endpoints without waiting for
         user traffic to half-open them.
         """
@@ -652,14 +622,10 @@ class TcpTransport:
         results: "dict[str, bool]" = {}
         for index, (host, port) in enumerate(self.endpoints):
             try:
-                self._exchange(index, raw)
+                self._attempt(index, raw)
                 alive = True
             except SmacsError as error:
                 alive = error.code is not ErrorCode.UNAVAILABLE
-            if alive:
-                self.breakers[index].record_success()
-            else:
-                self.breakers[index].record_failure()
             results[endpoint_url(host, port)] = alive
         return results
 
@@ -682,13 +648,31 @@ class TcpTransport:
                 "bytes_received": self.bytes_received,
                 "dials": self.dials,
                 "reconnects": self.reconnects,
-                "failovers": self.failovers,
                 "breaker_skips": self.breaker_skips,
                 "breakers": [breaker.stats() for breaker in self.breakers],
                 "pooled": sum(len(pool) for pool in self._pools),
             }
 
     # -- internals -------------------------------------------------------------
+
+    def _attempt(self, index: int, raw: bytes) -> bytes:
+        """One exchange with endpoint ``index``, its outcome fed to the breaker.
+
+        Any answer is alive -- a malformed frame too, or a half-open probe
+        slot would never be released; only ``UNAVAILABLE`` (unreachable,
+        timed out, cut off) is dead.
+        """
+        breaker = self.breakers[index]
+        try:
+            payload = self._exchange(index, raw)
+        except SmacsError as error:
+            if error.code is ErrorCode.UNAVAILABLE:
+                breaker.record_failure()
+            else:
+                breaker.record_success()
+            raise
+        breaker.record_success()
+        return payload
 
     def _exchange(self, index: int, raw: bytes) -> bytes:
         pooled = self._checkout(index)
@@ -817,19 +801,27 @@ def connect(
 ) -> GatewayClient:
     """Dial one or many ``tcp://`` endpoints; return a protocol client.
 
-    With several URLs the client load-balances round-robin and fails over
-    between them (they should serve the same routes -- e.g. the replicated
-    TS profiles behind separate gateways).  When ``route`` is omitted it is
-    discovered over the wire: a route equal to one of the dialled URLs wins
-    (the §VII-B convention that a contract's published TS URL doubles as its
-    gateway route), otherwise the server must serve exactly one route.
-    Keyword options are forwarded to :class:`TcpTransport`.
+    With several URLs the client load-balances round-robin across them
+    (they should serve the same routes -- e.g. the replicated TS profiles
+    behind separate gateways), and its :class:`Backoff` re-sends an
+    ``UNAVAILABLE`` frame, without sleeping, up to once per other endpoint.
+    The retry count follows from the URLs; it is not an option.  When
+    ``route`` is omitted it is discovered over the wire: a route equal to
+    one of the dialled URLs wins (the §VII-B convention that a contract's
+    published TS URL doubles as its gateway route), otherwise the server
+    must serve exactly one route.  Keyword options are forwarded to
+    :class:`TcpTransport`.
     """
     url_list = [urls] if isinstance(urls, (str, tuple)) else list(urls)
     transport = TcpTransport(url_list, **transport_options)
+    backoff = (
+        Backoff(retries=len(url_list) - 1, cap=0.0, codes=frozenset({ErrorCode.UNAVAILABLE}))
+        if len(url_list) > 1
+        else None
+    )
     try:
         if route is None:
-            probe = GatewayClient(transport, "", wire_codec=wire_codec)
+            probe = GatewayClient(transport, "", wire_codec=wire_codec, backoff=backoff)
             routes = [str(item) for item in probe.describe().get("routes", [])]
             dialled = {str(url) for url in url_list}
             matching = [item for item in routes if item in dialled]
@@ -845,7 +837,7 @@ def connect(
     except BaseException:
         transport.close()
         raise
-    return GatewayClient(transport, route, wire_codec=wire_codec)
+    return GatewayClient(transport, route, wire_codec=wire_codec, backoff=backoff)
 
 
 def dial(url: str) -> "TokenIssuer | None":

@@ -57,7 +57,7 @@ class ErrorCode(str, enum.Enum):
     DEADLINE_EXCEEDED = "DEADLINE_EXCEEDED"
     #: The endpoint shed the request before dispatch because measured
     #: queueing exceeded its budget (transient: back off for the carried
-    #: ``retry_after_s`` hint, then retry -- within a retry budget).
+    #: ``retry_after_s`` hint, then retry).
     OVERLOADED = "OVERLOADED"
     #: Anything that is a bug rather than a request/infrastructure condition.
     INTERNAL = "INTERNAL"

@@ -65,7 +65,7 @@ class FaultPlan:
     #: restarts the node from its disk image when the fault fires
     needs_durability = False
     #: error codes a transport-seam cell's gateway client re-sends a frame
-    #: for -- corrupt-frame plans surface ``MALFORMED_REQUEST``, netem drops
+    #: for (its ``Backoff.codes``) -- corrupt-frame plans surface ``MALFORMED_REQUEST``, netem drops
     #: surface ``UNAVAILABLE``; everything else must propagate so a cell
     #: cannot paper over an unexpected failure by retrying it
     retry_codes: "frozenset[ErrorCode]" = frozenset({ErrorCode.MALFORMED_REQUEST})
@@ -305,9 +305,9 @@ class NetemPlan(FaultPlan):
     """Impaired network path: latency, jitter, frame drop, duplication.
 
     Wraps the cell's transport in a :class:`~repro.faults.netem.NetemTransport`.
-    Dropped frames surface as ``UNAVAILABLE`` -- the gateway client re-sends
-    those (and only those, beyond the default), which is exactly what the
-    client resilience layer (retry budgets, breakers) is for.
+    Dropped frames surface as ``UNAVAILABLE`` -- the gateway client's
+    :class:`~repro.api.gateway.Backoff` re-sends those (and only those,
+    beyond the default), which is exactly what its one re-send loop is for.
     """
 
     kind = "network"

@@ -12,8 +12,8 @@ while still exercising exactly the code paths a lossy network exercises:
   test can pin time without waiting.
 * **drop** swallows every ``drop_every``-th request and raises
   ``UNAVAILABLE`` -- the same error a dialed-but-dead endpoint produces,
-  so client retry loops, circuit breakers and retry budgets all see the
-  signal they were built for.  Count-based (not probabilistic) so runs
+  so the client's retry loop and circuit breakers see the signal they
+  were built for.  Count-based (not probabilistic) so runs
   are deterministic.
 * **duplicate** sends every ``duplicate_every``-th frame twice and
   returns the first response.  Gateways must be idempotent per envelope

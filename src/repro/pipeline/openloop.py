@@ -152,6 +152,7 @@ class OpenLoopReport:
 
     @property
     def achieved_rate_per_s(self) -> float:
+        """Successful completions per second (the goodput overload gates pin)."""
         return self.completed / self.duration_s if self.duration_s > 0 else 0.0
 
     def to_data(self) -> dict[str, Any]:
@@ -172,11 +173,6 @@ class OpenLoopReport:
         data.update(self.accepted_e2e.to_data("accepted_e2e"))
         data.update(self.shed.to_data("shed"))
         return data
-
-    @property
-    def goodput_per_s(self) -> float:
-        """Successful completions per second -- what overload gates pin."""
-        return self.completed / self.duration_s if self.duration_s > 0 else 0.0
 
 
 class _Recorder:

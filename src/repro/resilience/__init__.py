@@ -2,7 +2,7 @@
 
 The paper's Token Service fronts heavy client traffic; this package is what
 keeps the stack *degrading* instead of *collapsing* when the offered rate
-exceeds capacity.  Four small, dependency-light primitives, each wired
+exceeds capacity.  Three small, dependency-light primitives, each wired
 through an existing seam rather than a new framework:
 
 * :mod:`repro.resilience.deadline` -- absolute-deadline arithmetic for the
@@ -14,10 +14,11 @@ through an existing seam rather than a new framework:
   ``in_flight x EWMA(service time)`` exceeds the delay budget);
 * :mod:`repro.resilience.breaker` -- :class:`CircuitBreaker`, the
   closed -> open -> half-open state machine ``TcpTransport`` runs per
-  endpoint so the pool stops dialing dead or drowning servers;
-* :mod:`repro.resilience.budget` -- :class:`RetryBudget`, the shared token
-  bucket that caps client retries to a fraction of successful traffic so
-  retries cannot multiply offered load during an outage.
+  endpoint so the pool stops dialing dead or drowning servers.
+
+Retrying is not a primitive here: the client's
+:class:`~repro.api.gateway.Backoff` is its whole policy, and a frame is
+re-sent by one loop (``GatewayClient._call``), never by the transport too.
 
 Everything is deterministic under test: every clock is injectable and no
 primitive sleeps on its own.  Layering: this package imports only the
@@ -32,7 +33,6 @@ from repro.resilience.breaker import (
     BREAKER_OPEN,
     CircuitBreaker,
 )
-from repro.resilience.budget import RetryBudget
 from repro.resilience.deadline import (
     check_deadline,
     deadline_in,
@@ -46,7 +46,6 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "RetryBudget",
     "check_deadline",
     "deadline_in",
     "decode_deadline",

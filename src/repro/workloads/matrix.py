@@ -229,8 +229,8 @@ def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
     # The transport seam: rule-churn cells always speak the gateway protocol;
     # corrupt-frame plans wrap whatever transport the cell dials through, and
     # the client re-sends (without sleeping) a frame the plan damaged or
-    # dropped -- the plan's ``retry_codes`` is the whole policy, so a cell
-    # cannot paper over an unexpected failure.
+    # dropped -- the plan's ``retry_codes`` are the backoff's whole code set,
+    # so a cell cannot paper over an unexpected failure.
     service: Any = issuer
     extra: dict[str, Any] = {"base_service": base_service}
     if plan.needs_transport_seam or spec.workload == "rule-churn":
@@ -240,11 +240,10 @@ def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
             plan.wrap_transport(InProcessTransport(gateway)),
             "ts",
             backoff=(
-                Backoff(retries=5, sleep=lambda _delay: None)
+                Backoff(retries=5, codes=plan.retry_codes, sleep=lambda _delay: None)
                 if plan.needs_transport_seam
                 else None
             ),
-            retry_codes=plan.retry_codes,
         )
         if spec.workload == "rule-churn":
             # A second, independent client for the conflicting updater.

@@ -337,14 +337,9 @@ class FlakyTransport:
         return {"kind": "flaky", "attempts": self.attempts}
 
 
-def _flaky_client(gateway, failures, code, *, backoff=None, retry_codes=None):
+def _flaky_client(gateway, failures, code, *, backoff=None):
     transport = FlakyTransport(InProcessTransport(gateway), failures, code)
-    kwargs = {}
-    if backoff is not None:
-        kwargs["backoff"] = backoff
-    if retry_codes is not None:
-        kwargs["retry_codes"] = retry_codes
-    return GatewayClient(transport, ROUTE, **kwargs), transport
+    return GatewayClient(transport, ROUTE, backoff=backoff), transport
 
 
 def test_backoff_delays_are_jittered_and_capped():
@@ -390,6 +385,7 @@ def test_rate_limited_is_not_retried_by_default(gateway):
         backoff=Backoff(sleep=slept.append, rng=random.Random(2)),
     )
     assert ErrorCode.RATE_LIMITED not in DEFAULT_RETRY_CODES
+    assert Backoff().codes == DEFAULT_RETRY_CODES
     with pytest.raises(SmacsError) as excinfo:
         client.describe()
     assert excinfo.value.code is ErrorCode.RATE_LIMITED
@@ -399,14 +395,13 @@ def test_rate_limited_is_not_retried_by_default(gateway):
 def test_opt_in_retry_codes_widen_the_retry_set(gateway):
     client, transport = _flaky_client(
         gateway, 1, ErrorCode.RATE_LIMITED,
-        backoff=Backoff(sleep=lambda _s: None, rng=random.Random(3)),
-        retry_codes=RETRYABLE_CODES,
+        backoff=Backoff(codes=RETRYABLE_CODES, sleep=lambda _s: None, rng=random.Random(3)),
     )
     assert client.describe()["version"] == WIRE_VERSION
     assert transport.attempts == 2
 
 
-def test_retry_budget_exhaustion_reraises(gateway):
+def test_exhausted_backoff_retries_reraise(gateway):
     slept: list[float] = []
     client, transport = _flaky_client(
         gateway, 99, ErrorCode.COUNTER_TIMEOUT,
@@ -415,5 +410,5 @@ def test_retry_budget_exhaustion_reraises(gateway):
     with pytest.raises(SmacsError) as excinfo:
         client.describe()
     assert excinfo.value.code is ErrorCode.COUNTER_TIMEOUT
-    assert transport.attempts == 3  # initial send + the whole retry budget
+    assert transport.attempts == 3  # initial send + every retry
     assert len(slept) == 2

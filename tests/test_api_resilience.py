@@ -1,4 +1,4 @@
-"""Resilience behaviour at the wire: deadlines, overload, breakers, budgets.
+"""Resilience behaviour at the wire: deadlines, overload, breakers, retries.
 
 ``test_resilience.py`` proves the primitives in isolation; this file proves
 them *wired through the seams*: the gateway sheds expired deadlines before
@@ -12,6 +12,7 @@ bytes are replayed).
 
 from __future__ import annotations
 
+import socket
 import sys
 import threading
 
@@ -24,7 +25,6 @@ from repro.api import (
     GatewayClient,
     InProcessTransport,
     IssuerMiddleware,
-    RetryBudget,
     ServiceGateway,
     SmacsError,
     build_service,
@@ -32,14 +32,14 @@ from repro.api import (
     connect,
     serve,
 )
-from repro.api.transport import TcpTransport, endpoint_url
+from repro.api.transport import FRAME_HEADER_BYTES, TcpTransport, endpoint_url
 from repro.chain import Blockchain
 from repro.chain.transaction import Transaction
 from repro.core.acr import RuleSet
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
 from repro.pipeline.mempool import Mempool
-from repro.resilience import BREAKER_CLOSED
+from repro.resilience import BREAKER_CLOSED, BREAKER_OPEN
 
 ROUTE = "https://ts.resilience.example"
 
@@ -424,8 +424,9 @@ def test_client_sleeps_the_server_hint_instead_of_guessing():
     client = GatewayClient(
         transport,
         ROUTE,
-        backoff=Backoff(retries=2, cap=1.0, sleep=slept.append),
-        retry_codes=frozenset({ErrorCode.OVERLOADED}),
+        backoff=Backoff(
+            retries=2, cap=1.0, codes=frozenset({ErrorCode.OVERLOADED}), sleep=slept.append
+        ),
     )
     assert client.describe()["routes"] == [ROUTE]
     assert slept == [0.123]  # the hint, not a jitter draw
@@ -444,14 +445,15 @@ def test_client_caps_the_server_hint_at_the_backoff_cap():
     client = GatewayClient(
         transport,
         ROUTE,
-        backoff=Backoff(retries=2, cap=0.25, sleep=slept.append),
-        retry_codes=frozenset({ErrorCode.OVERLOADED}),
+        backoff=Backoff(
+            retries=2, cap=0.25, codes=frozenset({ErrorCode.OVERLOADED}), sleep=slept.append
+        ),
     )
     client.describe()
     assert slept == [0.25]  # a server cannot park a client for a minute
 
 
-# --- client deadlines and retry budgets ---------------------------------------------
+# --- client deadlines -------------------------------------------------------------
 
 
 def test_client_stamps_envelopes_and_stops_retrying_at_the_deadline():
@@ -483,44 +485,13 @@ def test_client_stamps_envelopes_and_stops_retrying_at_the_deadline():
         GatewayClient(failing, ROUTE, deadline_s=0.0)
 
 
-def test_retry_budget_caps_retry_amplification():
-    down = [SmacsError("down", ErrorCode.UNAVAILABLE) for _ in range(4)]
-    transport = _ScriptedTransport(down)
-    budget = RetryBudget(initial_balance=1.0)
-    client = GatewayClient(
-        transport,
-        ROUTE,
-        backoff=Backoff(retries=3, sleep=lambda _delay: None),
-        retry_budget=budget,
-    )
-    with pytest.raises(SmacsError) as failure:
-        client.describe()
-    assert failure.value.code is ErrorCode.UNAVAILABLE
-    assert len(transport.sent) == 2  # one retry afforded, then the denial
-    assert client.retries_denied == 1
-    assert budget.stats()["granted"] == 1
-    assert budget.stats()["denied"] == 1
-
-
-def test_successes_replenish_the_shared_budget():
-    ok = codec.encode_response_envelope(
-        {"version": codec.WIRE_VERSION, "routes": [ROUTE]}
-    )
-    transport = _ScriptedTransport([ok, ok, ok])
-    budget = RetryBudget(deposit_per_success=0.5, initial_balance=0.0)
-    client = GatewayClient(transport, ROUTE, retry_budget=budget)
-    for _ in range(3):
-        client.describe()
-    assert budget.balance == pytest.approx(1.5)  # three successes at 0.5 each
-
-
 # --- circuit breakers on the TCP pool (incl. the S4 restart regression) -------------
 
 
 def test_stale_pooled_sockets_redial_transparently_across_a_restart():
     with serve(_gateway()) as server:
         port = server.port
-        client = connect(server.url, breaker_reset_timeout=0.05)
+        client = connect(server.url)
         assert client.submit(_request())[0].issued  # warms the pool
     # The server died and a replacement binds the same port.  The pooled
     # socket is now stale: the next request gets zero response bytes on it,
@@ -540,16 +511,12 @@ def test_breakers_fail_fast_and_reclose_after_probing():
     with serve(_gateway()) as server:
         port = server.port
         client = connect(
-            server.url,
-            breaker_failure_threshold=2,
-            breaker_reset_timeout=30.0,
-            connect_timeout=0.5,
-            request_timeout=2.0,
-            now=lambda: clock["t"],
+            server.url, connect_timeout=0.5, request_timeout=2.0, now=lambda: clock["t"]
         )
         assert client.submit(_request())[0].issued
     # Hard outage: consecutive dial failures trip the breaker...
-    for _ in range(2):
+    [breaker] = client.transport.breakers
+    for _ in range(breaker.failure_threshold):
         with pytest.raises(SmacsError) as failure:
             client.submit(_request())
         assert failure.value.code is ErrorCode.UNAVAILABLE
@@ -559,7 +526,7 @@ def test_breakers_fail_fast_and_reclose_after_probing():
     with pytest.raises(SmacsError) as failure:
         client.submit(_request())
     assert failure.value.code is ErrorCode.UNAVAILABLE
-    assert failure.value.retry_after_s == pytest.approx(30.0)
+    assert failure.value.retry_after_s == pytest.approx(breaker.reset_timeout)
     assert client.transport.describe()["breaker_skips"] == 1
     # The server comes back on the same port.  A probe sweep re-closes the
     # breaker immediately -- no waiting out the reset timeout, no user
@@ -568,17 +535,71 @@ def test_breakers_fail_fast_and_reclose_after_probing():
         try:
             probed = client.transport.probe_endpoints()
             assert probed == {endpoint_url("127.0.0.1", port): True}
-            assert client.transport.breakers[0].state == BREAKER_CLOSED
+            assert breaker.state == BREAKER_CLOSED
             assert client.submit(_request())[0].issued
         finally:
             client.close()
 
 
+def _answer_with_zero_length_frames(listener: socket.socket, count: int) -> None:
+    """Accept ``count`` connections; read one frame on each and answer it
+    with a frame of length 0 (a malformed answer, but an answer)."""
+    for _ in range(count):
+        conn, _peer = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            header = TcpTransport._recv_exactly(conn, FRAME_HEADER_BYTES)
+            TcpTransport._recv_exactly(conn, int.from_bytes(header, "big"))
+            conn.sendall((0).to_bytes(FRAME_HEADER_BYTES, "big"))
+            conn.recv(1)  # until the client hangs up
+
+
+def test_a_malformed_answer_releases_the_half_open_probe():
+    """The probe of a half-open breaker is answered with a zero-length frame:
+    that is an answer, so the endpoint is alive and the breaker closes.  (It
+    used to keep the probe slot for ever: every later send was refused
+    locally with ``retry_after_s`` 0.0, a spin for a hint-honouring client.)"""
+    clock = {"t": 0.0}
+    raw = codec.encode_request_envelope("describe", ROUTE, {})
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))  # bound, not listening: dials are refused
+        listener.settimeout(5.0)
+        transport = TcpTransport(
+            endpoint_url(*listener.getsockname()),
+            connect_timeout=0.5,
+            request_timeout=2.0,
+            now=lambda: clock["t"],
+        )
+        [breaker] = transport.breakers
+        for _ in range(breaker.failure_threshold):
+            with pytest.raises(SmacsError) as failure:
+                transport.send(raw)
+            assert failure.value.code is ErrorCode.UNAVAILABLE
+        assert breaker.state == BREAKER_OPEN
+        listener.listen()
+        server = threading.Thread(target=_answer_with_zero_length_frames, args=(listener, 2))
+        server.start()
+        try:
+            clock["t"] += breaker.reset_timeout  # the next send is the half-open probe
+            for _ in range(2):
+                with pytest.raises(SmacsError) as failure:
+                    transport.send(raw)
+                # Answered (badly) by the endpoint, not refused by the breaker.
+                assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+                assert breaker.state == BREAKER_CLOSED
+                clock["t"] += 200.0
+        finally:
+            server.join(timeout=10.0)
+            transport.close()
+        assert not server.is_alive()
+        assert transport.describe()["breaker_skips"] == 0
+
+
 def test_every_endpoint_always_has_a_breaker():
-    with pytest.raises(ValueError):
-        TcpTransport("tcp://127.0.0.1:1", breaker_failure_threshold=0)
+    transport = TcpTransport(["tcp://127.0.0.1:1", "tcp://127.0.0.1:2"])
+    assert [breaker.state for breaker in transport.breakers] == [BREAKER_CLOSED] * 2
     with serve(_gateway()) as server:
-        client = connect(server.url, breaker_failure_threshold=1_000)
+        client = connect(server.url)
         try:
             assert client.submit(_request())[0].issued
             [breaker] = client.transport.describe()["breakers"]

@@ -11,6 +11,7 @@ hang (every receive is bounded by ``request_timeout``).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import threading
 import time
@@ -20,7 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.api import (
+    Backoff,
     ErrorCode,
+    GatewayClient,
     RETRYABLE_CODES,
     ServiceGateway,
     SmacsError,
@@ -168,16 +171,72 @@ def test_dead_endpoint_is_unavailable_and_retryable():
 
 
 def test_failover_skips_the_dead_endpoint():
+    """A two-URL client re-sends what the dead endpoint refused to the live
+    one: every call issues, one hop a call, and a hop never sleeps."""
     with serve(_gateway()) as server:
         client = connect(
             ["tcp://127.0.0.1:9", server.url], route=ROUTE, connect_timeout=0.5
         )
+        slept: "list[float]" = []
+        client.backoff.sleep = slept.append
         try:
             for _ in range(3):  # round-robin keeps landing on the dead one first
                 assert client.submit(_request())[0].issued
-            assert client.stats()["transport"]["failovers"] >= 1
+            assert client.retries_performed == 3
+            assert slept == []
         finally:
             client.close()
+
+
+# --- count guard: one frame, one send -----------------------------------------------
+
+
+@contextlib.contextmanager
+def _dead_endpoints(count: int):
+    """URLs of ports bound but not listening: every dial is refused at once."""
+    sockets = [socket.socket() for _ in range(count)]
+    try:
+        for sock in sockets:
+            sock.bind(("127.0.0.1", 0))
+        yield [endpoint_url(*sock.getsockname()) for sock in sockets]
+    finally:
+        for sock in sockets:
+            sock.close()
+
+
+def _count_sends(transport: TcpTransport) -> "list[int]":
+    """The endpoint index of every exchange ``transport`` attempts from now on."""
+    sent: "list[int]" = []
+    exchange = transport._exchange
+
+    def counted(index: int, raw: bytes) -> bytes:
+        sent.append(index)
+        return exchange(index, raw)
+
+    transport._exchange = counted
+    return sent
+
+
+def test_a_frame_is_sent_once_per_client_attempt():
+    """The client's backoff is the only loop that re-sends: ``retries=3`` over
+    three dead endpoints is four sends, each to the next endpoint (when the
+    transport failed over too, the same call made twelve)."""
+    with _dead_endpoints(3) as urls:
+        transport = TcpTransport(urls, connect_timeout=0.5)
+        sent = _count_sends(transport)
+        slept: "list[float]" = []
+        client = GatewayClient(transport, ROUTE, backoff=Backoff(retries=3, sleep=slept.append))
+        with pytest.raises(SmacsError) as failure:
+            client.describe()
+        assert failure.value.code is ErrorCode.UNAVAILABLE
+        assert sent == [0, 1, 2, 0]
+        assert client.retries_performed == len(slept) == 3
+        # connect() derives its retries from the URLs: one send per endpoint.
+        client = connect(urls, route=ROUTE, connect_timeout=0.5)
+        sent = _count_sends(client.transport)
+        with pytest.raises(SmacsError):
+            client.describe()
+        assert sent == [0, 1, 2]
 
 
 # --- fault: server vanishes mid-conversation ----------------------------------------

@@ -160,7 +160,6 @@ API_SURFACE_SNAPSHOT = [
     "PROFILES",
     "RETRYABLE_CODES",
     "RateLimiter",
-    "RetryBudget",
     "RetryFailover",
     "ServiceGateway",
     "SmacsError",

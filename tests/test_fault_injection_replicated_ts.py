@@ -16,7 +16,7 @@ on-chain.
 
 import pytest
 
-from repro.api import RetryFailover, issue_one
+from repro.api import RetryFailover, build_service, issue_one, unwrap
 from repro.chain import Blockchain
 from repro.consensus.counter import CounterTimeout
 from repro.contracts.protected_target import ProtectedRecorder
@@ -292,6 +292,25 @@ def test_replicas_timing_out_in_phase_exhaust_after_one_try_each(
     tried.clear()
     stack.submit([request])
     assert 1 not in tried and len(tried) == len(rts.replicas)
+
+
+@pytest.mark.parametrize("replica_count", [1, 2, 3, 4])
+def test_the_replicated_factory_tries_each_replica_once(replica_count, monkeypatch):
+    """``build_service("replicated")`` stacks the same fail-over: a full
+    outage submits to every replica exactly once, never one twice."""
+    stack = build_service("replicated", replica_count=replica_count, seed=41)
+    rts = unwrap(stack)
+    tried = []
+    for index, replica in enumerate(rts.replicas):
+        def dies_whole(requests, index=index):
+            tried.append(index)
+            raise CounterTimeout("injected: commit deadline exceeded")
+
+        monkeypatch.setattr(replica, "submit", dies_whole)
+    request = TokenRequest.method_token(b"\xaa" * 20, b"\xbb" * 20, "submit", one_time=True)
+    [result] = stack.submit([request])
+    assert result.code.value == "COUNTER_TIMEOUT"
+    assert sorted(tried) == list(range(replica_count))
 
 
 def test_all_replicas_down_still_raises_no_replica(rts, protected, alice):

@@ -19,7 +19,6 @@ from repro.resilience import (
     BREAKER_OPEN,
     AdmissionController,
     CircuitBreaker,
-    RetryBudget,
 )
 from repro.resilience.deadline import (
     check_deadline,
@@ -184,41 +183,6 @@ def test_admission_rejects_bad_configuration():
     ):
         with pytest.raises(ValueError):
             AdmissionController(**kwargs)
-
-
-# --- retry budget -------------------------------------------------------------------
-
-
-def test_retry_budget_spends_down_then_denies():
-    budget = RetryBudget(initial_balance=2.0)
-    assert budget.try_spend()
-    assert budget.try_spend()
-    assert not budget.try_spend()  # balance < 1: the retry must not be sent
-    stats = budget.stats()
-    assert stats["granted"] == 2
-    assert stats["denied"] == 1
-    assert stats["balance"] == 0.0
-
-
-def test_successes_earn_retries_at_the_deposit_rate():
-    budget = RetryBudget(deposit_per_success=0.25, initial_balance=0.0)
-    assert not budget.try_spend()  # broke
-    for _ in range(4):
-        budget.record_success()
-    assert budget.balance == pytest.approx(1.0)
-    assert budget.try_spend()  # four successes bought exactly one retry
-    assert not budget.try_spend()
-
-
-def test_retry_budget_balance_caps_at_max():
-    budget = RetryBudget(deposit_per_success=5.0, max_balance=3.0)
-    for _ in range(10):
-        budget.record_success()
-    assert budget.balance == 3.0
-    with pytest.raises(ValueError):
-        RetryBudget(deposit_per_success=0.0)
-    with pytest.raises(ValueError):
-        RetryBudget(max_balance=0.5)
 
 
 # --- netem transport ----------------------------------------------------------------
