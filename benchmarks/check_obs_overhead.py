@@ -8,7 +8,7 @@ Usage::
         benchmarks/results/BENCH_obs.json \
         [--off-floor 0.98] [--on-floor 0.90]
 
-Takes the two artifacts the observability-smoke job produces from
+Takes the two artifacts the bench-smoke job produces from
 ``bench_end_to_end.py::test_end_to_end_observability_overhead``:
 
 * ``BENCH_obs_off.json`` -- a ``SMACS_OBS=0`` run where both lanes hold

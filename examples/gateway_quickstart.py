@@ -7,7 +7,7 @@ surface:
 1. ``build_service(profile=...)`` assembles serial / replicated issuance
    stacks from one factory -- all satisfying the ``TokenIssuer``
    protocol, so the calling code never changes;
-2. cross-cutting concerns (metrics, audit, rate limiting, fail-over retries)
+2. the two edge policies (rate limiting, fail-over retries)
    are middleware layers, not forked classes;
 3. a ``ServiceGateway`` exposes any stack behind versioned wire envelopes;
    the ``GatewayClient`` speaks the same protocol back, so wallets work
@@ -57,14 +57,13 @@ def main() -> None:
         print(f"build_service({profile!r:12}) -> {type(stack).__name__:16} "
               f"base={type(unwrap(stack)).__name__}")
 
-    # --- 2. a replicated stack with metrics + rate limiting layered on --------
+    # --- 2. a replicated stack with rate limiting layered on -----------------
     service = build_service(
         "replicated",
         keypair=keypair,
         clock=chain.clock,
         replica_count=3,
         rate_limit=(50, 64),   # 50 tokens/s, bursts of 64
-        metrics=True,
     )
     service.update_rules(lambda rules: rules.add_rule(
         WhitelistRule([alice.address], name="partners")

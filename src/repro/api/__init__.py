@@ -10,8 +10,8 @@ wire-level gateway:
 * :mod:`repro.api.errors` -- the :class:`~repro.core.errors.SmacsError`
   taxonomy with stable :class:`~repro.core.errors.ErrorCode` values, carried
   inside results so batch submissions never raise mid-batch;
-* :mod:`repro.api.middleware` -- ``RateLimiter`` / ``Metrics`` / ``Audit`` /
-  ``RetryFailover`` wrappers, stackable in any order;
+* :mod:`repro.api.middleware` -- the ``RateLimiter`` and ``RetryFailover``
+  wrappers, the two policies a deployment stacks on an issuer;
 * :mod:`repro.api.factory` -- ``build_service(profile=...)`` assembling the
   serial/replicated stacks from one place;
 * :mod:`repro.api.gateway` -- ``ServiceGateway`` with versioned wire
@@ -21,17 +21,18 @@ wire-level gateway:
   one loop that re-sends a frame;
 * :mod:`repro.api.transport` -- the real wire: an asyncio TCP
   ``GatewayServer`` (length-prefixed frames, idle/write timeouts,
-  backpressure, edge rate limiting) and the pooled, load-balancing
+  backpressure) and the pooled, load-balancing
   ``TcpTransport`` that sends each frame once, behind
   ``serve(gateway, addr)`` / ``connect(url)`` factories and the ``dial``
   hook for ``ServiceDiscovery``.
 
 Overload resilience (:mod:`repro.resilience`) is re-exported here because
 it is part of the wire contract: ``AdmissionController`` (gateway-edge
-load shedding answering ``OVERLOADED`` + ``retry_after_s``) and
-``CircuitBreaker`` (per-endpoint closed/open/half-open ejection inside
-``TcpTransport``), plus the optional absolute-deadline envelope field
-checked at every hop (``DEADLINE_EXCEEDED``).
+load shedding answering ``OVERLOADED`` + ``retry_after_s``, the wire's one
+shedding policy) and ``CircuitBreaker`` (per-endpoint closed/open/half-open
+ejection inside ``TcpTransport``), plus the optional absolute-deadline
+envelope field (``DEADLINE_EXCEEDED``), checked where an envelope arrives:
+at the client before each send and at the gateway.
 
 The public names below are covered by an API-stability snapshot test; grow
 the surface deliberately.
@@ -55,22 +56,13 @@ from repro.api.gateway import (
     InProcessTransport,
     ServiceGateway,
 )
-from repro.api.middleware import (
-    Audit,
-    IssuerMiddleware,
-    Metrics,
-    RateLimiter,
-    RetryFailover,
-    TokenBucket,
-    unwrap,
-)
+from repro.api.middleware import IssuerMiddleware, RateLimiter, RetryFailover, unwrap
 from repro.api.protocol import TokenIssuer, Transport, conforms, issue_one, try_issue_one
 from repro.api.transport import GatewayServer, TcpTransport, connect, dial, serve
 from repro.resilience import AdmissionController, CircuitBreaker
 
 __all__ = [
     "AdmissionController",
-    "Audit",
     "Backoff",
     "CircuitBreaker",
     "CODECS",
@@ -83,7 +75,6 @@ __all__ = [
     "GatewayServer",
     "InProcessTransport",
     "IssuerMiddleware",
-    "Metrics",
     "NoReplicaAvailable",
     "PROFILES",
     "RETRYABLE_CODES",
@@ -92,7 +83,6 @@ __all__ = [
     "ServiceGateway",
     "SmacsError",
     "TcpTransport",
-    "TokenBucket",
     "TokenDenied",
     "TokenIssuer",
     "Transport",

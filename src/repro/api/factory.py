@@ -9,11 +9,13 @@ string; everything the factory returns satisfies
 touching call sites.
 
 Layer order (innermost first): base service -> RetryFailover (replicated
-profile: the §VII-B fail-over, one try per replica) -> RateLimiter -> Audit
--> Metrics.
+profile: the §VII-B fail-over, one try per replica) -> RateLimiter.  The
+stack's audit trail is the base service's ``audit_log``.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet
@@ -22,7 +24,7 @@ from repro.core.token_service import DEFAULT_TOKEN_LIFETIME, TokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 
-from repro.api.middleware import Audit, Metrics, RateLimiter, RetryFailover
+from repro.api.middleware import RateLimiter, RetryFailover
 from repro.api.protocol import TokenIssuer
 
 #: the deployment shapes the factory knows how to assemble
@@ -43,19 +45,17 @@ def build_service(
     # cross-cutting layers
     signature_cache: "SignatureCache | None" = None,
     rate_limit: "tuple[float, int] | None" = None,
-    audit: bool = False,
-    metrics: bool = False,
 ) -> TokenIssuer:
     """Assemble an issuance stack for the requested deployment profile.
 
     ``signature_cache`` is handed to the base service, whose issuance path
-    primes it inline.  ``rate_limit`` is ``(rate_per_second, burst)``;
-    ``audit`` and ``metrics`` stack the corresponding layers (metrics
-    outermost, so it observes rate-limited results too).
+    primes it inline.  ``rate_limit`` is ``(rate_per_second, burst)``: a
+    :class:`RateLimiter` outermost, refilling on ``clock`` when one is given
+    and on wall time otherwise (the private clock made here never advances).
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown service profile {profile!r}; pick one of {PROFILES}")
-    clock = clock if clock is not None else SimulatedClock()
+    service_clock = clock if clock is not None else SimulatedClock()
     keypair = keypair if keypair is not None else KeyPair.generate()
     rules = rules if rules is not None else RuleSet()
 
@@ -64,7 +64,7 @@ def build_service(
         issuer = TokenService(
             keypair=keypair,
             rules=rules,
-            clock=clock,
+            clock=service_clock,
             token_lifetime=token_lifetime,
             signature_cache=signature_cache,
             label=label if label is not None else "token-service",
@@ -77,7 +77,7 @@ def build_service(
             replica_count=replica_count,
             keypair=keypair,
             rules=rules,
-            clock=clock,
+            clock=service_clock,
             token_lifetime=token_lifetime,
             seed=seed,
             signature_cache=signature_cache,
@@ -86,11 +86,8 @@ def build_service(
 
     if rate_limit is not None:
         rate_per_second, burst = rate_limit
-        issuer = RateLimiter(issuer, rate_per_second, burst, clock=clock)
-    if audit:
-        issuer = Audit(issuer)
-    if metrics:
-        issuer = Metrics(issuer)
+        now = clock.now if clock is not None else time.monotonic
+        issuer = RateLimiter(issuer, rate_per_second, burst, now=now)
     return issuer
 
 

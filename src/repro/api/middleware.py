@@ -1,15 +1,17 @@
 """Composable issuance middleware.
 
-Cross-cutting concerns -- rate limits, audit trails, metrics, the §VII-B
-fail-over retry (:class:`RetryFailover` is the only one; no service retries
-on its own) -- are stackable wrappers that satisfy the same
-:class:`~repro.api.protocol.TokenIssuer` protocol they wrap (the layered
-approach py-evm takes with its VM/chain variants).  A stack is built
+The two policies a deployment stacks on an issuer -- a per-issuer rate limit
+(:class:`RateLimiter`) and the §VII-B fail-over retry (:class:`RetryFailover`
+is the only one; no service retries on its own) -- are wrappers that satisfy
+the same :class:`~repro.api.protocol.TokenIssuer` protocol they wrap (the
+layered approach py-evm takes with its VM/chain variants).  A stack is built
 innermost-first::
 
-    issuer = Metrics(RetryFailover(ReplicatedTokenService()))
+    issuer = RateLimiter(RetryFailover(ReplicatedTokenService()), 50, 64)
 
 or, more conveniently, through :func:`repro.api.factory.build_service`.
+The audit trail is the base service's ``audit_log``; metrics live in the
+gateway's :class:`~repro.obs.Observability` registry.
 
 Every wrapper folds its own counters into :meth:`stats` under a layer key,
 so one ``stats()`` call describes the whole stack.
@@ -21,12 +23,10 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro.chain.address import Address
-from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet
 from repro.core.errors import ErrorCode, SmacsError, classify
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import IssuanceResult
-from repro.obs import MetricsRegistry
 
 from repro.api.protocol import TokenIssuer
 
@@ -84,60 +84,6 @@ def _as_list(
     return list(requests)
 
 
-class TokenBucket:
-    """The refillable bucket behind every rate-limited edge.
-
-    ``rate_per_second`` tokens refill continuously up to ``burst``;
-    :meth:`take` grants as many of the requested tokens as the bucket holds.
-    The time source is injectable -- a shared ``SimulatedClock``'s ``now`` or
-    any ``Callable[[], float]`` -- so admission-control tests are
-    deterministic instead of sleeping; the default is ``time.monotonic``
-    (real wall time, what a deployed edge runs on).  Both the
-    :class:`RateLimiter` issuer middleware and the
-    :class:`~repro.api.transport.GatewayServer` frame edge consume this one
-    implementation.
-    """
-
-    def __init__(
-        self,
-        rate_per_second: float,
-        burst: int,
-        now: "Callable[[], float] | None" = None,
-    ) -> None:
-        if rate_per_second <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.rate_per_second = float(rate_per_second)
-        self.burst = int(burst)
-        self._now: Callable[[], float] = now if now is not None else time.monotonic
-        self._tokens = float(burst)
-        self._last_refill = self._now()
-
-    def _refill(self) -> None:
-        now = self._now()
-        elapsed = max(0.0, now - self._last_refill)
-        self._last_refill = now
-        self._tokens = min(float(self.burst), self._tokens + elapsed * self.rate_per_second)
-
-    def take(self, wanted: int) -> int:
-        """Consume up to ``wanted`` tokens; returns how many were granted."""
-        self._refill()
-        granted = min(wanted, int(self._tokens))
-        self._tokens -= granted
-        return granted
-
-    def retry_after(self, wanted: int = 1) -> float:
-        """Seconds until ``wanted`` tokens will have refilled (>= 0.0).
-
-        The server-computed backoff hint a ``RATE_LIMITED`` answer carries:
-        the bucket refills at ``rate_per_second``, so a caller retrying
-        after this long meets a bucket that can grant the request (absent
-        competing traffic -- the hint is an estimate, not a reservation).
-        """
-        self._refill()
-        deficit = float(wanted) - self._tokens
-        return max(0.0, deficit / self.rate_per_second)
-
-
 class RateLimiter(IssuerMiddleware):
     """Token-bucket admission control in front of an issuer.
 
@@ -145,11 +91,10 @@ class RateLimiter(IssuerMiddleware):
     request consumes one.  Requests beyond the bucket are *not* dropped
     silently and do not abort the batch: they come back as results carrying
     ``ErrorCode.RATE_LIMITED`` (retryable -- clients back off and resubmit).
-    Pass the simulated clock the services run on for deterministic tests and
-    benchmarks; without one the limiter refills on the injectable ``now``
-    time source (``time.monotonic`` by default -- a fresh private
-    ``SimulatedClock`` would never advance and the bucket would never
-    refill).
+    ``now`` is the time source the bucket refills on: ``time.monotonic``
+    (real wall time, what a deployed issuer runs on) unless the caller hands
+    it the simulated clock the services run on (``clock.now``), which makes
+    tests and benchmarks deterministic.
     """
 
     layer = "rate_limiter"
@@ -159,34 +104,47 @@ class RateLimiter(IssuerMiddleware):
         inner: TokenIssuer,
         rate_per_second: float,
         burst: int,
-        clock: "SimulatedClock | None" = None,
-        now: "Callable[[], float] | None" = None,
+        now: Callable[[], float] = time.monotonic,
     ) -> None:
         super().__init__(inner)
-        self._bucket = TokenBucket(
-            rate_per_second, burst, now=clock.now if clock is not None else now
-        )
-        self.rate_per_second = self._bucket.rate_per_second
-        self.burst = self._bucket.burst
+        if rate_per_second <= 0 or burst <= 0:
+            raise ValueError("rate and burst must be positive")
+        self.rate_per_second = float(rate_per_second)
+        self.burst = int(burst)
+        self._now = now
+        self._tokens = float(burst)
+        self._last_refill = now()
         self.admitted = 0
         self.limited = 0
+
+    def _refill(self) -> None:
+        now = self._now()
+        elapsed = max(0.0, now - self._last_refill)
+        self._last_refill = now
+        self._tokens = min(float(self.burst), self._tokens + elapsed * self.rate_per_second)
 
     def submit(
         self, requests: "TokenRequest | Sequence[TokenRequest]"
     ) -> list[IssuanceResult]:
         request_list = _as_list(requests)
-        allowed = self._bucket.take(len(request_list))
+        self._refill()
+        allowed = min(len(request_list), int(self._tokens))
+        self._tokens -= allowed
         self.admitted += allowed
         self.limited += len(request_list) - allowed
         results = self.inner.submit(request_list[:allowed]) if allowed else []
         if allowed < len(request_list):
             # One hint for the whole refused suffix: when the *first* refused
             # token will have refilled (clients resubmit the suffix as one
-            # batch, so the earliest-usable moment is the honest answer).
+            # batch, so the earliest-usable moment is the honest answer; an
+            # estimate, not a reservation).
+            self._refill()
             error = SmacsError(
                 f"rate limit exceeded ({self.rate_per_second}/s, burst {self.burst})",
                 ErrorCode.RATE_LIMITED,
-                retry_after_s=round(self._bucket.retry_after(1), 6),
+                retry_after_s=round(
+                    max(0.0, 1.0 - self._tokens) / self.rate_per_second, 6
+                ),
             )
             results.extend(
                 IssuanceResult.failure(request, error)
@@ -196,101 +154,6 @@ class RateLimiter(IssuerMiddleware):
 
     def layer_stats(self) -> dict[str, Any]:
         return {"admitted": self.admitted, "limited": self.limited}
-
-
-class Metrics(IssuerMiddleware):
-    """Uniform issuance metrics for any stack (what Fig. 9 harnesses read).
-
-    A thin facade over a :class:`~repro.obs.MetricsRegistry` -- the repo has
-    exactly one metrics implementation -- whose ``issuance.*`` counters
-    ``layer_stats()`` reads back as ``submissions``, ``requests``,
-    ``issued``, ``failed``, ``errors_by_code`` and ``largest_batch``.
-    """
-
-    layer = "metrics"
-
-    def __init__(self, inner: TokenIssuer) -> None:
-        super().__init__(inner)
-        self.registry = MetricsRegistry()
-        self._submissions = self.registry.counter("issuance.submissions")
-        self._requests = self.registry.counter("issuance.requests")
-        self._issued = self.registry.counter("issuance.issued")
-        self._failed = self.registry.counter("issuance.failed")
-        self._largest_batch = self.registry.gauge("issuance.largest_batch")
-
-    def submit(
-        self, requests: "TokenRequest | Sequence[TokenRequest]"
-    ) -> list[IssuanceResult]:
-        request_list = _as_list(requests)
-        results = self.inner.submit(request_list)
-        self._submissions.inc()
-        self._requests.inc(len(request_list))
-        self._largest_batch.set_max(len(request_list))
-        for result in results:
-            if result.issued:
-                self._issued.inc()
-            else:
-                self._failed.inc()
-                code = result.code
-                name = code.value if code is not None else ErrorCode.DENIED.value
-                self.registry.counter(f"issuance.errors.{name}").inc()
-        return results
-
-    def layer_stats(self) -> dict[str, Any]:
-        prefix = "issuance.errors."
-        counters = self.registry.snapshot()["counters"]
-        return {
-            "submissions": self._submissions.value,
-            "requests": self._requests.value,
-            "issued": self._issued.value,
-            "failed": self._failed.value,
-            "errors_by_code": {
-                name[len(prefix):]: count
-                for name, count in counters.items()
-                if name.startswith(prefix)
-            },
-            "largest_batch": int(self._largest_batch.value),
-        }
-
-
-class Audit(IssuerMiddleware):
-    """Append-only issuance audit trail, stack-level.
-
-    Mirrors the per-service ``TokenService.audit_log`` but sits at the top of
-    a composed stack, so replicated deployments get one merged trail.
-    Entries are ``(request description, outcome)`` where outcome is
-    ``"issued"`` or the stable error-code value.
-    """
-
-    layer = "audit"
-
-    def __init__(
-        self,
-        inner: TokenIssuer,
-        sink: "Callable[[str, str], None] | None" = None,
-        max_entries: int = 10_000,
-    ) -> None:
-        super().__init__(inner)
-        self.sink = sink
-        self.max_entries = max_entries
-        self.entries: list[tuple[str, str]] = []
-
-    def submit(
-        self, requests: "TokenRequest | Sequence[TokenRequest]"
-    ) -> list[IssuanceResult]:
-        results = self.inner.submit(_as_list(requests))
-        for result in results:
-            code = result.code
-            outcome = "issued" if code is None else code.value
-            self.entries.append((result.request.describe(), outcome))
-            if self.sink is not None:
-                self.sink(result.request.describe(), outcome)
-        if len(self.entries) > self.max_entries:
-            del self.entries[: len(self.entries) - self.max_entries]
-        return results
-
-    def layer_stats(self) -> dict[str, Any]:
-        return {"entries": len(self.entries)}
 
 
 class RetryFailover(IssuerMiddleware):
@@ -356,11 +219,8 @@ class RetryFailover(IssuerMiddleware):
 
 
 __all__ = [
-    "Audit",
     "IssuerMiddleware",
-    "Metrics",
     "RateLimiter",
     "RetryFailover",
-    "TokenBucket",
     "unwrap",
 ]

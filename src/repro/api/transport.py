@@ -13,10 +13,10 @@ halves behind the :class:`~repro.api.protocol.Transport` protocol:
   unanswered bytes it reads ahead, and write-side backpressure -- a reader
   too slow to take its answers first pauses the connection and, past
   ``write_timeout``, is disconnected instead of ballooning server memory.
-  An optional edge rate limit reuses the same
-  :class:`~repro.api.middleware.TokenBucket` as the ``RateLimiter`` issuer
-  middleware and answers ``RATE_LIMITED`` error envelopes before the
-  gateway is ever invoked.
+  The server refuses load one way only: what the gateway's ``arrive``
+  sheds (an expired deadline, or its
+  :class:`~repro.resilience.AdmissionController` answering ``OVERLOADED``);
+  per-issuer rate policy is the ``RateLimiter`` in the issuer stack.
 * :class:`TcpTransport` -- the client half: a thread-safe, connection-
   pooling blocking-socket transport that sends each frame once, to the
   next endpoint round-robin; the client's
@@ -76,7 +76,6 @@ from repro.core.errors import ErrorCode, SmacsError
 
 from repro.api import codec
 from repro.api.gateway import Backoff, GatewayClient, ServiceGateway
-from repro.api.middleware import TokenBucket
 from repro.api.protocol import TokenIssuer
 from repro.resilience import CircuitBreaker
 
@@ -99,11 +98,22 @@ _SHED_CODES = frozenset({ErrorCode.DEADLINE_EXCEEDED, ErrorCode.OVERLOADED})
 EndpointLike = Union[str, "tuple[str, int]"]
 
 
+def _check_port(port: int) -> int:
+    """``port`` if it is a TCP port number (0-65535), else ``ValueError``.
+
+    The socket layer would otherwise dial ``port % 65536`` or die in the
+    server thread with an ``OverflowError``.
+    """
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port {port} outside 0-65535")
+    return port
+
+
 def parse_endpoint(value: EndpointLike) -> tuple[str, int]:
     """Normalise ``tcp://host:port`` / ``host:port`` / ``(host, port)``."""
     if isinstance(value, tuple):
         host, port = value
-        return str(host), int(port)
+        return str(host), _check_port(int(port))
     url = str(value)
     if url.startswith("tcp://"):
         url = url[len("tcp://"):]
@@ -115,7 +125,7 @@ def parse_endpoint(value: EndpointLike) -> tuple[str, int]:
         )
     if host.startswith("[") and host.endswith("]"):  # bracketed IPv6 literal
         host = host[1:-1]
-    return host, int(port_text)
+    return host, _check_port(int(port_text))
 
 
 def endpoint_url(host: str, port: int) -> str:
@@ -157,8 +167,6 @@ class GatewayServer:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         idle_timeout: float = 30.0,
         write_timeout: float = 10.0,
-        rate_limit: "tuple[float, int] | None" = None,
-        now: "Callable[[], float] | None" = None,
     ) -> None:
         if max_frame_bytes <= 0:
             raise ValueError("max_frame_bytes must be positive")
@@ -166,15 +174,10 @@ class GatewayServer:
             raise ValueError("timeouts must be positive")
         self.gateway = gateway
         self.host = host
-        self.port = port
+        self.port = _check_port(port)
         self.max_frame_bytes = int(max_frame_bytes)
         self.idle_timeout = float(idle_timeout)
         self.write_timeout = float(write_timeout)
-        self._bucket = (
-            TokenBucket(rate_limit[0], rate_limit[1], now=now)
-            if rate_limit is not None
-            else None
-        )
         #: the one thread that runs ``gateway.handle`` while the loop sheds;
         #: made by start() iff the gateway has an admission controller
         self._dispatcher: "ThreadPoolExecutor | None" = None
@@ -184,7 +187,6 @@ class GatewayServer:
         self.connections_accepted = 0
         self.connections_open = 0
         self.frames_served = 0
-        self.frames_limited = 0
         self.malformed_frames = 0
         self.idle_closes = 0
         self.backpressure_closes = 0
@@ -264,7 +266,7 @@ class GatewayServer:
             server = await asyncio.get_running_loop().create_server(
                 lambda: _Connection(self), self.host, self.port
             )
-        except OSError as exc:
+        except Exception as exc:  # bind refused, bad address, ...: start() raises it
             self._startup_error = exc
             self._ready.set()
             return
@@ -290,7 +292,6 @@ class GatewayServer:
             "connections_accepted": self.connections_accepted,
             "connections_open": self.connections_open,
             "frames_served": self.frames_served,
-            "frames_limited": self.frames_limited,
             "frames_shed": self.frames_shed,
             "malformed_frames": self.malformed_frames,
             "idle_closes": self.idle_closes,
@@ -414,39 +415,28 @@ class _Connection(asyncio.Protocol):
             del buffer[:end]
             self.length = None
             server.bytes_received += end
-            if server._bucket is not None and server._bucket.take(1) < 1:
-                server.frames_limited += 1
+            try:
+                request = server.gateway.arrive(payload)
+            except SmacsError as error:  # answered on the loop, at arrival pace
+                server.frames_shed += error.code in _SHED_CODES
+                # Well framed, so the connection stays usable.
+                server.malformed_frames += error.code is ErrorCode.MALFORMED_REQUEST
                 response = codec.encode_error_envelope(
-                    SmacsError(
-                        "gateway edge rate limit exceeded",
-                        ErrorCode.RATE_LIMITED,
-                        retry_after_s=round(server._bucket.retry_after(1), 6),
-                    ),
-                    codec=codec.reply_codec(payload),
+                    error, codec=codec.reply_codec(payload)
                 )
             else:
-                try:
-                    request = server.gateway.arrive(payload)
-                except SmacsError as error:  # answered on the loop, at arrival pace
-                    server.frames_shed += error.code in _SHED_CODES
-                    # Well framed, so the connection stays usable.
-                    server.malformed_frames += error.code is ErrorCode.MALFORMED_REQUEST
-                    response = codec.encode_error_envelope(
-                        error, codec=codec.reply_codec(payload)
-                    )
-                else:
-                    # The gateway never raises from handle(): unknown routes
-                    # and issuer failures come back as envelopes.  Either way
-                    # exactly one thread calls into the issuers and responses
-                    # stay ordered per connection.
-                    if server._dispatcher is not None:
-                        self.busy = True
-                        self.loop.run_in_executor(
-                            server._dispatcher, server.gateway.handle, request
-                        ).add_done_callback(self._dispatched)
-                        return
-                    response = server.gateway.handle(request)
-                server.frames_served += 1
+                # The gateway never raises from handle(): unknown routes and
+                # issuer failures come back as envelopes.  Either way exactly
+                # one thread calls into the issuers and responses stay
+                # ordered per connection.
+                if server._dispatcher is not None:
+                    self.busy = True
+                    self.loop.run_in_executor(
+                        server._dispatcher, server.gateway.handle, request
+                    ).add_done_callback(self._dispatched)
+                    return
+                response = server.gateway.handle(request)
+            server.frames_served += 1
             self._write(response)
             self.deadline = self.loop.time() + server.idle_timeout
         if self.eof and not (self.holding or transport.is_closing()):
@@ -786,7 +776,7 @@ def serve(
     ``addr`` is ``(host, port)`` or ``tcp://host:port``; port 0 binds a free
     port (read it back from ``server.url``).  Keyword options are forwarded
     to :class:`GatewayServer` (``max_frame_bytes``, ``idle_timeout``,
-    ``write_timeout``, ``rate_limit``, ``now``).
+    ``write_timeout``).
     """
     host, port = parse_endpoint(addr)
     return GatewayServer(gateway, host, port, **options).start()

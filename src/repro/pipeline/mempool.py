@@ -21,8 +21,8 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
   consumed on-chain or fell behind the window, and an in-pool reservation
   table refuses a second pending transaction carrying the same index.
 
-Checks run cheapest first -- dedup, deadline, gas limit, nonce, balance, the
-SMACS screens -- and the transaction signature last, so only a transaction
+Checks run cheapest first -- dedup, gas limit, nonce, balance, the SMACS
+screens -- and the transaction signature last, so only a transaction
 that every lookup would let through pays for curve math.  What it pays
 depends on whether the node has met the sender
 (:meth:`repro.crypto.sigcache.SignatureCache.signed_by`): a first sight is a
@@ -38,7 +38,6 @@ is paid at most once per transaction.
 from __future__ import annotations
 
 import enum
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -80,7 +79,6 @@ class RejectReason(str, enum.Enum):
     """
 
     DUPLICATE_TRANSACTION = "duplicate transaction"
-    DEADLINE_EXCEEDED = "deadline exceeded before admission"
     GAS_LIMIT = "transaction gas limit exceeds the block gas limit"
     BAD_NONCE = "bad nonce"
     INSUFFICIENT_FUNDS = "insufficient funds"
@@ -210,11 +208,6 @@ class Mempool:
         #: by ``Observability.instrument_pipeline``) makes :meth:`admit_many`
         #: record the ``admission`` stage histogram.
         self.obs: Observability = DORMANT
-        #: wall clock for propagated-deadline checks.  Deliberately *not*
-        #: ``chain.clock`` (simulated block time): deadlines are stamped by
-        #: wire clients from ``time.time()`` and must be compared against
-        #: the same timebase.  Injectable for deterministic tests.
-        self.wall_clock = time.time
 
     # -- introspection ---------------------------------------------------------
 
@@ -241,32 +234,15 @@ class Mempool:
 
     # -- admission -------------------------------------------------------------
 
-    def admit(
-        self, tx: Transaction, *, deadline: "float | None" = None
-    ) -> AdmissionDecision:
-        """Run all admission checks; pool the transaction when they pass.
+    def admit(self, tx: Transaction) -> AdmissionDecision:
+        """Run all admission checks; pool the transaction when they pass."""
+        return self.admit_many((tx,))[0]
 
-        ``deadline`` is an optional propagated absolute deadline
-        (``time.time()`` seconds, the wire envelope's ``deadline`` field):
-        a transaction whose submitter already gave up is shed *before* the
-        expensive signature recovery -- under overload, ecrecover cycles
-        must go to work someone still wants.
-        """
-        return self.admit_many((tx,), deadline=deadline)[0]
-
-    def _admit(
-        self, tx: Transaction, deadline: "float | None" = None
-    ) -> AdmissionDecision:
+    def _admit(self, tx: Transaction) -> AdmissionDecision:
         tx.signing_digest()  # one pass over the payload also memoizes the hash
         tx_hash = tx.hash()
         if tx_hash in self._pool or tx_hash in self.chain.receipts:
             return self._reject(RejectReason.DUPLICATE_TRANSACTION)
-
-        if deadline is not None and self.wall_clock() >= deadline:
-            # Checked after the O(1) dedup but before ecrecover: shedding
-            # dead work here costs microseconds, admitting it costs a curve
-            # recovery plus a pool slot nobody will claim.
-            return self._reject(RejectReason.DEADLINE_EXCEEDED)
 
         decision = self._check_node_rules(tx)
         if decision is not None:
@@ -300,9 +276,7 @@ class Mempool:
             self.admission_listener(tx)
         return _ADMITTED
 
-    def admit_many(
-        self, txs: Iterable[Transaction], *, deadline: "float | None" = None
-    ) -> list[AdmissionDecision]:
+    def admit_many(self, txs: Iterable[Transaction]) -> list[AdmissionDecision]:
         """:meth:`admit` each transaction in order, hashing the batch by lanes.
 
         The transactions' signing digests and hashes are primed in one
@@ -322,7 +296,7 @@ class Mempool:
         decisions = []
         for tx in txs:
             t0 = obs.clock()
-            decisions.append(self._admit(tx, deadline))
+            decisions.append(self._admit(tx))
             obs.record_stage("admission", share + obs.clock() - t0)
         return decisions
 

@@ -67,20 +67,12 @@ class ExecutionPipeline:
     # -- ingest -----------------------------------------------------------------
 
     def ingest(
-        self,
-        txs: "Transaction | Iterable[Transaction]",
-        *,
-        deadline: "float | None" = None,
+        self, txs: "Transaction | Iterable[Transaction]"
     ) -> list[AdmissionDecision]:
-        """Admit transactions into the mempool (signature, nonce, SMACS checks).
-
-        ``deadline`` is an optional propagated absolute wall-clock deadline
-        (the wire envelope's ``deadline`` field): expired submissions are
-        shed at the mempool edge before signature recovery.
-        """
+        """Admit transactions into the mempool (signature, nonce, SMACS checks)."""
         if isinstance(txs, Transaction):
             txs = [txs]
-        return self.mempool.admit_many(txs, deadline=deadline)
+        return self.mempool.admit_many(txs)
 
     # -- block production ----------------------------------------------------------
 

@@ -53,7 +53,7 @@ def check_deadline(
 
     ``None`` means the caller propagated no deadline (a legacy peer) --
     never an error.  ``stage`` names the checkpoint that shed the request
-    (``"gateway"``, ``"issuance"``, ``"mempool"``, ``"client"``) so the
+    (``"gateway"``, ``"issuance"``, ``"client"``) so the
     error message says *where* the budget ran out.
     """
     if deadline is None:

@@ -283,7 +283,7 @@ def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
                 issuer,
                 rate_per_second=spec.params.get("rate_per_second", 0.5),
                 burst=spec.params.get("burst", 8),
-                clock=chain.clock,
+                now=chain.clock.now,
             )
             for _ in range(spec.tenants)
         ]

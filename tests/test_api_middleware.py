@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.api import (
-    Audit,
     ErrorCode,
-    Metrics,
     RateLimiter,
     RetryFailover,
     build_service,
@@ -35,7 +35,7 @@ def _request(recorder, account, one_time=False):
 
 
 def test_rate_limiter_carries_rate_limited_results(chain, service, recorder, alice):
-    limited = RateLimiter(service, rate_per_second=2, burst=3, clock=chain.clock)
+    limited = RateLimiter(service, rate_per_second=2, burst=3, now=chain.clock.now)
     results = limited.submit([_request(recorder, alice)] * 5)
     assert [result.issued for result in results] == [True, True, True, False, False]
     for result in results[3:]:
@@ -45,7 +45,7 @@ def test_rate_limiter_carries_rate_limited_results(chain, service, recorder, ali
 
 
 def test_rate_limiter_refills_with_the_shared_clock(chain, service, recorder, alice):
-    limited = RateLimiter(service, rate_per_second=1, burst=2, clock=chain.clock)
+    limited = RateLimiter(service, rate_per_second=1, burst=2, now=chain.clock.now)
     assert [r.issued for r in limited.submit([_request(recorder, alice)] * 2)] == [True, True]
     assert not limited.submit(_request(recorder, alice))[0].issued
     chain.clock.advance(2)
@@ -68,7 +68,7 @@ def test_rate_limiter_partial_grant_preserves_order_and_suffix(chain, service, r
     order and the RATE_LIMITED failures are *exactly* the suffix."""
     clients = [chain.create_account(seed=f"pg-{i}") for i in range(5)]
     batch = [_request(recorder, client) for client in clients]
-    limited = RateLimiter(service, rate_per_second=1, burst=3, clock=chain.clock)
+    limited = RateLimiter(service, rate_per_second=1, burst=3, now=chain.clock.now)
 
     results = limited.submit(batch)
     assert len(results) == len(batch)
@@ -99,69 +99,34 @@ def test_rate_limiter_validates_parameters(service):
         RateLimiter(service, rate_per_second=1, burst=0)
 
 
-# --- TokenBucket (shared by RateLimiter and the wire edge) --------------------------
-
-
-def test_token_bucket_grants_partially_and_refills():
-    from repro.api import TokenBucket
-
+def test_rate_limiter_grants_partially_and_refill_saturates_at_burst(service, recorder, alice):
     fake = {"t": 0.0}
-    bucket = TokenBucket(rate_per_second=10, burst=5, now=lambda: fake["t"])
-    assert bucket.take(3) == 3
-    assert bucket.take(4) == 2  # partial grant: only 2 left in the bucket
-    assert bucket.take(1) == 0
+    limited = RateLimiter(service, rate_per_second=10, burst=5, now=lambda: fake["t"])
+
+    def granted(count):
+        results = limited.submit([_request(recorder, alice)] * count)
+        return sum(result.issued for result in results)
+
+    assert granted(3) == 3
+    assert granted(4) == 2  # partial grant: only 2 left in the bucket
+    assert granted(1) == 0
     fake["t"] += 0.25  # 2.5 bucket tokens accrue
-    assert bucket.take(5) == 2
+    assert granted(5) == 2
     fake["t"] += 10.0  # refill saturates at the burst capacity
-    assert bucket.take(50) == 5
+    assert granted(50) == 5
 
 
-def test_token_bucket_validates_parameters():
-    from repro.api import TokenBucket
-
-    with pytest.raises(ValueError):
-        TokenBucket(rate_per_second=0, burst=1)
-    with pytest.raises(ValueError):
-        TokenBucket(rate_per_second=1, burst=0)
-
-
-# --- Metrics ------------------------------------------------------------------------
-
-
-def test_metrics_counts_outcomes_by_code(chain, service, recorder, alice, eve):
-    service.update_rules(lambda rules: rules.add_rule(WhitelistRule([alice.address])))
-    metered = Metrics(service)
-    metered.submit([_request(recorder, alice), _request(recorder, eve)])
-    metered.submit(_request(recorder, eve))
-    stats = metered.layer_stats()
-    assert stats["submissions"] == 2
-    assert stats["requests"] == 3
-    assert stats["issued"] == 1
-    assert stats["failed"] == 2
-    assert stats["errors_by_code"] == {"DENIED": 2}
-    assert stats["largest_batch"] == 2
-    # The layer folds into the stack-wide stats dict under its key.
-    assert metered.stats()["metrics"]["requests"] == 3
-
-
-# --- Audit --------------------------------------------------------------------------
-
-
-def test_audit_records_described_outcomes(chain, service, recorder, alice, eve):
-    service.update_rules(lambda rules: rules.add_rule(WhitelistRule([alice.address])))
-    seen = []
-    audited = Audit(service, sink=lambda desc, outcome: seen.append(outcome))
-    audited.submit([_request(recorder, alice), _request(recorder, eve)])
-    assert [outcome for _, outcome in audited.entries] == ["issued", "DENIED"]
-    assert seen == ["issued", "DENIED"]
-    assert audited.layer_stats() == {"entries": 2}
-
-
-def test_audit_trims_to_max_entries(chain, service, recorder, alice):
-    audited = Audit(service, max_entries=3)
-    for _ in range(5):
-        audited.submit(_request(recorder, alice))
-    assert len(audited.entries) == 3
+def test_factory_rate_limit_without_a_clock_refills_on_wall_time(recorder, alice):
+    # build_service makes its own SimulatedClock when none is given, and
+    # nothing ever advances it: a limiter on that clock would never refill.
+    stack = build_service("serial", keypair=KeyPair.from_seed("refill-ts"), rate_limit=(100, 2))
+    first = stack.submit([_request(recorder, alice)] * 3)
+    assert [result.issued for result in first] == [True, True, False]
+    assert first[2].error.retry_after_s <= 0.01
+    time.sleep(0.05)  # 5 tokens at 100/s, capped at the burst of 2
+    second = stack.submit([_request(recorder, alice)] * 3)
+    assert [result.issued for result in second] == [True, True, False]
+    assert stack.stats()["rate_limiter"] == {"admitted": 4, "limited": 2}
 
 
 # --- RetryFailover ------------------------------------------------------------------
@@ -221,8 +186,7 @@ def test_retry_failover_does_not_retry_denials(chain, service, recorder, alice, 
 
 def test_unwrap_reaches_the_base_service(chain, ts_keypair):
     stack = build_service(
-        "serial", keypair=ts_keypair, clock=chain.clock,
-        rate_limit=(100, 100), audit=True, metrics=True,
+        "serial", keypair=ts_keypair, clock=chain.clock, rate_limit=(100, 100)
     )
     base = unwrap(stack)
     assert isinstance(base, TokenService)
@@ -231,14 +195,13 @@ def test_unwrap_reaches_the_base_service(chain, ts_keypair):
 
 def test_stacked_stats_fold_every_layer(chain, ts_keypair, recorder, alice):
     stack = build_service(
-        "serial", keypair=ts_keypair, clock=chain.clock,
-        rate_limit=(100, 100), audit=True, metrics=True,
+        "replicated", keypair=ts_keypair, clock=chain.clock, rate_limit=(100, 100)
     )
     stack.submit(_request(recorder, alice))
     stats = stack.stats()
-    assert stats["profile"] == "serial"
-    for layer in ("rate_limiter", "audit", "metrics"):
-        assert layer in stats, layer
+    assert stats["profile"] == "replicated"
+    assert stats["rate_limiter"] == {"admitted": 1, "limited": 0}
+    assert stats["retry_failover"] == {"failovers": 0, "recovered": 0}
 
 
 def test_factory_validates_inputs(chain):

@@ -3,7 +3,7 @@
 ``test_resilience.py`` proves the primitives in isolation; this file proves
 them *wired through the seams*: the gateway sheds expired deadlines before
 issuance and overload before dispatch (with ``retry_after_s`` hints the
-client honors), the mempool sheds dead work before signature recovery, the
+client honors), a rate-limited issuer's hint survives the result codec, the
 TCP transport's per-endpoint breakers eject dead servers and re-close after
 probing, and a server restart on the same port is invisible to pooled
 clients (stale sockets redial; only requests that received zero response
@@ -33,12 +33,10 @@ from repro.api import (
     serve,
 )
 from repro.api.transport import FRAME_HEADER_BYTES, TcpTransport, endpoint_url
-from repro.chain import Blockchain
-from repro.chain.transaction import Transaction
+from repro.chain.clock import SimulatedClock
 from repro.core.acr import RuleSet
 from repro.core.token_request import TokenRequest
 from repro.crypto.keys import KeyPair
-from repro.pipeline.mempool import Mempool
 from repro.resilience import BREAKER_CLOSED, BREAKER_OPEN
 
 ROUTE = "https://ts.resilience.example"
@@ -141,23 +139,6 @@ def test_gateway_rechecks_the_deadline_at_the_issuance_stage():
     assert failure.value.code is ErrorCode.DEADLINE_EXCEEDED
     assert "issuance" in str(failure.value)
     assert gateway.shed["deadline"] == 1
-
-
-def test_mempool_sheds_expired_deadlines_before_signature_recovery():
-    chain = Blockchain(auto_mine=False)
-    mempool = Mempool(chain)
-    mempool.wall_clock = lambda: 1000.0
-    sender = chain.create_account(seed="deadline-sender")
-    sink = chain.create_account(seed="deadline-sink")
-    tx = Transaction(
-        sender=sender.address, to=sink.address, nonce=0, value=0
-    ).sign_with(sender.keypair)
-    decision = mempool.admit(tx, deadline=999.0)
-    assert not decision.admitted
-    assert mempool.rejected == {"deadline exceeded before admission": 1}
-    # The same transaction with budget left admits cleanly (the shed never
-    # consumed its nonce, reserved an index or touched the pool).
-    assert mempool.admit(tx, deadline=1001.0).admitted
 
 
 # --- adaptive admission control at the gateway edge ---------------------------------
@@ -397,18 +378,25 @@ def test_the_dispatch_thread_exists_iff_the_gateway_has_admission_control():
 # --- retry_after hints end to end (S1) ----------------------------------------------
 
 
-def test_edge_rate_limit_carries_a_retry_after_hint():
-    fake = {"t": 0.0}
-    with serve(_gateway(), rate_limit=(10, 2), now=lambda: fake["t"]) as server:
-        client = connect(server.url)  # the route-discovery probe spends 1 token
+def test_rate_limited_results_carry_the_retry_after_hint_over_tcp():
+    service = build_service(
+        "serial",
+        keypair=KeyPair.from_seed("resilience-ts"),
+        clock=SimulatedClock(),  # never advances: the bucket refills not at all
+        rate_limit=(10, 2),
+    )
+    gateway = ServiceGateway()
+    gateway.register(ROUTE, service)
+    with serve(gateway) as server:
+        client = connect(server.url)  # route discovery is no issuance: free
         try:
-            assert client.submit(_request())[0].issued  # spends the 2nd token
-            with pytest.raises(SmacsError) as failure:
-                client.submit(_request())
-            assert failure.value.code is ErrorCode.RATE_LIMITED
-            assert failure.value.retry_after_s is not None
-            # Rate 10/s, one token needed: the refill horizon is ~0.1s.
-            assert failure.value.retry_after_s == pytest.approx(0.1, rel=0.01)
+            results = client.submit([_request()] * 3)
+            assert [result.issued for result in results] == [True, True, False]
+            error = results[2].error
+            assert error.code is ErrorCode.RATE_LIMITED and error.retryable
+            # Rate 10/s, one token needed: the refill horizon is 0.1 s, and it
+            # crossed the result codec intact.
+            assert error.retry_after_s == pytest.approx(0.1, rel=0.01)
         finally:
             client.close()
 

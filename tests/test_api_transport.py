@@ -24,6 +24,7 @@ from repro.api import (
     Backoff,
     ErrorCode,
     GatewayClient,
+    GatewayServer,
     RETRYABLE_CODES,
     ServiceGateway,
     SmacsError,
@@ -114,6 +115,32 @@ def test_parse_endpoint_accepts_urls_pairs_and_ipv6():
 def test_parse_endpoint_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_endpoint(bad)
+
+
+def test_parse_endpoint_refuses_ports_outside_the_tcp_range():
+    # The socket layer would dial 70000 % 65536 = 4464, someone else's port.
+    assert parse_endpoint("tcp://127.0.0.1:65535") == ("127.0.0.1", 65535)
+    for bad in ("tcp://127.0.0.1:70000", ("127.0.0.1", 65536), ("127.0.0.1", -1)):
+        with pytest.raises(ValueError, match="outside 0-65535"):
+            parse_endpoint(bad)
+    with pytest.raises(ValueError, match="outside 0-65535"):
+        connect("tcp://127.0.0.1:70000")
+
+
+def test_serve_refuses_an_out_of_range_port_at_once():
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="outside 0-65535"):
+        serve(_gateway(), ("127.0.0.1", 70001))
+    with pytest.raises(ValueError, match="outside 0-65535"):
+        GatewayServer(_gateway(), port=70001)
+    # Whatever the listener refuses reaches start()'s caller, not just OSError:
+    # a port bent past the constructor's check dies in the loop thread with an
+    # OverflowError, and start() raises it instead of waiting out its 30 s.
+    server = GatewayServer(_gateway())
+    server.port = 70001
+    with pytest.raises(OverflowError):
+        server.start()
+    assert time.monotonic() - started < 5.0
 
 
 # --- happy path over real sockets ---------------------------------------------------
@@ -772,29 +799,6 @@ def test_serving_a_frame_creates_no_task_no_wait_for_and_no_timer(dispatched, mo
                 codec.decode_response_envelope(_read_frame(sock))
             assert asked == ({"run_in_executor": 100} if dispatched else {})
         assert server.stats()["frames_served"] == 101
-
-
-# --- edge rate limiting -------------------------------------------------------------
-
-
-def test_edge_rate_limit_answers_rate_limited_envelopes():
-    fake = {"t": 0.0}
-    with serve(
-        _gateway(), rate_limit=(10, 3), now=lambda: fake["t"]
-    ) as server:
-        client = connect(server.url)  # the route-discovery probe spends 1 token
-        try:
-            assert client.submit(_request())[0].issued
-            assert client.submit(_request())[0].issued
-            with pytest.raises(SmacsError) as failure:
-                client.submit(_request())
-            assert failure.value.code is ErrorCode.RATE_LIMITED
-            assert failure.value.retryable
-            assert server.stats()["frames_limited"] == 1
-            fake["t"] += 1.0  # refill the edge bucket
-            assert client.submit(_request())[0].issued
-        finally:
-            client.close()
 
 
 # --- discovery integration ----------------------------------------------------------

@@ -142,7 +142,6 @@ def test_known_urls_sorted(chain, discovery, token_service):
 #: snapshot deliberately; renaming or removing a symbol is a breaking change.
 API_SURFACE_SNAPSHOT = [
     "AdmissionController",
-    "Audit",
     "Backoff",
     "CODECS",
     "CODEC_BINARY",
@@ -155,7 +154,6 @@ API_SURFACE_SNAPSHOT = [
     "GatewayServer",
     "InProcessTransport",
     "IssuerMiddleware",
-    "Metrics",
     "NoReplicaAvailable",
     "PROFILES",
     "RETRYABLE_CODES",
@@ -164,7 +162,6 @@ API_SURFACE_SNAPSHOT = [
     "ServiceGateway",
     "SmacsError",
     "TcpTransport",
-    "TokenBucket",
     "TokenDenied",
     "TokenIssuer",
     "Transport",
@@ -185,6 +182,48 @@ def test_api_public_surface_matches_snapshot():
     assert sorted(repro.api.__all__) == API_SURFACE_SNAPSHOT
     for name in repro.api.__all__:
         assert getattr(repro.api, name, None) is not None, name
+
+
+#: The parameters a caller can name on the edge-policy surface: the issuer
+#: stack, the wire and the mempool's ingest.  A new knob edits this snapshot
+#: on purpose; each one removed was a setting no deployment made.
+API_PARAMETERS_SNAPSHOT = {
+    "build_service": (
+        "profile", "keypair", "rules", "clock", "token_lifetime", "label",
+        "replica_count", "seed", "signature_cache", "rate_limit",
+    ),
+    "GatewayServer": (
+        "gateway", "host", "port", "max_frame_bytes", "idle_timeout", "write_timeout",
+    ),
+    "GatewayClient": (
+        "transport", "route", "wire_codec", "backoff", "observability", "deadline_s", "now",
+    ),
+    "TcpTransport": (
+        "endpoints", "connect_timeout", "request_timeout", "pool_size",
+        "max_frame_bytes", "now",
+    ),
+    "ServiceGateway": ("observability", "admission", "now"),
+    "RateLimiter": ("inner", "rate_per_second", "burst", "now"),
+    "RetryFailover": ("inner", "attempts"),
+    "Mempool.admit": ("tx",),
+    "Mempool.admit_many": ("txs",),
+    "ExecutionPipeline.ingest": ("txs",),
+}
+
+
+def test_api_parameters_match_snapshot():
+    import inspect
+
+    from repro.pipeline import ExecutionPipeline, Mempool
+
+    scope = {**vars(repro.api), "Mempool": Mempool, "ExecutionPipeline": ExecutionPipeline}
+    nameable = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for path, expected in API_PARAMETERS_SNAPSHOT.items():
+        owner, _, method = path.partition(".")
+        target = getattr(scope[owner], method) if method else scope[owner]
+        parameters = inspect.signature(target).parameters.values()
+        names = tuple(p.name for p in parameters if p.name != "self" and p.kind in nameable)
+        assert names == expected, path
 
 
 #: The public surface of repro.obs -- the observability subsystem.  Pinned

@@ -248,7 +248,6 @@ def test_reject_reasons_are_stable(mempool, client, protected, service):
     (committed baselines and ``stats()["rejected"]`` are keyed by them)."""
     assert {reason.name: reason.value for reason in RejectReason} == {
         "DUPLICATE_TRANSACTION": "duplicate transaction",
-        "DEADLINE_EXCEEDED": "deadline exceeded before admission",
         "GAS_LIMIT": "transaction gas limit exceeds the block gas limit",
         "BAD_NONCE": "bad nonce",
         "INSUFFICIENT_FUNDS": "insufficient funds",
