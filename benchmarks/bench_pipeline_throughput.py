@@ -11,12 +11,8 @@ three configurations over the same request stream:
   :class:`~repro.crypto.sigcache.SignatureCache`, so a replayed reusable
   request is one memo lookup instead of a hash and a signature.
 
-A second micro-benchmark times the packed-word Alg. 2 bitmap against the
-list-of-bits implementation it replaced, over an identical index stream with
-replays, window slides and resets.
-
-Set ``SMACS_PIPELINE_BURST`` / ``SMACS_BITMAP_OPS`` to scale the workloads
-(CI runs a quick configuration).
+Set ``SMACS_PIPELINE_BURST`` to scale the workloads (CI runs a quick
+configuration).
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import time
 from benchmarks.conftest import env_int, report
 from repro.api import TokenIssuer, build_service
 from repro.core.acr import RuleSet
-from repro.core.bitmap import ListOfBitsBitmap, OneTimeBitmap
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 from repro.workloads import (
@@ -38,7 +33,6 @@ from repro.workloads import (
 )
 
 BURST = env_int("SMACS_PIPELINE_BURST", 48)
-BITMAP_OPS = env_int("SMACS_BITMAP_OPS", 20_000)
 
 TS_KEYPAIR = KeyPair.from_seed("pipeline-ts")
 CONTRACTS = [KeyPair.from_seed(f"pipeline-contract-{i}").address for i in range(4)]
@@ -157,79 +151,3 @@ def test_cached_issuance_matches_serial_decisions(benchmark):
 
     serial, cached = benchmark.pedantic(run, rounds=1, iterations=1)
     assert [r.issued for r in serial] == [r.issued for r in cached]
-
-
-# --- packed-word bitmap vs the list-of-bits baseline --------------------------
-
-
-def _bitmap_index_stream(size: int, ops: int, seed: int = 5) -> list[int]:
-    """Replays, slides and resets over a mostly-dense window."""
-    import random
-
-    rng = random.Random(seed)
-    cursor = 0
-    stream = []
-    for _ in range(ops):
-        roll = rng.random()
-        if roll < 0.45:  # the intended workload: the next consecutive index
-            stream.append(cursor)
-            cursor += 1
-        elif roll < 0.70:  # replay attack on a recently used index
-            stream.append(rng.randint(max(0, cursor - size // 2), max(cursor, 1)))
-        elif roll < 0.95:  # burst gap: slide the window (exercises seek)
-            cursor += size // 3
-            stream.append(cursor)
-            cursor += 1
-        else:  # long quiet period: far jump (exercises reset)
-            cursor += 3 * size
-            stream.append(cursor)
-            cursor += 1
-    return stream
-
-
-def test_bitmap_mark_used_packed_beats_list(benchmark):
-    size = 16_384
-    stream = _bitmap_index_stream(size, BITMAP_OPS)
-
-    def timed(bitmap) -> tuple[float, list[bool]]:
-        decisions = []
-        start = time.perf_counter()
-        for index in stream:
-            decisions.append(bitmap.mark_used(index))
-        return time.perf_counter() - start, decisions
-
-    results = {}
-
-    def run():
-        results["list"] = timed(ListOfBitsBitmap(size))
-        results["packed"] = timed(OneTimeBitmap(size=size))
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    list_elapsed, list_decisions = results["list"]
-    packed_elapsed, packed_decisions = results["packed"]
-    assert packed_decisions == list_decisions  # same Alg. 2 semantics
-
-    list_rate = len(stream) / list_elapsed
-    packed_rate = len(stream) / packed_elapsed
-    speedup = packed_rate / list_rate
-    report(
-        "bitmap_mark_used",
-        [
-            "Alg. 2 mark_used micro-benchmark (replay + slide + reset mix)",
-            f"{'storage':<16}{'ops/s':>14}",
-            f"{'list-of-bits':<16}{list_rate:>14.0f}",
-            f"{'packed-words':<16}{packed_rate:>14.0f}",
-            f"speedup: {speedup:.2f}x over {len(stream)} ops, size {size}",
-        ],
-        data={
-            "size": size,
-            "ops": len(stream),
-            "list_ops_per_sec": round(list_rate),
-            "packed_ops_per_sec": round(packed_rate),
-            "speedup": round(speedup, 2),
-        },
-    )
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    # Acceptance: a measurable improvement over the list-based seed.
-    assert speedup > 1.15

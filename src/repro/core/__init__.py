@@ -16,7 +16,6 @@ The package implements the full SMACS workflow:
 
 from repro.core.token import Token, TokenType, ONE_TIME_UNSET
 from repro.core.token_request import TokenRequest
-from repro.core.bitmap import OneTimeBitmap
 from repro.core.acr import (
     AccessDecision,
     ArgumentRule,
@@ -44,7 +43,6 @@ __all__ = [
     "SmacsError",
     "ErrorCode",
     "IssuanceResult",
-    "OneTimeBitmap",
     "ONE_TIME_UNSET",
     "SMACSContract",
     "smacs_protected",

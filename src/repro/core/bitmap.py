@@ -1,4 +1,4 @@
-"""The cyclically reused one-time-token bitmap (Alg. 2).
+"""The one Alg. 2: the cyclically reused one-time-token bitmap (§IV-C).
 
 The Token Service assigns consecutive ``index`` values to one-time tokens.
 The contract cannot afford to store every spent index, so SMACS represents a
@@ -16,12 +16,15 @@ tokens holding such indexes are rejected even if never used -- the paper
 calls this a *token miss* and sizes the bitmap as
 ``token_lifetime × max_tx_per_second`` bits to avoid it (§IV-C, Tab. IV).
 
-The bit array is stored packed, 256 bits per Python integer word -- the same
-packing the on-chain incarnation uses for its 32-byte storage slots -- so
-``mark``/``test`` touch a single word and ``seek``/``reset`` run word-at-a-time
-with integer bit tricks instead of per-bit Python loops.  The public API
-(including the ``snapshot()`` schema and the ``bits`` list view) is unchanged
-from the list-of-bits implementation it replaces.
+This module is the one home of the bitmap's storage layout -- the size,
+``start`` and ``startPtr`` slots and the bit array packed 256 bits per
+storage word -- and of its algorithm.  :func:`mark_used` runs the
+check-and-mark over any mapping with ``get(slot, default)`` and
+``__setitem__``: :class:`repro.core.smacs_contract.SMACSContract` hands it
+the contract's gas-metered storage view, tests a plain ``dict``.
+:func:`screen` is its read-only half, which the mempool runs over the world
+state.  :class:`ListOfBitsBitmap` is the executable specification both are
+tested against.
 
 Three faithful notes on Alg. 2 as printed:
 
@@ -41,204 +44,148 @@ Three faithful notes on Alg. 2 as printed:
   misses).
 
 All three notes are covered by dedicated unit and property tests.
-
-This module is the *pure* algorithm (used directly by the property-based
-tests and by the Token Service for miss-rate modelling); the on-chain,
-gas-metered incarnation lives in
-:class:`repro.core.smacs_contract.SMACSContract`.
 """
 
-WORD_BITS = 256  # one EVM storage slot worth of bits per packed word
-_WORD_MASK = (1 << WORD_BITS) - 1
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Any
+
+WORD_BITS = 256  # one 32-byte storage slot worth of bits per packed word
+_FULL_WORD = (1 << WORD_BITS) - 1
+
+# The storage layout of the Alg. 2 state tuple.
+BITMAP_SIZE_SLOT = "smacs/bitmap/size"
+BITMAP_START_SLOT = "smacs/bitmap/start"
+BITMAP_START_PTR_SLOT = "smacs/bitmap/start_ptr"
+BITMAP_WORD_SLOT = "smacs/bitmap/word/{}"
 
 
-class OneTimeBitmap:
-    """In-memory implementation of the Alg. 2 state machine (packed words)."""
+def _word(store: Any, word_index: int) -> int:
+    return store.get(BITMAP_WORD_SLOT.format(word_index), 0)
 
-    __slots__ = ("size", "start", "start_ptr", "_words")
 
-    def __init__(
-        self,
-        size: int,
-        bits: "list[int] | None" = None,
-        start: int = 0,
-        start_ptr: int = 0,
-    ):
-        if size <= 0:
-            raise ValueError("bitmap size must be positive")
-        self.size = size
-        self.start = start
-        self.start_ptr = start_ptr
-        word_count = (size + WORD_BITS - 1) // WORD_BITS
-        if bits is None:
-            self._words = [0] * word_count
-        else:
-            if len(bits) != size:
-                raise ValueError("bits length must equal size")
-            self._words = [0] * word_count
-            for cell, bit in enumerate(bits):
-                if bit:
-                    self._words[cell // WORD_BITS] |= 1 << (cell % WORD_BITS)
+def _get_bit(store: Any, cell: int) -> int:
+    return (_word(store, cell // WORD_BITS) >> (cell % WORD_BITS)) & 1
 
-    # -- derived state -------------------------------------------------------
 
-    @property
-    def bits(self) -> list[int]:
-        """The circular bit array as a plain list (API/snapshot compatibility)."""
-        out = []
-        remaining = self.size
-        for word in self._words:
-            for offset in range(min(WORD_BITS, remaining)):
-                out.append((word >> offset) & 1)
-            remaining -= WORD_BITS
-        return out
+def _set_bit(store: Any, cell: int) -> None:
+    word_index = cell // WORD_BITS
+    word = _word(store, word_index)
+    store[BITMAP_WORD_SLOT.format(word_index)] = word | (1 << (cell % WORD_BITS))
 
-    @property
-    def end(self) -> int:
-        return self.start + self.size - 1
 
-    @property
-    def end_ptr(self) -> int:
-        return (self.start_ptr + self.size - 1) % self.size
+def _seek(store: Any, size: int, start_ptr: int, shift: int) -> int | None:
+    """The paper's ``seek``: the smallest clear cell ``j`` with
+    ``j - startPtr >= shift``, or ``None`` when there is none.
 
-    def cell_for(self, index: int) -> int:
-        """The circular cell position representing window index ``index``."""
-        if not self.start <= index <= self.end:
-            raise ValueError(f"index {index} outside window [{self.start}, {self.end}]")
-        return (self.start_ptr + index - self.start) % self.size
-
-    def is_marked(self, index: int) -> bool:
-        """Whether the bit for an in-window index is set."""
-        return self._get_bit(self.cell_for(index)) == 1
-
-    # -- packed-word primitives ----------------------------------------------
-
-    def _get_bit(self, cell: int) -> int:
-        return (self._words[cell // WORD_BITS] >> (cell % WORD_BITS)) & 1
-
-    def _set_bit(self, cell: int) -> None:
-        self._words[cell // WORD_BITS] |= 1 << (cell % WORD_BITS)
-
-    # -- Alg. 2 --------------------------------------------------------------------
-
-    def _seek(self, index: int) -> "int | None":
-        """The paper's ``seek(S, i, end, startPtr)``.
-
-        Returns the smallest cell ``j`` such that ``S[j] = 0`` and
-        ``i - end <= j - startPtr``, or ``None`` when no such cell exists.
-        Scans word-at-a-time: each packed word is tested for a clear bit with
-        integer ops rather than a per-cell loop.
-        """
-        low = self.start_ptr + (index - self.end)
-        if low >= self.size:
-            return None
-        word_index = low // WORD_BITS
-        for wi in range(word_index, len(self._words)):
-            free = ~self._words[wi] & _WORD_MASK
-            base = wi * WORD_BITS
-            if base < low:
-                free &= _WORD_MASK ^ ((1 << (low - base)) - 1)
-            if base + WORD_BITS > self.size:
-                free &= (1 << (self.size - base)) - 1
-            if free:
-                return base + (free & -free).bit_length() - 1
+    Scans one 256-bit word at a time (one read per word) and finds the clear
+    bit with integer ops, instead of reading once per candidate cell.
+    """
+    low = start_ptr + shift
+    if low >= size:
         return None
+    for word_index in range(low // WORD_BITS, (size - 1) // WORD_BITS + 1):
+        free = ~_word(store, word_index) & _FULL_WORD
+        base = word_index * WORD_BITS
+        if base < low:
+            free &= _FULL_WORD ^ ((1 << (low - base)) - 1)
+        if base + WORD_BITS > size:
+            free &= (1 << (size - base)) - 1
+        if free:
+            return base + (free & -free).bit_length() - 1
+    return None
 
-    def _reset(self, index: int) -> bool:
-        self._words = [0] * len(self._words)
-        self.start_ptr = 0
-        self.start = index
-        # Mark the triggering index as used (see the module docstring).
-        self._words[0] = 1
+
+def mark_used(store: Any, size: int, index: int) -> bool:
+    """Check-and-mark one-time ``index`` against the bitmap held in ``store``.
+
+    ``size`` is the value of :data:`BITMAP_SIZE_SLOT`, read by the caller
+    (the contract charges its logic gas between that read and this call).
+    Returns ``True`` when the index was unused and is now marked; ``False``
+    when it was already used or missed by a window slide.  Every read and
+    write goes through ``store``, in the order the contract's gas is
+    calibrated to.
+    """
+    start = store.get(BITMAP_START_SLOT, 0)
+    start_ptr = store.get(BITMAP_START_PTR_SLOT, 0)
+    end = start + size - 1
+
+    if index < start:
+        return False
+
+    if index <= end:
+        cell = (start_ptr + index - start) % size
+        if _get_bit(store, cell):
+            return False
+        _set_bit(store, cell)
+        # The paper's Solidity contract rewrites the window bookkeeping on
+        # every successful one-time access; keep the same storage traffic.
+        store[BITMAP_START_SLOT] = start
+        store[BITMAP_START_PTR_SLOT] = start_ptr
         return True
 
-    def mark_used(self, index: int) -> bool:
-        """Check-and-mark a one-time index.
+    if index <= end + size:
+        shift = index - end
+        new_start_ptr = _seek(store, size, start_ptr, shift)
+        if new_start_ptr is None:
+            return _reset(store, size, index)
+        # Slide `start` by the same distance as `startPtr` so surviving
+        # window entries keep their cells; `index`'s own cell is the one just
+        # below the seek floor and is set unconditionally (it lies above the
+        # old window, so it was never accepted).  The safety fix over the
+        # printed Alg. 2 (see the module docstring).
+        extra = new_start_ptr - (start_ptr + shift)
+        _set_bit(store, (start_ptr + shift - 1) % size)
+        store[BITMAP_START_SLOT] = index - size + 1 + extra
+        store[BITMAP_START_PTR_SLOT] = new_start_ptr
+        return True
 
-        Returns ``True`` when the index was acceptable (previously unused and
-        not missed) and is now recorded as used; ``False`` otherwise.
-        """
-        if index < 0:
-            raise ValueError("one-time indexes are non-negative")
+    return _reset(store, size, index)
 
-        if index < self.start:
-            return False  # token miss: the window already slid past it
 
-        end = self.end
-        if index <= end:
-            cell = (self.start_ptr + index - self.start) % self.size
-            word_index, offset = divmod(cell, WORD_BITS)
-            mask = 1 << offset
-            if self._words[word_index] & mask:
-                return False
-            self._words[word_index] |= mask
-            return True
+def _reset(store: Any, size: int, index: int) -> bool:
+    for word_index in range(bitmap_storage_slots(size)):
+        store[BITMAP_WORD_SLOT.format(word_index)] = 0
+    store[BITMAP_START_SLOT] = index
+    store[BITMAP_START_PTR_SLOT] = 0
+    # Mark the triggering index as used (see the module docstring).
+    _set_bit(store, 0)
+    return True
 
-        if index <= end + self.size:
-            shift = index - end
-            new_start_ptr = self._seek(index)
-            if new_start_ptr is None:
-                return self._reset(index)
-            # Slide `start` by the same distance as `start_ptr` so the
-            # index-to-cell mapping of surviving window entries is preserved
-            # (see the module docstring -- the safety fix over the printed
-            # pseudo-code).  The cell of `index` itself is then the cell just
-            # below the seek floor, and is marked unconditionally: `index`
-            # lies above the old window, so it was never accepted before.
-            extra = new_start_ptr - (self.start_ptr + shift)
-            self._set_bit((self.start_ptr + shift - 1) % self.size)
-            self.start_ptr = new_start_ptr
-            self.start = index - self.size + 1 + extra
-            return True
 
-        return self._reset(index)
+def screen(store: Any, index: int) -> str | None:
+    """Why :func:`mark_used` would certainly refuse ``index``, without writing.
 
-    # -- introspection helpers ----------------------------------------------------------
-
-    def used_count(self) -> int:
-        return sum(word.bit_count() for word in self._words)
-
-    def window(self) -> tuple:
-        return (self.start, self.end)
-
-    def snapshot(self) -> dict:
-        """Serializable view of the full state tuple (for persistence tests)."""
-        return {
-            "size": self.size,
-            "bits": self.bits,
-            "start": self.start,
-            "start_ptr": self.start_ptr,
-            "end": self.end,
-            "end_ptr": self.end_ptr,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "OneTimeBitmap":
-        """Rebuild a bitmap from a :meth:`snapshot` dict (persistence)."""
-        return cls(
-            size=snapshot["size"],
-            bits=list(snapshot["bits"]),
-            start=snapshot["start"],
-            start_ptr=snapshot["start_ptr"],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OneTimeBitmap(size={self.size}, start={self.start}, "
-            f"start_ptr={self.start_ptr}, used={self.used_count()})"
-        )
+    Returns ``"NO_BITMAP"`` (no size stored), ``"INDEX_BEHIND_WINDOW"`` (a
+    token miss) or ``"INDEX_CONSUMED"`` (its bit is set), or ``None`` when
+    the index may still be accepted: an index above the window is, since the
+    window will slide.  A refusal here is always a refusal by
+    :func:`mark_used` on the same store.
+    """
+    size = store.get(BITMAP_SIZE_SLOT, 0)
+    if not size:
+        return "NO_BITMAP"
+    start = store.get(BITMAP_START_SLOT, 0)
+    if index < start:
+        return "INDEX_BEHIND_WINDOW"
+    if index < start + size:
+        cell = (store.get(BITMAP_START_PTR_SLOT, 0) + index - start) % size
+        if _get_bit(store, cell):
+            return "INDEX_CONSUMED"
+    return None
 
 
 class ListOfBitsBitmap:
-    """Plain list-of-bits Alg. 2 model (the storage layout this module's
-    packed implementation replaced).
+    """Plain list-of-bits Alg. 2 model: the executable specification.
 
-    Kept as the executable specification: the property suite asserts the
-    packed :class:`OneTimeBitmap` is state-equivalent to this model over
-    random index streams, and the pipeline micro-benchmark measures the
-    packed layout against it.  Semantics (including the window-slide
-    consistency fix) must match :class:`OneTimeBitmap` exactly; only the
-    storage differs.
+    The property suites assert that :func:`mark_used` over a storage mapping
+    takes the same decisions and leaves the same bits and ``(start,
+    startPtr)`` as this model over random index streams, and the on-chain
+    equivalence test holds the deployed contract to it.  Semantics
+    (including the window-slide consistency fix) must match exactly; only
+    the storage differs.
     """
 
     __slots__ = ("size", "bits", "start", "start_ptr")
@@ -296,10 +243,13 @@ class ListOfBitsBitmap:
 def required_bitmap_bits(token_lifetime_seconds: float, max_tx_per_second: float) -> int:
     """Size the bitmap so no unexpired token can be missed (§IV-C).
 
-    ``token_lifetime × max_tx_per_second`` bits, rounded up to at least one.
+    The smallest whole number of bits covering ``token_lifetime ×
+    max_tx_per_second``, and at least one.  The product is taken over the
+    decimal values as written, so float noise (``3600 × 1.1`` evaluates a
+    hair above 3960) does not round a whole product up by one bit.
     """
-    bits = int(round(token_lifetime_seconds * max_tx_per_second))
-    return max(bits, 1)
+    product = Fraction(str(token_lifetime_seconds)) * Fraction(str(max_tx_per_second))
+    return max(math.ceil(product), 1)
 
 
 def bitmap_storage_bytes(bits: int) -> float:
@@ -308,5 +258,5 @@ def bitmap_storage_bytes(bits: int) -> float:
 
 
 def bitmap_storage_slots(bits: int) -> int:
-    """Number of 32-byte EVM storage slots needed to hold the bitmap."""
-    return (bits + 255) // 256
+    """Number of 256-bit storage words needed to hold the bitmap."""
+    return (bits + WORD_BITS - 1) // WORD_BITS

@@ -2,10 +2,10 @@
 
 :class:`SMACSContract` is the base class for contracts protected by SMACS.
 It stores the trusted Token Service address, owns the on-chain one-time-token
-bitmap (the gas-metered incarnation of Alg. 2), and provides the
-:func:`smacs_protected` decorator that turns an ordinary method into one that
-verifies a token (Alg. 1) before running its body -- the transformation shown
-in Fig. 4 of the paper.
+bitmap (Alg. 2 of :mod:`repro.core.bitmap`, run over the contract's
+gas-metered storage), and provides the :func:`smacs_protected` decorator that
+turns an ordinary method into one that verifies a token (Alg. 1) before
+running its body -- the transformation shown in Fig. 4 of the paper.
 
 Developer API::
 
@@ -34,19 +34,15 @@ from typing import Any, Callable
 from repro.chain import abi
 from repro.chain.address import Address
 from repro.chain.contract import Contract
-from repro.core import verifier
+from repro.core import bitmap, verifier
+from repro.core.bitmap import (
+    BITMAP_SIZE_SLOT,
+    BITMAP_START_PTR_SLOT,
+    BITMAP_START_SLOT,
+    BITMAP_WORD_SLOT,
+)
 from repro.core.call_chain import TokenBundle, normalise_token_argument
 from repro.core.verifier import TS_ADDRESS_SLOT
-
-# Storage slots used by the on-chain bitmap (Alg. 2 state tuple).  Public:
-# the execution pipeline's mempool reads them directly off the world state
-# (a node-local, gas-free view) to screen duplicate one-time indexes before
-# a transaction ever reaches a block.
-BITMAP_SIZE_SLOT = "smacs/bitmap/size"
-BITMAP_START_SLOT = "smacs/bitmap/start"
-BITMAP_START_PTR_SLOT = "smacs/bitmap/start_ptr"
-BITMAP_WORD_SLOT = "smacs/bitmap/word/{}"
-_WORD_BITS = 256
 
 # Calibrated cost of the in-EVM bit manipulation of one bitmap update
 # (shifting/masking inside a 256-bit word, Solidity-level bookkeeping).
@@ -142,7 +138,7 @@ class SMACSContract(Contract):
     def _init_bitmap(self, bits: int) -> None:
         if bits <= 0:
             raise ValueError("bitmap size must be positive")
-        words = (bits + _WORD_BITS - 1) // _WORD_BITS
+        words = bitmap.bitmap_storage_slots(bits)
         self.storage[BITMAP_SIZE_SLOT] = bits
         self.storage[BITMAP_START_SLOT] = 0
         self.storage[BITMAP_START_PTR_SLOT] = 0
@@ -176,49 +172,6 @@ class SMACSContract(Contract):
 
     # -- on-chain bitmap (Alg. 2 over contract storage) ------------------------------
 
-    def _bitmap_word(self, word_index: int) -> int:
-        return self.storage.get(BITMAP_WORD_SLOT.format(word_index), 0)
-
-    def _set_bitmap_word(self, word_index: int, value: int) -> None:
-        self.storage[BITMAP_WORD_SLOT.format(word_index)] = value
-
-    def _bitmap_get_bit(self, cell: int) -> int:
-        word = self._bitmap_word(cell // _WORD_BITS)
-        return (word >> (cell % _WORD_BITS)) & 1
-
-    def _bitmap_set_bit(self, cell: int) -> None:
-        word_index = cell // _WORD_BITS
-        word = self._bitmap_word(word_index)
-        self._set_bitmap_word(word_index, word | (1 << (cell % _WORD_BITS)))
-
-    def _bitmap_clear_all(self, size: int) -> None:
-        words = (size + _WORD_BITS - 1) // _WORD_BITS
-        for word_index in range(words):
-            self._set_bitmap_word(word_index, 0)
-
-    def _bitmap_seek(self, size: int, start_ptr: int, shift: int) -> int | None:
-        """On-chain ``seek``: smallest clear cell ``j`` with ``j - startPtr >= shift``.
-
-        Scans the packed bitmap one 256-bit storage word at a time (a single
-        SLOAD per word) and finds the clear bit with integer ops, instead of
-        issuing one SLOAD per candidate cell.
-        """
-        low = start_ptr + shift
-        if low >= size:
-            return None
-        full_word = (1 << _WORD_BITS) - 1
-        last_word = (size - 1) // _WORD_BITS
-        for word_index in range(low // _WORD_BITS, last_word + 1):
-            free = ~self._bitmap_word(word_index) & full_word
-            base = word_index * _WORD_BITS
-            if base < low:
-                free &= full_word ^ ((1 << (low - base)) - 1)
-            if base + _WORD_BITS > size:
-                free &= (1 << (size - base)) - 1
-            if free:
-                return base + (free & -free).bit_length() - 1
-        return None
-
     def _bitmap_mark_used(self, index: int) -> bool:
         """Check-and-mark a one-time token index against the stored bitmap.
 
@@ -230,49 +183,7 @@ class SMACSContract(Contract):
         if not size:
             return False
         self.charge_gas(_BITMAP_LOGIC_GAS)
-
-        start = self.storage.get(BITMAP_START_SLOT, 0)
-        start_ptr = self.storage.get(BITMAP_START_PTR_SLOT, 0)
-        end = start + size - 1
-
-        if index < start:
-            return False
-
-        if index <= end:
-            cell = (start_ptr + index - start) % size
-            if self._bitmap_get_bit(cell):
-                return False
-            self._bitmap_set_bit(cell)
-            # The paper's Solidity contract rewrites the window bookkeeping on
-            # every successful one-time access; keep the same storage traffic.
-            self.storage[BITMAP_START_SLOT] = start
-            self.storage[BITMAP_START_PTR_SLOT] = start_ptr
-            return True
-
-        if index <= end + size:
-            shift = index - end
-            new_start_ptr = self._bitmap_seek(size, start_ptr, shift)
-            if new_start_ptr is None:
-                return self._bitmap_reset(size, index)
-            # Slide `start` by the same distance as `startPtr` so surviving
-            # window entries keep their cells; `index`'s own cell is the one
-            # just below the seek floor and is set unconditionally (it lies
-            # above the old window, so it was never accepted).  Mirrors the
-            # safety fix in :mod:`repro.core.bitmap` over the printed Alg. 2.
-            extra = new_start_ptr - (start_ptr + shift)
-            self._bitmap_set_bit((start_ptr + shift - 1) % size)
-            self.storage[BITMAP_START_SLOT] = index - size + 1 + extra
-            self.storage[BITMAP_START_PTR_SLOT] = new_start_ptr
-            return True
-
-        return self._bitmap_reset(size, index)
-
-    def _bitmap_reset(self, size: int, index: int) -> bool:
-        self._bitmap_clear_all(size)
-        self.storage[BITMAP_START_SLOT] = index
-        self.storage[BITMAP_START_PTR_SLOT] = 0
-        self._bitmap_set_bit(0)
-        return True
+        return bitmap.mark_used(self.storage, size, index)
 
     # -- off-chain inspection helpers (no gas) -----------------------------------------
 
@@ -290,5 +201,4 @@ class SMACSContract(Contract):
 
     def bitmap_storage_slots(self) -> int:
         """Number of 256-bit words allocated for the bitmap."""
-        size = self.storage.peek(BITMAP_SIZE_SLOT, 0)
-        return (size + _WORD_BITS - 1) // _WORD_BITS if size else 0
+        return bitmap.bitmap_storage_slots(self.storage.peek(BITMAP_SIZE_SLOT, 0))

@@ -31,7 +31,7 @@ client -> TS -> contract path.
 from repro.pipeline.builder import BlockBuilder, BlockPlan, DEFAULT_BLOCK_GAS_LIMIT
 from repro.pipeline.executor import BlockExecutor, BlockResult
 from repro.pipeline.load import SmacsLoadGenerator
-from repro.pipeline.mempool import AdmissionDecision, BitmapView, Mempool, RejectReason
+from repro.pipeline.mempool import AdmissionDecision, Mempool, RejectReason
 from repro.pipeline.openloop import (
     LatencySummary,
     OpenLoopReport,
@@ -43,7 +43,6 @@ from repro.pipeline.pipeline import ExecutionPipeline
 
 __all__ = [
     "AdmissionDecision",
-    "BitmapView",
     "BlockBuilder",
     "BlockExecutor",
     "BlockPlan",

@@ -16,9 +16,10 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
   do not recover to the contract's trusted Token Service.  Unknown signatures
   are *not* computed here -- they are left for the block executor's pre-warm
   pass;
-* **one-time index screen** -- a read-only view over the contract's stored
-  Alg. 2 bitmap (:class:`BitmapView`) refuses indexes that were already
-  consumed on-chain or fell behind the window, and an in-pool reservation
+* **one-time index screen** -- :func:`repro.core.bitmap.screen`, the
+  read-only half of Alg. 2, run over the contract's storage in the world
+  state, refuses indexes that were already consumed on-chain or fell behind
+  the window (never one the chain would accept), and an in-pool reservation
   table refuses a second pending transaction carrying the same index.
 
 Checks run cheapest first -- dedup, gas limit, nonce, balance, the SMACS
@@ -44,22 +45,14 @@ from typing import Any, Iterable
 
 from repro.chain.address import Address
 from repro.chain.chain import Blockchain
-from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction, prime_digests
+from repro.core import bitmap
 from repro.core.call_chain import token_entries
-from repro.core.smacs_contract import (
-    BITMAP_SIZE_SLOT,
-    BITMAP_START_SLOT,
-    BITMAP_START_PTR_SLOT,
-    BITMAP_WORD_SLOT,
-    SMACSContract,
-)
+from repro.core.smacs_contract import SMACSContract
 from repro.core.token import MalformedToken, Token
 from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
 from repro.crypto.sigcache import SignatureCache
 from repro.obs import DORMANT, Observability
-
-_WORD_BITS = 256
 
 #: Ethereum's block gas limit around the paper's evaluation period was
 #: ~10M; the simulator's default is roomier so benchmark blocks can hold a
@@ -75,7 +68,9 @@ class RejectReason(str, enum.Enum):
     member *is* its string (``decision.reason == "bad nonce"`` holds, and the
     values are what :meth:`Mempool.stats` and the committed scenario baselines
     are keyed by), so the strings are pinned and a new refusal is a new
-    member, not a new spelling.
+    member, not a new spelling.  :func:`repro.core.bitmap.screen` answers
+    with the names of ``NO_BITMAP``, ``INDEX_BEHIND_WINDOW`` and
+    ``INDEX_CONSUMED``.
     """
 
     DUPLICATE_TRANSACTION = "duplicate transaction"
@@ -93,54 +88,6 @@ class RejectReason(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class BitmapView:
-    """Read-only view of a contract's on-chain one-time bitmap (no gas).
-
-    Reads the Alg. 2 state tuple straight off the world state, the way a
-    node-local mempool would read its own database.  It never mutates: the
-    authoritative check-and-mark still happens inside the EVM when the block
-    executes.  The view is conservative on purpose -- indexes above the
-    current window are admitted (the window will slide), known-consumed and
-    known-missed indexes are refused.
-    """
-
-    def __init__(self, state: WorldState, contract: Address):
-        self._state = state
-        self._contract = contract
-
-    @property
-    def size(self) -> int:
-        return self._state.storage_get(self._contract, BITMAP_SIZE_SLOT, 0)
-
-    @property
-    def start(self) -> int:
-        return self._state.storage_get(self._contract, BITMAP_START_SLOT, 0)
-
-    @property
-    def start_ptr(self) -> int:
-        return self._state.storage_get(self._contract, BITMAP_START_PTR_SLOT, 0)
-
-    def _bit(self, cell: int) -> int:
-        word = self._state.storage_get(
-            self._contract, BITMAP_WORD_SLOT.format(cell // _WORD_BITS), 0
-        )
-        return (word >> (cell % _WORD_BITS)) & 1
-
-    def screen(self, index: int) -> "RejectReason | None":
-        """Why ``index`` would certainly be refused on-chain, or None if it
-        may still be accepted."""
-        size = self.size
-        if not size:
-            return RejectReason.NO_BITMAP
-        start = self.start
-        if index < start:
-            return RejectReason.INDEX_BEHIND_WINDOW
-        end = start + size - 1
-        if index <= end and self._bit((self.start_ptr + index - start) % size):
-            return RejectReason.INDEX_CONSUMED
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,9 +348,9 @@ class Mempool:
             reservation = (tx.to, token.index)
             if reservation in self._reserved_indexes:
                 return self._reject(RejectReason.INDEX_IN_POOL), ()
-            refusal = BitmapView(self.chain.state, tx.to).screen(token.index)
+            refusal = bitmap.screen(self.chain.state.storage_of(tx.to), token.index)
             if refusal is not None:
-                return self._reject(refusal), ()
+                return self._reject(RejectReason[refusal]), ()
             return None, (reservation,)
         return None, ()
 
@@ -452,7 +399,6 @@ class Mempool:
 
 __all__ = [
     "AdmissionDecision",
-    "BitmapView",
     "DEFAULT_BLOCK_GAS_LIMIT",
     "Mempool",
     "RejectReason",

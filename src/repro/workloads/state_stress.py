@@ -40,10 +40,12 @@ from repro.chain.contract import Contract, external
 from repro.chain.evm import BlockContext, ExecutionEngine, Receipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
-from repro.core.bitmap import required_bitmap_bits
-from repro.core.smacs_contract import BITMAP_SIZE_SLOT, BITMAP_WORD_SLOT
-
-_WORD_BITS = 256
+from repro.core.bitmap import (
+    BITMAP_SIZE_SLOT,
+    BITMAP_WORD_SLOT,
+    bitmap_storage_slots,
+    required_bitmap_bits,
+)
 
 #: Tab. IV / §VI-A sizing: one-hour token lifetime at the observed ≈35 tx/s
 #: popular-contract peak.
@@ -65,7 +67,7 @@ class StateStressConfig:
 
     @property
     def bitmap_words(self) -> int:
-        return (self.bitmap_bits + _WORD_BITS - 1) // _WORD_BITS
+        return bitmap_storage_slots(self.bitmap_bits)
 
 
 class StateStressRelay(Contract):

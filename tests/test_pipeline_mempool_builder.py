@@ -6,14 +6,15 @@ from repro.api import issue_one
 from repro.chain import Blockchain
 from repro.chain.transaction import Transaction
 from repro.contracts.protected_target import ProtectedRecorder
-from repro.core import OwnerWallet, TokenType
+from repro.core import OwnerWallet, TokenType, bitmap
 from repro.core.acr import RuleSet
+from repro.core.bitmap import BITMAP_SIZE_SLOT
 from repro.core.token import Token
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import TokenService
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
-from repro.pipeline import BitmapView, BlockBuilder, Mempool, RejectReason
+from repro.pipeline import BlockBuilder, Mempool, RejectReason
 
 
 @pytest.fixture
@@ -268,7 +269,9 @@ def test_reject_reasons_are_stable(mempool, client, protected, service):
     assert decision.reason in {"bad nonce"}
     assert mempool.stats()["rejected"] == {"bad nonce": 1}
     assert all(type(key) is str for key in mempool.stats()["rejected"])
-    assert BitmapView(mempool.chain.state, client.address).screen(0) is RejectReason.NO_BITMAP
+    # The bitmap screen answers with the names of the three refusals it maps to.
+    no_bitmap = bitmap.screen(mempool.chain.state.storage_of(client.address), 0)
+    assert RejectReason[no_bitmap] is RejectReason.NO_BITMAP
 
 
 # --- cheap screens run before the curve recovery ------------------------------------
@@ -634,21 +637,23 @@ def test_unauthenticated_sender_never_grows_the_world_state(mempool, batch_chain
     assert set(batch_chain.state.addresses()) == accounts
 
 
-# --- the read-only bitmap view -------------------------------------------------------
+# --- the read-only bitmap screen ----------------------------------------------------
 
 
 def test_bitmap_view_reads_window_without_mutating(
     batch_chain, client, protected, service
 ):
-    view = BitmapView(batch_chain.evm.state, protected.this)
-    assert view.size == 1024
-    assert view.screen(5) is None  # unknown index: may be accepted
+    view = batch_chain.evm.state.storage_of(protected.this)
+    assert view[BITMAP_SIZE_SLOT] == 1024
+    assert bitmap.screen(view, 5) is None  # unknown index: may be accepted
     tx, token = _token_tx(client, protected, service, one_time=True)
     batch_chain.auto_mine = True
     assert batch_chain.send_transaction(tx).success
     batch_chain.auto_mine = False
-    assert view.screen(token.index) == "one-time index already consumed on-chain"
-    # The view itself never changed contract state.
+    before = dict(view)
+    assert bitmap.screen(view, token.index) == "INDEX_CONSUMED"
+    # The screen itself never changed contract state.
+    assert dict(view) == before
     assert protected.bitmap_state()["size"] == 1024
 
 
@@ -657,8 +662,8 @@ def test_bitmap_view_on_contract_without_bitmap(batch_chain, service):
     owner = batch_chain.create_account("owner2", seed="pool-owner-2")
     receipt = OwnerWallet(owner, service).deploy_protected(ProtectedRecorder)
     batch_chain.auto_mine = False
-    view = BitmapView(batch_chain.evm.state, receipt.return_value.this)
-    assert view.screen(0) == "contract has no one-time bitmap"
+    view = batch_chain.evm.state.storage_of(receipt.return_value.this)
+    assert bitmap.screen(view, 0) == "NO_BITMAP"
 
 
 # --- the block builder -----------------------------------------------------------------

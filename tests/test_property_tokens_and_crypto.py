@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import abi
-from repro.core.bitmap import OneTimeBitmap
+from repro.core.bitmap import ListOfBitsBitmap
 from repro.core.token import (
     Token,
     TokenType,
@@ -107,7 +107,7 @@ def test_onchain_bitmap_never_accepts_more_than_reference(size, indexes):
     """The storage-backed bitmap accepts a subset of what the pure Alg. 2 does
     (both reject reuse; the on-chain one may additionally miss, never the
     reverse in a way that enables double-use)."""
-    reference = OneTimeBitmap(size=size)
+    reference = ListOfBitsBitmap(size)
     accepted_reference = set()
     for index in indexes:
         if reference.mark_used(index):

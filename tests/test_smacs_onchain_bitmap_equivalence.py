@@ -1,10 +1,11 @@
-"""The storage-backed bitmap in SMACSContract matches the pure Alg. 2 model."""
+"""The storage-backed bitmap in SMACSContract matches the list-of-bits Alg. 2
+reference model."""
 
 import pytest
 
 from repro.chain.contract import external
 from repro.core import OwnerWallet
-from repro.core.bitmap import OneTimeBitmap
+from repro.core.bitmap import ListOfBitsBitmap
 from repro.core.smacs_contract import SMACSContract
 
 
@@ -42,15 +43,17 @@ def drive(chain, owner, probe, index):
     [5, 13, 21, 29, 5, 13],               # repeated slides
 ])
 def test_onchain_bitmap_matches_reference_model(chain, owner, probe, sequence):
-    reference = OneTimeBitmap(size=8)
+    reference = ListOfBitsBitmap(8)
     for index in sequence:
         expected = reference.mark_used(index)
         actual = drive(chain, owner, probe, index)
         assert actual == expected, f"divergence at index {index} in {sequence}"
-    state = probe.bitmap_state()
-    assert state["start"] == reference.start
-    assert state["start_ptr"] == reference.start_ptr
-    assert state["size"] == 8
+        assert probe.bitmap_state() == {
+            "size": 8,
+            "start": reference.start,
+            "start_ptr": reference.start_ptr,
+            "end": reference.end,
+        }, f"state divergence at index {index} in {sequence}"
 
 
 def test_onchain_bitmap_state_survives_across_transactions(chain, owner, probe):
