@@ -129,9 +129,7 @@ class Blockchain:
     def _validate(self, tx: Transaction) -> None:
         if not tx.verify_signature():
             raise InvalidTransaction("transaction signature is missing or invalid")
-        expected_nonce = self.state.nonce_of(tx.sender)
-        pending_from_sender = sum(1 for p in self.pending if p.sender == tx.sender)
-        expected_nonce += pending_from_sender
+        expected_nonce = self.next_nonce(tx.sender)
         if tx.nonce != expected_nonce:
             raise InvalidTransaction(
                 f"bad nonce: expected {expected_nonce}, got {tx.nonce} "
@@ -165,14 +163,6 @@ class Blockchain:
         self.pending.append(tx)
         return None
 
-    def validate_transaction(self, tx: Transaction) -> None:
-        """Run the node's admission checks (signature, nonce, balance).
-
-        Raises :class:`InvalidTransaction` / :class:`InsufficientFunds` on a
-        bad transaction; public so mempools can validate without submitting.
-        """
-        self._validate(tx)
-
     def enqueue_validated(self, tx: Transaction) -> None:
         """Queue an already-validated transaction for the next block.
 
@@ -180,8 +170,8 @@ class Blockchain:
         pipeline: admission checks ran when the transaction entered the
         mempool (:mod:`repro.pipeline.mempool`), so re-running them at block
         inclusion would double-pay the signature recovery.  Only ever pass
-        transactions that went through :meth:`validate_transaction`; requires
-        batch mode (``auto_mine=False``).
+        transactions the mempool admitted; requires batch mode
+        (``auto_mine=False``).
         """
         if self.auto_mine:
             raise InvalidTransaction(

@@ -320,11 +320,10 @@ class ExecutionEngine:
         self._pending_logs = []
         self.tracer = tracer
 
-        sender_account = self.state.account(tx.sender)
-        upfront = tx.value
-        if sender_account.balance < upfront:
+        balance = self.state.balance_of(tx.sender)
+        if balance < tx.value:
             raise InsufficientFunds(
-                f"sender balance {sender_account.balance} cannot cover value {upfront}"
+                f"sender balance {balance} cannot cover value {tx.value}"
             )
 
         snapshot = self.state.snapshot()
@@ -368,6 +367,13 @@ class ExecutionEngine:
             receipt.success = False
             receipt.error = f"{type(exc).__name__}: {exc}"
             self._pending_logs = []
+        except TypeError:
+            # A programming error (e.g. a mutable storage value) is loud, not
+            # a failed receipt; undo the transaction's writes and nonce first.
+            self.state.revert_to(snapshot)
+            self._pending_logs = []
+            self.tracer = None
+            raise
         else:
             self.state.commit(snapshot)
 

@@ -23,103 +23,47 @@ Two snapshot policies share one account container:
   in the world -- which is what keeps deep call chains (Fig. 8) affordable
   over Tab. IV-sized bitmap windows.
 * :class:`ReferenceWorldState` is the original copy-on-snapshot
-  implementation, kept verbatim as the differential-testing oracle: its
+  implementation, kept as the differential-testing oracle: its
   ``snapshot()`` copies every account and storage dict, which is trivially
   correct and O(total state) slow.
 
 Both expose the identical public API (snapshot ids are positions in the
 checkpoint stack, exactly as before), so either can sit behind the execution
-engine.  One caveat the journal shares with the real EVM: storage values are
-journaled *by reference*, so mutating a stored mutable object in place
-(instead of writing through :meth:`WorldState.storage_set`) is invisible to
-rollback.  :meth:`WorldState.storage_of` therefore hands out a read-only
-mapping view; :meth:`deep_copy` (a chain fork) is the only remaining
-full-copy path.
+engine.  Every write is implemented once, on the shared container, and
+reports the field's old value to one hook (:meth:`_AccountStore._record`)
+before it writes: the journal files that value as its undo record, the
+copy-on-snapshot oracle ignores it.  Storage holds only immutable values
+(``int``, ``float``, ``bool``, ``str``, ``bytes``, ``frozenset``, ``None``
+and tuples of them), so a value the journal keeps can never change under
+it; :meth:`_AccountStore.storage_set` and :meth:`WorldState.install_account`
+raise :class:`TypeError` for anything else.  Reads never create an account: only writes do.
+:meth:`~_AccountStore.storage_of` hands out a read-only mapping view, and
+:meth:`~_AccountStore.deep_copy` (a chain fork) is the only full-copy path.
 """
 
 from __future__ import annotations
 
-import copy
-import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 from repro.chain.address import Address
 
-#: Storage value types that can be shared between copies without cloning.
-_IMMUTABLE_SCALARS = (int, float, bool, str, bytes, frozenset, type(None))
+#: Storage value types that cannot change once stored (tuples of them too).
+_IMMUTABLE = (int, float, bool, str, bytes, frozenset, type(None))
+_IMMUTABLE_EXACT = frozenset(_IMMUTABLE)
 
 
-class JournalHazardError(RuntimeError):
-    """A stored mutable value was mutated behind the journal's back.
-
-    Raised only under the ``canary`` journal guard (see
-    :func:`set_journal_guard`): the undo record's fingerprint no longer
-    matches the object it journaled by reference, so a revert would restore
-    corrupted history.
-    """
-
-
-#: journal-guard mode: "" (off, the default), "copy" or "canary".
-#: Seeded from the ``SMACS_STATE_GUARD`` environment variable so test and
-#: debug runs can arm the guard without touching call sites.
-_GUARD_MODES = ("", "copy", "canary")
-_journal_guard = os.environ.get("SMACS_STATE_GUARD", "").strip().lower()
-if _journal_guard in ("off", "none", "0"):
-    _journal_guard = ""
-if _journal_guard not in _GUARD_MODES:
-    raise ValueError(
-        f"SMACS_STATE_GUARD={_journal_guard!r}: expected 'off', 'copy' or 'canary'"
-    )
-
-
-def set_journal_guard(mode: str) -> str:
-    """Arm or disarm the journaled-by-reference guard; returns the old mode.
-
-    ``"off"`` (production default) journals mutable storage values by
-    reference -- zero overhead, but in-place mutation of a stored mutable
-    object is invisible to rollback (the documented hazard).  ``"copy"``
-    deep-copies mutable old values into the journal, making reverts immune
-    to back-door mutation.  ``"canary"`` journals by reference but records
-    a ``repr`` fingerprint and raises :class:`JournalHazardError` from
-    ``revert_to`` when the object changed underneath the journal.
-    """
-    global _journal_guard
-    normalized = mode.strip().lower()
-    if normalized in ("off", "none", "0"):
-        normalized = ""
-    if normalized not in _GUARD_MODES:
-        raise ValueError(f"unknown journal guard mode {mode!r}")
-    previous = _journal_guard or "off"
-    _journal_guard = normalized
-    return previous
-
-
-def journal_guard() -> str:
-    """The active journal guard mode: ``"off"``, ``"copy"`` or ``"canary"``."""
-    return _journal_guard or "off"
-
-
-class _GuardedValue:
-    """A journaled-by-reference mutable value plus its canary fingerprint."""
-
-    __slots__ = ("value", "fingerprint")
-
-    def __init__(self, value: Any):
-        self.value = value
-        self.fingerprint = repr(value)
-
-
-def _copy_value(value: Any) -> Any:
-    """Clone one storage value, sharing it when immutability makes that safe."""
-    if isinstance(value, _IMMUTABLE_SCALARS):
-        return value
-    if isinstance(value, tuple) and all(
-        isinstance(item, _IMMUTABLE_SCALARS) for item in value
-    ):
-        return value
-    return copy.deepcopy(value)
+def _require_immutable(value: Any) -> None:
+    """Raise :class:`TypeError` unless ``value`` can never change in place."""
+    if isinstance(value, tuple):
+        for item in value:
+            _require_immutable(item)
+    elif not isinstance(value, _IMMUTABLE):
+        raise TypeError(
+            f"storage holds only immutable values, not {type(value).__name__}: "
+            "store a tuple or frozenset instead"
+        )
 
 
 @dataclass(slots=True)
@@ -133,14 +77,9 @@ class AccountState:
     storage: dict[Any, Any] = field(default_factory=dict)
 
     def copy(self) -> "AccountState":
-        # Storage values are overwhelmingly immutable ints/bytes/tuples; only
-        # genuinely mutable values (lists, dicts, ...) pay for a deep copy.
+        # Storage values are immutable, so the copy shares them.
         return AccountState(
-            balance=self.balance,
-            nonce=self.nonce,
-            is_contract=self.is_contract,
-            code_size=self.code_size,
-            storage={slot: _copy_value(value) for slot, value in self.storage.items()},
+            self.balance, self.nonce, self.is_contract, self.code_size, dict(self.storage)
         )
 
 
@@ -155,47 +94,39 @@ _SLOT = 5      # (tag, address, slot) -> old value (or _ABSENT)
 #: Sentinel recorded when a storage slot did not exist before the write.
 _ABSENT = object()
 
-
-def _journal_old_value(old: Any) -> Any:
-    """What to record in the undo journal for a storage slot's old value.
-
-    With the guard off this is the value itself (by reference).  Under
-    ``copy`` mutable values are cloned so reverts are immune to back-door
-    mutation; under ``canary`` they are wrapped with a fingerprint that
-    ``revert_to`` checks before restoring.
-    """
-    if old is _ABSENT or isinstance(old, _IMMUTABLE_SCALARS):
-        return old
-    if _journal_guard == "copy":
-        return _copy_value(old)
-    return _GuardedValue(old)
+_NO_STORAGE: Mapping[Any, Any] = MappingProxyType({})
 
 
 class _AccountStore:
     """Account container plus the read/write API both state flavours share.
 
-    The write methods here are the *plain* (un-journaled) versions; the
-    journaled :class:`WorldState` overrides every one of them.  Direct
-    mutation of the :class:`AccountState` records returned by
-    :meth:`account` bypasses whatever snapshot policy is active -- all
-    writes must go through these methods.
+    Every write is implemented here, once, and reports the old value of the
+    field it is about to change to :meth:`_record` first.  Direct mutation
+    of the :class:`AccountState` records returned by :meth:`account`
+    bypasses whatever snapshot policy is active -- all writes must go
+    through these methods.
     """
 
     def __init__(self) -> None:
         self._accounts: dict[Address, AccountState] = {}
+
+    def _record(self, key: tuple, old: Any) -> None:
+        """Called with a field's old value before each write (no-op here)."""
 
     # -- account management --------------------------------------------------
 
     def account(self, address: Address) -> AccountState:
         """Return (creating on demand) the state record of ``address``.
 
-        The record is live; mutate it only through the ``WorldState`` write
-        methods or the changes will be invisible to snapshot/revert.
+        The record is live; mutate it only through the write methods or the
+        changes will be invisible to snapshot/revert.  Creation is recorded
+        before any field touch, so its undo (deleting the account) runs last
+        within a checkpoint.
         """
         record = self._accounts.get(address)
         if record is None:
-            record = AccountState()
-            self._accounts[address] = record
+            self._record((_CREATED, address), None)
+            record = self._accounts[address] = AccountState()
         return record
 
     def has_account(self, address: Address) -> bool:
@@ -204,76 +135,103 @@ class _AccountStore:
     def addresses(self) -> Iterator[Address]:
         return iter(self._accounts)
 
+    def discard_account(self, address: Address) -> None:
+        """Remove an account record entirely (recovery/bootstrap only)."""
+        self._accounts.pop(address, None)
+
     # -- balances and nonces ---------------------------------------------------
 
     def balance_of(self, address: Address) -> int:
-        return self.account(address).balance
+        record = self._accounts.get(address)
+        return 0 if record is None else record.balance
 
     def set_balance(self, address: Address, amount: int) -> None:
         if amount < 0:
             raise ValueError("balance cannot be negative")
-        self.account(address).balance = amount
+        record = self.account(address)
+        self._record((_BALANCE, address), record.balance)
+        record.balance = amount
 
     def add_balance(self, address: Address, amount: int) -> None:
-        self.account(address).balance += amount
+        record = self.account(address)
+        self._record((_BALANCE, address), record.balance)
+        record.balance += amount
 
     def sub_balance(self, address: Address, amount: int) -> None:
-        record = self.account(address)
-        if record.balance < amount:
+        if self.balance_of(address) < amount:
             raise ValueError("insufficient balance")
+        record = self.account(address)
+        self._record((_BALANCE, address), record.balance)
         record.balance -= amount
 
     def nonce_of(self, address: Address) -> int:
-        return self.account(address).nonce
+        record = self._accounts.get(address)
+        return 0 if record is None else record.nonce
 
     def increment_nonce(self, address: Address) -> None:
-        self.account(address).nonce += 1
+        record = self.account(address)
+        self._record((_NONCE, address), record.nonce)
+        record.nonce += 1
 
     def set_nonce(self, address: Address, nonce: int) -> None:
         """Set a nonce outright (state sync / crash recovery)."""
         if nonce < 0:
             raise ValueError("nonce cannot be negative")
-        self.account(address).nonce = nonce
-
-    def discard_account(self, address: Address) -> None:
-        """Remove an account record entirely (recovery/bootstrap only)."""
-        self._accounts.pop(address, None)
+        record = self.account(address)
+        self._record((_NONCE, address), record.nonce)
+        record.nonce = nonce
 
     # -- contract metadata ------------------------------------------------------
 
     def set_is_contract(self, address: Address, flag: bool = True) -> None:
-        """Mark an account as holding contract code (journal-aware setter)."""
-        self.account(address).is_contract = flag
+        """Mark an account as holding contract code."""
+        record = self.account(address)
+        self._record((_CONTRACT, address), record.is_contract)
+        record.is_contract = flag
 
     def set_code_size(self, address: Address, code_size: int) -> None:
         """Record the code-size proxy of a contract account."""
-        self.account(address).code_size = code_size
+        record = self.account(address)
+        self._record((_CODE, address), record.code_size)
+        record.code_size = code_size
 
     # -- contract storage -------------------------------------------------------
 
     def storage_get(self, address: Address, slot: Any, default: Any = 0) -> Any:
-        return self.account(address).storage.get(slot, default)
+        record = self._accounts.get(address)
+        return default if record is None else record.storage.get(slot, default)
 
     def storage_set(self, address: Address, slot: Any, value: Any) -> None:
-        self.account(address).storage[slot] = value
+        """Write one slot; ``value`` must be immutable (else :class:`TypeError`)."""
+        if type(value) not in _IMMUTABLE_EXACT:
+            _require_immutable(value)
+        storage = self.account(address).storage
+        self._record((_SLOT, address, slot), storage.get(slot, _ABSENT))
+        storage[slot] = value
 
     def storage_contains(self, address: Address, slot: Any) -> bool:
-        return slot in self.account(address).storage
+        record = self._accounts.get(address)
+        return record is not None and slot in record.storage
 
     def storage_delete(self, address: Address, slot: Any) -> None:
-        self.account(address).storage.pop(slot, None)
+        storage = self.account(address).storage
+        self._record((_SLOT, address, slot), storage.get(slot, _ABSENT))
+        storage.pop(slot, None)
 
     def storage_of(self, address: Address) -> Mapping[Any, Any]:
         """Read-only live view of an account's storage.
 
         Returned as a :class:`types.MappingProxyType` so callers cannot
         mutate storage behind the journal's back; writes must go through
-        :meth:`storage_set` / :meth:`storage_delete`.
+        :meth:`storage_set` / :meth:`storage_delete`.  An unknown address
+        reads as an empty mapping.
         """
-        return MappingProxyType(self.account(address).storage)
+        record = self._accounts.get(address)
+        return _NO_STORAGE if record is None else MappingProxyType(record.storage)
 
     def storage_slot_count(self, address: Address) -> int:
-        return len(self.account(address).storage)
+        record = self._accounts.get(address)
+        return 0 if record is None else len(record.storage)
 
     # -- block-level copies -------------------------------------------------------
 
@@ -308,91 +266,10 @@ class WorldState(_AccountStore):
         self._checkpoints: list[dict[tuple, Any]] = []
         self._top: dict[tuple, Any] | None = None
 
-    # -- account management --------------------------------------------------
-
-    def account(self, address: Address) -> AccountState:
-        """Return (creating on demand) the state record of ``address``."""
-        record = self._accounts.get(address)
-        if record is None:
-            record = AccountState()
-            self._accounts[address] = record
-            top = self._top
-            if top is not None:
-                # Creation is recorded before any field touch, so its undo
-                # (deleting the account) runs last within a checkpoint.
-                top[(_CREATED, address)] = None
-        return record
-
-    # -- journaled writes --------------------------------------------------------
-
-    def set_balance(self, address: Address, amount: int) -> None:
-        if amount < 0:
-            raise ValueError("balance cannot be negative")
-        record = self.account(address)
+    def _record(self, key: tuple, old: Any) -> None:
         top = self._top
-        if top is not None:
-            key = (_BALANCE, address)
-            if key not in top:
-                top[key] = record.balance
-        record.balance = amount
-
-    def add_balance(self, address: Address, amount: int) -> None:
-        record = self.account(address)
-        top = self._top
-        if top is not None:
-            key = (_BALANCE, address)
-            if key not in top:
-                top[key] = record.balance
-        record.balance += amount
-
-    def sub_balance(self, address: Address, amount: int) -> None:
-        record = self.account(address)
-        if record.balance < amount:
-            raise ValueError("insufficient balance")
-        top = self._top
-        if top is not None:
-            key = (_BALANCE, address)
-            if key not in top:
-                top[key] = record.balance
-        record.balance -= amount
-
-    def increment_nonce(self, address: Address) -> None:
-        record = self.account(address)
-        top = self._top
-        if top is not None:
-            key = (_NONCE, address)
-            if key not in top:
-                top[key] = record.nonce
-        record.nonce += 1
-
-    def set_is_contract(self, address: Address, flag: bool = True) -> None:
-        record = self.account(address)
-        top = self._top
-        if top is not None:
-            key = (_CONTRACT, address)
-            if key not in top:
-                top[key] = record.is_contract
-        record.is_contract = flag
-
-    def set_code_size(self, address: Address, code_size: int) -> None:
-        record = self.account(address)
-        top = self._top
-        if top is not None:
-            key = (_CODE, address)
-            if key not in top:
-                top[key] = record.code_size
-        record.code_size = code_size
-
-    def set_nonce(self, address: Address, nonce: int) -> None:
-        if nonce < 0:
-            raise ValueError("nonce cannot be negative")
-        record = self.account(address)
-        top = self._top
-        if top is not None:
-            key = (_NONCE, address)
-            if key not in top:
-                top[key] = record.nonce
-        record.nonce = nonce
+        if top is not None and key not in top:
+            top[key] = old
 
     def discard_account(self, address: Address) -> None:
         """Remove an account record entirely (recovery/bootstrap only).
@@ -405,36 +282,22 @@ class WorldState(_AccountStore):
             raise RuntimeError(
                 "discard_account is not journal-aware; close all checkpoints first"
             )
-        self._accounts.pop(address, None)
+        super().discard_account(address)
 
     def install_account(self, address: Address, record: AccountState) -> None:
         """Place a whole account record (recovery/bootstrap only, and refused
-        while a checkpoint is open, as :meth:`discard_account` is)."""
+        while a checkpoint is open, as :meth:`discard_account` is).
+
+        Its storage values must be immutable, as :meth:`storage_set`'s are
+        (else :class:`TypeError`).
+        """
         if self._top is not None:
             raise RuntimeError(
                 "install_account is not journal-aware; close all checkpoints first"
             )
+        for value in record.storage.values():
+            _require_immutable(value)
         self._accounts[address] = record
-
-    def storage_set(self, address: Address, slot: Any, value: Any) -> None:
-        storage = self.account(address).storage
-        top = self._top
-        if top is not None:
-            key = (_SLOT, address, slot)
-            if key not in top:
-                old = storage.get(slot, _ABSENT)
-                top[key] = _journal_old_value(old) if _journal_guard else old
-        storage[slot] = value
-
-    def storage_delete(self, address: Address, slot: Any) -> None:
-        storage = self.account(address).storage
-        top = self._top
-        if top is not None:
-            key = (_SLOT, address, slot)
-            if key not in top:
-                old = storage.get(slot, _ABSENT)
-                top[key] = _journal_old_value(old) if _journal_guard else old
-        storage.pop(slot, None)
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -464,14 +327,6 @@ class WorldState(_AccountStore):
                     if old is _ABSENT:
                         record.storage.pop(key[2], None)
                     else:
-                        if type(old) is _GuardedValue:
-                            if repr(old.value) != old.fingerprint:
-                                raise JournalHazardError(
-                                    f"storage slot {key[2]!r} of account "
-                                    f"0x{bytes(key[1]).hex()} was mutated in place "
-                                    "behind the journal (write through storage_set)"
-                                )
-                            old = old.value
                         record.storage[key[2]] = old
                 elif tag == _CREATED:
                     accounts.pop(key[1], None)
@@ -547,9 +402,9 @@ class ReferenceWorldState(_AccountStore):
     """The original copy-on-snapshot world state (differential oracle).
 
     ``snapshot()`` copies every account and every storage dict -- O(total
-    accounts x total storage slots) per call frame.  Kept verbatim so the
-    property suites can prove the journal semantically equivalent, and so
-    the state-hotpath benchmark has its honest baseline.
+    accounts x total storage slots) per call frame.  Kept so the property
+    suites can prove the journal semantically equivalent, and so the
+    state-hotpath benchmark has its honest baseline.
     """
 
     def __init__(self) -> None:

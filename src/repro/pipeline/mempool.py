@@ -252,9 +252,10 @@ class Mempool:
         return AdmissionDecision(False, reason)
 
     def _check_node_rules(self, tx: Transaction) -> "AdmissionDecision | None":
-        """Gas limit / nonce / balance -- the cheap half of what
-        ``Blockchain._validate`` checks (the signature is verified last, by
-        :meth:`_admit`), aware of nonces *and value* already held in this pool.
+        """Gas limit / nonce / balance -- the cheap half of the checks
+        :meth:`~repro.chain.chain.Blockchain.send_transaction` runs (the
+        signature is verified last, by :meth:`_admit`), aware of nonces *and
+        value* already held in this pool.
 
         The cumulative-spend check matters because admitted transactions skip
         re-validation at block inclusion: two transfers that are each covered
@@ -263,19 +264,15 @@ class Mempool:
         if tx.gas_limit > self.max_gas_limit:
             return self._reject(RejectReason.GAS_LIMIT)
         state = self.chain.state
-        # The sender is not authenticated yet and the state's reads create
-        # the record they look up: an unknown sender reads as 0 / 0 here
-        # without a forged address ever growing the world state.
-        known = state.has_account(tx.sender)
         expected = (
-            (state.nonce_of(tx.sender) if known else 0)
+            state.nonce_of(tx.sender)
             + self._pending_nonces.get(tx.sender, 0)
             + self._enqueued_count(tx.sender)
         )
         if tx.nonce != expected:
             return self._reject(RejectReason.BAD_NONCE)
         committed = self._pending_spend.get(tx.sender, 0)
-        if (state.balance_of(tx.sender) if known else 0) < committed + tx.value:
+        if state.balance_of(tx.sender) < committed + tx.value:
             return self._reject(RejectReason.INSUFFICIENT_FUNDS)
         return None
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain import Blockchain
 from repro.chain.contract import Contract, external
 from repro.chain.errors import ChainError
-from repro.chain.state import JournalHazardError, WorldState, set_journal_guard
+from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.crypto.keys import KeyPair
 from repro.workloads import state_fingerprint
@@ -231,22 +231,20 @@ def test_retained_undo_records_grow_with_writes_not_with_state_size(bystanders):
     assert chain.state.active_checkpoints == blocks + 1
 
 
-# --- the journal guard still covers values held by a block's undo record --------------
+# --- a block's undo record holds only immutable values ------------------------------
 
 
-def test_canary_guard_catches_mutation_of_a_value_held_in_a_block_undo_record():
-    previous = set_journal_guard("canary")
-    try:
-        chain = Blockchain()
-        holder = KEYS[3].address
-        _apply(chain, ("faucet", 0))
-        stored = [1, 2]
-        chain.state.storage_set(holder, "list", stored)
-        _apply(chain, ("transfer", 0, 1, 1))               # block 1
-        chain.state.storage_set(holder, "list", [9])        # block 2's record holds `stored`
-        _apply(chain, ("transfer", 0, 1, 1))               # block 2
-        stored.append(3)                                    # behind the journal's back
-        with pytest.raises(JournalHazardError):
-            chain.revert_to_block(1)
-    finally:
-        set_journal_guard(previous)
+def test_a_block_undo_record_restores_a_tuple_and_refuses_a_list():
+    chain = Blockchain()
+    holder = KEYS[3].address
+    _apply(chain, ("faucet", 0))
+    chain.state.storage_set(holder, "pair", (1, (2, b"x")))
+    _apply(chain, ("transfer", 0, 1, 1))                  # block 1
+    records = chain.state.journal_records()
+    with pytest.raises(TypeError):
+        chain.state.storage_set(holder, "pair", [9])
+    assert chain.state.journal_records() == records
+    chain.state.storage_set(holder, "pair", (9,))         # block 2's record holds the pair
+    _apply(chain, ("transfer", 0, 1, 1))                  # block 2
+    chain.revert_to_block(1)
+    assert chain.state.storage_get(holder, "pair") == (1, (2, b"x"))

@@ -166,12 +166,12 @@ def test_nested_snapshots(state, addr):
 
 def test_deep_copy_is_independent(state, addr):
     state.add_balance(addr, 7)
-    state.storage_set(addr, "x", [1, 2])
+    state.storage_set(addr, "x", (1, 2))
     clone = state.deep_copy()
     clone.add_balance(addr, 1)
-    clone.storage_get(addr, "x").append(3)
+    clone.storage_set(addr, "x", (1, 2, 3))
     assert state.balance_of(addr) == 7
-    assert state.storage_get(addr, "x") == [1, 2]
+    assert state.storage_get(addr, "x") == (1, 2)
 
 
 def test_unknown_snapshot_ids_rejected(state):

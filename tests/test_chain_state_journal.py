@@ -4,10 +4,14 @@ The journal must be observationally identical to the copy-on-snapshot
 :class:`ReferenceWorldState` it replaced (the hypothesis suite in
 ``test_property_state_journal.py`` drives random interleavings; here the
 deterministic shapes the EVM actually produces are pinned down), plus the
-satellite guarantees: read-only ``storage_of`` views, cheap
-``AccountState.copy`` for immutable values, per-class dispatch tables that
-never leak across classes, and ``__slots__`` on the per-call records.
+satellite guarantees: reads that create no account, storage that refuses
+mutable values, read-only ``storage_of`` views, an ``AccountState.copy``
+that shares the (immutable) values, per-class dispatch tables that never
+leak across classes, and ``__slots__`` on the per-call records.
 """
+
+import ast
+import pathlib
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.chain.evm import (
 )
 from repro.chain.state import AccountState, ReferenceWorldState, WorldState
 from repro.crypto.keys import KeyPair
+from repro.storage.codec import state_root
 
 ADDR_A = KeyPair.from_seed("journal-a").address
 ADDR_B = KeyPair.from_seed("journal-b").address
@@ -71,14 +76,42 @@ def test_nested_revert_inside_committed_frame(state_cls):
 
 
 @BOTH
-def test_revert_removes_accounts_created_by_reads(state_cls):
-    """Even a pure balance read materialises an account; revert removes it."""
+def test_reading_an_unknown_address_creates_no_account(state_cls):
+    """Only writes create accounts: every read of an unknown address answers
+    its default and leaves the state, its journal and its root as they were."""
     state = state_cls()
+    state.add_balance(ADDR_B, 1)
+    root = state_root(state)
     snap = state.snapshot()
     assert state.balance_of(ADDR_A) == 0
-    assert state.has_account(ADDR_A)
-    state.revert_to(snap)
+    assert state.nonce_of(ADDR_A) == 0
+    assert state.storage_get(ADDR_A, "k", None) is None
+    assert not state.storage_contains(ADDR_A, "k")
+    assert dict(state.storage_of(ADDR_A)) == {}
+    assert state.storage_slot_count(ADDR_A) == 0
     assert not state.has_account(ADDR_A)
+    assert list(state.addresses()) == [ADDR_B]
+    assert state_root(state) == root
+    if state_cls is WorldState:
+        assert state.touched_since(snap) == {}
+        assert state.journal_records() == 0
+
+
+def test_reading_unknown_addresses_on_a_mined_chain_leaves_no_delta():
+    """The next block's durable delta is what ``touched_since_latest_block``
+    reports: reads of addresses nobody wrote must not put them in it."""
+    chain = Blockchain()
+    alice = chain.create_account("alice")
+    alice.deploy(_Pinger)
+    assert chain.touched_since_latest_block() == {}
+    root = state_root(chain.state)
+    for address in (ADDR_A, ADDR_B, b"\x07" * 20):
+        assert chain.balance_of(address) == 0
+        assert chain.next_nonce(address) == 0
+        assert dict(chain.state.storage_of(address)) == {}
+        assert not chain.state.has_account(address)
+    assert chain.touched_since_latest_block() == {}
+    assert state_root(chain.state) == root
 
 
 @BOTH
@@ -184,37 +217,101 @@ def test_storage_of_view_is_read_only(state_cls):
     assert view["k2"] == 2
 
 
+# --- storage holds only immutable values ----------------------------------------------
+
+
+@BOTH
+@pytest.mark.parametrize(
+    "value",
+    [[1, 2], {"a": 1}, {1}, bytearray(b"x"), (1, [2])],
+    ids=["list", "dict", "set", "bytearray", "tuple-holding-a-list"],
+)
+def test_storage_set_refuses_mutable_values(state_cls, value):
+    state = state_cls()
+    state.storage_set(ADDR_A, "k", 7)
+    state.snapshot()
+    with pytest.raises(TypeError):
+        state.storage_set(ADDR_A, "k", value)
+    with pytest.raises(TypeError):
+        state.storage_set(ADDR_B, "k", value)
+    assert state.storage_get(ADDR_A, "k") == 7
+    assert not state.has_account(ADDR_B)
+    if state_cls is WorldState:
+        assert state.journal_records() == 0
+
+
+@BOTH
+@pytest.mark.parametrize(
+    "value",
+    [(1, ("a", (b"b", None)), 2.5, True), frozenset({1, "x"}), None],
+    ids=["nested-tuple", "frozenset", "none"],
+)
+def test_storage_set_accepts_immutable_values(state_cls, value):
+    state = state_cls()
+    snap = state.snapshot()
+    state.storage_set(ADDR_A, "k", value)
+    assert state.storage_get(ADDR_A, "k", "absent") is value
+    state.revert_to(snap)
+    assert not state.storage_contains(ADDR_A, "k")
+
+
+class _ListKeeper(Contract):
+    @external
+    def keep(self) -> None:
+        self.storage["count"] = 1
+        self.storage["box"] = [1, 2]
+
+
+def test_a_contract_storing_a_list_raises_instead_of_failing_its_receipt():
+    """A ``ValueError`` would become a failed receipt; a contract that stores
+    a list has a programming error, so the ``TypeError`` leaves the EVM --
+    after the transaction's writes and nonce bump are undone."""
+    chain = Blockchain()
+    alice = chain.create_account("alice")
+    keeper = alice.deploy(_ListKeeper).return_value
+    nonce = chain.state.nonce_of(alice.address)
+    checkpoints = chain.state.active_checkpoints
+    root = state_root(chain.state)
+    with pytest.raises(TypeError, match="immutable"):
+        alice.transact(keeper, "keep")
+    assert chain.state.nonce_of(alice.address) == nonce
+    assert chain.state.active_checkpoints == checkpoints
+    assert not chain.state.storage_contains(keeper.this, "count")
+    assert chain.touched_since_latest_block() == {}
+    assert state_root(chain.state) == root
+
+
 # --- AccountState.copy / deep_copy -------------------------------------------------
 
 
 def test_account_copy_shares_immutable_values():
-    record = AccountState(storage={
+    record = AccountState(balance=3, nonce=1, is_contract=True, code_size=9, storage={
         "int": 42,
         "bytes": b"\x01" * 32,
-        "tuple": (1, b"x", "y"),
-        "list": [1, 2],
+        "tuple": (1, (b"x", "y")),
     })
     clone = record.copy()
-    assert clone.storage["int"] is record.storage["int"]
-    assert clone.storage["bytes"] is record.storage["bytes"]
-    assert clone.storage["tuple"] is record.storage["tuple"]
-    # Mutable values still get genuinely copied.
-    assert clone.storage["list"] is not record.storage["list"]
-    clone.storage["list"].append(3)
-    assert record.storage["list"] == [1, 2]
+    assert clone == record
+    for slot, value in record.storage.items():
+        assert clone.storage[slot] is value
+    # The storage dict itself is the copy's own.
+    clone.storage["new"] = 1
+    assert "new" not in record.storage
 
 
 @BOTH
 def test_deep_copy_still_fully_independent(state_cls):
     state = state_cls()
     state.add_balance(ADDR_A, 7)
-    state.storage_set(ADDR_A, "x", [1, 2])
+    state.storage_set(ADDR_A, "x", (1, 2))
     clone = state.deep_copy()
     assert type(clone) is state_cls
     clone.add_balance(ADDR_A, 1)
-    clone.storage_get(ADDR_A, "x").append(3)
+    clone.storage_set(ADDR_A, "x", (1, 2, 3))
+    clone.storage_set(ADDR_B, "y", 1)
     assert state.balance_of(ADDR_A) == 7
-    assert state.storage_get(ADDR_A, "x") == [1, 2]
+    assert state.storage_get(ADDR_A, "x") == (1, 2)
+    assert not state.has_account(ADDR_B)
 
 
 # --- __slots__ on the per-call records ---------------------------------------------
@@ -290,82 +387,6 @@ def test_dispatchable_method_count_excludes_internals():
     assert engine._dispatchable_methods(_Pinger()) == ["ping"]
 
 
-# --- the journaled-by-reference guard (SMACS_STATE_GUARD) -------------------------
-
-
-def test_journal_guard_off_documents_the_aliasing_hazard():
-    """With the guard off, in-place mutation of a stored mutable value leaks
-    through a revert -- the documented hazard the guard exists to catch."""
-    from repro.chain.state import journal_guard
-
-    assert journal_guard() == "off"  # the default: zero overhead
-    state = WorldState()
-    state.storage_set(ADDR_A, "box", [1, 2])
-    snap = state.snapshot()
-    state.storage_get(ADDR_A, "box").append(3)  # behind the journal's back
-    state.revert_to(snap)
-    assert state.storage_get(ADDR_A, "box") == [1, 2, 3]  # the leak, verbatim
-
-
-def test_journal_guard_copy_mode_restores_the_pristine_value():
-    from repro.chain.state import set_journal_guard
-
-    previous = set_journal_guard("copy")
-    try:
-        state = WorldState()
-        state.storage_set(ADDR_A, "box", [1, 2])
-        snap = state.snapshot()
-        state.storage_set(ADDR_A, "box", [9])  # journal snapshots a deep copy
-        state.storage_get(ADDR_A, "box").append(10)
-        state.revert_to(snap)
-        assert state.storage_get(ADDR_A, "box") == [1, 2]
-    finally:
-        set_journal_guard(previous)
-
-
-def test_journal_guard_canary_raises_on_behind_the_back_mutation():
-    from repro.chain.state import JournalHazardError, set_journal_guard
-
-    previous = set_journal_guard("canary")
-    try:
-        state = WorldState()
-        state.storage_set(ADDR_A, "box", [1, 2])
-        snap = state.snapshot()
-        box = state.storage_get(ADDR_A, "box")  # alias captured before overwrite
-        state.storage_set(ADDR_A, "box", [1, 2, 3])  # fingerprints the old value
-        box.append(99)  # mutates the journaled undo value behind the journal's back
-        with pytest.raises(JournalHazardError):
-            state.revert_to(snap)
-    finally:
-        set_journal_guard(previous)
-
-
-def test_journal_guard_canary_is_quiet_for_honest_writes():
-    from repro.chain.state import set_journal_guard
-
-    previous = set_journal_guard("canary")
-    try:
-        state = WorldState()
-        state.storage_set(ADDR_A, "k", (1, 2))
-        snap = state.snapshot()
-        state.storage_set(ADDR_A, "k", (3, 4))
-        state.revert_to(snap)
-        assert state.storage_get(ADDR_A, "k") == (1, 2)
-        snap2 = state.snapshot()
-        state.storage_set(ADDR_A, "k", (5, 6))
-        state.commit(snap2)
-        assert state.storage_get(ADDR_A, "k") == (5, 6)
-    finally:
-        set_journal_guard(previous)
-
-
-def test_set_journal_guard_rejects_unknown_modes():
-    from repro.chain.state import set_journal_guard
-
-    with pytest.raises(ValueError):
-        set_journal_guard("paranoid")
-
-
 # --- touched_since (the durability layer's block-delta source) --------------------
 
 
@@ -400,3 +421,53 @@ def test_worldstate_discard_account_requires_closed_journal():
     state.commit(snap)
     state.discard_account(ADDR_A)
     assert not state.has_account(ADDR_A)
+
+
+def test_worldstate_install_account_refuses_mutable_storage():
+    """Recovery installs whole records; their storage obeys the same rule
+    as :meth:`storage_set`, so the journal never holds a mutable value."""
+    state = WorldState()
+    with pytest.raises(TypeError, match="immutable"):
+        state.install_account(ADDR_A, AccountState(storage={"ok": (1, 2), "box": [1]}))
+    assert not state.has_account(ADDR_A)
+    record = AccountState(balance=5, storage={"ok": (1, 2)})
+    state.install_account(ADDR_A, record)
+    assert state.account(ADDR_A) is record
+
+
+# --- guards: one write path, no environment switch ------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+WRITE_METHODS = {
+    "set_balance", "add_balance", "sub_balance", "increment_nonce", "set_nonce",
+    "set_is_contract", "set_code_size", "storage_set", "storage_delete",
+}
+
+
+def test_no_src_module_reads_the_environment():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                name = node.attr
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                name = next((a.name for a in node.names if a.name in ("environ", "getenv")), None)
+            else:
+                continue
+            if name:
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}:{name}")
+    assert offenders == []
+
+
+def test_each_account_write_is_implemented_once():
+    """The writes live on ``_AccountStore``; the state classes only hook them."""
+    path = SRC / "repro" / "chain" / "state.py"
+    defined = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert WRITE_METHODS <= defined["_AccountStore"]
+    assert defined["WorldState"] & WRITE_METHODS == set()
+    assert defined["ReferenceWorldState"] & WRITE_METHODS == set()
