@@ -60,7 +60,7 @@ class BlockContext:
     timestamp: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Env:
     """The full execution environment visible to a contract frame."""
 
@@ -337,17 +337,20 @@ class ExecutionEngine:
         )
 
         try:
+            calldata = tx.calldata
             meter.charge(gas.TX_BASE)
-            meter.charge(gas.calldata_cost(tx.calldata))
+            meter.charge(gas.calldata_cost(calldata))
 
             if tx.to is None:
                 contract, address = self._execute_deployment(
-                    tx, block, meter, deploy_factory
+                    tx, block, meter, deploy_factory, calldata
                 )
                 receipt.contract_address = address
                 receipt.return_value = contract
             else:
-                receipt.return_value = self._execute_top_level_call(tx, block, meter)
+                receipt.return_value = self._execute_top_level_call(
+                    tx, block, meter, calldata
+                )
         except Revert as exc:
             self.state.revert_to(snapshot)
             self.state.increment_nonce(tx.sender)  # nonce consumed despite revert
@@ -389,6 +392,7 @@ class ExecutionEngine:
         block: BlockContext,
         meter: gas.GasMeter,
         deploy_factory: Callable[[], Contract] | None,
+        calldata: bytes,
     ) -> tuple[Contract, Address]:
         if deploy_factory is None:
             raise ExecutionError("deployment transaction without a contract factory")
@@ -406,7 +410,7 @@ class ExecutionEngine:
 
         env = Env(
             evm=self,
-            msg=MessageContext(sender=tx.sender, value=tx.value, data=tx.calldata,
+            msg=MessageContext(sender=tx.sender, value=tx.value, data=calldata,
                                sig=b"\x00" * 4),
             tx_origin=tx.sender,
             gas_price=tx.gas_price,
@@ -430,7 +434,7 @@ class ExecutionEngine:
         return contract, address
 
     def _execute_top_level_call(
-        self, tx: Transaction, block: BlockContext, meter: gas.GasMeter
+        self, tx: Transaction, block: BlockContext, meter: gas.GasMeter, calldata: bytes
     ) -> Any:
         if tx.value:
             self.state.sub_balance(tx.sender, tx.value)
@@ -463,7 +467,7 @@ class ExecutionEngine:
             sender=tx.sender,
             origin=tx.sender,
             value=tx.value,
-            data=tx.calldata,
+            data=calldata,
             gas_price=tx.gas_price,
             block=block,
             meter=meter,

@@ -100,7 +100,8 @@ class GasMeter:
 
     Besides the total, the meter keeps per-category counters so benchmark
     harnesses can reproduce the Verify / Misc / Bitmap / Parse breakdown of
-    the paper's cost tables.  ``category`` defaults to ``"misc"``.
+    the paper's cost tables.  Charges go to the innermost pushed category,
+    ``"misc"`` when none is pushed.
     """
 
     gas_limit: int
@@ -113,16 +114,12 @@ class GasMeter:
     def gas_remaining(self) -> int:
         return self.gas_limit - self.gas_used
 
-    @property
-    def category(self) -> str:
-        return self._category_stack[-1]
-
     def charge(self, amount: int, category: str | None = None) -> None:
         """Consume ``amount`` gas, raising :class:`OutOfGas` on exhaustion."""
         if amount < 0:
             raise ValueError("cannot charge negative gas")
         self.gas_used += amount
-        bucket = category or self.category
+        bucket = category or self._category_stack[-1]
         self.breakdown[bucket] = self.breakdown.get(bucket, 0) + amount
         if self.gas_used > self.gas_limit:
             raise OutOfGas(

@@ -66,8 +66,8 @@ def smacs_protected(method: Callable) -> Callable:
     calls from other methods of the same contract skip it, which is exactly
     the effect of the method-splitting transformation of Fig. 4.
     """
-    signature = inspect.signature(method)
     selector = abi.method_selector(method.__name__)
+    bind = _binder(method)
 
     @functools.wraps(method)
     def wrapper(self: "SMACSContract", *args: Any, token: Any = None, **kwargs: Any) -> Any:
@@ -82,11 +82,13 @@ def smacs_protected(method: Callable) -> Callable:
             # token check is assumed to pass.
             return method(self, *args, **kwargs)
 
-        normalised = normalise_token_argument(token)
-        bound = signature.bind_partial(self, *args, **kwargs)
-        bound_arguments = {
-            name: value for name, value in bound.arguments.items() if name != "self"
-        }
+        try:
+            normalised = normalise_token_argument(token)
+        except TypeError:
+            # A token of no supported type is no token: Alg. 1 refuses it
+            # and the call reverts, consuming gas and nonce.
+            normalised = None
+        bound_arguments = bind(self, args, kwargs)
 
         previous_method = getattr(self, "_smacs_current_method", None)
         previous_bundle = getattr(self, "_smacs_current_bundle", None)
@@ -106,7 +108,35 @@ def smacs_protected(method: Callable) -> Callable:
 
     wrapper._smacs_protected = True  # type: ignore[attr-defined]
     wrapper._smacs_wrapped = method  # type: ignore[attr-defined]
+    wrapper._smacs_bind = bind  # type: ignore[attr-defined]
     return wrapper
+
+
+def _binder(method: Callable) -> Callable[..., dict[str, Any]]:
+    """``bind(self, args, kwargs)``: a call's arguments by name, without ``self``.
+
+    Exactly ``inspect.signature(method).bind_partial(self, *args, **kwargs)``'s
+    arguments minus ``self``, in signature order, raising the same
+    ``TypeError``; the signature is read once, and the common call shape --
+    keywords only, each naming a parameter -- binds without it.
+    """
+    signature = inspect.signature(method)
+    names = tuple(
+        name
+        for name, parameter in signature.parameters.items()
+        if name != "self"
+        and parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+    )
+    keywords = frozenset(names)
+    bind_partial = signature.bind_partial
+
+    def bind(self: Any, args: tuple, kwargs: dict[str, Any]) -> dict[str, Any]:
+        if not args and keywords.issuperset(kwargs):
+            return {name: kwargs[name] for name in names if name in kwargs}
+        bound = bind_partial(self, *args, **kwargs).arguments
+        return {name: value for name, value in bound.items() if name != "self"}
+
+    return bind
 
 
 class SMACSContract(Contract):

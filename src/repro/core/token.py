@@ -29,6 +29,7 @@ what the datagram needs to guarantee the same property.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -43,6 +44,10 @@ ONE_TIME_UNSET = -1
 _INDEX_BYTES = 16
 _EXPIRE_BYTES = 4
 TOKEN_SIZE = 1 + _EXPIRE_BYTES + _INDEX_BYTES + 65  # = 86 bytes (Fig. 3)
+#: bound of the token decode memo (about 0.6 MB when full): a token is read at
+#: admission, by ``pre_warm`` and by Alg. 1 within a block or two, and a block
+#: holds 64 transactions, so this keeps many blocks' worth
+DECODE_MEMO_SIZE = 1024
 
 
 class TokenType(enum.IntEnum):
@@ -117,7 +122,7 @@ def signing_digest(*args: Any, **kwargs: Any) -> bytes:
     return keccak256(signing_datagram(*args, **kwargs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A decoded SMACS token."""
 
@@ -148,18 +153,8 @@ class Token:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Token":
-        if len(raw) != TOKEN_SIZE:
-            raise MalformedToken(
-                f"token must be {TOKEN_SIZE} bytes (Fig. 3), got {len(raw)}"
-            )
-        token_type = TokenType.from_byte(raw[0])
-        expire = int.from_bytes(raw[1:1 + _EXPIRE_BYTES], "big")
-        index = decode_index(raw[1 + _EXPIRE_BYTES:1 + _EXPIRE_BYTES + _INDEX_BYTES])
-        try:
-            signature = Signature.from_bytes(raw[-65:])
-        except ValueError as exc:
-            raise MalformedToken(f"invalid signature field: {exc}") from exc
-        return cls(token_type, expire, index, signature)
+        # Only immutable bytes can key the memo; anything else decodes afresh.
+        return _decoded(raw) if type(raw) is bytes else _decoded.__wrapped__(raw)
 
     # -- convenience ---------------------------------------------------------------
 
@@ -180,3 +175,25 @@ class Token:
             method=method,
             arguments=arguments,
         )
+
+
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decoded(raw: bytes) -> Token:
+    """Bytes -> token memo: a pure function of immutable bytes.
+
+    The same token is read at admission, by ``pre_warm`` and by Alg. 1; the
+    decoded value is frozen, so all three share one.  Malformed input raises
+    and leaves no entry behind.
+    """
+    if len(raw) != TOKEN_SIZE:
+        raise MalformedToken(
+            f"token must be {TOKEN_SIZE} bytes (Fig. 3), got {len(raw)}"
+        )
+    token_type = TokenType.from_byte(raw[0])
+    expire = int.from_bytes(raw[1:1 + _EXPIRE_BYTES], "big")
+    index = decode_index(raw[1 + _EXPIRE_BYTES:1 + _EXPIRE_BYTES + _INDEX_BYTES])
+    try:
+        signature = Signature.from_bytes(raw[-65:])
+    except ValueError as exc:
+        raise MalformedToken(f"invalid signature field: {exc}") from exc
+    return Token(token_type, expire, index, signature)

@@ -20,7 +20,6 @@ benchmark harnesses can reproduce the cost split of Tab. II and Tab. III.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Mapping, TYPE_CHECKING
 
 from repro.chain import gas, precompiles
@@ -172,18 +171,15 @@ def reconstruct_datagram(
     arguments = None
     if token.token_type is TokenType.ARGUMENT:
         handler = getattr(contract, tx.method or "", None)
-        wrapped = getattr(handler, "_smacs_wrapped", None)
-        if wrapped is None:
+        bind = getattr(handler, "_smacs_bind", None)
+        if bind is None:
             return None
         try:
-            bound = inspect.signature(wrapped).bind_partial(
-                contract, *tx.args, **{k: v for k, v in tx.kwargs.items() if k != "token"}
+            arguments = bind(
+                contract, tx.args, {k: v for k, v in tx.kwargs.items() if k != "token"}
             )
         except TypeError:
             return None
-        arguments = {
-            name: value for name, value in bound.arguments.items() if name != "self"
-        }
     try:
         return token_mod.signing_datagram(
             token.token_type,

@@ -97,6 +97,29 @@ def keccak_permutations(monkeypatch):
 
 
 @pytest.fixture
+def token_decodes(monkeypatch):
+    """A live ``Counter`` of the token bytes decoded from here on.
+
+    Swaps in an empty decode memo of the same bound whose misses are
+    counted, so a token the memo answers is not counted again.
+    """
+    from collections import Counter
+    from functools import lru_cache
+
+    from repro.core import token
+
+    counts = Counter()
+    decode = token._decoded.__wrapped__
+
+    def counting(raw):
+        counts[bytes(raw)] += 1
+        return decode(raw)
+
+    monkeypatch.setattr(token, "_decoded", lru_cache(maxsize=token.DECODE_MEMO_SIZE)(counting))
+    return counts
+
+
+@pytest.fixture
 def packed_permutations(monkeypatch):
     """A live one-element counter of ``_keccak_f_packed`` calls made from here on.
 

@@ -5,6 +5,7 @@ embedded token -> contract-side verification -> method body execution, and
 check every rejection branch of Alg. 1 plus the gas-category accounting.
 """
 
+import pytest
 
 from repro.api import issue_one
 from repro.core import TokenType
@@ -96,6 +97,19 @@ def test_garbage_token_bytes_rejected(alice, recorder):
     assert not receipt.success
     receipt = alice.transact(recorder, "submit", 5, token=b"\x01\x02\x03")
     assert not receipt.success
+
+
+@pytest.mark.parametrize("token", [12345, "not a token", [1, 2, 3]])
+def test_a_token_of_the_wrong_type_reverts_and_consumes_the_nonce(
+    chain, alice, recorder, token
+):
+    nonce = chain.state.nonce_of(alice.address)
+    receipt = alice.transact(recorder, "submit", amount=1, token=token)
+    assert not receipt.success
+    assert "SMACS" in receipt.error
+    assert receipt.gas_used > 0
+    assert chain.state.nonce_of(alice.address) == nonce + 1
+    assert chain.read(recorder, "entries") == 0
 
 
 def test_token_for_wrong_contract_rejected(chain, owner, alice, alice_wallet,

@@ -1,7 +1,13 @@
 """Unit tests for the token format (Fig. 3) and the signed datagram."""
 
-import pytest
+import gc
+import tracemalloc
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import token as token_mod
 from repro.core.token import (
     ONE_TIME_UNSET,
     TOKEN_SIZE,
@@ -15,6 +21,7 @@ from repro.core.token import (
     signing_digest,
 )
 from repro.crypto.keys import KeyPair
+from repro.crypto.secp256k1 import N
 
 
 @pytest.fixture
@@ -89,6 +96,84 @@ def test_index_encoding_roundtrip_including_sentinel():
     for index in (ONE_TIME_UNSET, 0, 1, 2**63, 2**120):
         assert decode_index(encode_index(index)) == index
     assert encode_index(ONE_TIME_UNSET) == b"\xff" * 16
+
+
+# --- the decode memo -----------------------------------------------------------------
+
+_EDGE_SCALARS = [0, 1, N - 1, N]
+
+
+@given(
+    type_byte=st.integers(0, 255),
+    expire=st.binary(min_size=4, max_size=4),
+    index=st.binary(min_size=16, max_size=16),
+    r=st.sampled_from(_EDGE_SCALARS),
+    s=st.sampled_from(_EDGE_SCALARS),
+    v=st.sampled_from([0, 1, 27, 28, 29]),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_memoized_decode_equals_the_uncached_one(type_byte, expire, index, r, s, v):
+    raw = (
+        bytes([type_byte]) + expire + index
+        + r.to_bytes(32, "big") + s.to_bytes(32, "big") + bytes([v])
+    )
+    assert len(raw) == TOKEN_SIZE
+    try:
+        expected = token_mod._decoded.__wrapped__(raw)
+    except MalformedToken:
+        for _ in range(2):
+            with pytest.raises(MalformedToken):
+                Token.from_bytes(raw)
+    else:
+        for _ in range(2):
+            assert Token.from_bytes(raw) == expected
+
+
+def test_malformed_bytes_raise_every_time_and_are_not_kept(token_decodes):
+    raw = b"\x09" + b"\x00" * (TOKEN_SIZE - 1)  # an unknown type byte
+    for _ in range(3):
+        with pytest.raises(MalformedToken):
+            Token.from_bytes(raw)
+    assert token_decodes[raw] == 3
+    assert token_mod._decoded.cache_info().currsize == 0
+
+
+def test_a_bytearray_decodes_to_an_equal_token_and_stays_out_of_the_memo(
+    ts_keypair, client, contract, token_decodes
+):
+    token = _issue(ts_keypair, TokenType.METHOD, client, contract, method="submit")
+    mutable = bytearray(token.to_bytes())
+    decoded = Token.from_bytes(mutable)
+    mutable[0] = 0xFF
+    assert decoded == token == Token.from_bytes(token.to_bytes())
+    assert token_mod._decoded.cache_info().currsize == 1  # the bytes, not the bytearray
+
+
+def test_the_memo_is_bounded_in_entries_and_bytes(monkeypatch):
+    bound = token_mod.DECODE_MEMO_SIZE
+    memo = lru_cache(maxsize=bound)(token_mod._decoded.__wrapped__)
+    monkeypatch.setattr(token_mod, "_decoded", memo)
+
+    def raw(i):
+        return (
+            bytes([TokenType.ARGUMENT]) + (1_000 + i).to_bytes(4, "big") + encode_index(i)
+            + (N - 1 - i).to_bytes(32, "big") + (N // 2 + i).to_bytes(32, "big")
+            + bytes([i % 2])
+        )
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(bound + 100):
+            Token.from_bytes(raw(i))
+            assert memo.cache_info().currsize <= bound
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert memo.cache_info().currsize == bound
+    assert held <= 1 << 20
 
 
 # --- signed datagram -----------------------------------------------------------------

@@ -132,6 +132,15 @@ def test_rejects_malformed_token(mempool, client, protected, service):
     assert mempool.admit(tx).reason == "malformed or missing token entry"
 
 
+@pytest.mark.parametrize("token", [12345, "not a token", [1, 2, 3]])
+def test_rejects_a_token_of_the_wrong_type(mempool, client, protected, service, token):
+    # On-chain such a call reverts; the pool refuses it before it gets there.
+    tx, _ = _token_tx(client, protected, service)
+    tx.kwargs["token"] = token
+    tx.sign_with(client.keypair)
+    assert mempool.admit(tx).reason is RejectReason.MALFORMED_TOKEN
+
+
 def test_rejects_foreign_ts_signature_when_cached(mempool, client, protected, service, cache):
     """A token signed by an untrusted key is refused at admission once its
     recovery is known to the cache (here: primed by the foreign issuer)."""

@@ -15,7 +15,7 @@ import pytest
 
 from repro.chain import Blockchain
 from repro.contracts.protected_target import ProtectedRecorder
-from repro.core import OwnerWallet
+from repro.core import OwnerWallet, TokenType
 from repro.core.acr import RuleSet
 from repro.core.replication import ReplicatedTokenService
 from repro.crypto.keys import KeyPair
@@ -651,6 +651,44 @@ def test_a_block_record_repeats_its_admission_blobs_without_encoding_again(
     (block,) = [record for record in records if record["kind"] == "block"]
     assert list(block["txs"]) == admitted and len(admitted) == 64
     assert admitted == [encode_transaction(tx) for tx in node.chain.latest_block.transactions]
+    store.close()
+
+
+def test_a_block_derives_each_transaction_once(tmp_path, monkeypatch, token_decodes):
+    """Calldata is encoded once a transaction, no call binds through
+    ``inspect``, and each token is decoded once from admission to commit."""
+    import inspect
+    from collections import Counter
+
+    from repro.chain import abi
+
+    node = _node()
+    store = DurableStore(str(tmp_path / "n"), "memory")
+    store.attach(node.pipeline)
+    txs = node.generator.from_arrivals([64], token_type=TokenType.ARGUMENT)
+    token_decodes.clear()
+    reflections = []
+    signature, bind_partial = inspect.signature, inspect.Signature.bind_partial
+    monkeypatch.setattr(
+        inspect, "signature", lambda *a, **k: reflections.append(a) or signature(*a, **k)
+    )
+    monkeypatch.setattr(
+        inspect.Signature,
+        "bind_partial",
+        lambda *a, **k: reflections.append(a) or bind_partial(*a, **k),
+    )
+    assert all(d.admitted for d in node.pipeline.ingest(txs))
+    encodes = []
+    encode_call = abi.encode_call
+    monkeypatch.setattr(
+        abi, "encode_call", lambda *a, **k: encodes.append(a) or encode_call(*a, **k)
+    )
+    result = node.pipeline.run_block()
+    assert result.executed == result.succeeded == 64
+    assert len(encodes) == 64
+    assert reflections == []
+    assert token_decodes == Counter(tx.kwargs["token"] for tx in txs)
+    assert len(token_decodes) == 64
     store.close()
 
 
