@@ -44,8 +44,9 @@ class _Checkpoint:
     funding, direct deployments).  Mining costs O(1) here and retains
     O(touched); reverting to the block is ``state.revert_to(mark)``.
 
-    The contract registry only ever grows, in insertion order, so its state
-    at the fork point is its first ``contract_count`` entries.
+    The contract registry is only ever appended to or cut back to a prefix
+    (a failed deployment, a failed block), so its state at the fork point is
+    its first ``contract_count`` entries.
     """
 
     mark: int
@@ -181,13 +182,20 @@ class Blockchain:
 
     def mine_block(self) -> list[Receipt]:
         """Mine all pending transactions into a single block."""
-        batch = [(tx, None) for tx in self.pending]
+        receipts = self._mine([(tx, None) for tx in self.pending])
         self.pending = []
-        return self._mine(batch)
+        return receipts
 
     def _mine(
         self, batch: list[tuple[Transaction, Callable[[], Contract] | None]]
     ) -> list[Receipt]:
+        """Execute ``batch`` into a new block, all or nothing.
+
+        A transaction that raises (rather than failing its receipt) undoes
+        the whole block -- its writes, registered contracts and receipts --
+        and leaves ``pending`` as it was; the clock stays where it moved.
+        Writes made between blocks are not the block's, and survive.
+        """
         self.clock.advance(self.block_interval)
         block = Block(
             number=self.height + 1,
@@ -196,19 +204,28 @@ class Blockchain:
         )
         block_ctx = BlockContext(number=block.number, timestamp=block.timestamp)
         receipts: list[Receipt] = []
-        for tx, factory in batch:
-            tracer = CallTracer() if self.trace_transactions else None
-            receipt = self.evm.execute_transaction(
-                tx, block_ctx, deploy_factory=factory, tracer=tracer
-            )
-            if tracer is not None:
-                receipt.trace = tracer
-            block.transactions.append(tx)
-            block.gas_used += receipt.gas_used
-            receipts.append(receipt)
-            self.receipts[receipt.tx_hash] = receipt
-        if self.state_root_provider is not None:
-            block.state_root = self.state_root_provider(self.evm.state)
+        state = self.evm.state
+        registered = len(self.evm.contracts)
+        mark = state.snapshot()
+        try:
+            for tx, factory in batch:
+                tracer = CallTracer() if self.trace_transactions else None
+                receipt = self.evm.execute_transaction(
+                    tx, block_ctx, deploy_factory=factory, tracer=tracer
+                )
+                if tracer is not None:
+                    receipt.trace = tracer
+                block.transactions.append(tx)
+                block.gas_used += receipt.gas_used
+                receipts.append(receipt)
+            if self.state_root_provider is not None:
+                block.state_root = self.state_root_provider(state)
+        except BaseException:
+            state.revert_to(mark)
+            self.evm.truncate_registry(registered)
+            raise
+        state.commit(mark)
+        self.receipts.update((receipt.tx_hash, receipt) for receipt in receipts)
         self.blocks.append(block)
         self._checkpoints.append(self._checkpoint())
         return receipts
@@ -308,8 +325,7 @@ class Blockchain:
             raise ValueError(f"no block {block_number} to revert to")
         checkpoint = self._checkpoints[index]
         self.evm.state.revert_to(checkpoint.mark)
-        for address in list(self.evm.contracts)[checkpoint.contract_count:]:
-            del self.evm.contracts[address]
+        self.evm.truncate_registry(checkpoint.contract_count)
         # revert_to consumed the mark: reopen it over the restored state.
         self._checkpoints[index:] = [self._checkpoint()]
         # Positions, not numbers: an installed head may stand above a gap.

@@ -190,22 +190,12 @@ class Contract:
     """Base class for all contracts deployed on the simulated chain."""
 
     def __init__(self) -> None:
-        # These are populated by the execution engine at deployment time.
+        # The execution engine sets the address and engine at deployment
+        # and pushes / pops one environment per frame it runs.
         self._address: Address | None = None
         self._bound_evm: Any = None
         self._env_stack: list["Env"] = []
         self._storage_view = StorageView(self)
-
-    # -- wiring used by the EVM ------------------------------------------------
-
-    def _bind(self, address: Address) -> None:
-        self._address = address
-
-    def _push_env(self, env: "Env") -> None:
-        self._env_stack.append(env)
-
-    def _pop_env(self) -> None:
-        self._env_stack.pop()
 
     # -- Solidity-style globals -------------------------------------------------
 
@@ -234,11 +224,11 @@ class Contract:
 
     @property
     def tx_origin(self) -> Address:
-        return self.env.tx_origin
+        return self.env.ctx.origin
 
     @property
     def block(self) -> "Any":
-        return self.env.block
+        return self.env.ctx.block
 
     @property
     def storage(self) -> StorageView:

@@ -35,7 +35,7 @@ class VisibilityError(ExecutionError):
     """A method was called in a way its Solidity visibility forbids."""
 
 
-class UnknownContract(ChainError):
+class UnknownContract(ExecutionError):
     """No contract is deployed at the targeted address."""
 
 
@@ -45,3 +45,8 @@ class UnknownMethod(ExecutionError):
 
 class CallDepthExceeded(ExecutionError):
     """The EVM message-call depth limit (1024) was exceeded."""
+
+
+class MutableStorageValue(TypeError):
+    """A storage write of a value that can change in place (a programming
+    error: it leaves the EVM instead of failing the transaction's receipt)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.chain import abi, gas
-from repro.chain.address import Address, contract_address
+from repro.chain.address import ZERO_ADDRESS, Address, contract_address
 from repro.chain.contract import (
     Contract,
     DISPATCHABLE,
@@ -26,6 +26,7 @@ from repro.chain.errors import (
     CallDepthExceeded,
     ExecutionError,
     InsufficientFunds,
+    MutableStorageValue,
     OutOfGas,
     Revert,
     UnknownContract,
@@ -47,10 +48,6 @@ class MessageContext:
     data: bytes
     sig: bytes
 
-    @property
-    def data_size(self) -> int:
-        return len(self.data)
-
 
 @dataclass
 class BlockContext:
@@ -60,16 +57,28 @@ class BlockContext:
     timestamp: int
 
 
+@dataclass(frozen=True, slots=True)
+class TransactionContext:
+    """What every frame of one transaction shares (``tx`` and ``block``)."""
+
+    origin: Address
+    gas_price: int
+    block: BlockContext
+    meter: gas.GasMeter
+
+
+#: ``msg.sig`` of a frame that names no method (fallback, constructor)
+_NO_SELECTOR = b"\x00" * 4
+
+
 @dataclass(slots=True)
 class Env:
     """The full execution environment visible to a contract frame."""
 
     evm: "ExecutionEngine"
     msg: MessageContext
-    tx_origin: Address
-    gas_price: int
-    block: BlockContext
-    meter: gas.GasMeter
+    ctx: TransactionContext
+    meter: gas.GasMeter  # ``ctx.meter``, read on every charge
     this_address: Address
     depth: int = 0
 
@@ -285,11 +294,6 @@ class ExecutionEngine:
 
     # -- registry ---------------------------------------------------------------
 
-    def register_contract(self, address: Address, contract: Contract) -> None:
-        self.contracts[address] = contract
-        contract._bound_evm = self
-        self.state.set_is_contract(address)
-
     def contract_at(self, address: Address) -> Contract:
         contract = self.contracts.get(address)
         if contract is None:
@@ -298,6 +302,12 @@ class ExecutionEngine:
 
     def is_contract(self, address: Address) -> bool:
         return address in self.contracts
+
+    def truncate_registry(self, count: int) -> None:
+        """Forget every contract registered after the first ``count``."""
+        for address in list(self.contracts)[count:]:
+            del self.contracts[address]
+            self.contract_creators.pop(address, None)
 
     def emit_log(self, address: Address, name: str, fields: dict[str, Any]) -> None:
         self._pending_logs.append(LogEntry(address=address, name=name, fields=fields))
@@ -315,164 +325,93 @@ class ExecutionEngine:
 
         ``deploy_factory`` is provided by the chain for contract-creation
         transactions: it builds the (not yet registered) contract instance.
+        The top-level frame's checkpoint undoes a failed call; the nonce is
+        consumed after it, whatever the outcome.  A mutable storage value is
+        a programming error and leaves, with the frame undone and the nonce
+        untouched.
         """
-        meter = gas.GasMeter(gas_limit=tx.gas_limit)
-        self._pending_logs = []
-        self.tracer = tracer
-
         balance = self.state.balance_of(tx.sender)
         if balance < tx.value:
-            raise InsufficientFunds(
-                f"sender balance {balance} cannot cover value {tx.value}"
-            )
-
-        snapshot = self.state.snapshot()
-        self.state.increment_nonce(tx.sender)
-
-        receipt = Receipt(
-            tx_hash=tx.hash(),
-            success=True,
-            gas_used=0,
-            block_number=block.number,
-        )
-
+            raise InsufficientFunds(f"sender balance {balance} cannot cover value {tx.value}")
+        meter = gas.GasMeter(gas_limit=tx.gas_limit)
+        ctx = TransactionContext(tx.sender, tx.gas_price, block, meter)
+        self._pending_logs = []
+        self.tracer = tracer
+        receipt = Receipt(tx.hash(), success=True, gas_used=0, block_number=block.number)
         try:
             calldata = tx.calldata
             meter.charge(gas.TX_BASE)
             meter.charge(gas.calldata_cost(calldata))
-
             if tx.to is None:
-                contract, address = self._execute_deployment(
-                    tx, block, meter, deploy_factory, calldata
-                )
-                receipt.contract_address = address
-                receipt.return_value = contract
+                receipt.return_value = self._deploy(ctx, tx, deploy_factory, calldata)
+                receipt.contract_address = receipt.return_value.this
             else:
-                receipt.return_value = self._execute_top_level_call(
-                    tx, block, meter, calldata
+                receipt.return_value = self._run_frame(
+                    ctx, tx.sender, tx.to, tx.method, tx.args, tx.kwargs,
+                    tx.value, calldata, 0,
                 )
-        except Revert as exc:
-            self.state.revert_to(snapshot)
-            self.state.increment_nonce(tx.sender)  # nonce consumed despite revert
+        except (ExecutionError, ValueError, TypeError) as exc:
+            self._pending_logs = []
+            if isinstance(exc, MutableStorageValue):
+                raise
             receipt.success = False
-            receipt.error = f"revert: {exc}"
-            self._pending_logs = []
-        except OutOfGas as exc:
-            self.state.revert_to(snapshot)
-            self.state.increment_nonce(tx.sender)
-            meter.gas_used = meter.gas_limit
-            receipt.success = False
-            receipt.error = f"out of gas: {exc}"
-            self._pending_logs = []
-        except (ExecutionError, ValueError) as exc:
-            self.state.revert_to(snapshot)
-            self.state.increment_nonce(tx.sender)
-            receipt.success = False
-            receipt.error = f"{type(exc).__name__}: {exc}"
-            self._pending_logs = []
-        except TypeError:
-            # A programming error (e.g. a mutable storage value) is loud, not
-            # a failed receipt; undo the transaction's writes and nonce first.
-            self.state.revert_to(snapshot)
-            self._pending_logs = []
+            if isinstance(exc, Revert):
+                receipt.error = f"revert: {exc}"
+            elif isinstance(exc, OutOfGas):
+                receipt.error = f"out of gas: {exc}"
+                meter.gas_used = meter.gas_limit
+            else:
+                receipt.error = f"{type(exc).__name__}: {exc}"
+        finally:
             self.tracer = None
-            raise
-        else:
-            self.state.commit(snapshot)
+        self.state.increment_nonce(tx.sender)
 
         receipt.gas_used = meter.finalize()
         receipt.gas_breakdown = dict(meter.breakdown)
         receipt.logs = list(self._pending_logs)
-        self.tracer = None
         return receipt
 
-    def _execute_deployment(
+    def _deploy(
         self,
+        ctx: TransactionContext,
         tx: Transaction,
-        block: BlockContext,
-        meter: gas.GasMeter,
         deploy_factory: Callable[[], Contract] | None,
         calldata: bytes,
-    ) -> tuple[Contract, Address]:
+    ) -> Contract:
+        """Create a contract; a failed constructor leaves none behind."""
         if deploy_factory is None:
             raise ExecutionError("deployment transaction without a contract factory")
-        meter.charge(gas.TX_CREATE)
+        ctx.meter.charge(gas.TX_CREATE)
 
         contract = deploy_factory()
-        address = contract_address(tx.sender, self.state.nonce_of(tx.sender))
-        contract._bind(address)
-        self.register_contract(address, contract)
+        # Derived from the nonce the sender holds once this transaction
+        # has consumed it.
+        address = contract_address(tx.sender, self.state.nonce_of(tx.sender) + 1)
+        contract._address, contract._bound_evm = address, self
+        registered = len(self.contracts)
+        self.contracts[address] = contract
         self.contract_creators[address] = tx.sender
 
-        if tx.value:
-            self.state.sub_balance(tx.sender, tx.value)
-            self.state.add_balance(address, tx.value)
-
-        env = Env(
-            evm=self,
-            msg=MessageContext(sender=tx.sender, value=tx.value, data=calldata,
-                               sig=b"\x00" * 4),
-            tx_origin=tx.sender,
-            gas_price=tx.gas_price,
-            block=block,
-            meter=meter,
-            this_address=address,
-            depth=0,
-        )
-        contract._push_env(env)
-        try:
+        def construct(*args: Any, **kwargs: Any) -> None:
+            self.state.set_is_contract(address)
             constructor = getattr(contract, "constructor", None)
             if constructor is not None:
-                constructor(*tx.args, **tx.kwargs)
+                constructor(*args, **kwargs)
             # Charge code-deposit proportional to the "code size" proxy: the
             # number of dispatchable methods on the contract class.
             code_size = 256 + 64 * len(self._dispatchable_methods(contract))
             self.state.set_code_size(address, code_size)
-            meter.charge(code_size * gas.CODE_DEPOSIT_PER_BYTE)
-        finally:
-            contract._pop_env()
-        return contract, address
+            ctx.meter.charge(code_size * gas.CODE_DEPOSIT_PER_BYTE)
 
-    def _execute_top_level_call(
-        self, tx: Transaction, block: BlockContext, meter: gas.GasMeter, calldata: bytes
-    ) -> Any:
-        if tx.value:
-            self.state.sub_balance(tx.sender, tx.value)
-            self.state.add_balance(tx.to, tx.value)
-
-        if not tx.is_contract_call:
-            # Plain value transfer; trigger the fallback of contract targets.
-            if self.is_contract(tx.to):
-                return self._invoke(
-                    target=tx.to,
-                    method=None,
-                    args=(),
-                    kwargs={},
-                    sender=tx.sender,
-                    origin=tx.sender,
-                    value=tx.value,
-                    data=b"",
-                    gas_price=tx.gas_price,
-                    block=block,
-                    meter=meter,
-                    depth=0,
-                )
-            return None
-
-        return self._invoke(
-            target=tx.to,
-            method=tx.method,
-            args=tx.args,
-            kwargs=tx.kwargs,
-            sender=tx.sender,
-            origin=tx.sender,
-            value=tx.value,
-            data=calldata,
-            gas_price=tx.gas_price,
-            block=block,
-            meter=meter,
-            depth=0,
-        )
+        try:
+            self._run_frame(
+                ctx, tx.sender, address, None, tx.args, tx.kwargs, tx.value,
+                calldata, 0, handler=construct,
+            )
+        except BaseException:
+            self.truncate_registry(registered)
+            raise
+        return contract
 
     # -- message calls ---------------------------------------------------------------
 
@@ -487,26 +426,15 @@ class ExecutionEngine:
         value: int = 0,
     ) -> Any:
         """High-level external call from contract code (reverts propagate)."""
-        parent_env.meter.charge(gas.CALL_BASE)
+        meter = parent_env.meter
+        meter.charge(gas.CALL_BASE)
         if value:
-            parent_env.meter.charge(gas.CALL_VALUE_TRANSFER)
-            self.state.sub_balance(sender, value)
-            self.state.add_balance(target, value)
+            meter.charge(gas.CALL_VALUE_TRANSFER)
         calldata = abi.encode_call(method, args, kwargs)
-        parent_env.meter.charge(gas.calldata_cost(calldata) // 4)
-        return self._invoke(
-            target=target,
-            method=method,
-            args=args,
-            kwargs=kwargs,
-            sender=sender,
-            origin=parent_env.tx_origin,
-            value=value,
-            data=calldata,
-            gas_price=parent_env.gas_price,
-            block=parent_env.block,
-            meter=parent_env.meter,
-            depth=parent_env.depth + 1,
+        meter.charge(gas.calldata_cost(calldata) // 4)
+        return self._run_frame(
+            parent_env.ctx, sender, target, method, args, kwargs, value,
+            calldata, parent_env.depth + 1,
         )
 
     def low_level_call(
@@ -521,33 +449,18 @@ class ExecutionEngine:
         parent_env.meter.charge(gas.CALL_BASE)
         if value:
             parent_env.meter.charge(gas.CALL_VALUE_TRANSFER)
-        snapshot = self.state.snapshot()
+        if not self.is_contract(target):
+            method = None  # an account without code runs nothing
         try:
-            if value:
-                self.state.sub_balance(sender, value)
-                self.state.add_balance(target, value)
-            if self.is_contract(target):
-                self._invoke(
-                    target=target,
-                    method=method,
-                    args=(),
-                    kwargs={},
-                    sender=sender,
-                    origin=parent_env.tx_origin,
-                    value=value,
-                    data=b"",
-                    gas_price=parent_env.gas_price,
-                    block=parent_env.block,
-                    meter=parent_env.meter,
-                    depth=parent_env.depth + 1,
-                )
+            self._run_frame(
+                parent_env.ctx, sender, target, method, (), {}, value, b"",
+                parent_env.depth + 1,
+            )
         except (Revert, VisibilityError, UnknownMethod, ValueError):
-            self.state.revert_to(snapshot)
             return False
-        self.state.commit(snapshot)
         return True
 
-    # -- core dispatch ---------------------------------------------------------------
+    # -- the frame runner ------------------------------------------------------------
 
     def _dispatchable_methods(self, contract: Contract) -> list[str]:
         # Underscore-prefixed names are excluded from the code-size proxy
@@ -559,78 +472,86 @@ class ExecutionEngine:
             if visibility in DISPATCHABLE and not name.startswith("_")
         ]
 
-    def _invoke(
+    def _run_frame(
         self,
+        ctx: TransactionContext,
+        sender: Address,
         target: Address,
         method: str | None,
         args: tuple[Any, ...],
         kwargs: dict[str, Any],
-        sender: Address,
-        origin: Address,
         value: int,
         data: bytes,
-        gas_price: int,
-        block: BlockContext,
-        meter: gas.GasMeter,
         depth: int,
+        handler: Callable[..., Any] | None = None,
     ) -> Any:
+        """Run one call frame and return its result.
+
+        Every frame runs here: top-level calls, message calls, low-level
+        calls, constructors (as ``handler``) and static reads.  The frame's
+        value transfer and writes sit under one journal checkpoint, committed
+        on return and reverted on any exception.  A method-less call to an
+        account without code is a plain transfer and opens no checkpoint.
+        """
         if depth > gas.MAX_CALL_DEPTH:
             raise CallDepthExceeded(f"call depth {depth} exceeds limit")
 
-        contract = self.contract_at(target)
+        state = self.state
+        contract = self.contracts.get(target)
+        if contract is None:
+            if method is not None:
+                raise UnknownContract(f"no contract deployed at 0x{target.hex()}")
+            if value:
+                state.sub_balance(sender, value)
+                state.add_balance(target, value)
+            return None
 
-        if method is None:
-            handler = contract.fallback
-            sig = b"\x00" * 4
-        else:
-            info = _dispatch_table(type(contract)).get(method)
-            if info is None:
-                raise UnknownMethod(
-                    f"{type(contract).__name__} has no callable method '{method}'"
-                )
-            visibility, payable_flag = info
-            if visibility not in DISPATCHABLE:
-                raise VisibilityError(
-                    f"method '{method}' is {visibility} and cannot be called "
-                    "via a transaction or message call"
-                )
-            if value and not payable_flag:
-                raise Revert(f"method '{method}' is not payable")
-            handler = getattr(contract, method)
-            sig = abi.method_selector(method)
+        if handler is None:
+            if method is None:
+                handler = contract.fallback
+            else:
+                info = _dispatch_table(type(contract)).get(method)
+                if info is None:
+                    raise UnknownMethod(
+                        f"{type(contract).__name__} has no callable method '{method}'"
+                    )
+                visibility, payable_flag = info
+                if visibility not in DISPATCHABLE:
+                    raise VisibilityError(
+                        f"method '{method}' is {visibility} and cannot be called "
+                        "via a transaction or message call"
+                    )
+                if value and not payable_flag:
+                    raise Revert(f"method '{method}' is not payable")
+                handler = getattr(contract, method)
 
-        env = Env(
-            evm=self,
-            msg=MessageContext(sender=sender, value=value, data=data, sig=sig),
-            tx_origin=origin,
-            gas_price=gas_price,
-            block=block,
-            meter=meter,
-            this_address=target,
-            depth=depth,
-        )
-
+        sig = _NO_SELECTOR if method is None else abi.method_selector(method)
+        env = Env(self, MessageContext(sender, value, data, sig), ctx, ctx.meter, target, depth)
+        tracer = self.tracer
         record = None
-        if self.tracer is not None:
-            record = self.tracer.record_call(sender, target, method, args, value)
-            self.tracer.enter_frame()
+        if tracer is not None:
+            record = tracer.record_call(sender, target, method, args, value)
+            tracer.enter_frame()
 
-        snapshot = self.state.snapshot()
-        contract._push_env(env)
+        checkpoint = state.snapshot()
+        envs = contract._env_stack
+        envs.append(env)
         try:
+            if value:
+                state.sub_balance(sender, value)
+                state.add_balance(target, value)
             result = handler(*args, **kwargs)
-        except Revert:
-            self.state.revert_to(snapshot)
+        except BaseException:
+            state.revert_to(checkpoint)
             if record is not None:
                 record.reverted = True
             raise
-        else:
-            self.state.commit(snapshot)
-            return result
         finally:
-            contract._pop_env()
-            if self.tracer is not None:
-                self.tracer.exit_frame()
+            envs.pop()
+            if tracer is not None:
+                tracer.exit_frame()
+        state.commit(checkpoint)
+        return result
 
     # -- read-only convenience ----------------------------------------------------------
 
@@ -642,30 +563,20 @@ class ExecutionEngine:
         token verification so owners, tests and examples can inspect view
         methods of protected contracts without minting tokens.
         """
-        contract = self.contract_at(target)
-        handler = getattr(contract, method, None)
+        handler = getattr(self.contract_at(target), method, None)
         if handler is None:
             raise UnknownMethod(f"no method '{method}'")
-        meter = gas.GasMeter(gas_limit=10**12)
+        ctx = TransactionContext(
+            ZERO_ADDRESS, 0, BlockContext(number=0, timestamp=0), gas.GasMeter(gas_limit=10**12)
+        )
         previous_simulation_mode = self.smacs_simulation_mode
         self.smacs_simulation_mode = True
-        env = Env(
-            evm=self,
-            msg=MessageContext(sender=b"\x00" * 20, value=0,
-                               data=abi.encode_call(method, args, kwargs),
-                               sig=abi.method_selector(method)),
-            tx_origin=b"\x00" * 20,
-            gas_price=0,
-            block=BlockContext(number=0, timestamp=0),
-            meter=meter,
-            this_address=target,
-            depth=0,
-        )
-        snapshot = self.state.snapshot()
-        contract._push_env(env)
+        checkpoint = self.state.snapshot()
         try:
-            return handler(*args, **kwargs)
+            return self._run_frame(
+                ctx, ZERO_ADDRESS, target, method, args, kwargs, 0,
+                abi.encode_call(method, args, kwargs), 0, handler=handler,
+            )
         finally:
-            contract._pop_env()
             self.smacs_simulation_mode = previous_simulation_mode
-            self.state.revert_to(snapshot)
+            self.state.revert_to(checkpoint)

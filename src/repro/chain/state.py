@@ -48,6 +48,7 @@ from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 from repro.chain.address import Address
+from repro.chain.errors import MutableStorageValue
 
 #: Storage value types that cannot change once stored (tuples of them too).
 _IMMUTABLE = (int, float, bool, str, bytes, frozenset, type(None))
@@ -55,12 +56,13 @@ _IMMUTABLE_EXACT = frozenset(_IMMUTABLE)
 
 
 def _require_immutable(value: Any) -> None:
-    """Raise :class:`TypeError` unless ``value`` can never change in place."""
+    """Raise :class:`MutableStorageValue` (a :class:`TypeError`) unless
+    ``value`` can never change in place."""
     if isinstance(value, tuple):
         for item in value:
             _require_immutable(item)
     elif not isinstance(value, _IMMUTABLE):
-        raise TypeError(
+        raise MutableStorageValue(
             f"storage holds only immutable values, not {type(value).__name__}: "
             "store a tuple or frozenset instead"
         )

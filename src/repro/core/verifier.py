@@ -88,7 +88,7 @@ def verify_token(
             return False
 
         # Step 2: expiry.
-        if env.block.timestamp > token.expire:
+        if env.ctx.block.timestamp > token.expire:
             return False
 
         # Step 3: reconstruct the signed datagram from the transaction context
@@ -97,7 +97,7 @@ def verify_token(
             token.token_type,
             token.expire,
             token.index,
-            env.tx_origin,
+            env.ctx.origin,
             contract.this,
             method=_method_binding(contract, token),
             arguments=bound_arguments if token.token_type is TokenType.ARGUMENT else None,

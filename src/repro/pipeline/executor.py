@@ -134,9 +134,15 @@ class BlockExecutor:
         result.prewarm_hits, result.prewarm_misses = self.pre_warm(transactions)
         # Timed after pre-warm, so "execute" is the enqueue + EVM mine alone.
         with self.obs.stage("execute"):
+            queued = len(self.chain.pending)
             for tx in transactions:
                 self.chain.enqueue_validated(tx)
-            result.receipts = self.chain.mine_block()
+            try:
+                result.receipts = self.chain.mine_block()
+            except BaseException:
+                # The plan stays in the mempool; a retry enqueues it afresh.
+                del self.chain.pending[queued:]
+                raise
             result.executed = len(result.receipts)
             for receipt in result.receipts:
                 if receipt.success:

@@ -329,8 +329,8 @@ class Mempool:
         # Alg. 1's verdict on this signature is already known (primed at
         # issuance or by an earlier block), a refusal is definitive; unknown
         # signatures are deferred to the executor's pre-warm.
-        # (Arguments that do not bind give no datagram: the EVM reverts
-        # such a call anyway.)
+        # (Arguments that do not bind give no datagram: the EVM fails
+        # such a call's receipt anyway.)
         datagram = reconstruct_datagram(tx, contract, token)
         if datagram is not None:
             digest = self.signature_cache.digest_for(datagram)

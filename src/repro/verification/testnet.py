@@ -20,7 +20,7 @@ from repro.chain.abi import encode_call, method_selector
 from repro.chain.address import Address
 from repro.chain.chain import Blockchain
 from repro.chain.errors import ChainError, ExecutionError
-from repro.chain.evm import BlockContext, CallTracer
+from repro.chain.evm import BlockContext, CallTracer, TransactionContext
 from repro.chain.events import LogEntry
 
 
@@ -112,31 +112,18 @@ class LocalTestnet:
         evm.smacs_simulation_mode = True
         evm._pending_logs = []
         meter = gas.GasMeter(gas_limit=gas_limit)
-        block = BlockContext(
-            number=self.chain.height + 1, timestamp=self.chain.timestamp
-        )
+        block = BlockContext(number=self.chain.height + 1, timestamp=self.chain.timestamp)
+        ctx = TransactionContext(origin=sender, gas_price=1, block=block, meter=meter)
         target = getattr(contract, "this", contract)
         result = SimulationResult(success=True, trace=tracer)
         try:
             if value:
                 state.add_balance(sender, value)  # faucet the simulated value
-                state.sub_balance(sender, value)
-                state.add_balance(target, value)
+            calldata = encode_call(method, args, kwargs)
             meter.charge(gas.TX_BASE)
-            meter.charge(gas.calldata_cost(encode_call(method, args, kwargs)))
-            result.return_value = evm._invoke(
-                target=target,
-                method=method,
-                args=args,
-                kwargs=kwargs,
-                sender=sender,
-                origin=sender,
-                value=value,
-                data=encode_call(method, args, kwargs),
-                gas_price=1,
-                block=block,
-                meter=meter,
-                depth=0,
+            meter.charge(gas.calldata_cost(calldata))
+            result.return_value = evm._run_frame(
+                ctx, sender, target, method, args, kwargs, value, calldata, 0
             )
         except (ExecutionError, ValueError) as exc:
             result.success = False
