@@ -19,7 +19,8 @@ surface:
    epoch-guarded read-modify-write;
 6. the same gateway goes onto *real* sockets with ``serve``/``connect``:
    an asyncio TCP server with length-prefixed frames, and a pooled client
-   transport negotiating the compact binary codec lane per envelope.
+   transport negotiating the codec lane per envelope (the binary lane
+   carries the JSON text behind a magic and version byte).
 
 Run with:  python examples/gateway_quickstart.py
 """

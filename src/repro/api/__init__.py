@@ -15,7 +15,7 @@ wire-level gateway:
 * :mod:`repro.api.factory` -- ``build_service(profile=...)`` assembling the
   serial/replicated stacks from one place;
 * :mod:`repro.api.gateway` -- ``ServiceGateway`` with versioned wire
-  envelopes (:mod:`repro.api.codec`: JSON plus a compact binary lane with
+  envelopes (:mod:`repro.api.codec`: JSON plus a binary lane with
   per-envelope negotiation) and a protocol-speaking ``GatewayClient`` that
   depends only on the small ``Transport`` protocol; its ``Backoff`` is the
   one loop that re-sends a frame;

@@ -378,7 +378,7 @@ class GatewayClient:
     :class:`InProcessTransport`, a pooled multi-endpoint
     :class:`~repro.api.transport.TcpTransport`, or anything else that moves
     envelope bytes -- and on a codec lane (JSON by default, ``"binary"`` for
-    the compact TLV lane; the gateway answers in kind).
+    the same text behind a binary header; the gateway answers in kind).
 
     Every protocol operation round-trips through the transport as envelopes.
     ``update_rules`` is read-modify-write with epoch-based conflict

@@ -28,7 +28,7 @@ halves behind the :class:`~repro.api.protocol.Transport` protocol:
   client never hangs on a dead server.
 
 Framing is a 4-byte big-endian payload length followed by one codec
-envelope (:mod:`repro.api.codec`; JSON or the compact binary lane --
+envelope (:mod:`repro.api.codec`; JSON or the binary lane --
 negotiation is per-envelope, the server answers in the lane the request
 arrived in).  ``TCP_NODELAY`` is set on both sides: request/response
 envelopes are small and Nagle/delayed-ACK interaction would otherwise put

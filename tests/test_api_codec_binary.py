@@ -1,12 +1,17 @@
-"""Property tests for the compact binary codec lane and its negotiation.
+"""Property tests for the binary codec lane and its negotiation.
 
-The binary lane must be a drop-in for JSON: any envelope a gateway or client
-can produce round-trips byte-for-value through the TLV packer, the sniffing
-that drives per-envelope negotiation is unambiguous, and anything that is
-neither lane maps to ``MALFORMED_REQUEST`` (never an exception leak).
+The binary lane carries the JSON lane's text behind its magic and version
+byte, so it must be a drop-in for JSON: any envelope a gateway or client can
+produce round-trips value-for-value in both lanes, the sniffing that drives
+per-envelope negotiation is unambiguous, a frame of the retired
+tag-length-value lane is ``UNSUPPORTED``, and anything that is neither lane
+maps to ``MALFORMED_REQUEST`` (never an exception leak).
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.api import codec
 from repro.core.errors import ErrorCode, SmacsError
 
-# JSON-representable values: what envelope bodies are made of.  Binary also
-# carries arbitrary ints (beyond IEEE range) and utf-8 text.
+_BINARY_HEADER = codec.BINARY_MAGIC + bytes([codec.BINARY_VERSION])
+
+# JSON-representable values: what envelope bodies are made of.  Both lanes
+# carry ints beyond IEEE range and non-ASCII text.
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -84,6 +91,46 @@ def test_json_lane_refuses_a_lone_surrogate_the_binary_lane_could_not_carry():
             with pytest.raises(SmacsError) as failure:
                 decode(lone)
             assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+
+
+@pytest.mark.parametrize("lane", codec.CODECS)
+@pytest.mark.parametrize(
+    "value", [b"raw", "\ud800", 10**5000], ids=["bytes", "lone-surrogate", "huge-int"]
+)
+def test_a_value_json_cannot_carry_is_malformed_at_encode_time(lane, value):
+    for encode in (
+        lambda: codec.encode_request_envelope("submit", "r", {"v": value}, codec=lane),
+        lambda: codec.encode_response_envelope({"v": [value]}, codec=lane),
+    ):
+        with pytest.raises(SmacsError) as failure:
+            encode()
+        assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+
+
+def test_the_codec_has_one_envelope_format():
+    # Both lanes are the JSON text: no tag table, no struct packing, and one
+    # json.loads that every decode goes through.
+    tree = ast.parse(Path(codec.__file__).read_text(encoding="utf-8"))
+    defined = [
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    assert [name for name in defined if name.startswith("_TAG_")] == []
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "struct" not in imported and "json" in imported
+    loads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "loads"
+    ]
+    assert len(loads) == 1
 
 
 # --- round-trip properties ----------------------------------------------------------
@@ -166,8 +213,8 @@ def test_both_lanes_cap_nesting_at_the_same_depth(lane):
 @pytest.mark.parametrize(
     "raw",
     [
-        codec.BINARY_MAGIC + bytes([codec.WIRE_VERSION]) + b"\x07\x01" * 5000 + b"\x00",
-        codec.BINARY_MAGIC + bytes([codec.WIRE_VERSION]) + b"\x08\x01\x01k" * 5000 + b"\x00",
+        _BINARY_HEADER + b"[" * 5000 + b"0" + b"]" * 5000,
+        _BINARY_HEADER + b'{"k": ' * 5000 + b"0" + b"}" * 5000,
         b'{"smacs": 1, "op": "submit", "route": "r", "body": ' + b"[" * 100_000,
         b'{"smacs": 1, "ok": true, "body": ' + b'{"k": ' * 100_000,
     ],
@@ -214,7 +261,7 @@ def _issuance_envelopes() -> list[bytes]:
     ]
 
 
-_OPENERS = (b"\x07\x01", b"\x08\x01\x01k", b"[", b'{"k":')
+_OPENERS = (b"[", b'{"k":', b"[ ", b'{ "k" : ')
 
 envelopes = st.one_of(
     st.sampled_from(_issuance_envelopes()),
@@ -269,15 +316,6 @@ def _canonical(value):
     return value
 
 
-def _json_model(value) -> bool:
-    """Raw byte strings are the one thing only the binary lane carries."""
-    if isinstance(value, dict):
-        return all(_json_model(item) for item in value.values())
-    if isinstance(value, list):
-        return all(_json_model(item) for item in value)
-    return not isinstance(value, bytes)
-
-
 def _other(lane: str) -> str:
     return codec.CODEC_JSON if lane == codec.CODEC_BINARY else codec.CODEC_BINARY
 
@@ -287,6 +325,12 @@ def _other(lane: str) -> str:
 @example(raw=_issuance_envelopes()[3], steps=[("nest", 0.25, b"\x00", 3000)])  # binary, lists
 @example(  # the deletion leaves "\udc00" unpaired: a lone surrogate
     raw=codec.encode_response_envelope({"payload": ["\U00010000"]}), steps=[("delete", 0.37, b"\x00", 1)]
+)
+@example(  # an integer literal past the interpreter's 4,300-digit limit
+    raw=b'{"smacs": 1, "op": "submit", "route": "r", "ok": true, "body": {"n": '
+    + b"7" * 5000
+    + b"}}",
+    steps=[],
 )
 @settings(max_examples=300, deadline=None)
 def test_decoding_a_fuzzed_envelope_returns_or_raises_a_stable_code(raw, steps):
@@ -298,21 +342,19 @@ def test_decoding_a_fuzzed_envelope_returns_or_raises_a_stable_code(raw, steps):
         assert error.code in (ErrorCode.MALFORMED_REQUEST, ErrorCode.UNSUPPORTED)
     else:
         # Accepted: the other lane carries the same request to the same fields.
-        if _json_model([request.body, request.trace]):
-            again = codec.decode_request_full(
-                codec.encode_request_envelope(
-                    request.op, request.route, request.body, codec=_other(request.codec),
-                    trace=request.trace, deadline=request.deadline,
-                )
+        again = codec.decode_request_full(
+            codec.encode_request_envelope(
+                request.op, request.route, request.body, codec=_other(request.codec),
+                trace=request.trace, deadline=request.deadline,
             )
-            assert _canonical(list(again[:5])) == _canonical(list(request[:5]))
-            assert again.codec == _other(request.codec)
+        )
+        assert _canonical(list(again[:5])) == _canonical(list(request[:5]))
+        assert again.codec == _other(request.codec)
     try:
         body = codec.decode_response_envelope(raw)
     except SmacsError as error:
         assert isinstance(error.code, ErrorCode)  # a carried error keeps its own code
     else:
-        if _json_model(body):
-            lane = _other(codec.sniff_codec(raw))
-            again = codec.decode_response_envelope(codec.encode_response_envelope(body, codec=lane))
-            assert _canonical(again) == _canonical(body)
+        lane = _other(codec.sniff_codec(raw))
+        again = codec.decode_response_envelope(codec.encode_response_envelope(body, codec=lane))
+        assert _canonical(again) == _canonical(body)

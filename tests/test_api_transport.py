@@ -346,11 +346,22 @@ def test_garbage_payload_is_answered_not_fatal():
 #: one-element lists in the binary lane, 100,000 ``[`` in the JSON lane
 NESTED_FRAMES = {
     codec.CODEC_BINARY: codec.BINARY_MAGIC
-    + bytes([codec.WIRE_VERSION])
-    + b"\x07\x01" * 5000
-    + b"\x00",
+    + bytes([codec.BINARY_VERSION])
+    + b"[" * 5000
+    + b"0"
+    + b"]" * 5000,
     codec.CODEC_JSON: b'{"smacs": 1, "op": "submit", "route": "r", "body": ' + b"[" * 100_000,
 }
+
+#: a ``health`` request in the retired tag-length-value binary lane (version
+#: byte 1), as its encoder wrote it
+TLV_HEALTH_FRAME = b"\xc5SB\x01\x08\x03\x02op\x05\x06health\x05route\x05\x00\x04body\x08\x00"
+
+#: a JSON request whose integer literal is past the interpreter's 4,300-digit
+#: limit for converting text to ``int``
+HUGE_INT_FRAME = (
+    b'{"smacs": 1, "op": "submit", "route": "r", "body": {"n": ' + b"7" * 5000 + b"}}"
+)
 
 
 @pytest.mark.parametrize("lane", codec.CODECS)
@@ -383,6 +394,45 @@ def test_a_nested_envelope_is_answered_in_process_too(lane):
     assert failure.value.code is ErrorCode.MALFORMED_REQUEST
     answer = codec.decode_response_envelope(transport.send(_submit_envelope(lane=lane)))
     assert codec.decode_issuance_result(answer["results"][0]).issued
+
+
+def test_a_tag_length_value_frame_is_unsupported_in_process_and_over_tcp():
+    def assert_unsupported(answer: bytes) -> None:
+        assert codec.sniff_codec(answer) == codec.CODEC_BINARY
+        with pytest.raises(SmacsError) as failure:
+            codec.decode_response_envelope(answer)
+        assert failure.value.code is ErrorCode.UNSUPPORTED
+
+    gateway = _gateway()
+    assert_unsupported(InProcessTransport(gateway).send(TLV_HEALTH_FRAME))
+    with serve(gateway) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=2.0) as sock:
+            sock.settimeout(2.0)
+            sock.sendall(_framed(TLV_HEALTH_FRAME))
+            assert_unsupported(_read_frame(sock))
+        # The JSON lane's version, which describe reports, is unchanged.
+        client = connect(server.url, ROUTE)
+        try:
+            assert client.describe()["version"] == 1 == codec.WIRE_VERSION
+        finally:
+            client.close()
+
+
+def test_an_integer_past_the_digit_limit_is_malformed_and_the_connection_lives():
+    # Used to raise a bare ValueError out of the decoder: the protocol
+    # callback died and the socket closed unanswered.
+    with serve(_gateway()) as server:
+        with socket.create_connection(parse_endpoint(server.url), timeout=2.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(_framed(HUGE_INT_FRAME))
+            with pytest.raises(SmacsError) as failure:
+                codec.decode_response_envelope(_read_frame(sock))
+            assert failure.value.code is ErrorCode.MALFORMED_REQUEST
+            sock.sendall(_framed(_submit_envelope()))
+            answer = codec.decode_response_envelope(_read_frame(sock))
+            assert codec.decode_issuance_result(answer["results"][0]).issued
+        stats = server.stats()
+        assert (stats["malformed_frames"], stats["frames_served"]) == (1, 2)
 
 
 def test_oversized_request_is_rejected_client_side():
@@ -528,7 +578,7 @@ def _framing_fuzz(*, dispatched: bool) -> None:
                         # magic with nothing after it is a truncated envelope).
                         other_version = (
                             payload[:3] == codec.BINARY_MAGIC
-                            and payload[3:4] not in (b"", bytes([codec.WIRE_VERSION]))
+                            and payload[3:4] not in (b"", bytes([codec.BINARY_VERSION]))
                         )
                         assert refusal.value.code is (
                             ErrorCode.UNSUPPORTED if other_version else ErrorCode.MALFORMED_REQUEST
