@@ -2,9 +2,10 @@
 
 A transaction either transfers value to an account or calls a method of a
 deployed contract (or both).  It is signed with the sender's secp256k1 key
-over the keccak-256 hash of its serialised fields; the chain validates the
-signature and the per-sender nonce before execution, which is the built-in
-Ethereum replay protection the paper relies on in §VII-A(b).
+over the keccak-256 hash of its canonically encoded fields (the simulator's
+RLP: :mod:`repro.chain.canonical`); the chain validates the signature and
+the per-sender nonce before execution, which is the built-in Ethereum
+replay protection the paper relies on in §VII-A(b).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.chain import abi
-from repro.chain.address import Address, ZERO_ADDRESS, address_hex
+from repro.chain.address import Address, address_hex
+from repro.chain.canonical import CodecError, encode_value
 from repro.crypto.ecdsa import Signature, SignatureError
 from repro.crypto.keccak import (
     PACKED_CROSSOVER,
@@ -25,6 +27,26 @@ from repro.crypto.keys import recover_address
 
 DEFAULT_GAS_LIMIT = 8_000_000
 
+#: Numeric fields are signed as unsigned ints of 64 bits (a value 128): a
+#: negative value would move balance from the recipient to the sender.
+_FIELD_BOUNDS = {"n": 1 << 64, "v": 1 << 128, "g": 1 << 64, "p": 1 << 64}
+
+#: What computing a signing payload raises when there is none: an uncarried
+#: type, a lone surrogate, a ``to_bytes`` needing arguments, runaway nesting.
+UNENCODABLE = (ValueError, TypeError, RecursionError)
+
+
+def _canonical_arg(value: Any) -> Any:
+    """A call argument as the signature covers it: a token or bundle object
+    is its wire bytes and a list is a tuple, so the live object and what a
+    WAL round trip gives back sign and hash alike."""
+    to_bytes = getattr(value, "to_bytes", None)
+    if callable(to_bytes) and not isinstance(value, (int, float)):
+        return to_bytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical_arg(item) for item in value)
+    return value
+
 
 @dataclass(slots=True)
 class Transaction:
@@ -33,7 +55,9 @@ class Transaction:
     ``method``/``args``/``kwargs`` express a contract call at the Python
     level; ``calldata`` is the ABI-style encoding used for gas accounting and
     for ``msg.data``/``msg.sig`` semantics.  A plain value transfer leaves
-    ``method`` as ``None``.
+    ``method`` as ``None``.  The signature covers every other field, the
+    arguments typed (:meth:`signing_payload`): ``"abc"`` and ``b"abc"``, or
+    ``True`` and ``1``, share ABI calldata but are different calls.
     """
 
     sender: Address
@@ -65,18 +89,29 @@ class Transaction:
     def is_contract_call(self) -> bool:
         return self.method is not None
 
+    def unsigned_fields(self) -> dict[str, Any]:
+        """Every field the signature covers, as the canonical codec carries
+        it; a WAL record is this plus ``"x"``, the signature."""
+        return {
+            "s": self.sender,
+            "t": self.to,
+            "n": self.nonce,
+            "m": self.method,
+            "a": tuple(_canonical_arg(arg) for arg in self.args),
+            "k": {key: _canonical_arg(val) for key, val in self.kwargs.items()},
+            "v": self.value,
+            "g": self.gas_limit,
+            "p": self.gas_price,
+        }
+
     def signing_payload(self) -> bytes:
-        """Deterministic serialisation of the fields covered by the signature."""
-        to_bytes = self.to if self.to is not None else ZERO_ADDRESS
-        header = (
-            self.sender
-            + to_bytes
-            + self.nonce.to_bytes(8, "big")
-            + self.value.to_bytes(16, "big")
-            + self.gas_limit.to_bytes(8, "big")
-            + self.gas_price.to_bytes(8, "big")
-        )
-        return header + self.calldata
+        """The bytes the signature covers: :meth:`unsigned_fields`, bounds
+        checked and canonically encoded (else one of :data:`UNENCODABLE`)."""
+        fields = self.unsigned_fields()
+        for name, bound in _FIELD_BOUNDS.items():
+            if type(fields[name]) is not int or not 0 <= fields[name] < bound:
+                raise CodecError(f"transaction field {name!r} is not an int in [0, {bound})")
+        return encode_value(fields)
 
     def hash(self) -> bytes:
         """The transaction hash (over the signing payload plus signature).
@@ -144,16 +179,23 @@ def prime_digests(transactions: "Sequence[Transaction]") -> None:
     :func:`~repro.crypto.keccak.keccak256_many` call instead of N
     :meth:`Transaction.signing_digest` passes.  The values are the ones the
     per-transaction path memoizes; below the packed crossover nothing is
-    primed and that path (one shared-prefix pass each) runs as before.
+    primed and that path (one shared-prefix pass each) runs as before.  A
+    transaction with no payload is left unprimed, for that path to refuse.
     """
-    cold = [
+    candidates = [
         tx
         for tx in transactions
         if tx.signature is not None and tx._hash is None and tx._signing_digest is None
     ]
-    if len(cold) < PACKED_CROSSOVER:
+    if len(candidates) < PACKED_CROSSOVER:
         return
-    payloads = [tx.signing_payload() for tx in cold]
+    cold, payloads = [], []
+    for tx in candidates:
+        try:
+            payloads.append(tx.signing_payload())
+        except UNENCODABLE:
+            continue
+        cold.append(tx)
     signed = [payload + tx.signature.to_bytes() for payload, tx in zip(payloads, cold)]
     digests = keccak256_many(payloads + signed)
     for position, tx in enumerate(cold):

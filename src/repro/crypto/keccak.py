@@ -76,20 +76,21 @@ differ (ms per call, one pinned CPU)::
 -- a lone submission's session message beside its token's datagram (one
 width-2 permutation, no scalar one), the session message riding an
 envelope's datagrams (two of its eight sequential blocks cost nothing), and
-a 32-transaction admission (4 packed permutations, three of them at width 64,
-instead of 7 at width 32).
+a 32-transaction admission of 3- and 4-block messages (4 packed
+permutations, three at width 64, instead of 7 at width 32; 2 at width 64
+since a transaction signs its 2-block canonical encoding).
 
 What stays apart is a *shared state*, which is not a ragged length: a
 transaction's signing payload and the payload-plus-signature it is hashed
-as are a 3- and a 4-block message with a common prefix, and hashing them as
-two ragged lanes would absorb that prefix twice.
-:func:`keccak256_shared_prefix` absorbs the shared whole blocks once
-(scalar), then runs the *next* block of both messages -- the shorter one's
-last -- as the two slots of one width-2 packed permutation (~180 us against
-two scalar ones at ~176 each), and only the longer message's remaining
-blocks go on alone: 3 scalar + 1 packed permutations where two separate
-hashes cost 7 and the shared prefix alone left 5 (the pair 862 -> 695 us
-here).
+as share a prefix, and hashing them as two ragged lanes would absorb that
+prefix twice.  :func:`keccak256_shared_prefix` absorbs the shared whole
+blocks once (scalar), then runs the *next* block of both messages -- the
+shorter one's last -- as the two slots of one width-2 packed permutation
+(~180 us against two scalar ones at ~176 each), and only the longer
+message's remaining blocks go on alone.  A ledger-shaped transaction is a
+2- and a 2-block message: 1 scalar + 1 packed permutation where two
+separate hashes cost 4 (for the 3- and 4-block messages padded calldata
+made, 3 + 1 where apart cost 7: the pair 862 -> 695 us here).
 """
 
 from __future__ import annotations
@@ -496,9 +497,9 @@ def keccak256_shared_prefix(prefix: bytes, suffix: bytes) -> tuple[bytes, bytes]
     to one or more, and the first block of each is one slot of a single
     width-2 :func:`_keccak_f_packed`.  Slot 0 is then ``keccak256(prefix)``;
     slot 1 carries on alone through the longer message's remaining blocks.
-    A transaction's signing payload and its payload-plus-signature hash (a 3-
-    and a 4-block message) cost 3 scalar permutations and 1 packed one
-    instead of 7 scalar apart.  An empty
+    A transaction's signing payload and its payload-plus-signature hash (two
+    2-block messages for a ledger-shaped transaction) cost 1 scalar
+    permutation and 1 packed one instead of 4 scalar apart.  An empty
     ``suffix`` is one message, hashed once.  Both digests are byte-identical
     to two separate :func:`keccak256` calls.
     """

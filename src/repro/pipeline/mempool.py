@@ -45,7 +45,7 @@ from typing import Any, Iterable
 
 from repro.chain.address import Address
 from repro.chain.chain import Blockchain
-from repro.chain.transaction import Transaction, prime_digests
+from repro.chain.transaction import UNENCODABLE, Transaction, prime_digests
 from repro.core import bitmap
 from repro.core.call_chain import token_entries
 from repro.core.smacs_contract import SMACSContract
@@ -85,6 +85,7 @@ class RejectReason(str, enum.Enum):
     INDEX_BEHIND_WINDOW = "one-time index fell behind the bitmap window (token miss)"
     INDEX_CONSUMED = "one-time index already consumed on-chain"
     INVALID_SIGNATURE = "invalid signature"
+    MALFORMED_TRANSACTION = "malformed transaction"
 
     def __str__(self) -> str:
         return self.value
@@ -186,7 +187,10 @@ class Mempool:
         return self.admit_many((tx,))[0]
 
     def _admit(self, tx: Transaction) -> AdmissionDecision:
-        tx.signing_digest()  # one pass over the payload also memoizes the hash
+        try:
+            tx.signing_digest()  # one pass over the payload also memoizes the hash
+        except UNENCODABLE:
+            return self._reject(RejectReason.MALFORMED_TRANSACTION)
         tx_hash = tx.hash()
         if tx_hash in self._pool or tx_hash in self.chain.receipts:
             return self._reject(RejectReason.DUPLICATE_TRANSACTION)

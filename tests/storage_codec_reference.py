@@ -1,5 +1,6 @@
-"""The recursive TLV codec, kept as the differential oracle for
-:mod:`repro.storage.codec`.
+"""The recursive TLV codec, kept as the differential oracle for the value
+codec (:mod:`repro.chain.canonical`, which :mod:`repro.storage.codec` and
+transaction signing use).
 
 This is the value codec as it was before the encoder learned to dispatch
 once per value and the decoder became one loop over a stack of open

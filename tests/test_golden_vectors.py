@@ -16,11 +16,20 @@ items are the same)::
 so whatever batches, packs or memoizes the hashing today is compared against
 what the scalar per-message path produced then -- never against itself.
 
-One value is this tree's own: ``block_hash`` was redefined once, on purpose,
-when the header began to commit to a lane-hashed transactions root instead
-of the flat concatenation of transaction hashes (5ff7b338... before).  It is
-held by :func:`test_the_block_hashes_are_the_scalar_reference` instead, which
-recomputes root and hash with the scalar ``keccak256`` alone.
+Three values are redefinitions, each made once and on purpose, and each is
+held by a test that recomputes it from an independent reference instead:
+
+* ``block_hash`` moved when the header began to commit to a lane-hashed
+  transactions root instead of the flat concatenation of transaction hashes
+  (5ff7b338... before): :func:`test_the_block_hashes_are_the_scalar_reference`
+  recomputes root and hash with the scalar ``keccak256`` alone;
+* ``tx_signing_digests`` and ``tx_hashes`` (and with them ``block_hash``
+  again) moved when the signature began to cover the transaction's
+  canonical encoding instead of a fixed header plus padded ABI calldata:
+  :func:`test_the_transaction_digests_are_the_reference_encoding` rebuilds
+  each payload with the recursive reference codec and hashes it with the
+  scalar ``keccak256``.  Those three fields were written by this file
+  against the tree that made that change; every other field is unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import pytest
 from repro.chain import Blockchain
 from repro.chain.clock import SimulatedClock
 from repro.chain.transaction import Transaction
+from repro.crypto.keccak import keccak256
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core import OwnerWallet
 from repro.core.call_chain import TokenBundle
@@ -45,6 +55,7 @@ from repro.pipeline import ExecutionPipeline
 from repro.pipeline.load import DEFAULT_CALL_GAS_LIMIT
 from repro.storage.codec import state_root
 
+import storage_codec_reference as reference  # the recursive codec, as the oracle
 from test_chain_transaction_block import scalar_block_hash
 
 GOLDEN = Path(__file__).parent / "golden" / "argument_envelope_32.json"
@@ -172,6 +183,35 @@ def test_the_block_hashes_are_the_scalar_reference(packed_permutations):
     assert scalar_block_hash(chain.latest_block).hex() == vectors["block_hash"]
     assert packed_permutations[0] == 0  # the reference never touched the lanes
     assert vectors["block_hash"] == json.loads(GOLDEN.read_text())["block_hash"]
+
+
+def test_the_transaction_digests_are_the_reference_encoding(packed_permutations):
+    """Each golden transaction's payload is its fields as the recursive
+    reference codec writes them, and its digest and hash are the scalar
+    ``keccak256`` of that payload and of payload ‖ signature."""
+    vectors, chain = run(batched=True)
+    golden = json.loads(GOLDEN.read_text())
+    txs = chain.latest_block.transactions
+    assert len(txs) == ENVELOPE
+    packed_permutations[0] = 0
+    for i, tx in enumerate(txs):
+        payload = reference.encode_value(
+            {
+                "s": tx.sender,
+                "t": tx.to,
+                "n": tx.nonce,
+                "m": "submit",
+                "a": (),
+                "k": {"amount": i + 1, "token": bytes.fromhex(golden["tokens"][i])},
+                "v": 0,
+                "g": DEFAULT_CALL_GAS_LIMIT,
+                "p": 1,
+            }
+        )
+        assert tx.signing_payload() == payload
+        assert keccak256(payload).hex() == golden["tx_signing_digests"][i]
+        assert keccak256(payload + tx.signature.to_bytes()).hex() == golden["tx_hashes"][i]
+    assert packed_permutations[0] == 0  # the reference never touched the lanes
 
 
 if __name__ == "__main__":

@@ -269,6 +269,7 @@ def test_reject_reasons_are_stable(mempool, client, protected, service):
         "INDEX_BEHIND_WINDOW": "one-time index fell behind the bitmap window (token miss)",
         "INDEX_CONSUMED": "one-time index already consumed on-chain",
         "INVALID_SIGNATURE": "invalid signature",
+        "MALFORMED_TRANSACTION": "malformed transaction",
     }
     tx, _ = _token_tx(client, protected, service, nonce=7)
     decision = mempool.admit(tx)
@@ -305,33 +306,46 @@ def _ledger_shaped_tx(client, protected, service, nonce):
     return tx.sign_with(client.keypair)
 
 
-def test_one_admission_costs_at_most_five_keccak_permutations(
+def test_one_admission_costs_at_most_three_keccak_permutations(
     mempool, client, protected, service, keccak_permutations, packed_permutations
 ):
-    """The exact-count guard: hash + signing digest share the payload's full
-    blocks and then one packed permutation (3 scalar + 1 packed, not 4 + 3)
-    and a seen sender's address comes out of the key -> address memo (0, not
-    1).  Before any of it an admission paid 8.  Both counters start after
-    issuance: since the session message rides the token's datagram, each
-    lone ``submit`` that made these tokens is a packed permutation of its own,
-    and the admission's count must not see it."""
+    """The exact-count guard: the canonical payload and payload + signature
+    are two-block messages, so hash + signing digest share the payload's one
+    full block and then one packed permutation (1 scalar + 1 packed; 3 + 1
+    while the signature covered padded calldata, 4 + 3 before the shared
+    prefix) and a seen sender's address comes out of the key -> address memo
+    (0, not 1).  Both counters start after issuance: since the session
+    message rides the token's datagram, each lone ``submit`` that made these
+    tokens is a packed permutation of its own, and the admission's count
+    must not see it."""
     from repro.crypto.keys import _address_of
 
     first = _ledger_shaped_tx(client, protected, service, nonce=0)
     second = _ledger_shaped_tx(client, protected, service, nonce=1)
     payload = len(first.signing_payload())
-    # Ledger-shaped: two shared full blocks, a 3- and a 4-permutation message.
-    assert (payload // 136 + 1, (payload + 65) // 136 + 1) == (3, 4)
+    # Ledger-shaped: one shared full block, two 2-permutation messages.
+    assert (payload // 136 + 1, (payload + 65) // 136 + 1) == (2, 2)
 
     _address_of.cache_clear()
     calls, packed = keccak_permutations, packed_permutations
     calls[0] = packed[0] = 0
     assert mempool.admit(first).admitted
     # A sender never seen before: one address hash.
-    assert (calls[0], packed[0]) == (4, 1)
+    assert (calls[0], packed[0]) == (2, 1)
     calls[0] = packed[0] = 0
     assert mempool.admit(second).admitted
-    assert (calls[0], packed[0]) == (3, 1)
+    assert (calls[0], packed[0]) == (1, 1)
+
+
+def test_signing_a_transaction_costs_two_keccak_permutations(
+    client, protected, service, keccak_permutations, packed_permutations
+):
+    """``sign_with`` hashes the two-block payload once (three blocks while
+    the signature covered padded calldata)."""
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    keccak_permutations[0] = packed_permutations[0] = 0
+    tx.sign_with(client.keypair)
+    assert (keccak_permutations[0], packed_permutations[0]) == (2, 0)
 
 
 def _ledger_shaped_batch(batch_chain, protected, service, count, nonces=None):
@@ -349,16 +363,17 @@ def _ledger_shaped_batch(batch_chain, protected, service, count, nonces=None):
 def test_a_batch_admission_hashes_its_transactions_by_lanes(
     batch_chain, mempool, protected, service, keccak_permutations, packed_permutations
 ):
-    """32 transactions, 32 three-block and 32 four-block messages: four
-    packed permutations -- three at width 64, then the longer half alone at
-    width 32 -- and not one scalar one (senders' addresses are memoized).
-    It was seven while ``keccak256_many`` hashed one length group at a time;
-    the counters start after issuance, whose lone submissions pack too."""
+    """32 transactions, 64 two-block messages: two packed permutations at
+    width 64 and not one scalar one (senders' addresses are memoized).  It
+    was four while the signature covered padded calldata (32 three-block
+    and 32 four-block messages) and seven while ``keccak256_many`` hashed
+    one length group at a time; the counters start after issuance, whose
+    lone submissions pack too."""
     txs = _ledger_shaped_batch(batch_chain, protected, service, 32)
     keccak_permutations[0] = packed_permutations[0] = 0
     decisions = mempool.admit_many(txs)
     assert all(decision.admitted for decision in decisions)
-    assert (keccak_permutations[0], packed_permutations[0]) == (0, 4)
+    assert (keccak_permutations[0], packed_permutations[0]) == (0, 2)
     from repro.crypto.keccak import keccak256
 
     for tx in txs:
@@ -437,10 +452,10 @@ def test_hash_only_callers_do_not_pay_for_the_signing_digest(
     calls = keccak_permutations
     calls[0] = 0
     digest = tx.hash()
-    assert calls[0] == 4
-    assert tx.hash() == digest and calls[0] == 4  # memoized
+    assert calls[0] == 2
+    assert tx.hash() == digest and calls[0] == 2  # memoized
     assert tx.verify_signature()
-    assert calls[0] <= 4 + 3 + 1  # the digest alone, plus at most one address
+    assert calls[0] <= 2 + 2 + 1  # the digest alone, plus at most one address
 
 
 def test_digest_memo_is_two_digests_and_signing_never_fills_it(client, protected, service):
@@ -464,6 +479,85 @@ def test_field_mutated_after_signing_fails_admission(mempool, client, protected,
     tx.kwargs["amount"] = 8
     assert not tx.verify_signature()
     assert mempool.admit(tx).reason == "invalid signature"
+
+
+# --- a transaction with no signing payload is refused alone --------------------------
+
+#: kwarg values the canonical codec does not carry: the transaction has no
+#: signing payload, so no digest, no hash and no signature to check
+class _SizedToBytes:
+    def to_bytes(self, length):  # like int.to_bytes: not callable bare
+        return bytes(length)
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+UNENCODABLE_VALUES = [
+    pytest.param("\ud800", id="lone-surrogate"),
+    pytest.param({1, 2}, id="set"),
+    pytest.param(object(), id="object"),
+    pytest.param(_SizedToBytes(), id="to-bytes-needs-an-argument"),
+    pytest.param(_nested(5_000), id="nested-past-the-recursion-limit"),
+]
+
+
+@pytest.mark.parametrize("bad", UNENCODABLE_VALUES)
+def test_an_unencodable_transaction_is_refused_as_malformed(
+    mempool, client, protected, service, bad
+):
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    tx.kwargs["amount"] = bad
+    decision = mempool.admit(tx)
+    assert decision.reason == RejectReason.MALFORMED_TRANSACTION
+    assert mempool.stats()["rejected"] == {"malformed transaction": 1}
+    assert len(mempool) == 0 and mempool.admitted_count == 0
+
+
+@pytest.mark.parametrize("bad", UNENCODABLE_VALUES)
+def test_an_unencodable_transaction_does_not_poison_its_batch(
+    batch_chain, protected, service, cache, bad
+):
+    """``prime_digests`` leaves it unprimed and admission refuses it alone:
+    the rest of the batch is admitted as if it were absent, through
+    ``ingest`` too."""
+    from repro.pipeline import ExecutionPipeline
+
+    txs = _ledger_shaped_batch(batch_chain, protected, service, 3)
+    txs[1].kwargs["amount"] = bad
+    pipeline = ExecutionPipeline(batch_chain, signature_cache=cache)
+    decisions = pipeline.ingest(txs)
+    assert [decision.reason for decision in decisions] == [
+        "admitted", RejectReason.MALFORMED_TRANSACTION, "admitted"
+    ]
+    assert [tx.hash() for tx in pipeline.mempool.transactions()] == [
+        txs[0].hash(), txs[2].hash()
+    ]
+    assert pipeline.run_block().succeeded == 2
+
+
+@pytest.mark.parametrize("odd", [1.5, {"a": 1}], ids=["float", "dict"])
+def test_a_value_only_the_abi_refuses_is_admitted_and_fails_its_receipt(
+    batch_chain, protected, client, service, cache, odd
+):
+    """The codec carries a float or a dict, so the transaction signs, hashes
+    and is admitted; its calldata cannot be built, so the EVM fails the
+    receipt and consumes the nonce."""
+    from repro.pipeline import ExecutionPipeline
+
+    tx = _ledger_shaped_tx(client, protected, service, nonce=0)
+    tx.kwargs["amount"] = odd
+    tx.sign_with(client.keypair)
+    pipeline = ExecutionPipeline(batch_chain, signature_cache=cache)
+    assert pipeline.ingest(tx)[0].admitted
+    assert pipeline.run_block().executed == 1
+    receipt = batch_chain.receipts[tx.hash()]
+    assert not receipt.success and receipt.error.startswith("TypeError: cannot ABI-encode")
+    assert batch_chain.state.nonce_of(client.address) == 1
 
 
 def _forged(tx):
