@@ -52,9 +52,8 @@ HISTORY_SLOTS = 4096
 
 def _node():
     """One deterministic node: same seeds -> same accounts, tokens, blocks."""
-    chain = Blockchain(auto_mine=False)
+    chain = Blockchain()
     pipeline = ExecutionPipeline(chain, signature_cache=SignatureCache())
-    chain.auto_mine = True
     owner = chain.create_account("owner", seed="durb-owner")
     clients = [
         chain.create_account(f"c{i}", seed=f"durb-client-{i}") for i in range(CLIENTS)
@@ -73,7 +72,6 @@ def _node():
     for entry in range(1, HISTORY_SLOTS + 1):
         chain.state.storage_set(recorder.this, ("record", entry), (owner.address, entry, ""))
     chain.state.storage_set(recorder.this, "entries", HISTORY_SLOTS)
-    chain.auto_mine = False
     # History belongs to blocks already mined: close the one it was written
     # in, so it is part of the base image and of no timed block's delta.
     chain.mine_block()

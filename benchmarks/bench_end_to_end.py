@@ -81,7 +81,7 @@ def _setup(shared_cache: "SignatureCache | None"):
     identical seeds, so contract and account addresses match and one
     transaction set executes on either.
     """
-    chain = Blockchain(auto_mine=True)
+    chain = Blockchain()
     if shared_cache is not None:
         chain.evm.signature_cache = shared_cache
     else:
@@ -157,7 +157,6 @@ def test_end_to_end_trace_throughput(benchmark):
         pipe_txs, crashed = _issue_trace_load(
             pipe_service, pipe_endpoint, pipe_recorder, pipe_clients, window
         )
-        pipe_chain.auto_mine = False
         pipeline = ExecutionPipeline(pipe_chain, signature_cache=cache)
 
         t0 = time.perf_counter()
@@ -171,7 +170,6 @@ def test_end_to_end_trace_throughput(benchmark):
         bp_txs, _ = _issue_trace_load(
             bp_service, bp_endpoint, bp_recorder, bp_clients, window
         )
-        bp_chain.auto_mine = False
         bp_pipeline = ExecutionPipeline(bp_chain, signature_cache=cache2)
         bp_pipeline.ingest(bp_txs)
         t0 = time.perf_counter()
@@ -270,7 +268,6 @@ def _observability_lane(window, workdir, obs):
 
     cache = SignatureCache(maxsize=1 << 17)
     chain, clients, service, endpoint, recorder = _setup(cache)
-    chain.auto_mine = False
     pipeline = ExecutionPipeline(chain, signature_cache=cache)
     store = DurableStore(str(workdir), "sqlite")
     store.attach(pipeline)
@@ -375,7 +372,6 @@ def test_end_to_end_scenario_mixes(benchmark):
         ).return_value
         for _ in range(2)
     ]
-    chain.auto_mine = False
     pipeline = ExecutionPipeline(chain, signature_cache=cache)
     contracts = [recorder, *extra]
     pools = [clients[i::len(contracts)] for i in range(len(contracts))]

@@ -59,7 +59,6 @@ def main() -> None:
             ).return_value
 
             # --- 2. an instrumented pipeline + durable store ------------------
-            chain.auto_mine = False
             pipeline = ExecutionPipeline(chain, signature_cache=cache)
             store = DurableStore(workdir, "sqlite")
             store.attach(pipeline)

@@ -2,9 +2,9 @@
 
 The default mode is *auto-mining* (like a development testnet / ganache):
 every submitted transaction is executed immediately into its own block.
-Batch mode (``auto_mine=False``) queues transactions in a pending pool until
-:meth:`Blockchain.mine_block` is called, which is what the workload-driven
-benchmarks use.
+Batch mode (``auto_mine=False``) is a dev-testnet mode too: transactions queue
+in ``pending`` until :meth:`Blockchain.mine_block`.  The execution pipeline
+needs neither mode; it hands each block plan to ``mine_block`` directly.
 
 The chain keeps a fork point per block so that it can simulate history
 rewrites (forks / 51% attacks, §VII-A(c) of the paper) via
@@ -16,7 +16,7 @@ holding the old value of everything written since the previous block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.chain.account import ExternallyOwnedAccount
 from repro.chain.address import Address
@@ -164,25 +164,12 @@ class Blockchain:
         self.pending.append(tx)
         return None
 
-    def enqueue_validated(self, tx: Transaction) -> None:
-        """Queue an already-validated transaction for the next block.
+    def mine_block(self, transactions: "Iterable[Transaction]" = ()) -> list[Receipt]:
+        """Mine ``pending``, then ``transactions``, into one block, all or nothing.
 
-        This is the mempool -> block-builder handoff of the execution
-        pipeline: admission checks ran when the transaction entered the
-        mempool (:mod:`repro.pipeline.mempool`), so re-running them at block
-        inclusion would double-pay the signature recovery.  Only ever pass
-        transactions the mempool admitted; requires batch mode
-        (``auto_mine=False``).
-        """
-        if self.auto_mine:
-            raise InvalidTransaction(
-                "enqueue_validated requires batch mode (auto_mine=False)"
-            )
-        self.pending.append(tx)
-
-    def mine_block(self) -> list[Receipt]:
-        """Mine all pending transactions into a single block."""
-        receipts = self._mine([(tx, None) for tx in self.pending])
+        ``transactions`` are not re-validated: the pipeline passes plans its
+        mempool admitted, so their signatures are not paid for twice."""
+        receipts = self._mine([(tx, None) for tx in (*self.pending, *transactions)])
         self.pending = []
         return receipts
 

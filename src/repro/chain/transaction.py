@@ -36,6 +36,18 @@ _FIELD_BOUNDS = {"n": 1 << 64, "v": 1 << 128, "g": 1 << 64, "p": 1 << 64}
 UNENCODABLE = (ValueError, TypeError, RecursionError)
 
 
+def check_unsigned_fields(fields: "dict[str, Any]") -> "dict[str, Any]":
+    """``fields`` itself if every number is an int within :data:`_FIELD_BOUNDS`
+    and every keyword named by a ``str``, else ``CodecError``: signing and WAL
+    decoding both check here, so whatever signs also reads back."""
+    for name, bound in _FIELD_BOUNDS.items():
+        if type(fields[name]) is not int or not 0 <= fields[name] < bound:
+            raise CodecError(f"transaction field {name!r} is not an int in [0, {bound})")
+    if any(type(key) is not str for key in fields["k"]):
+        raise CodecError("transaction keyword arguments must be named by str")
+    return fields
+
+
 def _canonical_arg(value: Any) -> Any:
     """A call argument as the signature covers it: a token or bundle object
     is its wire bytes and a list is a tuple, so the live object and what a
@@ -105,13 +117,9 @@ class Transaction:
         }
 
     def signing_payload(self) -> bytes:
-        """The bytes the signature covers: :meth:`unsigned_fields`, bounds
-        checked and canonically encoded (else one of :data:`UNENCODABLE`)."""
-        fields = self.unsigned_fields()
-        for name, bound in _FIELD_BOUNDS.items():
-            if type(fields[name]) is not int or not 0 <= fields[name] < bound:
-                raise CodecError(f"transaction field {name!r} is not an int in [0, {bound})")
-        return encode_value(fields)
+        """The bytes the signature covers: :meth:`unsigned_fields`, checked and
+        canonically encoded (else one of :data:`UNENCODABLE`)."""
+        return encode_value(check_unsigned_fields(self.unsigned_fields()))
 
     def hash(self) -> bytes:
         """The transaction hash (over the signing payload plus signature).
@@ -156,12 +164,13 @@ class Transaction:
         return self
 
     def verify_signature(self) -> bool:
-        """Check that the signature recovers the declared sender address."""
+        """Check that the signature recovers the declared sender address;
+        ``False`` too for a transaction with no signing payload."""
         if self.signature is None:
             return False
         try:
             return recover_address(self.signing_digest(), self.signature) == self.sender
-        except SignatureError:
+        except (SignatureError, *UNENCODABLE):
             return False
 
     def describe(self) -> str:

@@ -56,13 +56,9 @@ class BlockResult:
 
 
 class BlockExecutor:
-    """Executes block plans against a batch-mode :class:`Blockchain`."""
+    """Executes block plans against a :class:`Blockchain`."""
 
     def __init__(self, chain: Blockchain, signature_cache: "SignatureCache | None" = None):
-        if chain.auto_mine:
-            raise ValueError(
-                "the pipeline executor needs a batch-mode chain (auto_mine=False)"
-            )
         self.chain = chain
         self.signature_cache = (
             signature_cache if signature_cache is not None else chain.evm.signature_cache
@@ -132,17 +128,10 @@ class BlockExecutor:
         if not transactions:
             return result
         result.prewarm_hits, result.prewarm_misses = self.pre_warm(transactions)
-        # Timed after pre-warm, so "execute" is the enqueue + EVM mine alone.
+        # Timed after pre-warm, so "execute" is the EVM mine alone.  A raise
+        # leaves the chain as it was and the plan in the mempool.
         with self.obs.stage("execute"):
-            queued = len(self.chain.pending)
-            for tx in transactions:
-                self.chain.enqueue_validated(tx)
-            try:
-                result.receipts = self.chain.mine_block()
-            except BaseException:
-                # The plan stays in the mempool; a retry enqueues it afresh.
-                del self.chain.pending[queued:]
-                raise
+            result.receipts = self.chain.mine_block(transactions)
             result.executed = len(result.receipts)
             for receipt in result.receipts:
                 if receipt.success:

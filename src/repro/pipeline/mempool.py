@@ -31,9 +31,9 @@ full ``ecrecover`` (~1.2 ms) compared with the claimed address; the second
 builds the now-known key's table and checks against it (~1.4 ms, once); every
 later one is a fixed-base check of "recovers to this key" (~0.63 ms), the same
 decision on every input.  Admission is the only place transaction signatures
-are verified; the block executor hands admitted transactions to the chain
-through :meth:`repro.chain.chain.Blockchain.enqueue_validated`, so the check
-is paid at most once per transaction.
+are verified; the block executor hands each plan of admitted transactions to
+:meth:`repro.chain.chain.Blockchain.mine_block`, which mines them without
+re-validating, so the check is paid at most once per transaction.
 """
 
 from __future__ import annotations
@@ -142,13 +142,6 @@ class Mempool:
         #: transaction whose sender had no nonce/spend recorded.  Always 0 for
         #: a healthy pool; never silently clamped away.
         self.accounting_underflows = 0
-        # Per-sender view over ``chain.pending`` (txs enqueued for the next
-        # block but not yet mined), deduplicated against this pool by hash.
-        # Rebuilt only when the chain's pending list changes identity or
-        # length, so admission is O(1) instead of O(len(pending)) per call.
-        self._inclusion_ref: "list[Transaction] | None" = None
-        self._inclusion_len = -1
-        self._inclusion_counts: dict[Address, int] = {}
         #: called with each successfully admitted transaction -- the seam
         #: the durability layer uses to write mempool WAL records.
         self.admission_listener: "Any | None" = None
@@ -259,7 +252,10 @@ class Mempool:
         """Gas limit / nonce / balance -- the cheap half of the checks
         :meth:`~repro.chain.chain.Blockchain.send_transaction` runs (the
         signature is verified last, by :meth:`_admit`), aware of nonces *and
-        value* already held in this pool.
+        value* already held in this pool.  The chain's
+        :meth:`~repro.chain.chain.Blockchain.next_nonce` counts what a batch
+        chain queued in ``pending``; no pooled transaction is ever there, so
+        none is counted twice.
 
         The cumulative-spend check matters because admitted transactions skip
         re-validation at block inclusion: two transfers that are each covered
@@ -267,41 +263,13 @@ class Mempool:
         the EVM, where the second blows up mid-block."""
         if tx.gas_limit > self.max_gas_limit:
             return self._reject(RejectReason.GAS_LIMIT)
-        state = self.chain.state
-        expected = (
-            state.nonce_of(tx.sender)
-            + self._pending_nonces.get(tx.sender, 0)
-            + self._enqueued_count(tx.sender)
-        )
+        expected = self.chain.next_nonce(tx.sender) + self._pending_nonces.get(tx.sender, 0)
         if tx.nonce != expected:
             return self._reject(RejectReason.BAD_NONCE)
         committed = self._pending_spend.get(tx.sender, 0)
-        if state.balance_of(tx.sender) < committed + tx.value:
+        if self.chain.state.balance_of(tx.sender) < committed + tx.value:
             return self._reject(RejectReason.INSUFFICIENT_FUNDS)
         return None
-
-    def _enqueued_count(self, sender: Address) -> int:
-        """Nonces ``sender`` holds in ``chain.pending`` but *not* in this pool.
-
-        Between :meth:`repro.chain.chain.Blockchain.enqueue_validated` (the
-        transaction joins the chain's next-block queue) and :meth:`remove`
-        (block inclusion reported back), a transaction sits in *both* places;
-        counting it twice made the sender's next-nonce admission fail as
-        "bad nonce".  The per-sender counts are cached and rebuilt only when
-        the chain's pending list changes, so admission no longer walks
-        ``chain.pending`` per transaction.
-        """
-        pending = self.chain.pending
-        if pending is not self._inclusion_ref or len(pending) != self._inclusion_len:
-            counts: dict[Address, int] = {}
-            for queued in pending:
-                if queued.hash() in self._pool:
-                    continue  # already accounted for in _pending_nonces
-                counts[queued.sender] = counts.get(queued.sender, 0) + 1
-            self._inclusion_ref = pending
-            self._inclusion_len = len(pending)
-            self._inclusion_counts = counts
-        return self._inclusion_counts.get(sender, 0)
 
     def _check_smacs(
         self, tx: Transaction
@@ -368,12 +336,10 @@ class Mempool:
         :meth:`stats`) instead of being silently absorbed by a fallback
         default.
         """
-        removed = False
         for tx in txs:
             entry = self._pool.pop(tx.hash(), None)
             if entry is None:
                 continue
-            removed = True
             sender = tx.sender
             remaining = self._pending_nonces.get(sender, 0) - 1
             if remaining > 0:
@@ -392,10 +358,6 @@ class Mempool:
                         self.accounting_underflows += 1
             for reservation in entry.one_time_reservations:
                 self._reserved_indexes.discard(reservation)
-        if removed:
-            # Pool membership changed, so the in-pool/enqueued deduplication
-            # baked into the cached counts may be stale -- recount lazily.
-            self._inclusion_ref = None
 
 
 __all__ = [

@@ -1,6 +1,6 @@
 """The end-to-end execution pipeline: mempool -> block builder -> executor.
 
-:class:`ExecutionPipeline` wires the three stages around one batch-mode
+:class:`ExecutionPipeline` wires the three stages around one
 :class:`~repro.chain.chain.Blockchain` and one shared
 :class:`~repro.crypto.sigcache.SignatureCache`:
 
@@ -41,9 +41,7 @@ class ExecutionPipeline:
         block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT,
     ):
         if chain is None:
-            chain = Blockchain(auto_mine=False)
-        if chain.auto_mine:
-            raise ValueError("the pipeline needs a batch-mode chain (auto_mine=False)")
+            chain = Blockchain()
         self.chain = chain
         if signature_cache is not None:
             chain.evm.signature_cache = signature_cache

@@ -50,7 +50,7 @@ from repro.chain.canonical import (
     encode_value,
 )
 from repro.chain.state import AccountState
-from repro.chain.transaction import Signature, Transaction
+from repro.chain.transaction import Signature, Transaction, check_unsigned_fields
 
 # -- transactions --------------------------------------------------------------------
 
@@ -101,10 +101,7 @@ def _check_fields(fields: Any, schema: "tuple[tuple[str, ...], frozenset]", what
 
 
 def decode_transaction(raw: bytes) -> Transaction:
-    fields = _check_fields(decode_value(raw), _TRANSACTION, "transaction")
-    for key in fields["k"]:
-        if type(key) is not str:
-            raise CodecError("transaction record: keyword arguments must be named by str")
+    fields = check_unsigned_fields(_check_fields(decode_value(raw), _TRANSACTION, "transaction"))
     try:
         signature = Signature.from_bytes(fields["x"]) if fields["x"] else None
     except ValueError as exc:  # SignatureError: wrong length, r / s / v out of range

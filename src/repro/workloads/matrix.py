@@ -185,7 +185,7 @@ class CellEnv:
 
 
 def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
-    chain = Blockchain(auto_mine=False)
+    chain = Blockchain()
     # A private signature cache isolates cells from each other AND from the
     # process-global DEFAULT_SIGNATURE_CACHE: a recovery cached by an earlier
     # cell (or an earlier matrix run in the same process -- cells are
@@ -251,7 +251,6 @@ def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
 
     # Deploy one SMACS-protected contract per tenant (trusted TS address is
     # baked into storage at deployment) and fund disjoint client pools.
-    chain.auto_mine = True
     owner = chain.create_account("owner", seed=f"matrix-owner-{spec.name}")
     contracts = []
     for tenant in range(spec.tenants):
@@ -261,7 +260,6 @@ def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
         if not receipt.success:  # pragma: no cover - deployment is infallible here
             raise RuntimeError(f"tenant {tenant} deployment failed: {receipt.error}")
         contracts.append(receipt.return_value)
-    chain.auto_mine = False
 
     tenant_accounts = [
         [

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import Blockchain
-from repro.chain.canonical import decode_value
+from repro.chain.canonical import CodecError, decode_value
+from repro.chain.errors import InvalidTransaction
 from repro.chain.transaction import Transaction
 from repro.core import TokenType
 from repro.core.call_chain import TokenBundle
@@ -153,7 +154,9 @@ def test_a_numeric_field_outside_its_bound_has_no_signing_payload(field, key, va
     setattr(tx, field, value)
     with pytest.raises(ValueError, match=f"'{key}'"):
         tx.signing_payload()
-    encode_transaction(tx)  # the WAL carries what it carried
+    raw = encode_transaction(tx)  # the WAL carries what it carried ...
+    with pytest.raises(CodecError):
+        decode_transaction(raw)  # ... and refuses to read it back
 
 
 # --- the WAL round trip keeps a transaction's identity -----------------------------
@@ -189,10 +192,20 @@ values = st.recursive(
 )
 
 
-@settings(max_examples=60, deadline=None)
+#: keyword names: mostly ``str``, sometimes what no transaction may be keyed by
+names = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.integers(min_value=-3, max_value=3),
+    st.binary(min_size=1, max_size=3),
+)
+#: refuses only at the signing payload; the signature and funds never matter
+_malformed_screen = Mempool(Blockchain())
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     args=st.lists(values, max_size=3),
-    kwargs=st.dictionaries(st.text(min_size=1, max_size=6), values, max_size=3),
+    kwargs=st.dictionaries(names, values, max_size=3),
     nonce=st.integers(min_value=0, max_value=2**64 - 1),
     value=st.integers(min_value=0, max_value=2**128 - 1),
     to=st.one_of(st.none(), st.just(CONTRACT)),
@@ -207,6 +220,14 @@ def test_the_wal_round_trip_keeps_a_transactions_identity(
         value=value, signature=SIGNATURE if signed else None,
     )
     raw = encode_transaction(tx)
+    if any(type(key) is not str for key in kwargs):
+        # Nothing signs what the WAL could not read back.
+        with pytest.raises(CodecError, match="named by str"):
+            tx.signing_payload()
+        assert _malformed_screen.admit(tx).reason is RejectReason.MALFORMED_TRANSACTION
+        with pytest.raises(CodecError, match="named by str"):
+            decode_transaction(raw)
+        return
     back = decode_transaction(raw)
     assert back.signing_payload() == tx.signing_payload()
     assert back.signing_digest() == tx.signing_digest() == keccak256(tx.signing_payload())
@@ -225,3 +246,27 @@ def test_a_token_object_signs_as_its_bytes():
         as_object = Transaction(SENDER, CONTRACT, 0, "submit", kwargs={"token": live})
         as_bytes = Transaction(SENDER, CONTRACT, 0, "submit", kwargs={"token": raw})
         assert as_object.signing_payload() == as_bytes.signing_payload()
+
+
+# --- a transaction with no signing payload --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [pytest.param(({1, 2},), {}, id="set-argument"),
+     pytest.param((), {1: 2}, id="int-keyword"),
+     pytest.param(("\ud800",), {}, id="lone-surrogate")],
+)
+def test_a_transaction_with_no_signing_payload_has_no_valid_signature(funded, args, kwargs):
+    """Neither ``verify_signature`` nor the chain's own intake leaks the
+    codec's error: the answer is ``False`` and ``InvalidTransaction``."""
+    chain, client = funded
+    tx = Transaction(
+        sender=client.address, to=CONTRACT, nonce=0, method="submit", args=args, kwargs=kwargs,
+        signature=SIGNATURE,
+    )
+    assert tx.verify_signature() is False
+    with pytest.raises(InvalidTransaction, match="signature"):
+        chain.send_transaction(tx)
+    assert chain.pending == []
+    assert Mempool(chain).admit(tx).reason is RejectReason.MALFORMED_TRANSACTION

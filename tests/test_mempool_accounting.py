@@ -1,15 +1,12 @@
 """Regression tests for the mempool's per-sender accounting.
 
-Two bug families fixed in this PR:
-
-* ``Mempool.remove`` left zeroed ``_pending_nonces`` / ``_pending_spend``
-  entries behind forever (one dict key per sender that ever passed through
-  -- unbounded growth under sender churn) and masked accounting underflows
-  behind ``.get(sender, <fallback>)`` defaults;
-* between ``Blockchain.enqueue_validated`` and ``Mempool.remove`` a
-  transaction was counted in *both* the pool's nonce reservations and the
-  ``chain.pending`` scan, so the sender's next-nonce admission was spuriously
-  rejected as "bad nonce".
+* ``Mempool.remove`` must not leave zeroed ``_pending_nonces`` /
+  ``_pending_spend`` entries behind (one dict key per sender that ever passed
+  through -- unbounded growth under sender churn), nor mask accounting
+  underflows behind ``.get(sender, <fallback>)`` defaults;
+* a transaction a batch chain queued in ``chain.pending`` holds its nonce
+  against the mempool through ``Blockchain.next_nonce``; no pooled
+  transaction is ever in ``chain.pending``, so none is counted twice.
 """
 
 import pytest
@@ -135,60 +132,17 @@ def test_remove_of_unknown_tx_is_a_noop(chain, mempool):
 # --- admission/inclusion handoff double-count ---------------------------------------
 
 
-def test_enqueued_tx_is_not_double_counted(chain, mempool):
-    """A tx in both the pool and ``chain.pending`` must count once.
-
-    This is the executor handoff window: ``enqueue_validated`` ran but
-    ``mempool.remove`` has not yet.  The old ``chain.pending`` scan counted
-    the tx on top of its pool reservation, so the sender's next transaction
-    was rejected as "bad nonce"."""
-    sink = chain.create_account("sink", seed="dc-sink")
-    sender = chain.create_account("sender", seed="dc-sender")
-    tx0 = _transfer(sender, sink, nonce=0, value=1)
-    assert mempool.admit(tx0).admitted
-    chain.enqueue_validated(tx0)  # the handoff window opens
-    tx1 = _transfer(sender, sink, nonce=1, value=1)
-    decision = mempool.admit(tx1)
-    assert decision.admitted, decision.reason
-    # Close the window the way the executor does and check the books settle.
-    chain.mine_block()
-    mempool.remove([tx0])
-    tx2 = _transfer(sender, sink, nonce=2, value=1)
-    assert mempool.admit(tx2).admitted
-    mempool.remove([tx1, tx2])
-    assert mempool.stats()["accounting_underflows"] == 0
-
-
 def test_enqueued_only_tx_still_counts_for_admission(chain, mempool):
-    """A tx in ``chain.pending`` but NOT in the pool must still hold a nonce."""
+    """A tx queued in ``chain.pending`` (never pooled) must still hold a nonce."""
     sink = chain.create_account("sink", seed="eo-sink")
     sender = chain.create_account("sender", seed="eo-sender")
     tx0 = _transfer(sender, sink, nonce=0, value=1)
-    assert mempool.admit(tx0).admitted
-    chain.enqueue_validated(tx0)
-    # The pool forgets the tx while it still sits in chain.pending (remove
-    # reported before the block is mined): the cached dedup must be
-    # invalidated, and the enqueued copy alone must keep holding nonce 0.
-    mempool.remove([tx0])
+    assert chain.send_transaction(tx0) is None  # batch mode: queued, not mined
+    assert chain.pending == [tx0] and len(mempool) == 0
+    replay = mempool.admit(_transfer(sender, sink, nonce=0, value=2))
+    assert replay.reason == "bad nonce"
     assert mempool.admit(_transfer(sender, sink, nonce=1, value=1)).admitted
     duplicate_nonce = mempool.admit(_transfer(sender, sink, nonce=1, value=2))
     assert not duplicate_nonce.admitted
     assert duplicate_nonce.reason == "bad nonce"
-
-
-def test_admission_scan_is_cached_across_calls(chain, mempool):
-    """The per-admit ``chain.pending`` walk is gone: counts rebuild only when
-    the pending list changes."""
-    sink = chain.create_account("sink", seed="cache-sink")
-    senders = [chain.create_account(seed=f"cache-{i}") for i in range(4)]
-    for sender in senders:
-        tx = _transfer(sender, sink, nonce=0, value=1)
-        assert mempool.admit(tx).admitted
-        chain.enqueue_validated(tx)
-        mempool.remove([tx])
-    # Admissions against an unchanged pending list must reuse the cache.
-    mempool._inclusion_ref = None
-    assert mempool.admit(_transfer(senders[0], sink, nonce=1)).admitted
-    cached = mempool._inclusion_counts
-    assert mempool.admit(_transfer(senders[1], sink, nonce=1)).admitted
-    assert mempool._inclusion_counts is cached
+    assert mempool.admit(_transfer(sender, sink, nonce=2, value=1)).admitted

@@ -5,6 +5,9 @@ it produces must match what the serial, one-transaction-per-block path
 produces for the same transactions.
 """
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.chain import Blockchain
@@ -16,7 +19,10 @@ from repro.core.token import TokenType
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 from repro.pipeline import ExecutionPipeline, SmacsLoadGenerator
+from repro.storage.codec import state_root
 from repro.workloads import flash_sale_bursts, peak_window, trace_named
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -26,10 +32,9 @@ def cache():
 
 @pytest.fixture
 def env(cache):
-    """Batch chain + replicated TS + deployed recorder + client accounts."""
-    chain = Blockchain(auto_mine=False)
+    """Chain + replicated TS + deployed recorder + client accounts."""
+    chain = Blockchain()
     chain.evm.signature_cache = cache
-    chain.auto_mine = True
     owner = chain.create_account("owner", seed="e2e-owner")
     clients = [chain.create_account(f"client-{i}", seed=f"e2e-client-{i}") for i in range(6)]
     service = ReplicatedTokenService(
@@ -43,7 +48,6 @@ def env(cache):
     recorder = OwnerWallet(owner, service.replicas[0]).deploy_protected(
         ProtectedRecorder, one_time_bitmap_bits=16384
     ).return_value
-    chain.auto_mine = False
     return {"chain": chain, "clients": clients, "service": service, "recorder": recorder}
 
 
@@ -114,7 +118,6 @@ def test_pipeline_decisions_match_serial_execution(env, cache):
     replay = txs[0]
 
     serial_chain = env["chain"].fork()
-    serial_chain.auto_mine = True
     serial_outcomes = [serial_chain.send_transaction(tx).success for tx in txs]
     # The replay is rejected at validation on the serial path (nonce reuse).
     from repro.chain.errors import InvalidTransaction
@@ -183,6 +186,105 @@ def test_trace_peak_window_feeds_pipeline(env, cache):
     assert sum(r.smacs_denied for r in results) == 0
 
 
-def test_pipeline_requires_batch_mode(cache):
-    with pytest.raises(ValueError):
-        ExecutionPipeline(Blockchain(auto_mine=True), signature_cache=cache)
+# --- one way into a block: the plan goes straight to ``mine_block`` ---------------------
+
+
+def test_a_pipeline_over_an_auto_mine_chain_runs_blocks(env, cache):
+    chain = env["chain"]
+    assert chain.auto_mine
+    pipeline = _pipeline(env, cache)
+    generator = SmacsLoadGenerator(env["service"], env["recorder"], env["clients"])
+    txs = generator.from_arrivals([6, 6])
+    assert all(d.admitted for d in pipeline.ingest(txs))
+    height = chain.height
+    results = pipeline.drain()
+    assert chain.height == height + len(results)
+    assert [tx for block in chain.blocks[height + 1:] for tx in block.transactions] == txs
+    assert sum(r.succeeded for r in results) == len(txs)
+    assert chain.pending == [] and len(pipeline.mempool) == 0
+
+
+def test_only_the_chain_touches_its_queue_and_mining_mode():
+    """An AST scan of ``src/``: outside ``chain/chain.py`` nothing reads or
+    writes ``.pending`` or ``auto_mine`` (attribute, keyword, parameter or
+    ``getattr`` name), and no module anywhere defines, imports or calls an
+    ``enqueue*`` handoff."""
+    queue_and_mode = {"pending", "auto_mine"}
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.keyword, ast.arg)):
+                name = node.arg or ""
+            elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name.startswith("enqueue") or (
+                name in queue_and_mode and module != "repro/chain/chain.py"
+            ):
+                sites.append((module, node.lineno, name))
+    assert sites == []
+
+
+def _queue_then_plan(env, cache):
+    """A batch chain holding one queued transfer from ``clients[0]``, and a
+    pipeline whose mempool holds a plan that includes that sender's next nonce."""
+    chain = env["chain"]
+    chain.auto_mine = False  # batch mode: send_transaction queues
+    sender, receiver = env["clients"][:2]
+    queued = sender.build_transaction(to=receiver.address, value=1)
+    assert chain.send_transaction(queued) is None
+    pipeline = _pipeline(env, cache)
+    generator = SmacsLoadGenerator(env["service"], env["recorder"], env["clients"])
+    plan = generator.from_arrivals([6])
+    assert plan[0].sender == sender.address and plan[0].nonce == queued.nonce + 1
+    assert all(d.admitted for d in pipeline.ingest(plan))
+    return chain, pipeline, queued, plan
+
+
+def test_a_queued_transaction_is_mined_before_the_plan_in_the_same_block(env, cache):
+    chain, pipeline, queued, plan = _queue_then_plan(env, cache)
+    height = chain.height
+    result = pipeline.run_block()
+    assert chain.height == height + 1
+    assert chain.latest_block.transactions == [queued, *plan]
+    assert [r.tx_hash for r in result.receipts] == [tx.hash() for tx in [queued, *plan]]
+    assert result.succeeded == result.executed == 1 + len(plan)
+    assert chain.pending == [] and len(pipeline.mempool) == 0
+
+
+def test_a_raising_mine_block_leaves_pending_the_pool_receipts_and_state(env, cache):
+    chain, pipeline, queued, plan = _queue_then_plan(env, cache)
+
+    def seal(state):
+        raise OSError("disk gone while sealing the block")
+
+    chain.state_root_provider = seal
+    before = (
+        list(chain.pending),
+        pipeline.mempool.transactions(),
+        dict(chain.receipts),
+        state_root(chain.state),
+        chain.height,
+    )
+    with pytest.raises(OSError):
+        pipeline.run_block()
+    after = (
+        list(chain.pending),
+        pipeline.mempool.transactions(),
+        dict(chain.receipts),
+        state_root(chain.state),
+        chain.height,
+    )
+    assert after == before and chain.pending == [queued]
+
+    chain.state_root_provider = None
+    result = pipeline.run_block()
+    assert chain.latest_block.transactions == [queued, *plan]
+    assert result.succeeded == 1 + len(plan)
+    assert chain.pending == [] and len(pipeline.mempool) == 0

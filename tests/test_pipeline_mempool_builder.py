@@ -962,9 +962,7 @@ def test_prewarm_checks_foreign_tokens_against_the_trusted_key_it_has_learned(
     assert (stats["known_keys"], stats["key_builds"], stats["key_checks"]) == (1, 1, 5)
     curve_multiplications.clear()
     assert executor.pre_warm(txs) == (6, 0)
-    for tx in txs:
-        batch_chain.enqueue_validated(tx)
-    assert all(receipt.success for receipt in batch_chain.mine_block())
+    assert all(receipt.success for receipt in batch_chain.mine_block(txs))
     assert not curve_multiplications  # the in-EVM verifier found every answer
 
 
@@ -1002,8 +1000,7 @@ def test_a_forged_token_is_refused_by_the_check_then_by_the_mempool_and_plants_n
     assert executor.pre_warm(forged[1:]) == (0, 2)
     assert curve_multiplications == {"prepared": 2}
     assert cache.key_builds == 1
-    batch_chain.enqueue_validated(forged[0])
-    (receipt,) = batch_chain.mine_block()
+    (receipt,) = batch_chain.mine_block([forged[0]])
     assert not receipt.success and "SMACS" in receipt.error
 
 
@@ -1018,8 +1015,7 @@ def test_a_contract_that_stores_no_trusted_signer_is_never_warmed_and_runs_no_cu
     batch_chain.state.storage_delete(protected.this, TS_ADDRESS_SLOT)
     curve_multiplications.clear()
     assert BlockExecutor(batch_chain).pre_warm([tx]) == (0, 0)
-    batch_chain.enqueue_validated(tx)
-    (receipt,) = batch_chain.mine_block()
+    (receipt,) = batch_chain.mine_block([tx])
     assert not receipt.success and "SMACS" in receipt.error
     assert not curve_multiplications
     assert len(cache._recovered) == 0
@@ -1042,8 +1038,7 @@ def test_the_verdict_follows_the_contracts_trusted_address(
     batch_chain.state.storage_set(protected.this, TS_ADDRESS_SLOT, successor.keypair.address)
     assert mempool.admit(tx).admitted  # no verdict about the new address: deferred
     assert executor.pre_warm([tx]) == (0, 1)
-    batch_chain.enqueue_validated(tx)
-    (receipt,) = batch_chain.mine_block()
+    (receipt,) = batch_chain.mine_block([tx])
     assert receipt.success, receipt.error
 
 
@@ -1064,8 +1059,7 @@ def test_an_unrecoverable_signature_matches_no_stored_signer_not_even_the_zero_a
     tx.kwargs["token"] = bogus.to_bytes()
     tx.sign_with(client.keypair)
     batch_chain.state.storage_set(protected.this, TS_ADDRESS_SLOT, ZERO_ADDRESS)
-    batch_chain.enqueue_validated(tx)
-    (receipt,) = batch_chain.mine_block()
+    (receipt,) = batch_chain.mine_block([tx])
     assert not receipt.success and "SMACS" in receipt.error
 
 
