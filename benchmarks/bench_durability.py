@@ -39,7 +39,6 @@ from repro.core import OwnerWallet
 from repro.core.acr import RuleSet
 from repro.core.replication import ReplicatedTokenService
 from repro.crypto.keys import KeyPair
-from repro.crypto.sigcache import SignatureCache
 from repro.pipeline import ExecutionPipeline, SmacsLoadGenerator
 from repro.storage import DurableStore, state_root
 
@@ -53,7 +52,7 @@ HISTORY_SLOTS = 4096
 def _node():
     """One deterministic node: same seeds -> same accounts, tokens, blocks."""
     chain = Blockchain()
-    pipeline = ExecutionPipeline(chain, signature_cache=SignatureCache())
+    pipeline = ExecutionPipeline(chain)
     owner = chain.create_account("owner", seed="durb-owner")
     clients = [
         chain.create_account(f"c{i}", seed=f"durb-client-{i}") for i in range(CLIENTS)

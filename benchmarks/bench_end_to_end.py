@@ -84,8 +84,6 @@ def _setup(shared_cache: "SignatureCache | None"):
     chain = Blockchain()
     if shared_cache is not None:
         chain.evm.signature_cache = shared_cache
-    else:
-        chain.evm.signature_cache = SignatureCache()  # private, cold
     owner = chain.create_account("owner", seed="e2e-owner")
     clients = [chain.create_account(f"c{i}", seed=f"e2e-client-{i}") for i in range(CLIENTS)]
     service = ReplicatedTokenService(

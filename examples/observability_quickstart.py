@@ -27,7 +27,6 @@ from repro.api import ServiceGateway, build_service, connect, serve
 from repro.chain import Blockchain
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core import OwnerWallet
-from repro.crypto.sigcache import SignatureCache
 from repro.obs import Observability
 from repro.obs.dump import render_text
 from repro.pipeline import ExecutionPipeline, SmacsLoadGenerator
@@ -43,9 +42,7 @@ def main() -> None:
     gateway = ServiceGateway(observability=server_obs)
     gateway.register(TS_URL, service)
 
-    cache = SignatureCache()
     chain = Blockchain()
-    chain.evm.signature_cache = cache
     owner = chain.create_account("owner", seed="obs-owner")
     clients = [chain.create_account(f"c{i}", seed=f"obs-client-{i}") for i in range(4)]
 
@@ -59,7 +56,7 @@ def main() -> None:
             ).return_value
 
             # --- 2. an instrumented pipeline + durable store ------------------
-            pipeline = ExecutionPipeline(chain, signature_cache=cache)
+            pipeline = ExecutionPipeline(chain)
             store = DurableStore(workdir, "sqlite")
             store.attach(pipeline)
             server_obs.instrument_pipeline(pipeline)

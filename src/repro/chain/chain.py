@@ -327,10 +327,13 @@ class Blockchain:
         Used by the Token Service's local testnets: runtime-verification tools
         replay candidate transactions on a fork without touching the main
         chain.  This is the one full copy of the world state left; the fork
-        can be reverted back to this height, not below it.
+        can be reverted back to this height, not below it.  The fork shares
+        this chain's signature cache: it is the same node's memo, and every
+        entry in it holds on either chain.
         """
         clone = type(self)(auto_mine=True, clock=SimulatedClock(self.clock.now()),
                            block_interval=self.block_interval)
+        clone.evm.signature_cache = self.evm.signature_cache
         clone.evm.state = self.evm.state.deep_copy()
         clone.evm.contracts = dict(self.evm.contracts)
         clone.evm.contract_creators = dict(self.evm.contract_creators)

@@ -36,7 +36,7 @@ from repro.chain.errors import (
 from repro.chain.events import LogEntry
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
-from repro.crypto.sigcache import DEFAULT_SIGNATURE_CACHE, SignatureCache
+from repro.crypto.sigcache import SignatureCache
 
 
 @dataclass(slots=True)
@@ -267,19 +267,13 @@ def _dispatch_table(cls: type) -> dict[str, tuple[str, bool]]:
 class ExecutionEngine:
     """Executes transactions and message calls against the world state."""
 
-    def __init__(
-        self,
-        state: WorldState | None = None,
-        signature_cache: SignatureCache | None = None,
-    ):
+    def __init__(self, state: WorldState | None = None):
         self.state = state if state is not None else WorldState()
-        # Node-level memo for ``ecrecover`` results, shared with the Token
-        # Service issuance path by default (see repro.crypto.sigcache).  Gas
-        # metering is unaffected; pass a private instance to isolate
-        # cache-hit measurements.
-        self.signature_cache = (
-            signature_cache if signature_cache is not None else DEFAULT_SIGNATURE_CACHE
-        )
+        # The node's one memo for token digests and Alg. 1 verdicts (see
+        # repro.crypto.sigcache): the mempool and block executor read it
+        # here, and a Token Service handed it warms it as it issues.  Gas
+        # metering is unaffected.
+        self.signature_cache = SignatureCache()
         self.contracts: dict[Address, Contract] = {}
         # Who deployed each contract (public chain data, used e.g. by the
         # ECFChecker rule to find contracts controlled by a token requester).

@@ -13,7 +13,7 @@ invalid signature, for which Solidity's ``ecrecover`` returns the zero
 address, matches nothing -- not even a contract that stored the zero address
 as its signer.
 
-Answers are memoized in the execution engine's
+Answers are memoized in the execution engine's own
 :class:`~repro.crypto.sigcache.SignatureCache` (a node-level optimisation:
 the same token signature verified twice costs the curve math once).  The
 precompile's gas cost is charged on every call regardless -- neither the
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from repro.chain import gas
 from repro.chain.address import Address
-from repro.crypto.ecdsa import Signature, SignatureError
-from repro.crypto.keys import recover_address
+from repro.crypto.ecdsa import Signature
 
 
 def ecrecover_matches(
@@ -41,10 +40,4 @@ def ecrecover_matches(
     env.meter.charge(gas.CALL_BASE + gas.ECRECOVER_PRECOMPILE)
     if expected is None:
         return False
-    cache = getattr(env.evm, "signature_cache", None)
-    if cache is not None:
-        return cache.recovery_matches(digest, signature, expected)
-    try:
-        return recover_address(digest, signature) == expected
-    except SignatureError:
-        return False
+    return env.evm.signature_cache.recovery_matches(digest, signature, expected)

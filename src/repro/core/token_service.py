@@ -150,7 +150,7 @@ class TokenService:
         self.keypair = keypair if keypair is not None else KeyPair.generate()
         self.rules = rules if rules is not None else RuleSet()
         self.clock = clock if clock is not None else SimulatedClock()
-        self.token_lifetime = token_lifetime
+        self.set_token_lifetime(token_lifetime)
         self.counter = counter if counter is not None else _LocalCounter()
         # Optional memo for the deterministic token signature (see
         # repro.crypto.sigcache).  Left off by default so the single-service
@@ -194,7 +194,7 @@ class TokenService:
         """``(reusable tokens, one-time tokens)`` through the token memo.
 
         With a cache the reusable tokens keep the books of the per-request
-        chain -- token memo, then ``digest_for``, then ``signature_for`` --
+        chain -- token memo, then ``digests_for``, then ``signatures_for`` --
         while the memo's misses are built in the one pass that also builds
         the one-time tokens (:meth:`_build`).  (One corner differs in LRU
         order only: an entry the envelope's own stores evict before the
@@ -453,7 +453,7 @@ class TokenService:
     def _load_state(self) -> None:
         with open(self.storage_path, "r", encoding="utf-8") as handle:
             state = json.load(handle)
-        self.token_lifetime = state.get("token_lifetime", self.token_lifetime)
+        self.set_token_lifetime(state.get("token_lifetime", self.token_lifetime))
         self.issued_count = state.get("issued_count", 0)
         self.denied_count = state.get("denied_count", 0)
         if hasattr(self.counter, "restore"):

@@ -115,12 +115,7 @@ def verify_token(
         # a warm pipeline skips the pure-Python hash, exactly like the
         # precompile's memo below skips the curve math.
         meter.charge(gas.keccak_cost(len(datagram)))
-        cache = getattr(env.evm, "signature_cache", None)
-        digest = (
-            cache.digest_for(datagram)
-            if cache is not None
-            else token_mod.keccak256(datagram)
-        )
+        digest = env.evm.signature_cache.digest_for(datagram)
         # Alg. 1 compares the recovered signer with the trusted TS address
         # and uses it for nothing else, so the precompile is asked for the
         # comparison.  The address is read ahead of the call; the charges

@@ -36,12 +36,11 @@ token on every check is the fixed-base one) and stored beside the recoveries
 -- a match as the address itself, exactly the entry a full recovery would
 have left, a refusal as a *not this address* verdict.  A refusal names who
 did not sign, never who did: it answers only the question it was computed
-for, :meth:`SignatureCache.peek_recovery` reads it as unknown, and
-:meth:`SignatureCache.recover` as a miss it overwrites with the real signer.
+for, and :meth:`SignatureCache.peek_recovery` reads it as unknown.
 
-The batch forms (:meth:`SignatureCache.digests_for`,
+The batch memos (:meth:`SignatureCache.digests_for`,
 :meth:`SignatureCache.signatures_for`, :meth:`SignatureCache.memoize_many`)
-are each defined as their element-wise loop -- same values, same hit/miss
+each keep the books of a loop of single lookups -- same values, same hit/miss
 counters, same LRU order -- with the misses computed by one kernel call.  The
 first two also take *riders*: messages hashed, or digests signed, in that
 same kernel call because the caller needs them now and they cost next to
@@ -56,12 +55,12 @@ Gas accounting is unaffected: the on-chain verifier still charges the full
 ``ecrecover`` precompile cost on every call (the cache models a node-level
 optimisation, not a protocol change).
 
-One process-wide :data:`DEFAULT_SIGNATURE_CACHE` is the execution engine's
-default for its verifier path
-(:func:`repro.chain.precompiles.ecrecover_matches`); a
-:class:`~repro.core.token_service.TokenService` handed the same instance
-warms that path as it issues.  Both accept a private instance for isolated
-measurements.
+Each execution engine (:class:`repro.chain.evm.ExecutionEngine`, one per
+node) builds its own cache, and a chain's fork shares its parent's; nothing
+lives at module scope, so what one node decides never depends on what another
+node in the same process saw.  A
+:class:`~repro.core.token_service.TokenService` handed the node's instance
+warms its verifier path as it issues.
 """
 
 from collections import OrderedDict
@@ -69,10 +68,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from repro.crypto.ecdsa import Signature, SignatureError, recover, recovers_to
 from repro.crypto.keccak import keccak256, keccak256_many
-from repro.crypto.keys import PublicKey, recover_address
+from repro.crypto.keys import PublicKey
 from repro.crypto.secp256k1 import Point, PreparedPoint, prepare_point
-
-_RECOVER_FAILED = object()  # cached sentinel for unrecoverable signatures
 
 
 class _NotSignedBy(NamedTuple):
@@ -194,54 +191,22 @@ class SignatureCache:
         """
         self._store(self._recovered, self._recover_key(digest, signature), signer)
 
-    def _recovery_entry(self, key: tuple, address: "bytes | None"):
+    def _recovery_entry(self, key: tuple, address: bytes):
         """The recovery table's entry for a caller asking about ``address``
-        (``None``: asking who signed) -- ``None`` when it holds nothing, or
-        only a refusal about some other address, which answers nothing."""
+        -- ``None`` when it holds nothing, or only a refusal about some other
+        address, which answers nothing."""
         value = self._recovered.get(key)
         if isinstance(value, _NotSignedBy) and value.address != address:
             return None
         return value
 
-    def _lookup_recovery(self, key: tuple, address: "bytes | None"):
-        """:meth:`_recovery_entry`, booked the way :meth:`_lookup` books."""
-        value = self._recovery_entry(key, address)
-        if value is None:
-            self.misses += 1
-        else:
-            self._recovered.move_to_end(key)
-            self.hits += 1
-        return value
-
     def peek_recovery(self, digest: bytes, signature: Signature) -> "bytes | None":
         """Cached recovery result without computing on a miss (and without
-        touching hit/miss counters).  ``None`` means unknown, cached failure
-        *or* cached refusal (which names no signer) -- cheap-screening
-        callers treat all three as "defer to the full check"."""
+        touching hit/miss counters).  ``None`` means unknown *or* a cached
+        refusal (which names no signer) -- cheap-screening callers treat
+        both as "defer to the full check"."""
         value = self._recovered.get(self._recover_key(digest, signature))
         return value if isinstance(value, bytes) else None
-
-    def recover(self, digest: bytes, signature: Signature) -> "bytes | None":
-        """Memoized :func:`repro.crypto.keys.recover_address`.
-
-        Returns the 20-byte signer address, or ``None`` when the signature is
-        unrecoverable (the caller maps that to the zero address, mirroring
-        Solidity's ``ecrecover``).  Failures are cached too, so a replay storm
-        of forged tokens cannot force repeated curve work.  A cached refusal
-        (:meth:`recovery_matches`) is a miss here: the real signer is
-        computed and takes the entry over.
-        """
-        key = self._recover_key(digest, signature)
-        value = self._lookup_recovery(key, None)
-        if value is not None:
-            return None if value is _RECOVER_FAILED else value
-        try:
-            address = recover_address(digest, signature)
-        except SignatureError:
-            self._store(self._recovered, key, _RECOVER_FAILED)
-            return None
-        self._store(self._recovered, key, address)
-        return address
 
     def recovery_matches(self, digest: bytes, signature: Signature, address: bytes) -> bool:
         """Memoized ``recover_address(digest, signature) == address``,
@@ -254,9 +219,12 @@ class SignatureCache:
         ``misses`` still counts the times curve math ran.
         """
         key = self._recover_key(digest, signature)
-        value = self._lookup_recovery(key, address)
+        value = self._recovery_entry(key, address)
         if value is not None:
+            self._recovered.move_to_end(key)
+            self.hits += 1
             return value == address
+        self.misses += 1
         matched = self.signed_by(digest, signature, address)
         self._store(self._recovered, key, address if matched else _NotSignedBy(address))
         return matched
@@ -306,28 +274,15 @@ class SignatureCache:
 
     # -- signing (the issuance path) ------------------------------------------
 
-    def signature_for(self, keypair, digest: bytes) -> Signature:
-        """Memoized ``keypair.sign(digest)``.
-
-        Sound because signing is RFC-6979 deterministic: the cached signature
-        is byte-identical to a fresh one.  Keyed by the signer address so a
-        cache can safely be shared between services with different keys.
-        """
-        key = (keypair.address, digest)
-        value, found = self._lookup(self._signatures, key)
-        if found:
-            return value
-        signature = keypair.sign(digest)
-        self._store(self._signatures, key, signature)
-        # Signing proves what recovery will find; warm the verifier side too.
-        self.prime_recovery(digest, signature, keypair.address)
-        return signature
-
     def signatures_for(
         self, keypair, digests: "Sequence[bytes]", riders: "Sequence[bytes]" = ()
     ) -> "list[Signature]":
-        """``[signature_for(keypair, d) for d in digests]``, the misses signed
-        by one ``keypair.sign_batch`` (books as the loop's: :meth:`_memo_many`).
+        """Memoized ``keypair.sign(d)`` for each of ``digests``, the misses
+        signed by one ``keypair.sign_batch`` (books as a loop's:
+        :meth:`_memo_many`).  Sound because signing is RFC-6979
+        deterministic: a cached signature is byte-identical to a fresh one.
+        Keyed by the signer address, and each signed miss primes the recovery
+        side (:meth:`prime_recovery`).
 
         ``riders`` are digests signed in that same block and never memoized:
         their signatures follow the ``digests``' in the result.  A
@@ -369,26 +324,17 @@ class SignatureCache:
         """
         return self._memo_many(self._digests, datagrams, keccak256_many, riders)[0]
 
-    def memoize(self, key: tuple, factory: Callable):
-        """Generic LRU memo for derived issuance artefacts.
-
-        The batched Token Service keys fully-built non-one-time tokens by
-        ``(signer, expire, request bytes)``: a replayed request inside the
-        same lifetime window reproduces a byte-identical token, so the whole
-        datagram/digest/sign chain collapses to one lookup.
-        """
-        value, found = self._lookup(self._derived, key)
-        if found:
-            return value
-        value = factory()
-        self._store(self._derived, key, value)
-        return value
-
     def memoize_many(
         self, keys: "Sequence[tuple]", factory: "Callable[[list[tuple]], Sequence]"
     ) -> list:
-        """``[memoize(key, ...) for key in keys]``, the misses built by one
-        ``factory(keys)`` call (books as the loop's: :meth:`_memo_many`)."""
+        """Generic LRU memo for derived issuance artefacts: the value held for
+        each of ``keys``, the misses built by one ``factory(keys)`` call
+        (books as a loop's: :meth:`_memo_many`).
+
+        The Token Service keys fully-built non-one-time tokens by ``(signer,
+        expire, request bytes)``: a replayed request inside the same lifetime
+        window reproduces a byte-identical token, so the whole
+        datagram/digest/sign chain collapses to one lookup."""
         return self._memo_many(self._derived, keys, factory)[0]
 
     def unmemoized(self, keys: "Sequence[tuple]") -> "list[tuple]":
@@ -425,18 +371,3 @@ class SignatureCache:
             "key_checks": self.key_checks,
             "key_builds": self.key_builds,
         }
-
-    def clear(self) -> None:
-        self._recovered.clear()
-        self._signatures.clear()
-        self._digests.clear()
-        self._derived.clear()
-        self._keys.clear()
-        self.hits = 0
-        self.misses = 0
-        self.key_checks = 0
-        self.key_builds = 0
-
-
-#: Process-wide cache shared by the batch issuance and on-chain verifier paths.
-DEFAULT_SIGNATURE_CACHE = SignatureCache()

@@ -11,7 +11,7 @@ block-oriented execution pipeline:
 * :mod:`repro.pipeline.builder` -- gas-limit block packing with per-sender
   nonce ordering;
 * :mod:`repro.pipeline.executor` -- batched ``ecrecover``/digest pre-warming
-  of the shared cache, then block execution through the EVM verifier;
+  of the node's cache, then block execution through the EVM verifier;
 * :mod:`repro.pipeline.pipeline` -- :class:`ExecutionPipeline`, the wired
   loop with per-reason rejection accounting;
 * :mod:`repro.pipeline.load` -- trace- and scenario-driven clients that

@@ -2,9 +2,10 @@
 
 Token verification inside the EVM is dominated by two pure-Python costs --
 the keccak-256 of the reconstructed datagram and the ``ecrecover`` curve math.
-Both are memoized in the node's shared :class:`~repro.crypto.sigcache.
-SignatureCache`, and both are *predictable* from a planned block: every
-token's datagram can be reconstructed outside the gas-metered path.  The
+Both are memoized in the node's :class:`~repro.crypto.sigcache.
+SignatureCache` (``chain.evm.signature_cache``), and both are *predictable*
+from a planned block: every token's datagram can be reconstructed outside
+the gas-metered path.  The
 executor therefore walks the block plan once before execution and resolves
 every ``(digest, signature)`` pair through the cache:
 
@@ -34,7 +35,6 @@ from repro.core.smacs_contract import SMACSContract
 from repro.core.token import MalformedToken, Token
 from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
 from repro.crypto.ecdsa import Signature
-from repro.crypto.sigcache import SignatureCache
 from repro.obs import DORMANT, Observability
 
 
@@ -58,11 +58,8 @@ class BlockResult:
 class BlockExecutor:
     """Executes block plans against a :class:`Blockchain`."""
 
-    def __init__(self, chain: Blockchain, signature_cache: "SignatureCache | None" = None):
+    def __init__(self, chain: Blockchain):
         self.chain = chain
-        self.signature_cache = (
-            signature_cache if signature_cache is not None else chain.evm.signature_cache
-        )
         #: the :class:`repro.obs.Observability` handle; a live one times the
         #: ``pre_warm`` and ``execute`` stages separately so a block's
         #: cache-warming cost is attributable apart from the EVM run.
@@ -71,7 +68,7 @@ class BlockExecutor:
     # -- the batched pre-warm pass ----------------------------------------------
 
     def pre_warm(self, transactions: list[Transaction]) -> tuple[int, int]:
-        """Resolve every token's digest + Alg. 1 verdict through the shared cache.
+        """Resolve every token's digest + Alg. 1 verdict through the node's cache.
 
         Walks the block plan, hashes the uncached datagrams by lanes, and asks
         :meth:`SignatureCache.recovery_matches` of every ``(digest,
@@ -85,7 +82,7 @@ class BlockExecutor:
         the EVM.
         """
         with self.obs.stage("pre_warm"):
-            cache = self.signature_cache
+            cache = self.chain.evm.signature_cache
             state = self.chain.state
             datagrams: list[bytes] = []
             checks: list[tuple[Signature, bytes]] = []  # (signature, trusted signer)

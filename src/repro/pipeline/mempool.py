@@ -9,13 +9,14 @@ SMACS-specific pre-checks that need no gas and no EVM frame:
 * **expiry** -- a token whose ``expire`` already passed can never verify, so
   the transaction is refused on arrival;
 * **datagram digest screen** -- the token's signed datagram is reconstructed
-  from the transaction context and its digest fetched through the shared
-  :class:`~repro.crypto.sigcache.SignatureCache`; when the cache already
-  holds Alg. 1's verdict on the signature (primed at issuance, the normal
-  case, or left by an earlier block) the mempool refuses tokens that provably
-  do not recover to the contract's trusted Token Service.  Unknown signatures
-  are *not* computed here -- they are left for the block executor's pre-warm
-  pass;
+  from the transaction context and its digest fetched through the node's
+  :class:`~repro.crypto.sigcache.SignatureCache` (``chain.evm``'s); when the
+  cache already holds Alg. 1's verdict on the signature (primed at issuance,
+  the normal case, or left by an earlier block) the mempool refuses tokens
+  that provably do not recover to the contract's trusted Token Service.
+  Unknown signatures are *not* computed here -- they are left for the block
+  executor's pre-warm pass.  A contract that stores no trusted Token Service
+  can never pass Alg. 1, so its tokens are refused without a lookup;
 * **one-time index screen** -- :func:`repro.core.bitmap.screen`, the
   read-only half of Alg. 2, run over the contract's storage in the world
   state, refuses indexes that were already consumed on-chain or fell behind
@@ -51,7 +52,6 @@ from repro.core.call_chain import token_entries
 from repro.core.smacs_contract import SMACSContract
 from repro.core.token import MalformedToken, Token
 from repro.core.verifier import TS_ADDRESS_SLOT, reconstruct_datagram
-from repro.crypto.sigcache import SignatureCache
 from repro.obs import DORMANT, Observability
 
 #: Ethereum's block gas limit around the paper's evaluation period was
@@ -116,18 +116,8 @@ class _PoolEntry:
 class Mempool:
     """Admission-checked holding area feeding the block builder."""
 
-    def __init__(
-        self,
-        chain: Blockchain,
-        signature_cache: "SignatureCache | None" = None,
-        max_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT,
-    ):
+    def __init__(self, chain: Blockchain, max_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT):
         self.chain = chain
-        self.signature_cache = (
-            signature_cache
-            if signature_cache is not None
-            else chain.evm.signature_cache
-        )
         #: a transaction whose gas limit exceeds one block's budget can never
         #: be packed; admitting it would strand it (and any one-time index it
         #: reserves) in the pool forever.
@@ -201,7 +191,7 @@ class Mempool:
         # Curve math last: every screen above is a dict lookup or a storage
         # read, so a replayed index or a stale nonce is refused without
         # paying for a signature check it could never have passed anyway.
-        if tx.signature is None or not self.signature_cache.signed_by(
+        if tx.signature is None or not self.chain.evm.signature_cache.signed_by(
             tx.signing_digest(), tx.signature, tx.sender
         ):
             return self._reject(RejectReason.INVALID_SIGNATURE)
@@ -297,7 +287,12 @@ class Mempool:
         if self.chain.clock.now() > token.expire:
             return self._reject(RejectReason.EXPIRED_TOKEN), ()
 
-        # Cheap check 2: datagram digest through the shared cache.  When
+        # Cheap check 2: a contract with no trusted signer verifies nothing.
+        trusted = self.chain.state.storage_get(tx.to, TS_ADDRESS_SLOT, None)
+        if trusted is None:
+            return self._reject(RejectReason.UNTRUSTED_TOKEN), ()
+
+        # Cheap check 3: datagram digest through the node's cache.  When
         # Alg. 1's verdict on this signature is already known (primed at
         # issuance or by an earlier block), a refusal is definitive; unknown
         # signatures are deferred to the executor's pre-warm.
@@ -305,14 +300,13 @@ class Mempool:
         # such a call's receipt anyway.)
         datagram = reconstruct_datagram(tx, contract, token)
         if datagram is not None:
-            digest = self.signature_cache.digest_for(datagram)
-            trusted = self.chain.state.storage_get(tx.to, TS_ADDRESS_SLOT, None)
-            if self.signature_cache.peek_recovery_matches(
-                digest, token.signature, trusted
+            cache = self.chain.evm.signature_cache
+            if cache.peek_recovery_matches(
+                cache.digest_for(datagram), token.signature, trusted
             ) is False:
                 return self._reject(RejectReason.UNTRUSTED_TOKEN), ()
 
-        # Cheap check 3: one-time index screening.
+        # Cheap check 4: one-time index screening.
         if token.is_one_time:
             reservation = (tx.to, token.index)
             if reservation in self._reserved_indexes:

@@ -1,8 +1,9 @@
 """The end-to-end execution pipeline: mempool -> block builder -> executor.
 
 :class:`ExecutionPipeline` wires the three stages around one
-:class:`~repro.chain.chain.Blockchain` and one shared
-:class:`~repro.crypto.sigcache.SignatureCache`:
+:class:`~repro.chain.chain.Blockchain` and the chain's
+:class:`~repro.crypto.sigcache.SignatureCache` (``signature_cache=`` installs
+one on the chain's execution engine, which holds the node's only reference):
 
 * transactions **ingest** through the mempool's admission checks;
 * :meth:`run_block` packs one gas-limited block and executes it with the
@@ -45,12 +46,9 @@ class ExecutionPipeline:
         self.chain = chain
         if signature_cache is not None:
             chain.evm.signature_cache = signature_cache
-        self.signature_cache = chain.evm.signature_cache
-        self.mempool = Mempool(
-            chain, signature_cache=self.signature_cache, max_gas_limit=block_gas_limit
-        )
+        self.mempool = Mempool(chain, max_gas_limit=block_gas_limit)
         self.builder = BlockBuilder(self.mempool, block_gas_limit=block_gas_limit)
-        self.executor = BlockExecutor(chain, signature_cache=self.signature_cache)
+        self.executor = BlockExecutor(chain)
         self.blocks_executed = 0
         self.transactions_executed = 0
         #: optional durability engine (``repro.storage.DurableStore``); set
@@ -61,6 +59,10 @@ class ExecutionPipeline:
         #: ``Observability.instrument_pipeline`` (which also attaches it to
         #: the mempool, builder, executor and -- when present -- the WAL).
         self.obs: Observability = DORMANT
+
+    @property
+    def signature_cache(self) -> SignatureCache:
+        return self.chain.evm.signature_cache
 
     # -- ingest -----------------------------------------------------------------
 

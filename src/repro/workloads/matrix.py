@@ -74,7 +74,6 @@ from repro.core.token_request import TokenRequest
 from repro.core.token_service import TokenService
 from repro.core.wallet import OwnerWallet
 from repro.crypto.keys import KeyPair, recover_address
-from repro.crypto.sigcache import SignatureCache
 from repro.faults.byzantine import untrusted_twin_service
 from repro.faults.disk import SimulatedCrash
 from repro.faults.injectors import (
@@ -186,13 +185,7 @@ class CellEnv:
 
 def _build_env(spec: CellSpec, plan: FaultPlan) -> CellEnv:
     chain = Blockchain()
-    # A private signature cache isolates cells from each other AND from the
-    # process-global DEFAULT_SIGNATURE_CACHE: a recovery cached by an earlier
-    # cell (or an earlier matrix run in the same process -- cells are
-    # deterministic, so digests repeat) would let the mempool screen a forged
-    # token at admission that a fresh node would only reject on-chain,
-    # changing the record.
-    pipeline = ExecutionPipeline(chain, signature_cache=SignatureCache())
+    pipeline = ExecutionPipeline(chain)
     keypair = KeyPair.from_seed(f"matrix-ts-{spec.workload}")
 
     rts: "ReplicatedTokenService | None" = None

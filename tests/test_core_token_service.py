@@ -1,10 +1,11 @@
 """Unit tests for the Token Service (issuance, rules, batching, persistence)."""
 
+import json
 from unittest import mock
 
 import pytest
 
-from repro.api import issue_one, try_issue_one
+from repro.api import PROFILES, build_service, issue_one, try_issue_one
 from repro.chain.clock import SimulatedClock
 from repro.contracts.protected_target import ProtectedRecorder
 from repro.core.acr import RuleSet, WhitelistRule
@@ -124,6 +125,25 @@ def test_token_lifetime_configuration(service, clock):
     assert token.expire == clock.now() + 60
     with pytest.raises(ValueError):
         service.set_token_lifetime(0)
+
+
+@pytest.mark.parametrize("lifetime", [0, -60])
+def test_a_token_lifetime_that_is_not_positive_is_refused_at_construction(
+    clock, tmp_path, lifetime
+):
+    keypair = KeyPair.from_seed("ts-key")
+    with pytest.raises(ValueError, match="token lifetime must be positive"):
+        TokenService(keypair=keypair, clock=clock, token_lifetime=lifetime)
+    for profile in PROFILES:
+        with pytest.raises(ValueError, match="token lifetime must be positive"):
+            build_service(profile, keypair=keypair, clock=clock, token_lifetime=lifetime)
+    # ... and when a checkpoint carries it.
+    path = tmp_path / "ts.json"
+    TokenService(keypair=keypair, clock=clock, storage_path=path).update_rules(lambda rules: None)
+    state = json.loads(path.read_text())
+    path.write_text(json.dumps({**state, "token_lifetime": lifetime}))
+    with pytest.raises(ValueError, match="token lifetime must be positive"):
+        TokenService(keypair=keypair, clock=clock, storage_path=path)
 
 
 def test_audit_log_records_outcomes(clock):

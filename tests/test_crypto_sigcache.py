@@ -8,44 +8,54 @@ from repro.crypto.keccak import keccak256
 from repro.crypto.keys import KeyPair, recover_address
 from repro.crypto import sigcache
 from repro.crypto.secp256k1 import N
-from repro.crypto.sigcache import DEFAULT_SIGNATURE_CACHE, SignatureCache
+from repro.crypto.sigcache import SignatureCache
 
 KEYPAIR = KeyPair.from_seed("sigcache-key")
 DIGEST = keccak256(b"sigcache-digest")
 
 
-def test_signature_for_matches_fresh_signing():
+def _signature_for(cache, keypair, digest):
+    return cache.signatures_for(keypair, [digest])[0]
+
+
+def _memoize(cache, key, factory):
+    return cache.memoize_many([key], lambda missing: [factory() for _ in missing])[0]
+
+
+def test_signatures_for_matches_fresh_signing():
     cache = SignatureCache()
-    cached = cache.signature_for(KEYPAIR, DIGEST)
+    cached = _signature_for(cache, KEYPAIR, DIGEST)
     assert cached == KEYPAIR.sign(DIGEST)  # RFC-6979 determinism
-    assert cache.signature_for(KEYPAIR, DIGEST) == cached
+    assert _signature_for(cache, KEYPAIR, DIGEST) == cached
     assert cache.hits == 1 and cache.misses == 1
+    # Signing primed the recovery side: no curve math needed to verify it.
+    assert cache.peek_recovery(DIGEST, cached) == KEYPAIR.address
 
 
 def test_signature_memo_is_keyed_by_signer():
     cache = SignatureCache()
     other = KeyPair.from_seed("sigcache-other")
-    assert cache.signature_for(KEYPAIR, DIGEST) != cache.signature_for(other, DIGEST)
+    assert _signature_for(cache, KEYPAIR, DIGEST) != _signature_for(cache, other, DIGEST)
 
 
-def test_recover_matches_direct_recovery_and_caches():
+def test_recovery_matches_direct_recovery_and_caches():
     cache = SignatureCache()
     signature = KEYPAIR.sign(DIGEST)
-    expected = recover_address(DIGEST, signature)
-    assert cache.recover(DIGEST, signature) == expected == KEYPAIR.address
-    assert cache.recover(DIGEST, signature) == expected
-    assert cache.hits == 1
+    assert recover_address(DIGEST, signature) == KEYPAIR.address
+    assert cache.peek_recovery(DIGEST, signature) is None
+    assert cache.recovery_matches(DIGEST, signature, KEYPAIR.address)
+    assert cache.peek_recovery(DIGEST, signature) == KEYPAIR.address
+    assert cache.recovery_matches(DIGEST, signature, KEYPAIR.address)
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
-def test_unrecoverable_signatures_return_none_and_are_cached():
+def test_unrecoverable_signatures_are_refused_and_the_refusal_is_cached():
     cache = SignatureCache()
-    # A syntactically valid signature that does not recover for this digest
-    # on the flipped parity; brute-force one that actually fails to recover.
-    bogus = Signature(r=2**200, s=2**200, v=0)
-    first = cache.recover(DIGEST, bogus)
-    second = cache.recover(DIGEST, bogus)
-    assert first == second
-    assert cache.hits == 1  # the failure itself was memoised
+    bogus = Signature(r=2**200, s=2**200, v=0)  # r is no curve abscissa mod N
+    assert not cache.recovery_matches(DIGEST, bogus, KEYPAIR.address)
+    assert not cache.recovery_matches(DIGEST, bogus, KEYPAIR.address)
+    assert cache.hits == 1  # the refusal itself was memoised
+    assert cache.peek_recovery(DIGEST, bogus) is None  # it names no signer
 
 
 def test_digest_for_matches_keccak():
@@ -55,17 +65,17 @@ def test_digest_for_matches_keccak():
     assert cache.hits == 1
 
 
-def test_memoize_calls_factory_once():
+def test_memoize_many_calls_the_factory_once():
     cache = SignatureCache()
     calls = []
 
-    def factory():
-        calls.append(1)
-        return "token"
+    def factory(missing):
+        calls.append(list(missing))
+        return ["token"] * len(missing)
 
-    assert cache.memoize(("k",), factory) == "token"
-    assert cache.memoize(("k",), factory) == "token"
-    assert calls == [1]
+    assert cache.memoize_many([("k",)], factory) == ["token"]
+    assert cache.memoize_many([("k",), ("k",)], factory) == ["token", "token"]
+    assert calls == [[("k",)]]
 
 
 def test_lru_eviction_bounds_each_table():
@@ -79,7 +89,7 @@ def test_lru_eviction_bounds_each_table():
     assert cache.misses == misses_before + 1
 
 
-def test_stats_and_clear():
+def test_stats_of_a_used_and_a_fresh_cache():
     cache = SignatureCache()
     cache.digest_for(b"x")
     cache.digest_for(b"x")
@@ -87,33 +97,24 @@ def test_stats_and_clear():
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert stats["hit_rate"] == 0.5
     assert stats["digest_entries"] == 1
-    cache.clear()
-    assert len(cache) == 0 and cache.hit_rate == 0.0
+    fresh = SignatureCache()
+    assert len(fresh) == 0 and fresh.hit_rate == 0.0
 
 
-def test_known_key_memo_shows_in_stats_and_clear_forgets_it():
+def test_known_key_memo_shows_in_stats_and_a_fresh_cache_knows_no_key():
     cache = SignatureCache()
     signature = KEYPAIR.sign(DIGEST)
     for _ in range(3):
         assert cache.signed_by(DIGEST, signature, KEYPAIR.address)
     stats = cache.stats()
     assert (stats["known_keys"], stats["key_checks"], stats["key_builds"]) == (1, 2, 1)
-    cache.clear()
-    stats = cache.stats()
+    stats = SignatureCache().stats()
     assert (stats["known_keys"], stats["key_checks"], stats["key_builds"]) == (0, 0, 0)
 
 
 def test_invalid_maxsize_rejected():
     with pytest.raises(ValueError):
         SignatureCache(maxsize=0)
-
-
-def test_default_cache_is_shared_with_the_execution_engine():
-    from repro.chain.evm import ExecutionEngine
-
-    assert ExecutionEngine().signature_cache is DEFAULT_SIGNATURE_CACHE
-    private = SignatureCache()
-    assert ExecutionEngine(signature_cache=private).signature_cache is private
 
 
 def test_verifier_path_uses_the_engine_cache(chain, alice, alice_wallet, recorder):
@@ -207,11 +208,11 @@ def test_signatures_for_keeps_the_books_of_the_element_wise_loop(maxsize, warm, 
     batched, looped = SignatureCache(maxsize), SignatureCache(maxsize)
     for cache in (batched, looped):
         for i in warm:
-            cache.signature_for(KEYPAIR, digest(i))
+            _signature_for(cache, KEYPAIR, digest(i))
     digests = [digest(i) for i in batch]
     assert (
         batched.signatures_for(KEYPAIR, digests)
-        == [looped.signature_for(KEYPAIR, d) for d in digests]
+        == [_signature_for(looped, KEYPAIR, d) for d in digests]
         == [KEYPAIR.sign(d) for d in digests]
     )
     assert _books(batched) == _books(looped)  # the primed recoveries too
@@ -219,7 +220,7 @@ def test_signatures_for_keeps_the_books_of_the_element_wise_loop(maxsize, warm, 
     # Riders are signed and handed back; nothing of them is memoized or primed.
     riders = [keccak256(b"rider"), digests[0]]
     assert batched.signatures_for(KEYPAIR, digests, riders) == [
-        looped.signature_for(KEYPAIR, d) for d in digests
+        _signature_for(looped, KEYPAIR, d) for d in digests
     ] + [KEYPAIR.sign(d) for d in riders]
     assert _books(batched) == _books(looped)
 
@@ -229,7 +230,7 @@ def test_memoize_many_keeps_the_books_of_the_element_wise_loop(maxsize, warm, ba
     batched, looped = SignatureCache(maxsize), SignatureCache(maxsize)
     for cache in (batched, looped):
         for i in warm:
-            cache.memoize(("k", i), lambda: f"value-{i}")
+            _memoize(cache, ("k", i), lambda: f"value-{i}")
     keys = [("k", i) for i in batch]
     built = []
 
@@ -240,7 +241,7 @@ def test_memoize_many_keeps_the_books_of_the_element_wise_loop(maxsize, warm, ba
     ahead = batched.unmemoized(keys)  # a look ahead moves nothing
     assert _books(batched) == _books(looped)
     assert batched.memoize_many(keys, factory) == [
-        looped.memoize(key, lambda: f"value-{key[1]}") for key in keys
+        _memoize(looped, key, lambda: f"value-{key[1]}") for key in keys
     ]
     assert built[0] == ahead
     assert _books(batched) == _books(looped)
@@ -254,7 +255,7 @@ def test_memoize_many_keeps_the_books_of_the_element_wise_loop(maxsize, warm, ba
 def test_signatures_for_signs_the_misses_in_one_block(monkeypatch):
     cache = SignatureCache()
     held = keccak256(b"held")
-    cache.signature_for(KEYPAIR, held)
+    _signature_for(cache, KEYPAIR, held)
     blocks = []
     sign_batch = KeyPair.sign_batch
 
@@ -485,7 +486,7 @@ def _recover_or_none(digest, signature):
     maxsize=st.sampled_from([2, 4096]),
     steps=st.lists(
         st.tuples(
-            st.sampled_from(["matches", "matches", "matches", "recover", "peek"]),
+            st.sampled_from(["matches", "matches", "matches", "signed_by", "peek"]),
             st.integers(0, len(TOKEN_SIGNATURES) - 1),
             st.integers(0, 1),
         ),
@@ -496,7 +497,7 @@ def _recover_or_none(digest, signature):
 def test_recovery_matches_is_recover_and_compare_on_every_sight(capacity, maxsize, steps):
     """First sight, second, every later one, after the key (capacity) or the
     answer (maxsize) was evicted, after the trusted address changed, and with
-    ``recover`` / the peeks interleaved: always the parent's verdict."""
+    the known-key check / the peeks interleaved: always the parent's verdict."""
     original = sigcache.KNOWN_KEY_CAPACITY
     sigcache.KNOWN_KEY_CAPACITY = capacity
     try:
@@ -508,8 +509,8 @@ def test_recovery_matches_is_recover_and_compare_on_every_sight(capacity, maxsiz
             if action == "matches":
                 assert cache.recovery_matches(digest, signature, address) is expected
                 assert cache.peek_recovery_matches(digest, signature, address) is expected
-            elif action == "recover":
-                assert cache.recover(digest, signature) == _recover_or_none(digest, signature)
+            elif action == "signed_by":
+                assert cache.signed_by(digest, signature, address) is expected
             else:
                 assert cache.peek_recovery_matches(digest, signature, address) in (None, expected)
                 assert cache.peek_recovery(digest, signature) in (
@@ -549,7 +550,7 @@ def test_a_match_is_stored_as_the_entry_issuance_would_have_primed():
     assert (primed.hits, primed.misses, primed.stats()["known_keys"]) == (1, 0, 0)
 
 
-def test_a_refusal_answers_only_its_own_question_and_recover_overwrites_it(
+def test_a_refusal_answers_only_its_own_question_and_a_match_overwrites_it(
     curve_multiplications,
 ):
     cache = SignatureCache()
@@ -568,17 +569,12 @@ def test_a_refusal_answers_only_its_own_question_and_recover_overwrites_it(
     before = (cache.hits, cache.misses)
     assert cache.recovery_matches(DIGEST, forged, FORGER.address)
     assert (cache.hits, cache.misses) == (before[0], before[1] + 1)  # a miss: curve math ran
-    # recover() does not trust a refusal either: it computes who signed and overwrites.
-    assert not cache.recovery_matches(DIGEST, forged, TRUSTED.address)  # now answered by the signer entry
-    other = keccak256(b"refused-then-recovered")
-    forged = FORGER.sign(other)
-    assert not cache.recovery_matches(other, forged, TRUSTED.address)
-    before = cache.misses
-    assert cache.recover(other, forged) == FORGER.address
-    assert cache.misses == before + 1
-    assert cache.peek_recovery(other, forged) == FORGER.address
-    assert cache.peek_recovery_matches(other, forged, TRUSTED.address) is False
-    assert len(cache._recovered) == 2  # overwritten in place, not added beside
+    # The match names the real signer and takes the refusal's entry over ...
+    assert cache.peek_recovery(DIGEST, forged) == FORGER.address
+    assert len(cache._recovered) == 1  # overwritten in place, not added beside
+    # ... which still answers the trusted address's question: no.
+    assert cache.peek_recovery_matches(DIGEST, forged, TRUSTED.address) is False
+    assert not cache.recovery_matches(DIGEST, forged, TRUSTED.address)
 
 
 def test_a_forger_never_plants_a_key_under_the_trusted_address():

@@ -16,9 +16,9 @@ known-key check)::
     PYTHONPATH=<that tree>/src python tests/test_golden_gas_rows.py
 
 so the verifier is compared with what the recover-and-compare one charged
-then -- never with itself.  Gas is a function of the call alone: the three
+then -- never with itself.  Gas is a function of the call alone: the two
 node configurations below (tokens primed at issuance, tokens the node has
-never seen, no signature cache at all) must all read the same rows.
+never seen) must read the same rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.core.acr import RuleSet
 from repro.core.token_service import TokenService, _LocalCounter
 from repro.core.verifier import TS_ADDRESS_SLOT
 from repro.crypto.keys import KeyPair
-from repro.crypto.sigcache import SignatureCache
 
 GOLDEN = Path(__file__).parent / "golden" / "gas_rows.json"
 
@@ -71,11 +70,9 @@ def _row(receipt) -> dict:
 
 def build(node: str) -> dict:
     """Every row, on a node that is ``primed`` (issuer and chain share one
-    cache), ``foreign`` (the chain's cache never saw an issuance) or
-    ``uncached`` (the chain has no signature cache)."""
-    cache = None if node == "uncached" else SignatureCache()
+    cache) or ``foreign`` (the chain's cache never saw an issuance)."""
     chain = Blockchain(clock=SimulatedClock(start=1_600_000_000))
-    chain.evm.signature_cache = cache
+    cache = chain.evm.signature_cache
     owner = chain.create_account("owner", seed="golden-gas-owner")
     client = chain.create_account("client", seed="golden-gas-client")
     thief = chain.create_account("thief", seed="golden-gas-thief")
@@ -126,7 +123,7 @@ def build(node: str) -> dict:
     return rows
 
 
-@pytest.mark.parametrize("node", ["primed", "foreign", "uncached"])
+@pytest.mark.parametrize("node", ["primed", "foreign"])
 def test_gas_rows_match_the_golden_file(node):
     golden = json.loads(GOLDEN.read_text())
     rows = build(node)
@@ -142,7 +139,7 @@ def test_gas_rows_match_the_golden_file(node):
 
 if __name__ == "__main__":
     vectors = build("primed")
-    assert vectors == build("foreign") == build("uncached")
+    assert vectors == build("foreign")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(vectors, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

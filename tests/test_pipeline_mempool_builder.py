@@ -12,6 +12,7 @@ from repro.core.bitmap import BITMAP_SIZE_SLOT
 from repro.core.token import Token
 from repro.core.token_request import TokenRequest
 from repro.core.token_service import TokenService
+from repro.core.verifier import TS_ADDRESS_SLOT
 from repro.crypto.keys import KeyPair
 from repro.crypto.sigcache import SignatureCache
 from repro.pipeline import BlockBuilder, Mempool, RejectReason
@@ -60,8 +61,8 @@ def client(batch_chain):
 
 
 @pytest.fixture
-def mempool(batch_chain, cache):
-    return Mempool(batch_chain, signature_cache=cache)
+def mempool(batch_chain):
+    return Mempool(batch_chain)
 
 
 def _token_tx(client, protected, service, one_time=False, amount=1, nonce=None):
@@ -165,6 +166,25 @@ def test_unknown_signature_defers_to_execution(mempool, client, protected, servi
     )
     tx, _ = _token_tx(client, protected, foreign)
     assert mempool.admit(tx).admitted
+
+
+@pytest.mark.parametrize("shares_cache", [True, False], ids=["primed", "cold"])
+def test_a_contract_with_no_trusted_signer_admits_no_token(
+    mempool, batch_chain, client, protected, cache, shares_cache
+):
+    """Alg. 1 can never pass without a trusted address, so a genuine token is
+    refused at admission whether or not the node's cache saw it issued."""
+    issuer = TokenService(
+        keypair=KeyPair.from_seed("pool-ts"),
+        rules=RuleSet(),
+        clock=batch_chain.clock,
+        signature_cache=cache if shares_cache else None,
+    )
+    batch_chain.state.storage_delete(protected.this, TS_ADDRESS_SLOT)
+    tx, _ = _token_tx(client, protected, issuer)
+    books = (cache.hits, cache.misses, len(cache))
+    assert mempool.admit(tx).reason is RejectReason.UNTRUSTED_TOKEN
+    assert (cache.hits, cache.misses, len(cache)) == books  # refused without a lookup
 
 
 def test_duplicate_one_time_index_screened_in_pool(mempool, client, protected, service):
@@ -714,7 +734,7 @@ def test_decisions_match_the_recover_and_compare_oracle(
     # through the known-key check, the two forgeries among them.
     assert cache.key_checks == 9 + 2
 
-    oracle = Mempool(batch_chain, signature_cache=cache)
+    oracle = Mempool(batch_chain)
     by_digest = {tx.signing_digest(): tx for tx in txs}
     monkeypatch.setattr(
         cache,
