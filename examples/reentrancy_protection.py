@@ -18,7 +18,7 @@ from repro.contracts import Attacker, Bank, SMACSAttacker, SMACSBank
 from repro.core import ClientWallet, TokenDenied, TokenService, TokenType
 from repro.core.acr import RuntimeVerificationRule
 from repro.crypto.keys import KeyPair
-from repro.verification import ECFChecker, ECFTokenRule, LocalTestnet
+from repro.verification import ECFChecker, ECFTokenRule
 
 ETHER = 10**18
 
@@ -40,9 +40,8 @@ def main() -> None:
     attacker.transact(exploit, "deposit", 2 * ETHER, value=2 * ETHER)
 
     # ... but first, let the Token Service's checker look at the pending call.
-    testnet = LocalTestnet(fork_of=chain)
     report = ECFChecker().check_simulation(
-        testnet.simulate(sender=exploit.this, contract=bank, method="withdraw")
+        chain.fork().simulate(exploit.this, bank, "withdraw")
     )
     print("[2] ECFChecker verdict on the attack payload (off-chain simulation):")
     for violation in report.violations:

@@ -24,7 +24,7 @@ from repro.chain.block import Block, genesis_block
 from repro.chain.clock import SimulatedClock
 from repro.chain.contract import Contract
 from repro.chain.errors import InsufficientFunds, InvalidTransaction
-from repro.chain.evm import BlockContext, CallTracer, ExecutionEngine, Receipt
+from repro.chain.evm import BlockContext, ExecutionEngine, Receipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import DEFAULT_GAS_LIMIT, Transaction
 from repro.crypto.keys import KeyPair
@@ -70,8 +70,6 @@ class Blockchain:
         self.pending: list[Transaction] = []
         self.receipts: dict[bytes, Receipt] = {}
         self._rebase()
-        # Tracer factory can be overridden (runtime verification testnets do).
-        self.trace_transactions = False
         #: durability hook: called with the post-block world state inside
         #: ``_mine`` to stamp ``Block.state_root`` (see ``repro.storage``).
         self.state_root_provider: "Callable[[WorldState], bytes] | None" = None
@@ -196,12 +194,7 @@ class Blockchain:
         mark = state.snapshot()
         try:
             for tx, factory in batch:
-                tracer = CallTracer() if self.trace_transactions else None
-                receipt = self.evm.execute_transaction(
-                    tx, block_ctx, deploy_factory=factory, tracer=tracer
-                )
-                if tracer is not None:
-                    receipt.trace = tracer
+                receipt = self.evm.execute_transaction(tx, block_ctx, deploy_factory=factory)
                 block.transactions.append(tx)
                 block.gas_used += receipt.gas_used
                 receipts.append(receipt)
@@ -254,6 +247,22 @@ class Blockchain:
         """Execute a method read-only (``eth_call``): no gas, no state change."""
         address = getattr(target, "this", target)
         return self.evm.static_read(address, method, *args, **kwargs)
+
+    def simulate(
+        self,
+        sender: Address,
+        target: "Address | Contract",
+        method: str,
+        args: tuple[Any, ...] = (),
+        kwargs: dict[str, Any] | None = None,
+        value: int = 0,
+    ) -> Receipt:
+        """Run a call at the next block's context and roll it back: the
+        receipt it would get, plus its call tree in ``receipt.trace`` (see
+        :meth:`ExecutionEngine.simulate`)."""
+        block = BlockContext(number=self.height + 1, timestamp=self.timestamp)
+        address = getattr(target, "this", target)
+        return self.evm.simulate(block, sender, address, method, args, kwargs, value)
 
     def receipt_for(self, tx_hash: bytes) -> Receipt:
         return self.receipts[tx_hash]
@@ -324,10 +333,11 @@ class Blockchain:
     def fork(self) -> "Blockchain":
         """Return an independent copy of the chain at its current height.
 
-        Used by the Token Service's local testnets: runtime-verification tools
-        replay candidate transactions on a fork without touching the main
-        chain.  This is the one full copy of the world state left; the fork
-        can be reverted back to this height, not below it.  The fork shares
+        The ECFChecker rule simulates each candidate call on a fork, so its
+        simulations never run on the engine that mines the live chain's
+        blocks (a simulation rolls itself back either way).  This is the one
+        full copy of the world state left; the fork can be reverted back to
+        this height, not below it.  The fork shares
         this chain's signature cache: it is the same node's memo, and every
         entry in it holds on either chain.
         """

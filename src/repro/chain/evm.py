@@ -11,8 +11,9 @@ runtime-verification tools (Hydra heads, ECFChecker) consume.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.chain import abi, gas
 from repro.chain.address import ZERO_ADDRESS, Address, contract_address
@@ -96,7 +97,7 @@ class Receipt:
     logs: list[LogEntry] = field(default_factory=list)
     gas_breakdown: dict[str, int] = field(default_factory=dict)
     contract_address: Address | None = None
-    #: the call tree, when the chain mined with ``trace_transactions``
+    #: the call tree of a simulation (:meth:`ExecutionEngine.simulate`)
     trace: "CallTracer | None" = field(default=None, repr=False, compare=False)
 
     def breakdown(self, category: str) -> int:
@@ -279,9 +280,9 @@ class ExecutionEngine:
         # ECFChecker rule to find contracts controlled by a token requester).
         self.contract_creators: dict[Address, Address] = {}
         self.tracer: CallTracer | None = None
-        # When True, SMACS-protected methods skip token verification.  Only the
-        # Token Service's isolated simulation testnets set this: a runtime
-        # verification rule asks "what would happen if this call were
+        # When True, SMACS-protected methods skip token verification.  Only
+        # ``_rolled_back`` sets it, for a simulation or a static read: a
+        # runtime-verification rule asks "what would happen if this call were
         # authorised?", so the simulated call must reach the method body.
         self.smacs_simulation_mode = False
         self._pending_logs: list[LogEntry] = []
@@ -313,7 +314,6 @@ class ExecutionEngine:
         tx: Transaction,
         block: BlockContext,
         deploy_factory: Callable[[], Contract] | None = None,
-        tracer: CallTracer | None = None,
     ) -> Receipt:
         """Execute a validated transaction and return its receipt.
 
@@ -327,11 +327,58 @@ class ExecutionEngine:
         balance = self.state.balance_of(tx.sender)
         if balance < tx.value:
             raise InsufficientFunds(f"sender balance {balance} cannot cover value {tx.value}")
+        receipt = self._receipt(tx, tx.hash(), block, deploy_factory)
+        self.state.increment_nonce(tx.sender)
+        return receipt
+
+    def simulate(
+        self,
+        block: BlockContext,
+        sender: Address,
+        target: Address,
+        method: str,
+        args: tuple[Any, ...] = (),
+        kwargs: dict[str, Any] | None = None,
+        value: int = 0,
+    ) -> Receipt:
+        """Run a call as a transaction the node rolls back, and return its receipt.
+
+        The receipt is the one :meth:`execute_transaction` would write (gas,
+        logs, error text), plus the call tree in ``receipt.trace``.  The
+        sender is impersonated -- it needs no key and is credited the value
+        it sends -- and SMACS token checks are off: a runtime-verification
+        rule asks what the call would do once authorised (§IV-E(b)).  Every
+        write is undone on the journal, so a simulation costs O(state it
+        wrote), not O(state).
+        """
+        tx = Transaction(sender, target, self.state.nonce_of(sender), method,
+                         tuple(args), dict(kwargs or {}), value)
+        tracer = CallTracer()
+        with self._rolled_back(tracer):
+            if value:
+                self.state.add_balance(sender, value)
+            receipt = self._receipt(tx, b"", block)
+        receipt.trace = tracer
+        return receipt
+
+    def _receipt(
+        self,
+        tx: Transaction,
+        tx_hash: bytes,
+        block: BlockContext,
+        deploy_factory: Callable[[], Contract] | None = None,
+    ) -> Receipt:
+        """Run ``tx``'s call and map its outcome to a receipt.
+
+        The one place an outcome becomes a receipt, for mined transactions
+        and simulations alike: a revert, running out of gas (which bills the
+        whole limit), an unknown contract or arguments that do not fit the
+        method fail the receipt; only a mutable storage value leaves.
+        """
         meter = gas.GasMeter(gas_limit=tx.gas_limit)
         ctx = TransactionContext(tx.sender, tx.gas_price, block, meter)
         self._pending_logs = []
-        self.tracer = tracer
-        receipt = Receipt(tx.hash(), success=True, gas_used=0, block_number=block.number)
+        receipt = Receipt(tx_hash, success=True, gas_used=0, block_number=block.number)
         try:
             calldata = tx.calldata
             meter.charge(gas.TX_BASE)
@@ -356,10 +403,6 @@ class ExecutionEngine:
                 meter.gas_used = meter.gas_limit
             else:
                 receipt.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            self.tracer = None
-        self.state.increment_nonce(tx.sender)
-
         receipt.gas_used = meter.finalize()
         receipt.gas_breakdown = dict(meter.breakdown)
         receipt.logs = list(self._pending_logs)
@@ -547,15 +590,29 @@ class ExecutionEngine:
         state.commit(checkpoint)
         return result
 
-    # -- read-only convenience ----------------------------------------------------------
+    # -- off the record ----------------------------------------------------------------
+
+    @contextmanager
+    def _rolled_back(self, tracer: CallTracer | None = None) -> Iterator[None]:
+        """SMACS checks off and ``tracer`` attached for the body, whose every
+        write is then undone: the one scope of simulations and static reads."""
+        previous = self.smacs_simulation_mode, self.tracer
+        self.smacs_simulation_mode, self.tracer = True, tracer
+        checkpoint = self.state.snapshot()
+        try:
+            yield
+        finally:
+            self.smacs_simulation_mode, self.tracer = previous
+            self.state.revert_to(checkpoint)
 
     def static_read(self, target: Address, method: str, *args: Any, **kwargs: Any) -> Any:
         """Execute a method without charging gas or persisting state changes.
 
         This is a node-local inspection helper (closer to reading storage via
-        a block explorer than to a consensus-path call): it bypasses SMACS
-        token verification so owners, tests and examples can inspect view
-        methods of protected contracts without minting tokens.
+        a block explorer than to a consensus-path call): it bypasses method
+        visibility and SMACS token verification so owners, tests and examples
+        can inspect view methods of protected contracts without minting
+        tokens, and it raises what the method raises.
         """
         handler = getattr(self.contract_at(target), method, None)
         if handler is None:
@@ -563,14 +620,8 @@ class ExecutionEngine:
         ctx = TransactionContext(
             ZERO_ADDRESS, 0, BlockContext(number=0, timestamp=0), gas.GasMeter(gas_limit=10**12)
         )
-        previous_simulation_mode = self.smacs_simulation_mode
-        self.smacs_simulation_mode = True
-        checkpoint = self.state.snapshot()
-        try:
+        with self._rolled_back():
             return self._run_frame(
                 ctx, ZERO_ADDRESS, target, method, args, kwargs, 0,
                 abi.encode_call(method, args, kwargs), 0, handler=handler,
             )
-        finally:
-            self.smacs_simulation_mode = previous_simulation_mode
-            self.state.revert_to(checkpoint)

@@ -76,7 +76,7 @@ def smacs_protected(method: Callable) -> Callable:
             # point already verified its own token (Fig. 4 split semantics).
             return method(self, *args, **kwargs)
 
-        if getattr(self.env.evm, "smacs_simulation_mode", False):
+        if self.env.evm.smacs_simulation_mode:
             # Off-chain simulation by a Token Service validation tool: the
             # question is what the call would do once authorised, so the
             # token check is assumed to pass.

@@ -2,10 +2,10 @@
 
 The Token Service can attach arbitrary validation logic to token issuance.
 This subpackage provides the two case studies of the paper plus supporting
-infrastructure:
+infrastructure.  Both case studies simulate the candidate call off-chain with
+:meth:`~repro.chain.chain.Blockchain.simulate` -- a transaction the node rolls
+back -- and judge its receipt:
 
-* :mod:`repro.verification.testnet` -- a local, isolated testnet harness the
-  TS uses to simulate candidate calls off-chain;
 * :mod:`repro.verification.hydra` -- Hydra-style N-of-N-version uniformity:
   a token is issued only when all independent heads agree on the outcome;
 * :mod:`repro.verification.ecf_checker` -- an ECFChecker-style detector of
@@ -16,14 +16,11 @@ infrastructure:
   §VIII.
 """
 
-from repro.verification.testnet import LocalTestnet, SimulationResult
 from repro.verification.hydra import HydraCoordinator, HydraUniformityRule
 from repro.verification.ecf_checker import ECFChecker, ECFTokenRule, ECFViolation
 from repro.verification.static_scan import StaticScanner, ScanFinding
 
 __all__ = [
-    "LocalTestnet",
-    "SimulationResult",
     "HydraCoordinator",
     "HydraUniformityRule",
     "ECFChecker",

@@ -18,8 +18,10 @@ simulator:
 
 :class:`ECFTokenRule` packages the checker as a Token Service rule (§V-B):
 before issuing a token for a protected contract, the rule simulates the
-requested call on a fork of the live chain.  Because re-entrancy is only
-reachable when the *immediate caller* is a contract with a malicious fallback,
+requested call on a fork of the live chain
+(:meth:`~repro.chain.chain.Blockchain.simulate`) and reads the call tree off
+the receipt.  Because re-entrancy is only reachable when the *immediate
+caller* is a contract with a malicious fallback,
 the rule simulates the call not only from the requesting client address but
 also from every contract that client has deployed (public chain data), and
 denies the token when any simulation exhibits a violation.  This instantiation
@@ -33,10 +35,9 @@ from typing import Any, Iterable
 
 from repro.chain.address import Address, address_hex
 from repro.chain.chain import Blockchain
-from repro.chain.evm import CallTracer
+from repro.chain.evm import CallTracer, Receipt
 from repro.core.acr import AccessDecision
 from repro.core.token_request import TokenRequest
-from repro.verification.testnet import LocalTestnet, SimulationResult
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class ECFReport:
 
     is_ecf: bool
     violations: list[ECFViolation] = field(default_factory=list)
-    simulation: SimulationResult | None = None
+    receipt: Receipt | None = None
 
 
 class ECFChecker:
@@ -89,11 +90,12 @@ class ECFChecker:
                 )
         return violations
 
-    def check_simulation(self, simulation: SimulationResult) -> ECFReport:
-        if simulation.trace is None:
-            return ECFReport(is_ecf=True, simulation=simulation)
-        violations = self.analyse_trace(simulation.trace)
-        return ECFReport(is_ecf=not violations, violations=violations, simulation=simulation)
+    def check_simulation(self, receipt: Receipt) -> ECFReport:
+        """Judge a simulated call by the trace on its receipt."""
+        if receipt.trace is None:
+            return ECFReport(is_ecf=True, receipt=receipt)
+        violations = self.analyse_trace(receipt.trace)
+        return ECFReport(is_ecf=not violations, violations=violations, receipt=receipt)
 
     @staticmethod
     def _slots_touched(
@@ -124,13 +126,11 @@ class ECFTokenRule:
         target_contract: "Address | Any",
         checker: ECFChecker | None = None,
         extra_senders: Iterable[Address] = (),
-        default_call_value: int = 0,
     ):
         self.chain = chain
         self.target = getattr(target_contract, "this", target_contract)
         self.checker = checker or ECFChecker()
         self.extra_senders = list(extra_senders)
-        self.default_call_value = default_call_value
         self.checks_performed = 0
         self.last_report: ECFReport | None = None
 
@@ -147,16 +147,10 @@ class ECFTokenRule:
                 "ECF-protected contracts only accept method/argument tokens"
             )
 
-        testnet = LocalTestnet(fork_of=self.chain)
+        fork = self.chain.fork()
         for sender in self._candidate_senders(request):
-            simulation = testnet.simulate(
-                sender=sender,
-                contract=self.target,
-                method=request.method,
-                kwargs=dict(request.arguments),
-                value=self.default_call_value,
-            )
-            report = self.checker.check_simulation(simulation)
+            receipt = fork.simulate(sender, self.target, request.method, kwargs=request.arguments)
+            report = self.checker.check_simulation(receipt)
             self.checks_performed += 1
             self.last_report = report
             if not report.is_ecf:

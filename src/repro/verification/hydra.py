@@ -3,14 +3,18 @@
 The Hydra framework runs N independently written *heads* of the same
 contract logic and aborts when their outputs diverge.  On-chain, that costs a
 factor of roughly N in gas; integrated into SMACS the heads run on the Token
-Service's local testnet instead, so divergent payloads simply never get a
+Service's own private chain instead, so divergent payloads simply never get a
 token and the chain never pays for the redundancy.
 
-:class:`HydraCoordinator` owns one testnet per head set, executes a candidate
-call against every head and compares the observable outcomes (success flag,
-return value, emitted events).  :class:`HydraUniformityRule` adapts the
-coordinator to the Token Service rule protocol: an argument-token request is
-granted only when all heads agree on the call described by the request.
+:class:`HydraCoordinator` deploys the heads on a private
+:class:`~repro.chain.chain.Blockchain`, simulates a candidate call against
+every head (:meth:`~repro.chain.chain.Blockchain.simulate`) and compares the
+observable outcomes of the receipts (success flag, return value, emitted
+events).  :class:`HydraUniformityRule` adapts the coordinator to the Token
+Service rule protocol: an argument-token request is granted only when all
+heads agree on the call described by the request -- a call that fails the
+same way on every head (a non-positive amount, arguments ``add`` does not
+take) is uniform, and the chain refuses it later.
 
 The module also ships three example heads of a small accumulator contract
 (one of which can be deployed in a "buggy" 16-bit variant) so tests, examples
@@ -23,11 +27,13 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.chain.address import Address
+from repro.chain.chain import Blockchain
 from repro.chain.contract import Contract, external, public
+from repro.chain.errors import ChainError
+from repro.chain.evm import Receipt
 from repro.core.acr import AccessDecision
 from repro.core.token import TokenType
 from repro.core.token_request import TokenRequest
-from repro.verification.testnet import LocalTestnet, SimulationResult
 
 
 # --- Example heads: the same intended logic, written three times --------------
@@ -122,10 +128,15 @@ class HeadOutcome:
     """What one head did with the candidate call."""
 
     head: str
-    result: SimulationResult
+    receipt: Receipt
 
     def comparable(self) -> tuple:
-        return self.result.observable_outcome()
+        """Success, return value and emitted events: what Hydra compares."""
+        logs = tuple(
+            (log.name, tuple(sorted(log.fields.items(), key=lambda kv: kv[0])))
+            for log in self.receipt.logs
+        )
+        return (self.receipt.success, self.receipt.return_value, logs)
 
 
 @dataclass
@@ -149,20 +160,20 @@ class HydraCoordinator:
         self,
         head_classes: Sequence[type] = DEFAULT_HEAD_CLASSES,
         constructor_args: Sequence[dict[str, Any]] | None = None,
-        testnet: LocalTestnet | None = None,
     ):
         if len(head_classes) < 2:
             raise ValueError("Hydra needs at least two heads")
-        self.testnet = testnet or LocalTestnet()
+        self.chain = Blockchain()
         self.heads: list[tuple[str, Contract]] = []
         args_per_head = list(constructor_args or [{}] * len(head_classes))
         if len(args_per_head) != len(head_classes):
             raise ValueError("constructor_args must match the number of heads")
+        deployer = self.chain.create_account("hydra")
         for head_class, ctor_kwargs in zip(head_classes, args_per_head):
-            instance = self.testnet.deploy_twin(
-                f"hydra-{head_class.__name__}", head_class, **ctor_kwargs
-            )
-            self.heads.append((head_class.__name__, instance))
+            receipt = deployer.deploy(head_class, **ctor_kwargs)
+            if not receipt.success:
+                raise ChainError(f"head deployment failed: {receipt.error}")
+            self.heads.append((head_class.__name__, receipt.return_value))
         self.checks_performed = 0
 
     @property
@@ -170,24 +181,11 @@ class HydraCoordinator:
         return len(self.heads)
 
     def execute(
-        self,
-        sender: Address,
-        method: str,
-        arguments: dict[str, Any] | None = None,
-        value: int = 0,
+        self, sender: Address, method: str, arguments: dict[str, Any] | None = None
     ) -> UniformityReport:
         """Run the call on every head and compare the observable outcomes."""
         outcomes = [
-            HeadOutcome(
-                head=name,
-                result=self.testnet.simulate(
-                    sender=sender,
-                    contract=head,
-                    method=method,
-                    kwargs=dict(arguments or {}),
-                    value=value,
-                ),
-            )
+            HeadOutcome(name, self.chain.simulate(sender, head, method, kwargs=arguments))
             for name, head in self.heads
         ]
         self.checks_performed += 1

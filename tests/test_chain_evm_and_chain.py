@@ -211,6 +211,10 @@ def test_fork_is_isolated_from_main_chain(chain, owner, alice):
     fork_alice.transact(callee, "ping", 2)
     assert fork.read(callee, "calls") == 2
     assert chain.read(callee, "calls") == 1  # main chain untouched
+    # ... and the fork does not see a later write on its parent.
+    alice.transact(callee, "ping", 3)
+    assert chain.read(callee, "calls") == 2
+    assert fork.read(callee, "calls") == 2
 
 
 def test_receipts_are_retrievable_by_hash(chain, alice, bob):
@@ -222,9 +226,13 @@ def test_receipts_are_retrievable_by_hash(chain, alice, bob):
 
 
 def test_tracer_records_nested_calls(chain, owner, alice, callee, caller):
-    chain.trace_transactions = True
+    simulated = chain.simulate(alice.address, caller, "relay", (5,))
     receipt = alice.transact(caller, "relay", 5)
-    trace: CallTracer = receipt.trace
+    assert receipt.trace is None  # a mined receipt carries no call tree
+    assert (simulated.success, simulated.return_value, simulated.gas_used) == (
+        receipt.success, receipt.return_value, receipt.gas_used
+    )
+    trace: CallTracer = simulated.trace
     targets = [record.target for record in trace.calls]
     assert caller.this in targets and callee.this in targets
     inner = next(r for r in trace.calls if r.target == callee.this)

@@ -4,9 +4,11 @@
 transfer, the frame's ``Env``, tracer enter/exit and one journal checkpoint
 (committed on return, reverted on any exception); ``execute_transaction``
 maps the outcome to a receipt in one place and consumes the nonce after the
-frame.  ``Blockchain._mine`` is all or nothing.  These tests pin the
-checkpoint count, the receipts of transactions that used to escape the EVM,
-a failed deployment's footprint and the atomic block.
+frame.  ``Blockchain._mine`` is all or nothing.  A simulation is a
+transaction the node rolls back, so its receipt comes out of that same
+mapping.  These tests pin the checkpoint count, the receipts of transactions
+that used to escape the EVM, a simulated receipt against the mined one, a
+failed deployment's footprint and the atomic block.
 """
 
 import ast
@@ -24,7 +26,7 @@ from repro.chain.errors import (
     UnknownContract,
 )
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import DEFAULT_GAS_LIMIT, Transaction
 from repro.contracts.erc20 import SimpleToken
 from repro.crypto.keys import KeyPair
 from repro.pipeline import ExecutionPipeline
@@ -48,6 +50,28 @@ class Counter(Contract):
     @external
     def keep_list(self) -> None:
         self.storage["box"] = [1]
+
+
+class Spender(Contract):
+    """One call per way a receipt can come out."""
+
+    @external
+    def log(self, note: int) -> int:
+        self.storage["note"] = note
+        self.emit("Noted", note=note)
+        return note + 1
+
+    @external
+    def refuse(self) -> None:
+        self.storage["note"] = -1
+        self.revert("refused")
+
+    @external
+    def burn(self) -> None:
+        slot = 0
+        while True:
+            self.storage[("burn", slot)] = 1
+            slot += 1
 
 
 class Doomed(Contract):
@@ -133,6 +157,93 @@ def test_env_is_built_only_by_the_frame_runner():
     for path in sorted(SRC.rglob("*.py")):
         Finder(path.relative_to(SRC).as_posix()).visit(ast.parse(path.read_text()))
     assert sites == [("repro/chain/evm.py", "_run_frame")]
+
+
+# --- one outcome mapping: a simulation is a transaction the node rolls back -----------
+
+
+def _names(tree: ast.AST) -> set:
+    """Every name a module reads, writes, defines or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.rpartition(".")[2], node.asname))
+    return names
+
+
+def _assigned_attributes(tree: ast.AST) -> set:
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    attributes = set()
+    for target in targets:
+        for part in ast.walk(target):
+            if isinstance(part, ast.Attribute) and isinstance(part.ctx, ast.Store):
+                attributes.add(part.attr)
+    return attributes
+
+
+def test_one_outcome_mapping_and_one_off_the_record_scope():
+    root = SRC.parent
+    trees = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text())
+        for folder in ("src", "examples")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    evm = "src/repro/chain/evm.py"
+    for private in ("_run_frame", "_pending_logs"):
+        assert [p for p, tree in trees.items() if private in _names(tree)] == [evm], private
+    assert [
+        p for p, tree in trees.items() if "smacs_simulation_mode" in _assigned_attributes(tree)
+    ] == [evm]
+    # The testnet wrapper and its result type are gone; the engine and the
+    # chain are the only things that simulate.
+    gone = {"LocalTestnet", "SimulationResult"}
+    assert not [p for p, tree in trees.items() if _names(tree) & gone]
+    simulators = sorted(
+        (p, cls.name)
+        for p, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "simulate"
+    )
+    assert simulators == [("src/repro/chain/chain.py", "Blockchain"), (evm, "ExecutionEngine")]
+
+
+@pytest.mark.parametrize("method, kwargs, error", [
+    ("log", {"note": 7}, None),
+    ("refuse", {}, "revert: refused"),
+    ("burn", {}, "out of gas: "),
+    ("log", {"note": 7, "extra": 1}, "TypeError: "),
+    ("missing", {}, "UnknownMethod: "),
+])
+def test_a_simulation_writes_the_receipt_the_transaction_gets(method, kwargs, error):
+    chain = Blockchain()
+    alice = chain.create_account("alice", seed="sim-alice")
+    spender = alice.deploy(Spender).return_value
+    root, nonce = state_root(chain.state), chain.state.nonce_of(alice.address)
+
+    simulated = chain.simulate(alice.address, spender, method, kwargs=kwargs)
+    assert (state_root(chain.state), chain.state.nonce_of(alice.address)) == (root, nonce)
+    assert not chain.evm.smacs_simulation_mode and chain.evm.tracer is None
+    traced = [call.method for call in simulated.trace.calls]
+    assert traced == ([] if method == "missing" else [method])
+
+    mined = alice.transact(spender, method, **kwargs)
+    assert mined.trace is None
+    fields = ("success", "return_value", "error", "gas_used", "gas_breakdown", "logs")
+    assert [getattr(simulated, f) for f in fields] == [getattr(mined, f) for f in fields]
+    assert mined.success if error is None else mined.error.startswith(error)
+    if method == "burn":
+        assert mined.gas_used == DEFAULT_GAS_LIMIT  # out of gas bills the whole limit
 
 
 # --- transactions that used to escape the EVM fail their receipts ---------------------

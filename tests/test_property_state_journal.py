@@ -127,7 +127,6 @@ def _run_reentrancy_attack(state_factory):
     """Drive the Bank/Attacker exploit on a chain using ``state_factory``."""
     chain = Blockchain()
     chain.evm.state = state_factory()
-    chain.trace_transactions = True
     owner = chain.create_account("owner", seed="reentrancy-owner")
     alice = chain.create_account("alice", seed="reentrancy-alice")
     eve = chain.create_account("eve", seed="reentrancy-eve")
@@ -136,12 +135,14 @@ def _run_reentrancy_attack(state_factory):
     alice.transact(bank, "addBalance", value=10 * ETHER)
     attacker = eve.deploy(Attacker, bank.this, True).return_value
     eve.transact(attacker, "deposit", 2 * ETHER, value=2 * ETHER)
+    simulated = chain.simulate(eve.address, attacker, "withdraw")
     receipt = eve.transact(attacker, "withdraw")
 
-    trace = receipt.trace
+    trace = simulated.trace
     return {
         "success": receipt.success,
         "gas_used": receipt.gas_used,
+        "simulated": (simulated.success, simulated.gas_used),
         "reentrant_frames": trace.reentrant_frames(),
         "reentrant_targets": sorted(trace.reentrant_targets()),
         "attacker_balance": chain.balance_of(attacker),

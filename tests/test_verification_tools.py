@@ -1,4 +1,4 @@
-"""Tests for the runtime-verification layer: testnet, ECFChecker, Hydra, scanner."""
+"""Tests for the runtime-verification layer: simulation, ECFChecker, Hydra, scanner."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.verification import (
     ECFTokenRule,
     HydraCoordinator,
     HydraUniformityRule,
-    LocalTestnet,
     StaticScanner,
 )
 from repro.verification.hydra import (
@@ -26,60 +25,40 @@ from repro.verification.hydra import (
 ETHER = 10**18
 
 
-# --- the local testnet harness ----------------------------------------------------------
+# --- simulation: a transaction the node rolls back --------------------------------------------
 
 
 def test_simulation_has_no_persistent_effects(chain, owner, alice):
     bank = owner.deploy(Bank).return_value
-    testnet = LocalTestnet(fork_of=chain)
-    result = testnet.simulate(alice.address, bank, "addBalance", value=ETHER)
-    assert result.success
+    fork = chain.fork()
+    receipt = fork.simulate(alice.address, bank, "addBalance", value=ETHER)
+    assert receipt.success
     # Neither the fork nor (of course) the main chain retain the deposit.
-    assert testnet.chain.read(bank, "balanceOf", alice.address) == 0
+    assert fork.read(bank, "balanceOf", alice.address) == 0
     assert chain.read(bank, "balanceOf", alice.address) == 0
 
 
 def test_simulation_reports_reverts_without_raising(chain, owner, alice):
     bank = owner.deploy(Bank).return_value
-    testnet = LocalTestnet(fork_of=chain)
-    result = testnet.simulate(alice.address, bank, "no_such_method")
-    assert not result.success
-    assert "UnknownMethod" in result.error
+    receipt = chain.fork().simulate(alice.address, bank, "no_such_method")
+    assert not receipt.success
+    assert "UnknownMethod" in receipt.error
 
 
 def test_simulation_records_trace_and_gas(chain, owner, alice):
     bank = owner.deploy(Bank).return_value
-    testnet = LocalTestnet(fork_of=chain)
-    result = testnet.simulate(alice.address, bank, "addBalance", value=ETHER)
-    assert result.gas_used > 21_000
-    assert result.trace is not None
-    assert result.trace.calls
+    receipt = chain.fork().simulate(alice.address, bank, "addBalance", value=ETHER)
+    assert receipt.gas_used > 21_000
+    assert receipt.trace is not None
+    assert receipt.trace.calls
 
 
 def test_simulation_bypasses_smacs_verification(chain, owner, alice, token_service):
     protected = OwnerWallet(owner, token_service).deploy_protected(ProtectedRecorder).return_value
-    testnet = LocalTestnet(fork_of=chain)
-    result = testnet.simulate(alice.address, protected, "submit", kwargs={"amount": 5})
-    assert result.success  # no token needed inside the TS's own simulation
+    receipt = chain.fork().simulate(alice.address, protected, "submit", kwargs={"amount": 5})
+    assert receipt.success  # no token needed inside the TS's own simulation
     # ... but on the real chain the token is still required.
     assert not alice.transact(protected, "submit", 5).success
-
-
-def test_fresh_testnet_and_twin_deployment():
-    testnet = LocalTestnet()
-    twin = testnet.deploy_twin("deployer", Bank)
-    assert testnet.chain.read(twin, "balanceOf", b"\x01" * 20) == 0
-    with pytest.raises(RuntimeError):
-        testnet.refresh_fork()
-
-
-def test_forked_testnet_can_refresh(chain, owner):
-    bank = owner.deploy(Bank).return_value
-    testnet = LocalTestnet(fork_of=chain)
-    owner.transact(bank, "addBalance", value=ETHER)
-    assert testnet.chain.read(bank, "balanceOf", owner.address) == 0
-    testnet.refresh_fork()
-    assert testnet.chain.read(bank, "balanceOf", owner.address) == ETHER
 
 
 # --- ECFChecker ----------------------------------------------------------------------------------
@@ -96,11 +75,8 @@ def bank_with_attacker(chain, owner, alice, eve):
 
 def test_ecf_checker_flags_reentrant_withdraw(chain, alice, bank_with_attacker):
     bank, attacker = bank_with_attacker
-    testnet = LocalTestnet(fork_of=chain)
     checker = ECFChecker()
-    attack = checker.check_simulation(
-        testnet.simulate(attacker.this, bank, "withdraw")
-    )
+    attack = checker.check_simulation(chain.fork().simulate(attacker.this, bank, "withdraw"))
     assert not attack.is_ecf
     assert attack.violations
     assert attack.violations[0].contract == bank.this
@@ -109,17 +85,18 @@ def test_ecf_checker_flags_reentrant_withdraw(chain, alice, bank_with_attacker):
 
 def test_ecf_checker_passes_honest_withdraw(chain, alice, bank_with_attacker):
     bank, _ = bank_with_attacker
-    testnet = LocalTestnet(fork_of=chain)
     checker = ECFChecker()
-    honest = checker.check_simulation(testnet.simulate(alice.address, bank, "withdraw"))
+    honest = checker.check_simulation(chain.fork().simulate(alice.address, bank, "withdraw"))
     assert honest.is_ecf
     assert honest.violations == []
 
 
 def test_ecf_checker_handles_missing_trace():
-    from repro.verification.testnet import SimulationResult
+    from repro.chain.evm import Receipt
 
-    report = ECFChecker().check_simulation(SimulationResult(success=True, trace=None))
+    report = ECFChecker().check_simulation(
+        Receipt(b"", success=True, gas_used=0, block_number=1)
+    )
     assert report.is_ecf
 
 
@@ -194,7 +171,7 @@ def test_hydra_uniform_on_common_failure(alice, hydra_with_buggy_head):
     # All heads reject a non-positive amount identically -> uniform.
     report = hydra_with_buggy_head.execute(alice.address, "add", {"amount": 0})
     assert report.uniform
-    assert all(not o.result.success for o in report.outcomes)
+    assert all(not o.receipt.success for o in report.outcomes)
 
 
 def test_hydra_requires_at_least_two_heads():
@@ -242,6 +219,63 @@ def test_hydra_as_token_service_rule_end_to_end(chain, alice, hydra_with_buggy_h
     )
     assert ok.issued
     assert not bad.issued
+
+
+# --- arguments the method cannot take are the caller's error, not the service's ---------------
+
+
+def _hydra_ruled_service(coordinator):
+    service = TokenService(keypair=KeyPair.from_seed("hydra-ts"))
+    rule = HydraUniformityRule(coordinator)
+    service.rules.add_rule(RuntimeVerificationRule(rule), TokenType.ARGUMENT)
+    return service, rule
+
+
+@pytest.mark.parametrize(
+    "arguments", [{"amont": 5}, {"amount": "x"}, {"amount": 5, "extra": 1}],
+    ids=["misspelt", "mistyped", "extra"],
+)
+def test_hydra_rule_issues_when_every_head_refuses_the_arguments(
+    alice, hydra_with_buggy_head, arguments
+):
+    service, rule = _hydra_ruled_service(hydra_with_buggy_head)
+    request = TokenRequest.argument_token(b"\x33" * 20, alice.address, "add", arguments)
+    [result] = service.submit([request])
+    # Every head fails the call the same way, as with amount=0: uniform.
+    assert result.issued
+    assert rule.last_report.uniform
+    assert all(o.receipt.error.startswith("TypeError: ") for o in rule.last_report.outcomes)
+
+
+def test_ecf_rule_issues_when_withdraw_refuses_the_arguments(chain, owner, alice, token_service):
+    from repro.contracts import SMACSBank
+
+    bank = owner.deploy(SMACSBank, ts_address=token_service.address).return_value
+    rule = ECFTokenRule(chain, bank)
+    token_service.rules.add_rule(RuntimeVerificationRule(rule), None)
+    request = TokenRequest.argument_token(bank.this, alice.address, "withdraw", {"bogus": 1})
+    [result] = token_service.submit([request])
+    assert result.issued
+    assert rule.last_report.is_ecf
+    assert rule.last_report.receipt.error.startswith("TypeError: ")
+    # The chain still refuses the call the token names.
+    assert not alice.transact(bank, "withdraw", bogus=1, token=result.token.to_bytes()).success
+
+
+def test_gateway_answers_every_request_of_an_envelope_with_a_bad_one(
+    alice, hydra_with_buggy_head
+):
+    from repro.api import ServiceGateway
+
+    route = "https://ts.hydra.example"
+    gateway = ServiceGateway()
+    gateway.register(route, _hydra_ruled_service(hydra_with_buggy_head)[0])
+    contract = b"\x33" * 20
+    results = gateway.client_for(route).submit([
+        TokenRequest.argument_token(contract, alice.address, "add", {"amount": 5}),
+        TokenRequest.argument_token(contract, alice.address, "add", {"amont": 5}),
+    ])
+    assert [r.issued for r in results] == [True, True]
 
 
 # --- static scanner -----------------------------------------------------------------------------------
